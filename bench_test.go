@@ -83,12 +83,10 @@ func BenchmarkBackendsSweep(b *testing.B) { runExperiment(b, "backends") }
 // --- microbenchmarks over the public API ---
 
 var (
-	microOnce  sync.Once
-	microDS    *streach.Dataset
-	microCN    *streach.ContactNetwork
-	microGrid  *streach.ReachGrid
-	microGraph *streach.ReachGraph
-	microWork  []streach.Query
+	microOnce sync.Once
+	microDS   *streach.Dataset
+	microCN   *streach.ContactNetwork
+	microWork []streach.Query
 )
 
 func microSetup(b *testing.B) {
@@ -98,15 +96,6 @@ func microSetup(b *testing.B) {
 			NumObjects: 150, NumTicks: 1000, Seed: 2,
 		})
 		microCN = microDS.Contacts()
-		var err error
-		microGrid, err = streach.BuildReachGrid(microDS, streach.ReachGridOptions{})
-		if err != nil {
-			panic(err)
-		}
-		microGraph, err = streach.BuildReachGraphFromContacts(microCN, streach.ReachGraphOptions{})
-		if err != nil {
-			panic(err)
-		}
 		microWork = streach.RandomQueries(streach.WorkloadOptions{
 			NumObjects: microDS.NumObjects(), NumTicks: microDS.NumTicks(),
 			Count: 64, Seed: 3,
@@ -124,55 +113,40 @@ func BenchmarkContactExtraction(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildReachGrid(b *testing.B) {
+// benchmarkBuild times Open of one backend over the (already extracted)
+// micro dataset: the index build.
+func benchmarkBuild(b *testing.B, backend string) {
 	microSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := streach.BuildReachGrid(microDS, streach.ReachGridOptions{}); err != nil {
+		if _, err := streach.Open(backend, microDS, streach.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBuildReachGraph(b *testing.B) {
+func BenchmarkBuildReachGrid(b *testing.B)  { benchmarkBuild(b, "reachgrid") }
+func BenchmarkBuildReachGraph(b *testing.B) { benchmarkBuild(b, "reachgraph") }
+
+// benchmarkQuery times point queries of one backend over the micro dataset.
+func benchmarkQuery(b *testing.B, backend string) {
 	microSetup(b)
+	e, err := streach.Open(backend, microDS, streach.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := streach.BuildReachGraphFromContacts(microCN, streach.ReachGraphOptions{}); err != nil {
+		if _, err := e.Reachable(ctx, microWork[i%len(microWork)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkReachGridQuery(b *testing.B) {
-	microSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := microGrid.Reachable(microWork[i%len(microWork)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReachGraphQueryBMBFS(b *testing.B) {
-	microSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := microGraph.Reachable(microWork[i%len(microWork)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReachGraphQueryEDFS(b *testing.B) {
-	microSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := microGraph.ReachableStrategy(microWork[i%len(microWork)], streach.EDFS); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkReachGridQuery(b *testing.B)       { benchmarkQuery(b, "reachgrid") }
+func BenchmarkReachGraphQueryBMBFS(b *testing.B) { benchmarkQuery(b, "reachgraph") }
+func BenchmarkReachGraphQueryEDFS(b *testing.B)  { benchmarkQuery(b, "reachgraph-edfs") }
 
 func BenchmarkOracleQuery(b *testing.B) {
 	microSetup(b)

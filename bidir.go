@@ -1,259 +1,88 @@
-// Bidirectional cross-segment point queries and parallel frontier sweeps.
+// Bidirectional cross-segment point queries.
 //
-// The forward planner (planReach) expands the reachable set of the source
-// slab by slab until the destination's slab answers natively. On long
+// The forward plan (segmentedCore.reach) expands the reachable set of the
+// source slab by slab until the destination's slab answers natively. On long
 // intervals that frontier saturates: once most objects are infected, every
 // further slab sweep expands nearly the whole population even though the
 // answer may be decidable from the destination's side in a handful of
-// contacts. The bidirectional planner maintains two frontiers — the
-// forward reachable set of the source grown oldest-first, and the backward
-// deliverer set of the destination grown newest-first (planReverseSet) —
-// and on every step expands whichever is currently smaller, terminating as
-// soon as they intersect. Meet semantics are exact under the hold-forever
-// propagation model: when the planner tests F ∩ B, F is the holder set at
-// the forward boundary T_f (start of the first unconsumed slab) and B the
-// deliverer set from the backward boundary T_b (just past the last
-// unconsumed slab), with T_f <= T_b; a common object holds the item at T_f,
-// still holds it at T_b, and delivers from there to the destination by the
-// interval end — forward arrival <= backward departure at the meeting
-// object. Conversely, when the two boundaries close the gap (T_f == T_b)
-// without an intersection, no holder delivers, so the negative answer is
-// exact too.
-//
-// Orthogonally, large frontier sweeps are parallelized: when a frontier
-// outgrows parallelSweepMinFrontier and the engine was opened with
-// Options.QueryParallelism > 1, the seed set is partitioned across a
-// bounded worker group. Workers share the immutable slab cores (per-call
-// traversal state comes from the epoch-stamped visit pools) but each
-// charges a private I/O accountant; the merge step concatenates and
-// re-sorts the partial frontiers and sums the worker accountants into the
-// query's, preserving the engine invariant that per-query I/O deltas sum
-// exactly to the pool totals. Below the threshold the sweep stays on the
-// serial path, keeping steady-state point queries allocation-free.
+// contacts. The bidirectional planner maintains two walks — the forward
+// reachable set of the source grown oldest-first, and the backward
+// deliverer set of the destination grown newest-first — and on every step
+// expands whichever is currently smaller, terminating as soon as they
+// intersect. Meet semantics are exact under the hold-forever propagation
+// model: when the planner tests F ∩ B, F is the holder set at the forward
+// boundary T_f (start of the first unconsumed slab) and B the deliverer set
+// from the backward boundary T_b (just past the last unconsumed slab), with
+// T_f <= T_b; a common object holds the item at T_f, still holds it at T_b,
+// and delivers from there to the destination by the interval end — forward
+// arrival <= backward departure at the meeting object. Conversely, when the
+// two boundaries close the gap (T_f == T_b) without an intersection, no
+// holder delivers, so the negative answer is exact too.
 
 package streach
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"streach/internal/pagefile"
+	"streach/internal/queries"
 )
 
-// parallelSweepMinFrontier is the frontier size below which a sweep stays
-// serial even when the engine has a parallelism budget: partitioning a
-// small seed set costs more in goroutine handoff and merge work than the
-// sweep itself, and the serial path is what keeps steady-state point
-// queries at zero heap allocations.
-const parallelSweepMinFrontier = 128
-
-// sweepFrontier expands the forward frontier over one slab, fanning the
-// seeds out across par workers when the frontier is large enough (see
-// parallelSweep); otherwise it is exactly core.appendFrontier.
-func sweepFrontier(ctx context.Context, core frontierCore, dst, seeds []ObjectID, iv Interval, par int, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	if par <= 1 || len(seeds) < parallelSweepMinFrontier {
-		return core.appendFrontier(ctx, dst, seeds, iv, acct)
-	}
-	return parallelSweep(ctx, core.appendFrontier, dst, seeds, iv, par, acct)
-}
-
-// sweepReverseFrontier is sweepFrontier for the backward walk.
-func sweepReverseFrontier(ctx context.Context, core reverseFrontierCore, dst, seeds []ObjectID, iv Interval, par int, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	if par <= 1 || len(seeds) < parallelSweepMinFrontier {
-		return core.appendReverseFrontier(ctx, dst, seeds, iv, acct)
-	}
-	return parallelSweep(ctx, core.appendReverseFrontier, dst, seeds, iv, par, acct)
-}
-
-// parallelSweep partitions the seeds into up to par contiguous chunks and
-// runs sweep on each concurrently. Reachability from a seed union is the
-// union of per-seed reachability (propagation is monotone and seeds are
-// independent), so concatenating the partial frontiers and normalizing
-// yields exactly the serial answer. Each worker threads a private
-// accountant; the partial counters are summed into acct after the join —
-// even for workers that failed, since their page reads were already
-// charged to the store's cumulative totals.
-func parallelSweep(ctx context.Context, sweep func(ctx context.Context, dst, seeds []ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, int, error), dst, seeds []ObjectID, iv Interval, par int, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	workers := par
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	chunk := (len(seeds) + workers - 1) / workers
-	type partial struct {
-		objs []ObjectID
-		n    int
-		io   pagefile.Stats
-		err  error
-	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(p *partial, sub []ObjectID) {
-			defer wg.Done()
-			p.objs, p.n, p.err = sweep(ctx, nil, sub, iv, &p.io)
-		}(&parts[w], seeds[lo:hi])
-	}
-	wg.Wait()
-	expanded := 0
-	var firstErr error
-	for w := range parts {
-		p := &parts[w]
-		expanded += p.n
-		if acct != nil {
-			acct.Add(p.io)
-		}
-		if p.err != nil && firstErr == nil {
-			firstErr = p.err
-		}
-		if firstErr == nil {
-			dst = append(dst, p.objs...)
-		}
-	}
-	if firstErr != nil {
-		return dst, expanded, firstErr
-	}
-	return sortDedupObjects(dst), expanded, nil
-}
-
-// intersectSorted reports whether two ascending slices share an element.
-func intersectSorted(a, b []ObjectID) bool {
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		switch {
-		case a[i] == b[k]:
-			return true
-		case a[i] < b[k]:
-			i++
-		default:
-			k++
-		}
-	}
-	return false
-}
-
-// planReachBidir is the bidirectional cross-segment point-query planner.
-// It grows the source's forward frontier F oldest-first and the
-// destination's backward (deliverer) frontier B newest-first, always
-// expanding the smaller of the two, and answers true as soon as they
-// intersect; see the package comment above for why the meet test and the
-// negative case are both exact. When a single unconsumed slab remains and
-// the backward frontier is still the bare destination, the slab's native
-// point query answers instead — on short intervals this degenerates to the
-// forward planner's terminal step (BM-BFS with destination early-exit), so
-// bidirectional planning never regresses the short-interval fast path.
-func planReachBidir(ctx context.Context, slabs []segSlab, numObjects, numTicks int, q Query, par int, acct *pagefile.Stats) (bool, int, error) {
-	if err := validatePlanIDs(numObjects, q.Src, q.Dst); err != nil {
-		return false, 0, err
-	}
-	iv := q.Interval.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
-	if numTicks == 0 || iv.Len() == 0 {
+// reachBidir is the bidirectional cross-segment point query. It grows the
+// seeds' forward walk F oldest-first and the destination's backward
+// (deliverer) walk B newest-first, always expanding the smaller of the two,
+// and answers true as soon as they meet; see the file comment for why the
+// meet test and the negative case are both exact. When a single unconsumed
+// slab remains and the backward walk is still the bare destination, the
+// slab's own point query answers instead — on short intervals this
+// degenerates to the forward plan's terminal step (BM-BFS with destination
+// early-exit), so bidirectional planning never regresses the short-interval
+// fast path.
+func (c *segmentedCore) reachBidir(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	iv = clampDomain(iv, c.numTicks)
+	if iv.Len() == 0 {
 		return false, 0, nil
 	}
-	if q.Src == q.Dst {
-		return true, 0, nil
+	F, B := walkPool.Get(), walkPool.Get()
+	defer walkPool.Put(F)
+	defer walkPool.Put(B)
+	F.reset(c.numObjects, hopAgnostic)
+	for _, o := range seeds {
+		F.admit(o, 0, iv.Lo)
 	}
-	fwd := planPool.Get()
-	defer planPool.Put(fwd)
-	bwd := planPool.Get()
-	defer planPool.Put(bwd)
-	first, last := overlappingSlabs(slabs, iv)
-	fwd.a = append(fwd.a[:0], q.Src)
-	bwd.a = append(bwd.a[:0], q.Dst)
-	F, B := fwd.a, bwd.a
-	fi, bi := first, last
+	B.reset(c.numObjects, hopAgnosticBackward)
+	B.admit(dst, 0, iv.Hi)
+	fi, bi := overlappingSlabs(c.slabs, iv)
 	expanded := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, expanded, err
 		}
-		if intersectSorted(F, B) {
+		if F.meets(B) {
 			return true, expanded, nil
 		}
 		if fi > bi {
-			// The forward and backward boundaries coincide and the
-			// frontiers are disjoint: no holder delivers. Exact negative.
+			// The forward and backward boundaries coincide and the walks
+			// are disjoint: no holder delivers. Exact negative.
 			return false, expanded, nil
 		}
-		if fi == bi && len(B) == 1 && B[0] == q.Dst {
-			// One unconsumed slab, unexpanded backward frontier: answer
-			// with the slab's native point query (destination early-exit).
-			_, local := localInterval(slabs[fi].span, iv)
-			if local.Len() == 0 {
-				return false, expanded, nil
-			}
-			ok, n, err := slabs[fi].core.reachFrom(ctx, F, q.Dst, local, acct)
+		if fi == bi && len(B.reached) == 1 {
+			_, local := localInterval(c.slabs[fi].span, iv)
+			ok, n, err := c.slabs[fi].core.reach(ctx, F.reached, dst, local, acct)
 			return ok, expanded + n, err
 		}
-		if len(F) <= len(B) {
-			w, local := localInterval(slabs[fi].span, iv)
-			if w.Len() > 0 {
-				fr, n, err := sweepFrontier(ctx, slabs[fi].core, fwd.b[:0], F, local, par, acct)
-				fwd.b = fr
-				expanded += n
-				if err != nil {
-					return false, expanded, err
-				}
-				fwd.a, fwd.b = fwd.b, fwd.a
-				F = fwd.a
-			}
+		var n int
+		var err error
+		if len(F.reached) <= len(B.reached) {
+			n, err = F.step(ctx, c.slabs[fi], iv, dst, c.parallelism, acct)
 			fi++
 		} else {
-			br, n, err := planReverseSet(ctx, slabs, bi, bi, bwd.b[:0], B, iv, par, acct)
-			bwd.b = br
-			expanded += n
-			if err != nil {
-				return false, expanded, err
-			}
-			bwd.a, bwd.b = bwd.b, bwd.a
-			B = bwd.a
+			n, err = B.step(ctx, c.slabs[bi], iv, queries.NoObject, c.parallelism, acct)
 			bi--
 		}
-	}
-}
-
-// bidirBases lists the segmentation-capable backends with a native reverse
-// traversal; each is registered under "bidir:<name>". ReachGrid is absent:
-// its guided expansion follows trajectories forward in time and has no
-// backward analogue.
-var bidirBases = []struct {
-	name         string
-	diskResident bool
-}{
-	{"reachgraph", true},
-	{"reachgraph-mem", false},
-	{"oracle", false},
-}
-
-func init() {
-	for _, b := range bidirBases {
-		base := b.name
-		register(BackendInfo{
-			Name: "bidir:" + base,
-			Description: fmt.Sprintf(
-				"meet-in-the-middle bidirectional point queries over time-sliced %s segments", base),
-			DiskResident: b.diskResident,
-		}, func(src Source, opts Options) (engineCore, error) {
-			core, err := buildSegmentedCore(base, src, opts)
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range core.slabs {
-				if _, ok := s.core.(reverseFrontierCore); !ok {
-					return nil, fmt.Errorf("streach: backend %q has no reverse frontier entry points", base)
-				}
-			}
-			core.bidir = true
-			return core, nil
-		})
+		expanded += n
+		if err != nil {
+			return false, expanded, err
+		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -22,7 +23,7 @@ import (
 	"streach/internal/queries"
 	"streach/internal/reachgraph"
 	"streach/internal/reachgrid"
-	"streach/internal/trajectory"
+	"streach/internal/visit"
 )
 
 // Engine is the uniform query interface every registered backend satisfies.
@@ -133,7 +134,8 @@ type SetResult struct {
 
 // Errors returned by Open.
 var (
-	// ErrUnknownBackend reports a name absent from the registry.
+	// ErrUnknownBackend reports a name the backend grammar does not accept,
+	// or a composition whose base lacks the capability its wrapper needs.
 	ErrUnknownBackend = errors.New("streach: unknown backend")
 	// ErrNeedsTrajectories reports a trajectory-indexing backend opened
 	// from a bare contact network.
@@ -142,7 +144,7 @@ var (
 
 // Source is a data source an engine can be opened from: a *Dataset (full
 // trajectory archive) or a *ContactNetwork (pre-extracted contacts, e.g. a
-// ContactStream snapshot). Graph-based backends accept either; ReachGrid
+// LiveEngine snapshot). Graph-based backends accept either; ReachGrid
 // and SPJ index raw trajectories and need a *Dataset.
 type Source interface {
 	sourceDataset() *Dataset
@@ -253,7 +255,7 @@ const (
 
 // BackendInfo describes one registered backend.
 type BackendInfo struct {
-	// Name is the registry name accepted by Open.
+	// Name is the canonical name accepted by Open.
 	Name string
 	// Description is a one-line summary.
 	Description string
@@ -263,15 +265,36 @@ type BackendInfo struct {
 	NeedsTrajectories bool
 }
 
-// backendSpec is a registry entry.
+// backendSpec is a resolved backend name: what Open builds for it.
 type backendSpec struct {
 	info BackendInfo
-	open func(src Source, opts Options) (engineCore, error)
-	// ownPool marks backends that manage buffer pools themselves (the
-	// shard coordinators, which give each disk-resident child a private
-	// pool unless the caller shares one); Open then skips the usual
-	// pool materialization.
-	ownPool bool
+	// open builds the backend's core over src; go through build, which
+	// checks the source first.
+	open func(src Source, opts Options) (core, error)
+	// decorate, when set by the combinator that supplied open, wraps the
+	// uniform engine with the extra public surface its core offers
+	// (Segmented, Sharded).
+	decorate func(e *engine) Engine
+
+	// The outermost combinator of the name, so that NewLiveEngine can grow
+	// the same structure over ingest logs instead of a frozen source: base
+	// is the spec it wraps (nil for a leaf), live marks "live:", sliced
+	// "segmented:" and "bidir:" (bidir the latter), shards and partitioner
+	// "shard:<K>".
+	base        *backendSpec
+	live        bool
+	sliced      bool
+	bidir       bool
+	shards      int
+	partitioner string
+}
+
+// build opens the spec's core over src.
+func (s backendSpec) build(src Source, opts Options) (core, error) {
+	if s.info.NeedsTrajectories && src.sourceDataset() == nil {
+		return nil, fmt.Errorf("%q: %w", s.info.Name, ErrNeedsTrajectories)
+	}
+	return s.open(src, opts)
 }
 
 // defaultResolutions are the paper's optimal long-edge levels (§6.2.1.4).
@@ -289,44 +312,46 @@ func grailPasses(opts Options) int {
 	return opts.GrailPasses
 }
 
-// registry holds every backend under its canonical name; aliases maps
-// accepted alternate spellings onto canonical names.
+// leaves holds the index backends — the names a composed name bottoms out
+// in — and aliases the accepted alternate spellings, applied at every level
+// of a composed name.
 var (
-	registry = map[string]backendSpec{}
-	aliases  = map[string]string{
+	leaves  = leafSpecs()
+	aliases = map[string]string{
 		"reachgraph-bmbfs": "reachgraph",
 		"grail-disk":       "grail",
+		"uncertain":        "uncertain:oracle",
 	}
 )
 
-func register(info BackendInfo, open func(Source, Options) (engineCore, error)) {
-	registry[info.Name] = backendSpec{info: info, open: open}
-}
-
-func init() {
+func leafSpecs() map[string]backendSpec {
+	specs := map[string]backendSpec{}
+	register := func(info BackendInfo, open func(Source, Options) (core, error)) {
+		specs[info.Name] = backendSpec{info: info, open: open}
+	}
 	register(BackendInfo{
 		Name:              "reachgrid",
 		Description:       "spatiotemporal grid with guided on-the-fly expansion (§4)",
 		DiskResident:      true,
 		NeedsTrajectories: true,
-	}, func(src Source, opts Options) (engineCore, error) {
+	}, func(src Source, opts Options) (core, error) {
 		ix, err := buildGridIndex(src, opts)
 		if err != nil {
 			return nil, err
 		}
-		return gridCore{ix}, nil
+		return gridCore{onDisk(ix.Store()), ix}, nil
 	})
 	register(BackendInfo{
 		Name:              "spj",
 		Description:       "naive spatiotemporal-join pipeline over the ReachGrid layout (§6.1.2)",
 		DiskResident:      true,
 		NeedsTrajectories: true,
-	}, func(src Source, opts Options) (engineCore, error) {
+	}, func(src Source, opts Options) (core, error) {
 		ix, err := buildGridIndex(src, opts)
 		if err != nil {
 			return nil, err
 		}
-		return spjCore{ix}, nil
+		return spjCore{diskIO: onDisk(ix.Store()), ix: ix}, nil
 	})
 	for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
 		name := "reachgraph"
@@ -338,7 +363,7 @@ func init() {
 			Name:         name,
 			Description:  fmt.Sprintf("disk-partitioned contact-network DAG, %s traversal (§5)", strat),
 			DiskResident: true,
-		}, func(src Source, opts Options) (engineCore, error) {
+		}, func(src Source, opts Options) (core, error) {
 			ix, err := reachgraph.Build(dn.Build(src.sourceContacts().net), reachgraph.Params{
 				PartitionDepth: opts.PartitionDepth,
 				Resolutions:    opts.Resolutions,
@@ -349,13 +374,13 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return graphCore{ix: ix, strategy: strat}, nil
+			return graphCore{onDisk(ix.Store()), ix, strat}, nil
 		})
 	}
 	register(BackendInfo{
 		Name:        "reachgraph-mem",
 		Description: "memory-resident ReachGraph, BM-BFS traversal (§6.4)",
-	}, func(src Source, opts Options) (engineCore, error) {
+	}, func(src Source, opts Options) (core, error) {
 		m, err := reachgraph.NewMem(dn.Build(src.sourceContacts().net), defaultResolutions(opts.Resolutions))
 		if err != nil {
 			return nil, err
@@ -366,17 +391,17 @@ func init() {
 		Name:         "grail",
 		Description:  "GRAIL interval labelling, disk-resident adaptation (§6.4)",
 		DiskResident: true,
-	}, func(src Source, opts Options) (engineCore, error) {
+	}, func(src Source, opts Options) (core, error) {
 		dk, err := grail.NewDisk(dn.Build(src.sourceContacts().net), grailPasses(opts), opts.Seed, opts.PoolPages, opts.Pool)
 		if err != nil {
 			return nil, err
 		}
-		return grailDiskCore{dk}, nil
+		return grailDiskCore{diskIO: onDisk(dk.Store()), dk: dk}, nil
 	})
 	register(BackendInfo{
 		Name:        "grail-mem",
 		Description: "GRAIL interval labelling, memory-resident (§6.4)",
-	}, func(src Source, opts Options) (engineCore, error) {
+	}, func(src Source, opts Options) (core, error) {
 		m, err := grail.NewMem(dn.Build(src.sourceContacts().net), grailPasses(opts), opts.Seed)
 		if err != nil {
 			return nil, err
@@ -386,9 +411,10 @@ func init() {
 	register(BackendInfo{
 		Name:        "oracle",
 		Description: "brute-force propagation simulation, the ground truth (§3.2)",
-	}, func(src Source, opts Options) (engineCore, error) {
+	}, func(src Source, opts Options) (core, error) {
 		return oracleCore{o: queries.NewOracle(src.sourceContacts().net)}, nil
 	})
+	return specs
 }
 
 func buildGridIndex(src Source, opts Options) (*reachgrid.Index, error) {
@@ -401,103 +427,143 @@ func buildGridIndex(src Source, opts Options) (*reachgrid.Index, error) {
 	})
 }
 
-// Backends lists the registered backend names in sorted order.
-func Backends() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+// resolve is the one parser of backend names. The grammar is
+//
+//	name := leaf | "segmented:" name | "bidir:" name | "uncertain:" name
+//	      | "shard:" K [":hash" | ":spatial"] ":" name
+//
+// plus a leading "live:", the mark of a LiveEngine's name, which only
+// NewLiveEngine builds; peeled recursively down to a leaf, with aliases
+// applied at every level;
+// each prefix is a combinator over the spec of the rest, and BackendInfo is
+// derived from the leaf through the wrappers. Which nestings are legal is
+// not decided here but by the capability predicate of the cores the
+// combinators build (a "segmented:" base must sweep forward, a "bidir:"
+// base backward too, a "shard:" base hop-agnostically) — except that a
+// wrapper directly wrapping itself is not a name.
+func resolve(name string) (backendSpec, error) {
+	name = strings.ToLower(strings.TrimSpace(name))
+	if alias, ok := aliases[name]; ok {
+		name = alias
 	}
-	sort.Strings(names)
-	return names
+	if leaf, ok := leaves[name]; ok {
+		return leaf, nil
+	}
+	unknown := fmt.Errorf("%w %q", ErrUnknownBackend, name)
+	head, rest, _ := strings.Cut(name, ":")
+	var wrap func(base backendSpec) backendSpec
+	switch head {
+	case "segmented", "bidir":
+		wrap = func(base backendSpec) backendSpec { return segmentedOver(base, head == "bidir") }
+	case "uncertain":
+		wrap = uncertainOver
+	case "shard":
+		kStr, after, _ := strings.Cut(rest, ":")
+		k, err := strconv.Atoi(kStr)
+		if err != nil || k < 1 {
+			return backendSpec{}, unknown
+		}
+		partitioner := "hash"
+		rest = after
+		if p, after, found := strings.Cut(rest, ":"); found && (p == "hash" || p == "spatial") {
+			partitioner, rest = p, after
+		}
+		wrap = func(base backendSpec) backendSpec { return shardOver(k, partitioner, base) }
+	case "live":
+		wrap = liveOver
+	default:
+		return backendSpec{}, unknown
+	}
+	if rest == "" || strings.HasPrefix(rest, head+":") {
+		return backendSpec{}, unknown
+	}
+	base, err := resolve(rest)
+	if err != nil {
+		return backendSpec{}, err
+	}
+	return wrap(base), nil
 }
 
-// BackendInfos describes every registered backend, sorted by name.
-func BackendInfos() []BackendInfo {
-	infos := make([]BackendInfo, 0, len(registry))
-	for _, name := range Backends() {
-		infos = append(infos, registry[name].info)
+// advertised is the one list behind Backends: the leaves plus the composed
+// names worth sweeping in every conformance matrix. Any other name the
+// grammar accepts opens just the same.
+var advertised = []string{
+	"bidir:oracle", "bidir:reachgraph", "bidir:reachgraph-mem",
+	"grail", "grail-mem", "oracle",
+	"reachgraph", "reachgraph-bbfs", "reachgraph-ebfs", "reachgraph-edfs", "reachgraph-mem",
+	"reachgrid",
+	"segmented:oracle", "segmented:reachgraph", "segmented:reachgraph-mem", "segmented:reachgrid",
+	"shard:1:reachgraph", "shard:1:spatial:reachgraph",
+	"shard:2:reachgraph", "shard:2:spatial:reachgraph",
+	"shard:4:reachgraph", "shard:4:spatial:reachgraph",
+	"spj", "uncertain:oracle", "uncertain:reachgraph",
+}
+
+var advertisedInfos = func() []BackendInfo {
+	infos := make([]BackendInfo, len(advertised))
+	for i, name := range advertised {
+		spec, err := resolve(name)
+		if err != nil || spec.info.Name != name {
+			panic(fmt.Sprintf("streach: advertised backend %q does not resolve to itself: %v", name, err))
+		}
+		infos[i] = spec.info
 	}
 	return infos
-}
+}()
 
-// LookupBackend resolves a backend name or registered alias to its
-// BackendInfo, reporting whether Open would accept the name.
+// Backends lists the registered backend names in sorted order.
+func Backends() []string { return slices.Clone(advertised) }
+
+// BackendInfos describes every registered backend, sorted by name.
+func BackendInfos() []BackendInfo { return slices.Clone(advertisedInfos) }
+
+// LookupBackend resolves a backend name — a registered one, an alias, or
+// any composition the name grammar accepts — to its BackendInfo, reporting
+// whether the name parses. Open can still refuse a parsed name whose base
+// lacks the capability a wrapper needs.
 func LookupBackend(name string) (BackendInfo, bool) {
-	spec, ok := lookupSpec(name)
-	return spec.info, ok
-}
-
-func lookupSpec(name string) (backendSpec, bool) {
-	canonical := strings.ToLower(strings.TrimSpace(name))
-	if alias, ok := aliases[canonical]; ok {
-		canonical = alias
-	}
-	if spec, ok := registry[canonical]; ok {
-		return spec, ok
-	}
-	// "shard:<K>[:partitioner]:<base>" and "uncertain:<base>" names compose
-	// dynamically: any shard count or uncertain wrapper over any registered
-	// contact-sourced base resolves even without a pre-registered entry.
-	if spec, ok := shardSpec(canonical); ok {
-		return spec, ok
-	}
-	return uncertainSpec(canonical)
+	spec, err := resolve(name)
+	return spec.info, err == nil
 }
 
 // Open builds the named backend over src and returns it as an Engine.
-// Backend selection is by registry name (see Backends); src is a *Dataset
-// or, for graph-based backends, optionally a pre-extracted *ContactNetwork
-// such as a ContactStream snapshot.
+// Backend selection is by name (see Backends and the grammar in the
+// README); src is a *Dataset or, for graph-based backends, optionally a
+// pre-extracted *ContactNetwork such as a LiveEngine snapshot.
 func Open(name string, src Source, opts Options) (Engine, error) {
-	spec, ok := lookupSpec(name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (available: %s)",
-			ErrUnknownBackend, name, strings.Join(Backends(), ", "))
+	spec, err := resolve(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w (available: %s)", err, strings.Join(advertised, ", "))
 	}
 	if src == nil {
 		return nil, fmt.Errorf("streach: open %q: nil source", spec.info.Name)
 	}
-	if spec.info.NeedsTrajectories && src.sourceDataset() == nil {
-		return nil, fmt.Errorf("open %q: %w", spec.info.Name, ErrNeedsTrajectories)
-	}
-	// Materialize the buffer pool at the Open level so the engine can
-	// snapshot its counters (Engine.Stats): disk-resident backends that
-	// would otherwise build a private pool get the same 64-page default,
-	// now visible to the engine wrapper. Backends that manage their own
-	// pools (shard coordinators) are left alone — a pool materialized here
-	// would force all shards onto one budget.
-	if !spec.ownPool {
-		opts = withSharedSlabPool(opts, spec.info.DiskResident)
-	}
-	core, err := spec.open(src, opts)
+	c, err := spec.build(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("streach: open %q: %w", spec.info.Name, err)
 	}
 	// Engines start with zeroed counters and a cold buffer pool:
 	// construction traffic is not query traffic. With a shared pool only
 	// this engine's pages are evicted.
-	core.resetIO()
-	core.dropCache()
+	d := c.disk()
+	d.resetIO()
+	d.dropCache()
 	numObjects, numTicks := sourceDims(src)
-	eng := &engine{
+	e := &engine{
 		name:       spec.info.Name,
-		core:       core,
 		numObjects: numObjects,
+		core:       c,
 		numTicks:   numTicks,
-		src:        src,
-		pool:       opts.Pool,
+		// For trajectory sources this triggers (or reuses) the dataset's one
+		// cached contact extraction.
+		fallback: sync.OnceValue(func() *queries.Oracle {
+			return queries.NewOracle(src.sourceContacts().net)
+		}),
 	}
-	if sc, ok := core.(*segmentedCore); ok {
-		// Segmented engines additionally expose per-segment statistics
-		// (the Segmented interface).
-		return &segmentedEngine{engine: eng, seg: sc}, nil
+	if spec.decorate != nil {
+		return spec.decorate(e), nil
 	}
-	if sh, ok := core.(*shardCore); ok {
-		// Shard coordinators additionally expose per-shard statistics
-		// (the Sharded interface).
-		return &shardEngine{engine: eng, sh: sh}, nil
-	}
-	return eng, nil
+	return e, nil
 }
 
 func sourceDims(src Source) (numObjects, numTicks int) {
@@ -508,78 +574,228 @@ func sourceDims(src Source) (numObjects, numTicks int) {
 	return cn.NumObjects(), cn.NumTicks()
 }
 
-// engineCore is the minimal backend surface the uniform engine wraps.
-// Implementations must be safe for concurrent calls: all traversal state is
-// per-call and page reads are charged to the caller's accountant.
-type engineCore interface {
-	// reach answers q, returning the expansion counter alongside and
-	// charging page reads to acct. ctx is observed inside the expansion
-	// loops of the traversal backends.
-	reach(ctx context.Context, q Query, acct *pagefile.Stats) (ok bool, expanded int, err error)
-	// reachSet returns the native reachable set (any order, duplicates
-	// allowed — the engine wrapper normalizes), or errNoNativeSet when
-	// the backend has no set primitive.
-	reachSet(ctx context.Context, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error)
-	// ioTotals snapshots the cumulative I/O counters; zero for
-	// memory-resident backends.
-	ioTotals() pagefile.Stats
-	// resetIO zeroes the cumulative counters; no-op for memory-resident
-	// backends.
-	resetIO()
-	// indexBytes is the simulated on-disk index size.
-	indexBytes() int64
-	// dropCache evicts the engine's pages from the buffer pool; no-op for
-	// memory-resident backends.
-	dropCache()
+// withSharedPool returns opts with a buffer pool for one group of
+// disk-resident stores to share — the slabs of a segmented or live engine,
+// one shard's child, an uncertain wrapper and its base: the caller's
+// Options.Pool when set, otherwise a fresh private one, so the group draws
+// on a single page budget exactly like the serving configuration of a plain
+// engine. The 64-page fallback mirrors the backends' own Params default.
+func withSharedPool(opts Options, diskResident bool) Options {
+	if !diskResident || opts.Pool != nil {
+		return opts
+	}
+	pages := opts.PoolPages
+	if pages == 0 {
+		pages = 64
+	}
+	if pages > 0 {
+		opts.Pool = NewBufferPool(pages)
+	}
+	return opts
 }
 
-// errNoNativeSet makes the engine fall back to per-object point queries.
-var errNoNativeSet = errors.New("streach: backend has no native set primitive")
+// direction orients a sweep in time.
+type direction int8
 
-// sortDedupObjects is the normalization every ReachableSet answer goes
-// through, making set results identical across backends.
-func sortDedupObjects(objs []ObjectID) []ObjectID {
-	return trajectory.SortDedupObjects(objs)
+const (
+	// forward propagates holders: who receives the item, and when first.
+	forward direction = iota
+	// backward propagates deliverers: who, holding the item, gets it to a
+	// seed by the interval end, and until when at the latest.
+	backward
+)
+
+// core is the one backend surface the root package composes: every index
+// adapter, every combinator ("segmented:", "bidir:", "shard:", "uncertain:")
+// and every pinned view of a live feed implements it, and combinators are
+// functions from cores to cores. Implementations must be safe for
+// concurrent calls: all traversal state is per-call and page reads are
+// charged to the caller's accountant.
+//
+// There are two evaluation methods because there are two kinds of
+// algorithm, selected by the kind of query: reach is the index's own point
+// algorithm, which stops at the destination (BM-BFS visits a twentieth of
+// the vertices a forward sweep does, and SPJ and GRAIL have nothing else);
+// sweep is the propagation profile every other answer — set, arrival,
+// top-k, hop-bounded, filtered, probabilistic, and the frontier carried
+// between slabs and shards — is a projection of.
+type core interface {
+	// reach answers "can an item held by any seed at iv.Lo reach dst by
+	// iv.Hi?", returning the expansion counter alongside. Callers validate
+	// object IDs; iv is clamped to the core's time domain.
+	reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (ok bool, expanded int, err error)
+	// sweep appends to out the propagation profile of the seed frontier
+	// over iv under spec, sorted by object: forward, each reachable
+	// object's earliest arrival tick and its minimal transfer count (-1
+	// when the core does not count transfers); backward, each deliverer's
+	// latest departure tick. A valid early stops the evaluation as soon as
+	// that object is reached (the profile is then partial but its entry
+	// exact). The int result is the expansion counter. A core that cannot
+	// serve spec natively returns errNotNative and out untouched.
+	sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error)
+	// supports reports whether sweep serves spec. Combinators consult it
+	// when they open a base; at query time sweep's own errNotNative is the
+	// authority, because it speaks for the state the evaluation pinned.
+	supports(spec semSpec) bool
+	// disk returns the simulated-disk stores behind the core.
+	disk() diskIO
 }
 
-// engine adapts an engineCore to the Engine interface, measuring each query
+// errNotNative is sweep's "this core has no native evaluation of the spec":
+// the engine then answers through the oracle, or a set query through one
+// point query per object.
+var errNotNative = errors.New("streach: no native evaluation")
+
+// diskIO is the store-backed helper behind every core's I/O surface: the
+// page stores the core reads, plus the totals carried over from stores a
+// live compaction retired. Index adapters embed it (memory-resident ones
+// its zero value); combinators merge their children's.
+type diskIO struct {
+	stores  []*pagefile.Store
+	carried pagefile.Stats
+}
+
+func onDisk(st *pagefile.Store) diskIO { return diskIO{stores: []*pagefile.Store{st}} }
+
+func (d diskIO) disk() diskIO { return d }
+
+// merge adds o's stores and carried totals to d, which must own its slice.
+func (d *diskIO) merge(o diskIO) {
+	d.stores = append(d.stores, o.stores...)
+	d.carried.Add(o.carried)
+}
+
+// ioTotals sums the cumulative I/O counters.
+func (d diskIO) ioTotals() pagefile.Stats {
+	sum := d.carried
+	for _, st := range d.stores {
+		sum.Add(st.Counters())
+	}
+	return sum
+}
+
+// resetIO zeroes the cumulative counters.
+func (d diskIO) resetIO() {
+	for _, st := range d.stores {
+		st.ResetCounters()
+	}
+}
+
+// indexBytes is the simulated on-disk size.
+func (d diskIO) indexBytes() int64 {
+	var sum int64
+	for _, st := range d.stores {
+		sum += st.SizeBytes()
+	}
+	return sum
+}
+
+// dropCache evicts the stores' pages from their buffer pools.
+func (d diskIO) dropCache() {
+	for _, st := range d.stores {
+		st.DropCache()
+	}
+}
+
+// poolStats sums the counters of the distinct buffer pools the stores draw
+// on: one shared pool reports pool-wide, per-shard private pools add up.
+func (d diskIO) poolStats() (sum PoolStats, ok bool) {
+	var seen []*BufferPool
+	for _, st := range d.stores {
+		p := st.Pool()
+		if p == nil || slices.Contains(seen, p) {
+			continue
+		}
+		seen = append(seen, p)
+		ps := p.Stats()
+		sum.Hits += ps.Hits
+		sum.Misses += ps.Misses
+		sum.Evictions += ps.Evictions
+		sum.Resident += ps.Resident
+		sum.Capacity += ps.Capacity
+	}
+	return sum, len(seen) > 0
+}
+
+// engine adapts a core to the Engine interface, measuring each query
 // through its own I/O accountant. There is no engine-level lock: cores are
 // concurrency-safe and queries run fully in parallel.
 type engine struct {
-	name string
-	core engineCore
-
+	name       string
 	numObjects int
-	numTicks   int
 
-	// src is retained for the semantics oracle fallback: backends without
-	// a native implementation of a requested query semantics answer
-	// through a brute-force oracle over the source contacts, built lazily
-	// on first use (fb is never built for backends that evaluate every
-	// semantics natively).
-	src    Source
-	fbOnce sync.Once
-	fb     *queries.Oracle
+	// core and numTicks are a frozen engine's index and time domain. A live
+	// engine leaves them unset and supplies view, which pins one consistent
+	// state of its logs per call (see pinned).
+	core     core
+	numTicks int
+	view     func() (core, int)
 
-	// pool is the buffer pool the engine's disk-resident index draws on
-	// (the caller's shared Options.Pool or the private pool Open
-	// materialized); nil for memory-resident backends.
-	pool *BufferPool
+	// fallback returns a brute-force oracle over the engine's contacts, for
+	// query semantics the core has no native evaluation of and for the
+	// Monte-Carlo estimator: built once, on first use, for a frozen engine;
+	// over a fresh snapshot for a live one.
+	fallback func() *queries.Oracle
+}
+
+// pinned returns the core one query evaluates against and the size of its
+// time domain. A query calls it exactly once: on a live engine a compaction
+// between two views can swap an all-capable oracle overlay for a
+// hop-agnostic sealed index, so the capability check, the clamping and the
+// evaluation of one query must all see the same slab list.
+func (e *engine) pinned() (core, int) {
+	if e.view != nil {
+		return e.view()
+	}
+	return e.core, e.numTicks
 }
 
 func (e *engine) Name() string { return e.name }
 
-func (e *engine) IndexBytes() int64 { return e.core.indexBytes() }
-
-func (e *engine) IOTotals() IOStats {
-	return statsOf(e.core.ioTotals())
+func (e *engine) IndexBytes() int64 {
+	c, _ := e.pinned()
+	return c.disk().indexBytes()
 }
 
-// acctPool recycles per-query I/O accountants: the accountant's address
-// escapes into the engineCore interface call, so a stack local would cost
-// one heap allocation per query — the only one left on the memory
-// backends' hot path.
-var acctPool = sync.Pool{New: func() any { return new(pagefile.Stats) }}
+func (e *engine) IOTotals() IOStats {
+	c, _ := e.pinned()
+	return statsOf(c.disk().ioTotals())
+}
+
+// queryScratch is the pooled per-query state of the engine wrapper: the I/O
+// accountant and the one-seed frontier (both escape into the core's
+// interface calls, so stack locals would cost a heap allocation per query —
+// the only ones left on the memory backends' hot path) plus the seed and
+// entry buffers of a profile evaluation.
+type queryScratch struct {
+	acct    pagefile.Stats
+	src     [1]ObjectID
+	seeds   []queries.SeedState
+	entries []queries.ProfileEntry
+}
+
+var queryPool = visit.NewPool(func() *queryScratch { return new(queryScratch) })
+
+func getQueryScratch() *queryScratch {
+	qs := queryPool.Get()
+	qs.acct.Reset()
+	return qs
+}
+
+func validateIDs(numObjects int, src, dst ObjectID) error {
+	if int(src) < 0 || int(src) >= numObjects {
+		return fmt.Errorf("streach: source %d outside [0, %d)", src, numObjects)
+	}
+	if int(dst) < 0 || int(dst) >= numObjects {
+		return fmt.Errorf("streach: destination %d outside [0, %d)", dst, numObjects)
+	}
+	return nil
+}
+
+// clampDomain intersects iv with a numTicks-sized time domain.
+func clampDomain(iv Interval, numTicks int) Interval {
+	return iv.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
+}
 
 func (e *engine) Reachable(ctx context.Context, q Query) (Result, error) {
 	// A query that queued behind slow ones must not start evaluating after
@@ -588,75 +804,92 @@ func (e *engine) Reachable(ctx context.Context, q Query) (Result, error) {
 		return Result{}, err
 	}
 	if q.Semantics.Active() {
-		return evalReachableSem(ctx, e, q)
+		return e.reachableSem(ctx, q)
 	}
-	acct := acctPool.Get().(*pagefile.Stats)
-	defer acctPool.Put(acct)
-	acct.Reset()
+	if err := validateIDs(e.numObjects, q.Src, q.Dst); err != nil {
+		return Result{}, err
+	}
+	c, numTicks := e.pinned()
+	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1, Native: true}
+	iv := clampDomain(q.Interval, numTicks)
+	if iv.Len() == 0 {
+		return res, nil
+	}
+	if q.Src == q.Dst {
+		res.Reachable = true
+		return res, nil
+	}
+	qs := getQueryScratch()
+	defer queryPool.Put(qs)
+	qs.src[0] = q.Src
 	start := time.Now()
-	ok, expanded, err := e.core.reach(ctx, q, acct)
+	ok, expanded, err := c.reach(ctx, qs.src[:], q.Dst, iv, &qs.acct)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Query:     q,
-		Reachable: ok,
-		IO:        statsOf(*acct),
-		Latency:   time.Since(start),
-		Expanded:  expanded,
-		Evaluated: true,
-		Arrival:   -1,
-		Hops:      -1,
-		Native:    true,
-	}, nil
+	res.Reachable = ok
+	res.IO = statsOf(qs.acct)
+	res.Latency = time.Since(start)
+	res.Expanded = expanded
+	return res, nil
 }
 
 func (e *engine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (SetResult, error) {
 	if err := ctx.Err(); err != nil {
 		return SetResult{}, err
 	}
-	acct := acctPool.Get().(*pagefile.Stats)
-	defer acctPool.Put(acct)
-	acct.Reset()
-	start := time.Now()
-	objs, err := e.core.reachSet(ctx, src, iv, acct)
-	if errors.Is(err, errNoNativeSet) {
-		objs, err = e.setViaPointQueries(ctx, src, iv, acct)
-	}
-	if err != nil {
+	if err := validateIDs(e.numObjects, src, src); err != nil {
 		return SetResult{}, err
 	}
-	objs = sortDedupObjects(objs)
+	c, numTicks := e.pinned()
+	qs := getQueryScratch()
+	defer queryPool.Put(qs)
+	start := time.Now()
+	var objs []ObjectID
+	if clamped := clampDomain(iv, numTicks); clamped.Len() > 0 {
+		qs.seeds = append(qs.seeds[:0], queries.SeedState{Obj: src})
+		entries, _, err := c.sweep(ctx, qs.entries[:0], qs.seeds, clamped, hopAgnostic, queries.NoObject, &qs.acct)
+		switch {
+		case errors.Is(err, errNotNative):
+			if objs, err = e.setViaPointQueries(ctx, c, src, clamped, &qs.acct); err != nil {
+				return SetResult{}, err
+			}
+		case err != nil:
+			return SetResult{}, err
+		default:
+			qs.entries = entries
+			objs = make([]ObjectID, len(entries))
+			for i, en := range entries {
+				objs[i] = en.Obj
+			}
+		}
+	}
 	return SetResult{
 		Src:      src,
 		Interval: iv,
 		Objects:  objs,
-		IO:       statsOf(*acct),
+		IO:       statsOf(qs.acct),
 		Latency:  time.Since(start),
 		Expanded: len(objs),
 	}, nil
 }
 
-// setViaPointQueries answers a reachable-set query with one point query per
-// candidate destination, mirroring the semantics of the native set
-// primitives: src is included exactly when the interval overlaps the time
-// domain. All point queries charge the one accountant of the set query.
-func (e *engine) setViaPointQueries(ctx context.Context, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
-	if int(src) < 0 || int(src) >= e.numObjects {
-		return nil, fmt.Errorf("streach: source %d outside [0, %d)", src, e.numObjects)
-	}
-	if iv.Intersect(Interval{Lo: 0, Hi: Tick(e.numTicks - 1)}).Len() == 0 {
-		return nil, nil
-	}
-	out := []ObjectID{src}
+// setViaPointQueries answers a reachable-set query over the clamped,
+// non-empty iv with one point query per candidate destination, src
+// included like the sweeps include their seeds. All point queries charge
+// the one accountant of the set query.
+func (e *engine) setViaPointQueries(ctx context.Context, c core, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
+	seeds := []ObjectID{src}
+	var out []ObjectID
 	for o := 0; o < e.numObjects; o++ {
 		if ObjectID(o) == src {
+			out = append(out, src)
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ok, _, err := e.core.reach(ctx, Query{Src: src, Dst: ObjectID(o), Interval: iv}, acct)
+		ok, _, err := c.reach(ctx, seeds, ObjectID(o), iv, acct)
 		if err != nil {
 			return nil, err
 		}
@@ -667,104 +900,197 @@ func (e *engine) setViaPointQueries(ctx context.Context, src ObjectID, iv Interv
 	return out, nil
 }
 
-// --- backend cores ---
+// --- index adapters ---
 
-// memCore supplies the no-op I/O surface shared by memory-resident cores.
-type memCore struct{}
-
-func (memCore) ioTotals() pagefile.Stats { return pagefile.Stats{} }
-func (memCore) resetIO()                 {}
-func (memCore) indexBytes() int64        { return 0 }
-func (memCore) dropCache()               {}
-
-type gridCore struct{ ix *reachgrid.Index }
-
-func (c gridCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
-	return c.ix.ReachCounted(ctx, q, acct)
+type gridCore struct {
+	diskIO
+	ix *reachgrid.Index
 }
-func (c gridCore) reachSet(ctx context.Context, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
-	return c.ix.ReachableSet(ctx, src, iv, acct)
-}
-func (c gridCore) ioTotals() pagefile.Stats { return c.ix.Counters() }
-func (c gridCore) resetIO()                 { c.ix.ResetCounters() }
-func (c gridCore) indexBytes() int64        { return c.ix.Store().SizeBytes() }
-func (c gridCore) dropCache()               { c.ix.Store().DropCache() }
 
-type spjCore struct{ ix *reachgrid.Index }
+func (c gridCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	return c.ix.ReachFromCounted(ctx, seeds, dst, iv, acct)
+}
 
-func (c spjCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
-	return c.ix.SPJReachCounted(ctx, q, acct)
+// The grid joins object positions per instant and never sees contact
+// records, so per-contact predicates cannot be pushed into the sweep; its
+// guided expansion follows trajectories forward in time and has no backward
+// analogue.
+func (c gridCore) supports(spec semSpec) bool {
+	return spec.dir == forward && !spec.filter.Active()
 }
-func (c spjCore) reachSet(context.Context, ObjectID, Interval, *pagefile.Stats) ([]ObjectID, error) {
-	return nil, errNoNativeSet
+
+func (c gridCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	if !c.supports(spec) {
+		return out, 0, errNotNative
+	}
+	return c.ix.AppendSemProfileFrom(ctx, out, seeds, iv, spec.budget, early, acct)
 }
-func (c spjCore) ioTotals() pagefile.Stats { return c.ix.Counters() }
-func (c spjCore) resetIO()                 { c.ix.ResetCounters() }
-func (c spjCore) indexBytes() int64        { return c.ix.Store().SizeBytes() }
-func (c spjCore) dropCache()               { c.ix.Store().DropCache() }
+
+// pointOnly is the sweep surface of the adapters whose index has a point
+// algorithm and nothing else (SPJ, GRAIL).
+type pointOnly struct{}
+
+func (pointOnly) supports(semSpec) bool { return false }
+
+func (pointOnly) sweep(_ context.Context, out []queries.ProfileEntry, _ []queries.SeedState, _ Interval, _ semSpec, _ ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	return out, 0, errNotNative
+}
+
+// reachAny answers a multi-seed point query on an index whose algorithm
+// takes one source: the item reaches dst from the frontier exactly when it
+// does from some seed.
+func reachAny(seeds []ObjectID, dst ObjectID, iv Interval, one func(Query) (bool, int, error)) (bool, int, error) {
+	expanded := 0
+	for _, src := range seeds {
+		ok, n, err := one(Query{Src: src, Dst: dst, Interval: iv})
+		expanded += n
+		if ok || err != nil {
+			return ok, expanded, err
+		}
+	}
+	return false, expanded, nil
+}
+
+type spjCore struct {
+	diskIO
+	pointOnly
+	ix *reachgrid.Index
+}
+
+func (c spjCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	return reachAny(seeds, dst, iv, func(q Query) (bool, int, error) { return c.ix.SPJReachCounted(ctx, q, acct) })
+}
 
 type graphCore struct {
+	diskIO
 	ix       *reachgraph.Index
 	strategy Strategy
 }
 
-func (c graphCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
-	return c.ix.ReachStrategyCounted(ctx, q, c.strategy, acct)
+func (c graphCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	return c.ix.ReachFromCounted(ctx, seeds, dst, iv, c.strategy, acct)
 }
-func (c graphCore) reachSet(context.Context, ObjectID, Interval, *pagefile.Stats) ([]ObjectID, error) {
-	return nil, errNoNativeSet
+
+// graphSupports is the sweep capability of both ReachGraph adapters: runs
+// collapse contact components, so neither transfer counts nor per-contact
+// predicates are derivable from the run DAG; arrival and departure sweeps
+// in either direction are.
+func graphSupports(spec semSpec) bool { return !spec.tracksHops() && !spec.filter.Active() }
+
+func (c graphCore) supports(spec semSpec) bool { return graphSupports(spec) }
+
+func (c graphCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, _ ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	switch {
+	case !graphSupports(spec):
+		return out, 0, errNotNative
+	case spec.dir == forward:
+		return c.ix.AppendArrivalProfileSeeds(ctx, out, seeds, iv, acct)
+	}
+	objs := objectsPool.Get()
+	defer objectsPool.Put(objs)
+	return c.ix.AppendReverseProfileFrom(ctx, out, objs.of(seeds), iv, acct)
 }
-func (c graphCore) ioTotals() pagefile.Stats { return c.ix.Counters() }
-func (c graphCore) resetIO()                 { c.ix.ResetCounters() }
-func (c graphCore) indexBytes() int64        { return c.ix.Store().SizeBytes() }
-func (c graphCore) dropCache()               { c.ix.DropCache() }
 
 type graphMemCore struct {
-	memCore
+	diskIO
 	m *reachgraph.Mem
 }
 
-func (c graphMemCore) reach(ctx context.Context, q Query, _ *pagefile.Stats) (bool, int, error) {
-	return c.m.ReachStrategyCounted(ctx, q, BMBFS)
-}
-func (c graphMemCore) reachSet(context.Context, ObjectID, Interval, *pagefile.Stats) ([]ObjectID, error) {
-	return nil, errNoNativeSet
+func (c graphMemCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, _ *pagefile.Stats) (bool, int, error) {
+	return c.m.ReachFromCounted(ctx, seeds, dst, iv, BMBFS)
 }
 
-type grailDiskCore struct{ dk *grail.Disk }
+func (c graphMemCore) supports(spec semSpec) bool { return graphSupports(spec) }
 
-func (c grailDiskCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
-	return c.dk.ReachCounted(ctx, q, acct)
+func (c graphMemCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, _ ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	switch {
+	case !graphSupports(spec):
+		return out, 0, errNotNative
+	case spec.dir == forward:
+		return c.m.AppendArrivalProfileSeeds(ctx, out, seeds, iv)
+	}
+	objs := objectsPool.Get()
+	defer objectsPool.Put(objs)
+	return c.m.AppendReverseProfileFrom(ctx, out, objs.of(seeds), iv)
 }
-func (c grailDiskCore) reachSet(context.Context, ObjectID, Interval, *pagefile.Stats) ([]ObjectID, error) {
-	return nil, errNoNativeSet
+
+// seedStates lifts a bare frontier — every object holding the item from
+// the interval start, no transfer spent — into sweep seeds.
+func seedStates(objs []ObjectID) []queries.SeedState {
+	seeds := make([]queries.SeedState, len(objs))
+	for i, o := range objs {
+		seeds[i].Obj = o
+	}
+	return seeds
 }
-func (c grailDiskCore) ioTotals() pagefile.Stats { return c.dk.Counters() }
-func (c grailDiskCore) resetIO()                 { c.dk.ResetCounters() }
-func (c grailDiskCore) indexBytes() int64        { return c.dk.Store().SizeBytes() }
-func (c grailDiskCore) dropCache()               { c.dk.Store().DropCache() }
+
+// objectList is a pooled buffer for the backward sweeps of the adapters
+// whose index takes its seeds as bare objects (every backward seed holds
+// from the interval end, so Start and Hops carry nothing).
+type objectList []ObjectID
+
+var objectsPool = visit.NewPool(func() *objectList { return new(objectList) })
+
+func (l *objectList) of(seeds []queries.SeedState) []ObjectID {
+	*l = (*l)[:0]
+	for _, s := range seeds {
+		*l = append(*l, s.Obj)
+	}
+	return *l
+}
+
+type grailDiskCore struct {
+	diskIO
+	pointOnly
+	dk *grail.Disk
+}
+
+func (c grailDiskCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	return reachAny(seeds, dst, iv, func(q Query) (bool, int, error) { return c.dk.ReachCounted(ctx, q, acct) })
+}
 
 type grailMemCore struct {
-	memCore
+	diskIO
+	pointOnly
 	m *grail.Mem
 }
 
-func (c grailMemCore) reach(ctx context.Context, q Query, _ *pagefile.Stats) (bool, int, error) {
-	return c.m.ReachCounted(ctx, q)
-}
-func (c grailMemCore) reachSet(context.Context, ObjectID, Interval, *pagefile.Stats) ([]ObjectID, error) {
-	return nil, errNoNativeSet
+func (c grailMemCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, _ *pagefile.Stats) (bool, int, error) {
+	return reachAny(seeds, dst, iv, func(q Query) (bool, int, error) { return c.m.ReachCounted(ctx, q) })
 }
 
+// oracleCore projects both evaluation methods from Oracle.ProfileFrom, the
+// per-instant hop relaxation: it serves every forward spec, and it is an
+// order of magnitude cheaper than the union-find propagation of
+// Oracle.Reachable/ReachableSet — which stay untouched as the reference the
+// tests compare against — on the dirty slabs and the tail of a live engine.
 type oracleCore struct {
-	memCore
+	diskIO
 	o *queries.Oracle
 }
 
-func (c oracleCore) reach(_ context.Context, q Query, _ *pagefile.Stats) (bool, int, error) {
-	ok, expanded := c.o.ReachableCounted(q)
-	return ok, expanded, nil
+func (c oracleCore) reach(_ context.Context, seeds []ObjectID, dst ObjectID, iv Interval, _ *pagefile.Stats) (bool, int, error) {
+	entries, n := c.o.ProfileFrom(seedStates(seeds), iv, queries.UnboundedHops, dst)
+	_, ok := findEntry(entries, dst)
+	return ok, n, nil
 }
-func (c oracleCore) reachSet(_ context.Context, src ObjectID, iv Interval, _ *pagefile.Stats) ([]ObjectID, error) {
-	return c.o.ReachableSet(src, iv), nil
+
+// Backward, the oracle runs its time-mirrored propagation, which does not
+// count transfers.
+func (c oracleCore) supports(spec semSpec) bool {
+	return spec.dir == forward || !spec.tracksHops()
+}
+
+func (c oracleCore) sweep(_ context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	if !c.supports(spec) {
+		return out, 0, errNotNative
+	}
+	o := c.o.Filtered(spec.filter)
+	if spec.dir == backward {
+		var objs objectList
+		entries := o.ReverseProfileFrom(objs.of(seeds), iv)
+		return append(out, entries...), len(entries), nil
+	}
+	entries, n := o.ProfileFrom(seeds, iv, spec.budget, early)
+	return append(out, entries...), n, nil
 }

@@ -149,12 +149,12 @@ func TestCrossBackendConformance(t *testing.T) {
 	}
 }
 
-// TestOpenFromContactNetwork exercises the ContactStream.Snapshot →
+// TestOpenFromContactNetwork exercises the LiveEngine.Snapshot →
 // Open("reachgraph", snapshot) round trip: graph-based backends open from a
 // pre-extracted network, trajectory-indexing ones refuse.
 func TestOpenFromContactNetwork(t *testing.T) {
 	ds := conformanceSource(t)
-	stream, err := streach.NewContactStream(ds.NumObjects(), ds.Env(), ds.ContactDist())
+	stream, err := streach.NewLiveEngine("oracle", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

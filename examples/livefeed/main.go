@@ -8,10 +8,9 @@
 // ingestion continues — and the cross-segment planner answers over sealed
 // segments plus the tail, so no index is ever rebuilt over history.
 //
-// Contrast with the previous generation of this example, which had to
-// snapshot the stream and rebuild a full index at every checkpoint; the
-// snapshot path (ContactStream → Open) still works and is shown at the
-// end for validation against ground truth.
+// The snapshot path (LiveEngine.Snapshot → Open) — rebuild a full index
+// over everything ingested so far — is shown at the end for validation
+// against ground truth.
 package main
 
 import (
@@ -94,8 +93,8 @@ func main() {
 		}
 	}
 
-	// The snapshot path still exists for batch tooling: a ContactStream
-	// snapshot is a registry Source.
+	// The snapshot path exists for batch tooling: a LiveEngine snapshot is
+	// a registry Source.
 	snap := live.Snapshot()
 	batch, err := streach.Open("reachgraph", snap, streach.Options{})
 	if err != nil {

@@ -24,88 +24,27 @@
 // Appends cost O(one instant) amortized (plus one slab-sized index build
 // each SegmentTicks instants); queries are lock-free after taking a
 // consistent view. One goroutine may append while any number query.
+//
+// This file is the ingest side. The query side is the same engine wrapper
+// every Open'ed backend has, over a core that pins one view of the logs per
+// query: the cross-segment planner of segmented.go over the lane's slabs,
+// under the scatter-gather coordinator of shard.go when the feed is
+// sharded.
 
 package streach
 
 import (
-	"context"
+	"cmp"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"streach/internal/contact"
-	"streach/internal/pagefile"
 	"streach/internal/queries"
 	"streach/internal/segment"
 	"streach/internal/shard"
 	"streach/internal/stjoin"
 )
-
-// LiveEngine is an Engine over a live position feed. It satisfies Engine
-// (and Segmented) like every registry backend, but its time domain grows
-// with each AddInstant; queries are evaluated against every instant
-// ingested before the query took its view.
-type LiveEngine struct {
-	name       string
-	base       string
-	numObjects int
-	joiner     *stjoin.Joiner
-	log        *segment.Log[frontierCore]
-
-	// pool is the buffer pool the sealed disk-resident segments share;
-	// nil for memory-resident bases.
-	pool *BufferPool
-
-	// horizon bounds how far past the frontier an add may land (-1 means
-	// unbounded); compactEvents is the per-slab delta depth that triggers
-	// an automatic re-seal (0 means manual Compact only).
-	horizon       int
-	compactEvents int
-
-	// bidir routes point queries through the bidirectional planner
-	// (engine opened as "bidir:<base>"); parallelism is the worker budget
-	// for large frontier sweeps (Options.QueryParallelism).
-	bidir       bool
-	parallelism int
-
-	// evScratch is AddInstant's reusable event buffer (single appender).
-	evScratch []contact.Event
-
-	// Sharding state ("shard:<K>:" name prefix, hash partitioner only —
-	// spatial needs trajectories the live feed does not carry). With K > 1
-	// lanes[s] is shard s's own segment log: events route to the lane of
-	// each endpoint's owner (cross-shard contacts to both), so sealing and
-	// compaction stay per-shard, and queries run the scatter-gather
-	// relaxation over per-lane views. log aliases lanes[0]; lanes is nil
-	// for unsharded engines (shards is still set when "shard:1:" was asked
-	// for, so Stats reports the declared count). laneEvs/laneSecEvs are the
-	// appender's routing buffers: primary-lane batches (owner of endpoint
-	// A) carry the report counts, secondary batches only the duplicated
-	// cross-shard side.
-	shards     int
-	assign     *shard.Assignment
-	lanes      []*segment.Log[frontierCore]
-	lanePools  []*BufferPool
-	laneEvs    [][]contact.Event
-	laneSecEvs [][]contact.Event
-
-	// crossFrontier counts boundary objects queries handed across the
-	// shard cut; crossContacts/totalContacts/laneContacts count the routed
-	// contact adds (the live cross_shard_ratio numerator/denominator).
-	crossFrontier atomic.Int64
-	crossContacts atomic.Int64
-	totalContacts atomic.Int64
-	laneContacts  []atomic.Int64
-
-	// ingestHook and sealHook are the notification hooks of OnIngest and
-	// OnSegmentSeal. They are invoked synchronously from Ingest/AddInstant
-	// (the appender goroutine); registration must happen before the first
-	// append.
-	ingestHook func(iv Interval)
-	sealHook   func(span Interval)
-}
 
 // ContactEvent is one observation from a contact feed: objects A and B
 // were within contact range at tick Tick — or, with Retract set, that
@@ -149,80 +88,93 @@ var ErrBadEvent = errors.New("streach: bad contact event")
 var ErrIngestHorizon = errors.New("streach: event tick beyond ingest horizon")
 
 // ErrNotLiveCapable reports a backend that cannot seal live segments: only
-// contact-sourced backends with frontier entry points (reachgraph,
-// reachgraph-mem, oracle) can.
+// backends that open from a contact network and sweep forward (reachgraph,
+// reachgraph-mem, oracle, and wrappers over them) can.
 var ErrNotLiveCapable = errors.New("streach: backend cannot serve a live feed")
 
+// LiveEngine is an Engine over a live position feed. It satisfies Engine
+// (and Segmented, and Sharded) like every registry backend, but its time
+// domain grows with each AddInstant; queries are evaluated against every
+// instant ingested before the query took its view.
+type LiveEngine struct {
+	// engine is the query side: the uniform wrapper, viewing the lanes
+	// through pin.
+	*engine
+	joiner *stjoin.Joiner
+
+	// lanes are the ingest logs. An unsharded feed has one. Under a
+	// "shard:<K>:" name prefix (hash partitioner only — spatial needs
+	// trajectories the live feed does not carry) lanes[s] is shard s's own
+	// log: events route to the lane of each endpoint's owner (cross-shard
+	// contacts to both), so sealing and compaction stay per-shard, and
+	// queries run the scatter-gather relaxation over per-lane views. assign
+	// and cut are nil for an unsharded feed.
+	lanes  []*liveLane
+	assign *shard.Assignment
+	cut    *shardCut
+
+	// horizon bounds how far past the frontier an add may land (-1 means
+	// unbounded); compactEvents is the per-slab delta depth that triggers
+	// an automatic re-seal (0 means manual Compact only).
+	horizon       int
+	compactEvents int
+
+	// bidir routes the lanes' point queries through the bidirectional
+	// planner ("bidir:" in the name); parallelism is the worker budget for
+	// large frontier sweeps (Options.QueryParallelism).
+	bidir       bool
+	parallelism int
+
+	// ingestHook and sealHook are the notification hooks of OnIngest and
+	// OnSegmentSeal. They are invoked synchronously from Ingest/AddInstant
+	// (the appender goroutine); registration must happen before the first
+	// append.
+	ingestHook func(iv Interval)
+	sealHook   func(span Interval)
+}
+
+// liveLane is one ingest log. evs and secEvs are the appender's routing
+// buffers for the batch in flight: the primary batch (events whose endpoint
+// A the lane owns) carries the report counts, the secondary batch only the
+// duplicated side of cross-shard events.
+type liveLane struct {
+	log         *segment.Log[sealedSlab]
+	evs, secEvs []contact.Event
+}
+
 // NewLiveEngine returns a live engine for numObjects objects moving in env
-// with contact threshold contactDist. Sealed slabs are indexed with the
-// named base backend, which must open from a contact network and support
-// the segmented planner ("reachgraph", "reachgraph-mem" or "oracle");
-// Options.SegmentTicks sets the slab width and disk-resident segments
-// share one buffer pool (Options.Pool or a private one). A "bidir:"
-// prefix on the backend name ("bidir:reachgraph", ...) routes point
-// queries through the bidirectional planner, exactly as for the frozen
-// "bidir:*" registry backends; the base must then be reverse-capable.
+// with contact threshold contactDist. backend is any name of the backend
+// grammar (a leading "live:" is accepted, so an engine's own Name() opens
+// its twin) whose structure can grow with a feed:
 //
-// A "shard:<K>:" prefix ("shard:4:reachgraph", "shard:2:bidir:reachgraph")
-// hash-partitions the object population into K ingest lanes, each with its
-// own segment log, buffer pool (unless Options.Pool is shared) and
-// per-shard sealing/compaction; queries run the scatter-gather frontier
-// relaxation over the lanes. Only the hash partitioner is live-capable —
-// spatial partitioning snaps trajectories the feed does not carry.
+//   - what is built once per sealed slab — the name itself, or what its
+//     "shard:"/"segmented:"/"bidir:" prefixes wrap — must open from a
+//     contact network and carry a frontier forward ("reachgraph",
+//     "reachgraph-mem", "oracle", "uncertain:" over any of them, ...);
+//     Options.SegmentTicks sets the slab width and disk-resident segments
+//     share one buffer pool (Options.Pool or a private one);
+//   - a "bidir:" prefix ("bidir:reachgraph", ...) routes point queries
+//     through the bidirectional planner, exactly as for the frozen "bidir:*"
+//     backends; the slabs must then sweep backward too;
+//   - a "shard:<K>:" prefix ("shard:4:reachgraph", "shard:2:bidir:reachgraph")
+//     hash-partitions the object population into K ingest lanes, each with
+//     its own segment log, buffer pool (unless Options.Pool is shared) and
+//     per-shard sealing/compaction; queries run the scatter-gather frontier
+//     relaxation over the lanes. Only the hash partitioner is live-capable —
+//     spatial partitioning snaps trajectories the feed does not carry.
 func NewLiveEngine(backend string, numObjects int, env Rect, contactDist float64, opts Options) (*LiveEngine, error) {
-	backend = strings.TrimSpace(backend)
-	shards := 0
-	if k, partitioner, rest, ok := parseShardName(strings.ToLower(backend)); ok {
-		if partitioner != "hash" {
-			return nil, fmt.Errorf("live shard:%s: %w (spatial partitioning snaps trajectories; live shards are hash-partitioned)",
-				partitioner, ErrNotLiveCapable)
-		}
-		if k > numObjects {
-			return nil, fmt.Errorf("streach: %d live shards exceed %d objects", k, numObjects)
-		}
-		shards, backend = k, rest
+	spec, err := resolve(backend)
+	if err != nil {
+		return nil, fmt.Errorf("%w (live-capable indexes: oracle, reachgraph, reachgraph-mem)", err)
 	}
-	bidir := strings.HasPrefix(strings.ToLower(backend), "bidir:")
-	if bidir {
-		backend = backend[len("bidir:"):]
-	}
-	spec, ok := lookupSpec(backend)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (available: %s)",
-			ErrUnknownBackend, backend, joinLiveCapable())
-	}
-	if spec.info.NeedsTrajectories {
-		return nil, fmt.Errorf("live %q: %w (indexes trajectories)", spec.info.Name, ErrNotLiveCapable)
+	if spec.live {
+		spec = *spec.base
 	}
 	if numObjects <= 0 {
 		return nil, errors.New("streach: live engine needs at least one object")
 	}
 	if contactDist <= 0 {
 		return nil, errors.New("streach: contact threshold must be positive")
-	}
-	makeBuild := func(laneOpts Options) segment.BuildFunc[frontierCore] {
-		return func(span Interval, net *contact.Network) (frontierCore, error) {
-			core, err := spec.open(&ContactNetwork{net: net}, laneOpts)
-			if err != nil {
-				return nil, err
-			}
-			fc, ok := core.(frontierCore)
-			if !ok {
-				return nil, fmt.Errorf("live %q: %w (no frontier entry points)", spec.info.Name, ErrNotLiveCapable)
-			}
-			return fc, nil
-		}
-	}
-	slabOpts := withSharedSlabPool(opts, spec.info.DiskResident)
-	build := makeBuild(slabOpts)
-	// Probe seal-ability now, not at the first slab boundary: a one-tick
-	// empty network must build.
-	probe, err := build(NewInterval(0, 0), contact.FromContacts(numObjects, 1, nil))
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := probe.(reverseFrontierCore); bidir && !ok {
-		return nil, fmt.Errorf("live bidir:%s: %w (no reverse frontier entry points)", spec.info.Name, ErrNotLiveCapable)
 	}
 	horizon := opts.IngestHorizon
 	switch {
@@ -231,56 +183,105 @@ func NewLiveEngine(backend string, numObjects int, env Rect, contactDist float64
 	case horizon < 0:
 		horizon = -1
 	}
-	innerName := spec.info.Name
-	if bidir {
-		innerName = "bidir:" + spec.info.Name
-	}
-	name := "live:" + innerName
-	if shards > 0 {
-		name = fmt.Sprintf("live:shard:%d:%s", shards, innerName)
-	}
 	le := &LiveEngine{
-		name:          name,
-		base:          spec.info.Name,
-		numObjects:    numObjects,
 		joiner:        stjoin.NewJoiner(env, contactDist),
-		log:           segment.NewLog[frontierCore](numObjects, opts.SegmentTicks, build),
-		pool:          slabOpts.Pool,
+		lanes:         make([]*liveLane, 1),
 		horizon:       horizon,
 		compactEvents: max(opts.CompactEvents, 0),
-		bidir:         bidir,
 		parallelism:   opts.QueryParallelism,
-		shards:        shards,
 	}
-	if shards > 1 {
-		// K ingest lanes, lane 0 aliasing the primary log. Each lane gets a
-		// private buffer pool via its own slab options unless the caller
-		// shared Options.Pool (then every lane draws on that one and Stats
-		// reports it pool-wide, exactly like unsharded engines).
-		assign, err := shard.Hash(numObjects, shards)
-		if err != nil {
+	le.engine = &engine{
+		name:       "live:" + spec.info.Name,
+		numObjects: numObjects,
+		view:       le.pin,
+		// The snapshot may include instants ingested after the query's view
+		// was taken; answers remain exact for every instant of the view.
+		fallback: func() *queries.Oracle { return queries.NewOracle(le.snapshotNet()) },
+	}
+	// Regrow the name's structure over ingest logs: an outermost "shard:"
+	// becomes the ingest lanes, a "segmented:" or "bidir:" under it names
+	// the lanes' own planner, and what that wraps is built per sealed slab.
+	lane := spec
+	if spec.shards > 0 {
+		if spec.partitioner != "hash" {
+			return nil, fmt.Errorf("live shard:%s: %w (spatial partitioning snaps trajectories; live shards are hash-partitioned)",
+				spec.partitioner, ErrNotLiveCapable)
+		}
+		if le.assign, err = shard.Hash(numObjects, spec.shards); err != nil {
 			return nil, err
 		}
-		le.assign = assign
-		le.lanes = make([]*segment.Log[frontierCore], shards)
-		le.lanePools = make([]*BufferPool, shards)
-		le.laneEvs = make([][]contact.Event, shards)
-		le.laneSecEvs = make([][]contact.Event, shards)
-		le.laneContacts = make([]atomic.Int64, shards)
-		le.lanes[0] = le.log
-		le.lanePools[0] = slabOpts.Pool
-		for s := 1; s < shards; s++ {
-			laneOpts := withSharedSlabPool(opts, spec.info.DiskResident)
-			le.lanes[s] = segment.NewLog[frontierCore](numObjects, opts.SegmentTicks, makeBuild(laneOpts))
-			le.lanePools[s] = laneOpts.Pool
+		le.lanes = make([]*liveLane, spec.shards)
+		le.cut = &shardCut{contacts: make([]atomic.Int64, spec.shards)}
+		lane = *spec.base
+	}
+	slab := lane
+	if lane.sliced {
+		slab, le.bidir = *lane.base, lane.bidir
+	}
+	if slab.info.NeedsTrajectories {
+		return nil, fmt.Errorf("live %q: %w (indexes trajectories)", slab.info.Name, ErrNotLiveCapable)
+	}
+	for s := range le.lanes {
+		// Each lane's segments share a pool of their own unless the caller
+		// shared Options.Pool across all of them.
+		laneOpts := withSharedPool(opts, slab.info.DiskResident)
+		if s == 0 {
+			// Probe seal-ability now, not at the first slab boundary: a
+			// one-tick empty network must build, into a core the planner can
+			// carry a frontier through.
+			probe, err := slab.build(&ContactNetwork{net: contact.FromContacts(numObjects, 1, nil)}, laneOpts)
+			if err != nil {
+				return nil, err
+			}
+			if err := sliceable(probe, slab.info.Name, le.bidir); err != nil {
+				return nil, fmt.Errorf("live: %w: %v", ErrNotLiveCapable, err)
+			}
 		}
-		if opts.Pool == nil {
-			// Per-lane private pools: no single pool speaks for the engine;
-			// Stats sums the lane pools instead.
-			le.pool = nil
-		}
+		le.lanes[s] = newLiveLane(slab, laneOpts, numObjects, opts.SegmentTicks)
 	}
 	return le, nil
+}
+
+// liveOver is the "live:" prefix: the name of the LiveEngine that
+// NewLiveEngine grows from base. It resolves — LiveEngine.Name() round-trips
+// — but has no frozen form to Open.
+func liveOver(base backendSpec) backendSpec {
+	return backendSpec{
+		info: BackendInfo{
+			Name:         "live:" + base.info.Name,
+			Description:  fmt.Sprintf("%s segments sealed from a live feed as it is ingested", base.info.Name),
+			DiskResident: base.info.DiskResident,
+		},
+		open: func(Source, Options) (core, error) {
+			return nil, errors.New("a live engine grows with its feed and has no frozen form: build it with NewLiveEngine")
+		},
+		base: &base,
+		live: true,
+	}
+}
+
+// newLiveLane returns an empty ingest lane sealing its slabs through slab.
+func newLiveLane(slab backendSpec, opts Options, numObjects, width int) *liveLane {
+	// built remembers the segment last sealed at each slab (by span start):
+	// a second build of a slab is a compaction, and the rebuilt segment
+	// carries the I/O totals of the one it retires forward so the engine's
+	// cumulative totals never run backwards. (Reads a query still holding
+	// the retired segment's view charges after this point reach its own
+	// delta but not the totals.) Builds run under the log's lock, on the
+	// single appender goroutine.
+	built := map[Tick]sealedSlab{}
+	return &liveLane{log: segment.NewLog(numObjects, width, func(span Interval, net *contact.Network) (sealedSlab, error) {
+		c, err := slab.build(&ContactNetwork{net: net}, opts)
+		if err != nil {
+			return sealedSlab{}, err
+		}
+		next := sealedSlab{core: c}
+		if prev, ok := built[span.Lo]; ok {
+			next.carried = prev.disk().ioTotals()
+		}
+		built[span.Lo] = next
+		return next, nil
+	})}
 }
 
 // OnIngest registers fn to be invoked synchronously after every ingest
@@ -300,10 +301,6 @@ func (le *LiveEngine) OnIngest(fn func(iv Interval)) { le.ingestHook = fn }
 // the sealed segment).
 func (le *LiveEngine) OnSegmentSeal(fn func(span Interval)) { le.sealHook = fn }
 
-func joinLiveCapable() string {
-	return "oracle, reachgraph, reachgraph-mem"
-}
-
 // Ingest folds a batch of contact events into the feed — the primary
 // ingest surface. Events may target any tick: adds at the frontier extend
 // the time domain (padding any gap with empty instants, sealing slabs as
@@ -319,7 +316,7 @@ func joinLiveCapable() string {
 // the report states what was applied and the engine stays consistent.
 // Like AddInstant, calls must come from a single goroutine.
 func (le *LiveEngine) Ingest(events []ContactEvent) (IngestReport, error) {
-	frontier := le.log.NumTicks()
+	frontier := le.NumTicks()
 	for i, ev := range events {
 		switch {
 		case ev.A < 0 || int(ev.A) >= le.numObjects || ev.B < 0 || int(ev.B) >= le.numObjects:
@@ -336,50 +333,44 @@ func (le *LiveEngine) Ingest(events []ContactEvent) (IngestReport, error) {
 				ErrIngestHorizon, i, ev.Tick, frontier, le.horizon)
 		}
 	}
-	if le.lanes != nil {
-		for s := range le.lanes {
-			le.laneEvs[s] = le.laneEvs[s][:0]
-			le.laneSecEvs[s] = le.laneSecEvs[s][:0]
-		}
-		for _, ev := range events {
-			le.routeEvent(contact.Event{Tick: ev.Tick, A: ev.A, B: ev.B, Retract: ev.Retract})
-		}
-		return le.applyLanes()
+	le.clearRoutes()
+	for _, ev := range events {
+		le.routeEvent(contact.Event{Tick: ev.Tick, A: ev.A, B: ev.B, Retract: ev.Retract})
 	}
-	evs := make([]contact.Event, len(events))
-	for i, ev := range events {
-		evs[i] = contact.Event{Tick: ev.Tick, A: ev.A, B: ev.B, Retract: ev.Retract}
+	return le.applyLanes()
+}
+
+// owner returns the lane storing the contacts incident to o.
+func (le *LiveEngine) owner(o ObjectID) int {
+	if le.assign == nil {
+		return 0
 	}
-	res, err := le.log.IngestEvents(evs, le.compactEvents)
-	le.fireHooks(res)
-	return IngestReport{
-		Applied:       res.Frontier,
-		Late:          res.Late,
-		Retracted:     res.Retracted,
-		Duplicates:    res.Duplicates,
-		RetractMisses: res.RetractMisses,
-		Sealed:        res.Sealed,
-		Compacted:     res.Compacted,
-	}, err
+	return le.assign.Owner(o)
+}
+
+func (le *LiveEngine) clearRoutes() {
+	for _, ln := range le.lanes {
+		ln.evs, ln.secEvs = ln.evs[:0], ln.secEvs[:0]
+	}
 }
 
 // routeEvent appends e to its owner lanes' routing buffers: owner(A)'s
 // primary batch carries the report counts, and when the endpoints live on
 // different shards the duplicated copy lands in owner(B)'s secondary batch,
-// so both shard sub-networks stay complete for their own objects. Adds also
-// feed the live partition-quality counters.
+// so both shard sub-networks stay complete for their own objects. On a
+// sharded feed adds also feed the live partition-quality counters.
 func (le *LiveEngine) routeEvent(e contact.Event) {
-	sa, sb := le.assign.Owner(e.A), le.assign.Owner(e.B)
-	le.laneEvs[sa] = append(le.laneEvs[sa], e)
+	sa, sb := le.owner(e.A), le.owner(e.B)
+	le.lanes[sa].evs = append(le.lanes[sa].evs, e)
 	if sb != sa {
-		le.laneSecEvs[sb] = append(le.laneSecEvs[sb], e)
+		le.lanes[sb].secEvs = append(le.lanes[sb].secEvs, e)
 	}
-	if !e.Retract {
-		le.totalContacts.Add(1)
-		le.laneContacts[sa].Add(1)
+	if le.cut != nil && !e.Retract {
+		le.cut.total.Add(1)
+		le.cut.contacts[sa].Add(1)
 		if sb != sa {
-			le.crossContacts.Add(1)
-			le.laneContacts[sb].Add(1)
+			le.cut.cross.Add(1)
+			le.cut.contacts[sb].Add(1)
 		}
 	}
 }
@@ -393,45 +384,46 @@ func (le *LiveEngine) routeEvent(e contact.Event) {
 func (le *LiveEngine) applyLanes() (IngestReport, error) {
 	var rep IngestReport
 	var firstErr error
-	for s, lg := range le.lanes {
-		if len(le.laneEvs[s]) > 0 {
-			res, err := lg.IngestEvents(le.laneEvs[s], le.compactEvents)
+	for s, ln := range le.lanes {
+		if len(ln.evs) > 0 {
+			res, err := ln.log.IngestEvents(ln.evs, le.compactEvents)
 			le.countLane(s, res, &rep, true)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 		}
-		if len(le.laneSecEvs[s]) > 0 {
-			res, err := lg.IngestEvents(le.laneSecEvs[s], le.compactEvents)
+		if len(ln.secEvs) > 0 {
+			res, err := ln.log.IngestEvents(ln.secEvs, le.compactEvents)
 			le.countLane(s, res, &rep, false)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 		}
 	}
 	frontier := 0
-	for _, lg := range le.lanes {
-		if n := lg.NumTicks(); n > frontier {
-			frontier = n
-		}
+	for _, ln := range le.lanes {
+		frontier = max(frontier, ln.log.NumTicks())
 	}
-	for s, lg := range le.lanes {
-		if lg.NumTicks() >= frontier {
+	err := le.advanceLanes(frontier, &rep)
+	return rep, cmp.Or(firstErr, err)
+}
+
+// advanceLanes pads every lane to numTicks ticks.
+func (le *LiveEngine) advanceLanes(numTicks int, rep *IngestReport) error {
+	var firstErr error
+	for s, ln := range le.lanes {
+		if ln.log.NumTicks() >= numTicks {
 			continue
 		}
-		res, err := lg.AdvanceTo(frontier)
-		le.countLane(s, res, &rep, false)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		res, err := ln.log.AdvanceTo(numTicks)
+		le.countLane(s, res, rep, false)
+		firstErr = cmp.Or(firstErr, err)
 	}
-	return rep, firstErr
+	return firstErr
 }
 
 // countLane accumulates one lane apply into the batch report and fires the
-// hooks for it. The ingest hook fires per lane — an invalidation heard once
-// per shard that changed is idempotent for derived state; the seal hook
-// fires from lane 0 only, whose slab boundaries speak for all lanes.
+// hooks for it. Hooks fire even when the apply ultimately erred: everything
+// listed in res was genuinely applied, so derived state must still hear
+// about it. The ingest hook fires per lane — an invalidation heard once per
+// shard that changed is idempotent for derived state; the seal hook fires
+// from lane 0 only, whose slab boundaries speak for all lanes.
 func (le *LiveEngine) countLane(s int, res segment.ApplyResult, rep *IngestReport, primary bool) {
 	if primary {
 		rep.Applied += res.Frontier
@@ -467,49 +459,16 @@ func (le *LiveEngine) AddInstant(positions []Point) error {
 	if len(positions) != le.numObjects {
 		return fmt.Errorf("streach: got %d positions, want %d", len(positions), le.numObjects)
 	}
-	tick := Tick(le.log.NumTicks())
-	le.evScratch = le.evScratch[:0]
+	tick := Tick(le.NumTicks())
+	le.clearRoutes()
 	le.joiner.Join(positions, func(a, b int) bool {
-		le.evScratch = append(le.evScratch, contact.Event{Tick: tick, A: ObjectID(a), B: ObjectID(b)})
+		le.routeEvent(contact.Event{Tick: tick, A: ObjectID(a), B: ObjectID(b)})
 		return true
 	})
-	if le.lanes != nil {
-		if len(le.evScratch) == 0 {
-			return le.advanceLanes(int(tick) + 1)
-		}
-		for s := range le.lanes {
-			le.laneEvs[s] = le.laneEvs[s][:0]
-			le.laneSecEvs[s] = le.laneSecEvs[s][:0]
-		}
-		for _, e := range le.evScratch {
-			le.routeEvent(e)
-		}
-		_, err := le.applyLanes()
+	if _, err := le.applyLanes(); err != nil {
 		return err
 	}
-	var res segment.ApplyResult
-	var err error
-	if len(le.evScratch) == 0 {
-		res, err = le.log.AdvanceTo(int(tick) + 1)
-	} else {
-		res, err = le.log.IngestEvents(le.evScratch, 0)
-	}
-	le.fireHooks(res)
-	return err
-}
-
-// advanceLanes pads every lane to numTicks ticks, firing hooks per lane.
-func (le *LiveEngine) advanceLanes(numTicks int) error {
-	var rep IngestReport
-	var firstErr error
-	for s, lg := range le.lanes {
-		res, err := lg.AdvanceTo(numTicks)
-		le.countLane(s, res, &rep, false)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return le.AdvanceTo(tick)
 }
 
 // AdvanceTo pads the feed with empty instants until tick is part of the
@@ -518,12 +477,8 @@ func (le *LiveEngine) advanceLanes(numTicks int) error {
 // ingest horizon). Already-covered ticks are a no-op; the clock never
 // rewinds. Single appender goroutine, like all ingestion.
 func (le *LiveEngine) AdvanceTo(tick Tick) error {
-	if le.lanes != nil {
-		return le.advanceLanes(int(tick) + 1)
-	}
-	res, err := le.log.AdvanceTo(int(tick) + 1)
-	le.fireHooks(res)
-	return err
+	var rep IngestReport
+	return le.advanceLanes(int(tick)+1, &rep)
 }
 
 // Compact re-seals every sealed segment carrying pending delta-log events,
@@ -534,442 +489,119 @@ func (le *LiveEngine) AdvanceTo(tick Tick) error {
 // Runs on the appender goroutine; queries may run concurrently and keep
 // their (still-exact) views.
 func (le *LiveEngine) Compact() (int, error) {
-	if le.lanes != nil {
-		total := 0
-		var firstErr error
-		for _, lg := range le.lanes {
-			n, err := lg.Compact()
-			total += n
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return total, firstErr
+	total := 0
+	var firstErr error
+	for _, ln := range le.lanes {
+		n, err := ln.log.Compact()
+		total += n
+		firstErr = cmp.Or(firstErr, err)
 	}
-	return le.log.Compact()
+	return total, firstErr
 }
 
 // ContactActiveAt reports whether contact (a, b) is part of the feed's
 // current effective state at tick t — ingested (directly or late) and not
 // retracted. A serving layer uses it to pre-validate wire retractions.
 func (le *LiveEngine) ContactActiveAt(a, b ObjectID, t Tick) bool {
-	if le.lanes != nil {
-		// Owner(a)'s lane holds every contact incident to a, including the
-		// duplicated cross-shard copies.
-		return le.lanes[le.assign.Owner(a)].ActiveAt(a, b, t)
-	}
-	return le.log.ActiveAt(a, b, t)
-}
-
-// fireHooks reports an ingest outcome to the registered hooks. Hooks fire
-// even when the ingest ultimately erred: everything listed in res was
-// genuinely applied, so derived state must still hear about it.
-func (le *LiveEngine) fireHooks(res segment.ApplyResult) {
-	if le.ingestHook != nil {
-		for _, iv := range res.Changed {
-			le.ingestHook(iv)
-		}
-	}
-	if le.sealHook != nil {
-		for _, span := range res.Sealed {
-			le.sealHook(span)
-		}
-	}
+	// Owner(a)'s lane holds every contact incident to a, including the
+	// duplicated cross-shard copies.
+	return le.lanes[le.owner(a)].log.ActiveAt(a, b, t)
 }
 
 // NumTicks returns the number of instants ingested so far.
-func (le *LiveEngine) NumTicks() int { return le.log.NumTicks() }
+func (le *LiveEngine) NumTicks() int { return le.lanes[0].log.NumTicks() }
 
 // NumSealedSegments returns the number of sealed (immutable) segments.
-func (le *LiveEngine) NumSealedSegments() int { return le.log.NumSealed() }
+func (le *LiveEngine) NumSealedSegments() int { return le.lanes[0].log.NumSealed() }
 
-// Snapshot returns the contact network over every instant ingested so far
-// — the same network a ContactStream would snapshot — for validation
-// against ground truth. The engine remains usable.
+// Snapshot returns the contact network over every instant ingested so far,
+// for validation against ground truth and as an Open source. The engine
+// remains usable.
 func (le *LiveEngine) Snapshot() *ContactNetwork {
 	return &ContactNetwork{net: le.snapshotNet()}
 }
 
 func (le *LiveEngine) snapshotNet() *contact.Network {
-	if le.lanes == nil {
-		return le.log.Snapshot()
+	if len(le.lanes) == 1 {
+		return le.lanes[0].log.Snapshot()
 	}
 	// Merge the lane snapshots back into the whole-population network,
 	// deduplicating the cross-shard contacts the cut stored twice.
 	nets := make([]*contact.Network, len(le.lanes))
 	numTicks := 0
-	for s, lg := range le.lanes {
-		nets[s] = lg.Snapshot()
-		if nets[s].NumTicks > numTicks {
-			numTicks = nets[s].NumTicks
-		}
+	for s, ln := range le.lanes {
+		nets[s] = ln.log.Snapshot()
+		numTicks = max(numTicks, nets[s].NumTicks)
 	}
 	return shard.Merge(nets, le.numObjects, numTicks)
 }
 
-// view assembles the planner's slab list: sealed segments plus, when the
-// tail holds instants, an oracle core over the tail's slab-local network.
-// A dirty sealed segment — one with pending delta-log events — is served
-// by an oracle over its overlay network instead of its (stale) sealed
-// index, so out-of-order corrections are query-visible immediately.
-// Everything returned is immutable, so the query proceeds lock-free.
-func (le *LiveEngine) view() ([]segSlab, int) {
-	return logView(le.log)
-}
-
-func logView(lg *segment.Log[frontierCore]) ([]segSlab, int) {
-	sealed, tailSpan, tailNet, numTicks := lg.View()
-	slabs := make([]segSlab, 0, len(sealed)+1)
-	for _, s := range sealed {
-		core := s.Value
-		if s.Overlay != nil {
-			core = oracleCore{o: queries.NewOracle(s.Overlay)}
+// views pins one consistent view per lane — the slab list the planner
+// walks: sealed segments plus, when the tail holds instants, an oracle over
+// the tail's slab-local network. A dirty sealed segment — one with pending
+// delta-log events — is served by an oracle over its overlay network
+// instead of its (stale) sealed index, so out-of-order corrections are
+// query-visible immediately. Everything returned is immutable, so a query
+// proceeds lock-free. numTicks is the common time domain — the minimum
+// lane frontier, so queries racing an append see only ticks every lane has
+// covered.
+func (le *LiveEngine) views() (segs []*segmentedCore, numTicks int) {
+	segs = make([]*segmentedCore, len(le.lanes))
+	for i, ln := range le.lanes {
+		sealed, tailSpan, tailNet, nt := ln.log.View()
+		slabs := make([]segSlab, 0, len(sealed)+1)
+		for _, s := range sealed {
+			slab := segSlab{span: s.Span, core: s.Value.core, sealed: s.Value, pending: s.Pending}
+			if s.Overlay != nil {
+				slab.core = oracleCore{o: queries.NewOracle(s.Overlay)}
+			}
+			slabs = append(slabs, slab)
 		}
-		slabs = append(slabs, segSlab{span: s.Span, core: core})
-	}
-	if tailNet != nil {
-		slabs = append(slabs, segSlab{span: tailSpan, core: oracleCore{o: queries.NewOracle(tailNet)}})
-	}
-	return slabs, numTicks
-}
-
-// laneSemView is one shard lane's scatter-gather entry point: a semCore
-// over a pinned view of the lane's log, evaluated through the
-// cross-segment planner. Expansions are clamped by the coordinator to the
-// common time domain, so a lane mid-append never leaks ticks its peers
-// have not covered yet.
-type laneSemView struct {
-	slabs      []segSlab
-	numObjects int
-	numTicks   int
-}
-
-func (v laneSemView) semSupports(spec semSpec) bool {
-	for _, s := range v.slabs {
-		sc, ok := s.core.(semCore)
-		if !ok || !sc.semSupports(spec) {
-			return false
+		if tailNet != nil {
+			slabs = append(slabs, segSlab{span: tailSpan, core: oracleCore{o: queries.NewOracle(tailNet)}})
 		}
-	}
-	return true
-}
-
-func (v laneSemView) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return planSemProfile(ctx, v.slabs, v.numObjects, v.numTicks, dst, seeds, iv, spec, earlyDst, acct)
-}
-
-// shardParts pins one consistent view per lane and returns them as the
-// scatter-gather planner's parts, with the common time domain — the
-// minimum lane frontier, so queries racing an append see only ticks every
-// lane has covered.
-func (le *LiveEngine) shardParts() ([]semCore, int) {
-	parts := make([]semCore, len(le.lanes))
-	numTicks := -1
-	for s, lg := range le.lanes {
-		slabs, nt := logView(lg)
-		parts[s] = laneSemView{slabs: slabs, numObjects: le.numObjects, numTicks: nt}
-		if numTicks < 0 || nt < numTicks {
+		segs[i] = &segmentedCore{
+			slabs:       slabs,
+			numObjects:  le.numObjects,
+			numTicks:    nt,
+			bidir:       le.bidir,
+			parallelism: le.parallelism,
+		}
+		if i == 0 || nt < numTicks {
 			numTicks = nt
 		}
 	}
-	return parts, max(numTicks, 0)
+	return segs, numTicks
 }
 
-func (le *LiveEngine) shardPar() int {
-	if le.parallelism > 0 {
-		return le.parallelism
+// coordinator returns the scatter-gather coordinator over the lane views of
+// a sharded feed; nil for an unsharded one, whose one lane view is the
+// query core itself.
+func (le *LiveEngine) coordinator(segs []*segmentedCore, numTicks int) *shardCore {
+	if le.cut == nil {
+		return nil
 	}
-	return len(le.lanes)
+	sh := &shardCore{
+		assign:      le.assign,
+		parts:       make([]core, len(segs)),
+		numObjects:  le.numObjects,
+		numTicks:    numTicks,
+		parallelism: le.parallelism,
+		cut:         le.cut,
+	}
+	for i, seg := range segs {
+		sh.parts[i] = seg
+	}
+	return sh
 }
 
-// Name returns "live:<base>".
-func (le *LiveEngine) Name() string { return le.name }
-
-// Reachable answers q over every instant ingested before the call took its
-// view of the log. Queries with an active Semantics spec route through the
-// semantics layer like every registry engine.
-func (le *LiveEngine) Reachable(ctx context.Context, q Query) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
+// pin is the engine wrapper's view: the core one query evaluates against.
+func (le *LiveEngine) pin() (core, int) {
+	segs, numTicks := le.views()
+	if sh := le.coordinator(segs, numTicks); sh != nil {
+		return sh, numTicks
 	}
-	if q.Semantics.Active() {
-		return evalReachableSem(ctx, le.semView(), q)
-	}
-	if le.lanes != nil {
-		return le.reachableSharded(ctx, q)
-	}
-	slabs, numTicks := le.view()
-	var acct pagefile.Stats
-	start := time.Now()
-	var ok bool
-	var expanded int
-	var err error
-	if le.bidir {
-		ok, expanded, err = planReachBidir(ctx, slabs, le.numObjects, numTicks, q, le.parallelism, &acct)
-	} else {
-		ok, expanded, err = planReach(ctx, slabs, le.numObjects, numTicks, q, le.parallelism, &acct)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Query:     q,
-		Reachable: ok,
-		IO:        statsOf(acct),
-		Latency:   time.Since(start),
-		Expanded:  expanded,
-		Evaluated: true,
-		Arrival:   -1,
-		Hops:      -1,
-		Native:    true,
-	}, nil
-}
-
-// ReachableSet returns every object reachable from src during iv, sorted
-// ascending and deduplicated.
-func (le *LiveEngine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (SetResult, error) {
-	if err := ctx.Err(); err != nil {
-		return SetResult{}, err
-	}
-	if le.lanes != nil {
-		return le.reachableSetSharded(ctx, src, iv)
-	}
-	slabs, numTicks := le.view()
-	var acct pagefile.Stats
-	start := time.Now()
-	objs, _, err := planSet(ctx, slabs, le.numObjects, numTicks, src, iv, le.parallelism, &acct)
-	if err != nil {
-		return SetResult{}, err
-	}
-	objs = sortDedupObjects(objs)
-	return SetResult{
-		Src:      src,
-		Interval: iv,
-		Objects:  objs,
-		IO:       statsOf(acct),
-		Latency:  time.Since(start),
-		Expanded: len(objs),
-	}, nil
-}
-
-// reachableSharded answers a plain point query over the ingest lanes with
-// the scatter-gather frontier relaxation — the same planner as the frozen
-// shard backends, with q.Dst as the early-exit target. A sharded live
-// engine routes every point query here (including "bidir:" bases: the
-// bidirectional planner needs the undivided network, which no single lane
-// holds).
-func (le *LiveEngine) reachableSharded(ctx context.Context, q Query) (Result, error) {
-	parts, numTicks := le.shardParts()
-	if err := validatePlanIDs(le.numObjects, q.Src, q.Dst); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	res := Result{
-		Query:     q,
-		Evaluated: true,
-		Arrival:   -1,
-		Hops:      -1,
-		Native:    true,
-	}
-	iv := clampDomain(q.Interval, numTicks)
-	switch {
-	case numTicks == 0 || iv.Len() == 0:
-	case q.Src == q.Dst:
-		res.Reachable = true
-	default:
-		sc := semPool.Get()
-		defer semPool.Put(sc)
-		sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: q.Src})
-		var acct pagefile.Stats
-		entries, n, err := planShardProfile(ctx, parts, le.assign, le.numObjects, numTicks,
-			sc.entries[:0], sc.seeds, iv, hopAgnostic, q.Dst, le.shardPar(), &acct, &le.crossFrontier)
-		sc.entries = entries
-		if err != nil {
-			return Result{}, err
-		}
-		_, res.Reachable = findEntry(entries, q.Dst)
-		res.IO = statsOf(acct)
-		res.Expanded = n
-	}
-	res.Latency = time.Since(start)
-	return res, nil
-}
-
-// reachableSetSharded computes the reachable set over the ingest lanes with
-// one exhaustive scatter-gather relaxation (no early exit).
-func (le *LiveEngine) reachableSetSharded(ctx context.Context, src ObjectID, iv Interval) (SetResult, error) {
-	parts, numTicks := le.shardParts()
-	if err := validatePlanIDs(le.numObjects, src, src); err != nil {
-		return SetResult{}, err
-	}
-	sc := semPool.Get()
-	defer semPool.Put(sc)
-	sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: src})
-	var acct pagefile.Stats
-	start := time.Now()
-	entries, _, err := planShardProfile(ctx, parts, le.assign, le.numObjects, numTicks,
-		sc.entries[:0], sc.seeds, iv, hopAgnostic, queries.NoObject, le.shardPar(), &acct, &le.crossFrontier)
-	sc.entries = entries
-	if err != nil {
-		return SetResult{}, err
-	}
-	objs := make([]ObjectID, len(entries))
-	for i, en := range entries {
-		objs[i] = en.Obj
-	}
-	return SetResult{
-		Src:      src,
-		Interval: iv,
-		Objects:  objs,
-		IO:       statsOf(acct),
-		Latency:  time.Since(start),
-		Expanded: len(objs),
-	}, nil
-}
-
-// liveSemView is the per-query semEvaluator of a LiveEngine: it pins one
-// consistent view of the log so a semantic query evaluates against a
-// fixed set of ingested instants. Evaluation goes through the
-// cross-segment planner when every slab of the view supports the spec
-// (the tail's oracle core always does), and through a brute-force oracle
-// over a fresh feed snapshot otherwise — the snapshot may include
-// instants ingested after the view was taken; answers remain exact for
-// every instant of the view.
-type liveSemView struct {
-	le       *LiveEngine
-	slabs    []segSlab
-	numTicks int
-}
-
-func (le *LiveEngine) semView() semEvaluator {
-	if le.lanes != nil {
-		parts, numTicks := le.shardParts()
-		return &liveShardSemView{le: le, parts: parts, numTicks: numTicks}
-	}
-	slabs, numTicks := le.view()
-	return &liveSemView{le: le, slabs: slabs, numTicks: numTicks}
-}
-
-// liveShardSemView is the semEvaluator of a sharded LiveEngine: pinned
-// per-lane views evaluated through the scatter-gather relaxation. Like the
-// frozen shard backends it is native exactly for hop-agnostic specs every
-// lane supports; hop-tracking specs (and any slab that cannot serve the
-// spec) fall back to a brute-force oracle over a merged feed snapshot.
-type liveShardSemView struct {
-	le       *LiveEngine
-	parts    []semCore
-	numTicks int
-}
-
-func (v *liveShardSemView) semDims() (int, int) { return v.le.numObjects, v.numTicks }
-
-func (v *liveShardSemView) semNativeFor(spec semSpec) bool {
-	if spec.tracksHops() {
-		return false
-	}
-	for _, p := range v.parts {
-		if !p.semSupports(spec) {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *liveShardSemView) semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error) {
-	if v.semNativeFor(spec) {
-		entries, n, err := planShardProfile(ctx, v.parts, v.le.assign, v.le.numObjects, v.numTicks,
-			sc.entries[:0], seeds, iv, spec, earlyDst, v.le.shardPar(), acct, &v.le.crossFrontier)
-		sc.entries = entries
-		return entries, n, true, err
-	}
-	entries, n := queries.NewOracle(v.le.snapshotNet()).Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return entries, n, false, nil
-}
-
-func (v *liveShardSemView) semOracle() *queries.Oracle {
-	return queries.NewOracle(v.le.snapshotNet())
-}
-
-func (v *liveSemView) semDims() (int, int) { return v.le.numObjects, v.numTicks }
-
-func (v *liveSemView) semNativeFor(spec semSpec) bool {
-	for _, s := range v.slabs {
-		sc, ok := s.core.(semCore)
-		if !ok || !sc.semSupports(spec) {
-			return false
-		}
-	}
-	return true
-}
-
-func (v *liveSemView) semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error) {
-	if v.semNativeFor(spec) {
-		entries, n, err := planSemProfile(ctx, v.slabs, v.le.numObjects, v.numTicks, sc.entries[:0], seeds, iv, spec, earlyDst, acct)
-		sc.entries = entries
-		return entries, n, true, err
-	}
-	entries, n := queries.NewOracle(v.le.snapshotNet()).Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return entries, n, false, nil
-}
-
-func (v *liveSemView) semOracle() *queries.Oracle {
-	return queries.NewOracle(v.le.snapshotNet())
-}
-
-// EarliestArrival returns the first ingested tick in iv at which dst
-// holds an item initiated by src, over every instant ingested before the
-// call took its view of the log. Arrival ticks carry across sealed-slab
-// frontiers through the cross-segment planner; bases without a native
-// arrival sweep fall back to an oracle over a fresh snapshot (all current
-// live-capable bases are arrival-native).
-func (le *LiveEngine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
-	return evalEarliestArrival(ctx, le.semView(), src, dst, iv)
-}
-
-// TopKReachable ranks the objects reachable from src during iv under
-// per-transfer decay; see Engine.TopKReachable. Transfer counting needs
-// per-instant relaxation, so bases whose sealed segments cannot count
-// hops (reachgraph, reachgraph-mem) answer through an oracle over a
-// fresh snapshot of the ingested feed.
-func (le *LiveEngine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
-	return evalTopKReachable(ctx, le.semView(), src, iv, k, decay)
-}
-
-// IndexBytes returns the total on-disk size of the sealed segments (zero
-// for memory-resident bases and before the first seal). Dirty segments
-// still count: the sealed index exists on disk until compaction replaces
-// it.
-func (le *LiveEngine) IndexBytes() int64 {
-	var sum int64
-	for _, lg := range le.allLogs() {
-		sealed, _, _, _ := lg.View()
-		for _, s := range sealed {
-			sum += s.Value.indexBytes()
-		}
-	}
-	return sum
-}
-
-// allLogs returns the engine's segment logs: the ingest lanes of a sharded
-// engine, or the single log otherwise.
-func (le *LiveEngine) allLogs() []*segment.Log[frontierCore] {
-	if le.lanes != nil {
-		return le.lanes
-	}
-	return []*segment.Log[frontierCore]{le.log}
-}
-
-// IOTotals returns the cumulative simulated disk traffic of the sealed
-// segments.
-func (le *LiveEngine) IOTotals() IOStats {
-	var sum pagefile.Stats
-	for _, lg := range le.allLogs() {
-		sealed, _, _, _ := lg.View()
-		for _, s := range sealed {
-			sum.Add(s.Value.ioTotals())
-		}
-	}
-	return statsOf(sum)
+	return segs[0], numTicks
 }
 
 // Stats returns a consistent snapshot of the live engine's observable
@@ -977,136 +609,59 @@ func (le *LiveEngine) IOTotals() IOStats {
 // instants ingested before the snapshot, and may lag an ongoing append by
 // at most one instant. DeltaEvents/DirtySegments expose the current
 // delta-log pressure; LateEvents/Retractions/Compactions are cumulative.
+// Sharded engines sum the per-lane footprints and ingest counters; the
+// counters count lane applications, so a cross-shard event stored on both
+// sides counts once per side, like ShardStats.Contacts. Segment counts
+// come from lane 0, whose slab boundaries speak for all lanes.
 func (le *LiveEngine) Stats() EngineStats {
-	sealed, _, tailNet, numTicks := le.log.View()
-	segments := len(sealed)
-	if tailNet != nil {
-		segments++
+	segs, numTicks := le.views()
+	var st EngineStats
+	if sh := le.coordinator(segs, numTicks); sh != nil {
+		st = coreStats(le.name, le.numObjects, numTicks, sh)
+		sh.fillStats(&st)
+	} else {
+		st = coreStats(le.name, le.numObjects, numTicks, segs[0])
 	}
-	st := EngineStats{
-		Backend:        le.name,
-		NumObjects:     le.numObjects,
-		NumTicks:       numTicks,
-		Segments:       segments,
-		SealedSegments: len(sealed),
+	st.Segments = len(segs[0].slabs)
+	for _, s := range segs[0].slabs {
+		if s.sealed.core != nil {
+			st.SealedSegments++
+		}
 	}
-	// Sharded engines sum the per-lane footprints and ingest counters; the
-	// counters count lane applications, so a cross-shard event stored on
-	// both sides counts once per side, like ShardStats.Contacts. Segment
-	// counts come from lane 0, whose slab boundaries speak for all lanes.
-	var io pagefile.Stats
-	for _, lg := range le.allLogs() {
-		laneSealed, _, _, _ := lg.View()
-		for _, s := range laneSealed {
-			io.Add(s.Value.ioTotals())
-			st.IndexBytes += s.Value.indexBytes()
-			st.DeltaEvents += s.Pending
-			if s.Pending > 0 {
+	for i, seg := range segs {
+		for _, s := range seg.slabs {
+			st.DeltaEvents += s.pending
+			if s.pending > 0 {
 				st.DirtySegments++
 			}
 		}
-		c := lg.Counters()
+		c := le.lanes[i].log.Counters()
 		st.LateEvents += c.LateApplied
 		st.Retractions += c.Retractions
 		st.Compactions += c.Compactions
-	}
-	st.IO = statsOf(io)
-	if le.pool != nil {
-		st.HasPool = true
-		st.Pool = le.pool.Stats()
-	} else {
-		// Per-lane private pools: report their summed counters, the same
-		// convention as the frozen shard backends.
-		for _, p := range le.lanePools {
-			if p == nil {
-				continue
-			}
-			ps := p.Stats()
-			st.HasPool = true
-			st.Pool.Hits += ps.Hits
-			st.Pool.Misses += ps.Misses
-			st.Pool.Evictions += ps.Evictions
-			st.Pool.Resident += ps.Resident
-			st.Pool.Capacity += ps.Capacity
-		}
-	}
-	if le.shards > 0 {
-		st.Shards = le.shards
-		st.Partitioner = "hash"
-		st.CrossShardFrontier = le.crossFrontier.Load()
-		if total := le.totalContacts.Load(); total > 0 {
-			st.CrossShardRatio = float64(le.crossContacts.Load()) / float64(total)
-		}
-		st.ShardDetails = le.ShardStats()
 	}
 	return st
 }
 
 // ShardStats returns one entry per ingest lane; nil for engines opened
-// without a "shard:<K>:" prefix (or with K = 1, which keeps the single
-// unsharded log). Contacts counts the contact adds routed to the lane so
-// far — cross-shard contacts once per side.
+// without a "shard:<K>:" prefix. Contacts counts the contact adds routed to
+// the lane so far — cross-shard contacts once per side.
 func (le *LiveEngine) ShardStats() []ShardStats {
-	if le.lanes == nil {
+	sh := le.coordinator(le.views())
+	if sh == nil {
 		return nil
 	}
-	out := make([]ShardStats, len(le.lanes))
-	for s, lg := range le.lanes {
-		sealed, _, _, _ := lg.View()
-		st := ShardStats{
-			Shard:    s,
-			Objects:  le.assign.Objects(s),
-			Contacts: int(le.laneContacts[s].Load()),
-		}
-		var io pagefile.Stats
-		for _, sv := range sealed {
-			io.Add(sv.Value.ioTotals())
-			st.IndexBytes += sv.Value.indexBytes()
-		}
-		st.IO = statsOf(io)
-		out[s] = st
-	}
-	return out
+	return sh.shardStats()
 }
 
 // SegmentStats returns one entry per segment — sealed segments first, then
 // the mutable tail (which never charges I/O) when it holds instants. A
-// sealed segment's DeltaEvents is its pending delta-log depth.
+// sealed segment's DeltaEvents is its pending delta-log depth. Every lane
+// seals the same slab spans (the appender keeps the clocks aligned), so on
+// a sharded feed an entry is one time slab, summed across shards.
 func (le *LiveEngine) SegmentStats() []SegmentStats {
-	sealed, tailSpan, tailNet, _ := le.log.View()
-	out := make([]SegmentStats, 0, len(sealed)+1)
-	io := make([]pagefile.Stats, len(sealed))
-	for i, s := range sealed {
-		io[i] = s.Value.ioTotals()
-		out = append(out, SegmentStats{
-			Span:        s.Span,
-			IndexBytes:  s.Value.indexBytes(),
-			DeltaEvents: s.Pending,
-		})
-	}
-	// Lanes 1..K-1 seal the same slab spans as lane 0 (the appender keeps
-	// the clocks aligned); fold their per-slab footprints in by index so an
-	// entry stays "one time slab, summed across shards".
-	if le.lanes != nil {
-		for _, lg := range le.lanes[1:] {
-			laneSealed, _, _, _ := lg.View()
-			for i, s := range laneSealed {
-				if i >= len(out) {
-					break
-				}
-				io[i].Add(s.Value.ioTotals())
-				out[i].IndexBytes += s.Value.indexBytes()
-				out[i].DeltaEvents += s.Pending
-			}
-		}
-	}
-	for i := range out {
-		out[i].IO = statsOf(io[i])
-	}
-	if tailNet != nil {
-		out = append(out, SegmentStats{Span: tailSpan})
-	}
-	return out
+	segs, _ := le.views()
+	return segmentStats(segs)
 }
 
 var _ Engine = (*LiveEngine)(nil)

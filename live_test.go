@@ -159,12 +159,13 @@ func TestLiveEngineQueryWhileIngesting(t *testing.T) {
 }
 
 // TestContactStreamSnapshotThenContinue covers the snapshot-then-continue
-// contract under concurrent readers (run under -race in CI): engines opened
+// contract of a LiveEngine's contact stream under concurrent readers (run
+// under -race in CI): engines opened
 // over a snapshot keep answering correctly while the stream ingests further
 // instants and takes further snapshots.
 func TestContactStreamSnapshotThenContinue(t *testing.T) {
 	ds := replaySource(t, 25, 240)
-	stream, err := streach.NewContactStream(ds.NumObjects(), ds.Env(), ds.ContactDist())
+	stream, err := streach.NewLiveEngine("oracle", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,5 +255,166 @@ func TestLiveEngineRejectsUnfit(t *testing.T) {
 	}
 	if _, err := streach.NewLiveEngine("oracle", 10, env, 0, streach.Options{}); err == nil {
 		t.Error("zero contact distance must not open live")
+	}
+}
+
+// TestLiveIOTotalsSurviveCompaction is the regression test for cumulative
+// totals that ran backwards: a compaction swaps a dirty slab's sealed index
+// for a rebuilt one, and the retired segment's store counters must stay in
+// the sum. On a disk-resident base the deltas of all queries equal the
+// totals before the compaction, the totals never decrease across it, the
+// deltas still equal the totals after it, and Stats().IO is IOTotals()
+// throughout.
+func TestLiveIOTotalsSurviveCompaction(t *testing.T) {
+	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 60, NumTicks: 300, Seed: 5})
+	le, err := streach.NewLiveEngine("reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(),
+		streach.Options{SegmentTicks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedLive(t, le, ds, ds.NumTicks())
+	ctx := context.Background()
+	work := streach.RandomQueries(streach.WorkloadOptions{
+		NumObjects: ds.NumObjects(), NumTicks: ds.NumTicks(),
+		Count: 200, MinLen: 10, MaxLen: 200, Seed: 9,
+	})
+	var sum streach.IOStats
+	run := func(when string) {
+		t.Helper()
+		for _, q := range work {
+			r, err := le.Reachable(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.RandomReads += r.IO.RandomReads
+			sum.SequentialReads += r.IO.SequentialReads
+			sum.BufferHits += r.IO.BufferHits
+		}
+		tot := le.IOTotals()
+		if tot.RandomReads != sum.RandomReads || tot.SequentialReads != sum.SequentialReads || tot.BufferHits != sum.BufferHits {
+			t.Fatalf("%s: IOTotals %+v, sum of query deltas %+v", when, tot, sum)
+		}
+		if st := le.Stats().IO; st != tot {
+			t.Fatalf("%s: Stats().IO %+v != IOTotals %+v", when, st, tot)
+		}
+	}
+	run("before compaction")
+	before := le.IOTotals()
+	if before.RandomReads+before.SequentialReads+before.BufferHits == 0 {
+		t.Fatal("200 queries on a disk-resident base charged no I/O")
+	}
+	// Three late contacts dirty two sealed slabs; compaction re-seals them.
+	if _, err := le.Ingest([]streach.ContactEvent{
+		{Tick: 10, A: 1, B: 2}, {Tick: 11, A: 3, B: 4}, {Tick: 100, A: 5, B: 6},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := le.Stats().IO; st != before {
+		t.Fatalf("late ingest moved the totals: %+v -> %+v", before, st)
+	}
+	if n, err := le.Compact(); err != nil || n != 2 {
+		t.Fatalf("Compact() = %d, %v; want 2 slabs re-sealed", n, err)
+	}
+	after := le.IOTotals()
+	if after.RandomReads < before.RandomReads || after.SequentialReads < before.SequentialReads || after.BufferHits < before.BufferHits {
+		t.Fatalf("IOTotals ran backwards across compaction: %+v -> %+v", before, after)
+	}
+	if st := le.Stats().IO; st != after {
+		t.Fatalf("after compaction: Stats().IO %+v != IOTotals %+v", st, after)
+	}
+	run("after compaction")
+}
+
+// TestLiveQueryPinsOneView is the one-view-per-query rule as a property,
+// meant for -race: hop-bounded and filtered queries over [0, 40] run while
+// another goroutine keeps adding and retracting one marker contact at tick
+// 60 of the same slab and compacting — so the slab flips between an
+// all-capable oracle overlay and a hop-agnostic sealed index, while the
+// contacts inside every query interval never change. Every answer must
+// therefore equal the static oracle's; a query whose capability check and
+// evaluation saw different slab lists shows up as a hop bound or a
+// predicate silently ignored.
+func TestLiveQueryPinsOneView(t *testing.T) {
+	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 30, NumTicks: 130, Seed: 77})
+	ref, err := streach.Open("oracle", ds, streach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	iv := streach.NewInterval(0, 40)
+	sems := []streach.Semantics{{MaxHops: 1}, {MaxHops: 2}, {MinDuration: 3}, {MinDuration: 2, MaxHops: 3}}
+	for _, backend := range []string{"reachgraph-mem", "shard:2:reachgraph-mem"} {
+		le, err := streach.NewLiveEngine(backend, ds.NumObjects(), ds.Env(), ds.ContactDist(),
+			streach.Options{SegmentTicks: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedLive(t, le, ds, ds.NumTicks())
+		// The marker pair must not be in contact at tick 60 on its own, or
+		// the retraction would change the feed.
+		marker := streach.ContactEvent{Tick: 60, A: 0, B: 1}
+		for le.ContactActiveAt(marker.A, marker.B, marker.Tick) {
+			marker.B++
+		}
+		stop := make(chan struct{})
+		var flips sync.WaitGroup
+		flips.Add(1)
+		go func() {
+			defer flips.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				retract := marker
+				retract.Retract = true
+				for _, ev := range []streach.ContactEvent{marker, retract} {
+					if _, err := le.Ingest([]streach.ContactEvent{ev}); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := le.Compact(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+		for round := 0; round < 3; round++ {
+			for src := streach.ObjectID(0); src < 6; src++ {
+				for dst := streach.ObjectID(6); dst < streach.ObjectID(ds.NumObjects()); dst += 3 {
+					for _, sem := range sems {
+						q := streach.Query{Src: src, Dst: dst, Interval: iv, Semantics: sem}
+						got, err := le.Reachable(ctx, q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ref.Reachable(ctx, q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Reachable != want.Reachable || got.Arrival != want.Arrival || got.Hops != want.Hops {
+							t.Fatalf("%s %v %+v: got (%v, arrival %d, hops %d), oracle (%v, %d, %d)", le.Name(), q, sem,
+								got.Reachable, got.Arrival, got.Hops, want.Reachable, want.Arrival, want.Hops)
+						}
+					}
+					got, err := le.EarliestArrival(ctx, src, dst, iv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.EarliestArrival(ctx, src, dst, iv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Reachable != want.Reachable || got.Arrival != want.Arrival {
+						t.Fatalf("%s arrival %d->%d: got (%v, %d), oracle (%v, %d)", le.Name(), src, dst,
+							got.Reachable, got.Arrival, want.Reachable, want.Arrival)
+					}
+				}
+			}
+		}
+		close(stop)
+		flips.Wait()
 	}
 }

@@ -5,25 +5,31 @@
 // index segment of the base backend per slab, all disk-resident segments
 // drawing on one shared BufferPool. Queries are planned across segments:
 // the planner walks only the slabs overlapping the query interval in time
-// order, carrying the reachable frontier from slab to slab — the reachable
-// set at the end of slab k becomes the multi-source seed set of slab k+1 —
-// and short-circuits as soon as the destination is infected (or the
-// context is cancelled). Correctness rests on the same per-instant
-// propagation semantics the oracle executes: infection is monotone and
-// memoryless across instants, so propagation over [t1, t2] factors exactly
-// into propagation over consecutive sub-intervals with the frontier as the
-// only carried state.
+// order, carrying the propagation state from slab to slab — every object
+// reached so far seeds the next slab's sweep, with its arrival tick and, in
+// hop-tracking mode, the transfers it has left — and short-circuits as soon
+// as the destination is infected (or the context is cancelled). Correctness
+// rests on the same per-instant propagation semantics the oracle executes:
+// infection is monotone and Markovian in the per-object minimal hop counts,
+// so propagation over [t1, t2] factors exactly into propagation over
+// consecutive sub-intervals with who holds the item, since when and after
+// how many transfers as the only carried state. The same walk run
+// newest-first carries deliverer sets backward, for the bidirectional
+// planner (bidir.go).
 //
 // The architecture exists for incremental ingestion (see LiveEngine): a
 // new stretch of feed only ever adds segments, so historical slabs are
-// never rebuilt.
+// never rebuilt. A LiveEngine query runs this planner over a pinned view of
+// its segment log.
 
 package streach
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"streach/internal/pagefile"
 	"streach/internal/queries"
@@ -31,389 +37,229 @@ import (
 	"streach/internal/visit"
 )
 
-// frontierCore is the multi-source surface of a segmentable backend: the
-// usual point query generalized to a seed frontier, plus the native
-// reachable-set primitive the planner uses to carry the frontier across
-// slab boundaries. Implementations return sorted, deduplicated sets.
-type frontierCore interface {
-	engineCore
-	// reachFrom answers "can an item held by any seed at iv.Lo reach dst
-	// by iv.Hi?".
-	reachFrom(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error)
-	// appendFrontier appends every object reachable from the seeds during
-	// iv (seeds included when the interval overlaps the time domain) onto
-	// dst and returns it. dst's backing array is reused — the planner
-	// ping-pongs two pooled buffers across the slab walk instead of
-	// materializing a fresh frontier slice per slab.
-	appendFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, int, error)
+// sealedSlab is an index segment sealed from one time slab, with the I/O
+// totals carried over from the segments a live compaction replaced at the
+// same slab (their stores are gone; the engine's cumulative totals must
+// not run backwards). The zero value is "no sealed index": a live tail.
+type sealedSlab struct {
+	core    core
+	carried pagefile.Stats
 }
 
-// reverseFrontierCore is the backward surface of a bidir-capable backend:
-// appendReverseFrontier appends the deliverer set of the seeds over iv —
-// every object that, holding an item at iv.Lo, would deliver it to some
-// seed by iv.Hi (seeds included when the interval overlaps the time
-// domain) — onto dst and returns it, sorted and deduplicated. Like
-// appendFrontier, dst's backing array is reused across the slab walk.
-// Implemented by the backends with a native reverse traversal (reachgraph
-// disk/mem walk DN1 in-edges in reverse time order; the oracle runs its
-// time-mirrored propagation); ReachGrid's guided spatial expansion has no
-// backward analogue, so bidirectional planning excludes it.
-type reverseFrontierCore interface {
-	frontierCore
-	appendReverseFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, int, error)
+func (s sealedSlab) disk() diskIO {
+	var d diskIO
+	if s.core != nil {
+		d.merge(s.core.disk())
+		d.carried.Add(s.carried)
+	}
+	return d
 }
 
-func (c gridCore) reachFrom(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
-	return c.ix.ReachFromCounted(ctx, seeds, dst, iv, acct)
-}
-
-func (c gridCore) appendFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	return c.ix.AppendReachableSetFrom(ctx, dst, seeds, iv, acct)
-}
-
-func (c graphCore) reachFrom(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
-	return c.ix.ReachFromCounted(ctx, seeds, dst, iv, c.strategy, acct)
-}
-
-func (c graphCore) appendFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	return c.ix.AppendReachableSetFromCounted(ctx, dst, seeds, iv, acct)
-}
-
-func (c graphCore) appendReverseFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	return c.ix.AppendReverseSetFromCounted(ctx, dst, seeds, iv, acct)
-}
-
-func (c graphMemCore) reachFrom(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, _ *pagefile.Stats) (bool, int, error) {
-	return c.m.ReachFromCounted(ctx, seeds, dst, iv, BMBFS)
-}
-
-func (c graphMemCore) appendFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, _ *pagefile.Stats) ([]ObjectID, int, error) {
-	return c.m.AppendReachableSetFromCounted(ctx, dst, seeds, iv)
-}
-
-func (c graphMemCore) appendReverseFrontier(ctx context.Context, dst, seeds []ObjectID, iv Interval, _ *pagefile.Stats) ([]ObjectID, int, error) {
-	return c.m.AppendReverseSetFromCounted(ctx, dst, seeds, iv)
-}
-
-func (c oracleCore) reachFrom(_ context.Context, seeds []ObjectID, dst ObjectID, iv Interval, _ *pagefile.Stats) (bool, int, error) {
-	ok, expanded := c.o.ReachableFromCounted(seeds, dst, iv)
-	return ok, expanded, nil
-}
-
-func (c oracleCore) appendFrontier(_ context.Context, dst, seeds []ObjectID, iv Interval, _ *pagefile.Stats) ([]ObjectID, int, error) {
-	set := c.o.ReachableSetFrom(seeds, iv)
-	return append(dst, set...), len(set), nil
-}
-
-func (c oracleCore) appendReverseFrontier(_ context.Context, dst, seeds []ObjectID, iv Interval, _ *pagefile.Stats) ([]ObjectID, int, error) {
-	set := c.o.ReverseReachableSetFrom(seeds, iv)
-	return append(dst, set...), len(set), nil
-}
-
-// segSlab is one sealed segment as the planner sees it: its global tick
-// span plus the per-slab core evaluating slab-local queries.
+// segSlab is one time slab as the planner sees it: its global tick span and
+// the core evaluating slab-local queries. sealed is the index segment the
+// slab is accounted under; in a live view it differs from core while late
+// events are pending against the slab — an oracle over the patched overlay
+// answers instead of the stale index, pending being the delta-log depth —
+// and is empty for the unsealed tail.
 type segSlab struct {
-	span Interval
-	core frontierCore
+	span    Interval
+	core    core
+	sealed  sealedSlab
+	pending int
 }
 
-// planScratch holds the two frontier buffers a cross-segment walk
-// ping-pongs between: the frontier of slab k is consumed from one buffer
-// while slab k+1's is appended into the other, so a steady-state planner
-// query re-materializes no frontier slices at all. Pooled package-wide —
-// every segmented engine and LiveEngine query draws on the same pool.
-type planScratch struct {
-	a, b []ObjectID
+// walk is the propagation state a cross-segment plan carries from slab to
+// slab, in global ticks: per reached object the tick it holds the item from
+// (forward: earliest arrival; backward: latest departure) and, in
+// hop-tracking mode, its minimal transfer count so far. Pooled package-wide
+// — every segmented engine and LiveEngine query draws on the same pool —
+// so a steady-state planner query allocates nothing.
+type walk struct {
+	spec       semSpec
+	numObjects int
+	hops       visit.Ticks
+	at         visit.Ticks
+	reached    []ObjectID
+	seeds      []queries.SeedState
+	buf        []queries.ProfileEntry
 }
 
-var planPool = visit.NewPool(func() *planScratch { return new(planScratch) })
+var walkPool = visit.NewPool(func() *walk { return new(walk) })
 
-// planReach is the cross-segment point-query planner. slabs must be in
-// ascending span order and tile the time domain prefix they cover; the
-// planner touches only the slabs overlapping the query interval. It
-// validates ids against numObjects and clamps the interval to
-// [0, numTicks). par is the worker budget for large frontier sweeps
-// (Options.QueryParallelism; <= 1 keeps every sweep serial).
-func planReach(ctx context.Context, slabs []segSlab, numObjects, numTicks int, q Query, par int, acct *pagefile.Stats) (bool, int, error) {
-	if err := validatePlanIDs(numObjects, q.Src, q.Dst); err != nil {
-		return false, 0, err
+func (w *walk) reset(numObjects int, spec semSpec) {
+	w.spec, w.numObjects = spec, numObjects
+	w.hops.Reset(numObjects)
+	w.at.Reset(numObjects)
+	w.reached = w.reached[:0]
+}
+
+// admit records that o — a valid object — holds the item from tick at,
+// after hops transfers.
+func (w *walk) admit(o ObjectID, hops int32, at Tick) {
+	if prev, ok := w.hops.Get(int(o)); !ok {
+		w.hops.Set(int(o), hops)
+		w.at.Set(int(o), int32(at))
+		w.reached = append(w.reached, o)
+	} else if hops < prev {
+		w.hops.Set(int(o), hops)
 	}
-	iv := q.Interval.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
-	if numTicks == 0 || iv.Len() == 0 {
-		return false, 0, nil
+}
+
+// has reports whether o is reached; false for queries.NoObject.
+func (w *walk) has(o ObjectID) bool {
+	if int(o) < 0 || int(o) >= w.numObjects {
+		return false
 	}
-	if q.Src == q.Dst {
-		return true, 0, nil
+	_, ok := w.hops.Get(int(o))
+	return ok
+}
+
+// meets reports whether the two walks share a reached object.
+func (w *walk) meets(o *walk) bool {
+	if len(o.reached) < len(w.reached) {
+		w, o = o, w
 	}
-	sc := planPool.Get()
-	defer planPool.Put(sc)
-	first, last := overlappingSlabs(slabs, iv)
-	sc.a = append(sc.a[:0], q.Src)
-	frontier := sc.a
-	expanded := 0
-	for i := first; i <= last; i++ {
-		if err := ctx.Err(); err != nil {
-			return false, expanded, err
+	for _, obj := range w.reached {
+		if o.has(obj) {
+			return true
 		}
-		w, local := localInterval(slabs[i].span, iv)
-		if w.Len() == 0 {
+	}
+	return false
+}
+
+// step carries the walk through one slab: every object holding the item by
+// the slab's window seeds the slab's sweep — with its residual hop budget
+// (budget minus the transfers already spent) in hop-tracking mode — and the
+// slab-local profile is merged back into the global tables: ticks re-based
+// to global keep their best value (forward the earliest arrival, backward
+// the latest departure), hop counts their minimum. par is the worker budget
+// for a large frontier (see sweepSlab). The int result is the slab's
+// expansion counter.
+func (w *walk) step(ctx context.Context, s segSlab, iv Interval, early ObjectID, par int, acct *pagefile.Stats) (int, error) {
+	win, local := localInterval(s.span, iv)
+	if win.Len() == 0 {
+		return 0, nil
+	}
+	fwd, trackHops := w.spec.dir == forward, w.spec.tracksHops()
+	// Forward, objects arriving in an earlier slab enter at the window
+	// start (Start re-bases below local lo and clamps up), objects
+	// activating inside this slab enter at their own local tick, and
+	// objects activating later stay out of the frontier for now. Backward,
+	// every deliverer found so far delivers from the window end.
+	base := s.span.Lo
+	w.seeds = w.seeds[:0]
+	for _, o := range w.reached {
+		at, _ := w.at.Get(int(o))
+		if fwd && Tick(at) > win.Hi {
 			continue
 		}
-		if i == last {
-			ok, n, err := slabs[i].core.reachFrom(ctx, frontier, q.Dst, local, acct)
-			return ok, expanded + n, err
+		h := int32(0)
+		if trackHops {
+			h, _ = w.hops.Get(int(o))
 		}
-		fr, n, err := sweepFrontier(ctx, slabs[i].core, sc.b[:0], frontier, local, par, acct)
-		sc.b = fr
-		expanded += n
-		if err != nil {
-			return false, expanded, err
-		}
-		if containsObject(fr, q.Dst) {
-			// The destination is already infected mid-interval; infection
-			// is monotone, so later slabs cannot change the answer.
-			return true, expanded, nil
-		}
-		sc.a, sc.b = sc.b, sc.a
-		frontier = sc.a
+		w.seeds = append(w.seeds, queries.SeedState{Obj: o, Hops: h, Start: max(Tick(at)-base, 0)})
 	}
-	return false, expanded, nil
-}
-
-// planSet is the cross-segment reachable-set planner: the frontier is
-// carried through every overlapping slab and the final frontier is the
-// answer (sorted, deduplicated; copied out of the pooled buffers).
-func planSet(ctx context.Context, slabs []segSlab, numObjects, numTicks int, src ObjectID, iv Interval, par int, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	if err := validatePlanIDs(numObjects, src, src); err != nil {
-		return nil, 0, err
+	if len(w.seeds) == 0 {
+		return 0, nil
 	}
-	iv = iv.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
-	if numTicks == 0 || iv.Len() == 0 {
-		return nil, 0, nil
+	entries, n, err := sweepSlab(ctx, s.core, w.buf[:0], w.seeds, local, w.spec, early, par, acct)
+	if err != nil {
+		return n, err
 	}
-	sc := planPool.Get()
-	defer planPool.Put(sc)
-	first, last := overlappingSlabs(slabs, iv)
-	sc.a = append(sc.a[:0], src)
-	frontier := sc.a
-	expanded := 0
-	for i := first; i <= last; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, expanded, err
-		}
-		w, local := localInterval(slabs[i].span, iv)
-		if w.Len() == 0 {
-			continue
-		}
-		fr, n, err := sweepFrontier(ctx, slabs[i].core, sc.b[:0], frontier, local, par, acct)
-		sc.b = fr
-		expanded += n
-		if err != nil {
-			return nil, expanded, err
-		}
-		sc.a, sc.b = sc.b, sc.a
-		frontier = sc.a
-	}
-	return append([]ObjectID(nil), frontier...), expanded, nil
-}
-
-// planReverseSet is the backward cross-segment plan, the time mirror of
-// planSet: it visits slabs[from..to] newest-first, seeding slab k with
-// slab k+1's reverse frontier (the initial seeds stand in for the frontier
-// beyond slab to), and appends the final frontier — every object that,
-// holding an item at the start of slab from's overlap with iv, delivers it
-// to one of the original seeds by iv.Hi — onto dst, sorted and
-// deduplicated. Correctness is the time mirror of the forward planner's:
-// delivery composes across consecutive sub-intervals with the deliverer
-// frontier as the only carried state. Every visited slab core must
-// implement reverseFrontierCore (the bidir backends verify this at open).
-func planReverseSet(ctx context.Context, slabs []segSlab, from, to int, dst, seeds []ObjectID, iv Interval, par int, acct *pagefile.Stats) ([]ObjectID, int, error) {
-	sc := planPool.Get()
-	defer planPool.Put(sc)
-	sc.a = append(sc.a[:0], seeds...)
-	frontier := sc.a
-	expanded := 0
-	for i := to; i >= from; i-- {
-		if err := ctx.Err(); err != nil {
-			return dst, expanded, err
-		}
-		w, local := localInterval(slabs[i].span, iv)
-		if w.Len() == 0 {
-			continue
-		}
-		rc, ok := slabs[i].core.(reverseFrontierCore)
+	w.buf = entries
+	for _, en := range entries {
+		at := int32(base + en.Arrival)
+		prev, ok := w.hops.Get(int(en.Obj))
 		if !ok {
-			return dst, expanded, fmt.Errorf("streach: segment %v has no reverse frontier entry points", slabs[i].span)
-		}
-		fr, n, err := sweepReverseFrontier(ctx, rc, sc.b[:0], frontier, local, par, acct)
-		sc.b = fr
-		expanded += n
-		if err != nil {
-			return dst, expanded, err
-		}
-		sc.a, sc.b = sc.b, sc.a
-		frontier = sc.a
-	}
-	return append(dst, frontier...), expanded, nil
-}
-
-// semPlanScratch is the pooled working state of one cross-segment
-// semantic query: the global hop/arrival tables, the reached-object list,
-// and the per-slab seed and entry buffers.
-type semPlanScratch struct {
-	hops    visit.Ticks // object → minimal transfers so far (tracked mode)
-	arrival visit.Ticks // object → global earliest arrival
-	reached []ObjectID
-	seeds   []queries.SeedState
-	buf     []queries.ProfileEntry
-}
-
-var semPlanPool = visit.NewPool(func() *semPlanScratch { return new(semPlanScratch) })
-
-// planSemProfile is the cross-segment semantics planner: it walks the
-// slabs overlapping iv in time order, seeding each slab with every object
-// reached so far — carrying its residual hop budget (budget minus the
-// transfers already spent) in hop-tracking mode — and merges the slab's
-// slab-local profile back into the global tables: arrivals re-based to
-// global ticks keep their first (earliest) value, hop counts keep their
-// minimum. Correctness rests on the propagation state being Markovian in
-// the per-object minimal hop counts: what an interval suffix can infect
-// depends only on who currently holds the item and how many transfers
-// each holder has spent. Every slab core must implement semCore and
-// support spec (callers gate on this). A valid earlyDst short-circuits
-// the walk as soon as it is reached.
-func planSemProfile(ctx context.Context, slabs []segSlab, numObjects, numTicks int, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	iv = iv.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
-	if numTicks == 0 || iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	trackHops := spec.tracksHops()
-	ps := semPlanPool.Get()
-	defer semPlanPool.Put(ps)
-	ps.hops.Reset(numObjects)
-	ps.arrival.Reset(numObjects)
-	ps.reached = ps.reached[:0]
-	for _, s := range seeds {
-		if int(s.Obj) < 0 || int(s.Obj) >= numObjects || s.Hops < 0 || s.Hops > spec.budget {
+			h := en.Hops
+			if !trackHops {
+				// Hop-agnostic mode: cores may or may not count transfers;
+				// normalize to "untracked" so mixed slab answers stay
+				// consistent.
+				h = -1
+			}
+			w.admit(en.Obj, h, Tick(at))
 			continue
 		}
-		if s.Start > iv.Hi {
-			continue
+		// Already reached: a slab can still beat a deferred seed's
+		// provisional activation tick (organic propagation inside the
+		// seed's own slab arrives first), and a later slab may deliver the
+		// item over fewer transfers.
+		if prevAt, _ := w.at.Get(int(en.Obj)); fwd && at < prevAt || !fwd && at > prevAt {
+			w.at.Set(int(en.Obj), at)
 		}
-		at := s.Start
-		if at < iv.Lo {
-			at = iv.Lo
-		}
-		if prev, ok := ps.hops.Get(int(s.Obj)); !ok {
-			ps.hops.Set(int(s.Obj), s.Hops)
-			ps.arrival.Set(int(s.Obj), int32(at))
-			ps.reached = append(ps.reached, s.Obj)
-		} else if s.Hops < prev {
-			ps.hops.Set(int(s.Obj), s.Hops)
+		if trackHops && en.Hops >= 0 && en.Hops < prev {
+			w.hops.Set(int(en.Obj), en.Hops)
 		}
 	}
-	if len(ps.reached) == 0 {
-		return dst, 0, nil
+	return n, nil
+}
+
+// appendProfile appends the walk's profile to out, sorted by object.
+func (w *walk) appendProfile(out []queries.ProfileEntry) []queries.ProfileEntry {
+	slices.Sort(w.reached)
+	for _, o := range w.reached {
+		h, _ := w.hops.Get(int(o))
+		at, _ := w.at.Get(int(o))
+		out = append(out, queries.ProfileEntry{Obj: o, Hops: h, Arrival: Tick(at)})
 	}
-	dstReached := func() bool {
-		if int(earlyDst) < 0 || int(earlyDst) >= numObjects {
-			return false
-		}
-		_, ok := ps.hops.Get(int(earlyDst))
-		return ok
+	return out
+}
+
+// parallelSweepMinFrontier is the frontier size below which a sweep stays
+// serial even when the engine has a parallelism budget: partitioning a
+// small seed set costs more in goroutine handoff and merge work than the
+// sweep itself, and the serial path is what keeps steady-state point
+// queries at zero heap allocations.
+const parallelSweepMinFrontier = 128
+
+// sweepSlab is the planners' one way to sweep a slab core: c.sweep, fanned
+// out across up to par workers (Options.QueryParallelism) when the seed
+// frontier is large enough. Propagation from a seed union is the union of
+// per-seed propagation (it is monotone and seeds are independent), so
+// concatenating the partial profiles yields the serial answer with some
+// objects listed more than once — which every caller's merge step, keeping
+// the best tick and the fewest hops per object, absorbs. Workers share the
+// immutable core (per-call traversal state comes from the epoch-stamped
+// visit pools) but each charges a private accountant; the partial counters
+// are summed into acct after the join — even for workers that failed,
+// since their page reads were already charged to the store's cumulative
+// totals — which preserves the engine invariant that per-query I/O deltas
+// sum exactly to the pool totals.
+func sweepSlab(ctx context.Context, c core, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, par int, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	if par <= 1 || len(seeds) < parallelSweepMinFrontier {
+		return c.sweep(ctx, out, seeds, iv, spec, early, acct)
 	}
+	workers := min(par, len(seeds))
+	chunk := (len(seeds) + workers - 1) / workers
+	type partial struct {
+		entries []queries.ProfileEntry
+		n       int
+		io      pagefile.Stats
+		err     error
+	}
+	parts := make([]partial, workers)
+	var wg sync.WaitGroup
+	for w := 0; w*chunk < len(seeds); w++ {
+		wg.Add(1)
+		go func(p *partial, sub []queries.SeedState) {
+			defer wg.Done()
+			p.entries, p.n, p.err = c.sweep(ctx, nil, sub, iv, spec, early, &p.io)
+		}(&parts[w], seeds[w*chunk:min((w+1)*chunk, len(seeds))])
+	}
+	wg.Wait()
 	expanded := 0
-	first, last := overlappingSlabs(slabs, iv)
-	for i := first; i <= last && !dstReached(); i++ {
-		if err := ctx.Err(); err != nil {
-			return dst, expanded, err
+	var firstErr error
+	for i := range parts {
+		p := &parts[i]
+		expanded += p.n
+		acct.Add(p.io)
+		if p.err != nil && firstErr == nil {
+			firstErr = p.err
 		}
-		w, local := localInterval(slabs[i].span, iv)
-		if w.Len() == 0 {
-			continue
-		}
-		// Seed the slab with every object holding the item by the slab's
-		// window: objects arriving in an earlier slab enter at the window
-		// start (Start re-bases below local lo and clamps up), objects
-		// activating inside this slab enter at their own local tick, and
-		// objects activating later stay out of the frontier for now.
-		base := slabs[i].span.Lo
-		ps.seeds = ps.seeds[:0]
-		for _, o := range ps.reached {
-			arr, _ := ps.arrival.Get(int(o))
-			if Tick(arr) > w.Hi {
-				continue
-			}
-			h := int32(0)
-			if trackHops {
-				h, _ = ps.hops.Get(int(o))
-			}
-			st := Tick(arr) - base
-			if st < 0 {
-				st = 0
-			}
-			ps.seeds = append(ps.seeds, queries.SeedState{Obj: o, Hops: h, Start: st})
-		}
-		if len(ps.seeds) == 0 {
-			continue
-		}
-		sc, ok := slabs[i].core.(semCore)
-		if !ok {
-			return dst, expanded, fmt.Errorf("streach: segment %v has no semantics entry points", slabs[i].span)
-		}
-		entries, n, err := sc.semProfile(ctx, ps.buf[:0], ps.seeds, local, spec, earlyDst, acct)
-		ps.buf = entries
-		expanded += n
-		if err != nil {
-			return dst, expanded, err
-		}
-		for _, en := range entries {
-			if prev, ok := ps.hops.Get(int(en.Obj)); !ok {
-				h := en.Hops
-				if !trackHops {
-					// Hop-agnostic mode: cores may or may not count
-					// transfers; normalize to "untracked" so mixed slab
-					// answers stay consistent.
-					h = -1
-				}
-				ps.hops.Set(int(en.Obj), h)
-				ps.arrival.Set(int(en.Obj), int32(base+en.Arrival))
-				ps.reached = append(ps.reached, en.Obj)
-			} else {
-				// Already reached: a slab can still beat a deferred seed's
-				// provisional activation arrival (organic propagation inside
-				// the seed's own slab arrives first), and a later slab may
-				// deliver the item over fewer transfers.
-				if prevArr, _ := ps.arrival.Get(int(en.Obj)); int32(base+en.Arrival) < prevArr {
-					ps.arrival.Set(int(en.Obj), int32(base+en.Arrival))
-				}
-				if trackHops && en.Hops >= 0 && en.Hops < prev {
-					ps.hops.Set(int(en.Obj), en.Hops)
-				}
-			}
-		}
+		out = append(out, p.entries...)
 	}
-	list := sortDedupObjects(ps.reached)
-	for _, o := range list {
-		h, _ := ps.hops.Get(int(o))
-		arr, _ := ps.arrival.Get(int(o))
-		dst = append(dst, queries.ProfileEntry{Obj: o, Hops: h, Arrival: Tick(arr)})
-	}
-	return dst, expanded, nil
-}
-
-func (c *segmentedCore) semSupports(spec semSpec) bool {
-	for _, s := range c.slabs {
-		sc, ok := s.core.(semCore)
-		if !ok || !sc.semSupports(spec) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *segmentedCore) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return planSemProfile(ctx, c.slabs, c.numObjects, c.numTicks, dst, seeds, iv, spec, earlyDst, acct)
+	return out, expanded, firstErr
 }
 
 // overlappingSlabs returns the index range of slabs whose spans overlap iv
@@ -433,90 +279,141 @@ func localInterval(span, iv Interval) (global, local Interval) {
 	return w, Interval{Lo: w.Lo - span.Lo, Hi: w.Hi - span.Lo}
 }
 
-// containsObject reports whether sorted contains o (binary search).
-func containsObject(sorted []ObjectID, o ObjectID) bool {
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= o })
-	return i < len(sorted) && sorted[i] == o
-}
-
-func validatePlanIDs(numObjects int, src, dst ObjectID) error {
-	if int(src) < 0 || int(src) >= numObjects {
-		return fmt.Errorf("streach: source %d outside [0, %d)", src, numObjects)
-	}
-	if int(dst) < 0 || int(dst) >= numObjects {
-		return fmt.Errorf("streach: destination %d outside [0, %d)", dst, numObjects)
-	}
-	return nil
-}
-
-// segmentedCore is the engineCore of a segmented backend: one sealed
-// per-slab core per time slab plus the planner. Slab cores are immutable
-// after construction, so queries run fully in parallel like every other
-// registry engine.
+// segmentedCore is the time-sliced combinator: one core per time slab plus
+// the cross-segment planner. slabs are in ascending span order and tile the
+// time domain; they are immutable — a frozen engine's for good, a live
+// engine's because each query pins its own view — so queries run fully in
+// parallel like on every other core.
 type segmentedCore struct {
-	base       string
 	slabs      []segSlab
 	numObjects int
 	numTicks   int
 
-	// bidir routes point queries through the bidirectional planner
-	// (planReachBidir); set only by the "bidir:*" backends, whose slab
-	// cores are all reverseFrontierCore. Set/semantics queries keep the
-	// forward planner either way.
+	// bidir routes point queries through the bidirectional planner; set by
+	// the "bidir:" combinator, whose slab cores all sweep backward too.
+	// Sweeps use the one-directional walk either way.
 	bidir bool
 	// parallelism is the worker budget for large frontier sweeps
 	// (Options.QueryParallelism); <= 1 keeps every sweep serial.
 	parallelism int
 }
 
-func (c *segmentedCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
+// reach is the cross-segment point query: sweep the slabs before the last
+// overlapping one, then let that slab's own point algorithm decide, seeded
+// with everything reached so far.
+func (c *segmentedCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
 	if c.bidir {
-		return planReachBidir(ctx, c.slabs, c.numObjects, c.numTicks, q, c.parallelism, acct)
+		return c.reachBidir(ctx, seeds, dst, iv, acct)
 	}
-	return planReach(ctx, c.slabs, c.numObjects, c.numTicks, q, c.parallelism, acct)
-}
-
-func (c *segmentedCore) reachSet(ctx context.Context, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
-	objs, _, err := planSet(ctx, c.slabs, c.numObjects, c.numTicks, src, iv, c.parallelism, acct)
-	return objs, err
-}
-
-func (c *segmentedCore) ioTotals() pagefile.Stats {
-	var sum pagefile.Stats
-	for _, s := range c.slabs {
-		sum.Add(s.core.ioTotals())
+	iv = clampDomain(iv, c.numTicks)
+	if iv.Len() == 0 {
+		return false, 0, nil
 	}
-	return sum
-}
-
-func (c *segmentedCore) resetIO() {
-	for _, s := range c.slabs {
-		s.core.resetIO()
+	w := walkPool.Get()
+	defer walkPool.Put(w)
+	w.reset(c.numObjects, hopAgnostic)
+	for _, o := range seeds {
+		w.admit(o, 0, iv.Lo)
 	}
-}
-
-func (c *segmentedCore) indexBytes() int64 {
-	var sum int64
-	for _, s := range c.slabs {
-		sum += s.core.indexBytes()
-	}
-	return sum
-}
-
-func (c *segmentedCore) dropCache() {
-	for _, s := range c.slabs {
-		s.core.dropCache()
-	}
-}
-
-func (c *segmentedCore) segmentStats() []SegmentStats {
-	out := make([]SegmentStats, len(c.slabs))
-	for i, s := range c.slabs {
-		out[i] = SegmentStats{
-			Span:       s.span,
-			IO:         statsOf(s.core.ioTotals()),
-			IndexBytes: s.core.indexBytes(),
+	expanded := 0
+	first, last := overlappingSlabs(c.slabs, iv)
+	for i := first; i <= last && !w.has(dst); i++ {
+		if err := ctx.Err(); err != nil {
+			return false, expanded, err
 		}
+		if i == last {
+			_, local := localInterval(c.slabs[i].span, iv)
+			ok, n, err := c.slabs[i].core.reach(ctx, w.reached, dst, local, acct)
+			return ok, expanded + n, err
+		}
+		n, err := w.step(ctx, c.slabs[i], iv, dst, c.parallelism, acct)
+		expanded += n
+		if err != nil {
+			return false, expanded, err
+		}
+	}
+	// The destination was infected before the last slab; infection is
+	// monotone, so later slabs cannot change the answer.
+	return w.has(dst), expanded, nil
+}
+
+// sweep is the cross-segment profile: the walk over every slab overlapping
+// iv, oldest first forward and newest first backward, stopped early once a
+// valid early object is reached.
+func (c *segmentedCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	if !c.supports(spec) {
+		return out, 0, errNotNative
+	}
+	iv = clampDomain(iv, c.numTicks)
+	if iv.Len() == 0 {
+		return out, 0, nil
+	}
+	w := walkPool.Get()
+	defer walkPool.Put(w)
+	w.reset(c.numObjects, spec)
+	for _, s := range seeds {
+		if int(s.Obj) < 0 || int(s.Obj) >= c.numObjects || s.Hops < 0 || s.Hops > spec.budget {
+			continue
+		}
+		switch {
+		case spec.dir == backward:
+			w.admit(s.Obj, s.Hops, iv.Hi)
+		case s.Start <= iv.Hi:
+			w.admit(s.Obj, s.Hops, max(s.Start, iv.Lo))
+		}
+	}
+	expanded := 0
+	first, last := overlappingSlabs(c.slabs, iv)
+	for k := 0; k <= last-first && !w.has(early); k++ {
+		if err := ctx.Err(); err != nil {
+			return out, expanded, err
+		}
+		i := first + k
+		if spec.dir == backward {
+			i = last - k
+		}
+		n, err := w.step(ctx, c.slabs[i], iv, early, c.parallelism, acct)
+		expanded += n
+		if err != nil {
+			return out, expanded, err
+		}
+	}
+	return w.appendProfile(out), expanded, nil
+}
+
+func (c *segmentedCore) supports(spec semSpec) bool {
+	for _, s := range c.slabs {
+		if !s.core.supports(spec) {
+			return false
+		}
+	}
+	return true
+}
+
+func (c *segmentedCore) disk() diskIO {
+	var d diskIO
+	for _, s := range c.slabs {
+		d.merge(s.sealed.disk())
+	}
+	return d
+}
+
+// segmentStats describes the time slabs of a segmented engine — or of
+// several over the same slab spans, the lanes of a sharded feed, summed per
+// slab.
+func segmentStats(segs []*segmentedCore) []SegmentStats {
+	out := make([]SegmentStats, len(segs[0].slabs))
+	for i := range out {
+		var d diskIO
+		for _, seg := range segs {
+			if i < len(seg.slabs) {
+				d.merge(seg.slabs[i].sealed.disk())
+				out[i].DeltaEvents += seg.slabs[i].pending
+			}
+		}
+		out[i].Span = segs[0].slabs[i].span
+		out[i].IO = statsOf(d.ioTotals())
+		out[i].IndexBytes = d.indexBytes()
 	}
 	return out
 }
@@ -536,8 +433,8 @@ type SegmentStats struct {
 }
 
 // Segmented is implemented by engines built from time-sliced segments
-// (the "segmented:*" backends and LiveEngine). Callers obtain it by type
-// assertion from an Engine.
+// (the "segmented:*" and "bidir:*" backends and LiveEngine). Callers obtain
+// it by type assertion from an Engine.
 type Segmented interface {
 	// SegmentStats returns one entry per segment in ascending time order.
 	SegmentStats() []SegmentStats
@@ -549,96 +446,89 @@ type segmentedEngine struct {
 	seg *segmentedCore
 }
 
-func (e *segmentedEngine) SegmentStats() []SegmentStats { return e.seg.segmentStats() }
-
-// segmentedBases lists the backends that support segmentation — the ones
-// with multi-source frontier entry points. Each is registered a second
-// time under "segmented:<name>".
-var segmentedBases = []struct {
-	name              string
-	diskResident      bool
-	needsTrajectories bool
-}{
-	{"reachgrid", true, true},
-	{"reachgraph", true, false},
-	{"reachgraph-mem", false, false},
-	{"oracle", false, false},
+func (e *segmentedEngine) SegmentStats() []SegmentStats {
+	return segmentStats([]*segmentedCore{e.seg})
 }
 
-func init() {
-	for _, b := range segmentedBases {
-		base := b.name
-		register(BackendInfo{
-			Name: "segmented:" + base,
-			Description: fmt.Sprintf(
-				"time-sliced %s segments with a frontier-carrying cross-segment planner", base),
-			DiskResident:      b.diskResident,
-			NeedsTrajectories: b.needsTrajectories,
-		}, func(src Source, opts Options) (engineCore, error) {
-			return buildSegmentedCore(base, src, opts)
-		})
+func (e *segmentedEngine) Stats() EngineStats {
+	st := e.engine.Stats()
+	st.Segments = len(e.seg.slabs)
+	return st
+}
+
+// segmentedOver is the "segmented:" combinator and, with bidir set, the
+// "bidir:" one: base's index built once per time slab under the
+// cross-segment planner, with point queries planned from both ends for
+// "bidir:".
+func segmentedOver(base backendSpec, bidir bool) backendSpec {
+	kind, desc := "segmented", "time-sliced %s segments with a frontier-carrying cross-segment planner"
+	if bidir {
+		kind, desc = "bidir", "meet-in-the-middle bidirectional point queries over time-sliced %s segments"
+	}
+	return backendSpec{
+		info: BackendInfo{
+			Name:              kind + ":" + base.info.Name,
+			Description:       fmt.Sprintf(desc, base.info.Name),
+			DiskResident:      base.info.DiskResident,
+			NeedsTrajectories: base.info.NeedsTrajectories,
+		},
+		open: func(src Source, opts Options) (core, error) {
+			return buildSegmentedCore(base, bidir, src, opts)
+		},
+		decorate: func(e *engine) Engine {
+			return &segmentedEngine{engine: e, seg: e.core.(*segmentedCore)}
+		},
+		base:   &base,
+		sliced: true,
+		bidir:  bidir,
 	}
 }
 
-// withSharedSlabPool returns opts with a buffer pool that every
-// disk-resident slab of one segmented (or live) engine shares: the
-// caller's Options.Pool when set, otherwise a pool private to the engine —
-// either way all slabs draw on a single page budget, exactly like the
-// serving configuration of unsegmented engines. The 64-page fallback
-// mirrors the backends' own Params default.
-func withSharedSlabPool(opts Options, diskResident bool) Options {
-	if !diskResident || opts.Pool != nil {
-		return opts
+// sliceable reports why c, built by base, cannot be a slab core of a
+// time-sliced engine, or nil: slabs must carry the plain frontier forward,
+// and backward too under the bidirectional planner. (ReachGrid's guided
+// expansion has no backward analogue; SPJ and GRAIL have no sweep at all.)
+func sliceable(c core, base string, bidir bool) error {
+	switch {
+	case !c.supports(hopAgnostic):
+		return fmt.Errorf("%q has no forward sweep to carry a frontier across slabs with", base)
+	case bidir && !c.supports(hopAgnosticBackward):
+		return fmt.Errorf("%q has no backward sweep for the bidirectional planner", base)
 	}
-	pages := opts.PoolPages
-	if pages == 0 {
-		pages = 64
-	}
-	if pages > 0 {
-		opts.Pool = NewBufferPool(pages)
-	}
-	return opts
+	return nil
 }
 
-// buildSegmentedCore splits src into time slabs and builds one base-backend
-// segment per slab. Disk-resident segments share one buffer pool: the
-// caller's Options.Pool when set, otherwise a pool private to this engine —
-// either way all slabs draw on a single page budget, exactly like the
-// serving configuration of unsegmented engines.
-func buildSegmentedCore(base string, src Source, opts Options) (*segmentedCore, error) {
-	spec, ok := lookupSpec(base)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (segmented base)", ErrUnknownBackend, base)
-	}
+// buildSegmentedCore splits src into time slabs and builds one base segment
+// per slab; disk-resident segments share one buffer pool.
+func buildSegmentedCore(base backendSpec, bidir bool, src Source, opts Options) (*segmentedCore, error) {
 	numObjects, numTicks := sourceDims(src)
 	if numTicks == 0 {
-		return nil, fmt.Errorf("streach: segmented %q: empty time domain", base)
+		return nil, fmt.Errorf("streach: segmented %q: empty time domain", base.info.Name)
 	}
 	layout := segment.NewLayout(opts.SegmentTicks, numTicks)
-	slabOpts := withSharedSlabPool(opts, spec.info.DiskResident)
-	core := &segmentedCore{
-		base:        base,
+	slabOpts := withSharedPool(opts, base.info.DiskResident)
+	c := &segmentedCore{
 		numObjects:  numObjects,
 		numTicks:    numTicks,
+		bidir:       bidir,
 		parallelism: opts.QueryParallelism,
 	}
 	for i := 0; i < layout.NumSlabs(); i++ {
 		span := layout.Span(i)
 		var slabSrc Source
-		if spec.info.NeedsTrajectories {
-			slabSrc = &Dataset{d: src.sourceDataset().d.Window(span.Lo, span.Hi)}
+		if ds := src.sourceDataset(); ds != nil && base.info.NeedsTrajectories {
+			slabSrc = &Dataset{d: ds.d.Window(span.Lo, span.Hi)}
 		} else {
 			slabSrc = &ContactNetwork{net: src.sourceContacts().net.Window(span.Lo, span.Hi)}
 		}
-		sc, err := spec.open(slabSrc, slabOpts)
+		sc, err := base.build(slabSrc, slabOpts)
 		if err != nil {
 			return nil, fmt.Errorf("segment %v: %w", span, err)
 		}
-		fc, ok := sc.(frontierCore)
-		if !ok {
-			return nil, fmt.Errorf("streach: backend %q has no frontier entry points", base)
+		if err := sliceable(sc, base.info.Name, bidir); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, err)
 		}
-		core.slabs = append(core.slabs, segSlab{span: span, core: fc})
+		c.slabs = append(c.slabs, segSlab{span: span, core: sc, sealed: sealedSlab{core: sc}})
 	}
-	return core, nil
+	return c, nil
 }

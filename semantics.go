@@ -16,16 +16,20 @@
 //   - reachgraph, reachgraph-mem (all strategies): a forward arrival sweep
 //     over the run DAG (earliest-arrival only; runs collapse contact
 //     components, so transfer counts are not derivable)
-//   - segmented:* and LiveEngine: the cross-segment planner carries
-//     arrival ticks and residual hop budgets across slab frontiers, native
-//     whenever every slab core is
+//   - segmented:*, bidir:* and LiveEngine: the cross-segment planner
+//     carries arrival ticks and residual hop budgets across slab frontiers,
+//     native whenever every slab core is
+//   - shard:*: the scatter-gather relaxation exchanges arrival ticks across
+//     the cut (hop-agnostic specs only)
+//   - uncertain:*: every spec, over the decoded contact store
 //
 // Everything else (spj, grail, grail-mem; hop queries on reachgraph) falls
 // back to a brute-force oracle over the engine's source contacts; results
-// carry a Native flag so the fallback is always explicit. The evaluators
-// reuse the pooled epoch-stamped visit machinery (tick tables instead of
-// boolean sets); plain boolean queries never touch this layer and keep
-// their zero-allocation steady state.
+// carry a Native flag so the fallback is always explicit. All of it is one
+// method, core.sweep, with the class of evaluation (semSpec) passed as
+// data; this file compiles Semantics into a spec and projects the profile
+// into the public result types. Plain boolean point queries go through
+// core.reach instead and keep their zero-allocation steady state.
 
 package streach
 
@@ -37,9 +41,7 @@ import (
 	"sort"
 	"time"
 
-	"streach/internal/pagefile"
 	"streach/internal/queries"
-	"streach/internal/visit"
 )
 
 // Semantics optionally refines a Query's propagation model: a transfer
@@ -101,7 +103,7 @@ type TopKResult struct {
 	Expanded int
 }
 
-// semSpec classifies one semantic evaluation: the transfer budget
+// semSpec classifies one sweep: its direction in time, the transfer budget
 // (queries.UnboundedHops for none), whether per-object transfer counts
 // must be reported (top-k decay ranking needs them even when unbounded),
 // and the per-contact predicate restricting propagation. Probability does
@@ -109,13 +111,26 @@ type TopKResult struct {
 // probability is p^minHops and the threshold τ folds into the budget
 // (Semantics.EffectiveBudget), so probabilistic queries ride the
 // hop-tracking plumbing of every layer — the spec they compile to is just
-// a budgeted, hop-reporting spec, and the facade stamps Result.Prob from
+// a budgeted, hop-reporting spec, and the engine wrapper stamps Result.Prob from
 // the returned transfer count.
 type semSpec struct {
+	dir      direction
 	budget   int32
 	needHops bool
 	filter   queries.Filter
 }
+
+// hopAgnostic is the spec of plain propagation — forward, unbounded
+// transfers, no hop tracking, every contact: what boolean and set queries
+// compile to, and what the planners carry frontiers across slab and shard
+// boundaries under. Mid-interval shard hand-offs carry only arrival ticks;
+// jointly-minimal (arrival, hops) labels do not compose across shards, so
+// there hop-tracking specs fall back to the oracle.
+var hopAgnostic = semSpec{budget: queries.UnboundedHops}
+
+// hopAgnosticBackward is its time mirror, the spec the bidirectional
+// planner grows the destination's deliverer set under.
+var hopAgnosticBackward = semSpec{dir: backward, budget: queries.UnboundedHops}
 
 // tracksHops reports whether the evaluation must count transfers.
 func (s semSpec) tracksHops() bool {
@@ -179,117 +194,6 @@ func RegisterContactFilter(id string, fn func(Contact) bool) {
 	queries.RegisterFilter(id, fn)
 }
 
-// semCore is the optional native temporal-semantics surface of an
-// engineCore. Cores advertise which evaluation classes they implement;
-// the engine falls back to the oracle for the rest.
-type semCore interface {
-	// semSupports reports whether semProfile evaluates spec natively.
-	semSupports(spec semSpec) bool
-	// semProfile appends to dst the propagation profile of the seed
-	// frontier over iv (sorted by object ID): minimal transfer counts
-	// under spec.budget — or -1 when the core does not track hops — and
-	// earliest arrival ticks. A valid earlyDst stops the evaluation as
-	// soon as earlyDst is reachable (the profile is then partial but
-	// earlyDst's entry exact). The int result is the expansion counter.
-	semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error)
-}
-
-// --- native core implementations ---
-
-func (c oracleCore) semSupports(semSpec) bool { return true }
-
-func (c oracleCore) semProfile(_ context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	entries, n := c.o.Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return append(dst, entries...), n, nil
-}
-
-// The grid joins object positions per instant and never sees contact
-// records, so per-contact predicates cannot be pushed into the sweep.
-func (c gridCore) semSupports(spec semSpec) bool { return !spec.filter.Active() }
-
-func (c gridCore) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return c.ix.AppendSemProfileFrom(ctx, dst, seeds, iv, spec.budget, earlyDst, acct)
-}
-
-func (c graphCore) semSupports(spec semSpec) bool {
-	return !spec.tracksHops() && !spec.filter.Active()
-}
-
-func (c graphCore) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, _ semSpec, _ ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return c.ix.AppendArrivalProfileSeeds(ctx, dst, seeds, iv, acct)
-}
-
-func (c graphMemCore) semSupports(spec semSpec) bool {
-	return !spec.tracksHops() && !spec.filter.Active()
-}
-
-func (c graphMemCore) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, _ semSpec, _ ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return c.m.AppendArrivalProfileSeeds(ctx, dst, seeds, iv)
-}
-
-// semScratch is the pooled working state of one facade-level semantic
-// query: the seed buffer and the profile entry buffer.
-type semScratch struct {
-	seeds   []queries.SeedState
-	entries []queries.ProfileEntry
-}
-
-var semPool = visit.NewPool(func() *semScratch { return new(semScratch) })
-
-// --- shared entry-point protocol ---
-
-// semEvaluator is the evaluation surface behind the public semantic entry
-// points, implemented by the uniform engine (native core or oracle
-// fallback) and by LiveEngine's per-query log views (cross-segment
-// planner or snapshot oracle). The shared eval* functions below own the
-// whole query protocol — validation, clamping, the src==dst shortcut,
-// seeding, result bookkeeping — so the two engine flavors cannot drift.
-type semEvaluator interface {
-	// semDims returns the object and tick domain sizes.
-	semDims() (numObjects, numTicks int)
-	// semNativeFor reports whether spec evaluates natively.
-	semNativeFor(spec semSpec) bool
-	// semEvaluate runs one profile evaluation; the returned entries may
-	// alias sc.entries and must be consumed before sc is released.
-	semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error)
-	// semOracle returns an exact oracle over the evaluator's current
-	// contact set, for estimators that need the raw network (Monte-Carlo
-	// sampling) rather than a profile evaluation.
-	semOracle() *queries.Oracle
-}
-
-func (e *engine) semDims() (int, int) { return e.numObjects, e.numTicks }
-
-// semNativeFor reports whether the engine's core evaluates spec natively.
-func (e *engine) semNativeFor(spec semSpec) bool {
-	sc, ok := e.core.(semCore)
-	return ok && sc.semSupports(spec)
-}
-
-// semEvaluate runs one semantic evaluation: natively when the core
-// supports the spec, through the lazily-built oracle fallback otherwise.
-func (e *engine) semEvaluate(ctx context.Context, sc *semScratch, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, bool, error) {
-	if c, ok := e.core.(semCore); ok && c.semSupports(spec) {
-		entries, n, err := c.semProfile(ctx, sc.entries[:0], seeds, iv, spec, earlyDst, acct)
-		sc.entries = entries
-		return entries, n, true, err
-	}
-	entries, n := e.fallbackOracle().Filtered(spec.filter).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return entries, n, false, nil
-}
-
-func (e *engine) semOracle() *queries.Oracle { return e.fallbackOracle() }
-
-// fallbackOracle lazily builds the brute-force oracle over the engine's
-// source contacts. For trajectory sources this triggers (or reuses) the
-// dataset's one cached contact extraction.
-func (e *engine) fallbackOracle() *queries.Oracle {
-	e.fbOnce.Do(func() {
-		e.fb = queries.NewOracle(e.src.sourceContacts().net)
-	})
-	return e.fb
-}
-
 // findEntry locates obj in a profile (entries are sorted by object).
 func findEntry(entries []queries.ProfileEntry, obj ObjectID) (queries.ProfileEntry, bool) {
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].Obj >= obj })
@@ -299,32 +203,43 @@ func findEntry(entries []queries.ProfileEntry, obj ObjectID) (queries.ProfileEnt
 	return queries.ProfileEntry{}, false
 }
 
-// clampDomain intersects iv with a numTicks-sized time domain.
-func clampDomain(iv Interval, numTicks int) Interval {
-	return iv.Intersect(Interval{Lo: 0, Hi: Tick(numTicks - 1)})
+// profile evaluates the propagation profile of src over the clamped,
+// non-empty iv against the pinned core c: natively when c's sweep serves
+// spec, through the brute-force oracle otherwise (native reports which).
+// The entries may alias qs and must be consumed before it is released.
+func (e *engine) profile(ctx context.Context, c core, qs *queryScratch, src ObjectID, iv Interval, spec semSpec, early ObjectID) (entries []queries.ProfileEntry, expanded int, native bool, err error) {
+	qs.seeds = append(qs.seeds[:0], queries.SeedState{Obj: src})
+	entries, expanded, err = c.sweep(ctx, qs.entries[:0], qs.seeds, iv, spec, early, &qs.acct)
+	if errors.Is(err, errNotNative) {
+		entries, expanded = e.fallback().Filtered(spec.filter).ProfileFrom(qs.seeds, iv, spec.budget, early)
+		return entries, expanded, false, nil
+	}
+	qs.entries = entries
+	return entries, expanded, true, err
 }
 
-// evalReachableSem answers a point query whose Semantics field is active:
+// reachableSem answers a point query whose Semantics field is active:
 // hop-bounded, predicate-filtered and/or probabilistic reachability with
 // earliest-arrival tracking. Probabilistic queries report the best-path
 // probability p^minHops under the τ-folded budget, except when MCTrials
 // requests the seeded Monte-Carlo reliability estimate, which diverts to
-// the evaluator's exact oracle before any profile evaluation.
-func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, error) {
-	numObjects, numTicks := ev.semDims()
-	if err := validatePlanIDs(numObjects, q.Src, q.Dst); err != nil {
+// the exact oracle before any profile evaluation.
+func (e *engine) reachableSem(ctx context.Context, q Query) (Result, error) {
+	if err := validateIDs(e.numObjects, q.Src, q.Dst); err != nil {
 		return Result{}, err
 	}
 	spec, err := specFor(q.Semantics)
 	if err != nil {
 		return Result{}, err
 	}
-	if q.Semantics.MCTrials > 0 {
-		return evalMonteCarlo(ev, q, numTicks)
-	}
-	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1, Native: ev.semNativeFor(spec)}
+	c, numTicks := e.pinned()
 	iv := clampDomain(q.Interval, numTicks)
-	if numTicks == 0 || iv.Len() == 0 {
+	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1}
+	if q.Semantics.MCTrials > 0 {
+		return e.monteCarlo(res, iv), nil
+	}
+	res.Native = c.supports(spec)
+	if iv.Len() == 0 {
 		return res, nil
 	}
 	if q.Src == q.Dst {
@@ -334,14 +249,9 @@ func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, er
 		}
 		return res, nil
 	}
-	acct := acctPool.Get().(*pagefile.Stats)
-	defer acctPool.Put(acct)
-	acct.Reset()
-	sc := semPool.Get()
-	defer semPool.Put(sc)
+	qs := getQueryScratch()
+	defer queryPool.Put(qs)
 	start := time.Now()
-	seeds := append(sc.seeds[:0], queries.SeedState{Obj: q.Src, Hops: 0})
-	sc.seeds = seeds
 	// Early termination stops the profile at the destination's earliest
 	// arrival, whose delivery chain may use more transfers than the
 	// interval's overall minimum. The best-path probability is p^minHops
@@ -350,7 +260,7 @@ func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, er
 	if q.Semantics.Prob > 0 {
 		early = queries.NoObject
 	}
-	entries, expanded, native, err := ev.semEvaluate(ctx, sc, seeds, iv, spec, early, acct)
+	entries, expanded, native, err := e.profile(ctx, c, qs, q.Src, iv, spec, early)
 	if err != nil {
 		return Result{}, err
 	}
@@ -363,127 +273,84 @@ func evalReachableSem(ctx context.Context, ev semEvaluator, q Query) (Result, er
 			res.Prob = math.Pow(p, float64(res.Hops))
 		}
 	}
-	res.IO = statsOf(*acct)
+	res.IO = statsOf(qs.acct)
 	res.Latency = time.Since(start)
 	res.Expanded = expanded
 	return res, nil
 }
 
-// evalMonteCarlo answers a probabilistic point query by seeded world
-// sampling over the evaluator's exact contact oracle (two-terminal
+// monteCarlo completes res for a probabilistic point query over the clamped
+// iv by seeded world sampling over the exact contact oracle (two-terminal
 // reliability, an upper bound on the best-path probability). It is the
 // documented fallback — never native — and reports the estimate in
 // Result.Prob; Reachable compares it against the query's threshold.
-func evalMonteCarlo(ev semEvaluator, q Query, numTicks int) (Result, error) {
-	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1}
-	iv := clampDomain(q.Interval, numTicks)
-	if numTicks == 0 || iv.Len() == 0 {
-		return res, nil
+func (e *engine) monteCarlo(res Result, iv Interval) Result {
+	if iv.Len() == 0 {
+		return res
 	}
 	start := time.Now()
-	mq := q
+	mq := res.Query
 	mq.Interval = iv
-	est := ev.semOracle().MonteCarloReachable(mq)
-	res.Prob = est
-	if tau := q.Semantics.ProbThreshold; tau > 0 {
-		res.Reachable = est >= tau
+	res.Prob = e.fallback().MonteCarloReachable(mq)
+	if tau := mq.Semantics.ProbThreshold; tau > 0 {
+		res.Reachable = res.Prob >= tau
 	} else {
-		res.Reachable = est > 0
+		res.Reachable = res.Prob > 0
 	}
-	if q.Src == q.Dst {
+	if mq.Src == mq.Dst {
 		res.Arrival, res.Hops = iv.Lo, 0
 	}
 	res.Latency = time.Since(start)
-	return res, nil
+	return res
 }
 
-// evalEarliestArrival is the shared EarliestArrival protocol.
-func evalEarliestArrival(ctx context.Context, ev semEvaluator, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
+// EarliestArrival is the arrival-tracking point query under its own result
+// type: the same profile evaluation, stopped at dst.
+func (e *engine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
 	if err := ctx.Err(); err != nil {
 		return ArrivalResult{}, err
 	}
-	numObjects, numTicks := ev.semDims()
-	if err := validatePlanIDs(numObjects, src, dst); err != nil {
-		return ArrivalResult{}, err
-	}
-	spec := semSpec{budget: queries.UnboundedHops}
-	res := ArrivalResult{Src: src, Dst: dst, Interval: iv, Arrival: -1, Hops: -1, Native: ev.semNativeFor(spec)}
-	clamped := clampDomain(iv, numTicks)
-	if numTicks == 0 || clamped.Len() == 0 {
-		return res, nil
-	}
-	if src == dst {
-		res.Reachable, res.Arrival, res.Hops = true, clamped.Lo, 0
-		return res, nil
-	}
-	acct := acctPool.Get().(*pagefile.Stats)
-	defer acctPool.Put(acct)
-	acct.Reset()
-	sc := semPool.Get()
-	defer semPool.Put(sc)
-	start := time.Now()
-	seeds := append(sc.seeds[:0], queries.SeedState{Obj: src, Hops: 0})
-	sc.seeds = seeds
-	entries, expanded, native, err := ev.semEvaluate(ctx, sc, seeds, clamped, spec, dst, acct)
+	r, err := e.reachableSem(ctx, Query{Src: src, Dst: dst, Interval: iv, Semantics: Semantics{TrackArrival: true}})
 	if err != nil {
 		return ArrivalResult{}, err
 	}
-	res.Native = native
-	if en, ok := findEntry(entries, dst); ok {
-		res.Reachable = true
-		res.Arrival = en.Arrival
-		res.Hops = int(en.Hops)
-	}
-	res.IO = statsOf(*acct)
-	res.Latency = time.Since(start)
-	res.Expanded = expanded
-	return res, nil
+	return ArrivalResult{
+		Src: src, Dst: dst, Interval: iv,
+		Reachable: r.Reachable, Arrival: r.Arrival, Hops: r.Hops, Native: r.Native,
+		IO: r.IO, Latency: r.Latency, Expanded: r.Expanded,
+	}, nil
 }
 
-// evalTopKReachable is the shared TopKReachable protocol.
-func evalTopKReachable(ctx context.Context, ev semEvaluator, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
+func (e *engine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TopKResult{}, err
 	}
-	numObjects, numTicks := ev.semDims()
-	if err := validatePlanIDs(numObjects, src, src); err != nil {
+	if err := validateIDs(e.numObjects, src, src); err != nil {
 		return TopKResult{}, err
 	}
 	if err := validateTopK(k, decay); err != nil {
 		return TopKResult{}, err
 	}
+	c, numTicks := e.pinned()
 	spec := semSpec{budget: queries.UnboundedHops, needHops: true}
-	res := TopKResult{Src: src, Interval: iv, K: k, Decay: decay, Native: ev.semNativeFor(spec)}
+	res := TopKResult{Src: src, Interval: iv, K: k, Decay: decay, Native: c.supports(spec)}
 	clamped := clampDomain(iv, numTicks)
-	if numTicks == 0 || clamped.Len() == 0 || k == 0 {
+	if clamped.Len() == 0 || k == 0 {
 		return res, nil
 	}
-	acct := acctPool.Get().(*pagefile.Stats)
-	defer acctPool.Put(acct)
-	acct.Reset()
-	sc := semPool.Get()
-	defer semPool.Put(sc)
+	qs := getQueryScratch()
+	defer queryPool.Put(qs)
 	start := time.Now()
-	seeds := append(sc.seeds[:0], queries.SeedState{Obj: src, Hops: 0})
-	sc.seeds = seeds
-	entries, expanded, native, err := ev.semEvaluate(ctx, sc, seeds, clamped, spec, queries.NoObject, acct)
+	entries, expanded, native, err := e.profile(ctx, c, qs, src, clamped, spec, queries.NoObject)
 	if err != nil {
 		return TopKResult{}, err
 	}
 	res.Native = native
 	res.Items = rankTopK(entries, src, k, decay)
-	res.IO = statsOf(*acct)
+	res.IO = statsOf(qs.acct)
 	res.Latency = time.Since(start)
 	res.Expanded = expanded
 	return res, nil
-}
-
-func (e *engine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
-	return evalEarliestArrival(ctx, e, src, dst, iv)
-}
-
-func (e *engine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {
-	return evalTopKReachable(ctx, e, src, iv, k, decay)
 }
 
 // validateTopK rejects nonsensical top-k parameters.

@@ -2,7 +2,7 @@
 //
 // A sharded backend ("shard:<K>:<base>", or "shard:<K>:spatial:<base>" for
 // the grid-cut partitioner) splits the object population into K shards
-// (internal/shard) and opens one child engine of the base backend per shard
+// (internal/shard) and opens one child core of the base backend per shard
 // over that shard's sub-network — every contact incident to at least one
 // shard-owned object, cross-shard contacts duplicated into both endpoint
 // shards. Each disk-resident child owns a private BufferPool (unless the
@@ -13,13 +13,12 @@
 // profiles. The coordinator keeps a global best-arrival table and a pending
 // set of (object, arrival) improvements; each round it groups the pending
 // objects by owning shard and scatters ONE expansion per shard — the
-// child's native semantic profile over [earliest arrival, iv.Hi] with every
-// pending object activating at its own arrival tick (SeedState.Start), run
-// concurrently across shards with the bounded-worker pattern of
-// parallelSweep — then gathers the per-shard profiles and exchanges only
-// the boundary objects whose global arrival improved and whose owner is
-// another shard. Correctness rests on the ownership
-// invariant of the cut: shard s's sub-network contains every contact
+// child's sweep over [earliest arrival, iv.Hi] with every pending object
+// activating at its own arrival tick (SeedState.Start), run concurrently
+// across shards by a bounded worker group — then gathers the per-shard
+// profiles and exchanges only the boundary objects whose global arrival
+// improved and whose owner is another shard. Correctness rests on the
+// ownership invariant of the cut: shard s's sub-network contains every contact
 // incident to an s-owned object, so one owner-side expansion from an
 // object's best arrival covers everything reachable through that object —
 // an improvement discovered by the owner itself needs no re-expansion
@@ -38,18 +37,19 @@
 // gather step sums every worker's accountant into the query's — including
 // failed workers, whose page reads already hit the store totals — so the
 // engine invariant delta == total == pool stays exact under sharding.
-// Single-shard coordinators ("shard:1:<base>") delegate point queries
-// straight to their only child, preserving the allocation-free serial path.
+// Single-shard coordinators ("shard:1:<base>") delegate straight to their
+// only child, preserving the allocation-free serial path.
+//
+// A sharded LiveEngine is the same coordinator over per-lane views: each
+// ingest lane's pinned segmentedCore is one part.
 
 package streach
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,165 +59,100 @@ import (
 	"streach/internal/visit"
 )
 
-// shardCore is the coordinator engineCore of a sharded backend: K child
-// engines over the per-shard sub-networks plus the scatter-gather planner.
-// Children are immutable after construction, so queries run fully in
-// parallel like every other registry engine.
+// shardCut is the partition-quality and traffic accounting of one object
+// cut, shared by every coordinator over it (a sharded LiveEngine builds one
+// coordinator per query): contacts[s] counts shard s's sub-network
+// (cross-shard contacts on both sides), cross of total contacts span the
+// cut, and frontier counts the boundary objects queries handed across it —
+// the dynamic scatter-gather traffic metric. Fixed at build time for a
+// frozen engine; a live one counts as it routes.
+type shardCut struct {
+	contacts []atomic.Int64
+	cross    atomic.Int64
+	total    atomic.Int64
+	frontier atomic.Int64
+}
+
+// shardCore is the object-partitioned combinator: one part per shard — a
+// child core over the shard's sub-network, or a live ingest lane's view —
+// plus the scatter-gather planner. Parts are immutable, so queries run
+// fully in parallel like on every other core.
 type shardCore struct {
-	base     string
-	assign   *shard.Assignment
-	children []engineCore
-	sems     []semCore
-	// pools holds the per-shard private buffer pools ("each shard its own
-	// BufferPool"); nil entries when the base is memory-resident or when a
-	// caller-shared Options.Pool backs every child instead.
-	pools      []*BufferPool
+	assign     *shard.Assignment
+	parts      []core
 	numObjects int
 	numTicks   int
 	// parallelism is the scatter worker budget: Options.QueryParallelism
 	// when positive, otherwise one worker per shard — sharded expansion is
 	// concurrent by default, that is the point of the partition.
 	parallelism int
-
-	// Partition-quality counters, fixed at build time.
-	crossRatio    float64
-	crossContacts int
-	partObjects   []int
-	partContacts  []int
-
-	// crossFrontier counts the boundary objects handed across the shard
-	// cut by queries — the dynamic scatter-gather traffic metric.
-	crossFrontier atomic.Int64
+	cut         *shardCut
 }
-
-// hopAgnostic is the semantic spec every scatter-gather expansion runs
-// under: unbounded transfers, no hop tracking. Mid-interval shard hand-offs
-// carry only arrival ticks; jointly-minimal (arrival, hops) labels do not
-// compose across shards, so hop-tracking specs fall back to the oracle.
-var hopAgnostic = semSpec{budget: queries.UnboundedHops}
 
 func (c *shardCore) par() int {
 	if c.parallelism > 0 {
 		return c.parallelism
 	}
-	return c.assign.K
+	return len(c.parts)
 }
 
-func (c *shardCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
-	if len(c.children) == 1 {
-		// Single shard: the child sees the whole network; its native point
+func (c *shardCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	if len(c.parts) == 1 {
+		// Single shard: the child sees the whole network; its own point
 		// query (including a bidir base's planner) is the serial fast path.
-		return c.children[0].reach(ctx, q, acct)
+		return c.parts[0].reach(ctx, seeds, dst, iv, acct)
 	}
-	if err := validatePlanIDs(c.numObjects, q.Src, q.Dst); err != nil {
-		return false, 0, err
-	}
-	iv := clampDomain(q.Interval, c.numTicks)
-	if c.numTicks == 0 || iv.Len() == 0 {
-		return false, 0, nil
-	}
-	if q.Src == q.Dst {
-		return true, 0, nil
-	}
-	sc := semPool.Get()
-	defer semPool.Put(sc)
-	sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: q.Src})
-	entries, n, err := planShardProfile(ctx, c.sems, c.assign, c.numObjects, c.numTicks,
-		sc.entries[:0], sc.seeds, iv, hopAgnostic, q.Dst, c.par(), acct, &c.crossFrontier)
-	sc.entries = entries
+	entries, n, err := c.scatterGather(ctx, nil, seedStates(seeds), iv, hopAgnostic, dst, acct)
 	if err != nil {
 		return false, n, err
 	}
-	_, ok := findEntry(entries, q.Dst)
+	_, ok := findEntry(entries, dst)
 	return ok, n, nil
 }
 
-func (c *shardCore) reachSet(ctx context.Context, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
-	if len(c.children) == 1 {
-		objs, err := c.children[0].reachSet(ctx, src, iv, acct)
-		if err == nil || !errors.Is(err, errNoNativeSet) {
-			return objs, err
-		}
-		// No native set primitive on the child: fall through to the
-		// relaxation, which degenerates to one arrival sweep — far cheaper
-		// than the engine's per-object point-query fallback.
+func (c *shardCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	switch {
+	case !c.supports(spec):
+		return out, 0, errNotNative
+	case len(c.parts) == 1:
+		return c.parts[0].sweep(ctx, out, seeds, iv, spec, early, acct)
 	}
-	if err := validatePlanIDs(c.numObjects, src, src); err != nil {
-		return nil, err
-	}
-	sc := semPool.Get()
-	defer semPool.Put(sc)
-	sc.seeds = append(sc.seeds[:0], queries.SeedState{Obj: src})
-	entries, _, err := planShardProfile(ctx, c.sems, c.assign, c.numObjects, c.numTicks,
-		sc.entries[:0], sc.seeds, iv, hopAgnostic, queries.NoObject, c.par(), acct, &c.crossFrontier)
-	sc.entries = entries
-	if err != nil {
-		return nil, err
-	}
-	objs := make([]ObjectID, len(entries))
-	for i, en := range entries {
-		objs[i] = en.Obj
-	}
-	return objs, nil
+	return c.scatterGather(ctx, out, seeds, iv, spec, early, acct)
 }
 
-func (c *shardCore) semSupports(spec semSpec) bool {
-	if spec.tracksHops() {
+// supports: the relaxation exchanges forward arrival ticks only; hop counts
+// do not compose across the cut. (A single shard has no cut, but keeps the
+// family's matrix of native semantics.)
+func (c *shardCore) supports(spec semSpec) bool {
+	if spec.dir != forward || spec.tracksHops() {
 		return false
 	}
-	for _, s := range c.sems {
-		if !s.semSupports(spec) {
+	for _, p := range c.parts {
+		if !p.supports(spec) {
 			return false
 		}
 	}
 	return true
 }
 
-func (c *shardCore) semProfile(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	if len(c.children) == 1 {
-		return c.sems[0].semProfile(ctx, dst, seeds, iv, spec, earlyDst, acct)
+func (c *shardCore) disk() diskIO {
+	var d diskIO
+	for _, p := range c.parts {
+		d.merge(p.disk())
 	}
-	return planShardProfile(ctx, c.sems, c.assign, c.numObjects, c.numTicks,
-		dst, seeds, iv, spec, earlyDst, c.par(), acct, &c.crossFrontier)
-}
-
-func (c *shardCore) ioTotals() pagefile.Stats {
-	var sum pagefile.Stats
-	for _, ch := range c.children {
-		sum.Add(ch.ioTotals())
-	}
-	return sum
-}
-
-func (c *shardCore) resetIO() {
-	for _, ch := range c.children {
-		ch.resetIO()
-	}
-}
-
-func (c *shardCore) indexBytes() int64 {
-	var sum int64
-	for _, ch := range c.children {
-		sum += ch.indexBytes()
-	}
-	return sum
-}
-
-func (c *shardCore) dropCache() {
-	for _, ch := range c.children {
-		ch.dropCache()
-	}
+	return d
 }
 
 func (c *shardCore) shardStats() []ShardStats {
-	out := make([]ShardStats, len(c.children))
-	for s, ch := range c.children {
+	out := make([]ShardStats, len(c.parts))
+	for s, p := range c.parts {
+		d := p.disk()
 		out[s] = ShardStats{
 			Shard:      s,
-			Objects:    c.partObjects[s],
-			Contacts:   c.partContacts[s],
-			IndexBytes: ch.indexBytes(),
-			IO:         statsOf(ch.ioTotals()),
+			Objects:    c.assign.Objects(s),
+			Contacts:   int(c.cut.contacts[s].Load()),
+			IndexBytes: d.indexBytes(),
+			IO:         statsOf(d.ioTotals()),
 		}
 	}
 	return out
@@ -225,27 +160,13 @@ func (c *shardCore) shardStats() []ShardStats {
 
 // fillStats populates the sharding surface of an EngineStats snapshot.
 func (c *shardCore) fillStats(st *EngineStats) {
-	st.Shards = c.assign.K
+	st.Shards = len(c.parts)
 	st.Partitioner = c.assign.Partitioner
-	st.CrossShardRatio = c.crossRatio
-	st.CrossShardFrontier = c.crossFrontier.Load()
-	st.ShardDetails = c.shardStats()
-	if !st.HasPool {
-		// Per-shard private pools: report their summed counters so the
-		// serving layer sees one pool surface either way.
-		for _, p := range c.pools {
-			if p == nil {
-				continue
-			}
-			ps := p.Stats()
-			st.HasPool = true
-			st.Pool.Hits += ps.Hits
-			st.Pool.Misses += ps.Misses
-			st.Pool.Evictions += ps.Evictions
-			st.Pool.Resident += ps.Resident
-			st.Pool.Capacity += ps.Capacity
-		}
+	if total := c.cut.total.Load(); total > 0 {
+		st.CrossShardRatio = float64(c.cut.cross.Load()) / float64(total)
 	}
+	st.CrossShardFrontier = c.cut.frontier.Load()
+	st.ShardDetails = c.shardStats()
 }
 
 // shardEngine wraps the uniform engine with the Sharded surface.
@@ -295,19 +216,20 @@ type shardTaskResult struct {
 	err     error
 }
 
-// planShardProfile is the scatter-gather relaxation over per-shard semantic
-// evaluators; see the package comment for the algorithm and its exactness
-// argument. parts[s] evaluates arrival profiles over shard s's sub-network;
-// spec must be hop-agnostic (callers gate on semSupports). The profile is
-// appended to dst sorted by object with hop counts normalized to -1; with a
-// valid earlyDst it may be partial, but earlyDst's entry is exact. Every
-// boundary hand-off increments crossFrontier.
-func planShardProfile(ctx context.Context, parts []semCore, assign *shard.Assignment, numObjects, numTicks int,
-	dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID,
-	par int, acct *pagefile.Stats, crossFrontier *atomic.Int64) ([]queries.ProfileEntry, int, error) {
-
-	iv = clampDomain(iv, numTicks)
-	if numTicks == 0 || iv.Len() == 0 {
+// scatterGather is the scatter-gather relaxation over the parts' sweeps; see
+// the file comment for the algorithm and its exactness argument. parts[s]
+// sweeps arrival profiles over shard s's sub-network; spec must be
+// hop-agnostic (callers gate on supports). The profile is appended to dst
+// sorted by object with hop counts normalized to -1; with a valid earlyDst
+// it may be partial, but earlyDst's entry is exact. Every boundary hand-off
+// is counted in the cut's frontier.
+func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	assign, numObjects := c.assign, c.numObjects
+	// Clamping to the coordinator's own domain — for live lanes the minimum
+	// lane frontier — keeps a lane mid-append from leaking ticks its peers
+	// have not covered yet.
+	iv = clampDomain(iv, c.numTicks)
+	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
 	ps := shardPlanPool.Get()
@@ -316,22 +238,18 @@ func planShardProfile(ctx context.Context, parts []semCore, assign *shard.Assign
 	ps.reached = ps.reached[:0]
 	ps.pend = ps.pend[:0]
 	for _, s := range seeds {
-		if int(s.Obj) < 0 || int(s.Obj) >= numObjects {
+		if int(s.Obj) < 0 || int(s.Obj) >= numObjects || s.Start > iv.Hi {
 			continue
 		}
 		if _, ok := ps.arrival.Get(int(s.Obj)); !ok {
-			ps.arrival.Set(int(s.Obj), int32(iv.Lo))
+			ps.arrival.Set(int(s.Obj), int32(max(s.Start, iv.Lo)))
 			ps.reached = append(ps.reached, s.Obj)
 			ps.pend = append(ps.pend, s.Obj)
 		}
 	}
 	hasEarly := int(earlyDst) >= 0 && int(earlyDst) < numObjects
 	var cross int64
-	defer func() {
-		if cross > 0 && crossFrontier != nil {
-			crossFrontier.Add(cross)
-		}
-	}()
+	defer func() { c.cut.frontier.Add(cross) }()
 	expanded := 0
 	for len(ps.pend) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -391,13 +309,10 @@ func planShardProfile(ctx context.Context, parts []semCore, assign *shard.Assign
 		// Scatter: expand every task on its owner, concurrently up to the
 		// worker budget; workers charge private accountants.
 		results := make([]shardTaskResult, len(ps.tasks))
-		workers := par
-		if workers > len(ps.tasks) {
-			workers = len(ps.tasks)
-		}
+		workers := min(c.par(), len(ps.tasks))
 		if workers <= 1 {
 			for i := range ps.tasks {
-				runShardTask(ctx, parts, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
+				c.runTask(ctx, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
 			}
 		} else {
 			var wg sync.WaitGroup
@@ -406,7 +321,7 @@ func planShardProfile(ctx context.Context, parts []semCore, assign *shard.Assign
 				go func(wk int) {
 					defer wg.Done()
 					for i := wk; i < len(ps.tasks); i += workers {
-						runShardTask(ctx, parts, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
+						c.runTask(ctx, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
 					}
 				}(wk)
 			}
@@ -421,9 +336,7 @@ func planShardProfile(ctx context.Context, parts []semCore, assign *shard.Assign
 		for i := range ps.tasks {
 			r := &results[i]
 			expanded += r.n
-			if acct != nil {
-				acct.Add(r.io)
-			}
+			acct.Add(r.io)
 			if r.err != nil && firstErr == nil {
 				firstErr = r.err
 			}
@@ -450,156 +363,88 @@ func planShardProfile(ctx context.Context, parts []semCore, assign *shard.Assign
 		}
 		ps.pend, ps.next = ps.next, ps.pend
 	}
-	list := sortDedupObjects(ps.reached)
-	for _, o := range list {
+	slices.Sort(ps.reached)
+	for _, o := range ps.reached {
 		arr, _ := ps.arrival.Get(int(o))
 		dst = append(dst, queries.ProfileEntry{Obj: o, Hops: -1, Arrival: Tick(arr)})
 	}
 	return dst, expanded, nil
 }
 
-// runShardTask evaluates one owner-side expansion: the task's pending
-// objects seed the owner's semantic profile over [earliest arrival, iv.Hi],
+// runTask evaluates one owner-side expansion: the task's pending objects
+// seed the owner's sweep over [earliest arrival, iv.Hi],
 // each seed activating at its own best-known arrival tick (SeedState.Start),
 // so the whole round costs one sweep per shard. Child profiles are
 // global-tick (children index the full time domain), so no re-basing
 // happens on gather. The arrival table is read-only during the scatter
 // phase; gather mutates it only after the workers join.
-func runShardTask(ctx context.Context, parts []semCore, ps *shardPlanScratch, task *shardPlanTask, r *shardTaskResult, iv Interval, spec semSpec, earlyDst ObjectID) {
+func (c *shardCore) runTask(ctx context.Context, ps *shardPlanScratch, task *shardPlanTask, r *shardTaskResult, iv Interval, spec semSpec, earlyDst ObjectID) {
 	seeds := make([]queries.SeedState, 0, task.hi-task.lo)
 	for _, o := range ps.pend[task.lo:task.hi] {
 		t, _ := ps.arrival.Get(int(o))
 		seeds = append(seeds, queries.SeedState{Obj: o, Start: Tick(t)})
 	}
-	r.entries, r.n, r.err = parts[task.part].semProfile(ctx, nil, seeds,
+	r.entries, r.n, r.err = c.parts[task.part].sweep(ctx, nil, seeds,
 		Interval{Lo: task.t, Hi: iv.Hi}, spec, earlyDst, &r.io)
 }
 
-// --- registration ---
+// --- the "shard:" combinator ---
 
-// shardName returns the canonical registry name of a sharded backend: the
-// hash partitioner is the unnamed default, spatial is spelled out.
-func shardName(k int, partitioner, base string) string {
+// shardOver is the "shard:<K>[:hash|:spatial]:" combinator: base's index
+// built once per object shard under the scatter-gather planner. The hash
+// partitioner is the unnamed default of the canonical name; spatial is
+// spelled out and needs trajectories to snap.
+func shardOver(k int, partitioner string, base backendSpec) backendSpec {
+	name := fmt.Sprintf("shard:%d:%s", k, base.info.Name)
 	if partitioner == "spatial" {
-		return fmt.Sprintf("shard:%d:spatial:%s", k, base)
+		name = fmt.Sprintf("shard:%d:spatial:%s", k, base.info.Name)
 	}
-	return fmt.Sprintf("shard:%d:%s", k, base)
-}
-
-// parseShardName splits "shard:<K>[:hash|:spatial]:<base>"; ok is false for
-// anything else (including nested shard bases).
-func parseShardName(name string) (k int, partitioner, base string, ok bool) {
-	rest, found := strings.CutPrefix(name, "shard:")
-	if !found {
-		return 0, "", "", false
-	}
-	kStr, rest, found := strings.Cut(rest, ":")
-	if !found {
-		return 0, "", "", false
-	}
-	k, err := strconv.Atoi(kStr)
-	if err != nil || k < 1 {
-		return 0, "", "", false
-	}
-	partitioner = "hash"
-	if p, after, found := strings.Cut(rest, ":"); found && (p == "hash" || p == "spatial") {
-		partitioner, rest = p, after
-	}
-	if rest == "" || strings.HasPrefix(rest, "shard:") {
-		return 0, "", "", false
-	}
-	return k, partitioner, rest, true
-}
-
-// shardSpec synthesizes the registry entry of a sharded backend name,
-// resolving the base against the static registry — any shard count and any
-// contact-sourced base compose dynamically, not just the pre-registered
-// points. ownPool marks the spec so Open leaves pool materialization to
-// buildShardCore (per-shard private pools unless the caller shares one).
-func shardSpec(name string) (backendSpec, bool) {
-	k, partitioner, base, ok := parseShardName(name)
-	if !ok {
-		return backendSpec{}, false
-	}
-	base = strings.ToLower(strings.TrimSpace(base))
-	if alias, ok := aliases[base]; ok {
-		base = alias
-	}
-	baseSpec, ok := registry[base]
-	if !ok {
-		return backendSpec{}, false
-	}
-	canonical := shardName(k, partitioner, base)
 	return backendSpec{
 		info: BackendInfo{
-			Name: canonical,
+			Name: name,
 			Description: fmt.Sprintf("%d-way %s-partitioned %s shards with a scatter-gather frontier planner",
-				k, partitioner, base),
-			DiskResident:      baseSpec.info.DiskResident,
+				k, partitioner, base.info.Name),
+			DiskResident:      base.info.DiskResident,
 			NeedsTrajectories: partitioner == "spatial",
 		},
-		ownPool: true,
-		open: func(src Source, opts Options) (engineCore, error) {
+		open: func(src Source, opts Options) (core, error) {
 			return buildShardCore(k, partitioner, base, src, opts)
 		},
-	}, true
-}
-
-// shardPoints are the pre-registered shard configurations over the flagship
-// disk backend; every other (K, partitioner, base) combination resolves
-// dynamically through lookupSpec.
-var shardPoints = []struct {
-	k           int
-	partitioner string
-}{
-	{1, "hash"}, {2, "hash"}, {4, "hash"},
-	{1, "spatial"}, {2, "spatial"}, {4, "spatial"},
-}
-
-func init() {
-	for _, p := range shardPoints {
-		name := shardName(p.k, p.partitioner, "reachgraph")
-		registry[name] = backendSpec{
-			info: BackendInfo{
-				Name: name,
-				Description: fmt.Sprintf("%d-way %s-partitioned reachgraph shards with a scatter-gather frontier planner",
-					p.k, p.partitioner),
-				DiskResident:      true,
-				NeedsTrajectories: p.partitioner == "spatial",
-			},
-			ownPool: true,
-			open: func(src Source, opts Options) (engineCore, error) {
-				return buildShardCore(p.k, p.partitioner, "reachgraph", src, opts)
-			},
-		}
+		decorate: func(e *engine) Engine {
+			return &shardEngine{engine: e, sh: e.core.(*shardCore)}
+		},
+		base:        &base,
+		shards:      k,
+		partitioner: partitioner,
 	}
+}
+
+// shardable reports why c cannot be a part of a sharded engine over base,
+// or nil: parts exchange arrival profiles, so they must sweep.
+func shardable(c core, base string) error {
+	if !c.supports(hopAgnostic) {
+		return fmt.Errorf("%w: %q has no sweep for the scatter-gather planner to exchange frontiers with", ErrUnknownBackend, base)
+	}
+	return nil
 }
 
 // buildShardCore partitions the source, cuts the contact network and opens
-// one base-backend child per shard. Disk-resident children each get a
-// private buffer pool of the configured page budget unless the caller
-// supplied a shared Options.Pool; segmented bases then window their own
-// slab chains inside each shard.
-func buildShardCore(k int, partitioner, base string, src Source, opts Options) (engineCore, error) {
-	baseSpec, ok := registry[base]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (shard base)", ErrUnknownBackend, base)
-	}
-	if baseSpec.info.NeedsTrajectories {
-		return nil, fmt.Errorf("streach: shard base %q indexes trajectories; shard children build from per-shard contact networks", base)
+// one base child per shard. Disk-resident children each get a private
+// buffer pool of the configured page budget unless the caller supplied a
+// shared Options.Pool; segmented bases then window their own slab chains
+// inside each shard.
+func buildShardCore(k int, partitioner string, base backendSpec, src Source, opts Options) (*shardCore, error) {
+	if base.info.NeedsTrajectories {
+		return nil, fmt.Errorf("streach: shard base %q indexes trajectories; shard children build from per-shard contact networks", base.info.Name)
 	}
 	numObjects, numTicks := sourceDims(src)
 	if numTicks == 0 {
-		return nil, fmt.Errorf("streach: shard %q: empty time domain", base)
+		return nil, fmt.Errorf("streach: shard %q: empty time domain", base.info.Name)
 	}
 	var assign *shard.Assignment
 	var err error
 	if partitioner == "spatial" {
-		ds := src.sourceDataset()
-		if ds == nil {
-			return nil, fmt.Errorf("streach: spatial partitioner: %w", ErrNeedsTrajectories)
-		}
-		assign, err = shard.Spatial(ds.d, k)
+		assign, err = shard.Spatial(src.sourceDataset().d, k)
 	} else {
 		assign, err = shard.Hash(numObjects, k)
 	}
@@ -607,42 +452,25 @@ func buildShardCore(k int, partitioner, base string, src Source, opts Options) (
 		return nil, err
 	}
 	split := shard.Cut(src.sourceContacts().net, assign)
-	core := &shardCore{
-		base:          base,
-		assign:        assign,
-		numObjects:    numObjects,
-		numTicks:      numTicks,
-		parallelism:   opts.QueryParallelism,
-		crossRatio:    split.CrossRatio(),
-		crossContacts: split.CrossContacts,
-		pools:         make([]*BufferPool, k),
-		partObjects:   make([]int, k),
-		partContacts:  make([]int, k),
+	c := &shardCore{
+		assign:      assign,
+		numObjects:  numObjects,
+		numTicks:    numTicks,
+		parallelism: opts.QueryParallelism,
+		cut:         &shardCut{contacts: make([]atomic.Int64, k)},
 	}
+	c.cut.cross.Store(int64(split.CrossContacts))
+	c.cut.total.Store(int64(split.TotalContacts))
 	for s := 0; s < k; s++ {
-		core.partObjects[s] = assign.Objects(s)
-		core.partContacts[s] = len(split.Parts[s].Contacts)
-		childOpts := opts
-		if baseSpec.info.DiskResident && opts.Pool == nil {
-			pages := opts.PoolPages
-			if pages == 0 {
-				pages = 64
-			}
-			if pages > 0 {
-				core.pools[s] = NewBufferPool(pages)
-				childOpts.Pool = core.pools[s]
-			}
-		}
-		child, err := baseSpec.open(&ContactNetwork{net: split.Parts[s]}, childOpts)
+		c.cut.contacts[s].Store(int64(len(split.Parts[s].Contacts)))
+		child, err := base.build(&ContactNetwork{net: split.Parts[s]}, withSharedPool(opts, base.info.DiskResident))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		sem, ok := child.(semCore)
-		if !ok || !sem.semSupports(hopAgnostic) {
-			return nil, fmt.Errorf("streach: backend %q has no scatter-gather entry points", base)
+		if err := shardable(child, base.info.Name); err != nil {
+			return nil, err
 		}
-		core.children = append(core.children, child)
-		core.sems = append(core.sems, sem)
+		c.parts = append(c.parts, child)
 	}
-	return core, nil
+	return c, nil
 }

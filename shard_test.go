@@ -93,10 +93,10 @@ func TestShardNameErrors(t *testing.T) {
 			t.Errorf("Open(%q) = %v, want ErrUnknownBackend", name, err)
 		}
 	}
-	// Trajectory-indexing bases cannot shard: children open from per-shard
-	// contact networks.
+	// Parts exchange swept frontiers, which GRAIL's label containment does
+	// not offer.
 	if _, err := streach.Open("shard:2:grail", ds, streach.Options{}); err == nil {
-		t.Error("Open(shard:2:grail) accepted a trajectory-indexing base")
+		t.Error("Open(shard:2:grail) accepted a base with no sweep entry points")
 	}
 	// The spatial partitioner snaps trajectories, so a bare contact network
 	// cannot feed it.

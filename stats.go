@@ -23,10 +23,12 @@ type EngineStats struct {
 	IndexBytes int64
 	// IO is the engine's cumulative simulated disk traffic (IOTotals).
 	IO IOStats
-	// HasPool reports whether the engine draws on a buffer pool it can
-	// observe; Pool is that pool's global counters. Engines opened with a
+	// HasPool reports whether the engine's index stores draw on a buffer
+	// pool; Pool is that pool's global counters, summed when the stores
+	// draw on several (per-shard private pools). Engines opened with a
 	// shared Options.Pool report the pool-wide counters (the pool may be
-	// serving other engines too).
+	// serving other engines too). A LiveEngine has stores, and so a pool to
+	// report, from its first sealed segment on.
 	HasPool bool
 	Pool    PoolStats
 	// Segments is the number of time slabs a segmented engine plans over
@@ -88,22 +90,21 @@ type Sharded interface {
 }
 
 func (e *engine) Stats() EngineStats {
-	st := EngineStats{
-		Backend:    e.name,
-		NumObjects: e.numObjects,
-		NumTicks:   e.numTicks,
-		IndexBytes: e.core.indexBytes(),
-		IO:         statsOf(e.core.ioTotals()),
-	}
-	if e.pool != nil {
-		st.HasPool = true
-		st.Pool = e.pool.Stats()
-	}
-	return st
+	c, numTicks := e.pinned()
+	return coreStats(e.name, e.numObjects, numTicks, c)
 }
 
-func (e *segmentedEngine) Stats() EngineStats {
-	st := e.engine.Stats()
-	st.Segments = len(e.seg.slabs)
+// coreStats is the part of a snapshot every engine reads off its (pinned)
+// core; the segmented, sharded and live wrappers add their own fields.
+func coreStats(name string, numObjects, numTicks int, c core) EngineStats {
+	d := c.disk()
+	st := EngineStats{
+		Backend:    name,
+		NumObjects: numObjects,
+		NumTicks:   numTicks,
+		IndexBytes: d.indexBytes(),
+		IO:         statsOf(d.ioTotals()),
+	}
+	st.Pool, st.HasPool = d.poolStats()
 	return st
 }

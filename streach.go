@@ -51,28 +51,24 @@
 //	// res.Reachable, res.IO.Normalized, res.Latency, res.Expanded
 //
 // EvaluateBatch drives a query batch through an engine with a bounded
-// worker pool and context cancellation. The concrete index types
-// (BuildReachGrid, BuildReachGraph, BuildGrail, …) remain available for
-// code that manages index lifecycles directly.
+// worker pool and context cancellation, and LiveEngine serves the same
+// queries over a feed while it is being ingested. Two §7 extensions the
+// registry cannot express keep their own types: UncertainNetwork
+// (per-contact transmission probabilities; "uncertain:<base>" engines are
+// uniform-p) and NonImmediate (the exact environmental-lifetime engine).
 package streach
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 
 	"streach/internal/contact"
-	"streach/internal/dn"
 	"streach/internal/geo"
 	"streach/internal/mobility"
 	"streach/internal/nonimmediate"
 	"streach/internal/pagefile"
 	"streach/internal/queries"
 	"streach/internal/reachgraph"
-	"streach/internal/reachgrid"
-	"streach/internal/stjoin"
 	"streach/internal/trajectory"
 	"streach/internal/uncertain"
 )
@@ -254,67 +250,8 @@ func statsOf(s pagefile.Stats) IOStats {
 	}
 }
 
-// ReachGridOptions configures BuildReachGrid. Zero values select the
-// paper's empirical optima (temporal buckets of 20 instants) and a spatial
-// cell of 1/8 of the environment width.
-type ReachGridOptions struct {
-	// CellSize is the spatial grid resolution RS in metres.
-	CellSize float64
-	// BucketTicks is the temporal grid resolution RT in instants.
-	BucketTicks int
-	// PoolPages sizes the buffer pool of the simulated disk.
-	PoolPages int
-	// PageFormat selects the on-page record layout (zero: varint-delta).
-	PageFormat PageFormat
-}
-
-// ReachGrid is a disk-resident ReachGrid index over one dataset.
-type ReachGrid struct {
-	ix *reachgrid.Index
-}
-
-// BuildReachGrid constructs the ReachGrid of ds.
-func BuildReachGrid(ds *Dataset, opts ReachGridOptions) (*ReachGrid, error) {
-	ix, err := reachgrid.Build(ds.d, reachgrid.Params{
-		CellSize:    opts.CellSize,
-		BucketTicks: opts.BucketTicks,
-		PoolPages:   opts.PoolPages,
-		Format:      opts.PageFormat,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ReachGrid{ix: ix}, nil
-}
-
-// Reachable answers q by guided on-the-fly expansion (Algorithm 1).
-func (g *ReachGrid) Reachable(q Query) (bool, error) { return g.ix.Reach(q) }
-
-// ReachableNaive answers q with the SPJ baseline: materialize every
-// trajectory segment overlapping the interval, then propagate.
-func (g *ReachGrid) ReachableNaive(q Query) (bool, error) { return g.ix.SPJReach(q) }
-
-// ReachableSet returns every object reachable from src during iv, sorted
-// ascending.
-func (g *ReachGrid) ReachableSet(src ObjectID, iv Interval) ([]ObjectID, error) {
-	var acct pagefile.Stats
-	return g.ix.ReachableSet(context.Background(), src, iv, &acct)
-}
-
-// IOStats returns the accumulated disk traffic.
-func (g *ReachGrid) IOStats() IOStats { return statsOf(g.ix.Counters()) }
-
-// ResetStats zeroes the I/O counters and drops the buffer pool, starting a
-// fresh measurement window.
-func (g *ReachGrid) ResetStats() {
-	g.ix.ResetCounters()
-	g.ix.Store().DropCache()
-}
-
-// IndexBytes returns the on-disk size of the index.
-func (g *ReachGrid) IndexBytes() int64 { return g.ix.Store().SizeBytes() }
-
-// Strategy selects a ReachGraph traversal algorithm.
+// Strategy names a ReachGraph traversal algorithm; the registry exposes one
+// "reachgraph[-<strategy>]" backend per strategy.
 type Strategy = reachgraph.Strategy
 
 // Traversal strategies of §5.2 and §6.2.2.
@@ -328,72 +265,6 @@ const (
 	// EDFS is unidirectional external DFS, the naïve baseline.
 	EDFS = reachgraph.EDFS
 )
-
-// ReachGraphOptions configures BuildReachGraph. Zero values select the
-// paper's empirical optima: partition depth 32 and long-edge resolutions
-// {2, 4, 8, 16, 32}.
-type ReachGraphOptions struct {
-	// PartitionDepth is dp, the BFS depth of each disk partition.
-	PartitionDepth int
-	// Resolutions lists the long-edge levels (ascending powers of two).
-	Resolutions []int
-	// PoolPages sizes the buffer pool of the simulated disk.
-	PoolPages int
-	// PageFormat selects the on-page record layout (zero: varint-delta).
-	PageFormat PageFormat
-}
-
-// ReachGraph is a disk-resident ReachGraph index.
-type ReachGraph struct {
-	ix *reachgraph.Index
-}
-
-// BuildReachGraph reduces ds's contact network to the run-merged component
-// DAG, augments it with multi-resolution long edges and places it on the
-// simulated disk.
-func BuildReachGraph(ds *Dataset, opts ReachGraphOptions) (*ReachGraph, error) {
-	return buildReachGraph(ds.Contacts(), opts)
-}
-
-// BuildReachGraphFromContacts is BuildReachGraph for a pre-extracted
-// contact network (avoids re-joining trajectories).
-func BuildReachGraphFromContacts(cn *ContactNetwork, opts ReachGraphOptions) (*ReachGraph, error) {
-	return buildReachGraph(cn, opts)
-}
-
-func buildReachGraph(cn *ContactNetwork, opts ReachGraphOptions) (*ReachGraph, error) {
-	g := dn.Build(cn.net)
-	ix, err := reachgraph.Build(g, reachgraph.Params{
-		PartitionDepth: opts.PartitionDepth,
-		Resolutions:    opts.Resolutions,
-		PoolPages:      opts.PoolPages,
-		Format:         opts.PageFormat,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ReachGraph{ix: ix}, nil
-}
-
-// Reachable answers q with BM-BFS.
-func (g *ReachGraph) Reachable(q Query) (bool, error) { return g.ix.Reach(q) }
-
-// ReachableStrategy answers q with an explicit traversal strategy.
-func (g *ReachGraph) ReachableStrategy(q Query, s Strategy) (bool, error) {
-	return g.ix.ReachStrategy(q, s)
-}
-
-// IOStats returns the accumulated disk traffic.
-func (g *ReachGraph) IOStats() IOStats { return statsOf(g.ix.Counters()) }
-
-// ResetStats zeroes the I/O counters and drops the buffer pool.
-func (g *ReachGraph) ResetStats() {
-	g.ix.ResetCounters()
-	g.ix.DropCache()
-}
-
-// IndexBytes returns the on-disk size of the index.
-func (g *ReachGraph) IndexBytes() int64 { return g.ix.Store().SizeBytes() }
 
 // UncertainNetwork is a contact network whose contacts transmit with a
 // probability (§7).
@@ -440,54 +311,6 @@ func (un *UncertainNetwork) Reachable(src, dst ObjectID, iv Interval, minProb fl
 // BestProbAll returns per-object maximum receipt probabilities.
 func (un *UncertainNetwork) BestProbAll(src ObjectID, iv Interval) ([]float64, error) {
 	return un.engine.BestProbAll(src, iv)
-}
-
-// ContactStream ingests a live position feed one instant at a time and
-// maintains the contact network incrementally (§6.2.1.2) — the alternative
-// to batch-extracting contacts from a complete trajectory archive.
-// Snapshots can be taken at any point and used as an Open source (any
-// graph-based backend) or fed to BuildReachGraphFromContacts while the
-// stream keeps running. For serving queries continuously over the feed
-// without per-snapshot rebuilds, use LiveEngine, which seals the stream
-// into time-sliced index segments as it ingests.
-type ContactStream struct {
-	b          *contact.Builder
-	j          *stjoin.Joiner
-	numObjects int
-}
-
-// NewContactStream returns a stream for numObjects objects moving in env
-// with contact threshold contactDist.
-func NewContactStream(numObjects int, env Rect, contactDist float64) (*ContactStream, error) {
-	if numObjects <= 0 {
-		return nil, errors.New("streach: contact stream needs at least one object")
-	}
-	if contactDist <= 0 {
-		return nil, errors.New("streach: contact threshold must be positive")
-	}
-	return &ContactStream{
-		b:          contact.NewBuilder(numObjects),
-		j:          stjoin.NewJoiner(env, contactDist),
-		numObjects: numObjects,
-	}, nil
-}
-
-// AddInstant ingests the next instant; positions[i] is object i's position.
-func (cs *ContactStream) AddInstant(positions []Point) error {
-	if len(positions) != cs.numObjects {
-		return fmt.Errorf("streach: got %d positions, want %d", len(positions), cs.numObjects)
-	}
-	cs.b.AddPositions(cs.j, positions)
-	return nil
-}
-
-// NumTicks returns the number of instants ingested so far.
-func (cs *ContactStream) NumTicks() int { return cs.b.NumTicks() }
-
-// Snapshot returns the contact network over the instants ingested so far;
-// the stream remains usable.
-func (cs *ContactStream) Snapshot() *ContactNetwork {
-	return &ContactNetwork{net: cs.b.Network()}
 }
 
 // NonImmediate is a contact network under non-immediate semantics: items

@@ -1,33 +1,45 @@
 package streach_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"streach"
 )
 
-// pipeline builds everything once for the integration tests.
+// pipeline opens the two paper indexes once for the integration tests: the
+// ReachGrid and one ReachGraph engine per traversal strategy, BM-BFS first.
 type pipeline struct {
 	ds     *streach.Dataset
-	cn     *streach.ContactNetwork
 	oracle *streach.Oracle
-	grid   *streach.ReachGrid
-	graph  *streach.ReachGraph
+	grid   streach.Engine
+	graphs []streach.Engine
 }
 
 func buildPipeline(t testing.TB, ds *streach.Dataset) *pipeline {
 	t.Helper()
-	cn := ds.Contacts()
-	grid, err := streach.BuildReachGrid(ds, streach.ReachGridOptions{})
-	if err != nil {
-		t.Fatalf("BuildReachGrid: %v", err)
+	p := &pipeline{ds: ds, oracle: ds.Contacts().Oracle()}
+	for _, name := range []string{"reachgrid", "reachgraph", "reachgraph-bbfs", "reachgraph-ebfs", "reachgraph-edfs"} {
+		e, err := streach.Open(name, ds, streach.Options{})
+		if err != nil {
+			t.Fatalf("Open(%q): %v", name, err)
+		}
+		if name == "reachgrid" {
+			p.grid = e
+		} else {
+			p.graphs = append(p.graphs, e)
+		}
 	}
-	graph, err := streach.BuildReachGraphFromContacts(cn, streach.ReachGraphOptions{})
-	if err != nil {
-		t.Fatalf("BuildReachGraph: %v", err)
+	return p
+}
+
+// agree fails the test unless e answers q as want.
+func agree(t testing.TB, e streach.Engine, q streach.Query, want bool) {
+	t.Helper()
+	if r, err := e.Reachable(context.Background(), q); err != nil || r.Reachable != want {
+		t.Fatalf("%s %v: got (%v, %v), want %v", e.Name(), q, r.Reachable, err, want)
 	}
-	return &pipeline{ds: ds, cn: cn, oracle: cn.Oracle(), grid: grid, graph: graph}
 }
 
 func (p *pipeline) workload(t testing.TB, count int, seed int64) []streach.Query {
@@ -55,13 +67,9 @@ func TestEndToEndRWP(t *testing.T) {
 		if want {
 			pos++
 		}
-		if got, err := p.grid.Reachable(q); err != nil || got != want {
-			t.Fatalf("grid %v: got (%v, %v), want %v", q, got, err, want)
-		}
-		for _, s := range []streach.Strategy{streach.BMBFS, streach.BBFS, streach.EBFS, streach.EDFS} {
-			if got, err := p.graph.ReachableStrategy(q, s); err != nil || got != want {
-				t.Fatalf("graph %v %v: got (%v, %v), want %v", s, q, got, err, want)
-			}
+		agree(t, p.grid, q, want)
+		for _, graph := range p.graphs {
+			agree(t, graph, q, want)
 		}
 	}
 	if pos == 0 || pos == 120 {
@@ -77,12 +85,8 @@ func TestEndToEndVehicles(t *testing.T) {
 	p := buildPipeline(t, ds)
 	for _, q := range p.workload(t, 80, 19) {
 		want := p.oracle.Reachable(q)
-		if got, err := p.grid.Reachable(q); err != nil || got != want {
-			t.Fatalf("grid %v: got (%v, %v), want %v", q, got, err, want)
-		}
-		if got, err := p.graph.Reachable(q); err != nil || got != want {
-			t.Fatalf("graph %v: got (%v, %v), want %v", q, got, err, want)
-		}
+		agree(t, p.grid, q, want)
+		agree(t, p.graphs[0], q, want)
 	}
 }
 
@@ -94,9 +98,7 @@ func TestEndToEndTaxi(t *testing.T) {
 	p := buildPipeline(t, ds)
 	for _, q := range p.workload(t, 50, 23) {
 		want := p.oracle.Reachable(q)
-		if got, err := p.graph.Reachable(q); err != nil || got != want {
-			t.Fatalf("graph %v: got (%v, %v), want %v", q, got, err, want)
-		}
+		agree(t, p.graphs[0], q, want)
 	}
 }
 
@@ -110,14 +112,13 @@ func TestReachableSetsAgree(t *testing.T) {
 	for src := streach.ObjectID(0); src < 8; src++ {
 		iv := streach.NewInterval(streach.Tick(10*src), streach.Tick(10*src)+150)
 		want := p.oracle.ReachableSet(src, iv)
-		got, err := p.grid.ReachableSet(src, iv)
+		got, err := p.grid.ReachableSet(context.Background(), src, iv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sortIDs(want)
-		sortIDs(got)
-		if !equalIDs(got, want) {
-			t.Fatalf("src %d: grid set %v, oracle set %v", src, got, want)
+		if !equalIDs(got.Objects, want) {
+			t.Fatalf("src %d: grid set %v, oracle set %v", src, got.Objects, want)
 		}
 	}
 }
@@ -197,38 +198,6 @@ func TestNonImmediateExtension(t *testing.T) {
 	}
 }
 
-// TestIOStatsAccumulateAndReset exercises the stats plumbing.
-func TestIOStatsAccumulateAndReset(t *testing.T) {
-	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
-		NumObjects: 30, NumTicks: 200, Seed: 21,
-	})
-	p := buildPipeline(t, ds)
-	q := streach.Query{Src: 0, Dst: 7, Interval: streach.NewInterval(10, 150)}
-
-	p.grid.ResetStats()
-	if _, err := p.grid.Reachable(q); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.grid.IOStats(); st.RandomReads+st.SequentialReads == 0 {
-		t.Error("grid query reported zero page reads")
-	}
-	p.grid.ResetStats()
-	if st := p.grid.IOStats(); st.Normalized != 0 {
-		t.Errorf("ResetStats left %.1f normalized IOs", st.Normalized)
-	}
-
-	p.graph.ResetStats()
-	if _, err := p.graph.Reachable(q); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.graph.IOStats(); st.RandomReads+st.SequentialReads == 0 {
-		t.Error("graph query reported zero page reads")
-	}
-	if p.grid.IndexBytes() == 0 || p.graph.IndexBytes() == 0 {
-		t.Error("index sizes reported as zero")
-	}
-}
-
 // TestDeterministicGeneration pins generator reproducibility.
 func TestDeterministicGeneration(t *testing.T) {
 	a := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 20, NumTicks: 100, Seed: 42})
@@ -264,13 +233,15 @@ func equalIDs(a, b []streach.ObjectID) bool {
 }
 
 // TestContactStreamMatchesBatch feeds a dataset through the incremental
-// stream and compares a mid-stream and a final snapshot against batch
-// extraction.
+// contact stream of a LiveEngine and compares a mid-stream and a final
+// snapshot against batch extraction. The slab is wider than the feed, so
+// the snapshot is the incremental builder's network, unsplit by seals.
 func TestContactStreamMatchesBatch(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 30, NumTicks: 150, Seed: 33,
 	})
-	cs, err := streach.NewContactStream(ds.NumObjects(), ds.Env(), ds.ContactDist())
+	cs, err := streach.NewLiveEngine("oracle", ds.NumObjects(), ds.Env(), ds.ContactDist(),
+		streach.Options{SegmentTicks: 2 * ds.NumTicks()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +268,7 @@ func TestContactStreamMatchesBatch(t *testing.T) {
 		t.Fatalf("stream %d contacts, batch %d", got.NumContacts(), want.NumContacts())
 	}
 	// The streamed snapshot must answer queries identically.
-	graph, err := streach.BuildReachGraphFromContacts(got, streach.ReachGraphOptions{})
+	graph, err := streach.Open("reachgraph", got, streach.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,20 +276,13 @@ func TestContactStreamMatchesBatch(t *testing.T) {
 	for _, q := range streach.RandomQueries(streach.WorkloadOptions{
 		NumObjects: 30, NumTicks: 150, Count: 50, MinLen: 10, MaxLen: 100, Seed: 35,
 	}) {
-		wantR := oracle.Reachable(q)
-		gotR, err := graph.Reachable(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotR != wantR {
-			t.Fatalf("%v: stream-built graph %v, oracle %v", q, gotR, wantR)
-		}
+		agree(t, graph, q, oracle.Reachable(q))
 	}
 	// Validation errors.
-	if _, err := streach.NewContactStream(0, ds.Env(), 25); err == nil {
+	if _, err := streach.NewLiveEngine("oracle", 0, ds.Env(), 25, streach.Options{}); err == nil {
 		t.Error("zero objects: want error")
 	}
-	if _, err := streach.NewContactStream(5, ds.Env(), 0); err == nil {
+	if _, err := streach.NewLiveEngine("oracle", 5, ds.Env(), 0, streach.Options{}); err == nil {
 		t.Error("zero threshold: want error")
 	}
 	if err := cs.AddInstant(positions[:3]); err == nil {

@@ -1,12 +1,12 @@
 // The uncertain:* backend family: §7's probabilistic contact-network
 // engines lifted into the registry. An "uncertain:<base>" backend wraps any
-// registered contact-sourced base with a disk-resident contact store —
+// base with a disk-resident contact store —
 // time-bucketed blobs in the versioned contact codec (the v2 layout carries
 // the per-contact weight/duration sidecar; v1 blobs decode forever with a
-// zero sidecar) — and answers every temporal-semantics spec natively:
-// filtered and hop-bounded profiles evaluate over the decoded, predicate-
-// projected network, charging real blob reads to the query's accountant,
-// while plain boolean queries delegate to the base index untouched.
+// zero sidecar) — and answers every forward sweep natively: plain, filtered
+// and hop-bounded profiles evaluate over the decoded, predicate-projected
+// network, charging real blob reads to the query's accountant, while
+// boolean point queries delegate to the base index untouched.
 //
 // For probabilistic point queries the facade's profile evaluation reports
 // Prob = p^minHops under the τ-folded budget — exactly the maximum path
@@ -22,7 +22,6 @@ package streach
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"streach/internal/contact"
 	"streach/internal/pagefile"
@@ -45,24 +44,19 @@ type uncertainBucket struct {
 	maxHi Tick
 }
 
-// uncertainCore wraps a base engineCore with the bucketed contact store.
+// uncertainCore wraps a base core with the bucketed contact store.
 type uncertainCore struct {
-	base       engineCore
+	base       core
 	store      *pagefile.Store
 	buckets    []uncertainBucket
 	numObjects int
 	numTicks   int
 }
 
-func buildUncertainCore(base string, src Source, opts Options) (engineCore, error) {
-	baseSpec, ok := registry[base]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (uncertain base)", ErrUnknownBackend, base)
-	}
-	if baseSpec.info.NeedsTrajectories && src.sourceDataset() == nil {
-		return nil, fmt.Errorf("open %q: %w", base, ErrNeedsTrajectories)
-	}
-	bc, err := baseSpec.open(src, opts)
+func buildUncertainCore(base backendSpec, src Source, opts Options) (core, error) {
+	// The base index and the contact store share one pool.
+	opts = withSharedPool(opts, base.info.DiskResident)
+	bc, err := base.build(src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -131,47 +125,32 @@ func (c *uncertainCore) loadNetwork(iv Interval, f queries.Filter, acct *pagefil
 	return contact.FromContacts(c.numObjects, c.numTicks, kept), nil
 }
 
-// --- engineCore: plain boolean queries ride the base index ---
-
-func (c *uncertainCore) reach(ctx context.Context, q Query, acct *pagefile.Stats) (bool, int, error) {
-	return c.base.reach(ctx, q, acct)
+// Boolean point queries ride the base index.
+func (c *uncertainCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
+	return c.base.reach(ctx, seeds, dst, iv, acct)
 }
 
-func (c *uncertainCore) reachSet(ctx context.Context, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
-	return c.base.reachSet(ctx, src, iv, acct)
+func (c *uncertainCore) disk() diskIO {
+	var d diskIO
+	d.merge(c.base.disk())
+	d.merge(onDisk(c.store))
+	return d
 }
 
-func (c *uncertainCore) ioTotals() pagefile.Stats {
-	sum := c.base.ioTotals()
-	sum.Add(c.store.Counters())
-	return sum
-}
+// Every forward spec is native over the decoded store, whatever the base
+// supports.
+func (c *uncertainCore) supports(spec semSpec) bool { return spec.dir == forward }
 
-func (c *uncertainCore) resetIO() {
-	c.base.resetIO()
-	c.store.ResetCounters()
-}
-
-func (c *uncertainCore) indexBytes() int64 {
-	return c.base.indexBytes() + c.store.SizeBytes()
-}
-
-func (c *uncertainCore) dropCache() {
-	c.base.dropCache()
-	c.store.DropCache()
-}
-
-// --- semCore: every spec is native over the decoded store ---
-
-func (c *uncertainCore) semSupports(semSpec) bool { return true }
-
-func (c *uncertainCore) semProfile(_ context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+func (c *uncertainCore) sweep(_ context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+	if !c.supports(spec) {
+		return out, 0, errNotNative
+	}
 	net, err := c.loadNetwork(iv, spec.filter, acct)
 	if err != nil {
-		return dst, 0, err
+		return out, 0, err
 	}
-	entries, n := queries.NewOracle(net).ProfileFrom(seeds, iv, spec.budget, earlyDst)
-	return append(dst, entries...), n, nil
+	entries, n := queries.NewOracle(net).ProfileFrom(seeds, iv, spec.budget, early)
+	return append(out, entries...), n, nil
 }
 
 // probPath runs the paper's exact −log p Dijkstra (internal/uncertain)
@@ -223,65 +202,20 @@ func (c *uncertainCore) probPath(q Query, acct *pagefile.Stats) (uncertain.PathR
 	return eng.BestProbPath(q.Src, q.Dst, iv, popts)
 }
 
-// --- registry wiring ---
-
-// uncertainName is the canonical "uncertain:<base>" spelling.
-func uncertainName(base string) string { return "uncertain:" + base }
-
-// parseUncertainName splits "uncertain:<base>"; ok is false for anything
-// else (including nested uncertain bases).
-func parseUncertainName(name string) (base string, ok bool) {
-	base, found := strings.CutPrefix(name, "uncertain:")
-	if !found || base == "" || strings.HasPrefix(base, "uncertain:") {
-		return "", false
-	}
-	return base, true
-}
-
-// uncertainSpec synthesizes the registry entry of an uncertain backend
-// name, resolving the base against the static registry — any registered
-// base composes dynamically, not just the pre-registered points.
-func uncertainSpec(name string) (backendSpec, bool) {
-	base, ok := parseUncertainName(name)
-	if !ok {
-		return backendSpec{}, false
-	}
-	base = strings.ToLower(strings.TrimSpace(base))
-	if alias, ok := aliases[base]; ok {
-		base = alias
-	}
-	baseSpec, ok := registry[base]
-	if !ok {
-		return backendSpec{}, false
-	}
+// uncertainOver is the "uncertain:" combinator. Boolean point queries
+// delegate to the base index, so the wrapper's disk residency is the base's;
+// the contact store additionally charges blob reads on sweeps.
+func uncertainOver(base backendSpec) backendSpec {
 	return backendSpec{
 		info: BackendInfo{
-			Name:        uncertainName(base),
-			Description: fmt.Sprintf("uncertain contact store over %s: filtered + probabilistic queries native (§7)", base),
-			// Plain boolean queries delegate to the base index, so the
-			// wrapper's disk residency is the base's; the contact store
-			// additionally charges blob reads on semantic queries.
-			DiskResident:      baseSpec.info.DiskResident,
-			NeedsTrajectories: baseSpec.info.NeedsTrajectories,
+			Name:              "uncertain:" + base.info.Name,
+			Description:       fmt.Sprintf("uncertain contact store over %s: filtered + probabilistic queries native (§7)", base.info.Name),
+			DiskResident:      base.info.DiskResident,
+			NeedsTrajectories: base.info.NeedsTrajectories,
 		},
-		open: func(src Source, opts Options) (engineCore, error) {
+		open: func(src Source, opts Options) (core, error) {
 			return buildUncertainCore(base, src, opts)
 		},
-	}, true
-}
-
-// uncertainPoints are the pre-registered uncertain configurations: the
-// ground-truth base and the flagship disk index. Every other
-// "uncertain:<base>" combination resolves dynamically through lookupSpec.
-var uncertainPoints = []string{"oracle", "reachgraph"}
-
-func init() {
-	for _, base := range uncertainPoints {
-		spec, ok := uncertainSpec(uncertainName(base))
-		if !ok {
-			panic("streach: unresolvable uncertain point " + base)
-		}
-		registry[spec.info.Name] = spec
+		base: &base,
 	}
-	aliases["uncertain"] = uncertainName("oracle")
 }
