@@ -10,6 +10,30 @@
 // exactly when it is the physical successor of the previously read page of
 // the same access stream.
 //
+// # Integrity
+//
+// Every blob carries an 8-byte header: its payload length and the payload's
+// CRC-32C (Castagnoli, the polynomial with SSE4.2 / ARMv8 instructions —
+// hash/crc32 uses them, and slicing-8 elsewhere). ReadBlob checks both on
+// every call, pool hit or miss; nothing is verified once and trusted after.
+// Any single-bit flip inside a blob's bytes, header included, therefore
+// surfaces as ErrCorruptBlob, while damage to page slack or to a
+// neighbouring blob packed on the same page leaves this blob readable.
+//
+// # Views
+//
+// A blob occupies one extent: pages that are consecutive on the simulated
+// disk and contiguous in memory. ReadBlob returns a view of that memory —
+// no copy — after passing each page through the buffer pool, so the I/O
+// counts are those of a page-at-a-time read. The view aliases the store:
+// callers must not modify it, and it stays valid and unchanged for the
+// life of the store, because a store only ever appends and blobs never
+// overlap. The buffer pool consequently tracks which pages are resident,
+// not their bytes; DropCache and evictions never invalidate a view.
+// CorruptPage is the one writer of published bytes: it exists for
+// failure-injection tests, a view taken earlier sees the damage, and it
+// must not run while another goroutine reads the same page.
+//
 // # Concurrency model
 //
 // The layer is built for serving-style workloads where many read-only
@@ -20,23 +44,25 @@
 //     concurrency) and threads it through ReadBlob. A Stats must not be
 //     shared between goroutines.
 //   - Store keeps cumulative totals in atomic counters (Counters), charged
-//     on every read alongside the caller's accountant, so per-query deltas
-//     sum exactly to the store totals.
+//     once per ReadBlob alongside the caller's accountant, so per-query
+//     deltas sum exactly to the store totals.
 //   - BufferPool is a page-sharded LRU safe for concurrent use: pages hash
-//     onto independently latched shards, and the hit/miss/eviction counters
-//     are atomic. One pool can be shared by several stores (pages are keyed
-//     by store identity), giving all readers of one dataset a common page
-//     budget.
+//     onto independently latched shards, each page access takes its
+//     shard's latch once, and the hit/miss/eviction counters are atomic.
+//     One pool can be shared by several stores (pages are keyed by store
+//     identity), giving all readers of one dataset a common page budget.
 //
 // Writes (AppendBlob) happen during index construction, before queries
-// start; they are serialized against reads by the store's internal lock but
-// are not designed for concurrent bulk loading.
+// start; they are serialized against each other by the store's internal
+// lock, and a ReadBlob takes one snapshot of the page table under it, but
+// they are not designed for concurrent bulk loading.
 package pagefile
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 )
@@ -117,8 +143,9 @@ type Store struct {
 	shared bool // pool is shared with other stores; DropCache evicts only our pages
 
 	mu       sync.RWMutex
-	pages    [][]byte
-	tailUsed int // bytes used in the final page (blob packing)
+	pages    [][]byte // page table: len PageSize each, cap to the end of the page's extent
+	spare    [][]byte // pages allocExtent obtained but has not handed out yet
+	tailUsed int      // bytes used in the final page (blob packing)
 
 	randomReads     atomic.Int64
 	sequentialReads atomic.Int64
@@ -217,56 +244,74 @@ type BlobRef struct {
 // Null reports whether the reference does not point at any blob.
 func (r BlobRef) Null() bool { return r.Bytes == 0 && r.Page == 0 }
 
-// blobHeader is a small per-blob integrity header: payload length plus an
-// additive checksum, letting ReadBlob detect truncated or corrupted pages.
+// blobHeader is a small per-blob integrity header: payload length plus the
+// payload's CRC-32C, letting ReadBlob detect truncated or corrupted pages.
 const blobHeaderSize = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// extentGrain is the unit, in pages, in which page memory is obtained. The
+// Go heap hands out objects above 32 KiB in 8 KiB units, so an extent of an
+// odd number of pages allocated on its own would cost one page more than it
+// holds: 0.7–1.8 % of the benchmark's ReachGraph indexes, which are nine
+// tenths of the heap the benchmark measures.
+const extentGrain = 2
+
+// allocExtent returns n zeroed pages contiguous in memory. Memory comes in
+// whole grains; a page left over is kept and becomes a later one-page
+// extent, so no arena has a tail that is never used. The caller holds mu.
+func (st *Store) allocExtent(n int) []byte {
+	if k := len(st.spare); n == 1 && k > 0 {
+		page := st.spare[k-1]
+		st.spare = st.spare[:k-1]
+		return page
+	}
+	size := n * PageSize
+	arena := make([]byte, (n+extentGrain-1)/extentGrain*extentGrain*PageSize)
+	if len(arena) > size {
+		st.spare = append(st.spare, arena[size:])
+	}
+	return arena[:size:size]
+}
 
 // AppendBlob writes data onto the store and returns its reference. Blobs
 // are packed: one that fits the free tail of the last page is placed
 // there (page-granular footprints would otherwise swallow the codec's
 // byte savings — a 200-byte posting must not cost 4 KiB); larger blobs
-// start on a fresh page and run over consecutive pages. An empty blob is
-// legal.
+// start on a fresh page and occupy one extent of consecutive pages. An
+// empty blob is legal.
 func (st *Store) AppendBlob(data []byte) BlobRef {
-	buf := make([]byte, blobHeaderSize+len(data))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(data)))
-	binary.LittleEndian.PutUint32(buf[4:8], checksum(data))
-	copy(buf[blobHeaderSize:], data)
+	size := blobHeaderSize + len(data)
+	sum := crc32.Checksum(data, castagnoli)
+	st.payloadBytes.Add(int64(size))
 
-	st.payloadBytes.Add(int64(len(buf)))
 	st.mu.Lock()
-	if len(st.pages) > 0 && len(buf) <= PageSize-st.tailUsed {
-		// Pack into the current page's free tail.
-		p := int64(len(st.pages) - 1)
-		off := st.tailUsed
-		copy(st.pages[p][off:], buf)
-		st.tailUsed += len(buf)
-		st.mu.Unlock()
-		return BlobRef{Page: p, Off: int32(off), Bytes: int32(len(buf))}
-	}
-	first := int64(len(st.pages))
-	for off := 0; off < len(buf) || off == 0; off += PageSize {
-		end := off + PageSize
-		if end > len(buf) {
-			end = len(buf)
+	defer st.mu.Unlock()
+	ref := BlobRef{Page: int64(len(st.pages)) - 1, Off: int32(st.tailUsed), Bytes: int32(size)}
+	if len(st.pages) == 0 || size > PageSize-st.tailUsed {
+		n := (size + PageSize - 1) / PageSize
+		ref.Page, ref.Off = int64(len(st.pages)), 0
+		extent := st.allocExtent(n)
+		for off := 0; off < len(extent); off += PageSize {
+			st.pages = append(st.pages, extent[off:off+PageSize:len(extent)])
 		}
-		page := make([]byte, PageSize)
-		copy(page, buf[off:end])
-		st.pages = append(st.pages, page)
-		st.pagesWritten.Add(1)
-		st.tailUsed = end - off
-		if end == len(buf) {
-			break
-		}
+		st.pagesWritten.Add(int64(n))
 	}
-	st.mu.Unlock()
-	return BlobRef{Page: first, Bytes: int32(len(buf))}
+	end := int(ref.Off) + size
+	dst := st.pages[ref.Page][ref.Off:end]
+	binary.LittleEndian.PutUint32(dst[0:4], uint32(len(data)))
+	binary.LittleEndian.PutUint32(dst[4:8], sum)
+	copy(dst[blobHeaderSize:], data)
+	st.tailUsed = (end-1)%PageSize + 1
+	return ref
 }
 
 // ReadBlob fetches the blob at ref, charging acct (and the store's atomic
 // totals) for pages that miss the buffer pool. acct may be nil, in which
 // case sequential runs are still detected within this one blob but not
-// across calls. The returned slice must not be modified.
+// across calls. Length and checksum are verified on every call. The
+// returned slice is a view of the store's memory (see the package comment)
+// and must not be modified.
 func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
 	if ref.Bytes < blobHeaderSize {
 		return nil, fmt.Errorf("%w: header too short (%d bytes)", ErrCorruptBlob, ref.Bytes)
@@ -274,60 +319,56 @@ func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
 	if ref.Off < 0 || ref.Off >= PageSize {
 		return nil, fmt.Errorf("pagefile: blob offset %d outside page", ref.Off)
 	}
+	var own Stats
 	if acct == nil {
-		acct = &Stats{}
+		acct = &own
 	}
-	numPages := (int64(ref.Off) + int64(ref.Bytes) + PageSize - 1) / PageSize
+	end := int(ref.Off) + int(ref.Bytes)
+	numPages := int64(end+PageSize-1) / PageSize
 	st.mu.RLock()
-	total := int64(len(st.pages))
+	pages := st.pages // append-only: the entries of a snapshot never change
 	st.mu.RUnlock()
-	if ref.Page < 0 || ref.Page+numPages > total {
+	if ref.Page < 0 || ref.Page > int64(len(pages))-numPages {
 		return nil, fmt.Errorf("pagefile: blob [%d, %d) outside store of %d pages",
-			ref.Page, ref.Page+numPages, total)
+			ref.Page, ref.Page+numPages, len(pages))
 	}
-	buf := make([]byte, 0, numPages*PageSize)
+	first := pages[ref.Page]
+	if end > cap(first) {
+		return nil, fmt.Errorf("pagefile: blob [%d, %d) is not within one extent", ref.Page, ref.Page+numPages)
+	}
+	var hits, seq, random int64
 	for p := ref.Page; p < ref.Page+numPages; p++ {
-		buf = append(buf, st.fetchPage(p, acct)...)
+		switch {
+		case st.pool != nil && st.pool.Touch(st.id, p):
+			hits++
+		case acct.sequential(p):
+			seq++
+		default:
+			random++
+		}
 	}
-	buf = buf[ref.Off : int64(ref.Off)+int64(ref.Bytes)]
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	if int64(n) != int64(ref.Bytes)-blobHeaderSize {
+	acct.BufferHits += hits
+	st.bufferHits.Add(hits)
+	st.sequentialReads.Add(seq)
+	st.randomReads.Add(random)
+
+	buf := first[ref.Off:end]
+	if n := binary.LittleEndian.Uint32(buf[0:4]); int64(n) != int64(ref.Bytes)-blobHeaderSize {
 		return nil, fmt.Errorf("%w: length mismatch (header %d, ref %d)", ErrCorruptBlob, n, ref.Bytes-blobHeaderSize)
 	}
 	payload := buf[blobHeaderSize:]
-	if checksum(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptBlob)
 	}
 	return payload, nil
 }
 
-// fetchPage returns page p's bytes, via the buffer pool when present,
-// charging acct and the store totals.
-func (st *Store) fetchPage(p int64, acct *Stats) []byte {
-	if st.pool != nil {
-		if data, ok := st.pool.Get(st.id, p); ok {
-			acct.BufferHits++
-			st.bufferHits.Add(1)
-			return data
-		}
-	}
-	if acct.sequential(p) {
-		st.sequentialReads.Add(1)
-	} else {
-		st.randomReads.Add(1)
-	}
-	st.mu.RLock()
-	data := st.pages[p]
-	st.mu.RUnlock()
-	if st.pool != nil {
-		st.pool.Put(st.id, p, data)
-	}
-	return data
-}
-
 // CorruptPage flips a byte of page p. It exists for failure-injection tests
 // and must not race with concurrent reads of the same page.
 func (st *Store) CorruptPage(p int64, offset int) error {
+	if offset < 0 {
+		return fmt.Errorf("pagefile: negative page offset %d", offset)
+	}
 	st.mu.Lock()
 	if p < 0 || p >= int64(len(st.pages)) {
 		st.mu.Unlock()
@@ -335,26 +376,16 @@ func (st *Store) CorruptPage(p int64, offset int) error {
 	}
 	st.pages[p][offset%PageSize] ^= 0xFF
 	st.mu.Unlock()
-	// Invalidate any cached copy so the corruption is observable.
+	// Drop the page from the pool, so the next read goes to disk for it.
 	if st.pool != nil {
 		st.pool.Evict(st.id, p)
 	}
 	return nil
 }
 
-func checksum(data []byte) uint32 {
-	// FNV-1a, inlined to keep the page format self-contained.
-	h := uint32(2166136261)
-	for _, b := range data {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
-}
-
 // PoolStats is a snapshot of a buffer pool's global atomic counters.
 type PoolStats struct {
-	// Hits and Misses count Get outcomes.
+	// Hits and Misses count Touch outcomes.
 	Hits, Misses int64
 	// Evictions counts pages displaced by the capacity limit (explicit
 	// Evict/Clear/EvictStore calls are not counted).
@@ -380,9 +411,11 @@ type pageKey struct {
 }
 
 // BufferPool is a fixed-capacity LRU page cache, safe for concurrent use.
-// Pages hash onto independently latched shards (segmented LRU: recency is
-// tracked per shard, the capacity bound is global) and the counters are
-// atomic, so concurrent readers never serialize behind a pool-wide lock.
+// It records which pages are resident, not their bytes: the simulated disk
+// is itself in memory, and ReadBlob serves views of it. Pages hash onto
+// independently latched shards (segmented LRU: recency is tracked per
+// shard, the capacity bound is global) and the counters are atomic, so
+// concurrent readers never serialize behind a pool-wide lock.
 type BufferPool struct {
 	shards []poolShard
 
@@ -402,7 +435,6 @@ type poolShard struct {
 
 type poolNode struct {
 	key        pageKey
-	data       []byte
 	prev, next *poolNode
 }
 
@@ -472,49 +504,41 @@ func (bp *BufferPool) Stats() PoolStats {
 	}
 }
 
-// Get returns the cached bytes of page (store, p) and marks it most
-// recently used within its shard.
-func (bp *BufferPool) Get(store uint64, p int64) ([]byte, bool) {
+// Touch is one access to page (store, p), under one acquisition of its
+// shard's latch. It reports a hit when the page is resident, and marks it
+// most recently used; on a miss it makes the page resident, displacing the
+// least recently used page of the shard — whose node it reuses — when the
+// shard is at capacity.
+func (bp *BufferPool) Touch(store uint64, p int64) (hit bool) {
 	k := pageKey{store, p}
 	sh := bp.shardOf(k)
 	sh.mu.Lock()
-	n, ok := sh.entries[k]
-	if !ok {
-		sh.mu.Unlock()
-		bp.misses.Add(1)
-		return nil, false
-	}
-	sh.moveToFront(n)
-	data := n.data
-	sh.mu.Unlock()
-	bp.hits.Add(1)
-	return data, true
-}
-
-// Put caches page (store, p), evicting the least recently used page of its
-// shard if the shard is at capacity.
-func (bp *BufferPool) Put(store uint64, p int64, data []byte) {
-	k := pageKey{store, p}
-	sh := bp.shardOf(k)
-	sh.mu.Lock()
-	if n, ok := sh.entries[k]; ok {
-		n.data = data
+	n, hit := sh.entries[k]
+	full := !hit && len(sh.entries) >= sh.capacity
+	switch {
+	case hit:
 		sh.moveToFront(n)
-		sh.mu.Unlock()
-		return
-	}
-	n := &poolNode{key: k, data: data}
-	sh.entries[k] = n
-	sh.pushFront(n)
-	evicted := 0
-	for len(sh.entries) > sh.capacity {
-		sh.evictTail()
-		evicted++
+	case full:
+		n = sh.tail
+		delete(sh.entries, n.key)
+		n.key = k
+		sh.entries[k] = n
+		sh.moveToFront(n)
+	default:
+		n = &poolNode{key: k}
+		sh.entries[k] = n
+		sh.pushFront(n)
 	}
 	sh.mu.Unlock()
-	if evicted > 0 {
-		bp.evictions.Add(int64(evicted))
+	if hit {
+		bp.hits.Add(1)
+		return true
 	}
+	bp.misses.Add(1)
+	if full {
+		bp.evictions.Add(1)
+	}
+	return false
 }
 
 // Evict removes page (store, p) from the pool if present.
@@ -587,13 +611,4 @@ func (sh *poolShard) moveToFront(n *poolNode) {
 	}
 	sh.unlink(n)
 	sh.pushFront(n)
-}
-
-func (sh *poolShard) evictTail() {
-	if sh.tail == nil {
-		return
-	}
-	t := sh.tail
-	sh.unlink(t)
-	delete(sh.entries, t.key)
 }

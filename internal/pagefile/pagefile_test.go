@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -244,12 +245,13 @@ func TestBufferPoolLRUWithinShard(t *testing.T) {
 	// Capacity 1 ⇒ one shard: global LRU semantics are exact and the
 	// classic eviction order is observable.
 	bp := NewBufferPool(1)
-	bp.Put(1, 1, []byte{1})
-	bp.Put(1, 2, []byte{2}) // evicts 1
-	if _, ok := bp.Get(1, 1); ok {
-		t.Fatal("page 1 should have been evicted")
+	if bp.Touch(1, 1) {
+		t.Fatal("first access of page 1 hit")
 	}
-	if _, ok := bp.Get(1, 2); !ok {
+	if bp.Touch(1, 2) { // evicts 1
+		t.Fatal("first access of page 2 hit")
+	}
+	if !bp.Touch(1, 2) {
 		t.Fatal("page 2 should be cached")
 	}
 	if bp.Len() != 1 {
@@ -258,53 +260,107 @@ func TestBufferPoolLRUWithinShard(t *testing.T) {
 	if ev := bp.Stats().Evictions; ev != 1 {
 		t.Fatalf("Evictions = %d, want 1", ev)
 	}
+	if bp.Touch(1, 1) {
+		t.Fatal("page 1 should have been evicted")
+	}
+	if s := bp.Stats(); s.Hits != 1 || s.Misses != 3 || s.Evictions != 2 {
+		t.Fatalf("stats = %+v, want 1 hit, 3 misses, 2 evictions", s)
+	}
 }
 
 func TestBufferPoolUpdateAndEvict(t *testing.T) {
 	bp := NewBufferPool(2)
-	bp.Put(1, 1, []byte{1})
-	bp.Put(1, 1, []byte{9}) // update, no growth
-	if bp.Len() != 1 {
-		t.Fatalf("Len after update = %d, want 1", bp.Len())
+	bp.Touch(1, 1)
+	if !bp.Touch(1, 1) { // re-access, no growth
+		t.Fatal("re-access missed")
 	}
-	if d, _ := bp.Get(1, 1); d[0] != 9 {
-		t.Fatal("update not visible")
+	if bp.Len() != 1 {
+		t.Fatalf("Len after re-access = %d, want 1", bp.Len())
 	}
 	bp.Evict(1, 1)
-	if _, ok := bp.Get(1, 1); ok {
+	if bp.Len() != 0 {
 		t.Fatal("evicted page still cached")
+	}
+	if bp.Touch(1, 1) {
+		t.Fatal("access after Evict hit")
 	}
 	bp.Evict(1, 42) // no-op must not panic
 	bp.Clear()
 	if bp.Len() != 0 {
 		t.Fatal("Clear left entries")
 	}
+	if ev := bp.Stats().Evictions; ev != 0 {
+		t.Fatalf("explicit evictions counted as capacity evictions: %d", ev)
+	}
+}
+
+// lruModel is the reference the one-shard pool must match access for
+// access: a slice ordered most recently used first.
+type lruModel struct {
+	capacity int
+	pages    []int64
+}
+
+func (m *lruModel) evict(p int64) bool {
+	for i, q := range m.pages {
+		if q == p {
+			m.pages = append(m.pages[:i], m.pages[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (m *lruModel) touch(p int64) (hit, evicted bool) {
+	hit = m.evict(p)
+	if !hit && len(m.pages) == m.capacity {
+		m.pages = m.pages[:m.capacity-1]
+		evicted = true
+	}
+	m.pages = append([]int64{p}, m.pages...)
+	return hit, evicted
 }
 
 func TestBufferPoolStress(t *testing.T) {
-	// Random ops; the capacity invariant must hold throughout.
+	// Random ops on a one-shard pool: every outcome and every counter must
+	// match the reference LRU, so recycling the evicted node for the
+	// incoming page loses neither a resident page nor its recency.
 	bp := NewBufferPool(8)
+	model := lruModel{capacity: 8}
+	var want PoolStats
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
 		p := int64(rng.Intn(32))
-		switch rng.Intn(3) {
-		case 0:
-			bp.Put(1, p, []byte{byte(p)})
-		case 1:
-			if d, ok := bp.Get(1, p); ok && d[0] != byte(p) {
-				t.Fatal("wrong payload")
-			}
-		case 2:
+		if rng.Intn(3) == 2 {
 			bp.Evict(1, p)
+			model.evict(p)
+		} else {
+			hit, evicted := model.touch(p)
+			if got := bp.Touch(1, p); got != hit {
+				t.Fatalf("op %d: Touch(%d) hit = %v, reference LRU says %v", i, p, got, hit)
+			}
+			if hit {
+				want.Hits++
+			} else {
+				want.Misses++
+			}
+			if evicted {
+				want.Evictions++
+			}
 		}
-		if bp.Len() > 8 {
-			t.Fatalf("capacity exceeded: %d", bp.Len())
+		if bp.Len() != len(model.pages) {
+			t.Fatalf("op %d: Len = %d, reference LRU holds %d", i, bp.Len(), len(model.pages))
 		}
+	}
+	want.Resident, want.Capacity = len(model.pages), 8
+	if got := bp.Stats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
 
 func TestBufferPoolConcurrentStress(t *testing.T) {
 	bp := NewBufferPool(32)
+	var touches atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -314,17 +370,12 @@ func TestBufferPoolConcurrentStress(t *testing.T) {
 			store := uint64(w%3) + 1
 			for i := 0; i < 3000; i++ {
 				p := int64(rng.Intn(64))
-				switch rng.Intn(4) {
-				case 0, 1:
-					bp.Put(store, p, []byte{byte(p)})
-				case 2:
-					if d, ok := bp.Get(store, p); ok && d[0] != byte(p) {
-						t.Error("wrong payload under concurrency")
-						return
-					}
-				case 3:
+				if rng.Intn(4) == 3 {
 					bp.Evict(store, p)
+					continue
 				}
+				bp.Touch(store, p)
+				touches.Add(1)
 			}
 		}(w)
 	}
@@ -333,8 +384,11 @@ func TestBufferPoolConcurrentStress(t *testing.T) {
 		t.Fatalf("capacity exceeded: %d", bp.Len())
 	}
 	s := bp.Stats()
-	if s.Hits+s.Misses == 0 {
-		t.Fatal("no pool traffic recorded")
+	if s.Hits+s.Misses != touches.Load() {
+		t.Fatalf("hits %d + misses %d != %d accesses", s.Hits, s.Misses, touches.Load())
+	}
+	if s.Evictions > s.Misses {
+		t.Fatalf("%d evictions from %d misses", s.Evictions, s.Misses)
 	}
 }
 

@@ -65,3 +65,99 @@ func TestTruncatedDirectoryFails(t *testing.T) {
 		t.Fatal("no directory lookup surfaced the corruption")
 	}
 }
+
+// TestCorruptionConfinedToItsBlob damages the store one byte at a time and
+// checks the damage surfaces exactly where it is: every byte of a directory
+// blob — its integrity header included — fails that object's lookup and
+// leaves the neighbour packed on the same page readable; a byte on each
+// page of a multi-page partition extent fails that partition and no other;
+// a byte of page slack fails nothing. The pool is on, so the reads after
+// the first are pool hits: those are verified like misses.
+func TestCorruptionConfinedToItsBlob(t *testing.T) {
+	f := newFixture(t, 40, 250, 61)
+	ix, err := Build(f.g, Params{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flip damages one byte; flipping it again repairs it.
+	flip := func(page int64, off int) {
+		t.Helper()
+		if err := ix.Store().CorruptPage(page, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup := func(o int) error {
+		_, _, err := ix.findVertex(trajectory.ObjectID(o), 50, nil)
+		return err
+	}
+	load := func(pid int) error {
+		c := &cursor{}
+		c.reset(ix.numNodes, len(ix.partRefs))
+		c.ix = ix
+		return c.loadPartition(int32(pid))
+	}
+
+	// A directory blob that shares its page with the next object's.
+	o := -1
+	for i := 0; i+1 < len(ix.dirRefs); i++ {
+		if ix.dirRefs[i].Page == ix.dirRefs[i+1].Page {
+			o = i
+			break
+		}
+	}
+	if o < 0 {
+		t.Fatal("no two directory blobs share a page; fixture too large for the test")
+	}
+	ref := ix.dirRefs[o]
+	for i := 0; i < int(ref.Bytes); i++ {
+		flip(ref.Page, int(ref.Off)+i)
+		if err := lookup(o); !errors.Is(err, pagefile.ErrCorruptBlob) {
+			t.Fatalf("byte %d of object %d's directory damaged: lookup err = %v, want ErrCorruptBlob", i, o, err)
+		}
+		if err := lookup(o + 1); err != nil {
+			t.Fatalf("damage to object %d's directory broke its page neighbour: %v", o, err)
+		}
+		flip(ref.Page, int(ref.Off)+i)
+	}
+	if err := lookup(o); err != nil {
+		t.Fatalf("repaired directory still fails: %v", err)
+	}
+
+	// The partition with the longest extent, and any other partition.
+	pid := 0
+	for i, r := range ix.partRefs {
+		if r.Bytes > ix.partRefs[pid].Bytes {
+			pid = i
+		}
+	}
+	ref = ix.partRefs[pid]
+	if ref.Bytes <= pagefile.PageSize {
+		t.Fatal("no multi-page partition; fixture too small for the test")
+	}
+	other := (pid + 1) % len(ix.partRefs)
+	for b := int(ref.Bytes) - 1; b >= 0; b -= pagefile.PageSize { // one byte on each page, last byte first
+		page, off := ref.Page+int64(b/pagefile.PageSize), b%pagefile.PageSize
+		flip(page, off)
+		if err := load(pid); !errors.Is(err, pagefile.ErrCorruptBlob) {
+			t.Fatalf("page %d of partition %d damaged: load err = %v, want ErrCorruptBlob", page-ref.Page, pid, err)
+		}
+		if err := load(other); err != nil {
+			t.Fatalf("damage to partition %d broke partition %d: %v", pid, other, err)
+		}
+		flip(page, off)
+	}
+	if err := load(pid); err != nil {
+		t.Fatalf("repaired partition still fails: %v", err)
+	}
+
+	// Slack: the bytes after the last blob on the last page belong to none.
+	last := ix.dirRefs[len(ix.dirRefs)-1]
+	if end := int(last.Off) + int(last.Bytes); end < pagefile.PageSize {
+		flip(last.Page, pagefile.PageSize-1)
+		for o := range ix.dirRefs {
+			if err := lookup(o); err != nil {
+				t.Fatalf("damaged page slack broke object %d's directory: %v", o, err)
+			}
+		}
+	}
+}

@@ -60,3 +60,79 @@ func TestSPJCorruptionSurfaces(t *testing.T) {
 		t.Fatalf("SPJ over corrupted store: err = %v, want ErrCorruptBlob", err)
 	}
 }
+
+// TestCorruptionConfinedToItsBlob damages one byte at a time — every byte of
+// a directory chunk and of a cell blob, integrity headers included — and
+// checks that exactly the damaged blob fails with ErrCorruptBlob while its
+// neighbour packed on the same page stays readable. The pool is on, so the
+// reads after the first are pool hits: those are verified like misses.
+func TestCorruptionConfinedToItsBlob(t *testing.T) {
+	d := testDataset(t, 40, 200, 51)
+	ix := buildIndex(t, d, Params{PoolPages: 64})
+	sc := ix.pool.Get()
+	defer ix.pool.Put(sc)
+	sc.reset(ix)
+	var acct pagefile.Stats
+	readDir := func(bi int) error {
+		_, err := ix.dirLookup(bi, 0, sc, &acct)
+		return err
+	}
+	readCell := func(bi, cell int) error {
+		sc.resetBucket(ix.numObjects, len(ix.buckets[bi].cellRefs))
+		return ix.loadCell(bi, cell, sc, &acct)
+	}
+
+	// Two non-empty cells of one bucket packed on one page, and that
+	// bucket's first directory chunk.
+	bi, a, b := -1, -1, -1
+	for i := range ix.buckets {
+		prev := -1
+		for c, r := range ix.buckets[i].cellRefs {
+			if r.Null() {
+				continue
+			}
+			if prev >= 0 && ix.buckets[i].cellRefs[prev].Page == r.Page {
+				bi, a, b = i, prev, c
+				break
+			}
+			prev = c
+		}
+		if bi >= 0 {
+			break
+		}
+	}
+	if bi < 0 {
+		t.Fatal("no two cell blobs share a page; fixture unsuited to the test")
+	}
+	cases := []struct {
+		what            string
+		ref             pagefile.BlobRef
+		damaged, intact func() error
+	}{
+		{"cell", ix.buckets[bi].cellRefs[a],
+			func() error { return readCell(bi, a) }, func() error { return readCell(bi, b) }},
+		{"directory chunk", ix.buckets[bi].dirRefs[0],
+			func() error { return readDir(bi) }, func() error { return readCell(bi, a) }},
+	}
+	for _, c := range cases {
+		for i := 0; i < int(c.ref.Bytes); i++ {
+			g := int(c.ref.Off) + i
+			page, off := c.ref.Page+int64(g/pagefile.PageSize), g%pagefile.PageSize
+			if err := ix.Store().CorruptPage(page, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.damaged(); !errors.Is(err, pagefile.ErrCorruptBlob) {
+				t.Fatalf("byte %d of a %s damaged: err = %v, want ErrCorruptBlob", i, c.what, err)
+			}
+			if err := c.intact(); err != nil {
+				t.Fatalf("damage to a %s broke another blob: %v", c.what, err)
+			}
+			if err := ix.Store().CorruptPage(page, off); err != nil { // flip back
+				t.Fatal(err)
+			}
+		}
+		if err := c.damaged(); err != nil {
+			t.Fatalf("repaired %s still fails: %v", c.what, err)
+		}
+	}
+}
