@@ -10,9 +10,8 @@ import (
 // The hot-path microbenchmarks run the standard workload through the
 // rewritten traversal cores on the RWP48 dataset (the bench-smoke tiny
 // preset: 48 objects, 240 ticks). They report allocations: the memory
-// backends must sit at 0 allocs/op in steady state (pinned by
-// TestHotpathSteadyStateAllocs below), the disk backends allocate only
-// for record decoding.
+// backends and disk ReachGraph must sit at 0 allocs/op in steady state
+// (pinned by TestHotpathSteadyStateAllocs below).
 
 func hotpathDataset() *streach.Dataset {
 	return streach.GenerateRandomWaypoint(streach.RWPOptions{
@@ -201,10 +200,10 @@ func BenchmarkShardSetSpatial4(b *testing.B) { benchmarkShardSet(b, "shard:4:spa
 // built for: objects orbit home regions, so a spatial cut keeps almost
 // every contact — and every query's expansion — shard-local. The win on a
 // single core is resource locality, not parallelism: each shard owns a
-// private buffer pool and decoded-record cache sized like the monolith's,
-// and its region-local working set fits where the monolith's union of all
-// regions cycles, so the sharded engine answers from warm records while
-// the single engine re-reads and re-decodes pages on every query.
+// private buffer pool sized like the monolith's, and its region-local
+// working set fits where the monolith's union of all
+// regions cycles, so the sharded engine answers from resident pages while
+// the single engine re-reads them on every query.
 func clusteredBenchDataset() *streach.Dataset {
 	return streach.GenerateClustered(streach.ClusteredOptions{
 		NumObjects: 384, NumTicks: 288, NumClusters: 12, RoamProb: 0.002, Seed: 57,
@@ -264,10 +263,12 @@ func BenchmarkShardPointHash4(b *testing.B) {
 }
 
 // TestHotpathSteadyStateAllocs asserts the tentpole claim directly: once
-// the pooled scratch is warm, point queries on the memory backends perform
-// zero heap allocations per evaluation — visited sets, frontier queues and
-// object sets all come from the per-engine pools. The bidir planner is
-// held to the same bar on its serial path (RWP48 frontiers stay below the
+// the pooled scratch is warm, point queries on the memory backends and on
+// disk ReachGraph perform zero heap allocations per evaluation — visited
+// sets, frontier queues and object sets all come from the per-engine pools,
+// and on disk so do the buffered partitions and the arena the visited
+// records are decoded into. The bidir and cross-segment planners are held
+// to the same bar on their serial paths (RWP48 frontiers stay below the
 // parallel-sweep threshold).
 func TestHotpathSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -279,7 +280,10 @@ func TestHotpathSteadyStateAllocs(t *testing.T) {
 	// "shard:1:reachgraph-mem" pins the K=1 serial fast path: the
 	// coordinator must delegate to its single child without touching the
 	// scatter-gather scratch.
-	for _, backend := range []string{"reachgraph-mem", "grail-mem", "bidir:reachgraph-mem", "shard:1:reachgraph-mem"} {
+	for _, backend := range []string{
+		"reachgraph-mem", "grail-mem", "bidir:reachgraph-mem", "shard:1:reachgraph-mem",
+		"reachgraph", "segmented:reachgraph", "bidir:reachgraph",
+	} {
 		e, err := streach.Open(backend, ds, streach.Options{})
 		if err != nil {
 			t.Fatal(err)

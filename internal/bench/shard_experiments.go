@@ -53,9 +53,9 @@ func (l *Lab) Clustered() *streach.Dataset {
 // one Record per (K, partitioner) point. The workload is large
 // ReachableSet queries (interval = a third of the time domain) over a
 // rotating source mix; each engine gets one warm pass first so the
-// measured pass sees steady-state per-shard pools and record caches —
-// the serving regime the coordinator's resource split is built for. The
-// sweep runs once per Lab.
+// measured pass sees steady-state per-shard pools and the decoded records
+// kept with them — the serving regime the coordinator's resource split is
+// built for. The sweep runs once per Lab.
 func (l *Lab) ShardRecords() []Record {
 	if l.shardRecs != nil {
 		return l.shardRecs
@@ -176,6 +176,7 @@ func (l *Lab) Sharding() *Table {
 	}
 	t.AddNote("speedup is each row's p50 against the same partitioner's K=1 point; the")
 	t.AddNote("win is resource locality, not parallelism — each shard owns a private")
-	t.AddNote("buffer pool and decoded-record cache sized to its region's working set")
+	t.AddNote("buffer pool; where its region's index fits, pages stay resident and the")
+	t.AddNote("records decoded from them are kept from query to query")
 	return t
 }

@@ -202,6 +202,27 @@ func (d *Decoder) take(n int) []byte {
 // does not need).
 func (d *Decoder) Skip(n int) { d.take(n) }
 
+// SkipVarints advances past n varints without decoding them. Signed and
+// unsigned varints alike end at their first byte without a continuation
+// bit, so one byte scan steps over either; a value is validated only if it
+// is later decoded.
+func (d *Decoder) SkipVarints(n int) {
+	if d.err != nil {
+		return
+	}
+	off := d.off
+	for ; n > 0; off++ {
+		if off == len(d.buf) {
+			d.err = fmt.Errorf("pagefile: buffer ends with %d varints still to skip", n)
+			return
+		}
+		if d.buf[off] < 0x80 {
+			n--
+		}
+	}
+	d.off = off
+}
+
 // Uint32 reads a fixed-width 32-bit value (0 after an error).
 func (d *Decoder) Uint32() uint32 {
 	b := d.take(4)

@@ -35,6 +35,33 @@ func TestVarintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSkipVarints steps over mixed signed and unsigned varints of every
+// width and must land exactly where decoding them would; a buffer that ends
+// before the count is reached is an error that leaves the position alone.
+func TestSkipVarints(t *testing.T) {
+	enc := NewEncoder(64)
+	enc.Uvarint(0)
+	enc.Varint(-300)
+	enc.Uvarint(math.MaxUint64)
+	enc.Varint(math.MinInt64)
+	enc.Uvarint(77) // the value behind the skipped run
+	dec := NewDecoder(enc.Bytes())
+	dec.SkipVarints(0)
+	dec.SkipVarints(4)
+	if got := dec.Uvarint(); got != 77 || dec.Err() != nil || dec.Remaining() != 0 {
+		t.Fatalf("after skipping 4 varints: read %d (err %v, %d bytes left), want 77", got, dec.Err(), dec.Remaining())
+	}
+
+	short := NewDecoder(enc.Bytes()[:enc.Len()-1])
+	short.SkipVarints(6)
+	if short.Err() == nil {
+		t.Fatal("skipping more varints than the buffer holds: want an error")
+	}
+	if short.Remaining() != enc.Len()-1 {
+		t.Fatalf("failed skip moved the decoder: %d bytes left of %d", short.Remaining(), enc.Len()-1)
+	}
+}
+
 func TestUint32DeltaRoundTrip(t *testing.T) {
 	for _, vs := range [][]uint32{
 		nil,

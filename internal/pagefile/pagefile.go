@@ -51,6 +51,8 @@
 //     shard's latch once, and the hit/miss/eviction counters are atomic.
 //     One pool can be shared by several stores (pages are keyed by store
 //     identity), giving all readers of one dataset a common page budget.
+//     Its Generation stands still exactly while no page leaves it, which
+//     lets a reader keep what it decoded from resident pages and no more.
 //
 // Writes (AppendBlob) happen during index construction, before queries
 // start; they are serialized against each other by the store's internal
@@ -419,10 +421,11 @@ type pageKey struct {
 type BufferPool struct {
 	shards []poolShard
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	capacity  int
+	hits       atomic.Int64
+	misses     atomic.Int64
+	evictions  atomic.Int64
+	generation atomic.Uint64 // see Generation
+	capacity   int
 }
 
 type poolShard struct {
@@ -474,6 +477,13 @@ func NewBufferPool(capacity int) *BufferPool {
 
 // Capacity returns the pool's total page budget.
 func (bp *BufferPool) Capacity() int { return bp.capacity }
+
+// Generation changes whenever a page may have left the pool: displaced by
+// the capacity limit, or dropped by Evict, EvictStore or Clear. A reader that
+// sees the same generation twice knows every page it touched in between is
+// still resident — what lets it keep state derived from resident pages and
+// bound that state by the pool's capacity.
+func (bp *BufferPool) Generation() uint64 { return bp.generation.Load() }
 
 // shardOf maps a page key onto its shard.
 func (bp *BufferPool) shardOf(k pageKey) *poolShard {
@@ -537,6 +547,7 @@ func (bp *BufferPool) Touch(store uint64, p int64) (hit bool) {
 	bp.misses.Add(1)
 	if full {
 		bp.evictions.Add(1)
+		bp.generation.Add(1)
 	}
 	return false
 }
@@ -551,6 +562,7 @@ func (bp *BufferPool) Evict(store uint64, p int64) {
 		delete(sh.entries, k)
 	}
 	sh.mu.Unlock()
+	bp.generation.Add(1)
 }
 
 // EvictStore removes every cached page belonging to store.
@@ -566,6 +578,7 @@ func (bp *BufferPool) EvictStore(store uint64) {
 		}
 		sh.mu.Unlock()
 	}
+	bp.generation.Add(1)
 }
 
 // Clear empties the pool.
@@ -577,6 +590,7 @@ func (bp *BufferPool) Clear() {
 		sh.head, sh.tail = nil, nil
 		sh.mu.Unlock()
 	}
+	bp.generation.Add(1)
 }
 
 func (sh *poolShard) pushFront(n *poolNode) {

@@ -469,3 +469,45 @@ func TestNullBlobRef(t *testing.T) {
 		t.Error("real BlobRef reported Null")
 	}
 }
+
+// TestPoolGenerationChangesWhenAPageLeaves pins the contract readers keep
+// derived state under: hits, and misses that fill free frames, leave the
+// generation alone; a displacement, Evict, EvictStore and Clear change it.
+func TestPoolGenerationChangesWhenAPageLeaves(t *testing.T) {
+	bp := NewBufferPool(4)
+	gen := bp.Generation()
+	same := func(what string) {
+		t.Helper()
+		if g := bp.Generation(); g != gen {
+			t.Fatalf("%s changed the generation (%d → %d) though no page left the pool", what, gen, g)
+		}
+	}
+	changed := func(what string) {
+		t.Helper()
+		g := bp.Generation()
+		if g == gen {
+			t.Fatalf("%s left the generation at %d", what, gen)
+		}
+		gen = g
+	}
+	for p := int64(0); p < 4; p++ {
+		bp.Touch(1, p)
+	}
+	same("filling free frames")
+	for p := int64(0); p < 4; p++ {
+		if !bp.Touch(1, p) {
+			t.Fatalf("page %d not resident", p)
+		}
+	}
+	same("a hit")
+	bp.Touch(1, 4)
+	changed("a displacement")
+	bp.Evict(1, 4)
+	changed("Evict")
+	bp.EvictStore(1)
+	changed("EvictStore")
+	bp.Touch(2, 0)
+	same("a miss into a free frame")
+	bp.Clear()
+	changed("Clear")
+}

@@ -86,6 +86,9 @@ func (m *Mem) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
 	return &m.recs[id], nil
 }
 
+// need has nothing to do: record views are materialized whole.
+func (m *Mem) need(*vertexRec, uint8) error { return nil }
+
 func plainEdges(ids []dn.NodeID) []edge {
 	if len(ids) == 0 {
 		return nil

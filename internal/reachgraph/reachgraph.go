@@ -16,17 +16,36 @@
 // directory on disk implements FindVertex — locating the vertex of object o
 // at instant t — in one blob read.
 //
+// A traversal pays for the vertices it visits, not for the partitions it
+// buffers. A partition blob opens with a directory sorted by vertex id and
+// searchable where it lies (directory.go), so buffering a partition is one
+// blob read and a header check, and finding a vertex in it a binary search.
+// The records carry no id of their own — the directory names them — and
+// are decoded lazily (record.go): header and members on the first visit,
+// each of the four edge sections only when a traversal's direction asks
+// for it, all into an arena that is recycled with the rest of the
+// traversal scratch. Decoded records follow the buffer pool: a scratch
+// keeps them from query to query for as long as the pool lets no page go
+// (pagefile.BufferPool.Generation), so an index that fits its pool — one
+// shard of a spatially cut dataset — is decoded once, and an index that
+// does not is decoded afresh by every query; what is kept is bounded by
+// the pool's page budget, not by a setting of its own. Partition reads are
+// never skipped: every query reads, and checksums, each partition it
+// takes a record from, so the bytes a query interprets were verified by
+// that query's own ReadBlob and the buffer pool is the only cache the
+// page counts depend on.
+//
 // Every blob begins with a pagefile.Format byte. The default varint-delta
 // format stores ticks and counts as varints and ID postings as zig-zag
-// deltas, shrinking partitions 2-4x against the fixed-width v1 layout —
-// and with them the pages a traversal reads; v1 pages remain decodable.
+// deltas, shrinking partitions 2-4x against the fixed-width layout — and
+// with them the pages a traversal reads; an index is built, and read, in
+// one format throughout.
 package reachgraph
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"streach/internal/contact"
 	"streach/internal/dn"
@@ -56,13 +75,6 @@ type Params struct {
 	// Format selects the on-page record layout; zero means the default
 	// (pagefile.FormatVarint). Both formats answer queries identically.
 	Format pagefile.Format
-	// RecordCacheSlots bounds the decoded-record cache: vertex records
-	// parsed from visited pages are retained across queries — the index
-	// is immutable once built, so a cached record never goes stale — and
-	// evicted clock-wise once the bound is hit. The cache sits above the
-	// buffer pool: a record hit skips both the page read and the varint
-	// decode. Defaults to 4096 records; negative disables the cache.
-	RecordCacheSlots int
 }
 
 func (p *Params) applyDefaults() {
@@ -74,9 +86,6 @@ func (p *Params) applyDefaults() {
 	}
 	if p.PoolPages == 0 {
 		p.PoolPages = 64
-	}
-	if p.RecordCacheSlots == 0 {
-		p.RecordCacheSlots = 4096
 	}
 	p.Format = pagefile.NormalizeFormat(p.Format)
 }
@@ -92,8 +101,7 @@ type Index struct {
 	partRefs []pagefile.BlobRef // partition catalogue (in memory, as in §5.1.3)
 	dirRefs  []pagefile.BlobRef // per-object run directory blobs
 
-	pool   *visit.Pool[scratch] // per-query traversal scratch
-	vcache *vertexCache         // decoded records shared across queries
+	pool *visit.Pool[scratch] // per-query traversal scratch
 }
 
 // Build constructs the ReachGraph of the reduced graph g. Long edges at
@@ -116,48 +124,20 @@ func Build(g *dn.Graph, params Params) (*Index, error) {
 		numTicks:   g.NumTicks,
 		numNodes:   len(g.Nodes),
 		pool:       newScratchPool(),
-		vcache:     newVertexCache(params.RecordCacheSlots),
 	}
 
 	partOf, parts := partition(g, params.PartitionDepth)
 
-	// Serialize partitions in generation order. A partition blob starts
-	// with its format byte and a record directory — (vertex id, record
-	// length) pairs — so a traversal can decode only the vertices it
-	// actually visits.
-	enc := pagefile.NewEncoder(1 << 14)
-	rec := pagefile.NewEncoder(1 << 12)
+	// Serialize partitions in generation order.
+	w := newPartitionWriter()
 	for _, members := range parts {
-		enc.Reset()
-		rec.Reset()
-		enc.Format(params.Format)
-		prevID := int32(0)
-		switch params.Format {
-		case pagefile.FormatFixed:
-			enc.Uint32(uint32(len(members)))
-			for _, id := range members {
-				before := rec.Len()
-				encodeVertex(rec, g, id, partOf, params.Format)
-				enc.Int32(int32(id))
-				enc.Uint32(uint32(rec.Len() - before))
-			}
-		default:
-			enc.Uvarint(uint64(len(members)))
-			for _, id := range members {
-				before := rec.Len()
-				encodeVertex(rec, g, id, partOf, params.Format)
-				enc.Varint(int64(id) - int64(prevID))
-				prevID = int32(id)
-				enc.Uvarint(uint64(rec.Len() - before))
-			}
-		}
-		enc.Raw(rec.Bytes())
-		ix.partRefs = append(ix.partRefs, ix.store.AppendBlob(enc.Bytes()))
+		ix.partRefs = append(ix.partRefs, ix.store.AppendBlob(w.encode(g, members, partOf, params.Format)))
 	}
 
 	// Per-object run directory: triples (end, node, partition) in run
 	// order — ends ascending, so the varint format stores end gaps and
 	// node/partition deltas.
+	enc := pagefile.NewEncoder(1 << 10)
 	ix.dirRefs = make([]pagefile.BlobRef, g.NumObjects)
 	for o := 0; o < g.NumObjects; o++ {
 		runs := g.RunsOf(trajectory.ObjectID(o))
@@ -240,256 +220,12 @@ func partition(g *dn.Graph, depth int) (partOf []int32, parts [][]dn.NodeID) {
 	return partOf, parts
 }
 
-// encodeVertex appends one vertex record. Every referenced neighbour is
-// stored as a (node, partition) pair so traversal is self-routing.
-func encodeVertex(enc *pagefile.Encoder, g *dn.Graph, id dn.NodeID, partOf []int32, format pagefile.Format) {
-	nd := &g.Nodes[id]
-	fixed := format == pagefile.FormatFixed
-	if fixed {
-		enc.Int32(int32(id))
-		enc.Int32(int32(nd.Start))
-		enc.Int32(int32(nd.End))
-		enc.Uint32(uint32(len(nd.Members)))
-		for _, m := range nd.Members {
-			enc.Int32(int32(m))
-		}
-	} else {
-		enc.Varint(int64(id))
-		enc.Uvarint(uint64(nd.Start))
-		enc.Uvarint(uint64(nd.End - nd.Start)) // End ≥ Start
-		encodeMembersDelta(enc, nd.Members)
-	}
-	encodeEdges(enc, nd.Out, partOf, format)
-	encodeEdges(enc, nd.In, partOf, format)
-	// Forward long edges, ascending resolution; only levels with targets.
-	encodeLongs(enc, g, partOf, format, g.Resolutions, func(L int) []dn.NodeID { return g.LongOut(id, L) })
-	encodeLongs(enc, g, partOf, format, g.Resolutions, func(L int) []dn.NodeID { return g.LongIn(id, L) })
-}
-
-// encodeMembersDelta writes a sorted member posting as zig-zag deltas.
-func encodeMembersDelta(enc *pagefile.Encoder, members []trajectory.ObjectID) {
-	enc.Uvarint(uint64(len(members)))
-	prev := int64(0)
-	for _, m := range members {
-		enc.Varint(int64(m) - prev) // members sorted ascending: small gaps
-		prev = int64(m)
-	}
-}
-
-func encodeLongs(enc *pagefile.Encoder, g *dn.Graph, partOf []int32, format pagefile.Format, resolutions []int, edgesOf func(int) []dn.NodeID) {
-	levels := 0
-	for _, L := range resolutions {
-		if len(edgesOf(L)) > 0 {
-			levels++
-		}
-	}
-	if format == pagefile.FormatFixed {
-		enc.Uint32(uint32(levels))
-	} else {
-		enc.Uvarint(uint64(levels))
-	}
-	for _, L := range resolutions {
-		es := edgesOf(L)
-		if len(es) == 0 {
-			continue
-		}
-		if format == pagefile.FormatFixed {
-			enc.Uint32(uint32(L))
-		} else {
-			enc.Uvarint(uint64(L))
-		}
-		encodeEdges(enc, es, partOf, format)
-	}
-}
-
-func encodeEdges(enc *pagefile.Encoder, edges []dn.NodeID, partOf []int32, format pagefile.Format) {
-	if format == pagefile.FormatFixed {
-		enc.Uint32(uint32(len(edges)))
-		for _, v := range edges {
-			enc.Int32(int32(v))
-			enc.Int32(partOf[v])
-		}
-		return
-	}
-	enc.Uvarint(uint64(len(edges)))
-	prevNode, prevPart := int64(0), int64(0)
-	for _, v := range edges {
-		enc.Varint(int64(v) - prevNode) // neighbours cluster: small deltas
-		enc.Varint(int64(partOf[v]) - prevPart)
-		prevNode, prevPart = int64(v), int64(partOf[v])
-	}
-}
-
-// edge references a neighbour vertex together with the partition holding it.
-type edge struct {
-	node dn.NodeID
-	part int32
-}
-
-// levelEdges is one long-edge resolution's target list. Records carry at
-// most a handful of levels, so a sorted slice beats a map on both decode
-// allocations and lookup time.
-type levelEdges struct {
-	level int
-	edges []edge
-}
-
-// levelEdgesAt returns the edges at resolution L, or nil.
-func levelEdgesAt(ls []levelEdges, L int) []edge {
-	for i := range ls {
-		if ls[i].level == L {
-			return ls[i].edges
-		}
-	}
-	return nil
-}
-
-// vertexRec is a decoded vertex record.
-type vertexRec struct {
-	id         dn.NodeID
-	start, end trajectory.Tick
-	members    []trajectory.ObjectID
-	out, in    []edge
-	longOut    []levelEdges // ascending resolution
-	longIn     []levelEdges
-}
-
-// decodeEdges reads one edge list, validating every target against the
-// graph's node-ID space: decoded IDs index the epoch-stamped visited
-// arrays directly, so an out-of-range value must surface as a decode
-// error (the documented corruption behavior), never as a panic.
-func decodeEdges(dec *pagefile.Decoder, format pagefile.Format, numNodes int) []edge {
-	if format == pagefile.FormatFixed {
-		n := dec.Uint32()
-		if dec.Err() != nil || n == 0 {
-			return nil
-		}
-		if uint64(n) > uint64(dec.Remaining()/8) {
-			dec.Failf("reachgraph: implausible edge count %d with %d bytes left", n, dec.Remaining())
-			return nil
-		}
-		out := make([]edge, 0, n)
-		for i := uint32(0); i < n && dec.Err() == nil; i++ {
-			e := edge{node: dn.NodeID(dec.Int32()), part: dec.Int32()}
-			if e.node < 0 || int(e.node) >= numNodes {
-				dec.Failf("reachgraph: edge target %d outside [0, %d)", e.node, numNodes)
-				return nil
-			}
-			out = append(out, e)
-		}
-		return out
-	}
-	n := int(dec.Uvarint())
-	if dec.Err() != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || n > dec.Remaining() {
-		dec.Failf("reachgraph: implausible edge count %d with %d bytes left", n, dec.Remaining())
-		return nil
-	}
-	out := make([]edge, 0, n)
-	prevNode, prevPart := int64(0), int64(0)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		prevNode += dec.Varint()
-		prevPart += dec.Varint()
-		if prevNode < 0 || prevNode >= int64(numNodes) {
-			dec.Failf("reachgraph: edge target %d outside [0, %d)", prevNode, numNodes)
-			return nil
-		}
-		out = append(out, edge{node: dn.NodeID(prevNode), part: int32(prevPart)})
-	}
-	return out
-}
-
-func decodeLongs(dec *pagefile.Decoder, format pagefile.Format, numNodes int) []levelEdges {
-	var n uint64
-	if format == pagefile.FormatFixed {
-		n = uint64(dec.Uint32())
-	} else {
-		n = dec.Uvarint()
-	}
-	if n == 0 || dec.Err() != nil {
-		return nil
-	}
-	if n > uint64(dec.Remaining()) {
-		dec.Failf("reachgraph: implausible level count %d with %d bytes left", n, dec.Remaining())
-		return nil
-	}
-	ls := make([]levelEdges, 0, n)
-	for i := uint64(0); i < n && dec.Err() == nil; i++ {
-		var L int
-		if format == pagefile.FormatFixed {
-			L = int(dec.Uint32())
-		} else {
-			L = int(dec.Uvarint())
-		}
-		ls = append(ls, levelEdges{level: L, edges: decodeEdges(dec, format, numNodes)})
-	}
-	return ls
-}
-
-func decodeVertex(dec *pagefile.Decoder, format pagefile.Format, numNodes, numObjects int) *vertexRec {
-	v := &vertexRec{}
-	if format == pagefile.FormatFixed {
-		v.id = dn.NodeID(dec.Int32())
-		v.start = trajectory.Tick(dec.Int32())
-		v.end = trajectory.Tick(dec.Int32())
-		nm := dec.Uint32()
-		if dec.Err() != nil {
-			return v
-		}
-		if uint64(nm) > uint64(dec.Remaining()/4) {
-			dec.Failf("reachgraph: implausible member count %d with %d bytes left", nm, dec.Remaining())
-			return v
-		}
-		v.members = make([]trajectory.ObjectID, 0, nm)
-		for i := uint32(0); i < nm && dec.Err() == nil; i++ {
-			m := trajectory.ObjectID(dec.Int32())
-			if m < 0 || int(m) >= numObjects {
-				dec.Failf("reachgraph: member %d outside [0, %d)", m, numObjects)
-				return v
-			}
-			v.members = append(v.members, m)
-		}
-	} else {
-		v.id = dn.NodeID(dec.Varint())
-		v.start = trajectory.Tick(dec.Uvarint())
-		v.end = v.start + trajectory.Tick(dec.Uvarint())
-		nm := int(dec.Uvarint())
-		if dec.Err() != nil {
-			return v
-		}
-		if nm < 0 || nm > dec.Remaining() {
-			dec.Failf("reachgraph: implausible member count %d with %d bytes left", nm, dec.Remaining())
-			return v
-		}
-		v.members = make([]trajectory.ObjectID, 0, nm)
-		prev := int64(0)
-		for i := 0; i < nm && dec.Err() == nil; i++ {
-			prev += dec.Varint()
-			if prev < 0 || prev >= int64(numObjects) {
-				dec.Failf("reachgraph: member %d outside [0, %d)", prev, numObjects)
-				return v
-			}
-			v.members = append(v.members, trajectory.ObjectID(prev))
-		}
-	}
-	v.out = decodeEdges(dec, format, numNodes)
-	v.in = decodeEdges(dec, format, numNodes)
-	v.longOut = decodeLongs(dec, format, numNodes)
-	v.longIn = decodeLongs(dec, format, numNodes)
-	return v
-}
-
 // Store exposes the underlying simulated disk.
 func (ix *Index) Store() *pagefile.Store { return ix.store }
 
-// DropCache evicts the index's pages from the buffer pool and empties the
-// decoded-record cache — the cold-start reset between measurement runs.
-func (ix *Index) DropCache() {
-	ix.store.DropCache()
-	ix.vcache.drop()
-}
+// DropCache evicts the index's pages from the buffer pool — the cold-start
+// reset between measurement runs.
+func (ix *Index) DropCache() { ix.store.DropCache() }
 
 // Format returns the on-page record layout the index was built with.
 func (ix *Index) Format() pagefile.Format { return ix.params.Format }
@@ -506,201 +242,6 @@ func (ix *Index) NumPartitions() int { return len(ix.partRefs) }
 
 // NumTicks returns |T| of the indexed graph.
 func (ix *Index) NumTicks() int { return ix.numTicks }
-
-// vertexCache retains decoded vertex records across queries. The index
-// never changes after Build, so records are immutable and shared freely
-// between concurrent traversals; the only mutable state is the admission
-// bookkeeping, guarded by one mutex (held for map-sized critical sections
-// only — decoding happens outside the lock). Eviction is clock/second
-// chance: a hit sets the slot's reference bit, the clock hand clears bits
-// until it finds a cold slot to reuse.
-type vertexCache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[dn.NodeID]int32
-	keys []dn.NodeID
-	recs []*vertexRec
-	ref  []bool
-	hand int
-}
-
-func newVertexCache(slots int) *vertexCache {
-	if slots <= 0 {
-		return nil
-	}
-	return &vertexCache{cap: slots, m: make(map[dn.NodeID]int32, slots)}
-}
-
-func (vc *vertexCache) get(id dn.NodeID) (*vertexRec, bool) {
-	if vc == nil {
-		return nil, false
-	}
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	i, ok := vc.m[id]
-	if !ok {
-		return nil, false
-	}
-	vc.ref[i] = true
-	return vc.recs[i], true
-}
-
-func (vc *vertexCache) put(id dn.NodeID, v *vertexRec) {
-	if vc == nil {
-		return
-	}
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if _, ok := vc.m[id]; ok {
-		return
-	}
-	if len(vc.recs) < vc.cap {
-		vc.m[id] = int32(len(vc.recs))
-		vc.keys = append(vc.keys, id)
-		vc.recs = append(vc.recs, v)
-		vc.ref = append(vc.ref, true)
-		return
-	}
-	for vc.ref[vc.hand] {
-		vc.ref[vc.hand] = false
-		vc.hand = (vc.hand + 1) % len(vc.recs)
-	}
-	i := vc.hand
-	delete(vc.m, vc.keys[i])
-	vc.m[id] = int32(i)
-	vc.keys[i], vc.recs[i], vc.ref[i] = id, v, true
-	vc.hand = (i + 1) % len(vc.recs)
-}
-
-// drop empties the cache (cold-start measurements).
-func (vc *vertexCache) drop() {
-	if vc == nil {
-		return
-	}
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	clear(vc.m)
-	vc.keys, vc.recs, vc.ref, vc.hand = vc.keys[:0], vc.recs[:0], vc.ref[:0], 0
-}
-
-// cursor is the per-query working set: buffered partitions (the paper's
-// traversal buffer) with raw record slices, decoded lazily on first visit,
-// plus the query's I/O accountant. The tables are epoch-stamped scratch
-// recycled with the rest of the traversal state, so a steady-state query
-// re-uses the previous query's arrays. Nothing in a cursor is shared
-// between in-flight queries, so evaluation runs fully in parallel.
-type cursor struct {
-	ix   *Index
-	acct *pagefile.Stats
-
-	verts   visit.Table[*vertexRec] // decoded records, by node
-	raw     visit.Table[[]byte]     // undecoded record slices, by node
-	parts   visit.Set               // partitions already buffered
-	dirLens []uint32                // partition directory scratch
-	dirIDs  []dn.NodeID
-}
-
-func (c *cursor) reset(numNodes, numParts int) {
-	c.ix, c.acct = nil, nil
-	c.verts.Reset(numNodes)
-	c.raw.Reset(numNodes)
-	c.parts.Reset(numParts)
-}
-
-// loadPartition reads partition pid and registers its record slices; no
-// vertex is decoded until visited.
-func (c *cursor) loadPartition(pid int32) error {
-	if pid < 0 || int(pid) >= len(c.ix.partRefs) {
-		return fmt.Errorf("reachgraph: no partition %d", pid)
-	}
-	if !c.parts.Visit(int(pid)) {
-		return nil
-	}
-	data, err := c.ix.store.ReadBlob(c.ix.partRefs[pid], c.acct)
-	if err != nil {
-		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
-	}
-	dec := pagefile.NewDecoder(data)
-	format := dec.Format()
-	var n int
-	if format == pagefile.FormatFixed {
-		n = int(dec.Uint32())
-	} else {
-		n = int(dec.Uvarint())
-	}
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
-	}
-	if n < 0 || n > dec.Remaining() {
-		return fmt.Errorf("reachgraph: partition %d: implausible record count %d", pid, n)
-	}
-	if cap(c.dirIDs) < n {
-		c.dirIDs = make([]dn.NodeID, n)
-		c.dirLens = make([]uint32, n)
-	}
-	ids, lens := c.dirIDs[:n], c.dirLens[:n]
-	total := 0
-	prevID := int64(0)
-	for i := 0; i < n; i++ {
-		if format == pagefile.FormatFixed {
-			ids[i] = dn.NodeID(dec.Int32())
-			lens[i] = dec.Uint32()
-		} else {
-			prevID += dec.Varint()
-			ids[i] = dn.NodeID(prevID)
-			lens[i] = uint32(dec.Uvarint())
-		}
-		total += int(lens[i])
-	}
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
-	}
-	body := data[len(data)-dec.Remaining():]
-	if len(body) < total {
-		return fmt.Errorf("reachgraph: partition %d truncated (%d < %d)", pid, len(body), total)
-	}
-	off := 0
-	for i := 0; i < n; i++ {
-		if ids[i] < 0 || int(ids[i]) >= c.ix.numNodes {
-			return fmt.Errorf("reachgraph: partition %d names vertex %d outside [0, %d)", pid, ids[i], c.ix.numNodes)
-		}
-		c.raw.Set(int(ids[i]), body[off:off+int(lens[i])])
-		off += int(lens[i])
-	}
-	return nil
-}
-
-// vertex returns the record of node id, loading its partition and decoding
-// the record on first use.
-func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
-	if id < 0 || int(id) >= c.ix.numNodes {
-		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
-	}
-	if v, ok := c.verts.Get(int(id)); ok {
-		return v, nil
-	}
-	if v, ok := c.ix.vcache.get(id); ok {
-		c.verts.Set(int(id), v)
-		return v, nil
-	}
-	if _, ok := c.raw.Get(int(id)); !ok {
-		if err := c.loadPartition(part); err != nil {
-			return nil, err
-		}
-	}
-	buf, ok := c.raw.Get(int(id))
-	if !ok {
-		return nil, fmt.Errorf("reachgraph: vertex %d missing from partition %d", id, part)
-	}
-	dec := pagefile.NewDecoder(buf)
-	v := decodeVertex(dec, c.ix.params.Format, c.ix.numNodes, c.ix.numObjects)
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("reachgraph: vertex %d: %w", id, err)
-	}
-	c.ix.vcache.put(id, v)
-	c.verts.Set(int(id), v)
-	return v, nil
-}
 
 // findVertex implements FindVertex(Ht(o), o, t): it reads o's run directory
 // and scans for the (node, partition) of the run covering t. Runs are
@@ -764,6 +305,16 @@ func (ix *Index) validateQuery(q queries.Query) error {
 	return nil
 }
 
+// begin checks a traversal scratch out of the pool, reset for one query
+// against this index with its page reads charged to acct; the caller
+// returns it with ix.pool.Put.
+func (ix *Index) begin(acct *pagefile.Stats) *scratch {
+	sc := ix.pool.Get()
+	sc.reset(ix.numNodes, ix.numObjects)
+	sc.cur.begin(ix, acct)
+	return sc
+}
+
 // Reach answers q with the default BM-BFS strategy.
 func (ix *Index) Reach(q queries.Query) (bool, error) {
 	return ix.ReachStrategy(q, BMBFS)
@@ -812,11 +363,8 @@ func (ix *Index) ReachFromCounted(ctx context.Context, seeds []trajectory.Object
 			return true, 0, nil
 		}
 	}
-	sc := ix.pool.Get()
+	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix.numNodes, ix.numObjects)
-	sc.cur.reset(ix.numNodes, len(ix.partRefs))
-	sc.cur.ix, sc.cur.acct = ix, acct
 	starts, err := ix.seedEntries(sc, seeds, iv.Lo, acct)
 	if err != nil {
 		return false, sc.visits, err
@@ -848,11 +396,8 @@ func (ix *Index) AppendReachableSetFromCounted(ctx context.Context, dst, seeds [
 	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
-	sc := ix.pool.Get()
+	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix.numNodes, ix.numObjects)
-	sc.cur.reset(ix.numNodes, len(ix.partRefs))
-	sc.cur.ix, sc.cur.acct = ix, acct
 	starts, err := ix.seedEntries(sc, seeds, iv.Lo, acct)
 	if err != nil {
 		return dst, sc.visits, err
@@ -874,11 +419,8 @@ func (ix *Index) AppendArrivalProfileFrom(ctx context.Context, dst []queries.Pro
 	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
-	sc := ix.pool.Get()
+	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix.numNodes, ix.numObjects)
-	sc.cur.reset(ix.numNodes, len(ix.partRefs))
-	sc.cur.ix, sc.cur.acct = ix, acct
 	starts, err := ix.seedEntries(sc, seeds, iv.Lo, acct)
 	if err != nil {
 		return dst, sc.visits, err
@@ -901,11 +443,8 @@ func (ix *Index) AppendArrivalProfileSeeds(ctx context.Context, dst []queries.Pr
 	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
-	sc := ix.pool.Get()
+	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix.numNodes, ix.numObjects)
-	sc.cur.reset(ix.numNodes, len(ix.partRefs))
-	sc.cur.ix, sc.cur.acct = ix, acct
 	for _, s := range seeds {
 		at := s.Start
 		if at < iv.Lo {
@@ -939,11 +478,8 @@ func (ix *Index) AppendReverseSetFromCounted(ctx context.Context, dst, seeds []t
 	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
-	sc := ix.pool.Get()
+	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix.numNodes, ix.numObjects)
-	sc.cur.reset(ix.numNodes, len(ix.partRefs))
-	sc.cur.ix, sc.cur.acct = ix, acct
 	starts, err := ix.seedEntries(sc, seeds, iv.Hi, acct)
 	if err != nil {
 		return dst, sc.visits, err
@@ -965,11 +501,8 @@ func (ix *Index) AppendReverseProfileFrom(ctx context.Context, dst []queries.Pro
 	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
-	sc := ix.pool.Get()
+	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix.numNodes, ix.numObjects)
-	sc.cur.reset(ix.numNodes, len(ix.partRefs))
-	sc.cur.ix, sc.cur.acct = ix, acct
 	starts, err := ix.seedEntries(sc, seeds, iv.Hi, acct)
 	if err != nil {
 		return dst, sc.visits, err

@@ -79,7 +79,12 @@ func (s Strategy) String() string {
 // graph (Table 5a). Implementations are passed by pointer, so boxing them
 // into the interface costs nothing on the hot path.
 type graphAccess interface {
+	// vertex returns the record of node id with span and members ready.
 	vertex(id dn.NodeID, part int32) (*vertexRec, error)
+	// need makes the edge sections named in sections (sec* bits) readable
+	// on v, a record vertex returned during this query. The disk index
+	// decodes them on demand; in memory they always are.
+	need(v *vertexRec, sections uint8) error
 }
 
 // entry is a traversal starting point: a vertex and the partition hint that
@@ -108,7 +113,7 @@ type scratch struct {
 	starts           []entry
 	tickStarts       []tickItem // per-seed-tick starts (ticked sweeps)
 
-	cur cursor // disk-side record cache; unused by Mem
+	cur cursor // disk-side partitions, records and their arena; unused by Mem
 }
 
 // newScratchPool returns the per-engine pool of traversal scratch.
@@ -277,6 +282,13 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 		// through mid; no further forward expansion is needed.
 		return false, nil
 	}
+	want := secOut
+	if len(resolutions) > 0 {
+		want |= secLongOut
+	}
+	if err := g.need(v, want); err != nil {
+		return false, err
+	}
 	// Highest admissible resolution first (§5.2): departure must not
 	// precede the arrival time and the hop must not overshoot mid.
 	for li := len(resolutions) - 1; li >= 0; li-- {
@@ -330,6 +342,13 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 	}
 	if v.start <= mid {
 		return false, nil
+	}
+	want := secIn
+	if len(resolutions) > 0 {
+		want |= secLongIn
+	}
+	if err := g.need(v, want); err != nil {
+		return false, err
 	}
 	for li := len(resolutions) - 1; li >= 0; li-- {
 		L := resolutions[li]
@@ -392,6 +411,9 @@ func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []en
 		if v.start > iv.Hi {
 			continue
 		}
+		if err := g.need(v, secOut); err != nil {
+			return false, err
+		}
 		for _, e := range v.out {
 			if sc.nodes.Visit(int(e.node)) {
 				sc.queue.PushBack(entry{e.node, e.part})
@@ -439,6 +461,9 @@ func collectForward(ctx context.Context, g graphAccess, sc *scratch, starts []en
 			// The run outlives the interval: its successors start after
 			// iv.Hi and cannot be infected in time.
 			continue
+		}
+		if err := g.need(v, secOut); err != nil {
+			return err
 		}
 		for _, e := range v.out {
 			if sc.nodes.Visit(int(e.node)) {
@@ -492,6 +517,9 @@ func arrivalCollect(ctx context.Context, g graphAccess, sc *scratch, starts []en
 			// The run outlives the interval: its successors start after
 			// iv.Hi and cannot be infected in time.
 			continue
+		}
+		if err := g.need(v, secOut); err != nil {
+			return err
 		}
 		arr := v.end + 1 // successors are adjacent runs covering this tick
 		for _, e := range v.out {
@@ -555,6 +583,9 @@ func arrivalCollectTicked(ctx context.Context, g graphAccess, sc *scratch, start
 			// iv.Hi and cannot be infected in time.
 			continue
 		}
+		if err := g.need(v, secOut); err != nil {
+			return err
+		}
 		arr := v.end + 1 // successors are adjacent runs covering this tick
 		for _, e := range v.out {
 			push(entry{e.node, e.part}, arr)
@@ -604,6 +635,9 @@ func collectBackward(ctx context.Context, g graphAccess, sc *scratch, starts []e
 			// end before iv.Lo and cannot pick the item up in time.
 			continue
 		}
+		if err := g.need(v, secIn); err != nil {
+			return err
+		}
 		for _, e := range v.in {
 			if sc.nodes.Visit(int(e.node)) {
 				sc.queue.PushBack(entry{e.node, e.part})
@@ -652,6 +686,9 @@ func departureCollect(ctx context.Context, g graphAccess, sc *scratch, starts []
 		}
 		if v.start <= iv.Lo {
 			continue
+		}
+		if err := g.need(v, secIn); err != nil {
+			return err
 		}
 		dep := v.start - 1 // predecessors are adjacent runs ending this tick
 		for _, e := range v.in {
