@@ -264,12 +264,13 @@ func BenchmarkShardPointHash4(b *testing.B) {
 
 // TestHotpathSteadyStateAllocs asserts the tentpole claim directly: once
 // the pooled scratch is warm, point queries on the memory backends and on
-// disk ReachGraph perform zero heap allocations per evaluation — visited
-// sets, frontier queues and object sets all come from the per-engine pools,
-// and on disk so do the buffered partitions and the arena the visited
-// records are decoded into. The bidir and cross-segment planners are held
-// to the same bar on their serial paths (RWP48 frontiers stay below the
-// parallel-sweep threshold).
+// disk ReachGraph and ReachGrid (guided sweep and SPJ) perform zero heap
+// allocations per evaluation — visited sets, frontier queues and object
+// sets all come from the per-engine pools, and on disk so do the buffered
+// partitions and the arena the visited records are decoded into, and the
+// grid's buffered segments, position arena and directory table. The bidir
+// and cross-segment planners are held to the same bar on their serial
+// paths (RWP48 frontiers stay below the parallel-sweep threshold).
 func TestHotpathSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts only hold un-instrumented")
@@ -283,6 +284,7 @@ func TestHotpathSteadyStateAllocs(t *testing.T) {
 	for _, backend := range []string{
 		"reachgraph-mem", "grail-mem", "bidir:reachgraph-mem", "shard:1:reachgraph-mem",
 		"reachgraph", "segmented:reachgraph", "bidir:reachgraph",
+		"reachgrid", "spj", "segmented:reachgrid",
 	} {
 		e, err := streach.Open(backend, ds, streach.Options{})
 		if err != nil {

@@ -24,20 +24,38 @@
 // Sweeping the query interval bucket by bucket, the processor loads the
 // cells containing the seeds, prefetches the "potential seed cells" — cells
 // within dT of the minimum bounding rectangles of the seeds' remaining
-// segments — and joins the buffered segments instant by instant. Objects
-// joining a seed's connected component become seeds immediately (the
-// recursive restart at t′ of §4.2); the sweep stops as soon as the
-// destination is infected. Cells are buffered for the duration of a bucket
-// and discarded at its end. All sweep state — seed sets, buffered
-// segments, join buffers, the union-find — is pooled per-query scratch of
-// epoch-stamped arrays (internal/visit), so steady-state queries reuse it
-// wholesale.
+// segments — and at every instant spreads the infection from the seeds
+// over the buffered positions (stjoin.Joiner.Spread): only objects not yet
+// infected are hashed, only infected ones start a distance test, and an
+// object within dT of one becomes a seed and spreads in turn — the closure
+// of "joins a seed's connected component" (the recursive restart at t′ of
+// §4.2) at a cost that follows the infected frontier, not the buffer. The
+// sweep stops as soon as the destination is infected. Cells are buffered
+// for the duration of a bucket and discarded at its end.
+//
+// One bucket walk serves this sweep and the hop-counting sweep of
+// semantics.go; they differ in the per-instant step it is handed. The steps
+// stay two on purpose: the spread never looks at a pair of two infected
+// objects, which the hop relaxation must, so the boolean step is
+// materially cheaper than a relaxation with an unbounded budget.
+//
+// Everything a query buffers is pooled scratch (gridScratch) that later
+// queries reuse wholesale: epoch-stamped seed, cell and segment tables
+// (internal/visit), the join buffers, one position arena that the buffered
+// segments of the current bucket point into, and the bucket's decoded
+// object directory; a warm scratch allocates nothing. Reads are never
+// skipped, only decodes: every directory lookup and cell load issues its
+// ReadBlob — checksum, page charge and arm position as if nothing were
+// remembered — and then decodes what the scratch lacks: a directory chunk
+// once per bucket, an object's positions once per bucket however many of
+// the loaded cells repeat them.
 package reachgrid
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"streach/internal/contact"
 	"streach/internal/geo"
@@ -180,7 +198,7 @@ func Build(d *trajectory.Dataset, params Params) (*Index, error) {
 		}
 		// Write cells in ascending cell-ID order for a deterministic,
 		// locality-friendly layout.
-		sortInts(touched)
+		slices.Sort(touched)
 		for _, id := range touched {
 			enc.Reset()
 			enc.Format(params.Format)
@@ -244,11 +262,10 @@ func encodePositions(enc *pagefile.Encoder, pos []geo.Point) {
 	}
 }
 
-// decodePositions reads cnt predictor-encoded samples; when keep is nil the
-// run is decoded and dropped (duplicate objects spanning several cells).
-func decodePositions(dec *pagefile.Decoder, cnt int, keep []geo.Point) {
+// decodePositions reads len(pos) predictor-encoded samples into pos.
+func decodePositions(dec *pagefile.Decoder, pos []geo.Point) {
 	var px1, py1, px2, py2 float64
-	for k := 0; k < cnt; k++ {
+	for k := range pos {
 		var x, y float64
 		switch k {
 		case 0:
@@ -261,9 +278,7 @@ func decodePositions(dec *pagefile.Decoder, cnt int, keep []geo.Point) {
 			x = dec.Float64Xor(2*px1 - px2)
 			y = dec.Float64Xor(2*py1 - py2)
 		}
-		if keep != nil {
-			keep[k] = geo.Point{X: x, Y: y}
-		}
+		pos[k] = geo.Point{X: x, Y: y}
 		px2, py2 = px1, py1
 		px1, py1 = x, y
 	}
@@ -332,6 +347,16 @@ func (ix *Index) ReachCounted(ctx context.Context, q queries.Query, acct *pagefi
 	return ix.ReachFromCounted(ctx, []trajectory.ObjectID{q.Src}, q.Dst, q.Interval, acct)
 }
 
+// checkSeeds rejects seed IDs outside the dataset.
+func (ix *Index) checkSeeds(seeds []trajectory.ObjectID) error {
+	for _, s := range seeds {
+		if int(s) < 0 || int(s) >= ix.numObjects {
+			return fmt.Errorf("reachgrid: seed %d outside [0, %d)", s, ix.numObjects)
+		}
+	}
+	return nil
+}
+
 // ReachFromCounted is the multi-source point query: can an item held by any
 // of the seeds at the interval start reach dst by its end? It is the
 // frontier entry point of the cross-segment planner — the reachable set of
@@ -345,10 +370,11 @@ func (ix *Index) ReachFromCounted(ctx context.Context, seeds []trajectory.Object
 	if iv.Len() == 0 {
 		return false, 0, nil
 	}
-	for _, s := range seeds {
-		if s == dst {
-			return true, len(seeds), nil
-		}
+	if err := ix.checkSeeds(seeds); err != nil {
+		return false, 0, err
+	}
+	if slices.Contains(seeds, dst) {
+		return true, len(seeds), nil
 	}
 	reached := false
 	expanded := len(seeds)
@@ -393,6 +419,9 @@ func (ix *Index) AppendReachableSetFrom(ctx context.Context, dst, seeds []trajec
 	if iv.Len() == 0 {
 		return dst, 0, nil
 	}
+	if err := ix.checkSeeds(seeds); err != nil {
+		return dst, 0, err
+	}
 	base := len(dst)
 	dst = append(dst, seeds...)
 	err := ix.sweep(ctx, seeds, iv, acct, func(o trajectory.ObjectID) bool {
@@ -407,46 +436,66 @@ func (ix *Index) AppendReachableSetFrom(ctx context.Context, dst, seeds []trajec
 	return dst, len(tail), nil
 }
 
-// gridScratch is the pooled per-query working state of the sweep: the
-// seed set, the per-bucket buffered cells and segments, the join and
-// union-find buffers. Epoch-stamped arrays make per-bucket resets O(1);
-// the joiner's hash buckets persist across queries.
+// gridScratch is the pooled per-query working state of the sweep.
+// Epoch-stamped arrays make per-bucket resets O(1); the joiner's cell
+// table persists across queries.
 type gridScratch struct {
-	seeds     visit.Set // infected objects
-	seedList  []trajectory.ObjectID
-	loaded    visit.Set                       // cells buffered this bucket
-	segs      visit.Table[trajectory.Segment] // object → buffered segment
-	segObjs   []trajectory.ObjectID           // objects buffered this bucket
-	pts       []geo.Point
-	ids       []trajectory.ObjectID
-	pending   []int
-	fresh     []trajectory.ObjectID
-	uf        unionFind
-	seedRoots visit.Set
-	joiner    *stjoin.Joiner
+	seeds   visit.Set             // infected objects (boolean sweep)
+	reached []trajectory.ObjectID // carriers, in the order they were reached
+	loaded  visit.Set             // cells buffered this bucket
+	segAt   visit.Ticks           // object → index of its segment in segs
+	segs    []trajectory.Segment  // segments buffered this bucket
+	arena   []geo.Point           // backing array of the segments' positions
+	pts     []geo.Point
+	ids     []trajectory.ObjectID
+	hot     []int32 // indices into pts of the infected, then of the newly infected
+	pending []int
+	fresh   []trajectory.ObjectID
+	joiner  *stjoin.Joiner
 
-	// Semantic-sweep state (AppendSemProfileFrom): hop counts, arrivals,
-	// the reached-object list and the per-instant pair buffers of the
-	// relaxation. Untouched by the boolean sweep.
+	// Directory chunks of bucket dirBucket decoded so far, and the object →
+	// cell entries they held.
+	dirBucket int
+	dirDone   visit.Set
+	dirCells  []int32
+
+	// Semantic-sweep state (AppendSemProfileFrom): hop counts, arrivals and
+	// the per-instant pair buffers of the relaxation. Untouched by the
+	// boolean sweep, whose deferred list stays empty.
 	hops         visit.Ticks
 	arrTicks     visit.Ticks
-	reached      []trajectory.ObjectID
 	pairA, pairB []trajectory.ObjectID
-	deferred     []queries.SeedState   // seeds activating after iv.Lo
+	deferred     []queries.SeedState   // seeds activating after iv.Lo, by Start
+	di           int                   // first deferred seed not yet activated
 	activated    []trajectory.ObjectID // seeds activated this instant
 
 	posPage int64 // disk page just past the last blob read; -1 unknown
 	posCell int   // first cell of the current bucket at or past posPage
+
+	own pagefile.Stats // the stream accountant of a query whose caller has none
 }
 
-// reset prepares the scratch for one query; the joiner is built lazily the
-// first time a scratch serves this index (env and dT are per-index
-// constants, and pools are per-index, so a pooled joiner always matches).
+// begin takes a scratch for one query; the caller returns it to ix.pool.
+// Read-through needs a stream accountant even when the caller does not care
+// about the counts, so a nil acct is replaced by the scratch's own.
+func (ix *Index) begin(acct *pagefile.Stats) (*gridScratch, *pagefile.Stats) {
+	sc := ix.pool.Get()
+	sc.reset(ix)
+	if acct == nil {
+		sc.own = pagefile.Stats{}
+		acct = &sc.own
+	}
+	return sc, acct
+}
+
+// reset empties the scratch. The joiner is built the first time it serves
+// this index (env and dT are per-index, and so are pools).
 func (sc *gridScratch) reset(ix *Index) {
 	sc.seeds.Reset(ix.numObjects)
-	sc.seedList = sc.seedList[:0]
-	sc.uf.ensure(ix.numObjects)
+	sc.reached = sc.reached[:0]
+	sc.deferred, sc.di = sc.deferred[:0], 0
 	sc.posPage, sc.posCell = -1, 0
+	sc.dirBucket = -1
 	if sc.joiner == nil {
 		sc.joiner = stjoin.NewJoiner(ix.grid.Env(), ix.dT)
 	}
@@ -457,35 +506,56 @@ func (sc *gridScratch) reset(ix *Index) {
 // follow the current one's on disk.
 func (sc *gridScratch) resetBucket(numObjects, numCells int) {
 	sc.loaded.Reset(numCells)
-	sc.segs.Reset(numObjects)
-	sc.segObjs = sc.segObjs[:0]
+	sc.segAt.Reset(numObjects)
+	sc.segs = sc.segs[:0]
+	sc.arena = sc.arena[:0]
 	sc.posCell = 0
 }
 
-// sweep runs Algorithm 1 from the given seed set, invoking onInfect for
-// every object that becomes reachable from a seed (seeds excluded).
-// onInfect returning false terminates the sweep early (the paper's
-// termination on discovering the destination). All state lives in one
-// pooled scratch; page reads are charged to acct. The context is observed
-// once per instant.
-func (ix *Index) sweep(ctx context.Context, initial []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats, onInfect func(trajectory.ObjectID) bool) error {
-	if acct == nil {
-		// Position tracking (read-through) needs a stream accountant even
-		// when the caller does not care about the counts.
-		acct = &pagefile.Stats{}
+// positions reserves n points of the bucket's arena. A full arena is
+// replaced, not copied: segments buffered earlier keep the old array.
+func (sc *gridScratch) positions(n int) []geo.Point {
+	if n > cap(sc.arena)-len(sc.arena) {
+		sc.arena = make([]geo.Point, 0, max(2*cap(sc.arena), n, 1024))
 	}
-	sc := ix.pool.Get()
-	defer ix.pool.Put(sc)
-	sc.reset(ix)
-	for _, s := range initial {
-		if int(s) < 0 || int(s) >= ix.numObjects {
-			return fmt.Errorf("reachgrid: seed %d outside [0, %d)", s, ix.numObjects)
-		}
-		if sc.seeds.Visit(int(s)) {
-			sc.seedList = append(sc.seedList, s)
-		}
-	}
+	lo := len(sc.arena)
+	sc.arena = sc.arena[:lo+n]
+	return sc.arena[lo : lo+n : lo+n]
+}
 
+// sweep runs Algorithm 1 from the given (valid) seed set, invoking onInfect
+// for every object that becomes reachable from a seed (seeds excluded), in
+// the order they are infected. onInfect returning false terminates the
+// sweep early (the paper's termination on discovering the destination).
+func (ix *Index) sweep(ctx context.Context, initial []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats, onInfect func(trajectory.ObjectID) bool) error {
+	sc, acct := ix.begin(acct)
+	defer ix.pool.Put(sc)
+	for _, s := range initial {
+		if sc.seeds.Visit(int(s)) {
+			sc.reached = append(sc.reached, s)
+		}
+	}
+	return ix.walk(ctx, sc, iv, acct, func(t trajectory.Tick) ([]trajectory.ObjectID, bool) {
+		fresh := ix.infectAt(sc, t)
+		for i, o := range fresh {
+			if !onInfect(o) {
+				return fresh[:i+1], true
+			}
+		}
+		return fresh, false
+	})
+}
+
+// walk is the guided bucket walk of Algorithm 1. Per bucket it loads the
+// cells of the carriers sc.reached (C_{S_i}) and prefetches the
+// potential-seed cells N_i around their MBRs; per instant it lets the
+// deferred seeds that are due join the carriers, then runs step to a
+// fixpoint: the objects it returns are new carriers at t, their cells are
+// admitted and the instant is stepped again, so chains through just-loaded
+// cells resolve within their own tick (the recursive restart at t′ in
+// §4.2). stop ends the walk once the step's objects are recorded. The
+// context is observed once per instant.
+func (ix *Index) walk(ctx context.Context, sc *gridScratch, iv contact.Interval, acct *pagefile.Stats, step func(trajectory.Tick) (fresh []trajectory.ObjectID, stop bool)) error {
 	prevBi := -1
 	for bi := ix.bucketOf(iv.Lo); bi <= ix.bucketOf(iv.Hi) && bi < len(ix.buckets); bi++ {
 		w := ix.buckets[bi].span.Intersect(iv)
@@ -497,28 +567,26 @@ func (ix *Index) sweep(ctx context.Context, initial []trajectory.ObjectID, iv co
 		}
 		prevBi = bi
 		sc.resetBucket(ix.numObjects, ix.grid.NumCells())
-		// Locate and load the cells of the current seeds (C_{S_i}), then
-		// prefetch the potential-seed cells N_i around their MBRs.
-		if err := ix.admitSeeds(bi, sc, sc.seedList, w.Lo, w.Hi, acct); err != nil {
+		if err := ix.admitSeeds(bi, sc, sc.reached, w.Lo, w.Hi, acct); err != nil {
 			return err
 		}
 		for t := w.Lo; t <= w.Hi; t++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			// Fixpoint per instant: a new seed at t can infect further
-			// objects at the same instant once its cells are loaded
-			// (the recursive restart at t′ in §4.2).
+			if activated := sc.activateDue(t); len(activated) > 0 {
+				if err := ix.admitSeeds(bi, sc, activated, t, w.Hi, acct); err != nil {
+					return err
+				}
+			}
 			for {
-				fresh := ix.infectAt(sc, t)
+				fresh, stop := step(t)
+				sc.reached = append(sc.reached, fresh...)
+				if stop {
+					return nil
+				}
 				if len(fresh) == 0 {
 					break
-				}
-				for _, o := range fresh {
-					sc.seedList = append(sc.seedList, o)
-					if !onInfect(o) {
-						return nil
-					}
 				}
 				if err := ix.admitSeeds(bi, sc, fresh, t, w.Hi, acct); err != nil {
 					return err
@@ -539,7 +607,7 @@ func (ix *Index) sweep(ctx context.Context, initial []trajectory.ObjectID, iv co
 func (ix *Index) admitSeeds(bi int, sc *gridScratch, objs []trajectory.ObjectID, cur, hi trajectory.Tick, acct *pagefile.Stats) error {
 	sc.pending = sc.pending[:0]
 	for _, o := range objs {
-		if _, ok := sc.segs.Get(int(o)); !ok {
+		if _, ok := sc.segAt.Get(int(o)); !ok {
 			cell, err := ix.dirLookup(bi, o, sc, acct)
 			if err != nil {
 				return err
@@ -555,13 +623,13 @@ func (ix *Index) admitSeeds(bi int, sc *gridScratch, objs []trajectory.ObjectID,
 	}
 	sc.pending = sc.pending[:0]
 	for _, o := range objs {
-		seg, ok := sc.segs.Get(int(o))
+		i, ok := sc.segAt.Get(int(o))
 		if !ok {
 			// The directory pointed at a cell that does not contain the
 			// object's segment; the layout guarantees this cannot happen.
 			return fmt.Errorf("reachgrid: object %d missing from its directory cell in bucket %d", o, bi)
 		}
-		mbr := segMBR(seg, cur, hi).Expand(ix.dT)
+		mbr := segMBR(sc.segs[i], cur, hi).Expand(ix.dT)
 		sc.pending = ix.grid.CellsIntersecting(mbr, sc.pending)
 	}
 	return ix.loadCells(bi, sc, acct)
@@ -581,9 +649,13 @@ const readThroughPages = 2 * pagefile.SeqCostRatio
 // too, turning a seek into a cheaper sequential scan. Extra buffered cells
 // never change the sweep's answer — the per-instant fixpoint makes the
 // infection set independent of which additional cells are resident — they
-// only trade random for sequential I/O.
+// only trade random for sequential I/O. A cell named twice is dropped (by
+// its second turn the arm is past it or the gap in front of it is
+// buffered); one that is merely buffered already is not: whether the gap
+// in front of it is read through depends on it.
 func (ix *Index) loadCells(bi int, sc *gridScratch, acct *pagefile.Stats) error {
-	sortInts(sc.pending)
+	slices.Sort(sc.pending)
+	sc.pending = slices.Compact(sc.pending)
 	refs := ix.buckets[bi].cellRefs
 	for _, id := range sc.pending {
 		if id >= sc.posCell && !refs[id].Null() && sc.posPage >= 0 &&
@@ -646,37 +718,36 @@ func (sc *gridScratch) advancePos(acct *pagefile.Stats, before int64, beforeOK b
 	sc.posCell = nextCell
 }
 
-// infectAt joins the buffered segments at instant t and merges connected
-// components; every object in a component that contains a seed becomes a
-// seed. It returns the newly infected objects (valid until the next call).
-func (ix *Index) infectAt(sc *gridScratch, t trajectory.Tick) []trajectory.ObjectID {
-	sc.pts, sc.ids, sc.fresh = sc.pts[:0], sc.ids[:0], sc.fresh[:0]
-	for _, o := range sc.segObjs {
-		seg, _ := sc.segs.Get(int(o))
-		if seg.Covers(t) {
+// gather collects the buffered objects that have a sample at instant t
+// into sc.pts and sc.ids, in buffering order.
+func (sc *gridScratch) gather(t trajectory.Tick) {
+	sc.pts, sc.ids = sc.pts[:0], sc.ids[:0]
+	for i := range sc.segs {
+		if seg := &sc.segs[i]; seg.Covers(t) {
 			sc.pts = append(sc.pts, seg.At(t))
-			sc.ids = append(sc.ids, o)
+			sc.ids = append(sc.ids, seg.Object)
 		}
 	}
-	if len(sc.pts) < 2 {
-		return nil
-	}
-	sc.uf.reset(sc.ids)
-	sc.joiner.Join(sc.pts, func(a, b int) bool {
-		sc.uf.union(int32(sc.ids[a]), int32(sc.ids[b]))
-		return true
-	})
-	sc.seedRoots.Reset(ix.numObjects)
-	for _, o := range sc.ids {
+}
+
+// infectAt spreads the infection over the buffered positions of instant t:
+// every object chained to a seed by hops of at most dT becomes a seed. It
+// returns the new seeds in buffering order (valid until the next call).
+func (ix *Index) infectAt(sc *gridScratch, t trajectory.Tick) []trajectory.ObjectID {
+	sc.gather(t)
+	sc.hot, sc.fresh = sc.hot[:0], sc.fresh[:0]
+	for i, o := range sc.ids {
 		if sc.seeds.Has(int(o)) {
-			sc.seedRoots.Visit(int(sc.uf.find(int32(o))))
+			sc.hot = append(sc.hot, int32(i))
 		}
 	}
-	for _, o := range sc.ids {
-		if !sc.seeds.Has(int(o)) && sc.seedRoots.Has(int(sc.uf.find(int32(o)))) {
-			sc.seeds.Visit(int(o))
-			sc.fresh = append(sc.fresh, o)
-		}
+	seeds := len(sc.hot)
+	sc.hot = sc.joiner.Spread(sc.pts, sc.hot)
+	newly := sc.hot[seeds:] // in discovery order; callers count in buffering order
+	slices.Sort(newly)
+	for _, i := range newly {
+		sc.seeds.Visit(int(sc.ids[i]))
+		sc.fresh = append(sc.fresh, sc.ids[i])
 	}
 	return sc.fresh
 }
@@ -733,31 +804,38 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 			dec.Failf("reachgrid: cell names object %d outside [0, %d)", o, ix.numObjects)
 			break
 		}
-		if cnt < 0 || cnt > ix.numTicks {
-			dec.Failf("reachgrid: implausible sample count %d", cnt)
+		// The shortest encoding of cnt samples, checked before arena space
+		// is reserved: 16 bytes each when fixed; under the predictor two
+		// raw float64s, then two uvarints a sample.
+		least := 16 * cnt
+		if format != pagefile.FormatFixed && cnt > 1 {
+			least = 16 + 2*(cnt-1)
+		}
+		if cnt < 0 || cnt > ix.numTicks || least > dec.Remaining() {
+			dec.Failf("reachgrid: implausible sample count %d with %d bytes left", cnt, dec.Remaining())
 			break
 		}
-		if _, dup := sc.segs.Get(int(o)); dup {
-			// The object was already decoded from another cell it spans;
-			// skip its positions (the predictor stream must still be
-			// consumed in the varint format).
+		if _, dup := sc.segAt.Get(int(o)); dup {
+			// The object was already decoded from another cell it spans:
+			// step over its samples without running the predictor.
 			if format == pagefile.FormatFixed {
 				dec.Skip(16 * cnt)
-			} else {
-				decodePositions(dec, cnt, nil)
+			} else if cnt > 0 {
+				dec.Skip(16)
+				dec.SkipVarints(2 * (cnt - 1))
 			}
 			continue
 		}
-		pos := make([]geo.Point, cnt)
+		pos := sc.positions(cnt)
 		if format == pagefile.FormatFixed {
 			for k := range pos {
 				pos[k] = geo.Point{X: dec.Float64(), Y: dec.Float64()}
 			}
 		} else {
-			decodePositions(dec, cnt, pos)
+			decodePositions(dec, pos)
 		}
-		sc.segs.Set(int(o), trajectory.Segment{Object: o, Start: start, Pos: pos})
-		sc.segObjs = append(sc.segObjs, o)
+		sc.segAt.Set(int(o), int32(len(sc.segs)))
+		sc.segs = append(sc.segs, trajectory.Segment{Object: o, Start: start, Pos: pos})
 	}
 	if err := dec.Err(); err != nil {
 		return fmt.Errorf("reachgrid: cell %d of bucket %d: %w", cell, bi, err)
@@ -767,9 +845,10 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 
 // dirLookup reads the object directory entry of o for bucket bi: the cell
 // containing o at the bucket start (one page read, typically a buffer hit
-// for subsequent seeds). The entry is extracted from the chunk without
-// materializing it: direct offset arithmetic in the fixed format, a delta
-// scan in the varint format.
+// for subsequent seeds). The chunk is read, verified and charged on every
+// lookup; only its decode is remembered: the first lookup of a bucket that
+// lands in a chunk decodes all of it (a delta chain in the varint format)
+// into the scratch, later ones are answered by index.
 func (ix *Index) dirLookup(bi int, o trajectory.ObjectID, sc *gridScratch, acct *pagefile.Stats) (int, error) {
 	chunk := int(o) / dirEntriesPerBlob
 	ref := ix.buckets[bi].dirRefs[chunk]
@@ -779,30 +858,50 @@ func (ix *Index) dirLookup(bi int, o trajectory.ObjectID, sc *gridScratch, acct 
 		return 0, fmt.Errorf("reachgrid: directory chunk %d of bucket %d: %w", chunk, bi, err)
 	}
 	sc.advancePos(acct, before, beforeOK, 0) // chunks precede the cells: the run starts here
-	idx := int(o) % dirEntriesPerBlob
+	if sc.dirBucket != bi {
+		sc.dirBucket = bi
+		sc.dirDone.Reset(len(ix.buckets[bi].dirRefs))
+		if len(sc.dirCells) < ix.numObjects {
+			sc.dirCells = make([]int32, ix.numObjects)
+		}
+	}
+	if !sc.dirDone.Has(chunk) {
+		base := chunk * dirEntriesPerBlob
+		if err := decodeDirChunk(data, sc.dirCells[base:min(base+dirEntriesPerBlob, ix.numObjects)]); err != nil {
+			return 0, fmt.Errorf("reachgrid: directory chunk %d of bucket %d: %w", chunk, bi, err)
+		}
+		sc.dirDone.Visit(chunk)
+	}
+	return int(sc.dirCells[o]), nil
+}
+
+// decodeDirChunk fills cells with the leading len(cells) entries of a
+// directory chunk, which must hold at least that many.
+func decodeDirChunk(data []byte, cells []int32) error {
 	dec := pagefile.NewDecoder(data)
-	format := dec.Format()
-	var cell int64
-	if format == pagefile.FormatFixed {
-		n := int(dec.Uint32())
-		if dec.Err() == nil && idx >= n {
-			return 0, fmt.Errorf("reachgrid: directory chunk %d of bucket %d truncated", chunk, bi)
-		}
-		dec.Skip(4 * idx)
-		cell = int64(dec.Int32())
+	fixed := dec.Format() == pagefile.FormatFixed
+	var n int
+	if fixed {
+		n = int(dec.Uint32())
 	} else {
-		n := int(dec.Uvarint())
-		if dec.Err() == nil && idx >= n {
-			return 0, fmt.Errorf("reachgrid: directory chunk %d of bucket %d truncated", chunk, bi)
-		}
-		for i := 0; i <= idx && dec.Err() == nil; i++ {
+		n = int(dec.Uvarint())
+	}
+	if dec.Err() == nil && n < len(cells) {
+		dec.Failf("truncated: %d entries for %d objects", n, len(cells))
+	}
+	cell := int64(0)
+	for i := range cells {
+		if fixed {
+			cell = int64(dec.Int32())
+		} else {
 			cell += dec.Varint()
 		}
+		if cell != int64(int32(cell)) {
+			dec.Failf("entry %d overflows int32", i)
+		}
+		cells[i] = int32(cell)
 	}
-	if err := dec.Err(); err != nil {
-		return 0, err
-	}
-	return int(cell), nil
+	return dec.Err()
 }
 
 // segMBR returns the bounding rectangle of seg's samples within [lo, hi].
@@ -818,56 +917,4 @@ func segMBR(seg trajectory.Segment, lo, hi trajectory.Tick) geo.Rect {
 		r = r.ExtendPoint(seg.At(t))
 	}
 	return r
-}
-
-// unionFind is a small union-find over object IDs, reset per instant.
-type unionFind struct {
-	parent []int32
-	size   []int32
-}
-
-// ensure sizes the structure for n objects, keeping existing capacity.
-func (u *unionFind) ensure(n int) {
-	if len(u.parent) < n {
-		u.parent = make([]int32, n)
-		u.size = make([]int32, n)
-	}
-}
-
-// reset prepares the structure for the given participants.
-func (u *unionFind) reset(ids []trajectory.ObjectID) {
-	for _, o := range ids {
-		u.parent[o] = int32(o)
-		u.size[o] = 1
-	}
-}
-
-func (u *unionFind) find(x int32) int32 {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int32) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.size[ra] < u.size[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
-}
-
-func sortInts(s []int) {
-	// Insertion sort: cell lists per bucket are short and nearly sorted
-	// (objects are scanned in ID order over a locality-preserving grid).
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
 }

@@ -205,6 +205,12 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := ix.ReachableSet(context.Background(), -3, contact.Interval{Lo: 0, Hi: 5}, nil); err == nil {
 		t.Error("ReachableSet(-3): want validation error")
 	}
+	// A seed equal to the destination must not answer before the seeds
+	// behind it are checked.
+	ok, _, err := ix.ReachFromCounted(context.Background(), []trajectory.ObjectID{1, 99}, 1, contact.Interval{Lo: 0, Hi: 10}, nil)
+	if err == nil || ok {
+		t.Errorf("ReachFromCounted(seeds {1, 99}, dst 1) = (%v, %v): want validation error", ok, err)
+	}
 }
 
 func TestDegenerateIntervals(t *testing.T) {

@@ -1,5 +1,5 @@
 // Temporal-semantics evaluation over the ReachGrid layout: the guided
-// sweep of Algorithm 1 with the per-instant union-find replaced by a hop
+// bucket walk of Algorithm 1 with the per-instant spread replaced by a hop
 // relaxation. The grid sees the actual contact pairs of every instant (it
 // joins the buffered segments directly), so unlike the run-DAG backends it
 // can natively count inter-object transfers: at each instant the pair list
@@ -38,9 +38,6 @@ func (ix *Index) SemProfileFrom(ctx context.Context, seeds []queries.SeedState, 
 // result is the number of objects reached. Page reads are charged to acct
 // (which may be nil).
 func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, budget int32, earlyDst trajectory.ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	if acct == nil {
-		acct = &pagefile.Stats{}
-	}
 	iv = ix.clampInterval(iv)
 	if iv.Len() == 0 {
 		return dst, 0, nil
@@ -48,13 +45,10 @@ func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.Profile
 	if budget < 0 || budget > queries.UnboundedHops {
 		budget = queries.UnboundedHops
 	}
-	sc := ix.pool.Get()
+	sc, acct := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix)
 	sc.hops.Reset(ix.numObjects)
 	sc.arrTicks.Reset(ix.numObjects)
-	sc.reached = sc.reached[:0]
-	sc.deferred = sc.deferred[:0]
 	for _, s := range seeds {
 		if int(s.Obj) < 0 || int(s.Obj) >= ix.numObjects {
 			return dst, 0, fmt.Errorf("reachgrid: seed %d outside [0, %d)", s.Obj, ix.numObjects)
@@ -66,13 +60,7 @@ func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.Profile
 			sc.deferred = append(sc.deferred, s)
 			continue
 		}
-		if prev, ok := sc.hops.Get(int(s.Obj)); !ok {
-			sc.hops.Set(int(s.Obj), s.Hops)
-			sc.arrTicks.Set(int(s.Obj), int32(iv.Lo))
-			sc.reached = append(sc.reached, s.Obj)
-		} else if s.Hops < prev {
-			sc.hops.Set(int(s.Obj), s.Hops)
-		}
+		sc.activate(s, iv.Lo)
 	}
 	if len(sc.reached) == 0 && len(sc.deferred) == 0 {
 		return dst, 0, nil
@@ -85,91 +73,52 @@ func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.Profile
 		_, ok := sc.hops.Get(int(earlyDst))
 		return ok
 	}
+	var err error
 	if !dstReached() {
-		if err := ix.semSweep(ctx, sc, iv, budget, dstReached, acct); err != nil {
-			return dst, len(sc.reached), err
-		}
+		// The destination is polled only once an instant is fully relaxed,
+		// which keeps an early-terminated hop count exact at its tick.
+		err = ix.walk(ctx, sc, iv, acct, func(t trajectory.Tick) ([]trajectory.ObjectID, bool) {
+			fresh := ix.relaxAt(sc, t, budget)
+			return fresh, len(fresh) == 0 && dstReached()
+		})
+	}
+	// Deferred seeds the walk never reached (it stopped early) still hold
+	// the item from their activation tick on, exactly like the oracle's.
+	for _, s := range sc.deferred[sc.di:] {
+		sc.activate(s, s.Start)
+	}
+	if err != nil {
+		return dst, len(sc.reached), err
 	}
 	return appendSemEntries(dst, sc), len(sc.reached), nil
 }
 
-// semSweep is the guided bucket walk of Algorithm 1 driving relaxAt
-// instead of infectAt. Deferred seeds (sc.deferred, ascending by Start)
-// join the carriers — and admit their cells — as the walk reaches their
-// activation ticks; an early-stopped sweep records the leftovers'
-// activations after the walk, exactly like the oracle. stop is polled
-// after every relaxation fixpoint.
-func (ix *Index) semSweep(ctx context.Context, sc *gridScratch, iv contact.Interval, budget int32, stop func() bool, acct *pagefile.Stats) error {
-	di := 0
-	defer func() {
-		for ; di < len(sc.deferred); di++ {
-			s := sc.deferred[di]
-			if _, ok := sc.hops.Get(int(s.Obj)); !ok {
-				sc.hops.Set(int(s.Obj), s.Hops)
-				sc.arrTicks.Set(int(s.Obj), int32(s.Start))
-				sc.reached = append(sc.reached, s.Obj)
-			}
-		}
-	}()
-	prevBi := -1
-	for bi := ix.bucketOf(iv.Lo); bi <= ix.bucketOf(iv.Hi) && bi < len(ix.buckets); bi++ {
-		w := ix.buckets[bi].span.Intersect(iv)
-		if w.Len() == 0 {
-			continue
-		}
-		if prevBi >= 0 {
-			ix.bridgeBuckets(prevBi, bi, sc, acct)
-		}
-		prevBi = bi
-		sc.resetBucket(ix.numObjects, ix.grid.NumCells())
-		if err := ix.admitSeeds(bi, sc, sc.reached, w.Lo, w.Hi, acct); err != nil {
-			return err
-		}
-		for t := w.Lo; t <= w.Hi; t++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if di < len(sc.deferred) && sc.deferred[di].Start <= t {
-				sc.activated = sc.activated[:0]
-				for ; di < len(sc.deferred) && sc.deferred[di].Start <= t; di++ {
-					s := sc.deferred[di]
-					if prev, ok := sc.hops.Get(int(s.Obj)); !ok {
-						sc.hops.Set(int(s.Obj), s.Hops)
-						sc.arrTicks.Set(int(s.Obj), int32(s.Start))
-						sc.reached = append(sc.reached, s.Obj)
-						sc.activated = append(sc.activated, s.Obj)
-					} else if s.Hops < prev {
-						sc.hops.Set(int(s.Obj), s.Hops)
-					}
-				}
-				if len(sc.activated) > 0 {
-					if err := ix.admitSeeds(bi, sc, sc.activated, t, w.Hi, acct); err != nil {
-						return err
-					}
-				}
-			}
-			// Fixpoint per instant, exactly like the boolean sweep: a
-			// newly reached object's cells are admitted and the instant is
-			// relaxed again, so chains through just-loaded cells resolve
-			// within their own tick. stop is polled only once the instant
-			// is fully relaxed, keeping early-terminated hop counts exact
-			// at the termination tick.
-			for {
-				fresh := ix.relaxAt(sc, t, budget)
-				if len(fresh) == 0 {
-					break
-				}
-				sc.reached = append(sc.reached, fresh...)
-				if err := ix.admitSeeds(bi, sc, fresh, t, w.Hi, acct); err != nil {
-					return err
-				}
-			}
-			if stop() {
-				return nil
-			}
+// activate makes the seed a carrier from tick at on and reports whether it
+// was not one before; an object that already carries the item keeps its
+// arrival and the smaller hop count.
+func (sc *gridScratch) activate(s queries.SeedState, at trajectory.Tick) bool {
+	prev, ok := sc.hops.Get(int(s.Obj))
+	if !ok {
+		sc.arrTicks.Set(int(s.Obj), int32(at))
+		sc.reached = append(sc.reached, s.Obj)
+	}
+	if !ok || s.Hops < prev {
+		sc.hops.Set(int(s.Obj), s.Hops)
+	}
+	return !ok
+}
+
+// activateDue activates the deferred seeds (ascending by Start) whose
+// activation tick the walk has reached and returns the new carriers among
+// them (valid until the next call).
+func (sc *gridScratch) activateDue(t trajectory.Tick) []trajectory.ObjectID {
+	sc.activated = sc.activated[:0]
+	for ; sc.di < len(sc.deferred) && sc.deferred[sc.di].Start <= t; sc.di++ {
+		if s := sc.deferred[sc.di]; sc.activate(s, s.Start) {
+			sc.activated = append(sc.activated, s.Obj)
 		}
 	}
-	return nil
+	return sc.activated
 }
 
 // relaxAt joins the buffered segments at instant t and relaxes the contact
@@ -179,14 +128,8 @@ func (ix *Index) semSweep(ctx context.Context, sc *gridScratch, iv contact.Inter
 // improvements to already reached objects propagate within the same
 // fixpoint but are not reported.
 func (ix *Index) relaxAt(sc *gridScratch, t trajectory.Tick, budget int32) []trajectory.ObjectID {
-	sc.pts, sc.ids, sc.fresh = sc.pts[:0], sc.ids[:0], sc.fresh[:0]
-	for _, o := range sc.segObjs {
-		seg, _ := sc.segs.Get(int(o))
-		if seg.Covers(t) {
-			sc.pts = append(sc.pts, seg.At(t))
-			sc.ids = append(sc.ids, o)
-		}
-	}
+	sc.gather(t)
+	sc.fresh = sc.fresh[:0]
 	if len(sc.pts) < 2 {
 		return nil
 	}

@@ -42,13 +42,8 @@ func (ix *Index) SPJReachCounted(ctx context.Context, q queries.Query, acct *pag
 		return true, 1, nil
 	}
 	expanded := 1 // src
-	if acct == nil {
-		acct = &pagefile.Stats{}
-	}
-
-	sc := ix.pool.Get()
+	sc, acct := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.reset(ix)
 	sc.seeds.Visit(int(q.Src))
 
 	for bi := ix.bucketOf(iv.Lo); bi <= ix.bucketOf(iv.Hi) && bi < len(ix.buckets); bi++ {
@@ -68,35 +63,11 @@ func (ix *Index) SPJReachCounted(ctx context.Context, q queries.Query, acct *pag
 			if err := ctx.Err(); err != nil {
 				return false, expanded, err
 			}
-			sc.pts, sc.ids = sc.pts[:0], sc.ids[:0]
-			for _, o := range sc.segObjs {
-				seg, _ := sc.segs.Get(int(o))
-				if seg.Covers(t) {
-					sc.pts = append(sc.pts, seg.At(t))
-					sc.ids = append(sc.ids, o)
-				}
-			}
-			if len(sc.pts) < 2 {
-				continue
-			}
-			sc.uf.reset(sc.ids)
-			sc.joiner.Join(sc.pts, func(a, b int) bool {
-				sc.uf.union(int32(sc.ids[a]), int32(sc.ids[b]))
-				return true
-			})
-			sc.seedRoots.Reset(ix.numObjects)
-			for _, o := range sc.ids {
-				if sc.seeds.Has(int(o)) {
-					sc.seedRoots.Visit(int(sc.uf.find(int32(o))))
-				}
-			}
-			for _, o := range sc.ids {
-				if !sc.seeds.Has(int(o)) && sc.seedRoots.Has(int(sc.uf.find(int32(o)))) {
-					sc.seeds.Visit(int(o))
-					expanded++
-					if o == q.Dst {
-						return true, expanded, nil
-					}
+			// Every cell is buffered, so one spread closes the instant.
+			for _, o := range ix.infectAt(sc, t) {
+				expanded++
+				if o == q.Dst {
+					return true, expanded, nil
 				}
 			}
 		}

@@ -11,8 +11,9 @@
 // allows:
 //
 //   - oracle: per-instant hop relaxation, the ground truth (all semantics)
-//   - reachgrid: the guided sweep with relaxation instead of union-find
-//     (all semantics — the grid joins real contact pairs per instant)
+//   - reachgrid: the guided sweep with a hop relaxation as its
+//     per-instant step instead of the boolean spread (all semantics — the
+//     grid joins real contact pairs per instant)
 //   - reachgraph, reachgraph-mem (all strategies): a forward arrival sweep
 //     over the run DAG (earliest-arrival only; runs collapse contact
 //     components, so transfer counts are not derivable)
