@@ -93,6 +93,51 @@ func TestBidirOddSlabWidths(t *testing.T) {
 	}
 }
 
+// TestBidirExpandsLessOnLongIntervals holds the planner to what it is for:
+// on intervals pinned to three quarters of the time domain, where a forward
+// frontier saturates the population while the destination's deliverer set
+// stays small, meet-in-the-middle expands at most 70% of what the forward
+// slab plan expands, per index family. Expansion counts are exact and
+// repeat run for run; latency is the benchmark's business (bidir.* in
+// benchmark/), not this test's.
+func TestBidirExpandsLessOnLongIntervals(t *testing.T) {
+	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
+		NumObjects: 48, NumTicks: 240, Seed: 49,
+	})
+	long := 3 * ds.NumTicks() / 4
+	work := streach.RandomQueries(streach.WorkloadOptions{
+		NumObjects: ds.NumObjects(),
+		NumTicks:   ds.NumTicks(),
+		Count:      24,
+		MinLen:     long,
+		MaxLen:     long,
+		Seed:       78,
+	})
+	opts := streach.Options{SegmentTicks: ds.NumTicks() / 8}
+	ctx := context.Background()
+	expanded := func(name string) int {
+		e, err := streach.Open(name, ds, opts)
+		if err != nil {
+			t.Fatalf("open %q: %v", name, err)
+		}
+		total := 0
+		for _, q := range work {
+			r, err := e.Reachable(ctx, q)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, q, err)
+			}
+			total += r.Expanded
+		}
+		return total
+	}
+	for _, family := range []string{"reachgraph", "reachgraph-mem"} {
+		fwd, bi := expanded("segmented:"+family), expanded("bidir:"+family)
+		if fwd == 0 || bi == 0 || bi*10 > fwd*7 {
+			t.Errorf("%s: bidir expanded %d, segmented %d; want at most 70%%", family, bi, fwd)
+		}
+	}
+}
+
 // TestBidirLiveEngineDirtyDeltas opens live engines under the bidir:
 // prefix and feeds them entirely through late events: the clock advances
 // first (sealing every slab empty), then the contacts arrive out of order

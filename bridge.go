@@ -1,7 +1,8 @@
-// Bridges between the facade types and the module's internal packages, used
-// by internal/bench to drive the public Engine registry over datasets and
-// contact networks it already holds. The internal parameter types make
-// these constructors uncallable from outside the module.
+// Bridges between the facade types and the module's internal packages:
+// benchmark/ (layers.go), internal/bench and a few root tests hold datasets
+// and contact networks as internal values and hand them to streach.Open
+// through these. The internal parameter types make the constructors
+// uncallable from outside the module.
 
 package streach
 

@@ -8,24 +8,21 @@
 //	reachbench -list                   # available experiment ids
 //	reachbench -exp fig14 -queries 200 -ticks 4000 -scale large
 //	reachbench -exp backends -backends reachgrid,reachgraph,grail
-//	reachbench -exp concurrency -json BENCH_pr.json -scale tiny
 //
 // Each experiment prints a table whose rows mirror the series of the paper
 // artifact, with a footnote quoting the paper-reported numbers for
 // comparison. Query evaluators are drawn from the public backend registry
-// (streach.Backends); the "backends" and "concurrency" experiments sweep
-// every registered backend, restricted by the -backends flag.
+// (streach.Backends); the "backends" experiment sweeps every registered
+// backend, restricted by the -backends flag.
 //
-// -json additionally writes the concurrency sweep as a machine-readable
-// report (schema streach-bench/v1) to the given path — the format CI
-// validates and archives as the perf trajectory (BENCH_*.json).
+// The tables reproduce the paper. How this repository's performance moves
+// from commit to commit is measured by benchmark/ (see BENCHMARK.json).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,22 +33,14 @@ import (
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		expAlias = flag.String("experiment", "", "alias for -exp")
 		list     = flag.Bool("list", false, "list available experiment ids and exit")
-		queries  = flag.Int("queries", 0, "random queries per measurement point (default 60)")
+		queries  = flag.Int("queries", 0, "random queries per measurement point (default 50; 12 at -scale tiny, 100 at large)")
 		ticks    = flag.Int("ticks", 0, "time-domain length in ticks (default 2000)")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		scale    = flag.String("scale", "small", "dataset scale: tiny | small | medium | large")
-		backends = flag.String("backends", "", "comma-separated registry backends for the 'backends'/'concurrency' experiments (default: all)")
-		workers  = flag.String("workers", "", "comma-separated worker counts for the 'concurrency' experiment (default 1,2,4,8)")
-		topk     = flag.Int("topk", 0, "k of the 'semantics' experiment's top-k decay queries (default 10)")
-		decay    = flag.Float64("decay", 0, "per-transfer decay weight of the 'semantics' experiment, in (0, 1] (default 0.85)")
-		jsonOut  = flag.String("json", "", "write the machine-readable sweeps as a streach-bench/v1 JSON report to this path")
+		backends = flag.String("backends", "", "comma-separated registry backends for the 'backends' experiment (default: all)")
 	)
 	flag.Parse()
-	if *expAlias != "" {
-		*exp = *expAlias
-	}
 
 	if *list {
 		for _, id := range bench.IDs() {
@@ -64,15 +53,7 @@ func main() {
 		return
 	}
 
-	if *decay != 0 && !(*decay > 0 && *decay <= 1) {
-		fmt.Fprintf(os.Stderr, "reachbench: -decay %v outside (0, 1]\n", *decay)
-		os.Exit(2)
-	}
-	if *topk < 0 {
-		fmt.Fprintf(os.Stderr, "reachbench: -topk %d must be positive\n", *topk)
-		os.Exit(2)
-	}
-	opts := bench.Options{Queries: *queries, Ticks: *ticks, Seed: *seed, TopK: *topk, Decay: *decay}
+	opts := bench.Options{Queries: *queries, Ticks: *ticks, Seed: *seed}
 	if *backends != "" {
 		opts.Backends = strings.Split(*backends, ",")
 		for i := range opts.Backends {
@@ -82,16 +63,6 @@ func main() {
 					opts.Backends[i], strings.Join(streach.Backends(), ", "))
 				os.Exit(2)
 			}
-		}
-	}
-	if *workers != "" {
-		for _, part := range strings.Split(*workers, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || w < 1 {
-				fmt.Fprintf(os.Stderr, "reachbench: bad -workers entry %q\n", part)
-				os.Exit(2)
-			}
-			opts.Workers = append(opts.Workers, w)
 		}
 	}
 	switch *scale {
@@ -144,67 +115,6 @@ func main() {
 		table := run()
 		table.Render(os.Stdout)
 		fmt.Printf("  [%s took %s]\n\n", id, time.Since(t0).Round(time.Millisecond))
-	}
-	if *jsonOut != "" {
-		// Collect the machine-readable experiments among the ones that
-		// ran; with none selected the concurrency sweep is the default
-		// report (the historical BENCH_*.json contents).
-		var recs []bench.Record
-		ranConc, ranStream, ranCodec, ranSem, ranCompact, ranBidir, ranShard, ranFiltered := false, false, false, false, false, false, false, false
-		for _, id := range ids {
-			switch strings.ToLower(strings.TrimSpace(id)) {
-			case "concurrency":
-				ranConc = true
-			case "all":
-				ranConc, ranStream, ranCodec, ranSem, ranCompact, ranBidir, ranShard, ranFiltered = true, true, true, true, true, true, true, true
-			case "streaming":
-				ranStream = true
-			case "ablation-codec":
-				ranCodec = true
-			case "semantics":
-				ranSem = true
-			case "filtered":
-				ranFiltered = true
-			case "compaction":
-				ranCompact = true
-			case "bidir":
-				ranBidir = true
-			case "sharding":
-				ranShard = true
-			}
-		}
-		if !ranConc && !ranStream && !ranCodec && !ranSem && !ranCompact && !ranBidir && !ranShard && !ranFiltered {
-			ranConc = true
-		}
-		if ranConc {
-			recs = append(recs, lab.ConcurrencyRecords()...)
-		}
-		if ranStream {
-			recs = append(recs, lab.StreamingRecords()...)
-		}
-		if ranCodec {
-			recs = append(recs, lab.CodecRecords()...)
-		}
-		if ranSem {
-			recs = append(recs, lab.SemanticsRecords()...)
-		}
-		if ranFiltered {
-			recs = append(recs, lab.FilteredRecords()...)
-		}
-		if ranCompact {
-			recs = append(recs, lab.CompactionRecords()...)
-		}
-		if ranBidir {
-			recs = append(recs, lab.BidirRecords()...)
-		}
-		if ranShard {
-			recs = append(recs, lab.ShardRecords()...)
-		}
-		if err := bench.WriteJSONFile(*jsonOut, recs); err != nil {
-			fmt.Fprintf(os.Stderr, "reachbench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(recs), *jsonOut)
 	}
 	fmt.Printf("total: %s\n", time.Since(start).Round(time.Millisecond))
 }

@@ -11,10 +11,10 @@
 //
 // Latencies land in an HDR-style log-bucketed histogram (1µs resolution
 // floor, ~5% bucket growth to 60s) from which p50/p95/p99 are read.
-// Results are emitted as streach-bench/v1 records (experiment "serving"),
-// one per swept client count:
+// Results are emitted as a streachload/v1 report (report.go), one record
+// per swept client count:
 //
-//	streachload -addr 127.0.0.1:8317 -sweep 1,8,64 -duration 5s -json BENCH_serving.json
+//	streachload -addr 127.0.0.1:8317 -sweep 1,8,64 -duration 5s -json serving.json
 package main
 
 import (
@@ -33,8 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"streach/internal/bench"
 )
 
 func main() {
@@ -55,7 +53,7 @@ func main() {
 		lateFrac   = flag.Float64("late-frac", 0, "fraction of ingest posts sent as v2 out-of-order contact events at a past tick (a quarter of those adds are later retracted)")
 		strategy   = flag.String("strategy", "auto", `strategy label on emitted records: "forward", "bidir", or "auto" (derive from the server's backend name)`)
 		seed       = flag.Int64("seed", 1, "workload seed")
-		jsonPath   = flag.String("json", "", "write a streach-bench/v1 report here")
+		jsonPath   = flag.String("json", "", "write a streachload/v1 report here")
 		timeoutStr = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	)
 	flag.Parse()
@@ -113,7 +111,7 @@ func main() {
 		}
 	}
 
-	var records []bench.Record
+	var records []record
 	for _, n := range counts {
 		rec := runPoint(client, base, st, pointConfig{
 			clients:     n,
@@ -137,8 +135,7 @@ func main() {
 			rec.Queries, shedCount.Load(), errCount.Load())
 	}
 
-	// Speedup column relative to the smallest swept client count, mirroring
-	// the concurrency experiment's convention.
+	// Speedup column relative to the smallest swept client count.
 	if base := records[0].QueriesPerSec; base > 0 {
 		for i := range records {
 			records[i].SpeedupVs1Worker = records[i].QueriesPerSec / base
@@ -146,7 +143,7 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if err := bench.WriteJSONFile(*jsonPath, records); err != nil {
+		if err := writeReport(*jsonPath, records); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s", *jsonPath)
@@ -183,7 +180,7 @@ type pointConfig struct {
 
 // runPoint measures one client-count point: warmup, then cfg.duration of
 // recorded traffic, with the optional ingest stream running throughout.
-func runPoint(client *http.Client, base string, st *statsDoc, cfg pointConfig) bench.Record {
+func runPoint(client *http.Client, base string, st *statsDoc, cfg pointConfig) record {
 	// Snapshot the server's expanded-contacts histograms so this point's
 	// per-query expansion cost can be read as a delta (earlier sweep points
 	// and the warmup of other tools already moved the counters).
@@ -298,7 +295,7 @@ func runPoint(client *http.Client, base string, st *statsDoc, cfg pointConfig) b
 	}
 
 	n := queries.Load()
-	rec := bench.Record{
+	rec := record{
 		Experiment:    "serving",
 		Backend:       st.Backend,
 		Dataset:       st.Dataset,

@@ -595,14 +595,11 @@ func withSharedPool(opts Options, diskResident bool) Options {
 }
 
 // direction orients a sweep in time.
-type direction int8
+type direction = queries.Direction
 
 const (
-	// forward propagates holders: who receives the item, and when first.
-	forward direction = iota
-	// backward propagates deliverers: who, holding the item, gets it to a
-	// seed by the interval end, and until when at the latest.
-	backward
+	forward  = queries.Forward
+	backward = queries.Backward
 )
 
 // core is the one backend surface the root package composes: every index
@@ -980,15 +977,10 @@ func graphSupports(spec semSpec) bool { return !spec.tracksHops() && !spec.filte
 func (c graphCore) supports(spec semSpec) bool { return graphSupports(spec) }
 
 func (c graphCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, _ ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	switch {
-	case !graphSupports(spec):
+	if !graphSupports(spec) {
 		return out, 0, errNotNative
-	case spec.dir == forward:
-		return c.ix.AppendArrivalProfileSeeds(ctx, out, seeds, iv, acct)
 	}
-	objs := objectsPool.Get()
-	defer objectsPool.Put(objs)
-	return c.ix.AppendReverseProfileFrom(ctx, out, objs.of(seeds), iv, acct)
+	return c.ix.AppendProfile(ctx, out, seeds, iv, spec.dir, acct)
 }
 
 type graphMemCore struct {
@@ -1003,15 +995,10 @@ func (c graphMemCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID,
 func (c graphMemCore) supports(spec semSpec) bool { return graphSupports(spec) }
 
 func (c graphMemCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, _ ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	switch {
-	case !graphSupports(spec):
+	if !graphSupports(spec) {
 		return out, 0, errNotNative
-	case spec.dir == forward:
-		return c.m.AppendArrivalProfileSeeds(ctx, out, seeds, iv)
 	}
-	objs := objectsPool.Get()
-	defer objectsPool.Put(objs)
-	return c.m.AppendReverseProfileFrom(ctx, out, objs.of(seeds), iv)
+	return c.m.AppendProfile(ctx, out, seeds, iv, spec.dir)
 }
 
 // seedStates lifts a bare frontier — every object holding the item from
@@ -1024,19 +1011,15 @@ func seedStates(objs []ObjectID) []queries.SeedState {
 	return seeds
 }
 
-// objectList is a pooled buffer for the backward sweeps of the adapters
-// whose index takes its seeds as bare objects (every backward seed holds
-// from the interval end, so Start and Hops carry nothing).
-type objectList []ObjectID
-
-var objectsPool = visit.NewPool(func() *objectList { return new(objectList) })
-
-func (l *objectList) of(seeds []queries.SeedState) []ObjectID {
-	*l = (*l)[:0]
-	for _, s := range seeds {
-		*l = append(*l, s.Obj)
+// objectsOf is the frontier of a backward sweep as the oracle takes it:
+// every backward seed holds from the interval end, so Start and Hops carry
+// nothing.
+func objectsOf(seeds []queries.SeedState) []ObjectID {
+	objs := make([]ObjectID, len(seeds))
+	for i, s := range seeds {
+		objs[i] = s.Obj
 	}
-	return *l
+	return objs
 }
 
 type grailDiskCore struct {
@@ -1087,8 +1070,7 @@ func (c oracleCore) sweep(_ context.Context, out []queries.ProfileEntry, seeds [
 	}
 	o := c.o.Filtered(spec.filter)
 	if spec.dir == backward {
-		var objs objectList
-		entries := o.ReverseProfileFrom(objs.of(seeds), iv)
+		entries := o.ReverseProfileFrom(objectsOf(seeds), iv)
 		return append(out, entries...), len(entries), nil
 	}
 	entries, n := o.ProfileFrom(seeds, iv, spec.budget, early)

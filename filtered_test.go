@@ -336,6 +336,18 @@ func TestMonteCarloFacade(t *testing.T) {
 		if again.Prob != r.Prob {
 			t.Fatalf("%s: seeded estimate not reproducible: %v then %v", name, r.Prob, again.Prob)
 		}
+		// Reliability bounds the best single path from above, so the
+		// estimate may fall short of the exact best-path probability by
+		// sampling error only.
+		xq := q
+		xq.Semantics.MCTrials, xq.Semantics.MCSeed = 0, 0
+		exact, err := e.Reachable(ctx, xq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Prob <= 0 || r.Prob < exact.Prob-0.2 {
+			t.Fatalf("%s: estimate %v against exact best-path probability %v: want it positive and the shortfall within 0.2", name, r.Prob, exact.Prob)
+		}
 		// The estimator must agree with certainty: p=1 makes the estimate
 		// the plain boolean answer.
 		cq := q

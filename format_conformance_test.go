@@ -77,3 +77,46 @@ func TestCrossBackendConformanceBothFormats(t *testing.T) {
 		}
 	}
 }
+
+// TestVarintReadsFewerPages pins what the varint-delta layout is for on
+// the query path, not just at rest: the same point-query workload, run
+// cold against the two paper indexes built in each format, fetches at
+// least 25% fewer pages from the simulated disk in varint-delta than in
+// fixed width. The pool holds four pages, too few for either layout to
+// stay resident, so the drop is in what a query reads and not a working
+// set that happens to fit. Page counts are exact; nothing here depends on
+// a clock.
+func TestVarintReadsFewerPages(t *testing.T) {
+	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
+		NumObjects: 48, NumTicks: 240, Seed: 49,
+	})
+	work := streach.RandomQueries(streach.WorkloadOptions{
+		NumObjects: ds.NumObjects(),
+		NumTicks:   ds.NumTicks(),
+		Count:      24,
+		Seed:       78,
+	})
+	ctx := context.Background()
+	for _, name := range []string{"reachgraph", "reachgrid"} {
+		pages := map[streach.PageFormat]int64{}
+		for _, format := range []streach.PageFormat{streach.PageFormatFixed, streach.PageFormatVarint} {
+			e, err := streach.Open(name, ds, streach.Options{PageFormat: format, PoolPages: 4})
+			if err != nil {
+				t.Fatalf("open %q (%v): %v", name, format, err)
+			}
+			for _, q := range work {
+				if _, err := e.Reachable(ctx, q); err != nil {
+					t.Fatalf("%q (%v) %v: %v", name, format, q, err)
+				}
+			}
+			io := e.IOTotals()
+			pages[format] = io.RandomReads + io.SequentialReads
+		}
+		fixed, varint := pages[streach.PageFormatFixed], pages[streach.PageFormatVarint]
+		if fixed <= 0 || varint <= 0 || varint*4 > fixed*3 {
+			t.Errorf("%q: varint-delta read %d pages, fixed %d; want at least 25%% fewer", name, varint, fixed)
+		} else {
+			t.Logf("%q: %d pages fixed → %d varint-delta (%.0f%%)", name, fixed, varint, 100*float64(varint)/float64(fixed))
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // The hot-path microbenchmarks run the standard workload through the
-// rewritten traversal cores on the RWP48 dataset (the bench-smoke tiny
+// rewritten traversal cores on the RWP48 dataset (reachbench's tiny
 // preset: 48 objects, 240 ticks). They report allocations: the memory
 // backends and disk ReachGraph must sit at 0 allocs/op in steady state
 // (pinned by TestHotpathSteadyStateAllocs below).

@@ -16,6 +16,11 @@
 // per-query Results; only experiments probing internal structure (graph
 // reduction, construction time, parameter encodings) touch the internal
 // packages directly.
+//
+// This package reproduces the paper; it does not track this repository's
+// performance over time. That is benchmark/ (BENCHMARK.json), the one
+// measurement system: nothing here emits records, and no number printed
+// here is compared against an earlier run.
 package bench
 
 import (
@@ -53,17 +58,9 @@ type Options struct {
 	Queries int
 	// Seed fixes all generators.
 	Seed int64
-	// Backends restricts the cross-backend experiments ("backends",
-	// "concurrency") to the named registry backends. Default: every
-	// registered backend.
+	// Backends restricts the "backends" sweep to the named registry
+	// backends. Default: every registered backend.
 	Backends []string
-	// Workers lists the EvaluateBatch pool sizes the "concurrency"
-	// experiment sweeps. Default {1, 2, 4, 8}.
-	Workers []int
-	// TopK and Decay parametrize the "semantics" experiment's top-k
-	// transfer-decay queries. Defaults 10 and 0.85.
-	TopK  int
-	Decay float64
 }
 
 func (o *Options) applyDefaults() {
@@ -87,15 +84,6 @@ func (o *Options) applyDefaults() {
 	}
 	if len(o.Backends) == 0 {
 		o.Backends = streach.Backends()
-	}
-	if len(o.Workers) == 0 {
-		o.Workers = []int{1, 2, 4, 8}
-	}
-	if o.TopK <= 0 {
-		o.TopK = 10
-	}
-	if !(o.Decay > 0 && o.Decay <= 1) {
-		o.Decay = 0.85
 	}
 }
 
@@ -167,19 +155,10 @@ func pad(s string, w int) string {
 type Lab struct {
 	opts Options
 
-	datasets     map[string]*trajectory.Dataset
-	contacts     map[string]*contact.Network
-	graphs       map[string]*dn.Graph
-	pub          map[string]*streach.Dataset
-	clusteredDS  *streach.Dataset // memoized sharding preset
-	concRecs     []Record         // memoized concurrency sweep
-	streamRecs   []Record         // memoized streaming sweep
-	compactRecs  []Record         // memoized compaction sweep
-	codecRecs    []Record         // memoized codec ablation
-	semRecs      []Record         // memoized semantics sweep
-	filteredRecs []Record         // memoized filtered/probabilistic sweep
-	bidirRecs    []Record         // memoized bidirectional-search sweep
-	shardRecs    []Record         // memoized sharding sweep
+	datasets map[string]*trajectory.Dataset
+	contacts map[string]*contact.Network
+	graphs   map[string]*dn.Graph
+	pub      map[string]*streach.Dataset
 }
 
 // NewLab returns a Lab with the given options (zero value = defaults).
@@ -415,106 +394,57 @@ func fmtBytes(b int64) string {
 	return fmt.Sprintf("%d B", b)
 }
 
+// experiments lists every regenerated artifact in paper order, then the
+// registry sweep and the table-only ablations.
+var experiments = []struct {
+	id  string
+	run func(*Lab) *Table
+}{
+	{"table1", (*Lab).Table1},
+	{"table2", (*Lab).Table2},
+	{"fig8a", (*Lab).Fig8a},
+	{"fig8b", (*Lab).Fig8b},
+	{"fig9", (*Lab).Fig9},
+	{"spj", (*Lab).SPJ},
+	{"fig10", (*Lab).Fig10},
+	{"fig11", (*Lab).Fig11},
+	{"table4", (*Lab).Table4},
+	{"fig12", (*Lab).Fig12},
+	{"fig12b", (*Lab).Fig12b},
+	{"fig13", (*Lab).Fig13},
+	{"fig14", (*Lab).Fig14},
+	{"fig15", (*Lab).Fig15},
+	{"table5a", (*Lab).Table5a},
+	{"table5b", (*Lab).Table5b},
+	{"backends", (*Lab).BackendSweep},
+	{"ablation-pool", (*Lab).AblationPool},
+	{"ablation-bidir", (*Lab).AblationBidirectional},
+}
+
 // All runs every experiment in paper order.
 func (l *Lab) All() []*Table {
-	return []*Table{
-		l.Table1(),
-		l.Table2(),
-		l.Fig8a(),
-		l.Fig8b(),
-		l.Fig9(),
-		l.SPJ(),
-		l.Fig10(),
-		l.Fig11(),
-		l.Table4(),
-		l.Fig12(),
-		l.Fig12b(),
-		l.Fig13(),
-		l.Fig14(),
-		l.Fig15(),
-		l.Table5a(),
-		l.Table5b(),
-		l.BackendSweep(),
-		l.Concurrency(),
-		l.Streaming(),
-		l.Compaction(),
-		l.Semantics(),
-		l.Filtered(),
-		l.Bidir(),
-		l.Sharding(),
-		l.AblationPool(),
-		l.AblationBidirectional(),
-		l.AblationCodec(),
+	tables := make([]*Table, len(experiments))
+	for i, e := range experiments {
+		tables[i] = e.run(l)
 	}
+	return tables
 }
 
 // ByID returns the experiment runner for a table/figure id, or nil.
 func (l *Lab) ByID(id string) func() *Table {
-	switch strings.ToLower(id) {
-	case "table1":
-		return l.Table1
-	case "table2":
-		return l.Table2
-	case "table4":
-		return l.Table4
-	case "table5a":
-		return l.Table5a
-	case "table5b":
-		return l.Table5b
-	case "fig8a":
-		return l.Fig8a
-	case "fig8b":
-		return l.Fig8b
-	case "fig9":
-		return l.Fig9
-	case "fig10":
-		return l.Fig10
-	case "fig11":
-		return l.Fig11
-	case "fig12":
-		return l.Fig12
-	case "fig12b":
-		return l.Fig12b
-	case "ablation-pool":
-		return l.AblationPool
-	case "ablation-bidir":
-		return l.AblationBidirectional
-	case "ablation-codec":
-		return l.AblationCodec
-	case "fig13":
-		return l.Fig13
-	case "fig14":
-		return l.Fig14
-	case "fig15":
-		return l.Fig15
-	case "spj":
-		return l.SPJ
-	case "backends":
-		return l.BackendSweep
-	case "concurrency":
-		return l.Concurrency
-	case "streaming":
-		return l.Streaming
-	case "compaction":
-		return l.Compaction
-	case "semantics":
-		return l.Semantics
-	case "filtered":
-		return l.Filtered
-	case "bidir":
-		return l.Bidir
-	case "sharding":
-		return l.Sharding
+	for _, e := range experiments {
+		if strings.EqualFold(e.id, id) {
+			return func() *Table { return e.run(l) }
+		}
 	}
 	return nil
 }
 
 // IDs lists the available experiment ids in paper order.
 func IDs() []string {
-	return []string{
-		"table1", "table2", "fig8a", "fig8b", "fig9", "spj",
-		"fig10", "fig11", "table4", "fig12", "fig12b", "fig13", "fig14", "fig15",
-		"table5a", "table5b", "backends", "concurrency", "streaming", "compaction", "semantics",
-		"filtered", "bidir", "sharding", "ablation-pool", "ablation-bidir", "ablation-codec",
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
 }

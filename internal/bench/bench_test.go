@@ -104,68 +104,6 @@ func TestWavefrontTicksSanity(t *testing.T) {
 	}
 }
 
-// TestConcurrencyRecordsAndJSONRoundTrip validates the machine-readable
-// pipeline end to end: the concurrency sweep emits one record per
-// (backend, workers) point, WriteJSON produces a schema-tagged document,
-// and ReadReport accepts it back while rejecting malformed input.
-func TestConcurrencyRecordsAndJSONRoundTrip(t *testing.T) {
-	l := NewLab(Options{
-		RWPSizes: []int{20},
-		VNSizes:  []int{10},
-		Ticks:    150,
-		Queries:  3,
-		Seed:     1,
-		Backends: []string{"oracle", "reachgraph", "grail-mem"},
-		Workers:  []int{1, 2},
-	})
-	recs := l.ConcurrencyRecords()
-	if len(recs) != 3*2 {
-		t.Fatalf("got %d records, want 6", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.Experiment != "concurrency" || rec.QueriesPerSec <= 0 {
-			t.Fatalf("bad record: %+v", rec)
-		}
-		if rec.Workers == 1 && rec.SpeedupVs1Worker != 1.0 {
-			t.Errorf("%s: 1-worker speedup %.2f, want 1.0", rec.Backend, rec.SpeedupVs1Worker)
-		}
-		// Disk backend on a warm pool: traffic is pages read or pool hits.
-		if rec.Backend == "reachgraph" && rec.PagesRead == 0 && rec.CacheHitRate == 0 {
-			t.Errorf("disk backend shows no disk traffic at all: %+v", rec)
-		}
-		if rec.Backend != "reachgraph" && (rec.PagesRead != 0 || rec.CacheHitRate != 0) {
-			t.Errorf("memory backend charged disk traffic: %+v", rec)
-		}
-	}
-
-	var sb strings.Builder
-	if err := WriteJSON(&sb, recs); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("ReadReport rejected WriteJSON output: %v\n%s", err, sb.String())
-	}
-	if rep.Schema != SchemaVersion || len(rep.Records) != len(recs) {
-		t.Fatalf("round trip lost data: %+v", rep)
-	}
-	if rep.Records[0] != recs[0] {
-		t.Fatalf("record round trip mismatch: %+v vs %+v", rep.Records[0], recs[0])
-	}
-
-	for _, bad := range []string{
-		"",
-		"{",
-		`{"schema":"other/v9","records":[]}`,
-		`{"schema":"` + SchemaVersion + `","records":[]}`,
-		`{"schema":"` + SchemaVersion + `","records":[{"experiment":"x"}]}`,
-	} {
-		if _, err := ReadReport(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadReport accepted malformed input %q", bad)
-		}
-	}
-}
-
 func TestPrefixDataset(t *testing.T) {
 	l := tinyLab()
 	d := l.RWP(20)
@@ -175,52 +113,5 @@ func TestPrefixDataset(t *testing.T) {
 	}
 	if full := prefixDataset(d, d.NumTicks()+10); full != d {
 		t.Error("prefix beyond domain should return the original dataset")
-	}
-}
-
-// TestCodecRecordsPagesReadDrop pins the codec ablation's headline (and
-// the hot-path acceptance gate): the varint-delta format must read at
-// least 25% fewer pages per workload than the fixed-width baseline on
-// both disk indexes, and the records must round-trip the JSON schema.
-func TestCodecRecordsPagesReadDrop(t *testing.T) {
-	l := tinyLab()
-	recs := l.CodecRecords()
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want 4 (2 backends × 2 formats)", len(recs))
-	}
-	pages := map[string]map[string]int64{}
-	for _, rec := range recs {
-		if rec.Experiment != "ablation-codec" || rec.PageFormat == "" {
-			t.Fatalf("bad record: %+v", rec)
-		}
-		if rec.BytesPerPage <= 0 || rec.IndexPages <= 0 {
-			t.Fatalf("record missing page metrics: %+v", rec)
-		}
-		if pages[rec.Backend] == nil {
-			pages[rec.Backend] = map[string]int64{}
-		}
-		pages[rec.Backend][rec.PageFormat] = rec.PagesRead
-	}
-	for backend, byFormat := range pages {
-		fixed, varint := byFormat["fixed"], byFormat["varint-delta"]
-		if fixed <= 0 || varint <= 0 {
-			t.Fatalf("%s: missing a format point: %v", backend, byFormat)
-		}
-		if varint*4 > fixed*3 {
-			t.Errorf("%s: varint-delta reads %d pages vs %d fixed — less than the 25%% drop gate",
-				backend, varint, fixed)
-		}
-	}
-
-	var sb strings.Builder
-	if err := WriteJSON(&sb, recs); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadReport(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("ReadReport rejected codec records: %v", err)
-	}
-	if rep.Records[0] != recs[0] {
-		t.Fatalf("record round trip mismatch: %+v vs %+v", rep.Records[0], recs[0])
 	}
 }

@@ -187,6 +187,17 @@ const UnboundedHops = int32(math.MaxInt32 - 1)
 // NoObject is the earlyDst value disabling early termination.
 const NoObject = trajectory.ObjectID(-1)
 
+// Direction orients a propagation in time.
+type Direction int8
+
+const (
+	// Forward propagates holders: who receives the item, and when first.
+	Forward Direction = iota
+	// Backward propagates deliverers: who, holding the item, gets it to a
+	// seed by the interval end, and until when at the latest.
+	Backward
+)
+
 // SeedState is one object of a propagation frontier together with the
 // transfers already spent reaching it — the state the cross-segment
 // planner carries over slab boundaries (a seed entering the next slab with

@@ -2,10 +2,11 @@ package reachgraph
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"streach/internal/pagefile"
-	"streach/internal/trajectory"
+	"streach/internal/queries"
 )
 
 // TestPageFormatsAgree builds the index in both on-page formats and checks
@@ -49,21 +50,18 @@ func TestPageFormatsAgree(t *testing.T) {
 
 	ctx := context.Background()
 	for _, q := range work[:20] {
-		seeds := []trajectory.ObjectID{q.Src, q.Dst}
-		a, _, err := fixed.ReachableSetFromCounted(ctx, seeds, q.Interval, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := varint.ReachableSetFromCounted(ctx, seeds, q.Interval, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("set sizes differ: fixed %d, varint %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("sets differ at %d: %v vs %v", i, a[i], b[i])
+		seeds := seedsOf(q.Src, q.Dst)
+		for _, dir := range []queries.Direction{queries.Forward, queries.Backward} {
+			a, _, err := fixed.AppendProfile(ctx, nil, seeds, q.Interval, dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := varint.AppendProfile(ctx, nil, seeds, q.Interval, dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a, b) {
+				t.Fatalf("profiles of %v over %v (direction %d) differ: fixed %v, varint %v", seeds, q.Interval, dir, a, b)
 			}
 		}
 	}

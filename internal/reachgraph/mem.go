@@ -142,151 +142,42 @@ func (m *Mem) ReachFromCounted(ctx context.Context, seeds []trajectory.ObjectID,
 			return true, 0, nil
 		}
 	}
-	sc := m.pool.Get()
+	sc := m.begin()
 	defer m.pool.Put(sc)
-	sc.reset(len(m.g.Nodes), m.g.NumObjects)
-	starts, err := m.seedEntries(sc, seeds, iv.Lo)
-	if err != nil {
-		return false, 0, err
-	}
-	v2 := m.g.NodeOf(dst, iv.Hi)
 	res := m.resolutions
 	if s == BBFS || s == EBFS || s == EDFS {
 		res = nil
 	}
-	ok, err := traverse(ctx, m, sc, s, starts, entry{v2, -1}, iv, res, m.g.NumTicks)
+	ok, err := reachFrom(ctx, m, sc, s, seeds, dst, iv, res, m.g.NumTicks)
 	return ok, sc.visits, err
 }
 
-// ReachableSetFromCounted is the native multi-source set primitive over the
-// in-memory graph; see Index.ReachableSetFromCounted.
-func (m *Mem) ReachableSetFromCounted(ctx context.Context, seeds []trajectory.ObjectID, iv contact.Interval) ([]trajectory.ObjectID, int, error) {
-	return m.AppendReachableSetFromCounted(ctx, nil, seeds, iv)
-}
-
-// AppendReachableSetFromCounted is ReachableSetFromCounted appending onto
-// dst; see Index.AppendReachableSetFromCounted.
-func (m *Mem) AppendReachableSetFromCounted(ctx context.Context, dst, seeds []trajectory.ObjectID, iv contact.Interval) ([]trajectory.ObjectID, int, error) {
+// AppendProfile appends to out the propagation profile of the seed frontier
+// over iv in direction dir; see Index.AppendProfile.
+func (m *Mem) AppendProfile(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, dir queries.Direction) ([]queries.ProfileEntry, int, error) {
 	iv = m.clampInterval(iv)
 	if iv.Len() == 0 {
-		return dst, 0, nil
+		return out, 0, nil
 	}
-	sc := m.pool.Get()
+	sc := m.begin()
 	defer m.pool.Put(sc)
-	sc.reset(len(m.g.Nodes), m.g.NumObjects)
-	starts, err := m.seedEntries(sc, seeds, iv.Lo)
-	if err != nil {
-		return dst, 0, err
-	}
-	if err := collectForward(ctx, m, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return append(dst, trajectory.SortDedupObjects(sc.objList)...), sc.visits, nil
+	out, err := appendProfile(ctx, m, sc, out, seeds, iv, dir)
+	return out, sc.visits, err
 }
 
-// AppendArrivalProfileFrom appends to dst the earliest-arrival profile of
-// the seed frontier over iv; see Index.AppendArrivalProfileFrom.
-func (m *Mem) AppendArrivalProfileFrom(ctx context.Context, dst []queries.ProfileEntry, seeds []trajectory.ObjectID, iv contact.Interval) ([]queries.ProfileEntry, int, error) {
-	iv = m.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
+// begin checks a traversal scratch out of the pool, reset for one query;
+// the caller returns it with m.pool.Put.
+func (m *Mem) begin() *scratch {
 	sc := m.pool.Get()
-	defer m.pool.Put(sc)
 	sc.reset(len(m.g.Nodes), m.g.NumObjects)
-	starts, err := m.seedEntries(sc, seeds, iv.Lo)
-	if err != nil {
-		return dst, 0, err
-	}
-	if err := arrivalCollect(ctx, m, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return appendProfileEntries(dst, sc), sc.visits, nil
+	return sc
 }
 
-// AppendArrivalProfileSeeds is the per-seed-tick arrival profile over the
-// in-memory graph; see Index.AppendArrivalProfileSeeds.
-func (m *Mem) AppendArrivalProfileSeeds(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval) ([]queries.ProfileEntry, int, error) {
-	iv = m.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
+// locate maps object o to its run at tick t; an object without one has
+// dn.Invalid there.
+func (m *Mem) locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error) {
+	if int(o) < 0 || int(o) >= m.g.NumObjects {
+		return entry{dn.Invalid, -1}, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, m.g.NumObjects)
 	}
-	sc := m.pool.Get()
-	defer m.pool.Put(sc)
-	sc.reset(len(m.g.Nodes), m.g.NumObjects)
-	for _, s := range seeds {
-		if int(s.Obj) < 0 || int(s.Obj) >= m.g.NumObjects {
-			return dst, 0, fmt.Errorf("reachgraph: seed %d outside [0, %d)", s.Obj, m.g.NumObjects)
-		}
-		at := s.Start
-		if at < iv.Lo {
-			at = iv.Lo
-		}
-		if at > iv.Hi {
-			continue
-		}
-		if v := m.g.NodeOf(s.Obj, at); v != dn.Invalid {
-			sc.tickStarts = append(sc.tickStarts, tickItem{entry{v, -1}, at})
-		}
-	}
-	if err := arrivalCollectTicked(ctx, m, sc, sc.tickStarts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return appendProfileEntries(dst, sc), sc.visits, nil
-}
-
-// AppendReverseSetFromCounted appends onto dst the deliverer set of the seed
-// frontier over iv; see Index.AppendReverseSetFromCounted.
-func (m *Mem) AppendReverseSetFromCounted(ctx context.Context, dst, seeds []trajectory.ObjectID, iv contact.Interval) ([]trajectory.ObjectID, int, error) {
-	iv = m.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	sc := m.pool.Get()
-	defer m.pool.Put(sc)
-	sc.reset(len(m.g.Nodes), m.g.NumObjects)
-	starts, err := m.seedEntries(sc, seeds, iv.Hi)
-	if err != nil {
-		return dst, 0, err
-	}
-	if err := collectBackward(ctx, m, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return append(dst, trajectory.SortDedupObjects(sc.objList)...), sc.visits, nil
-}
-
-// AppendReverseProfileFrom appends to dst the latest-departure profile of
-// the seed frontier over iv; see Index.AppendReverseProfileFrom.
-func (m *Mem) AppendReverseProfileFrom(ctx context.Context, dst []queries.ProfileEntry, seeds []trajectory.ObjectID, iv contact.Interval) ([]queries.ProfileEntry, int, error) {
-	iv = m.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	sc := m.pool.Get()
-	defer m.pool.Put(sc)
-	sc.reset(len(m.g.Nodes), m.g.NumObjects)
-	starts, err := m.seedEntries(sc, seeds, iv.Hi)
-	if err != nil {
-		return dst, 0, err
-	}
-	if err := departureCollect(ctx, m, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return appendProfileEntries(dst, sc), sc.visits, nil
-}
-
-// seedEntries maps the seed objects to their (deduplicated) vertices at
-// tick t, appending them to the scratch start buffer.
-func (m *Mem) seedEntries(sc *scratch, seeds []trajectory.ObjectID, t trajectory.Tick) ([]entry, error) {
-	for _, o := range seeds {
-		if int(o) < 0 || int(o) >= m.g.NumObjects {
-			return nil, fmt.Errorf("reachgraph: seed %d outside [0, %d)", o, m.g.NumObjects)
-		}
-		v := m.g.NodeOf(o, t)
-		if v == dn.Invalid || !sc.seedNodes.Visit(int(v)) {
-			continue
-		}
-		sc.starts = append(sc.starts, entry{v, -1})
-	}
-	return sc.starts, nil
+	return entry{m.g.NodeOf(o, t), -1}, nil
 }

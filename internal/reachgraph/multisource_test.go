@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streach/internal/contact"
+	"streach/internal/queries"
 	"streach/internal/trajectory"
 )
 
@@ -42,19 +43,47 @@ func TestMultiSourceMatchesOracle(t *testing.T) {
 			positives++
 		}
 
-		gotSet, _, err := ix.ReachableSetFromCounted(ctx, seeds, iv, nil)
+		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDSlices(gotSet, wantSet) {
+		if gotSet := objectsOf(prof); !equalIDSlices(gotSet, wantSet) {
 			t.Fatalf("disk set from %v over %v: got %v, want %v", seeds, iv, gotSet, wantSet)
 		}
-		memSet, _, err := mem.ReachableSetFromCounted(ctx, seeds, iv)
+		prof, _, err = mem.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDSlices(memSet, wantSet) {
+		if memSet := objectsOf(prof); !equalIDSlices(memSet, wantSet) {
 			t.Fatalf("mem set from %v over %v: got %v, want %v", seeds, iv, memSet, wantSet)
+		}
+
+		// Seeds activating at their own ticks: arrivals against the oracle's.
+		staggered := seedsOf(seeds...)
+		for i := range staggered {
+			staggered[i].Start = iv.Lo + trajectory.Tick(i*iv.Len()/8)
+		}
+		wantProf, _ := f.oracle.ProfileFrom(staggered, iv, queries.UnboundedHops, queries.NoObject)
+		for name, sweep := range map[string]func() ([]queries.ProfileEntry, int, error){
+			"disk": func() ([]queries.ProfileEntry, int, error) {
+				return ix.AppendProfile(ctx, nil, staggered, iv, queries.Forward, nil)
+			},
+			"mem": func() ([]queries.ProfileEntry, int, error) {
+				return mem.AppendProfile(ctx, nil, staggered, iv, queries.Forward)
+			},
+		} {
+			prof, _, err := sweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prof) != len(wantProf) {
+				t.Fatalf("%s staggered profile from %v over %v: %d entries, oracle %d", name, staggered, iv, len(prof), len(wantProf))
+			}
+			for i, e := range prof {
+				if e.Obj != wantProf[i].Obj || e.Arrival != wantProf[i].Arrival {
+					t.Fatalf("%s staggered profile from %v over %v: entry %d = %+v, oracle %+v", name, staggered, iv, i, e, wantProf[i])
+				}
+			}
 		}
 
 		for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
@@ -81,7 +110,8 @@ func TestMultiSourceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSetIsSortedAndDeduped pins the set-primitive output contract.
+// TestSetIsSortedAndDeduped pins the sweep's output contract: one entry per
+// object, ascending, whichever way it runs.
 func TestSetIsSortedAndDeduped(t *testing.T) {
 	f := newFixture(t, 30, 200, 5)
 	ix, err := Build(f.g, Params{})
@@ -89,14 +119,17 @@ func TestSetIsSortedAndDeduped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Duplicate, unsorted seeds on purpose.
-	seeds := []trajectory.ObjectID{7, 3, 7, 3, 12}
-	set, _, err := ix.ReachableSetFromCounted(context.Background(), seeds, contact.Interval{Lo: 10, Hi: 90}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(set); i++ {
-		if set[i] <= set[i-1] {
-			t.Fatalf("set not strictly ascending at %d: %v", i, set)
+	seeds := seedsOf(7, 3, 7, 3, 12)
+	for _, dir := range []queries.Direction{queries.Forward, queries.Backward} {
+		prof, _, err := ix.AppendProfile(context.Background(), nil, seeds, contact.Interval{Lo: 10, Hi: 90}, dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := objectsOf(prof)
+		for i := 1; i < len(set); i++ {
+			if set[i] <= set[i-1] {
+				t.Fatalf("direction %d: set not strictly ascending at %d: %v", dir, i, set)
+			}
 		}
 	}
 }
@@ -130,11 +163,13 @@ func TestCancelledContextStopsTraversal(t *testing.T) {
 			t.Errorf("mem %v: got %v, want context.Canceled", s, err)
 		}
 	}
-	if _, _, err := ix.ReachableSetFromCounted(ctx, []trajectory.ObjectID{q.Src}, q.Interval, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("disk set: got %v, want context.Canceled", err)
-	}
-	if _, _, err := mem.ReachableSetFromCounted(ctx, []trajectory.ObjectID{q.Src}, q.Interval); !errors.Is(err, context.Canceled) {
-		t.Errorf("mem set: got %v, want context.Canceled", err)
+	for _, dir := range []queries.Direction{queries.Forward, queries.Backward} {
+		if _, _, err := ix.AppendProfile(ctx, nil, seedsOf(q.Src), q.Interval, dir, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("disk sweep, direction %d: got %v, want context.Canceled", dir, err)
+		}
+		if _, _, err := mem.AppendProfile(ctx, nil, seedsOf(q.Src), q.Interval, dir); !errors.Is(err, context.Canceled) {
+			t.Errorf("mem sweep, direction %d: got %v, want context.Canceled", dir, err)
+		}
 	}
 }
 

@@ -40,6 +40,14 @@
 // deltas, shrinking partitions 2-4x against the fixed-width layout — and
 // with them the pages a traversal reads; an index is built, and read, in
 // one format throughout.
+//
+// Queries. There are two, on the disk Index and on the memory-resident Mem
+// alike, each one body over the graphAccess interface (traverse.go):
+// ReachFromCounted, the multi-source point query (BM-BFS or one of the
+// comparison strategies, stopping at the destination), and AppendProfile,
+// the multi-seed DN1 sweep in either time direction that every set, arrival
+// and departure answer is read off. Reach, ReachStrategy and
+// ReachStrategyCounted are single-source conveniences over the former.
 package reachgraph
 
 import (
@@ -290,6 +298,12 @@ func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *page
 	return dn.Invalid, -1, fmt.Errorf("reachgraph: object %d has no run at tick %d", o, t)
 }
 
+// locate is findVertex charged to the query's accountant.
+func (c *cursor) locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error) {
+	v, p, err := c.ix.findVertex(o, t, c.acct)
+	return entry{v, p}, err
+}
+
 // clampInterval intersects iv with the index's time domain.
 func (ix *Index) clampInterval(iv contact.Interval) contact.Interval {
 	return iv.Intersect(contact.Interval{Lo: 0, Hi: trajectory.Tick(ix.numTicks - 1)})
@@ -365,176 +379,29 @@ func (ix *Index) ReachFromCounted(ctx context.Context, seeds []trajectory.Object
 	}
 	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	starts, err := ix.seedEntries(sc, seeds, iv.Lo, acct)
-	if err != nil {
-		return false, sc.visits, err
-	}
-	v2, p2, err := ix.findVertex(dst, iv.Hi, acct)
-	if err != nil {
-		return false, sc.visits, err
-	}
-	ok, err := traverse(ctx, &sc.cur, sc, s,
-		starts, entry{v2, p2}, iv, ix.params.Resolutions, ix.numTicks)
+	ok, err := reachFrom(ctx, &sc.cur, sc, s, seeds, dst, iv, ix.params.Resolutions, ix.numTicks)
 	return ok, sc.visits, err
 }
 
-// ReachableSetFromCounted returns every object reachable from any seed
-// during iv (seeds included when the interval overlaps the time domain),
-// sorted ascending, plus the number of vertex visits. It is the native set
-// primitive: a forward DN1 sweep that collects the members of every run the
-// item can enter.
-func (ix *Index) ReachableSetFromCounted(ctx context.Context, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]trajectory.ObjectID, int, error) {
-	out, visits, err := ix.AppendReachableSetFromCounted(ctx, nil, seeds, iv, acct)
-	return out, visits, err
-}
-
-// AppendReachableSetFromCounted is ReachableSetFromCounted appending onto
-// dst (whose backing array is reused) — the allocation-free variant the
-// cross-segment planner carries its frontier with.
-func (ix *Index) AppendReachableSetFromCounted(ctx context.Context, dst, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]trajectory.ObjectID, int, error) {
+// AppendProfile appends to out the propagation profile of the seed frontier
+// over iv, one entry per object met (seeds included), sorted by object ID.
+// Forward, each seed begins holding the item at max(Start, iv.Lo) — seeds
+// starting after iv.Hi are ignored — and Arrival is the earliest tick the
+// object holds the item; it is the slab step of the cross-segment planner
+// and the owner-side expansion of the scatter-gather shard planner, which
+// hands a whole round of boundary discoveries to a shard as one multi-seed
+// sweep. Backward, every seed holds from iv.Hi whatever its Start, and
+// Arrival is the *latest* tick the object can pick the item up and still
+// have it delivered to a seed by iv.Hi. Hops is always -1 and seed Hops are
+// not consulted: the run DAG collapses contact components, so transfer
+// counts are not derivable. The int result is the vertex-visit counter.
+func (ix *Index) AppendProfile(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, dir queries.Direction, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
 	iv = ix.clampInterval(iv)
 	if iv.Len() == 0 {
-		return dst, 0, nil
+		return out, 0, nil
 	}
 	sc := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	starts, err := ix.seedEntries(sc, seeds, iv.Lo, acct)
-	if err != nil {
-		return dst, sc.visits, err
-	}
-	if err := collectForward(ctx, &sc.cur, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return append(dst, trajectory.SortDedupObjects(sc.objList)...), sc.visits, nil
-}
-
-// AppendArrivalProfileFrom appends to dst the earliest-arrival profile of
-// the seed frontier over iv: one entry per reachable object (seeds
-// included), sorted by object ID, with Arrival the earliest tick the
-// object holds the item and Hops always -1 (the run DAG collapses contact
-// components, so transfer counts are not derivable — ReachGraph advertises
-// arrival-only semantics). The int result is the vertex-visit counter.
-func (ix *Index) AppendArrivalProfileFrom(ctx context.Context, dst []queries.ProfileEntry, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	iv = ix.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	sc := ix.begin(acct)
-	defer ix.pool.Put(sc)
-	starts, err := ix.seedEntries(sc, seeds, iv.Lo, acct)
-	if err != nil {
-		return dst, sc.visits, err
-	}
-	if err := arrivalCollect(ctx, &sc.cur, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return appendProfileEntries(dst, sc), sc.visits, nil
-}
-
-// AppendArrivalProfileSeeds is AppendArrivalProfileFrom for a frontier of
-// seed states: each seed begins holding the item at max(Start, iv.Lo) —
-// seeds starting after iv.Hi are ignored. It is the owner-side expansion
-// primitive of the scatter-gather shard planner, which hands a whole round
-// of boundary discoveries to a shard as one multi-seed sweep. Hop counts
-// are -1 as in AppendArrivalProfileFrom; seed Hops values are not
-// consulted (the planner is hop-agnostic by contract).
-func (ix *Index) AppendArrivalProfileSeeds(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	iv = ix.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	sc := ix.begin(acct)
-	defer ix.pool.Put(sc)
-	for _, s := range seeds {
-		at := s.Start
-		if at < iv.Lo {
-			at = iv.Lo
-		}
-		if at > iv.Hi {
-			continue
-		}
-		v, p, err := ix.findVertex(s.Obj, at, acct)
-		if err != nil {
-			return dst, sc.visits, err
-		}
-		sc.tickStarts = append(sc.tickStarts, tickItem{entry{v, p}, at})
-	}
-	if err := arrivalCollectTicked(ctx, &sc.cur, sc, sc.tickStarts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return appendProfileEntries(dst, sc), sc.visits, nil
-}
-
-// AppendReverseSetFromCounted appends onto dst the deliverer set of the seed
-// frontier over iv: every object that, holding the item at iv.Lo, delivers
-// it to some seed by iv.Hi (seeds included when the interval overlaps the
-// time domain), sorted ascending, plus the vertex-visit counter. It is the
-// native backward primitive — collectForward on the time-mirrored graph —
-// seeding at the runs covering iv.Hi and walking DN1 in-edges toward iv.Lo.
-// The backward cross-segment plan carries its frontier with it: the
-// deliverer set of one time slab becomes the seed set of the previous one.
-func (ix *Index) AppendReverseSetFromCounted(ctx context.Context, dst, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]trajectory.ObjectID, int, error) {
-	iv = ix.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	sc := ix.begin(acct)
-	defer ix.pool.Put(sc)
-	starts, err := ix.seedEntries(sc, seeds, iv.Hi, acct)
-	if err != nil {
-		return dst, sc.visits, err
-	}
-	if err := collectBackward(ctx, &sc.cur, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return append(dst, trajectory.SortDedupObjects(sc.objList)...), sc.visits, nil
-}
-
-// AppendReverseProfileFrom appends to dst the latest-departure profile of
-// the seed frontier over iv: one entry per deliverer (seeds included),
-// sorted by object ID, with Arrival the *latest* tick the object can pick
-// the item up and still have it delivered to a seed by iv.Hi, and Hops
-// always -1 (see AppendArrivalProfileFrom). The int result is the
-// vertex-visit counter.
-func (ix *Index) AppendReverseProfileFrom(ctx context.Context, dst []queries.ProfileEntry, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	iv = ix.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	sc := ix.begin(acct)
-	defer ix.pool.Put(sc)
-	starts, err := ix.seedEntries(sc, seeds, iv.Hi, acct)
-	if err != nil {
-		return dst, sc.visits, err
-	}
-	if err := departureCollect(ctx, &sc.cur, sc, starts, iv); err != nil {
-		return dst, sc.visits, err
-	}
-	return appendProfileEntries(dst, sc), sc.visits, nil
-}
-
-// appendProfileEntries drains a tick-tracking sweep's per-object results
-// (earliest arrivals or latest departures) into sorted profile entries.
-func appendProfileEntries(dst []queries.ProfileEntry, sc *scratch) []queries.ProfileEntry {
-	list := trajectory.SortDedupObjects(sc.objList)
-	for _, o := range list {
-		arr, _ := sc.objTicks.Get(int(o))
-		dst = append(dst, queries.ProfileEntry{Obj: o, Hops: -1, Arrival: trajectory.Tick(arr)})
-	}
-	return dst
-}
-
-// seedEntries locates the (deduplicated) vertices of the seed objects at
-// tick t via the run directory, appending them to the scratch start buffer.
-func (ix *Index) seedEntries(sc *scratch, seeds []trajectory.ObjectID, t trajectory.Tick, acct *pagefile.Stats) ([]entry, error) {
-	for _, o := range seeds {
-		v, p, err := ix.findVertex(o, t, acct)
-		if err != nil {
-			return nil, err
-		}
-		if sc.seedNodes.Visit(int(v)) {
-			sc.starts = append(sc.starts, entry{v, p})
-		}
-	}
-	return sc.starts, nil
+	out, err := appendProfile(ctx, &sc.cur, sc, out, seeds, iv, dir)
+	return out, sc.visits, err
 }

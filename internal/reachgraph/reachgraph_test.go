@@ -1,6 +1,7 @@
 package reachgraph
 
 import (
+	"context"
 	"testing"
 
 	"streach/internal/contact"
@@ -42,6 +43,25 @@ func (f *fixture) workload(count, minLen, maxLen int, seed int64) []queries.Quer
 		MaxLen:     maxLen,
 		Seed:       seed,
 	})
+}
+
+// seedsOf lifts bare objects into sweep seeds that hold the item from the
+// interval's near edge.
+func seedsOf(objs ...trajectory.ObjectID) []queries.SeedState {
+	seeds := make([]queries.SeedState, len(objs))
+	for i, o := range objs {
+		seeds[i].Obj = o
+	}
+	return seeds
+}
+
+// objectsOf projects a profile onto its set: the objects it has entries for.
+func objectsOf(prof []queries.ProfileEntry) []trajectory.ObjectID {
+	var set []trajectory.ObjectID
+	for _, e := range prof {
+		set = append(set, e.Obj)
+	}
+	return set
 }
 
 func TestBuildEmptyGraph(t *testing.T) {
@@ -220,6 +240,23 @@ func TestQueryValidationAndDegenerates(t *testing.T) {
 	got, err = ix.Reach(q)
 	if err != nil || got != want {
 		t.Errorf("instant query: got (%v, %v), oracle %v", got, err, want)
+	}
+	// A seed outside the dataset fails both engines alike, in both queries,
+	// with the same visit count beside the error.
+	mem, err := NewMem(f.g, []int{2, 4, 8, 16, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, iv := context.Background(), contact.Interval{Lo: 0, Hi: 50}
+	_, dv, derr := ix.ReachFromCounted(ctx, []trajectory.ObjectID{0, 999}, 1, iv, BMBFS, nil)
+	_, mv, merr := mem.ReachFromCounted(ctx, []trajectory.ObjectID{0, 999}, 1, iv, BMBFS)
+	if derr == nil || merr == nil || dv != mv {
+		t.Errorf("bad seed, point query: disk (%d, %v), mem (%d, %v); want errors and equal visits", dv, derr, mv, merr)
+	}
+	_, dv, derr = ix.AppendProfile(ctx, nil, seedsOf(0, 999), iv, queries.Forward, nil)
+	_, mv, merr = mem.AppendProfile(ctx, nil, seedsOf(0, 999), iv, queries.Forward)
+	if derr == nil || merr == nil || dv != mv {
+		t.Errorf("bad seed, sweep: disk (%d, %v), mem (%d, %v); want errors and equal visits", dv, derr, mv, merr)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streach/internal/contact"
+	"streach/internal/queries"
 	"streach/internal/trajectory"
 )
 
@@ -35,18 +36,18 @@ func TestReverseSetMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := f.oracle.ReverseReachableSetFrom(tc.seeds, tc.iv)
-		got, _, err := ix.AppendReverseSetFromCounted(ctx, nil, tc.seeds, tc.iv, nil)
+		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward, nil)
 		if err != nil {
 			t.Fatalf("disk reverse %v over %v: %v", tc.seeds, tc.iv, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got := objectsOf(prof); !reflect.DeepEqual(got, want) {
 			t.Fatalf("disk reverse %v over %v = %v, oracle %v", tc.seeds, tc.iv, got, want)
 		}
-		got, _, err = m.AppendReverseSetFromCounted(ctx, nil, tc.seeds, tc.iv)
+		prof, _, err = m.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward)
 		if err != nil {
 			t.Fatalf("mem reverse %v over %v: %v", tc.seeds, tc.iv, err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got := objectsOf(prof); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mem reverse %v over %v = %v, oracle %v", tc.seeds, tc.iv, got, want)
 		}
 		if ref := f.g.ReverseReach(tc.seeds, tc.iv); !reflect.DeepEqual(ref, want) {
@@ -76,7 +77,7 @@ func TestReverseProfileMatchesOracle(t *testing.T) {
 		for _, seed := range []trajectory.ObjectID{2, 17, 35} {
 			seeds := []trajectory.ObjectID{seed}
 			want := f.oracle.ReverseProfileFrom(seeds, iv)
-			got, _, err := ix.AppendReverseProfileFrom(ctx, nil, seeds, iv, nil)
+			got, _, err := ix.AppendProfile(ctx, nil, seedsOf(seed), iv, queries.Backward, nil)
 			if err != nil {
 				t.Fatalf("disk reverse profile %d over %v: %v", seed, iv, err)
 			}
@@ -88,7 +89,7 @@ func TestReverseProfileMatchesOracle(t *testing.T) {
 					t.Fatalf("disk reverse profile %d over %v: entry %d = %+v, oracle %+v", seed, iv, i, got[i], want[i])
 				}
 			}
-			memGot, _, err := m.AppendReverseProfileFrom(ctx, nil, seeds, iv)
+			memGot, _, err := m.AppendProfile(ctx, nil, seedsOf(seed), iv, queries.Backward)
 			if err != nil {
 				t.Fatalf("mem reverse profile %d over %v: %v", seed, iv, err)
 			}

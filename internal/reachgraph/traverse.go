@@ -1,12 +1,14 @@
 // Traversal strategies over HN (§5.2, §6.2.2).
 //
-// BM-BFS is the paper's contribution: a bidirectional BFS where the forward
-// sweep covers [t1, mid] and the backward sweep covers [mid, t2]
-// (mid = (t1+t2)/2), taking long edges at the highest admissible resolution
-// in both directions. The query is answered positively as soon as the
-// forward and backward object sets intersect: an object that holds the item
-// by mid and can still deliver it to the destination after mid (Theorem 5.3
-// and Property 5.2).
+// There are two kinds of walk here, and one body for each.
+//
+// The point query is BM-BFS, the paper's contribution: a bidirectional BFS
+// where the forward sweep covers [t1, mid] and the backward sweep covers
+// [mid, t2] (mid = (t1+t2)/2), taking long edges at the highest admissible
+// resolution in both directions. The query is answered positively as soon
+// as the forward and backward object sets intersect: an object that holds
+// the item by mid and can still deliver it to the destination after mid
+// (Theorem 5.3 and Property 5.2).
 //
 // Invariants maintained by the expansion rules, which carry the correctness
 // proof:
@@ -29,6 +31,18 @@
 // terminate only on reaching the destination vertex itself (the naïve
 // baselines of Figure 13).
 //
+// Every other answer — set, arrival or departure profile, the frontier a
+// planner carries between slabs and shards — is a projection of sweep, the
+// one DN1 collector, with its direction passed as data: over DN1 the
+// backward walk is the forward one with the span ends, the edge lists and
+// the sense of "better" swapped, so one body serves both.
+//
+// stepForward and stepBackward are deliberately *not* folded the same way.
+// They are the point query's hot path, and their long-edge arithmetic is
+// not a sign flip: forward boundaries (boundary) are multiples of L counted
+// from tick 0, reverse ones (revBoundaryOf) from the last tick of the
+// domain, so a shared body would branch on direction in every second line.
+//
 // All traversal state — visited tables, object sets, frontier queues — is
 // a pooled scratch of epoch-stamped arrays over the graph's dense node and
 // object ID spaces (internal/visit), so steady-state queries allocate
@@ -41,6 +55,7 @@ import (
 
 	"streach/internal/contact"
 	"streach/internal/dn"
+	"streach/internal/queries"
 	"streach/internal/trajectory"
 	"streach/internal/visit"
 )
@@ -85,6 +100,10 @@ type graphAccess interface {
 	// on v, a record vertex returned during this query. The disk index
 	// decodes them on demand; in memory they always are.
 	need(v *vertexRec, sections uint8) error
+	// locate is FindVertex: the run of object o covering tick t. On disk an
+	// object without one is a corrupt run directory and an error; in memory
+	// the entry's node is dn.Invalid.
+	locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error)
 }
 
 // entry is a traversal starting point: a vertex and the partition hint that
@@ -105,13 +124,13 @@ type scratch struct {
 	fwTicks, bwTicks visit.Ticks // node → best arrival / injection bound
 	fwObjs, bwObjs   visit.Set   // objects collected per direction
 	objList          []trajectory.ObjectID
-	objTicks         visit.Ticks // object → earliest arrival (arrival sweeps)
+	objTicks         visit.Ticks // object → best tick (sweep)
 	nodes            visit.Set   // visited nodes (unidirectional sweeps)
 	seedNodes        visit.Set   // seed-vertex dedup
 	fwQueue, bwQueue visit.Deque[tickItem]
 	queue            visit.Deque[entry] // unidirectional frontier / stack
 	starts           []entry
-	tickStarts       []tickItem // per-seed-tick starts (ticked sweeps)
+	tickStarts       []tickItem // per-seed-tick starts (sweep)
 
 	cur cursor // disk-side partitions, records and their arena; unused by Mem
 }
@@ -140,6 +159,58 @@ func (sc *scratch) reset(numNodes, numObjects int) {
 	sc.queue.Reset()
 	sc.starts = sc.starts[:0]
 	sc.tickStarts = sc.tickStarts[:0]
+}
+
+// reachFrom is the point query behind both ReachFromCounted methods: the
+// seed objects' (deduplicated) runs at iv.Lo against dst's run at iv.Hi.
+func reachFrom(ctx context.Context, g graphAccess, sc *scratch, s Strategy, seeds []trajectory.ObjectID,
+	dst trajectory.ObjectID, iv contact.Interval, resolutions []int, numTicks int) (bool, error) {
+
+	for _, o := range seeds {
+		e, err := g.locate(o, iv.Lo)
+		if err != nil {
+			return false, err
+		}
+		if e.node != dn.Invalid && sc.seedNodes.Visit(int(e.node)) {
+			sc.starts = append(sc.starts, e)
+		}
+	}
+	v2, err := g.locate(dst, iv.Hi)
+	if err != nil {
+		return false, err
+	}
+	return traverse(ctx, g, sc, s, sc.starts, v2, iv, resolutions, numTicks)
+}
+
+// appendProfile is the profile query behind both AppendProfile methods: it
+// enters each seed's run at the seed's tick, sweeps, and drains the
+// per-object ticks into entries sorted by object.
+func appendProfile(ctx context.Context, g graphAccess, sc *scratch, out []queries.ProfileEntry,
+	seeds []queries.SeedState, iv contact.Interval, dir queries.Direction) ([]queries.ProfileEntry, error) {
+
+	for _, s := range seeds {
+		at := iv.Hi
+		if dir == queries.Forward {
+			if at = max(s.Start, iv.Lo); at > iv.Hi {
+				continue
+			}
+		}
+		e, err := g.locate(s.Obj, at)
+		if err != nil {
+			return out, err
+		}
+		if e.node != dn.Invalid {
+			sc.tickStarts = append(sc.tickStarts, tickItem{e, at})
+		}
+	}
+	if err := sweep(ctx, g, sc, sc.tickStarts, iv, dir); err != nil {
+		return out, err
+	}
+	for _, o := range trajectory.SortDedupObjects(sc.objList) {
+		t, _ := sc.objTicks.Get(int(o))
+		out = append(out, queries.ProfileEntry{Obj: o, Hops: -1, Arrival: trajectory.Tick(t)})
+	}
+	return out, nil
 }
 
 // traverse runs strategy s from the start vertices (source frontier at
@@ -423,139 +494,50 @@ func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []en
 	return false, nil
 }
 
-// collectForward sweeps DN1 edges forward from the start vertices and
-// records every object holding the item by iv.Hi in sc.fwObjs/sc.objList —
-// the native reachable-set primitive behind ReachableSetFromCounted and the
-// cross-segment frontier planner. Long edges are not consulted: a set query
-// must enumerate every reachable run anyway, so the base resolution is
-// already optimal. The entry invariant is that every queued vertex is
-// reached with an arrival time inside its span and ≤ iv.Hi, so all of its
-// members hold the item; successors depart at span end and arrive one
-// instant later, which keeps the invariant because DN1 edges connect
-// exactly adjacent runs.
-func collectForward(ctx context.Context, g graphAccess, sc *scratch, starts []entry, iv contact.Interval) error {
-	for _, e := range starts {
-		if e.node == dn.Invalid {
-			continue
+// sweep is the one set/profile collector: it propagates the item along DN1
+// edges from the start vertices, each entered at its own tick, and records
+// in sc.objTicks/sc.objList the best tick of every object met. Direction is
+// data. Forward, "best" is the earliest arrival: a run is left at its span
+// end, its out-neighbours are entered one instant later, and a run that
+// outlives iv.Hi is not expanded (its successors start too late to be
+// infected). Backward is the exact time-mirror, "best" being the latest
+// departure: a run is left at its span start, its in-neighbours are entered
+// one instant earlier — the last tick they can still hand carriers on — and
+// a run reaching back to iv.Lo is not expanded. Long edges are not
+// consulted: a profile must enumerate every reachable run anyway, so the
+// base resolution is already optimal. Hop counts are not derivable from the
+// run DAG (a run collapses a whole contact component), which is why
+// ReachGraph advertises arrival-only semantics.
+//
+// DN1 edges connect exactly adjacent runs, so a run reached over *any* edge
+// path is entered at the one tick its component exchanges carriers with the
+// neighbouring instant (span start forward, span end backward); only a
+// start vertex may be entered elsewhere in its span. sc.fwTicks is
+// therefore an entry-tick table with re-queueing on improvement: a run has
+// at most two candidate entry ticks — the edge one and its best start tick
+// — so it is expanded at most twice and the sweep stays linear, and since
+// successor entries do not depend on the entry tick a re-entry never
+// cascades: it only tightens the members' ticks. When all starts share one
+// tick on the interval's near edge (every backward sweep, and a forward one
+// whose seeds hold from iv.Lo) no successor can be a start run, the table
+// degenerates to a visited set and nothing is expanded twice.
+func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, iv contact.Interval, dir queries.Direction) error {
+	fwd := dir == queries.Forward
+	better := func(t, prev int32) bool {
+		if fwd {
+			return t < prev
 		}
-		if sc.nodes.Visit(int(e.node)) {
-			sc.queue.PushBack(e)
-		}
+		return t > prev
 	}
-	for sc.queue.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cur, _ := sc.queue.PopFront()
-		sc.visits++
-		v, err := g.vertex(cur.node, cur.part)
-		if err != nil {
-			return err
-		}
-		for _, o := range v.members {
-			if sc.fwObjs.Visit(int(o)) {
-				sc.objList = append(sc.objList, o)
-			}
-		}
-		if v.end >= iv.Hi {
-			// The run outlives the interval: its successors start after
-			// iv.Hi and cannot be infected in time.
-			continue
-		}
-		if err := g.need(v, secOut); err != nil {
-			return err
-		}
-		for _, e := range v.out {
-			if sc.nodes.Visit(int(e.node)) {
-				sc.queue.PushBack(entry{e.node, e.part})
-			}
-		}
-	}
-	return nil
-}
-
-// arrivalCollect is collectForward tracking earliest arrivals: it sweeps
-// DN1 edges forward from the start vertices and records, for every object
-// reachable by iv.Hi, the earliest tick it holds the item, in
-// sc.objTicks/sc.objList. DN1 edges connect exactly adjacent runs, so a
-// run reached over *any* path is entered at its span start (the one tick
-// its component inherits carriers from the previous instant); only seed
-// runs are entered later, at iv.Lo. Every visited run therefore has a
-// single fixed arrival tick — a plain visited set suffices, no
-// re-queueing on improvement — and an object's earliest arrival is the
-// minimum arrival over the visited runs that contain it. Hop counts are
-// not derivable from the run DAG (a run collapses a whole contact
-// component), which is why ReachGraph advertises arrival-only semantics.
-func arrivalCollect(ctx context.Context, g graphAccess, sc *scratch, starts []entry, iv contact.Interval) error {
-	for _, e := range starts {
-		if e.node == dn.Invalid {
-			continue
-		}
-		if sc.nodes.Visit(int(e.node)) {
-			sc.fwQueue.PushBack(tickItem{e, iv.Lo})
-		}
-	}
-	for sc.fwQueue.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		it, _ := sc.fwQueue.PopFront()
-		sc.visits++
-		v, err := g.vertex(it.e.node, it.e.part)
-		if err != nil {
-			return err
-		}
-		for _, o := range v.members {
-			if prev, ok := sc.objTicks.Get(int(o)); !ok || int32(it.t) < prev {
-				sc.objTicks.Set(int(o), int32(it.t))
-				if !ok {
-					sc.objList = append(sc.objList, o)
-				}
-			}
-		}
-		if v.end >= iv.Hi {
-			// The run outlives the interval: its successors start after
-			// iv.Hi and cannot be infected in time.
-			continue
-		}
-		if err := g.need(v, secOut); err != nil {
-			return err
-		}
-		arr := v.end + 1 // successors are adjacent runs covering this tick
-		for _, e := range v.out {
-			if sc.nodes.Visit(int(e.node)) {
-				sc.fwQueue.PushBack(tickItem{entry{e.node, e.part}, arr})
-			}
-		}
-	}
-	return nil
-}
-
-// arrivalCollectTicked is arrivalCollect for frontiers whose seeds
-// activate at their own ticks — the scatter-gather shard planner hands a
-// whole round of boundary discoveries to an owner shard as one sweep, each
-// seed entering at its best-known arrival. The plain-visited-set argument
-// of arrivalCollect no longer holds: a run seeded mid-span can also be
-// entered at its span start through an edge from an earlier seed's
-// propagation, so the visited set becomes an entry-tick table (sc.fwTicks)
-// with re-queueing on improvement. Each run still has at most two
-// candidate entry ticks — its span start (identical over every edge path)
-// and its minimal seed activation — so a run is expanded at most twice and
-// the sweep stays linear. Successor entries are span starts either way,
-// which is why a re-entry never cascades: it only tightens the members'
-// arrivals.
-func arrivalCollectTicked(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, iv contact.Interval) error {
 	push := func(e entry, t trajectory.Tick) {
-		if prev, ok := sc.fwTicks.Get(int(e.node)); ok && prev <= int32(t) {
+		if prev, ok := sc.fwTicks.Get(int(e.node)); ok && !better(int32(t), prev) {
 			return
 		}
 		sc.fwTicks.Set(int(e.node), int32(t))
 		sc.fwQueue.PushBack(tickItem{e, t})
 	}
 	for _, it := range starts {
-		if it.e.node != dn.Invalid {
-			push(it.e, it.t)
-		}
+		push(it.e, it.t)
 	}
 	for sc.fwQueue.Len() > 0 {
 		if err := ctx.Err(); err != nil {
@@ -563,7 +545,7 @@ func arrivalCollectTicked(ctx context.Context, g graphAccess, sc *scratch, start
 		}
 		it, _ := sc.fwQueue.PopFront()
 		if cur, _ := sc.fwTicks.Get(int(it.e.node)); cur != int32(it.t) {
-			continue // superseded by an earlier entry before expansion
+			continue // superseded by a better entry before expansion
 		}
 		sc.visits++
 		v, err := g.vertex(it.e.node, it.e.part)
@@ -571,130 +553,32 @@ func arrivalCollectTicked(ctx context.Context, g graphAccess, sc *scratch, start
 			return err
 		}
 		for _, o := range v.members {
-			if prev, ok := sc.objTicks.Get(int(o)); !ok || int32(it.t) < prev {
+			if prev, ok := sc.objTicks.Get(int(o)); !ok || better(int32(it.t), prev) {
 				sc.objTicks.Set(int(o), int32(it.t))
 				if !ok {
 					sc.objList = append(sc.objList, o)
 				}
 			}
 		}
-		if v.end >= iv.Hi {
-			// The run outlives the interval: its successors start after
-			// iv.Hi and cannot be infected in time.
+		// Forward the run is left at its end for its out-neighbours,
+		// backward at its start for its in-neighbours; a run spanning the
+		// interval's far edge has no neighbour inside it.
+		done, section, next := v.end >= iv.Hi, secOut, v.end+1
+		if !fwd {
+			done, section, next = v.start <= iv.Lo, secIn, v.start-1
+		}
+		if done {
 			continue
 		}
-		if err := g.need(v, secOut); err != nil {
+		if err := g.need(v, section); err != nil {
 			return err
 		}
-		arr := v.end + 1 // successors are adjacent runs covering this tick
-		for _, e := range v.out {
-			push(entry{e.node, e.part}, arr)
+		edges := v.out // readable only once need has returned
+		if !fwd {
+			edges = v.in
 		}
-	}
-	return nil
-}
-
-// collectBackward is the time-mirror of collectForward: it sweeps DN1 edges
-// backward from the start vertices (the seed runs at iv.Hi) and records in
-// sc.bwObjs/sc.objList every object that, holding the item at iv.Lo, delivers
-// it to a seed by iv.Hi — the native reverse-set primitive behind
-// AppendReverseSetFromCounted and the backward cross-segment plan. The entry
-// invariant mirrors the forward one: every visited run has a hand-over tick
-// inside its span and inside iv, so any member holding the item then infects
-// the run's whole component — including the member a DN1 in-edge shares with
-// the next run, which carries the item forward, by induction up to a seed.
-// Predecessors are adjacent runs ending at span start − 1, so a run starting
-// at or before iv.Lo is not expanded further: its predecessors end before
-// the interval and cannot pick the item up in time.
-func collectBackward(ctx context.Context, g graphAccess, sc *scratch, starts []entry, iv contact.Interval) error {
-	for _, e := range starts {
-		if e.node == dn.Invalid {
-			continue
-		}
-		if sc.nodes.Visit(int(e.node)) {
-			sc.queue.PushBack(e)
-		}
-	}
-	for sc.queue.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cur, _ := sc.queue.PopFront()
-		sc.visits++
-		v, err := g.vertex(cur.node, cur.part)
-		if err != nil {
-			return err
-		}
-		for _, o := range v.members {
-			if sc.bwObjs.Visit(int(o)) {
-				sc.objList = append(sc.objList, o)
-			}
-		}
-		if v.start <= iv.Lo {
-			// The run reaches back to the interval start: its predecessors
-			// end before iv.Lo and cannot pick the item up in time.
-			continue
-		}
-		if err := g.need(v, secIn); err != nil {
-			return err
-		}
-		for _, e := range v.in {
-			if sc.nodes.Visit(int(e.node)) {
-				sc.queue.PushBack(entry{e.node, e.part})
-			}
-		}
-	}
-	return nil
-}
-
-// departureCollect is collectBackward tracking latest departures: for every
-// deliverer it records, in sc.objTicks/sc.objList, the last tick at which the
-// object can still pick the item up and have it reach a seed by iv.Hi. DN1
-// in-edges come from exactly adjacent runs, so a non-seed run reached over
-// *any* backward path is departed at its span end (the one tick its
-// component can hand carriers to the next instant); only seed runs depart
-// later, at iv.Hi. Every visited run therefore has a single fixed departure
-// tick — a plain visited set suffices, no re-queueing on improvement — and
-// an object's latest departure is the maximum over the visited runs that
-// contain it, mirroring arrivalCollect's earliest-arrival argument.
-func departureCollect(ctx context.Context, g graphAccess, sc *scratch, starts []entry, iv contact.Interval) error {
-	for _, e := range starts {
-		if e.node == dn.Invalid {
-			continue
-		}
-		if sc.nodes.Visit(int(e.node)) {
-			sc.bwQueue.PushBack(tickItem{e, iv.Hi})
-		}
-	}
-	for sc.bwQueue.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		it, _ := sc.bwQueue.PopFront()
-		sc.visits++
-		v, err := g.vertex(it.e.node, it.e.part)
-		if err != nil {
-			return err
-		}
-		for _, o := range v.members {
-			if prev, ok := sc.objTicks.Get(int(o)); !ok || int32(it.t) > prev {
-				sc.objTicks.Set(int(o), int32(it.t))
-				if !ok {
-					sc.objList = append(sc.objList, o)
-				}
-			}
-		}
-		if v.start <= iv.Lo {
-			continue
-		}
-		if err := g.need(v, secIn); err != nil {
-			return err
-		}
-		dep := v.start - 1 // predecessors are adjacent runs ending this tick
-		for _, e := range v.in {
-			if sc.nodes.Visit(int(e.node)) {
-				sc.bwQueue.PushBack(tickItem{entry{e.node, e.part}, dep})
-			}
+		for _, e := range edges {
+			push(entry{e.node, e.part}, next)
 		}
 	}
 	return nil

@@ -54,11 +54,11 @@ func TestPageFormatsAgree(t *testing.T) {
 	ctx := context.Background()
 	for src := trajectory.ObjectID(0); src < 10; src++ {
 		iv := work[src].Interval
-		a, _, err := fixed.ReachableSetFrom(ctx, []trajectory.ObjectID{src}, iv, nil)
+		a, err := reachableSetFrom(ctx, fixed, []trajectory.ObjectID{src}, iv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := varint.ReachableSetFrom(ctx, []trajectory.ObjectID{src}, iv, nil)
+		b, err := reachableSetFrom(ctx, varint, []trajectory.ObjectID{src}, iv)
 		if err != nil {
 			t.Fatal(err)
 		}

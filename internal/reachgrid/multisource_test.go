@@ -31,7 +31,7 @@ func TestMultiSourceMatchesOracle(t *testing.T) {
 		iv := contact.Interval{Lo: lo, Hi: lo + trajectory.Tick(20+rng.Intn(100))}
 
 		wantSet := oracle.ReachableSetFrom(seeds, iv)
-		gotSet, _, err := ix.ReachableSetFrom(ctx, seeds, iv, nil)
+		gotSet, err := reachableSetFrom(ctx, ix, seeds, iv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestCancelledContextStopsSweep(t *testing.T) {
 	if _, _, err := ix.SPJReachCounted(ctx, q, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("SPJReachCounted: got %v, want context.Canceled", err)
 	}
-	if _, _, err := ix.ReachableSetFrom(ctx, []trajectory.ObjectID{0}, q.Interval, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("ReachableSetFrom: got %v, want context.Canceled", err)
+	if _, err := reachableSetFrom(ctx, ix, []trajectory.ObjectID{0}, q.Interval); !errors.Is(err, context.Canceled) {
+		t.Errorf("AppendSemProfileFrom: got %v, want context.Canceled", err)
 	}
 }

@@ -37,7 +37,11 @@
 // semantics.go; they differ in the per-instant step it is handed. The steps
 // stay two on purpose: the spread never looks at a pair of two infected
 // objects, which the hop relaxation must, so the boolean step is
-// materially cheaper than a relaxation with an unbounded budget.
+// materially cheaper than a relaxation with an unbounded budget. The query
+// surface is those two plus the baseline: ReachFromCounted (multi-source
+// point query, ReachCounted and Reach its single-source forms),
+// AppendSemProfileFrom (the profile every set and arrival answer is read
+// off) and SPJReachCounted (spj.go).
 //
 // Everything a query buffers is pooled scratch (gridScratch) that later
 // queries reuse wholesale: epoch-stamped seed, cell and segment tables
@@ -387,53 +391,6 @@ func (ix *Index) ReachFromCounted(ctx context.Context, seeds []trajectory.Object
 		return true
 	})
 	return reached, expanded, err
-}
-
-// ReachableSet returns every object reachable from src during iv (including
-// src), sorted ascending — the batch primitive behind the paper's epidemic
-// and watch-list scenarios. The expansion is still guided: only cells near
-// the growing seed set are read. Page reads are charged to acct (which may
-// be nil).
-func (ix *Index) ReachableSet(ctx context.Context, src trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]trajectory.ObjectID, error) {
-	out, _, err := ix.ReachableSetFrom(ctx, []trajectory.ObjectID{src}, iv, acct)
-	return out, err
-}
-
-// ReachableSetFrom returns every object reachable from any seed during iv
-// (seeds included when the interval overlaps the time domain), sorted
-// ascending, plus the expansion counter.
-func (ix *Index) ReachableSetFrom(ctx context.Context, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]trajectory.ObjectID, int, error) {
-	out, n, err := ix.AppendReachableSetFrom(ctx, nil, seeds, iv, acct)
-	if err != nil {
-		return nil, n, err
-	}
-	return out, n, nil
-}
-
-// AppendReachableSetFrom is ReachableSetFrom appending onto dst (whose
-// backing array is reused) — the allocation-free variant the cross-segment
-// planner carries its frontier with. Only the appended tail is sorted and
-// deduplicated.
-func (ix *Index) AppendReachableSetFrom(ctx context.Context, dst, seeds []trajectory.ObjectID, iv contact.Interval, acct *pagefile.Stats) ([]trajectory.ObjectID, int, error) {
-	iv = ix.clampInterval(iv)
-	if iv.Len() == 0 {
-		return dst, 0, nil
-	}
-	if err := ix.checkSeeds(seeds); err != nil {
-		return dst, 0, err
-	}
-	base := len(dst)
-	dst = append(dst, seeds...)
-	err := ix.sweep(ctx, seeds, iv, acct, func(o trajectory.ObjectID) bool {
-		dst = append(dst, o)
-		return true
-	})
-	if err != nil {
-		return dst[:base], len(dst) - base, err
-	}
-	tail := trajectory.SortDedupObjects(dst[base:])
-	dst = dst[:base+len(tail)]
-	return dst, len(tail), nil
 }
 
 // gridScratch is the pooled per-query working state of the sweep.

@@ -104,12 +104,11 @@ func TestReachableSetMatchesOracle(t *testing.T) {
 	for src := trajectory.ObjectID(0); src < 10; src++ {
 		iv := contact.Interval{Lo: trajectory.Tick(5 * src), Hi: trajectory.Tick(5*src) + 120}
 		want := oracle.ReachableSet(src, iv)
-		got, err := ix.ReachableSet(context.Background(), src, iv, nil)
+		got, err := reachableSetFrom(context.Background(), ix, []trajectory.ObjectID{src}, iv)
 		if err != nil {
 			t.Fatalf("src %d: %v", src, err)
 		}
 		sortObjs(want)
-		sortObjs(got)
 		if !equalObjs(got, want) {
 			t.Fatalf("src %d over %v: got %v, want %v", src, iv, got, want)
 		}
@@ -202,8 +201,8 @@ func TestQueryValidation(t *testing.T) {
 			t.Errorf("%v: want SPJ validation error", q)
 		}
 	}
-	if _, err := ix.ReachableSet(context.Background(), -3, contact.Interval{Lo: 0, Hi: 5}, nil); err == nil {
-		t.Error("ReachableSet(-3): want validation error")
+	if _, err := reachableSetFrom(context.Background(), ix, []trajectory.ObjectID{-3}, contact.Interval{Lo: 0, Hi: 5}); err == nil {
+		t.Error("AppendSemProfileFrom(seed -3): want validation error")
 	}
 	// A seed equal to the destination must not answer before the seeds
 	// behind it are checked.
@@ -299,6 +298,21 @@ func TestEarlyTerminationSavesIO(t *testing.T) {
 		return
 	}
 	t.Skip("no early-positive query found in workload")
+}
+
+// reachableSetFrom is the set answer read off the sweep: the objects of the
+// unbounded profile of seeds that hold the item from the interval start.
+func reachableSetFrom(ctx context.Context, ix *Index, objs []trajectory.ObjectID, iv contact.Interval) ([]trajectory.ObjectID, error) {
+	seeds := make([]queries.SeedState, len(objs))
+	for i, o := range objs {
+		seeds[i].Obj = o
+	}
+	prof, _, err := ix.AppendSemProfileFrom(ctx, nil, seeds, iv, -1, queries.NoObject, nil)
+	var set []trajectory.ObjectID
+	for _, e := range prof {
+		set = append(set, e.Obj)
+	}
+	return set, err
 }
 
 func sortObjs(s []trajectory.ObjectID) {

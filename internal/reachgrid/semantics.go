@@ -21,12 +21,6 @@ import (
 	"streach/internal/trajectory"
 )
 
-// SemProfileFrom returns the propagation profile of the seed frontier over
-// iv; see AppendSemProfileFrom.
-func (ix *Index) SemProfileFrom(ctx context.Context, seeds []queries.SeedState, iv contact.Interval, budget int32, earlyDst trajectory.ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return ix.AppendSemProfileFrom(ctx, nil, seeds, iv, budget, earlyDst, acct)
-}
-
 // AppendSemProfileFrom appends to dst the propagation profile of the seed
 // frontier over iv: for every object reachable under the transfer budget
 // (budget < 0 means unbounded), its minimal transfer count and earliest

@@ -164,6 +164,10 @@ func TestDeltaCompaction(t *testing.T) {
 	}, 0); err != nil {
 		t.Fatal(err)
 	}
+	// Without a threshold nothing folds: the late events stay pending.
+	if log.DeltaDepth() != 3 || log.DirtySlabs() != 2 || *builds != 0 {
+		t.Fatalf("no compaction: depth %d dirty %d rebuilds %d, want 3, 2, 0", log.DeltaDepth(), log.DirtySlabs(), *builds)
+	}
 
 	// Threshold 2 compacts only slab 0.
 	n, err := log.IngestEvents([]contact.Event{ev(21, 0, 7)}, 2) // slab 1 now depth 2

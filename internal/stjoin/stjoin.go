@@ -220,63 +220,3 @@ func MakePair(a, b trajectory.ObjectID) Pair {
 	}
 	return Pair{A: a, B: b}
 }
-
-// InstantPairs returns all contact pairs of dataset d at tick t, using j
-// (which must have been built with d.Env and d.ContactDist). The result is
-// freshly allocated; pairs are unique.
-func InstantPairs(j *Joiner, d *trajectory.Dataset, t trajectory.Tick) []Pair {
-	pts := make([]geo.Point, d.NumObjects())
-	ids := make([]trajectory.ObjectID, d.NumObjects())
-	for i := range d.Trajs {
-		pts[i] = d.Trajs[i].AtClamped(t)
-		ids[i] = d.Trajs[i].Object
-	}
-	var out []Pair
-	j.Join(pts, func(a, b int) bool {
-		out = append(out, MakePair(ids[a], ids[b]))
-		return true
-	})
-	return out
-}
-
-// SweepJoin sweeps the ticks of [lo, hi] in increasing order and joins the
-// provided segments at every instant, emitting (objA, objB, t) for each pair
-// of distinct objects within dT at tick t. Segments that do not cover a tick
-// are skipped at that tick. emit returning false aborts the sweep — the
-// early-termination behaviour Algorithm 1 relies on. Multiple segments of
-// the same object are tolerated (duplicates are suppressed per instant).
-func SweepJoin(j *Joiner, segs []trajectory.Segment, lo, hi trajectory.Tick,
-	emit func(a, b trajectory.ObjectID, t trajectory.Tick) bool) {
-
-	pts := make([]geo.Point, 0, len(segs))
-	ids := make([]trajectory.ObjectID, 0, len(segs))
-	present := make(map[trajectory.ObjectID]bool, len(segs))
-	for t := lo; t <= hi; t++ {
-		pts, ids = pts[:0], ids[:0]
-		for k := range present {
-			delete(present, k)
-		}
-		for i := range segs {
-			if !segs[i].Covers(t) || present[segs[i].Object] {
-				continue
-			}
-			present[segs[i].Object] = true
-			pts = append(pts, segs[i].At(t))
-			ids = append(ids, segs[i].Object)
-		}
-		stop := false
-		j.Join(pts, func(a, b int) bool {
-			if ids[a] == ids[b] {
-				return true
-			}
-			if !emit(ids[a], ids[b], t) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}

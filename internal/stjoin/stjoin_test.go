@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"streach/internal/geo"
-	"streach/internal/trajectory"
 )
 
 func bruteForcePairs(pts []geo.Point, dT float64) map[[2]int]bool {
@@ -173,87 +171,6 @@ func TestMakePair(t *testing.T) {
 	if MakePair(2, 5) != (Pair{A: 2, B: 5}) {
 		t.Error("MakePair changed ordered input")
 	}
-}
-
-func TestInstantPairs(t *testing.T) {
-	d := &trajectory.Dataset{
-		Name:        "t",
-		Env:         geo.NewRect(geo.Point{}, geo.Point{X: 100, Y: 100}),
-		TickSeconds: 1,
-		ContactDist: 10,
-		Trajs: []trajectory.Trajectory{
-			{Object: 0, Pos: []geo.Point{{X: 0, Y: 0}, {X: 50, Y: 50}}},
-			{Object: 1, Pos: []geo.Point{{X: 5, Y: 0}, {X: 90, Y: 90}}},
-			{Object: 2, Pos: []geo.Point{{X: 90, Y: 90}, {X: 55, Y: 50}}},
-		},
-	}
-	j := NewJoiner(d.Env, d.ContactDist)
-	p0 := InstantPairs(j, d, 0)
-	if len(p0) != 1 || p0[0] != (Pair{A: 0, B: 1}) {
-		t.Fatalf("t=0 pairs = %v", p0)
-	}
-	p1 := InstantPairs(j, d, 1)
-	if len(p1) != 1 || p1[0] != (Pair{A: 0, B: 2}) {
-		t.Fatalf("t=1 pairs = %v", p1)
-	}
-}
-
-func TestSweepJoinOrderAndEarlyStop(t *testing.T) {
-	env := geo.NewRect(geo.Point{}, geo.Point{X: 100, Y: 100})
-	j := NewJoiner(env, 5)
-	// Object 0 stays at origin; object 1 arrives at tick 2; object 2 at tick 4.
-	segs := []trajectory.Segment{
-		{Object: 0, Start: 0, Pos: []geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 0}}},
-		{Object: 1, Start: 0, Pos: []geo.Point{{X: 50, Y: 0}, {X: 25, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 0}}},
-		{Object: 2, Start: 0, Pos: []geo.Point{{X: 0, Y: 50}, {X: 0, Y: 40}, {X: 0, Y: 30}, {X: 0, Y: 15}, {X: 0, Y: 3}}},
-	}
-	type hit struct {
-		a, b trajectory.ObjectID
-		t    trajectory.Tick
-	}
-	var hits []hit
-	SweepJoin(j, segs, 0, 4, func(a, b trajectory.ObjectID, tk trajectory.Tick) bool {
-		hits = append(hits, hit{a, b, tk})
-		return true
-	})
-	// Ticks must be non-decreasing, and the first contact is 0-1 at tick 2.
-	if len(hits) == 0 {
-		t.Fatal("no contacts found")
-	}
-	if !sort.SliceIsSorted(hits, func(i, k int) bool { return hits[i].t < hits[k].t }) {
-		t.Fatalf("hits out of time order: %v", hits)
-	}
-	first := hits[0]
-	if MakePair(first.a, first.b) != (Pair{A: 0, B: 1}) || first.t != 2 {
-		t.Fatalf("first contact = %+v, want 0-1@2", first)
-	}
-	// Early stop after the first hit.
-	count := 0
-	SweepJoin(j, segs, 0, 4, func(a, b trajectory.ObjectID, tk trajectory.Tick) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("early stop ignored: %d emissions", count)
-	}
-}
-
-func TestSweepJoinSkipsUncoveredTicksAndDuplicates(t *testing.T) {
-	env := geo.NewRect(geo.Point{}, geo.Point{X: 100, Y: 100})
-	j := NewJoiner(env, 5)
-	segs := []trajectory.Segment{
-		{Object: 0, Start: 0, Pos: []geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}}},
-		// Object 1 appears only at ticks 3-4, colocated with object 0's
-		// position — but object 0's segment has ended, so no contact.
-		{Object: 1, Start: 3, Pos: []geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}}},
-		// Duplicate segment for object 0 (an object can be stored in
-		// multiple grid cells); must not produce a self-contact.
-		{Object: 0, Start: 0, Pos: []geo.Point{{X: 0, Y: 0}, {X: 0, Y: 0}}},
-	}
-	SweepJoin(j, segs, 0, 4, func(a, b trajectory.ObjectID, tk trajectory.Tick) bool {
-		t.Fatalf("unexpected contact %d-%d@%d", a, b, tk)
-		return true
-	})
 }
 
 func benchCloud() (*Joiner, []geo.Point) {

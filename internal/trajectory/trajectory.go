@@ -11,7 +11,6 @@ package trajectory
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"streach/internal/geo"
 )
@@ -299,11 +298,4 @@ func SortDedupObjects(ids []ObjectID) []ObjectID {
 		}
 	}
 	return ids[:w]
-}
-
-// SortSamplesByTime sorts a slice of samples by timestamp; the ReachGrid
-// layout stores cell contents in this order so query processing can stop
-// scanning a cell as soon as the sweep passes the query interval (§4.1).
-func SortSamplesByTime(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
 }

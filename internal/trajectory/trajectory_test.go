@@ -226,16 +226,6 @@ func TestInterpolate(t *testing.T) {
 	}
 }
 
-func TestSortSamplesByTime(t *testing.T) {
-	s := []Sample{{T: 3}, {T: 1}, {T: 2}}
-	SortSamplesByTime(s)
-	for i, want := range []Tick{1, 2, 3} {
-		if s[i].T != want {
-			t.Fatalf("sorted order wrong: %v", s)
-		}
-	}
-}
-
 // TestWindowMissedTrajectoryCoversNothing guards the windowed-extraction
 // contract for partial trajectories: an object whose samples all precede
 // (or follow) the window must not Cover any window instant — a covered
