@@ -74,10 +74,10 @@ func (c *segmentedCore) reachBidir(ctx context.Context, seeds []ObjectID, dst Ob
 		var n int
 		var err error
 		if len(F.reached) <= len(B.reached) {
-			n, err = F.step(ctx, c.slabs[fi], iv, dst, c.parallelism, acct)
+			n, err = F.step(ctx, c.slabs[fi], iv, dst, acct)
 			fi++
 		} else {
-			n, err = B.step(ctx, c.slabs[bi], iv, queries.NoObject, c.parallelism, acct)
+			n, err = B.step(ctx, c.slabs[bi], iv, queries.NoObject, acct)
 			bi--
 		}
 		expanded += n

@@ -37,18 +37,14 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8317", "listen address")
-		backend = flag.String("backend", "reachgraph", "frozen-mode backend (see -list)")
-		liveStr = flag.String("live", "", "serve a LiveEngine over this base backend (oracle, reachgraph, reachgraph-mem, or bidir:<base> for bidirectional point queries); replays the generated dataset as the initial feed and enables /v1/ingest")
+		backend = flag.String("backend", "reachgraph", "frozen-mode backend, any composed name (see -list), e.g. shard:4:spatial:reachgraph")
+		liveStr = flag.String("live", "", "serve a LiveEngine over this base backend (oracle, reachgraph, reachgraph-mem, bidir:<base> for bidirectional point queries, shard:<K>:<base> for per-shard ingest lanes); replays the generated dataset as the initial feed and enables /v1/ingest")
 		objects = flag.Int("objects", 400, "dataset objects")
 		ticks   = flag.Int("ticks", 1000, "dataset ticks (live mode: preloaded feed instants)")
 		seed    = flag.Int64("seed", 42, "dataset seed")
 
-		shards      = flag.Int("shards", 0, "partition the engine into this many shards (0: unsharded); wraps the backend as shard:<K>[:partitioner]:<base>")
-		partitioner = flag.String("partitioner", "", "shard partitioner: hash | spatial (default hash)")
-
 		segmentTicks = flag.Int("segment-ticks", 0, "time-slab width for segmented/live engines (0: default)")
 		poolPages    = flag.Int("pool-pages", 0, "buffer-pool pages for disk-resident backends (0: default)")
-		parallelism  = flag.Int("parallelism", 0, "intra-query workers for large frontier sweeps on segmented/bidir/live engines (0 or 1: serial)")
 
 		ingestHorizon = flag.Int("ingest-horizon", 0, "live mode: reject ingest adds at or past frontier+horizon ticks (0: 4 segment widths, negative: unbounded)")
 		compactEvents = flag.Int("compact-events", 0, "live mode: re-seal a dirty segment once its delta log holds this many late/retraction events (0: manual compaction only)")
@@ -79,23 +75,12 @@ func main() {
 		NumTicks:   *ticks,
 		Seed:       *seed,
 	})
-	if *shards > 0 {
-		prefix := fmt.Sprintf("shard:%d:", *shards)
-		if *partitioner != "" {
-			prefix = fmt.Sprintf("shard:%d:%s:", *shards, *partitioner)
-		}
-		*backend = prefix + *backend
-		if *liveStr != "" {
-			*liveStr = prefix + *liveStr
-		}
-	}
 	opts := streach.Options{
-		SegmentTicks:     *segmentTicks,
-		PoolPages:        *poolPages,
-		QueryParallelism: *parallelism,
-		IngestHorizon:    *ingestHorizon,
-		CompactEvents:    *compactEvents,
-		Seed:             *seed,
+		SegmentTicks:  *segmentTicks,
+		PoolPages:     *poolPages,
+		IngestHorizon: *ingestHorizon,
+		CompactEvents: *compactEvents,
+		Seed:          *seed,
 	}
 
 	var eng streach.Engine

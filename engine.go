@@ -196,8 +196,6 @@ type Options struct {
 	// of two); nil selects {2, 4, 8, 16, 32}.
 	Resolutions []int
 
-	// GrailPasses is the GRAIL label count d; zero selects 5.
-	GrailPasses int
 	// Seed seeds GRAIL's randomized labelling.
 	Seed int64
 
@@ -222,36 +220,7 @@ type Options struct {
 	// compact on an explicit LiveEngine.Compact call. Ignored by frozen
 	// backends.
 	CompactEvents int
-
-	// QueryParallelism is the intra-query worker budget of the segmented
-	// planners ("segmented:*", "bidir:*" and LiveEngine): when a carried
-	// frontier outgrows an internal threshold, its next sweep is
-	// partitioned across up to this many workers, each charging a private
-	// I/O accountant that is summed into the query's on merge. Zero or one
-	// keeps every sweep serial (the allocation-free steady-state path);
-	// values above one only ever engage on large frontiers. Ignored by
-	// unsegmented backends.
-	QueryParallelism int
-
-	// PageFormat selects the on-page record layout of the disk-resident
-	// indexes (reachgrid, spj, reachgraph and their segmented variants).
-	// Zero selects the default PageFormatVarint; PageFormatFixed rebuilds
-	// the v1 fixed-width layout. Both formats answer queries identically —
-	// the varint-delta layout just occupies fewer pages.
-	PageFormat PageFormat
 }
-
-// PageFormat identifies an on-page record layout; see Options.PageFormat.
-type PageFormat = pagefile.Format
-
-// The available page formats.
-const (
-	// PageFormatFixed is the v1 layout: fixed-width 32/64-bit fields.
-	PageFormatFixed = pagefile.FormatFixed
-	// PageFormatVarint is the v2 layout (the default): varint counts and
-	// ticks, delta-compressed ID postings, prediction-XOR'd positions.
-	PageFormatVarint = pagefile.FormatVarint
-)
 
 // BackendInfo describes one registered backend.
 type BackendInfo struct {
@@ -305,12 +274,8 @@ func defaultResolutions(res []int) []int {
 	return res
 }
 
-func grailPasses(opts Options) int {
-	if opts.GrailPasses <= 0 {
-		return 5
-	}
-	return opts.GrailPasses
-}
+// grailPasses is the GRAIL label count d.
+const grailPasses = 5
 
 // leaves holds the index backends — the names a composed name bottoms out
 // in — and aliases the accepted alternate spellings, applied at every level
@@ -369,7 +334,6 @@ func leafSpecs() map[string]backendSpec {
 				Resolutions:    opts.Resolutions,
 				PoolPages:      opts.PoolPages,
 				Pool:           opts.Pool,
-				Format:         opts.PageFormat,
 			})
 			if err != nil {
 				return nil, err
@@ -392,7 +356,7 @@ func leafSpecs() map[string]backendSpec {
 		Description:  "GRAIL interval labelling, disk-resident adaptation (§6.4)",
 		DiskResident: true,
 	}, func(src Source, opts Options) (core, error) {
-		dk, err := grail.NewDisk(dn.Build(src.sourceContacts().net), grailPasses(opts), opts.Seed, opts.PoolPages, opts.Pool)
+		dk, err := grail.NewDisk(dn.Build(src.sourceContacts().net), grailPasses, opts.Seed, opts.PoolPages, opts.Pool)
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +366,7 @@ func leafSpecs() map[string]backendSpec {
 		Name:        "grail-mem",
 		Description: "GRAIL interval labelling, memory-resident (§6.4)",
 	}, func(src Source, opts Options) (core, error) {
-		m, err := grail.NewMem(dn.Build(src.sourceContacts().net), grailPasses(opts), opts.Seed)
+		m, err := grail.NewMem(dn.Build(src.sourceContacts().net), grailPasses, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +387,6 @@ func buildGridIndex(src Source, opts Options) (*reachgrid.Index, error) {
 		BucketTicks: opts.BucketTicks,
 		PoolPages:   opts.PoolPages,
 		Pool:        opts.Pool,
-		Format:      opts.PageFormat,
 	})
 }
 

@@ -198,40 +198,43 @@ func TestUncertainDijkstraCrossValidation(t *testing.T) {
 
 // TestUncertainStoreAccounting: the uncertain wrapper's contact store is
 // real simulated disk — semantic queries charge blob reads, the store
-// contributes to the index footprint, and both page formats answer
-// identically.
+// contributes to the index footprint, and what is decoded from it answers
+// like the oracle.
 func TestUncertainStoreAccounting(t *testing.T) {
 	ds := GenerateRandomWaypoint(RWPOptions{NumObjects: 25, NumTicks: 150, Seed: 13})
 	ctx := context.Background()
 	iv := NewInterval(10, 130)
-	var answers [2][]bool
-	for fi, format := range []PageFormat{PageFormatFixed, PageFormatVarint} {
-		e, err := Open("uncertain:oracle", ds, Options{PageFormat: format})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.IndexBytes() <= 0 {
-			t.Fatalf("format %v: uncertain store reports no index bytes", format)
-		}
-		var io float64
-		for src := ObjectID(0); src < 5; src++ {
-			for dst := ObjectID(5); dst < 15; dst++ {
-				r, err := e.Reachable(ctx, Query{Src: src, Dst: dst, Interval: iv,
-					Semantics: Semantics{MinDuration: 2, Prob: 0.8, ProbThreshold: 0.4}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				answers[fi] = append(answers[fi], r.Reachable)
-				io += r.IO.Normalized
+	e, err := Open("uncertain:oracle", ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := Open("oracle", ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.IndexBytes() <= 0 {
+		t.Fatal("uncertain store reports no index bytes")
+	}
+	var io float64
+	for src := ObjectID(0); src < 5; src++ {
+		for dst := ObjectID(5); dst < 15; dst++ {
+			q := Query{Src: src, Dst: dst, Interval: iv,
+				Semantics: Semantics{MinDuration: 2, Prob: 0.8, ProbThreshold: 0.4}}
+			r, err := e.Reachable(ctx, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if io == 0 {
-			t.Fatalf("format %v: filtered probabilistic queries charged no store I/O", format)
+			want, err := oracle.Reachable(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Reachable != want.Reachable {
+				t.Fatalf("%v: the decoded store says %v, the oracle %v", q, r.Reachable, want.Reachable)
+			}
+			io += r.IO.Normalized
 		}
 	}
-	for i := range answers[0] {
-		if answers[0][i] != answers[1][i] {
-			t.Fatalf("query %d: fixed/varint formats disagree", i)
-		}
+	if io == 0 {
+		t.Fatal("filtered probabilistic queries charged no store I/O")
 	}
 }

@@ -126,20 +126,20 @@ func BenchmarkBidirForwardBaseline(b *testing.B) {
 	benchmarkLongInterval(b, "segmented:reachgraph", streach.Options{SegmentTicks: 60})
 }
 
-// The parallel-sweep benchmarks need frontiers above the engagement
-// threshold, so they run a larger population than the hotpath dataset.
+// The large-frontier benchmarks run a larger population than the hotpath
+// dataset.
 func parallelSweepDataset() *streach.Dataset {
 	return streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 256, NumTicks: 240, Seed: 56,
 	})
 }
 
-func benchmarkParallelSweep(b *testing.B, parallelism int) {
+// BenchmarkParallelSweepSerial is the cross-segment planner's large-frontier
+// benchmark: long point queries whose carried frontier grows to hundreds of
+// objects.
+func BenchmarkParallelSweepSerial(b *testing.B) {
 	ds := parallelSweepDataset()
-	e, err := streach.Open("segmented:reachgraph-mem", ds, streach.Options{
-		SegmentTicks:     40,
-		QueryParallelism: parallelism,
-	})
+	e, err := streach.Open("segmented:reachgraph-mem", ds, streach.Options{SegmentTicks: 40})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -159,18 +159,14 @@ func benchmarkParallelSweep(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkParallelSweepSerial(b *testing.B) { benchmarkParallelSweep(b, 1) }
-
-func BenchmarkParallelSweepWorkers4(b *testing.B) { benchmarkParallelSweep(b, 4) }
-
 // The sharding benchmarks measure the scatter-gather planner against the
 // single-engine baseline on large reachable-set queries — the workload the
 // partitioned design targets (point queries keep their serial fast path at
 // K=1 and pay hand-off rounds at K>1).
 
-func benchmarkShardSet(b *testing.B, backend string, parallelism int) {
+func benchmarkShardSet(b *testing.B, backend string) {
 	ds := parallelSweepDataset()
-	e, err := streach.Open(backend, ds, streach.Options{QueryParallelism: parallelism})
+	e, err := streach.Open(backend, ds, streach.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,11 +186,11 @@ func benchmarkShardSet(b *testing.B, backend string, parallelism int) {
 	}
 }
 
-func BenchmarkShardSetBaseline1(b *testing.B) { benchmarkShardSet(b, "shard:1:reachgraph", 0) }
+func BenchmarkShardSetBaseline1(b *testing.B) { benchmarkShardSet(b, "shard:1:reachgraph") }
 
-func BenchmarkShardSetHash4(b *testing.B) { benchmarkShardSet(b, "shard:4:reachgraph", 0) }
+func BenchmarkShardSetHash4(b *testing.B) { benchmarkShardSet(b, "shard:4:reachgraph") }
 
-func BenchmarkShardSetSpatial4(b *testing.B) { benchmarkShardSet(b, "shard:4:spatial:reachgraph", 0) }
+func BenchmarkShardSetSpatial4(b *testing.B) { benchmarkShardSet(b, "shard:4:spatial:reachgraph") }
 
 // The clustered benchmarks run the workload the partitioned design is
 // built for: objects orbit home regions, so a spatial cut keeps almost
@@ -269,8 +265,7 @@ func BenchmarkShardPointHash4(b *testing.B) {
 // sets all come from the per-engine pools, and on disk so do the buffered
 // partitions and the arena the visited records are decoded into, and the
 // grid's buffered segments, position arena and directory table. The bidir
-// and cross-segment planners are held to the same bar on their serial
-// paths (RWP48 frontiers stay below the parallel-sweep threshold).
+// and cross-segment planners are held to the same bar.
 func TestHotpathSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation counts only hold un-instrumented")

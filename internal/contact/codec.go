@@ -1,15 +1,9 @@
-// On-page contact blobs. A contact list serializes into one
-// format-versioned blob (the same leading-format-byte convention as every
-// index blob in streach), so disk-resident evaluators can store raw
-// weighted contact logs on the simulated disk:
-//
-//   - The v1 fixed layout is four fixed-width int32 fields per contact
-//     (A, B, Lo, Hi) — the layout from before the weight/duration sidecar
-//     existed. It decodes forever; sidecar fields come back zero.
-//   - The v2 varint layout delta-compresses the (Lo-sorted) contact list
-//     and carries an optional weight/duration sidecar behind a flags byte:
-//     blobs of unweighted networks stay byte-identical to pre-sidecar v2
-//     blobs, and old blobs (flags 0) decode forever.
+// On-page contact blobs. A contact list serializes into one blob behind
+// the same leading layout version byte as every index blob in streach, so
+// disk-resident evaluators can store raw weighted contact logs on the
+// simulated disk. The (Lo-sorted) list is delta-compressed and carries an
+// optional weight/duration sidecar behind a flags byte: the blob of an
+// unweighted network (flags 0) spends nothing on it.
 package contact
 
 import (
@@ -20,27 +14,16 @@ import (
 	"streach/internal/trajectory"
 )
 
-// sidecarFlag marks a v2 blob carrying the per-contact weight/duration
+// sidecarFlag marks a blob carrying the per-contact weight/duration
 // sidecar. Remaining flag bits are reserved and must be zero.
 const sidecarFlag = 0x01
 
-// AppendContactsBlob encodes cs onto e as one self-describing blob in the
-// given page format. The list must be Network-normalized: A < B, non-empty
-// validities, sorted by Validity.Lo — exactly what Network.Contacts holds
-// (FromContacts normalizes arbitrary lists).
-func AppendContactsBlob(e *pagefile.Encoder, cs []Contact, f pagefile.Format) {
-	f = pagefile.NormalizeFormat(f)
-	e.Format(f)
-	if f == pagefile.FormatFixed {
-		e.Uint32(uint32(len(cs)))
-		for _, c := range cs {
-			e.Int32(int32(c.A))
-			e.Int32(int32(c.B))
-			e.Int32(int32(c.Validity.Lo))
-			e.Int32(int32(c.Validity.Hi))
-		}
-		return
-	}
+// AppendContactsBlob encodes cs onto e as one self-describing blob. The
+// list must be Network-normalized: A < B, non-empty validities, sorted by
+// Validity.Lo — exactly what Network.Contacts holds (FromContacts
+// normalizes arbitrary lists).
+func AppendContactsBlob(e *pagefile.Encoder, cs []Contact) {
+	e.Format()
 	var flags byte
 	for _, c := range cs {
 		if c.Weight != 0 || c.Dur != 0 {
@@ -65,63 +48,39 @@ func AppendContactsBlob(e *pagefile.Encoder, cs []Contact, f pagefile.Format) {
 	}
 }
 
-// DecodeContactsBlob reads back a blob written by AppendContactsBlob,
-// dispatching on the leading format byte.
+// DecodeContactsBlob reads back a blob written by AppendContactsBlob.
 func DecodeContactsBlob(d *pagefile.Decoder) ([]Contact, error) {
-	switch f := d.Format(); f {
-	case pagefile.FormatFixed:
-		n := int(d.Uint32())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if n < 0 || n*16 > d.Remaining() {
-			return nil, fmt.Errorf("contact: implausible blob count %d with %d bytes left", n, d.Remaining())
-		}
-		cs := make([]Contact, 0, n)
-		for i := 0; i < n; i++ {
-			c := Contact{
-				A: trajectory.ObjectID(d.Int32()),
-				B: trajectory.ObjectID(d.Int32()),
-			}
-			c.Validity.Lo = trajectory.Tick(d.Int32())
-			c.Validity.Hi = trajectory.Tick(d.Int32())
-			cs = append(cs, c)
-		}
-		return cs, d.Err()
-	case pagefile.FormatVarint:
-		flags := d.Byte()
-		if d.Err() == nil && flags&^byte(sidecarFlag) != 0 {
-			return nil, fmt.Errorf("contact: unknown blob flags %#x", flags)
-		}
-		n := int(d.Uvarint())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if n < 0 || n > d.Remaining() { // every contact costs ≥ 1 byte
-			return nil, fmt.Errorf("contact: implausible blob count %d with %d bytes left", n, d.Remaining())
-		}
-		cs := make([]Contact, 0, n)
-		prevLo := trajectory.Tick(0)
-		prevA := int64(0)
-		for i := 0; i < n; i++ {
-			var c Contact
-			c.Validity.Lo = prevLo + trajectory.Tick(d.Uvarint())
-			a := prevA + d.Varint()
-			c.A = trajectory.ObjectID(a)
-			c.B = c.A + trajectory.ObjectID(d.Uvarint())
-			c.Validity.Hi = c.Validity.Lo + trajectory.Tick(d.Uvarint())
-			if flags&sidecarFlag != 0 {
-				c.Dur = int32(d.Uvarint())
-				c.Weight = math.Float32frombits(d.Uint32())
-			}
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			cs = append(cs, c)
-			prevLo, prevA = c.Validity.Lo, a
-		}
-		return cs, d.Err()
-	default:
+	d.Format()
+	flags := d.Byte()
+	if d.Err() == nil && flags&^byte(sidecarFlag) != 0 {
+		return nil, fmt.Errorf("contact: unknown blob flags %#x", flags)
+	}
+	n := int(d.Uvarint())
+	if d.Err() != nil {
 		return nil, d.Err()
 	}
+	if n < 0 || n > d.Remaining() { // every contact costs ≥ 1 byte
+		return nil, fmt.Errorf("contact: implausible blob count %d with %d bytes left", n, d.Remaining())
+	}
+	cs := make([]Contact, 0, n)
+	prevLo := trajectory.Tick(0)
+	prevA := int64(0)
+	for i := 0; i < n; i++ {
+		var c Contact
+		c.Validity.Lo = prevLo + trajectory.Tick(d.Uvarint())
+		a := prevA + d.Varint()
+		c.A = trajectory.ObjectID(a)
+		c.B = c.A + trajectory.ObjectID(d.Uvarint())
+		c.Validity.Hi = c.Validity.Lo + trajectory.Tick(d.Uvarint())
+		if flags&sidecarFlag != 0 {
+			c.Dur = int32(d.Uvarint())
+			c.Weight = math.Float32frombits(d.Uint32())
+		}
+		if d.Err() != nil {
+			return nil, d.Err()
+		}
+		cs = append(cs, c)
+		prevLo, prevA = c.Validity.Lo, a
+	}
+	return cs, d.Err()
 }

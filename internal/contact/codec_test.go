@@ -1,6 +1,7 @@
 package contact
 
 import (
+	"strings"
 	"testing"
 
 	"streach/internal/pagefile"
@@ -39,69 +40,75 @@ func TestContactsBlobRoundTrip(t *testing.T) {
 	}
 	for name, contacts := range cases {
 		net := codecNetwork(contacts)
-		for _, f := range []pagefile.Format{pagefile.FormatFixed, pagefile.FormatVarint} {
-			e := pagefile.NewEncoder(64)
-			AppendContactsBlob(e, net.Contacts, f)
-			got, err := DecodeContactsBlob(pagefile.NewDecoder(e.Bytes()))
-			if err != nil {
-				t.Fatalf("%s (%v): decode: %v", name, f, err)
-			}
-			if len(got) != len(net.Contacts) {
-				t.Fatalf("%s (%v): %d contacts, want %d", name, f, len(got), len(net.Contacts))
-			}
-			for i, c := range net.Contacts {
-				want := c
-				if f == pagefile.FormatFixed {
-					// v1 predates the sidecar: Weight/Dur decode as zero.
-					want.Weight, want.Dur = 0, 0
-				}
-				if got[i] != want {
-					t.Fatalf("%s (%v) contact %d: got %+v, want %+v", name, f, i, got[i], want)
-				}
+		e := pagefile.NewEncoder(64)
+		AppendContactsBlob(e, net.Contacts)
+		got, err := DecodeContactsBlob(pagefile.NewDecoder(e.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if len(got) != len(net.Contacts) {
+			t.Fatalf("%s: %d contacts, want %d", name, len(got), len(net.Contacts))
+		}
+		for i, want := range net.Contacts {
+			if got[i] != want {
+				t.Fatalf("%s contact %d: got %+v, want %+v", name, i, got[i], want)
 			}
 		}
 	}
 }
 
-// TestContactsBlobSidecarFlag pins the compatibility claim: a v2 blob of an
-// unweighted contact list carries no sidecar flag, so its bytes (and any
-// pre-sidecar v2 blob, which is the same byte string) decode forever.
+// TestContactsBlobSidecarFlag: the blob of an unweighted contact list
+// carries no sidecar flag, that of a weighted one does.
 func TestContactsBlobSidecarFlag(t *testing.T) {
 	plain := codecNetwork([]Contact{{A: 0, B: 1, Validity: Interval{Lo: 1, Hi: 3}}})
 	e := pagefile.NewEncoder(16)
-	AppendContactsBlob(e, plain.Contacts, pagefile.FormatVarint)
+	AppendContactsBlob(e, plain.Contacts)
 	if flags := e.Bytes()[1]; flags != 0 {
-		t.Fatalf("unweighted v2 blob has flags %#x, want 0", flags)
+		t.Fatalf("unweighted blob has flags %#x, want 0", flags)
 	}
 	weighted := codecNetwork([]Contact{{A: 0, B: 1, Validity: Interval{Lo: 1, Hi: 3}, Weight: 2}})
 	e.Reset()
-	AppendContactsBlob(e, weighted.Contacts, pagefile.FormatVarint)
+	AppendContactsBlob(e, weighted.Contacts)
 	if flags := e.Bytes()[1]; flags != sidecarFlag {
-		t.Fatalf("weighted v2 blob has flags %#x, want %#x", flags, sidecarFlag)
+		t.Fatalf("weighted blob has flags %#x, want %#x", flags, sidecarFlag)
 	}
+}
+
+// oldVersionBlob is a well-formed contact blob but for its leading byte: 1,
+// the version of the layout this one replaced.
+func oldVersionBlob() []byte {
+	e := pagefile.NewEncoder(16)
+	AppendContactsBlob(e, codecNetwork([]Contact{{A: 0, B: 1, Validity: Interval{Lo: 1, Hi: 3}}}).Contacts)
+	blob := append([]byte(nil), e.Bytes()...)
+	blob[0] = 1
+	return blob
 }
 
 func TestContactsBlobCorrupt(t *testing.T) {
 	for _, raw := range [][]byte{
-		{},                 // no format byte
-		{99},               // unknown format
-		{2, 0x80},          // unknown flags
-		{2, 0, 200},        // count beyond remaining bytes
-		{1, 255, 255, 255}, // truncated fixed count
-		{2, 0, 2, 1},       // truncated varint record
+		{},           // no version byte
+		{99},         // unknown version
+		{2, 0x80},    // unknown flags
+		{2, 0, 200},  // count beyond remaining bytes
+		{2, 0, 2, 1}, // truncated record
 	} {
 		if _, err := DecodeContactsBlob(pagefile.NewDecoder(raw)); err == nil {
 			t.Errorf("decode(%v): want error, got none", raw)
 		}
 	}
+	// The replaced layout's byte is an error naming the version, not a decode.
+	if cs, err := DecodeContactsBlob(pagefile.NewDecoder(oldVersionBlob())); err == nil || !strings.Contains(err.Error(), "version 1,") {
+		t.Errorf("version-1 blob: %d contacts, err %v; want an error naming version 1", len(cs), err)
+	}
 }
 
 func FuzzContactCodecRoundTrip(f *testing.F) {
-	f.Add([]byte{1, 2, 0, 5, 3, 4, 2, 2}, false)
-	f.Add([]byte{0, 1, 0, 0, 9, 9, 1, 3, 200, 1}, true)
-	f.Fuzz(func(t *testing.T, raw []byte, fixed bool) {
+	f.Add([]byte{1, 2, 0, 5, 3, 4, 2, 2})
+	f.Add([]byte{0, 1, 0, 0, 9, 9, 1, 3, 200, 1})
+	f.Add(oldVersionBlob())
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Derive a normalized contact list from the raw bytes, then demand
-		// an exact round trip through both layouts.
+		// an exact round trip.
 		var contacts []Contact
 		for i := 0; i+5 < len(raw); i += 6 {
 			a := trajectory.ObjectID(raw[i] % 32)
@@ -121,12 +128,8 @@ func FuzzContactCodecRoundTrip(f *testing.F) {
 			contacts = append(contacts, c)
 		}
 		net := codecNetwork(contacts)
-		format := pagefile.FormatVarint
-		if fixed {
-			format = pagefile.FormatFixed
-		}
 		e := pagefile.NewEncoder(64)
-		AppendContactsBlob(e, net.Contacts, format)
+		AppendContactsBlob(e, net.Contacts)
 		got, err := DecodeContactsBlob(pagefile.NewDecoder(e.Bytes()))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -134,11 +137,7 @@ func FuzzContactCodecRoundTrip(f *testing.F) {
 		if len(got) != len(net.Contacts) {
 			t.Fatalf("%d contacts, want %d", len(got), len(net.Contacts))
 		}
-		for i, c := range net.Contacts {
-			want := c
-			if format == pagefile.FormatFixed {
-				want.Weight, want.Dur = 0, 0
-			}
+		for i, want := range net.Contacts {
 			if got[i] != want {
 				t.Fatalf("contact %d: got %+v, want %+v", i, got[i], want)
 			}

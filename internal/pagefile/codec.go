@@ -6,46 +6,11 @@ import (
 	"math"
 )
 
-// Format identifies the record layout of a blob. Every index blob begins
-// with one format byte, so layouts can evolve while old pages keep
-// decoding: readers dispatch on the byte they find, writers emit the byte
-// of the format their builder was configured with.
-type Format byte
-
-const (
-	// FormatFixed is the v1 layout: fixed-width little-endian 32/64-bit
-	// fields. It is what the original builders wrote (minus the leading
-	// format byte) and stays fully supported.
-	FormatFixed Format = 1
-	// FormatVarint is the v2 layout: varint counts and ticks,
-	// delta-compressed sorted ID postings, and prediction-XOR'd float64
-	// positions. It is the default: postings dominated by small deltas
-	// routinely shrink 2-4x, which cuts the pages read per query.
-	FormatVarint Format = 2
-)
-
-// Valid reports whether f is a known format.
-func (f Format) Valid() bool { return f == FormatFixed || f == FormatVarint }
-
-// String returns the format's bench/CLI name.
-func (f Format) String() string {
-	switch f {
-	case FormatFixed:
-		return "fixed"
-	case FormatVarint:
-		return "varint-delta"
-	}
-	return fmt.Sprintf("format(%d)", byte(f))
-}
-
-// NormalizeFormat maps the zero value to the default format (FormatVarint)
-// and leaves explicit choices alone.
-func NormalizeFormat(f Format) Format {
-	if f == 0 {
-		return FormatVarint
-	}
-	return f
-}
+// layoutVersion is the byte every index blob begins with: varint counts and
+// ticks, delta-compressed sorted ID postings, prediction-XOR'd float64
+// positions. The package comment's Integrity section has the rule for
+// changing it.
+const layoutVersion = 2
 
 // Encoder serializes index records into the byte blobs stored by a Store.
 // It is a thin, allocation-friendly wrapper over little-endian encoding;
@@ -88,14 +53,6 @@ func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
 // Float64 appends an IEEE-754 double.
 func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 
-// Int32Slice appends a length-prefixed slice of int32.
-func (e *Encoder) Int32Slice(vs []int32) {
-	e.Uint32(uint32(len(vs)))
-	for _, v := range vs {
-		e.Int32(v)
-	}
-}
-
 // Raw appends bytes verbatim (for records pre-encoded with another
 // Encoder).
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
@@ -103,8 +60,8 @@ func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 // Byte appends one raw byte (format tags).
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
-// Format appends the blob's format byte; every index blob starts with one.
-func (e *Encoder) Format(f Format) { e.Byte(byte(f)) }
+// Format appends the layout version byte; every index blob starts with one.
+func (e *Encoder) Format() { e.Byte(layoutVersion) }
 
 // Uvarint appends v in LEB128 variable-width encoding (1 byte for values
 // below 128 — counts, ticks and deltas are almost always that small).
@@ -250,29 +207,6 @@ func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 // Float64 reads an IEEE-754 double.
 func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
-// Int32Slice reads a length-prefixed slice of int32. The payload is taken
-// in one bounds-checked slice and decoded with bulk little-endian reads —
-// one take per slice, not one per element.
-func (d *Decoder) Int32Slice() []int32 {
-	n := int(d.Uint32())
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n*4 > d.Remaining() {
-		d.err = fmt.Errorf("pagefile: implausible slice length %d with %d bytes left", n, d.Remaining())
-		return nil
-	}
-	b := d.take(4 * n)
-	if b == nil {
-		return nil
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return vs
-}
-
 // Byte reads one raw byte (0 after an error).
 func (d *Decoder) Byte() byte {
 	b := d.take(1)
@@ -282,15 +216,13 @@ func (d *Decoder) Byte() byte {
 	return b[0]
 }
 
-// Format reads and validates a blob's leading format byte. An unknown byte
-// is an error: it means the blob was written by a newer layout (or is
-// corrupt), and decoding it as anything else would mis-read every field.
-func (d *Decoder) Format() Format {
-	f := Format(d.Byte())
-	if d.err == nil && !f.Valid() {
-		d.err = fmt.Errorf("pagefile: unknown page format %d", byte(f))
+// Format reads a blob's leading layout version byte and fails the decoder
+// on any value but the one this build writes: the blob was written by
+// another layout (or is corrupt), and decoding it would mis-read every field.
+func (d *Decoder) Format() {
+	if v := d.Byte(); d.err == nil && v != layoutVersion {
+		d.err = fmt.Errorf("pagefile: page layout version %d, this build reads version %d", v, layoutVersion)
 	}
-	return f
 }
 
 // Uvarint reads a LEB128-encoded unsigned value (0 after an error).

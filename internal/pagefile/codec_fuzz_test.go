@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzCodecRoundTrip drives both page formats through encode→decode with
-// fuzz-chosen values, and additionally decodes a truncated and a corrupted
-// copy of every encoding: whatever the bytes, decoders must either
-// round-trip exactly or set Err() — never panic, never loop.
+// FuzzCodecRoundTrip drives the page layout's primitives through
+// encode→decode with fuzz-chosen values, and additionally decodes a
+// truncated and a corrupted copy of every encoding: whatever the bytes,
+// decoders must either round-trip exactly or set Err() — never panic, never
+// loop.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(1), uint8(4), uint8(0), uint8(0)) // flips the version byte
 	f.Add(int64(42), uint8(0), uint8(3), uint8(200))
 	f.Add(int64(-9), uint8(255), uint8(255), uint8(17))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, cut uint8, flip uint8) {
@@ -35,94 +36,57 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		u64 := rng.Uint64()
 		i64 := rng.Int63() - rng.Int63()
 
-		for _, format := range []Format{FormatFixed, FormatVarint} {
-			enc := NewEncoder(64)
-			enc.Format(format)
-			switch format {
-			case FormatFixed:
-				enc.Uint64(u64)
-				enc.Int64(i64)
-				enc.Int32Slice(ids)
-				enc.Uint32(uint32(len(ticks)))
-				for _, v := range ticks {
-					enc.Uint32(v)
-				}
-				enc.Uint32(uint32(len(pts)))
-				for _, p := range pts {
-					enc.Float64(p)
-				}
-			case FormatVarint:
-				enc.Uvarint(u64)
-				enc.Varint(i64)
-				enc.Int32SliceDelta(ids)
-				enc.Uint32Delta(ticks)
-				enc.Uvarint(uint64(len(pts)))
-				pred := 0.0
-				for i, p := range pts {
-					enc.Float64Xor(pred, p)
-					if i == 0 {
-						pred = p
-					} else {
-						pred = 2*p - pts[i-1]
-					}
-				}
-			}
-			buf := enc.Bytes()
-
-			// Clean round trip must be exact.
-			dec := NewDecoder(buf)
-			if got := dec.Format(); got != format {
-				t.Fatalf("format byte: got %v, want %v", got, format)
-			}
-			switch format {
-			case FormatFixed:
-				checkEq(t, "u64", dec.Uint64(), u64)
-				checkEq(t, "i64", dec.Int64(), i64)
-				gotIDs := dec.Int32Slice()
-				checkSlice(t, "ids", gotIDs, ids)
-				nt := int(dec.Uint32())
-				for i := 0; i < nt; i++ {
-					checkEq(t, "tick", dec.Uint32(), ticks[i])
-				}
-				np := int(dec.Uint32())
-				for i := 0; i < np; i++ {
-					checkEq(t, "pt", dec.Float64(), pts[i])
-				}
-			case FormatVarint:
-				checkEq(t, "u64", dec.Uvarint(), u64)
-				checkEq(t, "i64", dec.Varint(), i64)
-				gotIDs := dec.Int32SliceDelta()
-				checkSlice(t, "ids", gotIDs, ids)
-				gotTicks := dec.Uint32Delta(nil)
-				checkSlice(t, "ticks", gotTicks, ticks)
-				np := int(dec.Uvarint())
-				pred := 0.0
-				for i := 0; i < np; i++ {
-					p := dec.Float64Xor(pred)
-					checkEq(t, "pt", math.Float64bits(p), math.Float64bits(pts[i]))
-					if i == 0 {
-						pred = p
-					} else {
-						pred = 2*p - pts[i-1]
-					}
-				}
-			}
-			if err := dec.Err(); err != nil {
-				t.Fatalf("%v round trip: %v", format, err)
-			}
-			if dec.Remaining() != 0 {
-				t.Fatalf("%v round trip left %d bytes", format, dec.Remaining())
-			}
-
-			// Truncated and bit-flipped copies must decode to values or an
-			// error, never panic; exercising both formats' corruption paths.
-			if len(buf) > 0 {
-				drainAll(NewDecoder(buf[:int(cut)%len(buf)]))
-				mangled := append([]byte(nil), buf...)
-				mangled[int(flip)%len(mangled)] ^= 0xFF
-				drainAll(NewDecoder(mangled))
+		enc := NewEncoder(64)
+		enc.Format()
+		enc.Uvarint(u64)
+		enc.Varint(i64)
+		enc.Int32SliceDelta(ids)
+		enc.Uint32Delta(ticks)
+		enc.Uvarint(uint64(len(pts)))
+		pred := 0.0
+		for i, p := range pts {
+			enc.Float64Xor(pred, p)
+			if i == 0 {
+				pred = p
+			} else {
+				pred = 2*p - pts[i-1]
 			}
 		}
+		buf := enc.Bytes()
+
+		// Clean round trip must be exact.
+		dec := NewDecoder(buf)
+		dec.Format()
+		checkEq(t, "u64", dec.Uvarint(), u64)
+		checkEq(t, "i64", dec.Varint(), i64)
+		gotIDs := dec.Int32SliceDelta()
+		checkSlice(t, "ids", gotIDs, ids)
+		gotTicks := dec.Uint32Delta(nil)
+		checkSlice(t, "ticks", gotTicks, ticks)
+		np := int(dec.Uvarint())
+		pred = 0.0
+		for i := 0; i < np; i++ {
+			p := dec.Float64Xor(pred)
+			checkEq(t, "pt", math.Float64bits(p), math.Float64bits(pts[i]))
+			if i == 0 {
+				pred = p
+			} else {
+				pred = 2*p - pts[i-1]
+			}
+		}
+		if err := dec.Err(); err != nil {
+			t.Fatalf("round trip: %v", err)
+		}
+		if dec.Remaining() != 0 {
+			t.Fatalf("round trip left %d bytes", dec.Remaining())
+		}
+
+		// Truncated and bit-flipped copies must decode to values or an
+		// error, never panic.
+		drainAll(NewDecoder(buf[:int(cut)%len(buf)]))
+		mangled := append([]byte(nil), buf...)
+		mangled[int(flip)%len(mangled)] ^= 0xFF
+		drainAll(NewDecoder(mangled))
 	})
 }
 
@@ -136,7 +100,6 @@ func drainAll(d *Decoder) {
 		d.Varint()
 		d.Uint32Delta(nil)
 		d.Int32SliceDelta()
-		d.Int32Slice()
 		d.Uint32()
 		d.Float64Xor(1.5)
 	}

@@ -1,8 +1,10 @@
 package pagefile
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -190,44 +192,24 @@ func TestFloat64XorLinearPredictor(t *testing.T) {
 	}
 }
 
+// TestFormatByte: every blob starts with the layout version byte, and a
+// decoder that finds any other value — the byte of the layout this one
+// replaced included — fails with an error naming the version it found.
 func TestFormatByte(t *testing.T) {
-	for _, f := range []Format{FormatFixed, FormatVarint} {
-		enc := NewEncoder(4)
-		enc.Format(f)
-		dec := NewDecoder(enc.Bytes())
-		if got := dec.Format(); got != f || dec.Err() != nil {
-			t.Fatalf("format %v: got %v, err %v", f, got, dec.Err())
-		}
+	enc := NewEncoder(4)
+	enc.Format()
+	if got := enc.Bytes(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Format wrote % x, want the single byte 02", got)
 	}
-	dec := NewDecoder([]byte{0x7F})
-	dec.Format()
-	if dec.Err() == nil {
-		t.Fatal("unknown format byte decoded without error")
-	}
-	if NormalizeFormat(0) != FormatVarint {
-		t.Fatal("zero format must normalize to FormatVarint")
-	}
-	if NormalizeFormat(FormatFixed) != FormatFixed {
-		t.Fatal("explicit FormatFixed must be preserved")
-	}
-}
-
-func TestBulkInt32Slice(t *testing.T) {
-	vs := make([]int32, 1337)
-	rng := rand.New(rand.NewSource(3))
-	for i := range vs {
-		vs[i] = int32(rng.Uint32())
-	}
-	enc := NewEncoder(64)
-	enc.Int32Slice(vs)
 	dec := NewDecoder(enc.Bytes())
-	got := dec.Int32Slice()
-	if err := dec.Err(); err != nil {
-		t.Fatal(err)
+	if dec.Format(); dec.Err() != nil {
+		t.Fatalf("own version byte rejected: %v", dec.Err())
 	}
-	for i := range vs {
-		if got[i] != vs[i] {
-			t.Fatalf("element %d: got %d, want %d", i, got[i], vs[i])
+	for _, v := range []byte{0, 1, 3, 0x7F} {
+		dec := NewDecoder([]byte{v})
+		dec.Format()
+		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {
+			t.Fatalf("version byte %d: err = %v, want one naming the version", v, err)
 		}
 	}
 }
@@ -240,7 +222,6 @@ func TestDecoderTruncation(t *testing.T) {
 	enc.Varint(-(1 << 40))
 	enc.Uint32Delta([]uint32{1, 5, 500000})
 	enc.Int32SliceDelta([]int32{-7, 7, 1 << 29})
-	enc.Int32Slice([]int32{1, 2, 3})
 	enc.Float64Xor(0, 3.7)
 	full := enc.Bytes()
 	for cut := 0; cut < len(full); cut++ {
@@ -249,7 +230,6 @@ func TestDecoderTruncation(t *testing.T) {
 		dec.Varint()
 		dec.Uint32Delta(nil)
 		dec.Int32SliceDelta()
-		dec.Int32Slice()
 		dec.Float64Xor(0)
 		if dec.Err() == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(full))

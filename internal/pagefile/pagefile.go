@@ -20,6 +20,14 @@
 // surfaces as ErrCorruptBlob, while damage to page slack or to a
 // neighbouring blob packed on the same page leaves this blob readable.
 //
+// Inside the checksum every index blob begins with one layout version byte
+// (Encoder.Format writes it, Decoder.Format checks it). There is one on-page
+// layout, owned by the code that writes it, and the byte is a second
+// fault-detecting value, not a dispatch: a reader that finds any other value
+// fails instead of mis-reading every field. A layout change replaces the
+// layout and bumps the byte; the store lives in process memory and is
+// rebuilt at Open, so no blob of an earlier layout exists to be decoded.
+//
 // # Views
 //
 // A blob occupies one extent: pages that are consecutive on the simulated

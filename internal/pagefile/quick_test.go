@@ -128,7 +128,7 @@ func TestQuickEncoderDecoderRoundTrip(t *testing.T) {
 		e.Uint32(b)
 		e.Int64(c)
 		e.Float64(d)
-		e.Int32Slice(s)
+		e.Int32SliceDelta(s)
 		dec := NewDecoder(e.Bytes())
 		if dec.Int32() != a || dec.Uint32() != b || dec.Int64() != c {
 			return false
@@ -136,7 +136,7 @@ func TestQuickEncoderDecoderRoundTrip(t *testing.T) {
 		if got := dec.Float64(); got != d && !(got != got && d != d) { // NaN-safe
 			return false
 		}
-		got := dec.Int32Slice()
+		got := dec.Int32SliceDelta()
 		if dec.Err() != nil || len(got) != len(s) {
 			return false
 		}

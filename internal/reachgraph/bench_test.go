@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"streach/internal/dn"
-	"streach/internal/pagefile"
 )
 
-// BenchmarkPartitionLookup finds a vertex in a buffered partition of the
-// default format: the median partition of the benchmark's D1 holds one
+// BenchmarkPartitionLookup finds a vertex in a buffered partition: the
+// median partition of the benchmark's D1 holds one
 // vertex, the largest 16 607, and a lookup must cost about the same in both.
 func BenchmarkPartitionLookup(b *testing.B) {
 	for _, n := range []int{1, 16, 16607} {
@@ -20,8 +19,8 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			for i := range members {
 				members[i] = dn.NodeID(3 * i)
 			}
-			blob := newPartitionWriter().encode(g, members, make([]int32, len(g.Nodes)), pagefile.FormatVarint)
-			pv, err := parsePartition(blob, pagefile.FormatVarint)
+			blob := newPartitionWriter().encode(g, members, make([]int32, len(g.Nodes)))
+			pv, err := parsePartition(blob)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -29,7 +28,7 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := members[i*7919%n]
-				if _, err := pv.find(id, pagefile.FormatVarint); err != nil {
+				if _, err := pv.find(id); err != nil {
 					b.Fatalf("vertex %d: %v", id, err)
 				}
 			}

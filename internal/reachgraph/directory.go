@@ -5,12 +5,9 @@
 // place, so buffering a partition costs its header and a lookup costs a
 // binary search — never a decode of the whole directory:
 //
-//	fixed   format | n u32 | n × (id i32, end u32)     | records
-//	varint  format | n uv | entry bytes uv | anchors   | entries | records
+//	version | n uv | entry bytes uv | anchors | entries | records
 //
-// Fixed: the pairs are sorted by id and `end` is where the record ends in
-// the record area (it starts where its predecessor ends). Varint: entry i
-// is (id − previous id, record length) as uvarints, and every
+// Entry i is (id − previous id, record length) as uvarints, and every
 // anchorStride-th entry from the second group on has a fixed-width anchor
 // (its id, its offset in the entry area, its record's offset in the record
 // area); a lookup binary-searches the anchors and decodes at most
@@ -30,9 +27,8 @@ import (
 )
 
 const (
-	anchorStride = 16 // directory entries per anchor (varint format)
+	anchorStride = 16 // directory entries per anchor
 	anchorBytes  = 12 // id, entry offset, record offset
-	fixedDirPair = 8  // id, end offset
 )
 
 // partitionWriter serializes partitions; its encoders are reused from one
@@ -52,23 +48,13 @@ func newPartitionWriter() *partitionWriter {
 
 // encode returns the blob of the partition holding members, which it sorts
 // by id. The result is valid until the next call.
-func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, partOf []int32, format pagefile.Format) []byte {
+func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, partOf []int32) []byte {
 	slices.Sort(members)
 	w.blob.Reset()
 	w.anchors.Reset()
 	w.entries.Reset()
 	w.records.Reset()
-	w.blob.Format(format)
-	if format == pagefile.FormatFixed {
-		w.blob.Uint32(uint32(len(members)))
-		for _, id := range members {
-			encodeVertex(w.records, g, id, partOf, format)
-			w.blob.Int32(int32(id))
-			w.blob.Uint32(uint32(w.records.Len()))
-		}
-		w.blob.Raw(w.records.Bytes())
-		return w.blob.Bytes()
-	}
+	w.blob.Format()
 	prev := dn.NodeID(0)
 	for i, id := range members {
 		before := w.records.Len()
@@ -77,7 +63,7 @@ func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, partOf []int3
 			w.anchors.Uint32(uint32(w.entries.Len()))
 			w.anchors.Uint32(uint32(before))
 		}
-		encodeVertex(w.records, g, id, partOf, format)
+		encodeVertex(w.records, g, id, partOf)
 		w.entries.Uvarint(uint64(id - prev))
 		w.entries.Uvarint(uint64(w.records.Len() - before))
 		prev = id
@@ -93,39 +79,31 @@ func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, partOf []int3
 // partView is a buffered partition: three views of its blob.
 type partView struct {
 	n       int    // vertices in the partition
-	index   []byte // fixed-width searchable part: anchors (varint) or pairs (fixed)
-	entries []byte // varint format only
+	index   []byte // fixed-width searchable part: the anchors
+	entries []byte
 	records []byte
 }
 
-// parsePartition validates the header of a partition blob of an index in
-// the given format against the blob's length and returns its views. No
-// directory entry is read.
-func parsePartition(data []byte, format pagefile.Format) (partView, error) {
+// parsePartition validates the header of a partition blob against the
+// blob's length and returns its views. No directory entry is read.
+func parsePartition(data []byte) (partView, error) {
 	dec := pagefile.NewDecoder(data)
-	if f := dec.Format(); f != format {
-		dec.Failf("reachgraph: blob is in the %v format, the index in %v", f, format)
-	}
+	dec.Format()
 	var pv partView
-	var n, indexBytes, entryBytes uint64
-	if format == pagefile.FormatFixed {
-		n = uint64(dec.Uint32())
-		indexBytes = n * fixedDirPair
-	} else {
-		n = dec.Uvarint()
-		entryBytes = dec.Uvarint()
-		if n > 0 {
-			indexBytes = (n - 1) / anchorStride * anchorBytes
-		}
-		if n > entryBytes/2 { // an entry is two uvarints
-			dec.Failf("reachgraph: implausible record count %d for %d directory bytes", n, entryBytes)
-		}
+	n := dec.Uvarint()
+	entryBytes := dec.Uvarint()
+	var indexBytes uint64
+	if n > 0 {
+		indexBytes = (n - 1) / anchorStride * anchorBytes
+	}
+	if n > entryBytes/2 { // an entry is two uvarints
+		dec.Failf("reachgraph: implausible record count %d for %d directory bytes", n, entryBytes)
 	}
 	if err := dec.Err(); err != nil {
 		return partView{}, err
 	}
 	rest := data[len(data)-dec.Remaining():]
-	// n is bounded by the blob's length on both paths, so the sum is exact.
+	// n is bounded by the blob's length, so the sum is exact.
 	if entryBytes > uint64(len(rest)) || indexBytes+entryBytes > uint64(len(rest)) {
 		return partView{}, fmt.Errorf("reachgraph: directory of %d records truncated (%d bytes left)", n, len(rest))
 	}
@@ -151,43 +129,7 @@ var (
 // find returns the record bytes of vertex id, errNotListed when the
 // directory does not list id, or errBadDirectory when the entry that should
 // locate it points outside the blob.
-func (pv *partView) find(id dn.NodeID, format pagefile.Format) ([]byte, error) {
-	if format == pagefile.FormatFixed {
-		return pv.findFixed(id)
-	}
-	return pv.findVarint(id)
-}
-
-func (pv *partView) findFixed(id dn.NodeID) ([]byte, error) {
-	pairID := func(i int) dn.NodeID {
-		return dn.NodeID(binary.LittleEndian.Uint32(pv.index[i*fixedDirPair:]))
-	}
-	pairEnd := func(i int) uint64 {
-		return uint64(binary.LittleEndian.Uint32(pv.index[i*fixedDirPair+4:]))
-	}
-	lo, hi := 0, pv.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pairID(mid) < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == pv.n || pairID(lo) != id {
-		return nil, errNotListed
-	}
-	start, end := uint64(0), pairEnd(lo)
-	if lo > 0 {
-		start = pairEnd(lo - 1)
-	}
-	if start > end || end > uint64(len(pv.records)) {
-		return nil, errBadDirectory
-	}
-	return pv.records[start:end], nil
-}
-
-func (pv *partView) findVarint(id dn.NodeID) ([]byte, error) {
+func (pv *partView) find(id dn.NodeID) ([]byte, error) {
 	// The group that can hold id: the last anchor at or below it, else the
 	// unanchored first group.
 	lo, hi := 0, len(pv.index)/anchorBytes
@@ -310,7 +252,7 @@ func (c *cursor) loadPartition(pid int32) error {
 	if err != nil {
 		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
 	}
-	pv, err := parsePartition(data, c.ix.params.Format)
+	pv, err := parsePartition(data)
 	if err != nil {
 		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
 	}
@@ -335,14 +277,14 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, errNotListed)
 	}
 	if !ok {
-		raw, err := c.parts[part].find(id, c.ix.params.Format)
+		raw, err := c.parts[part].find(id)
 		if err != nil {
 			return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
 		}
 		r = &c.arena.recs.alloc(1)[0]
 		*r = diskRec{vertexRec: vertexRec{id: id}, part: part, raw: raw, known: 1}
 		dec := pagefile.NewDecoder(raw)
-		decodeHeader(dec, c.ix.params.Format, c.ix.numObjects, &r.vertexRec, &c.arena)
+		decodeHeader(dec, c.ix.numObjects, &r.vertexRec, &c.arena)
 		if err := dec.Err(); err != nil {
 			return nil, fmt.Errorf("reachgraph: vertex %d: %w", id, err)
 		}
@@ -380,22 +322,21 @@ func (c *cursor) need(v *vertexRec, want uint8) error {
 // between the last one whose start is known and s. Every section start
 // learnt on the way is kept.
 func (c *cursor) decodeSection(r *diskRec, s int) error {
-	format := c.ix.params.Format
 	from := min(int(r.known)-1, s)
 	dec := pagefile.NewDecoder(r.raw[r.off[from]:])
 	for k := from; k <= s; k++ {
 		if k < s {
-			skipSection(dec, format, k)
+			skipSection(dec, k)
 		} else {
 			switch uint8(1) << s {
 			case secOut:
-				r.out = decodeEdges(dec, format, c.ix.numNodes, &c.arena)
+				r.out = decodeEdges(dec, c.ix.numNodes, &c.arena)
 			case secIn:
-				r.in = decodeEdges(dec, format, c.ix.numNodes, &c.arena)
+				r.in = decodeEdges(dec, c.ix.numNodes, &c.arena)
 			case secLongOut:
-				r.longOut = decodeLongs(dec, format, c.ix.numNodes, &c.arena)
+				r.longOut = decodeLongs(dec, c.ix.numNodes, &c.arena)
 			case secLongIn:
-				r.longIn = decodeLongs(dec, format, c.ix.numNodes, &c.arena)
+				r.longIn = decodeLongs(dec, c.ix.numNodes, &c.arena)
 			}
 		}
 		if err := dec.Err(); err != nil {

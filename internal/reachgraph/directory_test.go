@@ -14,8 +14,6 @@ import (
 	"streach/internal/trajectory"
 )
 
-var bothFormats = []pagefile.Format{pagefile.FormatFixed, pagefile.FormatVarint}
-
 // toggleGraph is a three-object contact history whose components change at
 // almost every instant (objects 0 and 1 meet on even ticks, 1 and 2 on every
 // ninth), so DN1 is a long braid of short runs and the partition sizes
@@ -93,7 +91,7 @@ func permutations(n int) [][]int {
 }
 
 // TestDirectoryAndLazyRecords is the property test of the disk read path,
-// on built indexes in both formats: every vertex is found through its own
+// on built indexes: every vertex is found through its own
 // partition at exactly the bytes Build encoded for it; ids the partition
 // does not hold — below its first, between neighbours, above its last —
 // are reported missing, never answered with a neighbour's record; a lookup
@@ -102,144 +100,140 @@ func permutations(n int) [][]int {
 // does, which is the graph's.
 func TestDirectoryAndLazyRecords(t *testing.T) {
 	orders := permutations(numSections)
-	for _, format := range bothFormats {
-		sizes := map[int]bool{}
-		for _, depth := range []int{9, 60} {
-			g := toggleGraph()
-			// No pool: a cursor then keeps no record from one begin to the
-			// next, and every lookup below decodes from the blob.
-			ix, err := Build(g, Params{PartitionDepth: depth, Format: format, PoolPages: -1})
+	sizes := map[int]bool{}
+	for _, depth := range []int{9, 60} {
+		g := toggleGraph()
+		// No pool: a cursor then keeps no record from one begin to the
+		// next, and every lookup below decodes from the blob.
+		ix, err := Build(g, Params{PartitionDepth: depth, PoolPages: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		partOf, parts := partition(g, depth)
+		enc := pagefile.NewEncoder(256)
+		for pid, members := range parts {
+			sizes[len(members)] = true
+			slices.Sort(members)
+			sc := ix.begin(nil)
+			c := &sc.cur
+			if err := c.loadPartition(int32(pid)); err != nil {
+				t.Fatal(err)
+			}
+			pv := &c.parts[pid]
+			if pv.n != len(members) {
+				t.Fatalf("depth %d: partition %d lists %d vertices, want %d", depth, pid, pv.n, len(members))
+			}
+			blob, err := ix.store.ReadBlob(ix.partRefs[pid], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			partOf, parts := partition(g, depth)
-			enc := pagefile.NewEncoder(256)
-			for pid, members := range parts {
-				sizes[len(members)] = true
-				slices.Sort(members)
-				sc := ix.begin(nil)
-				c := &sc.cur
-				if err := c.loadPartition(int32(pid)); err != nil {
-					t.Fatal(err)
+			recOff := 0
+			for i, id := range members {
+				enc.Reset()
+				encodeVertex(enc, g, id, partOf)
+				rec, err := pv.find(id)
+				if err != nil {
+					t.Fatalf("depth %d: vertex %d in partition %d of %d: %v", depth, id, pid, len(members), err)
 				}
-				pv := &c.parts[pid]
-				if pv.n != len(members) {
-					t.Fatalf("%v depth %d: partition %d lists %d vertices, want %d", format, depth, pid, pv.n, len(members))
+				if !bytes.Equal(rec, enc.Bytes()) || !withinBlob(blob, rec) {
+					t.Fatalf("depth %d: vertex %d: directory leads to other bytes than Build encoded", depth, id)
 				}
-				blob, err := ix.store.ReadBlob(ix.partRefs[pid], nil)
+				if at := cap(pv.records) - cap(rec); at != recOff {
+					t.Fatalf("depth %d: vertex %d: record at offset %d of the record area, want %d", depth, id, at, recOff)
+				}
+				recOff += len(rec)
+
+				// The ids around this one that the partition does not hold.
+				absent := []dn.NodeID{id - 1, id + 1}
+				if i > 0 && members[i-1] == id-1 {
+					absent = absent[1:]
+				}
+				if i+1 < len(members) && members[i+1] == id+1 {
+					absent = absent[:len(absent)-1]
+				}
+				for _, a := range absent {
+					if rec, err := pv.find(a); err != errNotListed || rec != nil {
+						t.Fatalf("depth %d: partition %d answers for vertex %d, which it does not hold: %v", depth, pid, a, err)
+					}
+				}
+			}
+			if recOff != len(pv.records) {
+				t.Fatalf("depth %d: partition %d: records cover %d of %d bytes", depth, pid, recOff, len(pv.records))
+			}
+			ix.pool.Put(sc)
+		}
+
+		for id := range g.Nodes {
+			id := dn.NodeID(id)
+			nd := &g.Nodes[id]
+			want := &vertexRec{
+				id: id, start: nd.Start, end: nd.End, members: nd.Members,
+				out: wantEdges(nd.Out, partOf), in: wantEdges(nd.In, partOf),
+				longOut: wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
+				longIn:  wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
+			}
+			sc := ix.begin(nil)
+			eager, err := sc.cur.vertex(id, partOf[id])
+			if err == nil {
+				err = sc.cur.need(eager, secOut|secIn|secLongOut|secLongIn)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecord(eager, want) {
+				t.Fatalf("depth %d: vertex %d decodes to\n%+v, the graph says\n%+v", depth, id, *eager, *want)
+			}
+			// A second cursor decodes one section at a time; both stay
+			// live so the comparison reads two independent arenas.
+			for _, order := range orders {
+				lazy := ix.begin(nil)
+				v, err := lazy.cur.vertex(id, partOf[id])
 				if err != nil {
 					t.Fatal(err)
 				}
-				recOff := 0
-				for i, id := range members {
-					enc.Reset()
-					encodeVertex(enc, g, id, partOf, format)
-					rec, err := pv.find(id, format)
-					if err != nil {
-						t.Fatalf("%v depth %d: vertex %d in partition %d of %d: %v", format, depth, id, pid, len(members), err)
-					}
-					if !bytes.Equal(rec, enc.Bytes()) || !withinBlob(blob, rec) {
-						t.Fatalf("%v depth %d: vertex %d: directory leads to other bytes than Build encoded", format, depth, id)
-					}
-					if at := cap(pv.records) - cap(rec); at != recOff {
-						t.Fatalf("%v depth %d: vertex %d: record at offset %d of the record area, want %d", format, depth, id, at, recOff)
-					}
-					recOff += len(rec)
-
-					// The ids around this one that the partition does not hold.
-					absent := []dn.NodeID{id - 1, id + 1}
-					if i > 0 && members[i-1] == id-1 {
-						absent = absent[1:]
-					}
-					if i+1 < len(members) && members[i+1] == id+1 {
-						absent = absent[:len(absent)-1]
-					}
-					for _, a := range absent {
-						if rec, err := pv.find(a, format); err != errNotListed || rec != nil {
-							t.Fatalf("%v depth %d: partition %d answers for vertex %d, which it does not hold: %v",
-								format, depth, pid, a, err)
-						}
+				for _, s := range order {
+					if err := lazy.cur.need(v, 1<<s); err != nil {
+						t.Fatalf("vertex %d, order %v: %v", id, order, err)
 					}
 				}
-				if recOff != len(pv.records) {
-					t.Fatalf("%v depth %d: partition %d: records cover %d of %d bytes", format, depth, pid, recOff, len(pv.records))
+				if !sameRecord(v, eager) {
+					t.Fatalf("depth %d: vertex %d decoded in order %v differs from the eager decode", depth, id, order)
 				}
-				ix.pool.Put(sc)
+				ix.pool.Put(lazy)
 			}
+			ix.pool.Put(sc)
 
-			for id := range g.Nodes {
-				id := dn.NodeID(id)
-				nd := &g.Nodes[id]
-				want := &vertexRec{
-					id: id, start: nd.Start, end: nd.End, members: nd.Members,
-					out: wantEdges(nd.Out, partOf), in: wantEdges(nd.In, partOf),
-					longOut: wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
-					longIn:  wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
-				}
-				sc := ix.begin(nil)
-				eager, err := sc.cur.vertex(id, partOf[id])
-				if err == nil {
-					err = sc.cur.need(eager, secOut|secIn|secLongOut|secLongIn)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameRecord(eager, want) {
-					t.Fatalf("%v depth %d: vertex %d decodes to\n%+v, the graph says\n%+v", format, depth, id, *eager, *want)
-				}
-				// A second cursor decodes one section at a time; both stay
-				// live so the comparison reads two independent arenas.
-				for _, order := range orders {
-					lazy := ix.begin(nil)
-					v, err := lazy.cur.vertex(id, partOf[id])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, s := range order {
-						if err := lazy.cur.need(v, 1<<s); err != nil {
-							t.Fatalf("%v: vertex %d, order %v: %v", format, id, order, err)
-						}
-					}
-					if !sameRecord(v, eager) {
-						t.Fatalf("%v depth %d: vertex %d decoded in order %v differs from the eager decode", format, depth, id, order)
-					}
-					ix.pool.Put(lazy)
-				}
-				ix.pool.Put(sc)
-
-				// Asked through another partition the vertex is an error,
-				// and the failed lookup leaves nothing behind.
-				if len(parts) == 1 {
-					continue
-				}
-				wrong := (partOf[id] + 1) % int32(len(parts))
-				sc = ix.begin(nil)
-				if v, err := sc.cur.vertex(id, wrong); !errors.Is(err, errNotListed) || v != nil {
-					t.Fatalf("%v depth %d: vertex %d through partition %d (its own is %d): got %v, %v", format, depth, id, wrong, partOf[id], v, err)
-				}
-				if _, ok := sc.cur.verts.Get(int(id)); ok {
-					t.Fatalf("%v: failed lookup of vertex %d registered a record", format, id)
-				}
-				ix.pool.Put(sc)
+			// Asked through another partition the vertex is an error,
+			// and the failed lookup leaves nothing behind.
+			if len(parts) == 1 {
+				continue
 			}
-		}
-		for _, n := range []int{1, anchorStride - 1, anchorStride, anchorStride + 1} {
-			if !sizes[n] {
-				t.Errorf("%v: no partition of %d vertices in the fixtures (sizes seen: %v)", format, n, sizes)
+			wrong := (partOf[id] + 1) % int32(len(parts))
+			sc = ix.begin(nil)
+			if v, err := sc.cur.vertex(id, wrong); !errors.Is(err, errNotListed) || v != nil {
+				t.Fatalf("depth %d: vertex %d through partition %d (its own is %d): got %v, %v", depth, id, wrong, partOf[id], v, err)
 			}
+			if _, ok := sc.cur.verts.Get(int(id)); ok {
+				t.Fatalf("failed lookup of vertex %d registered a record", id)
+			}
+			ix.pool.Put(sc)
 		}
-		if big := slices.Max(slices.Collect(maps.Keys(sizes))); big <= 4*anchorStride {
-			t.Errorf("%v: largest fixture partition has %d vertices, want more than %d", format, big, 4*anchorStride)
+	}
+	for _, n := range []int{1, anchorStride - 1, anchorStride, anchorStride + 1} {
+		if !sizes[n] {
+			t.Errorf("no partition of %d vertices in the fixtures (sizes seen: %v)", n, sizes)
 		}
+	}
+	if big := slices.Max(slices.Collect(maps.Keys(sizes))); big <= 4*anchorStride {
+		t.Errorf("largest fixture partition has %d vertices, want more than %d", big, 4*anchorStride)
 	}
 }
 
 // blobIndex is an index whose partitions are the given blobs, written as
 // they are (with a valid checksum): the way forged and fuzzed partitions
 // reach the read path.
-func blobIndex(format pagefile.Format, numNodes, numObjects int, blobs ...[]byte) *Index {
+func blobIndex(numNodes, numObjects int, blobs ...[]byte) *Index {
 	ix := &Index{
-		params:     Params{Format: format},
 		store:      pagefile.NewStore(-1),
 		numNodes:   numNodes,
 		numObjects: numObjects,
@@ -254,21 +248,15 @@ func blobIndex(format pagefile.Format, numNodes, numObjects int, blobs ...[]byte
 
 // onePartition forges the blob of a partition holding the single vertex id
 // with the given record bytes.
-func onePartition(format pagefile.Format, id dn.NodeID, rec []byte) []byte {
+func onePartition(id dn.NodeID, rec []byte) []byte {
+	entry := pagefile.NewEncoder(8)
+	entry.Uvarint(uint64(id))
+	entry.Uvarint(uint64(len(rec)))
 	enc := pagefile.NewEncoder(64)
-	enc.Format(format)
-	if format == pagefile.FormatFixed {
-		enc.Uint32(1)
-		enc.Int32(int32(id))
-		enc.Uint32(uint32(len(rec)))
-	} else {
-		entry := pagefile.NewEncoder(8)
-		entry.Uvarint(uint64(id))
-		entry.Uvarint(uint64(len(rec)))
-		enc.Uvarint(1)
-		enc.Uvarint(uint64(entry.Len()))
-		enc.Raw(entry.Bytes())
-	}
+	enc.Format()
+	enc.Uvarint(1)
+	enc.Uvarint(uint64(entry.Len()))
+	enc.Raw(entry.Bytes())
 	enc.Raw(rec)
 	return enc.Bytes()
 }
@@ -281,68 +269,48 @@ func onePartition(format pagefile.Format, id dn.NodeID, rec []byte) []byte {
 // counts and for the smallest count that cannot fit.
 func TestForgedCountsReserveNothing(t *testing.T) {
 	const body = 96 // zero bytes behind the forged count: valid deltas, if read
-	count := func(enc *pagefile.Encoder, format pagefile.Format, n uint64) {
-		if format == pagefile.FormatFixed {
-			enc.Uint32(uint32(n))
-		} else {
-			enc.Uvarint(n)
-		}
+	// Bytes of the smallest member, edge (node + partition) and level
+	// (resolution + empty list) — spelled out, not taken from the
+	// decoder's constants, which are what is under test.
+	const minMember, minEdge, minLevel = 1, 2, 2
+	cases := []struct {
+		section int    // -1: the member posting, which vertex itself decodes
+		what    string // the element the error names
+		per     int    // smallest encoding of one element
+	}{
+		{-1, "member", minMember},
+		{0, "edge", minEdge},
+		{1, "edge", minEdge},
+		{2, "level", minLevel},
+		{3, "level", minLevel},
 	}
-	header := func(enc *pagefile.Encoder, format pagefile.Format) {
-		if format == pagefile.FormatFixed {
-			enc.Int32(0) // start
-			enc.Int32(0) // end
-		} else {
+	for _, tc := range cases {
+		for _, forged := range []uint64{1<<32 - 1, body/uint64(tc.per) + 1} {
+			enc := pagefile.NewEncoder(256)
 			enc.Uvarint(0) // start
 			enc.Uvarint(0) // span
-		}
-	}
-	for _, format := range bothFormats {
-		// Bytes of the smallest member, edge (node + partition) and level
-		// (resolution + empty list) — spelled out, not taken from the
-		// decoder's constants, which are what is under test.
-		minMember, minEdge, minLevel := 1, 2, 2
-		if format == pagefile.FormatFixed {
-			minMember, minEdge, minLevel = 4, 8, 8
-		}
-		cases := []struct {
-			section int    // -1: the member posting, which vertex itself decodes
-			what    string // the element the error names
-			per     int    // smallest encoding of one element
-		}{
-			{-1, "member", minMember},
-			{0, "edge", minEdge},
-			{1, "edge", minEdge},
-			{2, "level", minLevel},
-			{3, "level", minLevel},
-		}
-		for _, tc := range cases {
-			for _, forged := range []uint64{1<<32 - 1, body/uint64(tc.per) + 1} {
-				enc := pagefile.NewEncoder(256)
-				header(enc, format)
-				// Honest empty lists in front of the forged one: the member
-				// posting, then the sections before tc.section.
-				for i := -1; i < tc.section; i++ {
-					count(enc, format, 0)
-				}
-				count(enc, format, forged)
-				enc.Raw(make([]byte, body))
-
-				ix := blobIndex(format, 8, 8, onePartition(format, 5, enc.Bytes()))
-				sc := ix.begin(nil)
-				v, err := sc.cur.vertex(5, 0)
-				if err == nil && tc.section >= 0 {
-					err = sc.cur.need(v, 1<<tc.section)
-				}
-				if err == nil || !strings.Contains(err.Error(), "implausible "+tc.what+" count") {
-					t.Errorf("%v, section %d: %s count %d over %d bytes: err = %v, want an implausible-count error", format, tc.section, tc.what, forged, body, err)
-				}
-				a := &sc.cur.arena
-				if n := cap(a.members.buf) + cap(a.edges.buf) + cap(a.levels.buf); n != 0 {
-					t.Errorf("%v, section %d: %s count %d: the failed decode reserved %d slab elements", format, tc.section, tc.what, forged, n)
-				}
-				ix.pool.Put(sc)
+			// Honest empty lists in front of the forged one: the member
+			// posting, then the sections before tc.section.
+			for i := -1; i < tc.section; i++ {
+				enc.Uvarint(0)
 			}
+			enc.Uvarint(forged)
+			enc.Raw(make([]byte, body))
+
+			ix := blobIndex(8, 8, onePartition(5, enc.Bytes()))
+			sc := ix.begin(nil)
+			v, err := sc.cur.vertex(5, 0)
+			if err == nil && tc.section >= 0 {
+				err = sc.cur.need(v, 1<<tc.section)
+			}
+			if err == nil || !strings.Contains(err.Error(), "implausible "+tc.what+" count") {
+				t.Errorf("section %d: %s count %d over %d bytes: err = %v, want an implausible-count error", tc.section, tc.what, forged, body, err)
+			}
+			a := &sc.cur.arena
+			if n := cap(a.members.buf) + cap(a.edges.buf) + cap(a.levels.buf); n != 0 {
+				t.Errorf("section %d: %s count %d: the failed decode reserved %d slab elements", tc.section, tc.what, forged, n)
+			}
+			ix.pool.Put(sc)
 		}
 	}
 }
@@ -420,101 +388,98 @@ func TestCursorKeepsRecordsWhileResident(t *testing.T) {
 		return recs, acct.BufferHits + acct.RandomReads + acct.SequentialReads
 	}
 
-	for _, format := range bothFormats {
-		ix, err := Build(f.g, Params{Format: format, PoolPages: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := ix.store.NumPages(); n > 4096 {
-			t.Fatalf("index has %d pages; the test wants it resident", n)
-		}
-		c := &cursor{}
-		first, pages := readAll(c, ix, secOut)
-		decoded := c.held
-		edges := len(c.arena.edges.buf)
+	ix, err := Build(f.g, Params{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.store.NumPages(); n > 4096 {
+		t.Fatalf("index has %d pages; the test wants it resident", n)
+	}
+	c := &cursor{}
+	first, pages := readAll(c, ix, secOut)
+	decoded := c.held
+	edges := len(c.arena.edges.buf)
 
-		again, pagesAgain := readAll(c, ix, secOut)
-		if !slices.Equal(first, again) || c.held != decoded || len(c.arena.edges.buf) != edges {
-			t.Fatalf("%v: a resident index was decoded again (%d → %d records, %d → %d edges)",
-				format, decoded, c.held, edges, len(c.arena.edges.buf))
-		}
-		if pagesAgain != pages {
-			t.Fatalf("%v: second pass touched %d pages, the first %d: kept records must not skip partition reads", format, pagesAgain, pages)
-		}
+	again, pagesAgain := readAll(c, ix, secOut)
+	if !slices.Equal(first, again) || c.held != decoded || len(c.arena.edges.buf) != edges {
+		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, len(c.arena.edges.buf))
+	}
+	if pagesAgain != pages {
+		t.Fatalf("second pass touched %d pages, the first %d: kept records must not skip partition reads", pagesAgain, pages)
+	}
 
-		// Sections a kept record lacks are still decoded on demand, and
-		// agree with a cursor that starts empty.
-		kept, _ := readAll(c, ix, all)
-		fresh, _ := readAll(&cursor{}, ix, all)
-		for id := range kept {
-			if kept[id] != first[id] {
-				t.Fatalf("%v: vertex %d was decoded into a new record", format, id)
-			}
-			if !sameRecord(kept[id], fresh[id]) {
-				t.Fatalf("%v: vertex %d: kept record completed on demand differs from a fresh decode", format, id)
-			}
+	// Sections a kept record lacks are still decoded on demand, and
+	// agree with a cursor that starts empty.
+	kept, _ := readAll(c, ix, all)
+	fresh, _ := readAll(&cursor{}, ix, all)
+	for id := range kept {
+		if kept[id] != first[id] {
+			t.Fatalf("vertex %d was decoded into a new record", id)
 		}
+		if !sameRecord(kept[id], fresh[id]) {
+			t.Fatalf("vertex %d: kept record completed on demand differs from a fresh decode", id)
+		}
+	}
 
-		// A kept record answers only through its own partition.
-		c.begin(ix, nil)
-		wrong := (partOf[0] + 1) % int32(len(parts))
-		if v, err := c.vertex(0, wrong); !errors.Is(err, errNotListed) || v != nil {
-			t.Fatalf("%v: kept vertex 0 through partition %d (its own is %d): got %v, %v", format, wrong, partOf[0], v, err)
-		}
+	// A kept record answers only through its own partition.
+	c.begin(ix, nil)
+	wrong := (partOf[0] + 1) % int32(len(parts))
+	if v, err := c.vertex(0, wrong); !errors.Is(err, errNotListed) || v != nil {
+		t.Fatalf("kept vertex 0 through partition %d (its own is %d): got %v, %v", wrong, partOf[0], v, err)
+	}
 
-		// Damage: the query that meets it fails, kept records or not.
-		ref := ix.partRefs[partOf[0]]
-		if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil {
-			t.Fatal(err)
-		}
-		c.begin(ix, nil)
-		if _, err := c.vertex(0, partOf[0]); !errors.Is(err, pagefile.ErrCorruptBlob) {
-			t.Fatalf("%v: vertex of a damaged partition: err = %v, want ErrCorruptBlob", format, err)
-		}
-		if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil { // repair
-			t.Fatal(err)
-		}
+	// Damage: the query that meets it fails, kept records or not.
+	ref := ix.partRefs[partOf[0]]
+	if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil {
+		t.Fatal(err)
+	}
+	c.begin(ix, nil)
+	if _, err := c.vertex(0, partOf[0]); !errors.Is(err, pagefile.ErrCorruptBlob) {
+		t.Fatalf("vertex of a damaged partition: err = %v, want ErrCorruptBlob", err)
+	}
+	if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil { // repair
+		t.Fatal(err)
+	}
 
-		readAll(c, ix, secOut)
-		ix.DropCache()
-		c.begin(ix, nil)
+	readAll(c, ix, secOut)
+	ix.DropCache()
+	c.begin(ix, nil)
+	if c.held != 0 {
+		t.Fatalf("%d records survived DropCache", c.held)
+	}
+
+	// Residency is not enough once the cursor holds too much.
+	big := newFixture(t, 80, 600, 17)
+	bigIx, err := Build(big.g, Params{PoolPages: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigPartOf, _ := partition(big.g, 32)
+	c = &cursor{}
+	for pass := 0; pass < 2; pass++ {
+		c.begin(bigIx, nil)
 		if c.held != 0 {
-			t.Fatalf("%v: %d records survived DropCache", format, c.held)
+			t.Fatalf("a cursor holding %d records, more than %d, kept them", c.held, keepRecords)
 		}
-
-		// Residency is not enough once the cursor holds too much.
-		big := newFixture(t, 80, 600, 17)
-		bigIx, err := Build(big.g, Params{Format: format, PoolPages: 1 << 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bigPartOf, _ := partition(big.g, 32)
-		c = &cursor{}
-		for pass := 0; pass < 2; pass++ {
-			c.begin(bigIx, nil)
-			if c.held != 0 {
-				t.Fatalf("%v: a cursor holding %d records, more than %d, kept them", format, c.held, keepRecords)
-			}
-			for id := 0; id <= keepRecords; id++ {
-				if _, err := c.vertex(dn.NodeID(id), bigPartOf[id]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-
-		// Too small a pool displaces pages during every pass; no pool keeps
-		// no page. Neither cursor carries anything over.
-		for _, poolPages := range []int{1, -1} {
-			ix, err := Build(f.g, Params{Format: format, PoolPages: poolPages})
-			if err != nil {
+		for id := 0; id <= keepRecords; id++ {
+			if _, err := c.vertex(dn.NodeID(id), bigPartOf[id]); err != nil {
 				t.Fatal(err)
 			}
-			c := &cursor{}
-			readAll(c, ix, secOut)
-			c.begin(ix, nil)
-			if c.held != 0 {
-				t.Fatalf("%v, pool of %d pages: %d records kept across queries", format, poolPages, c.held)
-			}
+		}
+	}
+
+	// Too small a pool displaces pages during every pass; no pool keeps
+	// no page. Neither cursor carries anything over.
+	for _, poolPages := range []int{1, -1} {
+		ix, err := Build(f.g, Params{PoolPages: poolPages})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &cursor{}
+		readAll(c, ix, secOut)
+		c.begin(ix, nil)
+		if c.held != 0 {
+			t.Fatalf("pool of %d pages: %d records kept across queries", poolPages, c.held)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package reachgraph
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"streach/internal/dn"
 	"streach/internal/pagefile"
 	"streach/internal/trajectory"
 )
@@ -35,6 +37,39 @@ func TestCorruptedPartitionSurfacesError(t *testing.T) {
 		t.Fatal("no query hit a corrupted page")
 	}
 	t.Logf("%d/40 queries surfaced corruption", failures)
+
+	// A partition under the version byte of the layout this one replaced,
+	// checksum valid, is refused at its header by an error naming the
+	// version: nothing behind the byte is decoded.
+	old := blobIndex(len(f.g.Nodes), f.g.NumObjects, oldVersionPartition(t, f.g))
+	sc := old.begin(nil)
+	defer old.pool.Put(sc)
+	if err := sc.cur.loadPartition(0); err == nil || !strings.Contains(err.Error(), "version 1,") {
+		t.Fatalf("version-1 partition: err = %v, want one naming version 1", err)
+	}
+}
+
+// oldVersionBlob is a copy of blob under version byte 1, that of the layout
+// this one replaced.
+func oldVersionBlob(blob []byte) []byte {
+	old := append([]byte(nil), blob...)
+	old[0] = 1
+	return old
+}
+
+// oldVersionPartition is the first partition of g's index under version
+// byte 1.
+func oldVersionPartition(tb testing.TB, g *dn.Graph) []byte {
+	tb.Helper()
+	ix, err := Build(g, Params{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blob, err := ix.store.ReadBlob(ix.partRefs[0], nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return oldVersionBlob(blob)
 }
 
 // TestTruncatedDirectoryFails damages an object-directory blob and checks
@@ -63,6 +98,17 @@ func TestTruncatedDirectoryFails(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("no directory lookup surfaced the corruption")
+	}
+
+	// A run directory under version byte 1, checksum valid: an error naming
+	// the version, not a lookup.
+	blob, err := ix.store.ReadBlob(ix.dirRefs[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.dirRefs[1] = ix.store.AppendBlob(oldVersionBlob(blob))
+	if v, _, err := ix.findVertex(1, 50, nil); err == nil || !strings.Contains(err.Error(), "version 1,") {
+		t.Fatalf("version-1 run directory: vertex %d, err = %v; want an error naming version 1", v, err)
 	}
 }
 

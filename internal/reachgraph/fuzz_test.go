@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"streach/internal/dn"
-	"streach/internal/pagefile"
 )
 
 // FuzzPartitionBlob feeds arbitrary bytes to the disk read path as a
@@ -16,13 +15,17 @@ import (
 // order the input picks, may return errors and nothing else — no panic, no
 // record reaching past the blob into its extent neighbour, no slab growing
 // past what the blob's size can account for. The seeds are real partitions
-// of both formats; an input is read by an index of the format its first
-// byte claims (any other byte is refused at the header by both).
+// — a mobility fixture's, and the toggle graph's at depth 9, whose sizes
+// sit around an anchor boundary — and one of them again under the version
+// byte of the layout this one replaced, which the header refuses.
 func FuzzPartitionBlob(f *testing.F) {
-	fx := newFixture(f, 12, 60, 5)
-	numNodes, numObjects := len(fx.g.Nodes), fx.g.NumObjects
-	for _, format := range bothFormats {
-		ix, err := Build(fx.g, Params{Format: format})
+	fx, toggle := newFixture(f, 12, 60, 5), toggleGraph()
+	numNodes, numObjects := max(len(fx.g.Nodes), len(toggle.Nodes)), max(fx.g.NumObjects, toggle.NumObjects)
+	for _, seed := range []struct {
+		g     *dn.Graph
+		depth int
+	}{{fx.g, 32}, {toggle, 9}} {
+		ix, err := Build(seed.g, Params{PartitionDepth: seed.depth})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -34,13 +37,10 @@ func FuzzPartitionBlob(f *testing.F) {
 			f.Add(blob, uint32(0))
 		}
 	}
+	f.Add(oldVersionPartition(f, fx.g), uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, pick uint32) {
-		format := pagefile.FormatVarint
-		if len(data) > 0 && pagefile.Format(data[0]) == pagefile.FormatFixed {
-			format = pagefile.FormatFixed
-		}
-		ix := blobIndex(format, numNodes, numObjects, data)
+		ix := blobIndex(numNodes, numObjects, data)
 		blob, err := ix.store.ReadBlob(ix.partRefs[0], nil)
 		if err != nil {
 			t.Fatal(err)
@@ -51,8 +51,8 @@ func FuzzPartitionBlob(f *testing.F) {
 		if c.loadPartition(0) != nil {
 			return
 		}
-		// Ids to ask for: pick, and every aligned 32-bit word of the blob —
-		// where the fixed directory and the anchors keep theirs.
+		// Ids to ask for: pick, and every 32-bit word of the blob — where the
+		// anchors keep theirs.
 		ids := []dn.NodeID{dn.NodeID(pick % uint32(numNodes))}
 		for off := 0; off+4 <= len(data) && len(ids) < 64; off++ {
 			if id := binary.LittleEndian.Uint32(data[off:]); id < uint32(numNodes) {
@@ -60,7 +60,7 @@ func FuzzPartitionBlob(f *testing.F) {
 			}
 		}
 		for i, id := range ids {
-			if rec, err := c.parts[0].find(id, format); err == nil && !withinBlob(blob, rec) {
+			if rec, err := c.parts[0].find(id); err == nil && !withinBlob(blob, rec) {
 				t.Fatalf("vertex %d: record of %d bytes runs past the %d-byte blob", id, len(rec), len(blob))
 			}
 			v, err := c.vertex(id, 0)

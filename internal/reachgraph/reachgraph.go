@@ -35,11 +35,9 @@
 // that query's own ReadBlob and the buffer pool is the only cache the
 // page counts depend on.
 //
-// Every blob begins with a pagefile.Format byte. The default varint-delta
-// format stores ticks and counts as varints and ID postings as zig-zag
-// deltas, shrinking partitions 2-4x against the fixed-width layout — and
-// with them the pages a traversal reads; an index is built, and read, in
-// one format throughout.
+// Every blob begins with pagefile's layout version byte. Ticks and counts
+// are stored as varints and ID postings as zig-zag deltas: what a traversal
+// pays is pages, and small deltas keep partitions on few of them.
 //
 // Queries. There are two, on the disk Index and on the memory-resident Mem
 // alike, each one body over the graphAccess interface (traverse.go):
@@ -80,9 +78,6 @@ type Params struct {
 	// Pool, when non-nil, is a buffer pool shared with other indexes over
 	// the same dataset.
 	Pool *pagefile.BufferPool
-	// Format selects the on-page record layout; zero means the default
-	// (pagefile.FormatVarint). Both formats answer queries identically.
-	Format pagefile.Format
 }
 
 func (p *Params) applyDefaults() {
@@ -95,7 +90,6 @@ func (p *Params) applyDefaults() {
 	if p.PoolPages == 0 {
 		p.PoolPages = 64
 	}
-	p.Format = pagefile.NormalizeFormat(p.Format)
 }
 
 // Index is a disk-resident ReachGraph.
@@ -139,36 +133,26 @@ func Build(g *dn.Graph, params Params) (*Index, error) {
 	// Serialize partitions in generation order.
 	w := newPartitionWriter()
 	for _, members := range parts {
-		ix.partRefs = append(ix.partRefs, ix.store.AppendBlob(w.encode(g, members, partOf, params.Format)))
+		ix.partRefs = append(ix.partRefs, ix.store.AppendBlob(w.encode(g, members, partOf)))
 	}
 
 	// Per-object run directory: triples (end, node, partition) in run
-	// order — ends ascending, so the varint format stores end gaps and
-	// node/partition deltas.
+	// order — ends ascending, stored as end gaps and node/partition
+	// deltas.
 	enc := pagefile.NewEncoder(1 << 10)
 	ix.dirRefs = make([]pagefile.BlobRef, g.NumObjects)
 	for o := 0; o < g.NumObjects; o++ {
 		runs := g.RunsOf(trajectory.ObjectID(o))
 		enc.Reset()
-		enc.Format(params.Format)
-		switch params.Format {
-		case pagefile.FormatFixed:
-			enc.Uint32(uint32(len(runs)))
-			for _, id := range runs {
-				enc.Int32(int32(g.Nodes[id].End))
-				enc.Int32(int32(id))
-				enc.Int32(partOf[id])
-			}
-		default:
-			enc.Uvarint(uint64(len(runs)))
-			prevEnd, prevNode, prevPart := int64(0), int64(0), int64(0)
-			for _, id := range runs {
-				end := int64(g.Nodes[id].End)
-				enc.Uvarint(uint64(end - prevEnd)) // ends strictly ascend
-				enc.Varint(int64(id) - prevNode)
-				enc.Varint(int64(partOf[id]) - prevPart)
-				prevEnd, prevNode, prevPart = end, int64(id), int64(partOf[id])
-			}
+		enc.Format()
+		enc.Uvarint(uint64(len(runs)))
+		prevEnd, prevNode, prevPart := int64(0), int64(0), int64(0)
+		for _, id := range runs {
+			end := int64(g.Nodes[id].End)
+			enc.Uvarint(uint64(end - prevEnd)) // ends strictly ascend
+			enc.Varint(int64(id) - prevNode)
+			enc.Varint(int64(partOf[id]) - prevPart)
+			prevEnd, prevNode, prevPart = end, int64(id), int64(partOf[id])
 		}
 		ix.dirRefs[o] = ix.store.AppendBlob(enc.Bytes())
 	}
@@ -235,9 +219,6 @@ func (ix *Index) Store() *pagefile.Store { return ix.store }
 // reset between measurement runs.
 func (ix *Index) DropCache() { ix.store.DropCache() }
 
-// Format returns the on-page record layout the index was built with.
-func (ix *Index) Format() pagefile.Format { return ix.params.Format }
-
 // Counters returns the store's cumulative I/O totals; per-query accountants
 // passed to the query methods sum to consecutive Counters differences.
 func (ix *Index) Counters() pagefile.Stats { return ix.store.Counters() }
@@ -264,24 +245,13 @@ func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *page
 		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
 	}
 	dec := pagefile.NewDecoder(data)
-	format := dec.Format()
-	var n int
-	if format == pagefile.FormatFixed {
-		n = int(dec.Uint32())
-	} else {
-		n = int(dec.Uvarint())
-	}
+	dec.Format()
+	n := int(dec.Uvarint())
 	end, node, part := int64(0), int64(0), int64(0)
 	for i := 0; i < n; i++ {
-		if format == pagefile.FormatFixed {
-			end = int64(dec.Int32())
-			node = int64(dec.Int32())
-			part = int64(dec.Int32())
-		} else {
-			end += int64(dec.Uvarint())
-			node += dec.Varint()
-			part += dec.Varint()
-		}
+		end += int64(dec.Uvarint())
+		node += dec.Varint()
+		part += dec.Varint()
 		if dec.Err() != nil {
 			break
 		}

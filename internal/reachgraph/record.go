@@ -116,25 +116,16 @@ func (a *arena) reset() {
 
 // encodeVertex appends one vertex record. Every referenced neighbour is
 // stored as a (node, partition) pair so traversal is self-routing.
-func encodeVertex(enc *pagefile.Encoder, g *dn.Graph, id dn.NodeID, partOf []int32, format pagefile.Format) {
+func encodeVertex(enc *pagefile.Encoder, g *dn.Graph, id dn.NodeID, partOf []int32) {
 	nd := &g.Nodes[id]
-	if format == pagefile.FormatFixed {
-		enc.Int32(int32(nd.Start))
-		enc.Int32(int32(nd.End))
-		enc.Uint32(uint32(len(nd.Members)))
-		for _, m := range nd.Members {
-			enc.Int32(int32(m))
-		}
-	} else {
-		enc.Uvarint(uint64(nd.Start))
-		enc.Uvarint(uint64(nd.End - nd.Start)) // End ≥ Start
-		encodeMembersDelta(enc, nd.Members)
-	}
-	encodeEdges(enc, nd.Out, partOf, format)
-	encodeEdges(enc, nd.In, partOf, format)
+	enc.Uvarint(uint64(nd.Start))
+	enc.Uvarint(uint64(nd.End - nd.Start)) // End ≥ Start
+	encodeMembersDelta(enc, nd.Members)
+	encodeEdges(enc, nd.Out, partOf)
+	encodeEdges(enc, nd.In, partOf)
 	// Long edges, ascending resolution; only levels with targets.
-	encodeLongs(enc, partOf, format, g.Resolutions, func(L int) []dn.NodeID { return g.LongOut(id, L) })
-	encodeLongs(enc, partOf, format, g.Resolutions, func(L int) []dn.NodeID { return g.LongIn(id, L) })
+	encodeLongs(enc, partOf, g.Resolutions, func(L int) []dn.NodeID { return g.LongOut(id, L) })
+	encodeLongs(enc, partOf, g.Resolutions, func(L int) []dn.NodeID { return g.LongIn(id, L) })
 }
 
 // encodeMembersDelta writes a sorted member posting as zig-zag deltas.
@@ -147,41 +138,25 @@ func encodeMembersDelta(enc *pagefile.Encoder, members []trajectory.ObjectID) {
 	}
 }
 
-func encodeLongs(enc *pagefile.Encoder, partOf []int32, format pagefile.Format, resolutions []int, edgesOf func(int) []dn.NodeID) {
+func encodeLongs(enc *pagefile.Encoder, partOf []int32, resolutions []int, edgesOf func(int) []dn.NodeID) {
 	levels := 0
 	for _, L := range resolutions {
 		if len(edgesOf(L)) > 0 {
 			levels++
 		}
 	}
-	if format == pagefile.FormatFixed {
-		enc.Uint32(uint32(levels))
-	} else {
-		enc.Uvarint(uint64(levels))
-	}
+	enc.Uvarint(uint64(levels))
 	for _, L := range resolutions {
 		es := edgesOf(L)
 		if len(es) == 0 {
 			continue
 		}
-		if format == pagefile.FormatFixed {
-			enc.Uint32(uint32(L))
-		} else {
-			enc.Uvarint(uint64(L))
-		}
-		encodeEdges(enc, es, partOf, format)
+		enc.Uvarint(uint64(L))
+		encodeEdges(enc, es, partOf)
 	}
 }
 
-func encodeEdges(enc *pagefile.Encoder, edges []dn.NodeID, partOf []int32, format pagefile.Format) {
-	if format == pagefile.FormatFixed {
-		enc.Uint32(uint32(len(edges)))
-		for _, v := range edges {
-			enc.Int32(int32(v))
-			enc.Int32(partOf[v])
-		}
-		return
-	}
+func encodeEdges(enc *pagefile.Encoder, edges []dn.NodeID, partOf []int32) {
 	enc.Uvarint(uint64(len(edges)))
 	prevNode, prevPart := int64(0), int64(0)
 	for _, v := range edges {
@@ -195,23 +170,15 @@ func encodeEdges(enc *pagefile.Encoder, edges []dn.NodeID, partOf []int32, forma
 // an element before slab space is reserved from them: a forged count can
 // make a decode fail, never make it reserve more than the record's own size.
 const (
-	minVarintMember = 1 // one zig-zag delta
-	minVarintEdge   = 2 // node delta + partition delta
-	minVarintLevel  = 2 // resolution + an empty edge list
-	fixedMember     = 4
-	fixedEdge       = 8
-	minFixedLevel   = 8 // resolution + an empty edge list
+	minMember = 1 // one zig-zag delta
+	minEdge   = 2 // node delta + partition delta
+	minLevel  = 2 // resolution + an empty edge list
 )
 
 // readCount reads an element count and fails the decoder unless that many
 // elements of at least minBytes each fit in what is left.
-func readCount(dec *pagefile.Decoder, format pagefile.Format, minBytes int, what string) int {
-	var n uint64
-	if format == pagefile.FormatFixed {
-		n = uint64(dec.Uint32())
-	} else {
-		n = dec.Uvarint()
-	}
+func readCount(dec *pagefile.Decoder, minBytes int, what string) int {
+	n := dec.Uvarint()
 	if dec.Err() != nil {
 		return 0
 	}
@@ -226,25 +193,10 @@ func readCount(dec *pagefile.Decoder, format pagefile.Format, minBytes int, what
 // validating every member against the object-ID space (members index the
 // epoch-stamped object sets directly). The decoder is left at the first
 // edge section.
-func decodeHeader(dec *pagefile.Decoder, format pagefile.Format, numObjects int, v *vertexRec, a *arena) {
-	if format == pagefile.FormatFixed {
-		v.start = trajectory.Tick(dec.Int32())
-		v.end = trajectory.Tick(dec.Int32())
-		nm := readCount(dec, format, fixedMember, "member")
-		v.members = a.members.alloc(nm)
-		for i := range v.members {
-			m := trajectory.ObjectID(dec.Int32())
-			if m < 0 || int(m) >= numObjects {
-				dec.Failf("reachgraph: member %d outside [0, %d)", m, numObjects)
-				return
-			}
-			v.members[i] = m
-		}
-		return
-	}
+func decodeHeader(dec *pagefile.Decoder, numObjects int, v *vertexRec, a *arena) {
 	v.start = trajectory.Tick(dec.Uvarint())
 	v.end = v.start + trajectory.Tick(dec.Uvarint())
-	nm := readCount(dec, format, minVarintMember, "member")
+	nm := readCount(dec, minMember, "member")
 	v.members = a.members.alloc(nm)
 	prev := int64(0)
 	for i := range v.members {
@@ -261,20 +213,8 @@ func decodeHeader(dec *pagefile.Decoder, format pagefile.Format, numObjects int,
 // graph's node-ID space: decoded IDs index the epoch-stamped visited
 // arrays directly, so an out-of-range value must surface as a decode
 // error (the documented corruption behavior), never as a panic.
-func decodeEdges(dec *pagefile.Decoder, format pagefile.Format, numNodes int, a *arena) []edge {
-	if format == pagefile.FormatFixed {
-		out := a.edges.alloc(readCount(dec, format, fixedEdge, "edge"))
-		for i := range out {
-			e := edge{node: dn.NodeID(dec.Int32()), part: dec.Int32()}
-			if e.node < 0 || int(e.node) >= numNodes {
-				dec.Failf("reachgraph: edge target %d outside [0, %d)", e.node, numNodes)
-				return nil
-			}
-			out[i] = e
-		}
-		return out
-	}
-	out := a.edges.alloc(readCount(dec, format, minVarintEdge, "edge"))
+func decodeEdges(dec *pagefile.Decoder, numNodes int, a *arena) []edge {
+	out := a.edges.alloc(readCount(dec, minEdge, "edge"))
 	prevNode, prevPart := int64(0), int64(0)
 	for i := range out {
 		prevNode += dec.Varint()
@@ -288,24 +228,11 @@ func decodeEdges(dec *pagefile.Decoder, format pagefile.Format, numNodes int, a 
 	return out
 }
 
-// readLevelCount reads the number of long-edge levels of a section.
-func readLevelCount(dec *pagefile.Decoder, format pagefile.Format) int {
-	if format == pagefile.FormatFixed {
-		return readCount(dec, format, minFixedLevel, "level")
-	}
-	return readCount(dec, format, minVarintLevel, "level")
-}
-
-func decodeLongs(dec *pagefile.Decoder, format pagefile.Format, numNodes int, a *arena) []levelEdges {
-	ls := a.levels.alloc(readLevelCount(dec, format))
+func decodeLongs(dec *pagefile.Decoder, numNodes int, a *arena) []levelEdges {
+	ls := a.levels.alloc(readCount(dec, minLevel, "level"))
 	for i := range ls {
-		var L int
-		if format == pagefile.FormatFixed {
-			L = int(dec.Uint32())
-		} else {
-			L = int(dec.Uvarint())
-		}
-		ls[i] = levelEdges{level: L, edges: decodeEdges(dec, format, numNodes, a)}
+		L := int(dec.Uvarint())
+		ls[i] = levelEdges{level: L, edges: decodeEdges(dec, numNodes, a)}
 	}
 	return ls
 }
@@ -313,25 +240,17 @@ func decodeLongs(dec *pagefile.Decoder, format pagefile.Format, numNodes int, a 
 // skipSection steps dec over section s of a record. Only the counts are
 // checked: a section is validated when it is decoded, not when it is
 // stepped over.
-func skipSection(dec *pagefile.Decoder, format pagefile.Format, s int) {
+func skipSection(dec *pagefile.Decoder, s int) {
 	if s < firstLongSection {
-		skipEdges(dec, format)
+		skipEdges(dec)
 		return
 	}
-	for levels := readLevelCount(dec, format); levels > 0 && dec.Err() == nil; levels-- {
-		if format == pagefile.FormatFixed { // the resolution
-			dec.Skip(4)
-		} else {
-			dec.SkipVarints(1)
-		}
-		skipEdges(dec, format)
+	for levels := readCount(dec, minLevel, "level"); levels > 0 && dec.Err() == nil; levels-- {
+		dec.SkipVarints(1) // the resolution
+		skipEdges(dec)
 	}
 }
 
-func skipEdges(dec *pagefile.Decoder, format pagefile.Format) {
-	if format == pagefile.FormatFixed {
-		dec.Skip(fixedEdge * readCount(dec, format, fixedEdge, "edge"))
-		return
-	}
-	dec.SkipVarints(2 * readCount(dec, format, minVarintEdge, "edge"))
+func skipEdges(dec *pagefile.Decoder) {
+	dec.SkipVarints(2 * readCount(dec, minEdge, "edge"))
 }

@@ -4,14 +4,8 @@ import (
 	"testing"
 
 	"streach/internal/geo"
-	"streach/internal/pagefile"
 	"streach/internal/trajectory"
 )
-
-var bothFormats = []struct {
-	name   string
-	format pagefile.Format
-}{{"varint", pagefile.FormatVarint}, {"fixed", pagefile.FormatFixed}}
 
 // crossingDataset is one bucket of 20 ticks over a row of four 25-wide
 // cells. Object 3 crosses all four (its record is repeated in each cell
@@ -67,50 +61,48 @@ func TestRepeatedRecordsAreSteppedOver(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range bothFormats {
-		ix := buildIndex(t, d, Params{Format: f.format, CellSize: 25, BucketTicks: 20})
-		if ix.NumBuckets() != 1 || ix.grid.NumCells() != 4 {
-			t.Fatalf("fixture: %d buckets, %d cells", ix.NumBuckets(), ix.grid.NumCells())
+	ix := buildIndex(t, d, Params{CellSize: 25, BucketTicks: 20})
+	if ix.NumBuckets() != 1 || ix.grid.NumCells() != 4 {
+		t.Fatalf("fixture: %d buckets, %d cells", ix.NumBuckets(), ix.grid.NumCells())
+	}
+	for cell := 0; cell < 4; cell++ {
+		sc, acct := ix.begin(nil)
+		sc.resetBucket(ix.numObjects, 4)
+		if err := ix.loadCell(0, cell, sc, acct); err != nil {
+			t.Fatal(err)
 		}
-		for cell := 0; cell < 4; cell++ {
-			sc, acct := ix.begin(nil)
-			sc.resetBucket(ix.numObjects, 4)
+		if _, ok := sc.segment(3); !ok || len(sc.segs) < 2 {
+			t.Fatalf("fixture: cell %d holds %d records, the crossing object among them: %v", cell, len(sc.segs), ok)
+		}
+		ix.pool.Put(sc)
+	}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
+		sc, acct := ix.begin(nil)
+		sc.resetBucket(ix.numObjects, 4)
+		for _, cell := range order {
 			if err := ix.loadCell(0, cell, sc, acct); err != nil {
-				t.Fatal(err)
+				t.Fatalf("order %v, cell %d: %v", order, cell, err)
 			}
-			if _, ok := sc.segment(3); !ok || len(sc.segs) < 2 {
-				t.Fatalf("fixture: cell %d holds %d records, the crossing object among them: %v", cell, len(sc.segs), ok)
-			}
-			ix.pool.Put(sc)
 		}
-		for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}} {
-			sc, acct := ix.begin(nil)
-			sc.resetBucket(ix.numObjects, 4)
-			for _, cell := range order {
-				if err := ix.loadCell(0, cell, sc, acct); err != nil {
-					t.Fatalf("%s, order %v, cell %d: %v", f.name, order, cell, err)
+		points := 0
+		for o := range d.Trajs {
+			want := d.Trajs[o].Slice(0, 19)
+			got, ok := sc.segment(trajectory.ObjectID(o))
+			if !ok || got.Object != want.Object || got.Start != want.Start || len(got.Pos) != len(want.Pos) {
+				t.Fatalf("order %v: object %d buffered as %+v (found %v)", order, o, got, ok)
+			}
+			for k := range want.Pos {
+				if got.Pos[k] != want.Pos[k] {
+					t.Fatalf("order %v: object %d sample %d = %v, want %v", order, o, k, got.Pos[k], want.Pos[k])
 				}
 			}
-			points := 0
-			for o := range d.Trajs {
-				want := d.Trajs[o].Slice(0, 19)
-				got, ok := sc.segment(trajectory.ObjectID(o))
-				if !ok || got.Object != want.Object || got.Start != want.Start || len(got.Pos) != len(want.Pos) {
-					t.Fatalf("%s, order %v: object %d buffered as %+v (found %v)", f.name, order, o, got, ok)
-				}
-				for k := range want.Pos {
-					if got.Pos[k] != want.Pos[k] {
-						t.Fatalf("%s, order %v: object %d sample %d = %v, want %v", f.name, order, o, k, got.Pos[k], want.Pos[k])
-					}
-				}
-				points += len(want.Pos)
-			}
-			if len(sc.segs) != len(d.Trajs) || len(sc.arena) != points {
-				t.Fatalf("%s, order %v: %d segments over %d arena points, want %d over %d",
-					f.name, order, len(sc.segs), len(sc.arena), len(d.Trajs), points)
-			}
-			ix.pool.Put(sc)
+			points += len(want.Pos)
 		}
+		if len(sc.segs) != len(d.Trajs) || len(sc.arena) != points {
+			t.Fatalf("order %v: %d segments over %d arena points, want %d over %d",
+				order, len(sc.segs), len(sc.arena), len(d.Trajs), points)
+		}
+		ix.pool.Put(sc)
 	}
 }
 

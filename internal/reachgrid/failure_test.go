@@ -2,6 +2,7 @@ package reachgrid
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"streach/internal/contact"
@@ -45,6 +46,23 @@ func TestCorruptedStoreSurfacesError(t *testing.T) {
 		t.Fatal("no query hit a corrupted page; corruption pattern too sparse for the test")
 	}
 	t.Logf("%d/%d queries surfaced corruption", failures, len(work))
+
+	// A cell and a directory chunk under the version byte of the layout
+	// this one replaced, checksums valid: each is refused by an error
+	// naming the version, and nothing behind the byte is decoded.
+	dir, cells := realBlobs(t)
+	for name, old := range map[string]*Index{
+		"cell":            blobGrid(7, 20, dir, oldVersionBlob(cells[0])),
+		"directory chunk": blobGrid(7, 20, oldVersionBlob(dir), cells...),
+	} {
+		sc, acct := old.begin(nil)
+		sc.resetBucket(7, old.grid.NumCells())
+		err := old.admitSeeds(0, sc, []trajectory.ObjectID{0}, 0, 19, acct) // object 0 idles in cell 0
+		if err == nil || !strings.Contains(err.Error(), "version 1,") || len(sc.segs) != 0 {
+			t.Errorf("version-1 %s: %d segments buffered, err = %v; want none and an error naming version 1", name, len(sc.segs), err)
+		}
+		old.pool.Put(sc)
+	}
 }
 
 // TestSPJCorruptionSurfaces does the same through the SPJ path, which reads

@@ -41,10 +41,10 @@ func blobGrid(numObjects, numTicks int, dir []byte, cells ...[]byte) *Index {
 }
 
 // realBlobs returns the directory chunk and the four cell blobs of the
-// crossing fixture in the given format.
-func realBlobs(tb testing.TB, format pagefile.Format) (dir []byte, cells [][]byte) {
+// crossing fixture.
+func realBlobs(tb testing.TB) (dir []byte, cells [][]byte) {
 	tb.Helper()
-	ix, err := Build(crossingDataset(), Params{Format: format, CellSize: 25, BucketTicks: 20})
+	ix, err := Build(crossingDataset(), Params{CellSize: 25, BucketTicks: 20})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -61,45 +61,51 @@ func realBlobs(tb testing.TB, format pagefile.Format) (dir []byte, cells [][]byt
 	return read(ix.buckets[0].dirRefs[0]), cells
 }
 
+// oldVersionBlob is a copy of blob under version byte 1, that of the layout
+// this one replaced.
+func oldVersionBlob(blob []byte) []byte {
+	old := bytes.Clone(blob)
+	old[0] = 1
+	return old
+}
+
 // FuzzCellBlob feeds arbitrary bytes to loadCell as a cell blob, alone or
 // after a real cell of the same bucket has been buffered (so records naming
 // its objects take the step-over path). The outcome may be an error that
 // names the cell, or segments that hold up on their own: objects inside the
 // dataset and findable through the table, sample counts the blob's size
 // can account for, no position slice able to grow into its arena
-// neighbour. The seeds are the real cells of the crossing fixture in both
-// formats — whose decode must be exact — and forged counts.
+// neighbour. The seeds are the real cells of the crossing fixture — whose
+// decode must be exact — each again without its last byte, one under the
+// version byte of the layout this one replaced, and one forgery per check
+// loadCell makes before it reserves arena space.
 func FuzzCellBlob(f *testing.F) {
 	d := crossingDataset()
 	numObjects, numTicks := d.NumObjects(), d.NumTicks()
-	var real [][]byte
-	var first [2][]byte // a real cell to buffer in front, per format
-	for i, bf := range bothFormats {
-		_, cells := realBlobs(f, bf.format)
-		first[i] = cells[1]
-		for _, b := range cells {
-			real = append(real, b)
-			f.Add(b, false)
-			f.Add(b, true)
-		}
+	_, real := realBlobs(f)
+	front := real[1] // a real cell to buffer in front
+	for _, b := range real {
+		f.Add(b, false)
+		f.Add(b, true)
+		f.Add(b[:len(b)-1], false)
 	}
-	forged := pagefile.NewEncoder(32)
-	forged.Format(pagefile.FormatVarint)
-	forged.Uvarint(3)       // objects
-	forged.Varint(2)        // object 2
-	forged.Uvarint(0)       // start
-	forged.Uvarint(1 << 40) // samples
-	f.Add(bytes.Clone(forged.Bytes()), false)
-	forged.Reset()
-	forged.Format(pagefile.FormatFixed)
-	forged.Uint32(0xffffffff)
-	f.Add(bytes.Clone(forged.Bytes()), true)
+	f.Add(oldVersionBlob(real[2]), false)
+	f.Add(oldVersionBlob(real[2]), true)
+	forge := func(preload bool, objects uint64, first int64, start, samples uint64) {
+		enc := pagefile.NewEncoder(32)
+		enc.Format()
+		enc.Uvarint(objects)
+		enc.Varint(first) // the first object, then its segment
+		enc.Uvarint(start)
+		enc.Uvarint(samples)
+		f.Add(bytes.Clone(enc.Bytes()), preload)
+	}
+	forge(false, 3, 2, 0, 1<<40)             // more samples than bytes
+	forge(false, 1<<50, 2, 0, 1)             // more objects than bytes
+	forge(false, 1, int64(numObjects), 0, 0) // an object outside the dataset
+	forge(true, 1, 3, 0, uint64(numTicks)+1) // a repeat of a buffered object, longer than the dataset
 
 	f.Fuzz(func(t *testing.T, data []byte, preload bool) {
-		front := first[0]
-		if len(data) > 0 && pagefile.Format(data[0]) == pagefile.FormatFixed {
-			front = first[1]
-		}
 		ix := blobGrid(numObjects, numTicks, nil, front, data)
 		sc, acct := ix.begin(nil)
 		defer ix.pool.Put(sc)
@@ -129,7 +135,7 @@ func FuzzCellBlob(f *testing.F) {
 			}
 			points += len(seg.Pos)
 		}
-		// A sample costs at least two bytes of the blob in either format.
+		// A sample costs at least two bytes of the blob.
 		if points != len(sc.arena) || 2*(len(sc.arena)-before) > len(data) {
 			t.Fatalf("%d points buffered, arena holds %d (%d before), blob has %d bytes", points, len(sc.arena), before, len(data))
 		}
@@ -156,23 +162,15 @@ func FuzzCellBlob(f *testing.F) {
 }
 
 // scanDirectory is the reference for dirLookup: the in-place scan that the
-// decoded table replaced (a delta chain followed up to the entry asked
-// for; direct offset arithmetic in the fixed format).
+// decoded table replaced, a delta chain followed up to the entry asked for.
 func scanDirectory(data []byte, idx int) (cell int64, ok bool) {
 	dec := pagefile.NewDecoder(data)
-	if dec.Format() == pagefile.FormatFixed {
-		if n := int(dec.Uint32()); idx >= n {
-			return 0, false
-		}
-		dec.Skip(4 * idx)
-		cell = int64(dec.Int32())
-	} else {
-		if n := int(dec.Uvarint()); idx >= n {
-			return 0, false
-		}
-		for i := 0; i <= idx; i++ {
-			cell += dec.Varint()
-		}
+	dec.Format()
+	if n := int(dec.Uvarint()); idx >= n {
+		return 0, false
+	}
+	for i := 0; i <= idx; i++ {
+		cell += dec.Varint()
 	}
 	return cell, dec.Err() == nil
 }
@@ -186,35 +184,34 @@ func scanDirectory(data []byte, idx int) (cell int64, ok bool) {
 func FuzzDirChunk(f *testing.F) {
 	d := crossingDataset()
 	numObjects, numTicks := d.NumObjects(), d.NumTicks()
-	var cells [2][][]byte
-	for i, bf := range bothFormats {
-		dir, c := realBlobs(f, bf.format)
-		cells[i] = c
-		for o := 0; o < numObjects; o++ {
-			f.Add(dir, uint16(o))
+	dir, real := realBlobs(f)
+	for o := 0; o < numObjects; o++ {
+		f.Add(dir, uint16(o))
+	}
+	f.Add(dir[:len(dir)-1], uint16(numObjects-1))
+	f.Add(oldVersionBlob(dir), uint16(0))
+	forge := func(pick uint16, n uint64, deltas ...int64) {
+		enc := pagefile.NewEncoder(32)
+		enc.Format()
+		enc.Uvarint(n)
+		for _, v := range deltas {
+			enc.Varint(v)
 		}
-		f.Add(dir[:len(dir)-1], uint16(numObjects-1))
+		f.Add(bytes.Clone(enc.Bytes()), pick)
 	}
-	forged := pagefile.NewEncoder(32)
-	forged.Format(pagefile.FormatVarint)
-	forged.Uvarint(uint64(numObjects))
-	forged.Varint(1 << 40) // a cell far outside the grid, and outside int32
-	for o := 1; o < numObjects; o++ {
-		forged.Varint(-1)
-	}
-	f.Add(bytes.Clone(forged.Bytes()), uint16(0))
-	forged.Reset()
-	forged.Format(pagefile.FormatVarint)
-	forged.Uvarint(1 << 50) // more entries than bytes
-	forged.Varint(3)
-	f.Add(bytes.Clone(forged.Bytes()), uint16(1))
+	n := uint64(numObjects)
+	forge(0, n, 1<<40, -1, -1, -1, -1, -1, -1) // a cell far outside the grid, and outside int32
+	forge(1, 1<<50, 3)                         // more entries than bytes
+	forge(2, n-1, 0, 1, 0, 1, 0, 1)            // fewer entries than objects
+	forge(3, n+2, 0, 1, 0, 1, 0, 1, 0, 3, 3)   // more: the leading ones are this bucket's
+	forge(0, n, -1, 1, 1, 1, 1, 1, 1)          // a negative cell
+	forge(6, n, 0, 0, 0, 0, 0, 0, 4)           // the first cell past the grid
+	forge(4, n, 3, -3, 3, -3, 3, -3, 3)        // in range, but not where the objects are
+	f.Add([]byte{}, uint16(0))
+	f.Add(dir[:1], uint16(0)) // the version byte and nothing else
 
 	f.Fuzz(func(t *testing.T, data []byte, pick uint16) {
 		o := trajectory.ObjectID(int(pick) % numObjects)
-		real := cells[0]
-		if len(data) > 0 && pagefile.Format(data[0]) == pagefile.FormatFixed {
-			real = cells[1]
-		}
 		ix := blobGrid(numObjects, numTicks, data, real...)
 		sc, acct := ix.begin(nil)
 		defer ix.pool.Put(sc)

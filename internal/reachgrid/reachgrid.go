@@ -13,12 +13,11 @@
 // (the paper's external hash table) maps each object to its cell at the
 // bucket start so the query source can be located in O(1) page reads.
 //
-// Every blob begins with a pagefile.Format byte. The default varint-delta
-// format stores object postings as deltas and positions under a linear
-// extrapolation predictor (bits XOR prediction, uvarint): trajectory
-// samples between waypoints are near-linear, so most samples collapse to a
-// few bytes while reconstruction stays bit-exact. Fixed-width v1 pages
-// remain decodable.
+// Every blob begins with pagefile's layout version byte. Object postings are
+// stored as deltas and positions under a linear extrapolation predictor
+// (bits XOR prediction, uvarint): trajectory samples between waypoints are
+// near-linear, so most samples collapse to a few bytes while reconstruction
+// stays bit-exact.
 //
 // Query processing (§4.2, Algorithm 1). The seed set starts as {source}.
 // Sweeping the query interval bucket by bucket, the processor loads the
@@ -85,9 +84,6 @@ type Params struct {
 	// Pool, when non-nil, is a buffer pool shared with other indexes over
 	// the same dataset: all readers draw on one page budget.
 	Pool *pagefile.BufferPool
-	// Format selects the on-page record layout; zero means the default
-	// (pagefile.FormatVarint). Both formats answer queries identically.
-	Format pagefile.Format
 }
 
 func (p *Params) applyDefaults(env geo.Rect) {
@@ -100,7 +96,6 @@ func (p *Params) applyDefaults(env geo.Rect) {
 	if p.PoolPages == 0 {
 		p.PoolPages = 64
 	}
-	p.Format = pagefile.NormalizeFormat(p.Format)
 }
 
 // dirEntriesPerBlob is the number of object→cell entries per directory
@@ -192,12 +187,8 @@ func Build(d *trajectory.Dataset, params Params) (*Index, error) {
 				end = len(dir)
 			}
 			enc.Reset()
-			enc.Format(params.Format)
-			if params.Format == pagefile.FormatFixed {
-				enc.Int32Slice(dir[off:end])
-			} else {
-				enc.Int32SliceDelta(dir[off:end])
-			}
+			enc.Format()
+			enc.Int32SliceDelta(dir[off:end])
 			meta.dirRefs = append(meta.dirRefs, ix.store.AppendBlob(enc.Bytes()))
 		}
 		// Write cells in ascending cell-ID order for a deterministic,
@@ -205,31 +196,16 @@ func Build(d *trajectory.Dataset, params Params) (*Index, error) {
 		slices.Sort(touched)
 		for _, id := range touched {
 			enc.Reset()
-			enc.Format(params.Format)
-			switch params.Format {
-			case pagefile.FormatFixed:
-				enc.Uint32(uint32(len(cellObjs[id])))
-				for _, o := range cellObjs[id] {
-					seg := d.Trajs[o].Slice(lo, hi)
-					enc.Int32(int32(o))
-					enc.Int32(int32(seg.Start))
-					enc.Uint32(uint32(len(seg.Pos)))
-					for _, p := range seg.Pos {
-						enc.Float64(p.X)
-						enc.Float64(p.Y)
-					}
-				}
-			default:
-				enc.Uvarint(uint64(len(cellObjs[id])))
-				prevObj := int64(0)
-				for _, o := range cellObjs[id] { // object IDs ascend: small deltas
-					seg := d.Trajs[o].Slice(lo, hi)
-					enc.Varint(int64(o) - prevObj)
-					prevObj = int64(o)
-					enc.Uvarint(uint64(seg.Start))
-					enc.Uvarint(uint64(len(seg.Pos)))
-					encodePositions(enc, seg.Pos)
-				}
+			enc.Format()
+			enc.Uvarint(uint64(len(cellObjs[id])))
+			prevObj := int64(0)
+			for _, o := range cellObjs[id] { // object IDs ascend: small deltas
+				seg := d.Trajs[o].Slice(lo, hi)
+				enc.Varint(int64(o) - prevObj)
+				prevObj = int64(o)
+				enc.Uvarint(uint64(seg.Start))
+				enc.Uvarint(uint64(len(seg.Pos)))
+				encodePositions(enc, seg.Pos)
 			}
 			meta.cellRefs[id] = ix.store.AppendBlob(enc.Bytes())
 			cellObjs[id] = cellObjs[id][:0]
@@ -291,9 +267,6 @@ func decodePositions(dec *pagefile.Decoder, pos []geo.Point) {
 // Store exposes the underlying simulated disk (for size and placement
 // inspection).
 func (ix *Index) Store() *pagefile.Store { return ix.store }
-
-// Format returns the on-page record layout the index was built with.
-func (ix *Index) Format() pagefile.Format { return ix.params.Format }
 
 // Counters returns the store's cumulative I/O totals; per-query accountants
 // passed to the query methods sum to consecutive Counters differences.
@@ -729,31 +702,17 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 	}
 	sc.advancePos(acct, before, beforeOK, cell+1)
 	dec := pagefile.NewDecoder(data)
-	format := dec.Format()
-	var n int
-	if format == pagefile.FormatFixed {
-		n = int(dec.Uint32())
-	} else {
-		n = int(dec.Uvarint())
-	}
+	dec.Format()
+	n := int(dec.Uvarint())
 	if dec.Err() == nil && (n < 0 || n > dec.Remaining()+1) {
 		dec.Failf("reachgrid: implausible object count %d with %d bytes left", n, dec.Remaining())
 	}
 	prevObj := int64(0)
 	for i := 0; i < n && dec.Err() == nil; i++ {
-		var o trajectory.ObjectID
-		var start trajectory.Tick
-		var cnt int
-		if format == pagefile.FormatFixed {
-			o = trajectory.ObjectID(dec.Int32())
-			start = trajectory.Tick(dec.Int32())
-			cnt = int(dec.Uint32())
-		} else {
-			prevObj += dec.Varint()
-			o = trajectory.ObjectID(prevObj)
-			start = trajectory.Tick(dec.Uvarint())
-			cnt = int(dec.Uvarint())
-		}
+		prevObj += dec.Varint()
+		o := trajectory.ObjectID(prevObj)
+		start := trajectory.Tick(dec.Uvarint())
+		cnt := int(dec.Uvarint())
 		if dec.Err() != nil {
 			break
 		}
@@ -762,10 +721,9 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 			break
 		}
 		// The shortest encoding of cnt samples, checked before arena space
-		// is reserved: 16 bytes each when fixed; under the predictor two
-		// raw float64s, then two uvarints a sample.
+		// is reserved: two raw float64s, then two uvarints a sample.
 		least := 16 * cnt
-		if format != pagefile.FormatFixed && cnt > 1 {
+		if cnt > 1 {
 			least = 16 + 2*(cnt-1)
 		}
 		if cnt < 0 || cnt > ix.numTicks || least > dec.Remaining() {
@@ -775,22 +733,14 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 		if _, dup := sc.segAt.Get(int(o)); dup {
 			// The object was already decoded from another cell it spans:
 			// step over its samples without running the predictor.
-			if format == pagefile.FormatFixed {
-				dec.Skip(16 * cnt)
-			} else if cnt > 0 {
+			if cnt > 0 {
 				dec.Skip(16)
 				dec.SkipVarints(2 * (cnt - 1))
 			}
 			continue
 		}
 		pos := sc.positions(cnt)
-		if format == pagefile.FormatFixed {
-			for k := range pos {
-				pos[k] = geo.Point{X: dec.Float64(), Y: dec.Float64()}
-			}
-		} else {
-			decodePositions(dec, pos)
-		}
+		decodePositions(dec, pos)
 		sc.segAt.Set(int(o), int32(len(sc.segs)))
 		sc.segs = append(sc.segs, trajectory.Segment{Object: o, Start: start, Pos: pos})
 	}
@@ -804,8 +754,8 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 // containing o at the bucket start (one page read, typically a buffer hit
 // for subsequent seeds). The chunk is read, verified and charged on every
 // lookup; only its decode is remembered: the first lookup of a bucket that
-// lands in a chunk decodes all of it (a delta chain in the varint format)
-// into the scratch, later ones are answered by index.
+// lands in a chunk decodes all of it (a delta chain) into the scratch,
+// later ones are answered by index.
 func (ix *Index) dirLookup(bi int, o trajectory.ObjectID, sc *gridScratch, acct *pagefile.Stats) (int, error) {
 	chunk := int(o) / dirEntriesPerBlob
 	ref := ix.buckets[bi].dirRefs[chunk]
@@ -836,23 +786,14 @@ func (ix *Index) dirLookup(bi int, o trajectory.ObjectID, sc *gridScratch, acct 
 // directory chunk, which must hold at least that many.
 func decodeDirChunk(data []byte, cells []int32) error {
 	dec := pagefile.NewDecoder(data)
-	fixed := dec.Format() == pagefile.FormatFixed
-	var n int
-	if fixed {
-		n = int(dec.Uint32())
-	} else {
-		n = int(dec.Uvarint())
-	}
+	dec.Format()
+	n := int(dec.Uvarint())
 	if dec.Err() == nil && n < len(cells) {
 		dec.Failf("truncated: %d entries for %d objects", n, len(cells))
 	}
 	cell := int64(0)
 	for i := range cells {
-		if fixed {
-			cell = int64(dec.Int32())
-		} else {
-			cell += dec.Varint()
-		}
+		cell += dec.Varint()
 		if cell != int64(int32(cell)) {
 			dec.Failf("entry %d overflows int32", i)
 		}

@@ -18,11 +18,25 @@ func netLog(t *testing.T, numObjects, width, total int) (*Log[*contact.Network],
 		return net, nil
 	})
 	for tk := trajectory.Tick(0); int(tk) < total; tk++ {
-		if _, _, err := log.AddInstant(pairsAt(numObjects, tk)); err != nil {
+		if _, err := addInstant(log, pairsAt(numObjects, tk)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return log, builds
+}
+
+// pending reads the delta-log state off a view: the late/retraction events
+// pending against sealed slabs — the work a full Compact would fold in —
+// and the number of slabs they are pending against.
+func pending[S any](log *Log[S]) (depth, dirty int) {
+	slabs, _, _, _ := log.View()
+	for _, s := range slabs {
+		depth += s.Pending
+		if s.Pending > 0 {
+			dirty++
+		}
+	}
+	return depth, dirty
 }
 
 func ev(tick trajectory.Tick, a, b trajectory.ObjectID) contact.Event {
@@ -68,11 +82,9 @@ func TestDeltaLateAndRetract(t *testing.T) {
 		t.Fatalf("NumTicks = %d after pure corrections, want %d", got, total)
 	}
 
-	if d := log.DeltaDepth(); d != 2 { // tail events are absorbed, not pending
-		t.Fatalf("DeltaDepth = %d, want 2", d)
-	}
-	if d := log.DirtySlabs(); d != 1 {
-		t.Fatalf("DirtySlabs = %d, want 1", d)
+	// Tail events are absorbed, not pending.
+	if depth, dirty := pending(log); depth != 2 || dirty != 1 {
+		t.Fatalf("pending depth %d on %d slabs, want 2 on 1", depth, dirty)
 	}
 	c := log.Counters()
 	if c.LateApplied != 2 || c.Retractions != 1 || c.Duplicates != 1 || c.RetractMisses != 2 {
@@ -165,8 +177,8 @@ func TestDeltaCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without a threshold nothing folds: the late events stay pending.
-	if log.DeltaDepth() != 3 || log.DirtySlabs() != 2 || *builds != 0 {
-		t.Fatalf("no compaction: depth %d dirty %d rebuilds %d, want 3, 2, 0", log.DeltaDepth(), log.DirtySlabs(), *builds)
+	if depth, dirty := pending(log); depth != 3 || dirty != 2 || *builds != 0 {
+		t.Fatalf("no compaction: depth %d dirty %d rebuilds %d, want 3, 2, 0", depth, dirty, *builds)
 	}
 
 	// Threshold 2 compacts only slab 0.
@@ -180,8 +192,8 @@ func TestDeltaCompaction(t *testing.T) {
 	if *builds != 2 {
 		t.Fatalf("%d rebuilds, want 2", *builds)
 	}
-	if log.DeltaDepth() != 0 || log.DirtySlabs() != 0 {
-		t.Fatalf("depth %d dirty %d after compaction", log.DeltaDepth(), log.DirtySlabs())
+	if depth, dirty := pending(log); depth != 0 || dirty != 0 {
+		t.Fatalf("depth %d dirty %d after compaction", depth, dirty)
 	}
 	// The rebuilt sealed value now contains the correction directly.
 	slabs, _, _, _ := log.View()
@@ -254,38 +266,43 @@ func TestEventFrontierGap(t *testing.T) {
 	}
 }
 
-// TestEventFastPathMatchesAddInstant pins the in-order equivalence: a feed
-// delivered as frontier event batches builds the identical log to the same
-// feed delivered via AddInstant.
+// TestEventFastPathMatchesAddInstant pins the in-order equivalence: an
+// instant added as one in-order batch of frontier adds (the fast path, a
+// single Builder append) builds the identical log to the same instant sent
+// through the general path, which a retraction that matches nothing forces.
 func TestEventFastPathMatchesAddInstant(t *testing.T) {
 	const numObjects, width, total = 8, 16, 40
 	build := func(span contact.Interval, net *contact.Network) (*contact.Network, error) {
 		return net, nil
 	}
-	byInstant := NewLog(numObjects, width, build)
-	byEvents := NewLog(numObjects, width, build)
+	fast := NewLog(numObjects, width, build)
+	general := NewLog(numObjects, width, build)
 	for tk := trajectory.Tick(0); int(tk) < total; tk++ {
 		pairs := pairsAt(numObjects, tk)
-		if _, _, err := byInstant.AddInstant(pairs); err != nil {
-			t.Fatal(err)
-		}
 		evs := make([]contact.Event, len(pairs))
 		for i, pr := range pairs {
 			evs[i] = ev(tk, pr.A, pr.B)
 		}
-		res, err := byEvents.IngestEvents(evs, 0)
+		res, err := fast.IngestEvents(evs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Frontier != len(pairs) || res.Late != 0 || res.Duplicates != 0 {
 			t.Fatalf("tick %d: res = %+v", tk, res)
 		}
+		res, err = general.IngestEvents(append(evs, retr(tk, 0, 7)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Frontier != len(pairs) || res.RetractMisses != 1 {
+			t.Fatalf("tick %d, general path: res = %+v", tk, res)
+		}
 	}
-	if byEvents.NumSealed() != byInstant.NumSealed() {
-		t.Fatalf("sealed %d vs %d", byEvents.NumSealed(), byInstant.NumSealed())
+	if fast.NumSealed() != general.NumSealed() {
+		t.Fatalf("sealed %d vs %d", fast.NumSealed(), general.NumSealed())
 	}
-	if !sameNetwork(byEvents.Snapshot(), byInstant.Snapshot()) {
-		t.Fatal("event-fed log diverged from instant-fed log")
+	if !sameNetwork(fast.Snapshot(), general.Snapshot()) {
+		t.Fatal("fast-path log diverged from the general path's")
 	}
 }
 
@@ -297,12 +314,12 @@ func TestSealAbsorbsTailLateEvents(t *testing.T) {
 	if _, err := log.IngestEvents([]contact.Event{ev(1, 0, 3)}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if log.DeltaDepth() != 0 {
+	if depth, _ := pending(log); depth != 0 {
 		t.Fatal("tail-late events must not count as sealed-slab delta depth")
 	}
 	// Fill to the seal.
 	for tk := trajectory.Tick(4); int(tk) < width; tk++ {
-		if _, _, err := log.AddInstant(pairsAt(numObjects, tk)); err != nil {
+		if _, err := addInstant(log, pairsAt(numObjects, tk)); err != nil {
 			t.Fatal(err)
 		}
 	}

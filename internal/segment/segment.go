@@ -6,9 +6,9 @@
 //
 // The package has two halves:
 //
-//   - Layout is pure slab arithmetic — which slab holds a tick, which slabs
-//     overlap an interval, what span a slab covers. Batch segmentation
-//     (splitting a frozen dataset) is Layout plus contact.Network.Window /
+//   - Layout is pure slab arithmetic — how many slabs cover the domain and
+//     what span each covers. Batch segmentation (splitting a frozen
+//     dataset) is Layout plus contact.Network.Window /
 //     trajectory.Dataset.Window.
 //   - Log is the streaming half, shaped like an LSM tree: appends go to one
 //     mutable in-memory tail segment (an incremental contact.Builder over
@@ -78,10 +78,6 @@ func (l Layout) NumSlabs() int {
 	return (l.NumTicks + l.Width - 1) / l.Width
 }
 
-// SlabOf returns the index of the slab containing tick t (which must be in
-// [0, NumTicks)).
-func (l Layout) SlabOf(t trajectory.Tick) int { return int(t) / l.Width }
-
 // Span returns the tick interval of slab i, clipped to the time domain.
 func (l Layout) Span(i int) contact.Interval {
 	lo := trajectory.Tick(i * l.Width)
@@ -90,16 +86,6 @@ func (l Layout) Span(i int) contact.Interval {
 		hi = trajectory.Tick(l.NumTicks - 1)
 	}
 	return contact.Interval{Lo: lo, Hi: hi}
-}
-
-// Overlapping returns the index range [first, last] of slabs overlapping
-// iv, or ok=false when the (clamped) interval is empty.
-func (l Layout) Overlapping(iv contact.Interval) (first, last int, ok bool) {
-	iv = iv.Intersect(contact.Interval{Lo: 0, Hi: trajectory.Tick(l.NumTicks - 1)})
-	if l.NumTicks <= 0 || iv.Len() == 0 {
-		return 0, 0, false
-	}
-	return l.SlabOf(iv.Lo), l.SlabOf(iv.Hi), true
 }
 
 // Sealed is one immutable sealed segment: the slab's global tick span plus
@@ -204,9 +190,6 @@ func NewLog[S any](numObjects, width int, build BuildFunc[S]) *Log[S] {
 	}
 }
 
-// Width returns the slab width.
-func (l *Log[S]) Width() int { return l.width }
-
 // NumTicks returns the number of instants appended so far.
 func (l *Log[S]) NumTicks() int {
 	l.mu.Lock()
@@ -225,57 +208,11 @@ func (l *Log[S]) NumSealed() int {
 	return len(l.sealed)
 }
 
-// DeltaDepth returns the number of effective late/retraction events
-// pending against sealed slabs — the work a full Compact would fold in.
-func (l *Log[S]) DeltaDepth() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for i := range l.deltas {
-		n += len(l.deltas[i].events)
-	}
-	return n
-}
-
-// DirtySlabs returns the number of sealed slabs with pending deltas.
-func (l *Log[S]) DirtySlabs() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for i := range l.deltas {
-		if len(l.deltas[i].events) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Counters returns the cumulative ingest/maintenance counters.
 func (l *Log[S]) Counters() Counters {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.counters
-}
-
-// AddInstant appends the contact pairs active at the next instant to the
-// tail. When the append closes the tail's slab, the slab is sealed: its
-// local network is flushed through the build callback and a fresh tail
-// opens; sealed reports that a seal happened and span is the sealed
-// slab's global tick interval (callers invalidating derived state — query
-// caches, watchers — key off it). A build error leaves the tail un-sealed
-// — the instant itself is retained and the time axis stays intact — and
-// is returned to the appender; the next append retries the seal over the
-// (now wider) tail, so a transient build failure merely widens that one
-// sealed slab.
-func (l *Log[S]) AddInstant(pairs []stjoin.Pair) (sealed bool, span contact.Interval, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var res ApplyResult
-	_, err = l.appendInstantLocked(pairs, &res)
-	if len(res.Sealed) > 0 {
-		return true, res.Sealed[0], err
-	}
-	return false, contact.Interval{}, err
 }
 
 // AdvanceTo pads the time domain with empty instants until it holds at
@@ -294,8 +231,15 @@ func (l *Log[S]) AdvanceTo(numTicks int) (ApplyResult, error) {
 }
 
 // appendInstantLocked appends one frontier instant and seals the tail's
-// slab if the append closed it, accumulating the outcome into res.
-// applied is the number of distinct contact pairs at the new instant.
+// slab if the append closed it — its local network is flushed through the
+// build callback and a fresh tail opens — accumulating the outcome into
+// res; res.Sealed gains the sealed slab's global tick interval (callers
+// invalidating derived state — query caches, watchers — key off it).
+// applied is the number of distinct contact pairs at the new instant. A
+// build error leaves the tail un-sealed — the instant itself is retained
+// and the time axis stays intact — and is returned to the appender; the
+// next append retries the seal over the (now wider) tail, so a transient
+// build failure merely widens that one sealed slab.
 func (l *Log[S]) appendInstantLocked(pairs []stjoin.Pair, res *ApplyResult) (applied int, err error) {
 	t := l.tailStart + trajectory.Tick(l.tail.NumTicks())
 	l.tail.AddInstant(pairs)

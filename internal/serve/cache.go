@@ -1,12 +1,12 @@
-// The query-result cache. Results are keyed on (backend, query kind, src,
-// dst, interval, semantics parameters) and tagged with the query's tick
-// interval; invalidation is interval-overlap driven — when new data lands
-// at tick t (a LiveEngine ingest) or a slab [lo, hi] seals, exactly the
-// entries whose interval overlaps the changed ticks are dropped. Because a
-// reachability answer over [lo, hi] depends only on contacts within
-// [lo, hi], entries outside the changed range remain provably fresh; over
-// a frozen dataset no invalidation ever happens and the cache is always
-// valid.
+// The query-result cache of one Server, hence of one engine. Results are
+// keyed on (query kind, src, dst, interval, semantics parameters) and
+// tagged with the query's tick interval; invalidation is interval-overlap
+// driven — when new data lands at tick t (a LiveEngine ingest) or a slab
+// [lo, hi] seals, exactly the entries whose interval overlaps the changed
+// ticks are dropped. Because a reachability answer over [lo, hi] depends
+// only on contacts within [lo, hi], entries outside the changed range
+// remain provably fresh; over a frozen dataset no invalidation ever happens
+// and the cache is always valid.
 
 package serve
 
@@ -31,7 +31,6 @@ const (
 // cacheKey identifies one cacheable query exactly. All fields participate
 // in equality; fields irrelevant to a kind stay zero.
 type cacheKey struct {
-	backend  string
 	kind     queryKind
 	src, dst streach.ObjectID
 	lo, hi   streach.Tick

@@ -8,8 +8,8 @@ import (
 
 func key(kind queryKind, src, dst int, lo, hi int) cacheKey {
 	return cacheKey{
-		backend: "test", kind: kind,
-		src: streach.ObjectID(src), dst: streach.ObjectID(dst),
+		kind: kind,
+		src:  streach.ObjectID(src), dst: streach.ObjectID(dst),
 		lo: streach.Tick(lo), hi: streach.Tick(hi),
 	}
 }

@@ -315,8 +315,8 @@ func ioOf(s streach.IOStats) ioJSON {
 	}
 }
 
-// intervalRequest is the common (src, from, to) triple; validate reports
-// 400-class problems.
+// validateObject reports an object ID outside the engine's dataset, naming
+// the request field that held it (a 400-class problem).
 func (s *Server) validateObject(field string, id int) error {
 	if id < 0 || id >= s.numObjects {
 		return fmt.Errorf("%s %d outside [0, %d)", field, id, s.numObjects)
@@ -399,8 +399,8 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 		MCSeed:        req.MCSeed,
 	}
 	key := cacheKey{
-		backend: s.eng.Name(), kind: kindReachable,
-		src: streach.ObjectID(req.Src), dst: streach.ObjectID(req.Dst),
+		kind: kindReachable,
+		src:  streach.ObjectID(req.Src), dst: streach.ObjectID(req.Dst),
 		lo: streach.Tick(req.From), hi: streach.Tick(req.To),
 		sem: sem,
 	}
@@ -495,9 +495,9 @@ func (s *Server) handleReachableSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{
-		backend: s.eng.Name(), kind: kindSet,
-		src: streach.ObjectID(req.Src),
-		lo:  streach.Tick(req.From), hi: streach.Tick(req.To),
+		kind: kindSet,
+		src:  streach.ObjectID(req.Src),
+		lo:   streach.Tick(req.From), hi: streach.Tick(req.To),
 	}
 	var (
 		objects []streach.ObjectID
@@ -593,8 +593,8 @@ func (s *Server) handleEarliestArrival(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{
-		backend: s.eng.Name(), kind: kindArrival,
-		src: streach.ObjectID(req.Src), dst: streach.ObjectID(req.Dst),
+		kind: kindArrival,
+		src:  streach.ObjectID(req.Src), dst: streach.ObjectID(req.Dst),
 		lo: streach.Tick(req.From), hi: streach.Tick(req.To),
 	}
 	if !req.NoCache {
@@ -678,9 +678,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := cacheKey{
-		backend: s.eng.Name(), kind: kindTopK,
-		src: streach.ObjectID(req.Src),
-		lo:  streach.Tick(req.From), hi: streach.Tick(req.To),
+		kind: kindTopK,
+		src:  streach.ObjectID(req.Src),
+		lo:   streach.Tick(req.From), hi: streach.Tick(req.To),
 		k: req.K, decay: req.Decay,
 	}
 	if !req.NoCache {
@@ -979,8 +979,9 @@ type statsResponse struct {
 	ExpandedContacts map[string]expandedJSON `json:"expanded_contacts,omitempty"`
 }
 
-// envDims is set by cmd/streachd via SetEnv for load generators that need
-// to synthesize plausible ingest positions.
+// SetEnv records the dataset's environment so /v1/stats can report its
+// width and height: load generators need them to synthesize plausible
+// ingest positions.
 func (s *Server) SetEnv(env streach.Rect) {
 	s.envWidth, s.envHeight = env.Width(), env.Height()
 }

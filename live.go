@@ -120,10 +120,8 @@ type LiveEngine struct {
 	compactEvents int
 
 	// bidir routes the lanes' point queries through the bidirectional
-	// planner ("bidir:" in the name); parallelism is the worker budget for
-	// large frontier sweeps (Options.QueryParallelism).
-	bidir       bool
-	parallelism int
+	// planner ("bidir:" in the name).
+	bidir bool
 
 	// ingestHook and sealHook are the notification hooks of OnIngest and
 	// OnSegmentSeal. They are invoked synchronously from Ingest/AddInstant
@@ -188,7 +186,6 @@ func NewLiveEngine(backend string, numObjects int, env Rect, contactDist float64
 		lanes:         make([]*liveLane, 1),
 		horizon:       horizon,
 		compactEvents: max(opts.CompactEvents, 0),
-		parallelism:   opts.QueryParallelism,
 	}
 	le.engine = &engine{
 		name:       "live:" + spec.info.Name,
@@ -561,11 +558,10 @@ func (le *LiveEngine) views() (segs []*segmentedCore, numTicks int) {
 			slabs = append(slabs, segSlab{span: tailSpan, core: oracleCore{o: queries.NewOracle(tailNet)}})
 		}
 		segs[i] = &segmentedCore{
-			slabs:       slabs,
-			numObjects:  le.numObjects,
-			numTicks:    nt,
-			bidir:       le.bidir,
-			parallelism: le.parallelism,
+			slabs:      slabs,
+			numObjects: le.numObjects,
+			numTicks:   nt,
+			bidir:      le.bidir,
 		}
 		if i == 0 || nt < numTicks {
 			numTicks = nt
@@ -582,12 +578,11 @@ func (le *LiveEngine) coordinator(segs []*segmentedCore, numTicks int) *shardCor
 		return nil
 	}
 	sh := &shardCore{
-		assign:      le.assign,
-		parts:       make([]core, len(segs)),
-		numObjects:  le.numObjects,
-		numTicks:    numTicks,
-		parallelism: le.parallelism,
-		cut:         le.cut,
+		assign:     le.assign,
+		parts:      make([]core, len(segs)),
+		numObjects: le.numObjects,
+		numTicks:   numTicks,
+		cut:        le.cut,
 	}
 	for i, seg := range segs {
 		sh.parts[i] = seg

@@ -2,20 +2,19 @@ package streach_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"streach"
 )
 
-// TestParallelSweepRaceWithIngest drives large parallel-sweep queries
-// through a live disk-resident engine while the appender seals and
-// compacts segments (run under -race in CI). Two invariants are asserted:
-// answers over the stable prefix match the ground truth throughout, and
-// the per-worker I/O accountants merged into each query's delta sum to the
-// shared buffer pool's counters exactly — nothing on the ingest side ever
-// touches the pool's hit/miss counters (builds only write), so the pool
-// delta must equal the reader's accumulated delta to the page.
+// TestParallelSweepRaceWithIngest drives large-frontier queries through a
+// live disk-resident engine while the appender seals and compacts segments
+// (run under -race in CI). Two invariants are asserted: answers over the
+// stable prefix match the ground truth throughout, and the I/O deltas of
+// the queries sum to the shared buffer pool's counters exactly — nothing on
+// the ingest side ever touches the pool's hit/miss counters (builds only
+// write), so the pool delta must equal the reader's accumulated delta to
+// the page.
 func TestParallelSweepRaceWithIngest(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 256, NumTicks: 240, Seed: 99,
@@ -23,10 +22,9 @@ func TestParallelSweepRaceWithIngest(t *testing.T) {
 	fullOracle := ds.Contacts().Oracle()
 	pool := streach.NewBufferPool(96)
 	le, err := streach.NewLiveEngine("bidir:reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{
-		SegmentTicks:     24,
-		QueryParallelism: runtime.GOMAXPROCS(0),
-		Pool:             pool,
-		CompactEvents:    2,
+		SegmentTicks:  24,
+		Pool:          pool,
+		CompactEvents: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +33,10 @@ func TestParallelSweepRaceWithIngest(t *testing.T) {
 	feedLive(t, le, ds, stablePrefix+10)
 
 	ctx := context.Background()
-	// A full-prefix reachable set large enough that the carried frontier
-	// crosses the parallel-sweep engagement threshold mid-plan.
-	sr, err := le.ReachableSet(ctx, 0, streach.NewInterval(0, stablePrefix))
-	if err != nil {
+	// A full-prefix reachable set: the frontier the planner carries from
+	// slab to slab grows to most of the population.
+	if _, err := le.ReachableSet(ctx, 0, streach.NewInterval(0, stablePrefix)); err != nil {
 		t.Fatal(err)
-	}
-	if len(sr.Objects) < 128 {
-		t.Skipf("reachable set of %d objects never engages the parallel sweep", len(sr.Objects))
 	}
 
 	// Appender: seal the rest of the feed and keep dropping late contact

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"streach/internal/pagefile"
 	"streach/internal/queries"
@@ -132,10 +131,9 @@ func (w *walk) meets(o *walk) bool {
 // (budget minus the transfers already spent) in hop-tracking mode — and the
 // slab-local profile is merged back into the global tables: ticks re-based
 // to global keep their best value (forward the earliest arrival, backward
-// the latest departure), hop counts their minimum. par is the worker budget
-// for a large frontier (see sweepSlab). The int result is the slab's
-// expansion counter.
-func (w *walk) step(ctx context.Context, s segSlab, iv Interval, early ObjectID, par int, acct *pagefile.Stats) (int, error) {
+// the latest departure), hop counts their minimum. The int result is the
+// slab's expansion counter.
+func (w *walk) step(ctx context.Context, s segSlab, iv Interval, early ObjectID, acct *pagefile.Stats) (int, error) {
 	win, local := localInterval(s.span, iv)
 	if win.Len() == 0 {
 		return 0, nil
@@ -162,7 +160,7 @@ func (w *walk) step(ctx context.Context, s segSlab, iv Interval, early ObjectID,
 	if len(w.seeds) == 0 {
 		return 0, nil
 	}
-	entries, n, err := sweepSlab(ctx, s.core, w.buf[:0], w.seeds, local, w.spec, early, par, acct)
+	entries, n, err := s.core.sweep(ctx, w.buf[:0], w.seeds, local, w.spec, early, acct)
 	if err != nil {
 		return n, err
 	}
@@ -206,62 +204,6 @@ func (w *walk) appendProfile(out []queries.ProfileEntry) []queries.ProfileEntry 
 	return out
 }
 
-// parallelSweepMinFrontier is the frontier size below which a sweep stays
-// serial even when the engine has a parallelism budget: partitioning a
-// small seed set costs more in goroutine handoff and merge work than the
-// sweep itself, and the serial path is what keeps steady-state point
-// queries at zero heap allocations.
-const parallelSweepMinFrontier = 128
-
-// sweepSlab is the planners' one way to sweep a slab core: c.sweep, fanned
-// out across up to par workers (Options.QueryParallelism) when the seed
-// frontier is large enough. Propagation from a seed union is the union of
-// per-seed propagation (it is monotone and seeds are independent), so
-// concatenating the partial profiles yields the serial answer with some
-// objects listed more than once — which every caller's merge step, keeping
-// the best tick and the fewest hops per object, absorbs. Workers share the
-// immutable core (per-call traversal state comes from the epoch-stamped
-// visit pools) but each charges a private accountant; the partial counters
-// are summed into acct after the join — even for workers that failed,
-// since their page reads were already charged to the store's cumulative
-// totals — which preserves the engine invariant that per-query I/O deltas
-// sum exactly to the pool totals.
-func sweepSlab(ctx context.Context, c core, out []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, early ObjectID, par int, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	if par <= 1 || len(seeds) < parallelSweepMinFrontier {
-		return c.sweep(ctx, out, seeds, iv, spec, early, acct)
-	}
-	workers := min(par, len(seeds))
-	chunk := (len(seeds) + workers - 1) / workers
-	type partial struct {
-		entries []queries.ProfileEntry
-		n       int
-		io      pagefile.Stats
-		err     error
-	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w*chunk < len(seeds); w++ {
-		wg.Add(1)
-		go func(p *partial, sub []queries.SeedState) {
-			defer wg.Done()
-			p.entries, p.n, p.err = c.sweep(ctx, nil, sub, iv, spec, early, &p.io)
-		}(&parts[w], seeds[w*chunk:min((w+1)*chunk, len(seeds))])
-	}
-	wg.Wait()
-	expanded := 0
-	var firstErr error
-	for i := range parts {
-		p := &parts[i]
-		expanded += p.n
-		acct.Add(p.io)
-		if p.err != nil && firstErr == nil {
-			firstErr = p.err
-		}
-		out = append(out, p.entries...)
-	}
-	return out, expanded, firstErr
-}
-
 // overlappingSlabs returns the index range of slabs whose spans overlap iv
 // (spans are ascending and disjoint). last < first when none overlap.
 func overlappingSlabs(slabs []segSlab, iv Interval) (first, last int) {
@@ -293,9 +235,6 @@ type segmentedCore struct {
 	// the "bidir:" combinator, whose slab cores all sweep backward too.
 	// Sweeps use the one-directional walk either way.
 	bidir bool
-	// parallelism is the worker budget for large frontier sweeps
-	// (Options.QueryParallelism); <= 1 keeps every sweep serial.
-	parallelism int
 }
 
 // reach is the cross-segment point query: sweep the slabs before the last
@@ -326,7 +265,7 @@ func (c *segmentedCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectI
 			ok, n, err := c.slabs[i].core.reach(ctx, w.reached, dst, local, acct)
 			return ok, expanded + n, err
 		}
-		n, err := w.step(ctx, c.slabs[i], iv, dst, c.parallelism, acct)
+		n, err := w.step(ctx, c.slabs[i], iv, dst, acct)
 		expanded += n
 		if err != nil {
 			return false, expanded, err
@@ -372,7 +311,7 @@ func (c *segmentedCore) sweep(ctx context.Context, out []queries.ProfileEntry, s
 		if spec.dir == backward {
 			i = last - k
 		}
-		n, err := w.step(ctx, c.slabs[i], iv, early, c.parallelism, acct)
+		n, err := w.step(ctx, c.slabs[i], iv, early, acct)
 		expanded += n
 		if err != nil {
 			return out, expanded, err
@@ -508,10 +447,9 @@ func buildSegmentedCore(base backendSpec, bidir bool, src Source, opts Options) 
 	layout := segment.NewLayout(opts.SegmentTicks, numTicks)
 	slabOpts := withSharedPool(opts, base.info.DiskResident)
 	c := &segmentedCore{
-		numObjects:  numObjects,
-		numTicks:    numTicks,
-		bidir:       bidir,
-		parallelism: opts.QueryParallelism,
+		numObjects: numObjects,
+		numTicks:   numTicks,
+		bidir:      bidir,
 	}
 	for i := 0; i < layout.NumSlabs(); i++ {
 		span := layout.Span(i)

@@ -82,18 +82,7 @@ type shardCore struct {
 	parts      []core
 	numObjects int
 	numTicks   int
-	// parallelism is the scatter worker budget: Options.QueryParallelism
-	// when positive, otherwise one worker per shard — sharded expansion is
-	// concurrent by default, that is the point of the partition.
-	parallelism int
-	cut         *shardCut
-}
-
-func (c *shardCore) par() int {
-	if c.parallelism > 0 {
-		return c.parallelism
-	}
-	return len(c.parts)
+	cut        *shardCut
 }
 
 func (c *shardCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
@@ -306,24 +295,21 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 		if len(ps.tasks) == 0 {
 			break
 		}
-		// Scatter: expand every task on its owner, concurrently up to the
-		// worker budget; workers charge private accountants.
+		// Scatter: expand every task on its owner, one goroutine per task
+		// (there is at most one task per owner) — sharded expansion is
+		// concurrent, that is the point of the partition; each charges a
+		// private accountant.
 		results := make([]shardTaskResult, len(ps.tasks))
-		workers := min(c.par(), len(ps.tasks))
-		if workers <= 1 {
-			for i := range ps.tasks {
-				c.runTask(ctx, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
-			}
+		if len(ps.tasks) == 1 {
+			c.runTask(ctx, ps, &ps.tasks[0], &results[0], iv, spec, earlyDst)
 		} else {
 			var wg sync.WaitGroup
-			for wk := 0; wk < workers; wk++ {
+			for i := range ps.tasks {
 				wg.Add(1)
-				go func(wk int) {
+				go func(i int) {
 					defer wg.Done()
-					for i := wk; i < len(ps.tasks); i += workers {
-						c.runTask(ctx, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
-					}
-				}(wk)
+					c.runTask(ctx, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
+				}(i)
 			}
 			wg.Wait()
 		}
@@ -453,11 +439,10 @@ func buildShardCore(k int, partitioner string, base backendSpec, src Source, opt
 	}
 	split := shard.Cut(src.sourceContacts().net, assign)
 	c := &shardCore{
-		assign:      assign,
-		numObjects:  numObjects,
-		numTicks:    numTicks,
-		parallelism: opts.QueryParallelism,
-		cut:         &shardCut{contacts: make([]atomic.Int64, k)},
+		assign:     assign,
+		numObjects: numObjects,
+		numTicks:   numTicks,
+		cut:        &shardCut{contacts: make([]atomic.Int64, k)},
 	}
 	c.cut.cross.Store(int64(split.CrossContacts))
 	c.cut.total.Store(int64(split.TotalContacts))

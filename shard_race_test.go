@@ -2,7 +2,6 @@ package streach_test
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -23,10 +22,9 @@ func TestShardScatterGatherRaceWithIngest(t *testing.T) {
 	fullOracle := ds.Contacts().Oracle()
 	pool := streach.NewBufferPool(128)
 	le, err := streach.NewLiveEngine("shard:4:reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{
-		SegmentTicks:     24,
-		QueryParallelism: runtime.GOMAXPROCS(0),
-		Pool:             pool,
-		CompactEvents:    2,
+		SegmentTicks:  24,
+		Pool:          pool,
+		CompactEvents: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +122,7 @@ func TestShardFrozenConcurrentReaders(t *testing.T) {
 	oracle := ds.Contacts().Oracle()
 	pool := streach.NewBufferPool(64)
 	eng, err := streach.Open("shard:4:spatial:reachgraph", ds, streach.Options{
-		Pool: pool, QueryParallelism: runtime.GOMAXPROCS(0),
+		Pool: pool,
 	})
 	if err != nil {
 		t.Fatal(err)

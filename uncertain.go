@@ -1,10 +1,9 @@
 // The uncertain:* backend family: §7's probabilistic contact-network
 // engines lifted into the registry. An "uncertain:<base>" backend wraps any
-// base with a disk-resident contact store —
-// time-bucketed blobs in the versioned contact codec (the v2 layout carries
-// the per-contact weight/duration sidecar; v1 blobs decode forever with a
-// zero sidecar) — and answers every forward sweep natively: plain, filtered
-// and hop-bounded profiles evaluate over the decoded, predicate-projected
+// base with a disk-resident contact store — time-bucketed blobs in the
+// contact codec, which carries the per-contact weight/duration sidecar —
+// and answers every forward sweep natively: plain, filtered and
+// hop-bounded profiles evaluate over the decoded, predicate-projected
 // network, charging real blob reads to the query's accountant, while
 // boolean point queries delegate to the base index untouched.
 //
@@ -81,7 +80,7 @@ func buildUncertainCore(base backendSpec, src Source, opts Options) (core, error
 			}
 		}
 		enc.Reset()
-		contact.AppendContactsBlob(enc, cs, opts.PageFormat)
+		contact.AppendContactsBlob(enc, cs)
 		c.buckets = append(c.buckets, uncertainBucket{ref: c.store.AppendBlob(enc.Bytes()), lo: lo, maxHi: maxHi})
 	}
 	var group []contact.Contact
