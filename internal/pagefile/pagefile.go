@@ -20,6 +20,12 @@
 // surfaces as ErrCorruptBlob, while damage to page slack or to a
 // neighbouring blob packed on the same page leaves this blob readable.
 //
+// The checksum is not moved to the moment a page enters the pool. On the
+// paper's setup — an index behind a pool of about 1 % of it — nearly every
+// access misses (98.8 % on the benchmark's graph-point), so verifying at
+// admission would save almost none of the work, and it would hand a hit
+// bytes that another query verified rather than the bytes this read sees.
+//
 // Inside the checksum every index blob begins with one layout version byte
 // (Encoder.Format writes it, Decoder.Format checks it). There is one on-page
 // layout, owned by the code that writes it, and the byte is a second
@@ -55,9 +61,15 @@
 //     once per ReadBlob alongside the caller's accountant, so per-query
 //     deltas sum exactly to the store totals.
 //   - BufferPool is a page-sharded LRU safe for concurrent use: pages hash
-//     onto independently latched shards, each page access takes its
-//     shard's latch once, and the hit/miss/eviction counters are atomic.
-//     One pool can be shared by several stores (pages are keyed by store
+//     onto independently latched shards, each a strict LRU over its own
+//     pages. A blob read groups its pages by shard, a window of pages at a
+//     time, and takes each shard's latch once per window, touching that
+//     shard's pages in ascending order — the order a page-at-a-time read
+//     would, so every hit, miss and eviction is the same. A page finds its
+//     frame by index: its store keeps a page → frame table, whose entries
+//     are read and written only under the latch of the page's shard. The
+//     hit/miss/eviction counters are atomic and charged once per blob.
+//     One pool can be shared by several stores (frames carry the store's
 //     identity), giving all readers of one dataset a common page budget.
 //     Its Generation stands still exactly while no page leaves it, which
 //     lets a reader keep what it decoded from resident pages and no more.
@@ -153,9 +165,10 @@ type Store struct {
 	shared bool // pool is shared with other stores; DropCache evicts only our pages
 
 	mu       sync.RWMutex
-	pages    [][]byte // page table: len PageSize each, cap to the end of the page's extent
-	spare    [][]byte // pages allocExtent obtained but has not handed out yet
-	tailUsed int      // bytes used in the final page (blob packing)
+	pages    [][]byte      // page table: len PageSize each, cap to the end of the page's extent
+	frames   []*frameChunk // residency, by page (see frameChunk); covers pages when pool is set
+	spare    [][]byte      // pages allocExtent obtained but has not handed out yet
+	tailUsed int           // bytes used in the final page (blob packing)
 
 	randomReads     atomic.Int64
 	sequentialReads atomic.Int64
@@ -238,10 +251,37 @@ func (st *Store) DropCache() {
 		return
 	}
 	if st.shared {
-		st.pool.EvictStore(st.id)
+		st.pool.evictStore(st.id)
 		return
 	}
 	st.pool.Clear()
+}
+
+// framesPerChunk is how many pages one chunk of a store's residency table
+// covers. The table grows by whole chunks, so an entry never moves while a
+// frame points at it.
+const framesPerChunk = 1024
+
+// frameChunk holds, for each of framesPerChunk consecutive pages of a
+// store, one more than the index of the page's frame in its pool shard, or
+// 0 while the page is not resident. An entry is read and written only under
+// the latch of its page's shard.
+type frameChunk [framesPerChunk]int32
+
+// frameOf returns the residency entry of page p in a snapshot of the table.
+func frameOf(frames []*frameChunk, p int64) *int32 {
+	return &frames[p/framesPerChunk][p%framesPerChunk]
+}
+
+// uncache drops page p from the buffer pool if it is resident.
+func (st *Store) uncache(p int64) {
+	if st.pool == nil {
+		return
+	}
+	st.mu.RLock()
+	slot := frameOf(st.frames, p)
+	st.mu.RUnlock()
+	st.pool.evict(st.id, p, slot)
 }
 
 // BlobRef locates a blob on the store.
@@ -305,6 +345,9 @@ func (st *Store) AppendBlob(data []byte) BlobRef {
 		for off := 0; off < len(extent); off += PageSize {
 			st.pages = append(st.pages, extent[off:off+PageSize:len(extent)])
 		}
+		for st.pool != nil && len(st.frames)*framesPerChunk < len(st.pages) {
+			st.frames = append(st.frames, new(frameChunk))
+		}
 		st.pagesWritten.Add(int64(n))
 	}
 	end := int(ref.Off) + size
@@ -336,7 +379,7 @@ func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
 	end := int(ref.Off) + int(ref.Bytes)
 	numPages := int64(end+PageSize-1) / PageSize
 	st.mu.RLock()
-	pages := st.pages // append-only: the entries of a snapshot never change
+	pages, frames := st.pages, st.frames // append-only: the entries of a snapshot never move
 	st.mu.RUnlock()
 	if ref.Page < 0 || ref.Page > int64(len(pages))-numPages {
 		return nil, fmt.Errorf("pagefile: blob [%d, %d) outside store of %d pages",
@@ -346,21 +389,33 @@ func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
 	if end > cap(first) {
 		return nil, fmt.Errorf("pagefile: blob [%d, %d) is not within one extent", ref.Page, ref.Page+numPages)
 	}
-	var hits, seq, random int64
-	for p := ref.Page; p < ref.Page+numPages; p++ {
-		switch {
-		case st.pool != nil && st.pool.Touch(st.id, p):
-			hits++
-		case acct.sequential(p):
-			seq++
-		default:
-			random++
+	// The pages pass through the pool a window at a time; the misses are
+	// then classified in page order, which pool hits do not interrupt.
+	var hits, seq, random, evicted int64
+	var hit [window]bool
+	for p, last := ref.Page, ref.Page+numPages; p < last; p += window {
+		run := hit[:min(last-p, window)]
+		if st.pool != nil {
+			evicted += st.pool.access(st.id, frames, p, run)
+		}
+		for i, h := range run {
+			switch {
+			case h:
+				hits++
+			case acct.sequential(p + int64(i)):
+				seq++
+			default:
+				random++
+			}
 		}
 	}
 	acct.BufferHits += hits
-	st.bufferHits.Add(hits)
-	st.sequentialReads.Add(seq)
-	st.randomReads.Add(random)
+	addNonZero(&st.bufferHits, hits)
+	addNonZero(&st.sequentialReads, seq)
+	addNonZero(&st.randomReads, random)
+	if st.pool != nil {
+		st.pool.charge(hits, seq+random, evicted)
+	}
 
 	buf := first[ref.Off:end]
 	if n := binary.LittleEndian.Uint32(buf[0:4]); int64(n) != int64(ref.Bytes)-blobHeaderSize {
@@ -387,18 +442,24 @@ func (st *Store) CorruptPage(p int64, offset int) error {
 	st.pages[p][offset%PageSize] ^= 0xFF
 	st.mu.Unlock()
 	// Drop the page from the pool, so the next read goes to disk for it.
-	if st.pool != nil {
-		st.pool.Evict(st.id, p)
-	}
+	st.uncache(p)
 	return nil
+}
+
+// addNonZero adds d to c unless it is 0: a counter both cores write is
+// written only when it changes.
+func addNonZero(c *atomic.Int64, d int64) {
+	if d != 0 {
+		c.Add(d)
+	}
 }
 
 // PoolStats is a snapshot of a buffer pool's global atomic counters.
 type PoolStats struct {
-	// Hits and Misses count Touch outcomes.
+	// Hits and Misses count page accesses by outcome.
 	Hits, Misses int64
-	// Evictions counts pages displaced by the capacity limit (explicit
-	// Evict/Clear/EvictStore calls are not counted).
+	// Evictions counts pages displaced by the capacity limit (pages dropped
+	// by CorruptPage, DropCache or Clear are not counted).
 	Evictions int64
 	// Resident is the number of cached pages; Capacity the page budget.
 	Resident int
@@ -411,13 +472,6 @@ func (p PoolStats) HitRate() float64 {
 		return 0
 	}
 	return float64(p.Hits) / float64(p.Hits+p.Misses)
-}
-
-// pageKey identifies a cached page: pools can be shared across stores, so
-// the owning store is part of the key.
-type pageKey struct {
-	store uint64
-	page  int64
 }
 
 // BufferPool is a fixed-capacity LRU page cache, safe for concurrent use.
@@ -436,17 +490,25 @@ type BufferPool struct {
 	capacity   int
 }
 
+// poolShard is a strict LRU over the pages that hash onto it. Its frames
+// form a dense array, one per resident page, grown as pages become resident
+// and linked from most to least recently used by index.
 type poolShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[pageKey]*poolNode
-	head     *poolNode // most recently used
-	tail     *poolNode // least recently used
+	mu         sync.Mutex
+	capacity   int
+	frames     []frame
+	head, tail int32 // most and least recently used frame, noFrame when empty
 }
 
-type poolNode struct {
-	key        pageKey
-	prev, next *poolNode
+// noFrame ends an LRU list.
+const noFrame = -1
+
+// frame is one resident page: the residency entry of its store that points
+// back at it, that store's identity, and its LRU neighbours.
+type frame struct {
+	slot       *int32
+	store      uint64
+	prev, next int32
 }
 
 // maxPoolShards bounds the latch count; minShardPages keeps every shard a
@@ -457,6 +519,15 @@ const (
 	maxPoolShards = 16
 	minShardPages = 16
 )
+
+// window is how many pages of a blob pass through the pool in one round:
+// a round's bookkeeping is stack arrays of this length, so a blob longer
+// than the window — partition extents reach ≈ 350 pages — takes several
+// rounds, each latching a shard at most once.
+const window = 128
+
+// A round's page indices and per-shard counts are uint8s.
+const _ uint8 = window
 
 // NewBufferPool returns a pool holding at most capacity pages in total.
 func NewBufferPool(capacity int) *BufferPool {
@@ -478,7 +549,7 @@ func NewBufferPool(capacity int) *BufferPool {
 		if i < extra {
 			c++
 		}
-		bp.shards[i] = poolShard{capacity: c, entries: make(map[pageKey]*poolNode)}
+		bp.shards[i] = poolShard{capacity: c, head: noFrame, tail: noFrame}
 	}
 	return bp
 }
@@ -487,16 +558,17 @@ func NewBufferPool(capacity int) *BufferPool {
 func (bp *BufferPool) Capacity() int { return bp.capacity }
 
 // Generation changes whenever a page may have left the pool: displaced by
-// the capacity limit, or dropped by Evict, EvictStore or Clear. A reader that
-// sees the same generation twice knows every page it touched in between is
-// still resident — what lets it keep state derived from resident pages and
-// bound that state by the pool's capacity.
+// the capacity limit, or dropped by CorruptPage, DropCache or Clear. A
+// reader that sees the same generation twice knows every page it touched in
+// between is still resident — what lets it keep state derived from resident
+// pages and bound that state by the pool's capacity. A blob read that
+// displaces pages moves it once, after its last page.
 func (bp *BufferPool) Generation() uint64 { return bp.generation.Load() }
 
-// shardOf maps a page key onto its shard.
-func (bp *BufferPool) shardOf(k pageKey) *poolShard {
-	h := uint64(k.page)*0x9E3779B97F4A7C15 ^ k.store*0xBF58476D1CE4E5B9
-	return &bp.shards[h%uint64(len(bp.shards))]
+// shardOf maps page p of store onto its shard.
+func (bp *BufferPool) shardOf(store uint64, p int64) int {
+	h := uint64(p)*0x9E3779B97F4A7C15 ^ store*0xBF58476D1CE4E5B9
+	return int(h % uint64(len(bp.shards)))
 }
 
 // Len returns the number of cached pages.
@@ -505,7 +577,7 @@ func (bp *BufferPool) Len() int {
 	for i := range bp.shards {
 		sh := &bp.shards[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += len(sh.frames)
 		sh.mu.Unlock()
 	}
 	return n
@@ -522,66 +594,79 @@ func (bp *BufferPool) Stats() PoolStats {
 	}
 }
 
-// Touch is one access to page (store, p), under one acquisition of its
-// shard's latch. It reports a hit when the page is resident, and marks it
-// most recently used; on a miss it makes the page resident, displacing the
-// least recently used page of the shard — whose node it reuses — when the
-// shard is at capacity.
-func (bp *BufferPool) Touch(store uint64, p int64) (hit bool) {
-	k := pageKey{store, p}
-	sh := bp.shardOf(k)
-	sh.mu.Lock()
-	n, hit := sh.entries[k]
-	full := !hit && len(sh.entries) >= sh.capacity
-	switch {
-	case hit:
-		sh.moveToFront(n)
-	case full:
-		n = sh.tail
-		delete(sh.entries, n.key)
-		n.key = k
-		sh.entries[k] = n
-		sh.moveToFront(n)
-	default:
-		n = &poolNode{key: k}
-		sh.entries[k] = n
-		sh.pushFront(n)
+// access passes pages first, first+1, … of store through the pool, one per
+// element of hit (at most window of them), frames being the store's
+// residency table, and sets hit[i] when page first+i was resident. The pages
+// are grouped by shard; each shard's latch is taken once and its pages
+// touched in ascending order, which leaves every shard exactly as a
+// page-at-a-time pass would. It returns how many pages were displaced and
+// leaves the counters to charge.
+func (bp *BufferPool) access(store uint64, frames []*frameChunk, first int64, hit []bool) (displaced int64) {
+	var shard, order [window]uint8
+	var start [maxPoolShards + 1]uint8 // counting sort: shard s's pages are order[start[s]:start[s+1]]
+	for i := range hit {
+		s := bp.shardOf(store, first+int64(i))
+		shard[i] = uint8(s)
+		start[s+1]++
 	}
-	sh.mu.Unlock()
-	if hit {
-		bp.hits.Add(1)
-		return true
+	for s := range bp.shards {
+		start[s+1] += start[s]
 	}
-	bp.misses.Add(1)
-	if full {
-		bp.evictions.Add(1)
-		bp.generation.Add(1)
+	next := start
+	for i, s := range shard[:len(hit)] {
+		order[next[s]] = uint8(i)
+		next[s]++
 	}
-	return false
+	for s := range bp.shards {
+		run := order[start[s]:start[s+1]]
+		if len(run) == 0 {
+			continue
+		}
+		sh := &bp.shards[s]
+		sh.mu.Lock()
+		for _, i := range run {
+			h, d := sh.touch(frameOf(frames, first+int64(i)), store)
+			hit[i] = h
+			if d {
+				displaced++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return displaced
 }
 
-// Evict removes page (store, p) from the pool if present.
-func (bp *BufferPool) Evict(store uint64, p int64) {
-	k := pageKey{store, p}
-	sh := bp.shardOf(k)
+// charge adds one blob's page accesses to the counters, and moves the
+// generation when any of them displaced a page.
+func (bp *BufferPool) charge(hits, misses, displaced int64) {
+	addNonZero(&bp.hits, hits)
+	addNonZero(&bp.misses, misses)
+	if displaced != 0 {
+		bp.evictions.Add(displaced)
+		bp.generation.Add(1)
+	}
+}
+
+// evict drops page p of store, whose residency entry is slot, if resident.
+func (bp *BufferPool) evict(store uint64, p int64, slot *int32) {
+	sh := &bp.shards[bp.shardOf(store, p)]
 	sh.mu.Lock()
-	if n, ok := sh.entries[k]; ok {
-		sh.unlink(n)
-		delete(sh.entries, k)
+	if f := *slot; f != 0 {
+		sh.remove(f - 1)
 	}
 	sh.mu.Unlock()
 	bp.generation.Add(1)
 }
 
-// EvictStore removes every cached page belonging to store.
-func (bp *BufferPool) EvictStore(store uint64) {
+// evictStore drops every cached page of store.
+func (bp *BufferPool) evictStore(store uint64) {
 	for i := range bp.shards {
 		sh := &bp.shards[i]
 		sh.mu.Lock()
-		for k, n := range sh.entries {
-			if k.store == store {
-				sh.unlink(n)
-				delete(sh.entries, k)
+		// Downwards: the frame remove moves into a hole is one already kept.
+		for f := int32(len(sh.frames)) - 1; f >= 0; f-- {
+			if sh.frames[f].store == store {
+				sh.remove(f)
 			}
 		}
 		sh.mu.Unlock()
@@ -594,43 +679,94 @@ func (bp *BufferPool) Clear() {
 	for i := range bp.shards {
 		sh := &bp.shards[i]
 		sh.mu.Lock()
-		sh.entries = make(map[pageKey]*poolNode)
-		sh.head, sh.tail = nil, nil
+		for _, f := range sh.frames {
+			*f.slot = 0
+		}
+		sh.frames = nil
+		sh.head, sh.tail = noFrame, noFrame
 		sh.mu.Unlock()
 	}
 	bp.generation.Add(1)
 }
 
-func (sh *poolShard) pushFront(n *poolNode) {
-	n.prev = nil
-	n.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = n
+// touch is one access, under the shard's latch, to the page whose residency
+// entry is slot. A resident page becomes the most recently used; a missing
+// one is made resident in a new frame while the shard has room, and
+// otherwise in the frame of the least recently used page, which it displaces.
+func (sh *poolShard) touch(slot *int32, store uint64) (hit, displaced bool) {
+	if f := *slot; f != 0 {
+		sh.moveToFront(f - 1)
+		return true, false
 	}
-	sh.head = n
-	if sh.tail == nil {
-		sh.tail = n
+	i := sh.tail
+	if len(sh.frames) < sh.capacity {
+		i = int32(len(sh.frames))
+		sh.frames = append(sh.frames, frame{})
+	} else {
+		*sh.frames[i].slot = 0
+		sh.unlink(i)
+		displaced = true
+	}
+	sh.frames[i] = frame{slot: slot, store: store}
+	sh.pushFront(i)
+	*slot = i + 1
+	return false, displaced
+}
+
+// remove drops frame i. The last frame moves into its place, so the array
+// stays dense; that frame's neighbours and residency entry follow it.
+func (sh *poolShard) remove(i int32) {
+	sh.unlink(i)
+	*sh.frames[i].slot = 0
+	last := int32(len(sh.frames)) - 1
+	if i != last {
+		m := sh.frames[last]
+		sh.frames[i] = m
+		*m.slot = i + 1
+		if m.prev != noFrame {
+			sh.frames[m.prev].next = i
+		} else {
+			sh.head = i
+		}
+		if m.next != noFrame {
+			sh.frames[m.next].prev = i
+		} else {
+			sh.tail = i
+		}
+	}
+	sh.frames[last] = frame{}
+	sh.frames = sh.frames[:last]
+}
+
+func (sh *poolShard) pushFront(i int32) {
+	f := &sh.frames[i]
+	f.prev, f.next = noFrame, sh.head
+	if sh.head != noFrame {
+		sh.frames[sh.head].prev = i
+	} else {
+		sh.tail = i
+	}
+	sh.head = i
+}
+
+func (sh *poolShard) unlink(i int32) {
+	f := &sh.frames[i]
+	if f.prev != noFrame {
+		sh.frames[f.prev].next = f.next
+	} else {
+		sh.head = f.next
+	}
+	if f.next != noFrame {
+		sh.frames[f.next].prev = f.prev
+	} else {
+		sh.tail = f.prev
 	}
 }
 
-func (sh *poolShard) unlink(n *poolNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		sh.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		sh.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (sh *poolShard) moveToFront(n *poolNode) {
-	if sh.head == n {
+func (sh *poolShard) moveToFront(i int32) {
+	if sh.head == i {
 		return
 	}
-	sh.unlink(n)
-	sh.pushFront(n)
+	sh.unlink(i)
+	sh.pushFront(i)
 }

@@ -241,17 +241,39 @@ func TestCorruptionVisibleThroughPool(t *testing.T) {
 	}
 }
 
+// pageStore returns a store over pool holding n blobs of one full page each,
+// blob i on page i: reading it is one access to page i, so the pool's
+// per-page behaviour is observable through ReadBlob.
+func pageStore(pool *BufferPool, n int) *Store {
+	st := NewStoreShared(pool)
+	for i := 0; i < n; i++ {
+		st.AppendBlob(make([]byte, PageSize-blobHeaderSize))
+	}
+	return st
+}
+
+// touch reads page p of a pageStore and reports whether it hit the pool.
+func touch(t testing.TB, st *Store, p int64) bool {
+	t.Helper()
+	var s Stats
+	if _, err := st.ReadBlob(BlobRef{Page: p, Bytes: PageSize}, &s); err != nil {
+		t.Error(err)
+	}
+	return s.BufferHits == 1
+}
+
 func TestBufferPoolLRUWithinShard(t *testing.T) {
 	// Capacity 1 ⇒ one shard: global LRU semantics are exact and the
 	// classic eviction order is observable.
 	bp := NewBufferPool(1)
-	if bp.Touch(1, 1) {
+	st := pageStore(bp, 3)
+	if touch(t, st, 1) {
 		t.Fatal("first access of page 1 hit")
 	}
-	if bp.Touch(1, 2) { // evicts 1
+	if touch(t, st, 2) { // evicts 1
 		t.Fatal("first access of page 2 hit")
 	}
-	if !bp.Touch(1, 2) {
+	if !touch(t, st, 2) {
 		t.Fatal("page 2 should be cached")
 	}
 	if bp.Len() != 1 {
@@ -260,7 +282,7 @@ func TestBufferPoolLRUWithinShard(t *testing.T) {
 	if ev := bp.Stats().Evictions; ev != 1 {
 		t.Fatalf("Evictions = %d, want 1", ev)
 	}
-	if bp.Touch(1, 1) {
+	if touch(t, st, 1) {
 		t.Fatal("page 1 should have been evicted")
 	}
 	if s := bp.Stats(); s.Hits != 1 || s.Misses != 3 || s.Evictions != 2 {
@@ -270,21 +292,22 @@ func TestBufferPoolLRUWithinShard(t *testing.T) {
 
 func TestBufferPoolUpdateAndEvict(t *testing.T) {
 	bp := NewBufferPool(2)
-	bp.Touch(1, 1)
-	if !bp.Touch(1, 1) { // re-access, no growth
+	st := pageStore(bp, 3)
+	touch(t, st, 1)
+	if !touch(t, st, 1) { // re-access, no growth
 		t.Fatal("re-access missed")
 	}
 	if bp.Len() != 1 {
 		t.Fatalf("Len after re-access = %d, want 1", bp.Len())
 	}
-	bp.Evict(1, 1)
+	st.uncache(1)
 	if bp.Len() != 0 {
 		t.Fatal("evicted page still cached")
 	}
-	if bp.Touch(1, 1) {
+	if touch(t, st, 1) {
 		t.Fatal("access after Evict hit")
 	}
-	bp.Evict(1, 42) // no-op must not panic
+	st.uncache(2) // not resident: a no-op that must not panic
 	bp.Clear()
 	if bp.Len() != 0 {
 		t.Fatal("Clear left entries")
@@ -294,14 +317,14 @@ func TestBufferPoolUpdateAndEvict(t *testing.T) {
 	}
 }
 
-// lruModel is the reference the one-shard pool must match access for
-// access: a slice ordered most recently used first.
-type lruModel struct {
+// lruModel is the reference one pool shard must match access for access: a
+// slice of page keys ordered most recently used first.
+type lruModel[K comparable] struct {
 	capacity int
-	pages    []int64
+	pages    []K
 }
 
-func (m *lruModel) evict(p int64) bool {
+func (m *lruModel[K]) evict(p K) bool {
 	for i, q := range m.pages {
 		if q == p {
 			m.pages = append(m.pages[:i], m.pages[i+1:]...)
@@ -311,33 +334,35 @@ func (m *lruModel) evict(p int64) bool {
 	return false
 }
 
-func (m *lruModel) touch(p int64) (hit, evicted bool) {
+func (m *lruModel[K]) touch(p K) (hit, evicted bool) {
 	hit = m.evict(p)
 	if !hit && len(m.pages) == m.capacity {
 		m.pages = m.pages[:m.capacity-1]
 		evicted = true
 	}
-	m.pages = append([]int64{p}, m.pages...)
+	m.pages = append([]K{p}, m.pages...)
 	return hit, evicted
 }
 
 func TestBufferPoolStress(t *testing.T) {
 	// Random ops on a one-shard pool: every outcome and every counter must
-	// match the reference LRU, so recycling the evicted node for the
-	// incoming page loses neither a resident page nor its recency.
+	// match the reference LRU, so recycling the evicted frame for the
+	// incoming page, and moving the last frame into the hole an explicit
+	// eviction leaves, loses neither a resident page nor its recency.
 	bp := NewBufferPool(8)
-	model := lruModel{capacity: 8}
+	st := pageStore(bp, 32)
+	model := lruModel[int64]{capacity: 8}
 	var want PoolStats
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
 		p := int64(rng.Intn(32))
 		if rng.Intn(3) == 2 {
-			bp.Evict(1, p)
+			st.uncache(p)
 			model.evict(p)
 		} else {
 			hit, evicted := model.touch(p)
-			if got := bp.Touch(1, p); got != hit {
-				t.Fatalf("op %d: Touch(%d) hit = %v, reference LRU says %v", i, p, got, hit)
+			if got := touch(t, st, p); got != hit {
+				t.Fatalf("op %d: touch(%d) hit = %v, reference LRU says %v", i, p, got, hit)
 			}
 			if hit {
 				want.Hits++
@@ -360,6 +385,7 @@ func TestBufferPoolStress(t *testing.T) {
 
 func TestBufferPoolConcurrentStress(t *testing.T) {
 	bp := NewBufferPool(32)
+	stores := []*Store{pageStore(bp, 64), pageStore(bp, 64), pageStore(bp, 64)}
 	var touches atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -367,14 +393,14 @@ func TestBufferPoolConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			store := uint64(w%3) + 1
+			st := stores[w%3]
 			for i := 0; i < 3000; i++ {
 				p := int64(rng.Intn(64))
 				if rng.Intn(4) == 3 {
-					bp.Evict(store, p)
+					st.uncache(p)
 					continue
 				}
-				bp.Touch(store, p)
+				touch(t, st, p)
 				touches.Add(1)
 			}
 		}(w)
@@ -470,6 +496,7 @@ func TestNullBlobRef(t *testing.T) {
 // generation alone; a displacement, Evict, EvictStore and Clear change it.
 func TestPoolGenerationChangesWhenAPageLeaves(t *testing.T) {
 	bp := NewBufferPool(4)
+	a, b := pageStore(bp, 5), pageStore(bp, 1)
 	gen := bp.Generation()
 	same := func(what string) {
 		t.Helper()
@@ -486,22 +513,22 @@ func TestPoolGenerationChangesWhenAPageLeaves(t *testing.T) {
 		gen = g
 	}
 	for p := int64(0); p < 4; p++ {
-		bp.Touch(1, p)
+		touch(t, a, p)
 	}
 	same("filling free frames")
 	for p := int64(0); p < 4; p++ {
-		if !bp.Touch(1, p) {
+		if !touch(t, a, p) {
 			t.Fatalf("page %d not resident", p)
 		}
 	}
 	same("a hit")
-	bp.Touch(1, 4)
+	touch(t, a, 4)
 	changed("a displacement")
-	bp.Evict(1, 4)
+	a.uncache(4)
 	changed("Evict")
-	bp.EvictStore(1)
+	a.DropCache() // a shared store: EvictStore
 	changed("EvictStore")
-	bp.Touch(2, 0)
+	touch(t, b, 0)
 	same("a miss into a free frame")
 	bp.Clear()
 	changed("Clear")

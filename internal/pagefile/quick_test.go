@@ -159,13 +159,14 @@ func TestQuickPoolNeverExceedsCapacity(t *testing.T) {
 	f := func(pages []uint8, capRaw uint8) bool {
 		capacity := int(capRaw%7) + 1
 		bp := NewBufferPool(capacity)
+		st := pageStore(bp, 32)
 		for _, p := range pages {
 			page := int64(p % 32)
-			bp.Touch(1, page)
+			touch(t, st, page)
 			if bp.Len() > capacity {
 				return false
 			}
-			if !bp.Touch(1, page) {
+			if !touch(t, st, page) {
 				return false // just-accessed page must be resident
 			}
 		}
