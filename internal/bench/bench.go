@@ -300,14 +300,14 @@ func (l *Lab) BackendSweep() *Table {
 	return t
 }
 
-// Graph returns the cached reduced graph of d, augmented bidirectionally at
-// the paper's optimal resolutions {2 … 32}.
+// Graph returns the cached reduced graph of d, augmented at the paper's
+// optimal resolutions {2 … 32}.
 func (l *Lab) Graph(d *trajectory.Dataset) *dn.Graph {
 	if g, ok := l.graphs[d.Name]; ok {
 		return g
 	}
 	g := dn.Build(l.Contacts(d))
-	if err := g.AugmentBidirectional([]int{2, 4, 8, 16, 32}); err != nil {
+	if err := g.Augment([]int{2, 4, 8, 16, 32}); err != nil {
 		panic(fmt.Sprintf("bench: augment %s: %v", d.Name, err))
 	}
 	l.graphs[d.Name] = g

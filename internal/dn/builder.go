@@ -81,7 +81,9 @@ func (b *Builder) AddInstant(pairs []stjoin.Pair) {
 		b.size[ra] += b.size[rb]
 	}
 	// Group objects by root in order of first appearance: objects are
-	// scanned in ascending ID order, so groups are deterministic.
+	// scanned in ascending ID order, so groups are deterministic. A group
+	// slot keeps the member array an extended run left in it at the last
+	// instant; a slot whose array a node took holds nil.
 	b.epoch++
 	b.groups = b.groups[:0]
 	b.groupRoots = b.groupRoots[:0]
@@ -89,8 +91,14 @@ func (b *Builder) AddInstant(pairs []stjoin.Pair) {
 		r := b.find(o)
 		if b.groupEpoch[r] != b.epoch {
 			b.groupEpoch[r] = b.epoch
-			b.groupOf[r] = int32(len(b.groups))
-			b.groups = append(b.groups, nil)
+			gi := len(b.groups)
+			b.groupOf[r] = int32(gi)
+			if gi < cap(b.groups) {
+				b.groups = b.groups[:gi+1]
+				b.groups[gi] = b.groups[gi][:0]
+			} else {
+				b.groups = append(b.groups, nil)
+			}
 			b.groupRoots = append(b.groupRoots, r)
 		}
 		gi := b.groupOf[r]
@@ -102,8 +110,7 @@ func (b *Builder) AddInstant(pairs []stjoin.Pair) {
 		if r != Invalid && len(g.Nodes[r].Members) == len(members) && sameRun(b.prevRun, members, r) {
 			// The component is unchanged: extend the run.
 			g.Nodes[r].End = t
-			b.groups[gi] = nil // member slice stays pooled
-			continue
+			continue // the member array stays in its slot for reuse
 		}
 		// New run node, wired to the distinct previous runs of its members.
 		id := NodeID(len(g.Nodes))
@@ -155,7 +162,7 @@ func (b *Builder) AppendNetwork(net *contact.Network, from trajectory.Tick) {
 // Graph finalizes and returns the reduced graph over the instants fed so
 // far. The builder remains usable: more instants can be appended and Graph
 // called again — the paper's incremental maintenance. Long edges are not
-// carried over; call Augment (or AugmentBidirectional) on the result.
+// carried over; call Augment on the result.
 func (b *Builder) Graph() *Graph {
 	// The returned graph aliases the builder's state; callers appending
 	// more instants will see the same underlying nodes extended, which is

@@ -21,11 +21,16 @@
 // unique multiple of L in (End(u)−L, End(u)]) reaches w at ta+L. Levels are
 // composed by doubling: a 2L-edge is two aligned L-hops. A node has
 // non-self level-L edges only when its span ends within L of the boundary,
-// which keeps the index compact.
+// which keeps the index compact. Every level is also built in reverse,
+// aligned from the end of the time domain (reverse.go), for the backward
+// half of BM-BFS; reverse levels are composed backward on the same graph.
+// Each level of each direction is stored in CSR form: per-node offsets into
+// one array of targets, ascending per node.
 package dn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"streach/internal/contact"
@@ -69,13 +74,26 @@ type Graph struct {
 	// Resolutions lists the long-edge levels present, ascending (e.g.
 	// [2 4 8 16 32] for the paper's optimal HN = DN1 ∪ DN2 ∪ … ∪ DN32).
 	Resolutions []int
-	// longs[i][node] are the level-Resolutions[i] targets of node; the
+	// longs[i] holds the level-Resolutions[i] targets of every node; the
 	// departure boundary is Boundary(node, L) and arrival is departure+L.
-	longs []map[NodeID][]NodeID
-	// revLongs[i][node] are the level-Resolutions[i] reverse sources of
-	// node, aligned to RevBoundary (see reverse.go). Nil until
-	// AugmentBidirectional is called.
-	revLongs []map[NodeID][]NodeID
+	longs []csr
+	// revLongs[i] holds the level-Resolutions[i] reverse sources of every
+	// node, aligned to RevBoundary (see reverse.go).
+	revLongs []csr
+}
+
+// csr is one level of long edges in one direction: node id's edges are
+// tgt[off[id]:off[id+1]], ascending.
+type csr struct {
+	off []int32 // len(Nodes)+1
+	tgt []NodeID
+}
+
+// of returns the edges of node id, capped so that appending to them cannot
+// overwrite the next node's.
+func (c *csr) of(id NodeID) []NodeID {
+	lo, hi := c.off[id], c.off[id+1]
+	return c.tgt[lo:hi:hi]
 }
 
 // Build reduces the contact network to its run-merged component DAG. It is
@@ -168,21 +186,20 @@ func (g *Graph) levelIndex(L int) int {
 	return -1
 }
 
-// LongOut returns the level-L targets of node id (empty when the node has
-// none). The departure time is Boundary(id, L) and the arrival time is that
-// plus L.
+// LongOut returns the level-L targets of node id, ascending (empty when the
+// node has none). The departure time is Boundary(id, L) and the arrival time
+// is that plus L.
 func (g *Graph) LongOut(id NodeID, L int) []NodeID {
-	li := g.levelIndex(L)
-	if li < 0 {
-		return nil
+	if li := g.levelIndex(L); li >= 0 {
+		return g.longs[li].of(id)
 	}
-	return g.longs[li][id]
+	return nil
 }
 
-// Augment precomputes long edges at the given resolutions, which must be
-// ascending powers of two starting at 2 (each level doubles the previous
-// one, mirroring the paper's DN2 … DN32 hierarchy). Augment replaces any
-// previously computed levels.
+// Augment precomputes long edges at the given resolutions, forward and
+// reverse. Resolutions must be ascending powers of two starting at 2 (each
+// level doubles the previous one, mirroring the paper's DN2 … DN32
+// hierarchy). Augment replaces any previously computed levels.
 func (g *Graph) Augment(resolutions []int) error {
 	for i, r := range resolutions {
 		want := 2 << i
@@ -190,89 +207,119 @@ func (g *Graph) Augment(resolutions []int) error {
 			return fmt.Errorf("dn: resolutions must be 2,4,8,…; got %v", resolutions)
 		}
 	}
-	g.Resolutions = nil
-	g.longs = nil
-	g.revLongs = nil
-	reach := make(map[NodeID]struct{}, 64)
+	g.Resolutions, g.longs, g.revLongs = nil, nil, nil
+	c := composer{g: g, mark: make([]uint32, len(g.Nodes))}
+	var prev, prevRev *csr
 	for _, L := range resolutions {
-		level := make(map[NodeID][]NodeID)
-		for id := range g.Nodes {
-			u := NodeID(id)
-			ta, ok := g.Boundary(u, L)
-			if !ok {
-				continue
-			}
-			// An alive node with End ≥ ta+L only reaches itself; Boundary
-			// already excludes that case (ta ≤ End < ta+L).
-			for k := range reach {
-				delete(reach, k)
-			}
-			g.composeReach(u, ta, L, reach)
-			delete(reach, u) // self-reach is expressed by the span
-			if len(reach) == 0 {
-				continue
-			}
-			targets := make([]NodeID, 0, len(reach))
-			for v := range reach {
-				targets = append(targets, v)
-			}
-			sort.Slice(targets, func(i, k int) bool { return targets[i] < targets[k] })
-			level[u] = targets
-		}
+		fwd, rev := c.level(L, false, prev), c.level(L, true, prevRev)
 		g.Resolutions = append(g.Resolutions, L)
-		g.longs = append(g.longs, level)
+		g.longs = append(g.longs, fwd)
+		g.revLongs = append(g.revLongs, rev)
+		prev, prevRev = &fwd, &rev
 	}
 	return nil
 }
 
-// composeReach adds to out every node reachable from u (alive at ta) at
-// time ta+L, composing two L/2 hops (or stepping DN1 edges when L == 2).
-func (g *Graph) composeReach(u NodeID, ta trajectory.Tick, L int, out map[NodeID]struct{}) {
-	if int(g.Nodes[u].End) >= int(ta)+L {
-		out[u] = struct{}{}
-		return
+// composer builds levels of long edges. Its scratch, reused from node to
+// node, is an epoch-stamped mark per node that deduplicates the targets of
+// the node being composed, and the buffer collecting them.
+type composer struct {
+	g     *Graph
+	mark  []uint32 // mark[v] == epoch: v is the current node or one of its targets
+	epoch uint32
+	buf   []NodeID
+}
+
+// level composes the level-L edges of every node as two level-L/2 hops
+// through prev, or as two DN1 steps when L is 2 (prev nil). Forward, a node
+// departs at its Boundary and the hops go forward in time; reverse (back),
+// it is reached at its RevBoundary and the hops go backward from there, so
+// the targets are the nodes that deliver to it L ticks earlier.
+func (c *composer) level(L int, back bool, prev *csr) csr {
+	g := c.g
+	out := csr{off: make([]int32, len(g.Nodes)+1)}
+	h := trajectory.Tick(L / 2)
+	if back {
+		h = -h
 	}
-	if L == 2 {
-		// Step twice over DN1.
-		g.stepInto(u, ta, func(v NodeID) {
-			g.stepInto(v, ta+1, func(w NodeID) {
-				out[w] = struct{}{}
-			})
-		})
-		return
+	for id := range g.Nodes {
+		u := NodeID(id)
+		var t trajectory.Tick
+		var ok bool
+		if back {
+			t, ok = g.RevBoundary(u, L)
+		} else {
+			t, ok = g.Boundary(u, L)
+		}
+		if ok {
+			// Self-reach is expressed by the span, so u is marked from
+			// the start and never becomes its own target.
+			c.begin(u)
+			// The first hop's destinations are distinct already: u alone,
+			// or u's edges.
+			self := [1]NodeID{u}
+			mid := self[:]
+			if !c.holds(u, t, h) {
+				mid = c.hop(u, prev, h)
+			}
+			for _, v := range mid {
+				if c.holds(v, t+h, h) {
+					c.add(v)
+					continue
+				}
+				for _, w := range c.hop(v, prev, h) {
+					c.add(w)
+				}
+			}
+			slices.Sort(c.buf)
+			out.tgt = append(out.tgt, c.buf...)
+		}
+		out.off[id+1] = int32(len(out.tgt))
 	}
-	half := L / 2
-	mid := make(map[NodeID]struct{}, 8)
-	g.halfReach(u, ta, half, mid)
-	for v := range mid {
-		g.halfReach(v, ta+trajectory.Tick(half), half, out)
+	return out
+}
+
+// begin starts collecting the targets of node u.
+func (c *composer) begin(u NodeID) {
+	c.epoch++
+	if c.epoch == 0 { // wrapped: stale marks could collide
+		clear(c.mark)
+		c.epoch = 1
+	}
+	c.mark[u] = c.epoch
+	c.buf = c.buf[:0]
+}
+
+// add collects target w once.
+func (c *composer) add(w NodeID) {
+	if c.mark[w] != c.epoch {
+		c.mark[w] = c.epoch
+		c.buf = append(c.buf, w)
 	}
 }
 
-// halfReach adds the nodes reachable from v (alive at tb) at tb+half, using
-// the precomputed level-half edges.
-func (g *Graph) halfReach(v NodeID, tb trajectory.Tick, half int, out map[NodeID]struct{}) {
-	if int(g.Nodes[v].End) >= int(tb)+half {
-		out[v] = struct{}{}
-		return
+// holds reports whether node v, holding the item at t, still holds it at
+// t+h (h < 0 going backward). Then v itself is where the item is after the
+// hop, and none of v's edges is taken. Otherwise v's span ends (starts)
+// within the hop, so t is v's boundary at resolution |h| and v's edges in
+// the previous level are exactly the hop.
+func (c *composer) holds(v NodeID, t, h trajectory.Tick) bool {
+	if h < 0 {
+		return c.g.Nodes[v].Start <= t+h
 	}
-	// v dies before tb+half, so its level-half boundary is exactly tb.
-	for _, w := range g.LongOut(v, half) {
-		out[w] = struct{}{}
-	}
+	return c.g.Nodes[v].End >= t+h
 }
 
-// stepInto calls visit for every node alive at ta+1 reachable from u (alive
-// at ta) in one TEN step: u itself while its span continues, or its DN1
-// successors when the span ends at ta.
-func (g *Graph) stepInto(u NodeID, ta trajectory.Tick, visit func(NodeID)) {
-	nd := &g.Nodes[u]
-	if nd.End > ta {
-		visit(u)
-		return
-	}
-	for _, v := range nd.Out {
-		visit(v)
+// hop returns v's edges in level, or its DN1 edges in the direction of
+// travel (h < 0 going backward) when level is nil.
+func (c *composer) hop(v NodeID, level *csr, h trajectory.Tick) []NodeID {
+	switch {
+	case level != nil:
+		return level.of(v)
+	case h < 0:
+		return c.g.Nodes[v].In
+	default:
+		return c.g.Nodes[v].Out
 	}
 }
 
@@ -286,12 +333,8 @@ type Stats struct {
 // Stats returns size statistics.
 func (g *Graph) Stats() Stats {
 	s := Stats{Vertices: int64(len(g.Nodes)), Edges: g.NumEdges()}
-	for _, level := range g.longs {
-		var n int64
-		for _, ts := range level {
-			n += int64(len(ts))
-		}
-		s.LongEdges = append(s.LongEdges, n)
+	for i := range g.longs {
+		s.LongEdges = append(s.LongEdges, int64(len(g.longs[i].tgt)))
 	}
 	return s
 }
@@ -304,17 +347,16 @@ func (g *Graph) AvgDegree(L int) (avg float64, nodes int) {
 	if li < 0 {
 		return 0, 0
 	}
-	var total int64
-	for _, ts := range g.longs[li] {
-		if len(ts) > 0 {
-			total += int64(len(ts))
+	off := g.longs[li].off
+	for id := range g.Nodes {
+		if off[id+1] > off[id] {
 			nodes++
 		}
 	}
 	if nodes == 0 {
 		return 0, 0
 	}
-	return float64(total) / float64(nodes), nodes
+	return float64(len(g.longs[li].tgt)) / float64(nodes), nodes
 }
 
 // Validate checks structural invariants; index builders and tests call it.

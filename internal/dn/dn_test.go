@@ -223,55 +223,6 @@ func TestAugmentValidatesResolutions(t *testing.T) {
 	}
 }
 
-// bruteReach computes the set of nodes reachable from u (alive at ta) after
-// exactly steps TEN steps, by stepping one tick at a time.
-func bruteReach(g *Graph, u NodeID, ta trajectory.Tick, steps int) map[NodeID]bool {
-	cur := map[NodeID]bool{u: true}
-	for s := 0; s < steps; s++ {
-		next := make(map[NodeID]bool)
-		for v := range cur {
-			g.stepInto(v, ta+trajectory.Tick(s), func(w NodeID) { next[w] = true })
-		}
-		cur = next
-	}
-	return cur
-}
-
-func TestLongEdgesMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 15; trial++ {
-		net := randomNetwork(rng, 2+rng.Intn(10), 20+rng.Intn(30), rng.Intn(60))
-		g := Build(net)
-		if err := g.Augment([]int{2, 4, 8}); err != nil {
-			t.Fatal(err)
-		}
-		for _, L := range g.Resolutions {
-			for id := range g.Nodes {
-				u := NodeID(id)
-				ta, ok := g.Boundary(u, L)
-				got := g.LongOut(u, L)
-				if !ok {
-					if len(got) != 0 {
-						t.Fatalf("node %d has level-%d edges without boundary", id, L)
-					}
-					continue
-				}
-				want := bruteReach(g, u, ta, L)
-				delete(want, u)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d node %d L=%d ta=%d: got %d targets %v, want %d %v",
-						trial, id, L, ta, len(got), got, len(want), want)
-				}
-				for _, w := range got {
-					if !want[w] {
-						t.Fatalf("node %d L=%d: spurious target %d", id, L, w)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestBoundaryRules(t *testing.T) {
 	// Construct a graph with one long-lived node: a single object, 20 ticks.
 	g := Build(contact.FromContacts(1, 20, nil))

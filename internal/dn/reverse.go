@@ -1,13 +1,13 @@
-// Time-reversed view and reverse long edges.
+// Reverse long edges and the reference backward walk.
 //
 // BM-BFS (§5.2) traverses HN backward from the query destination. For the
 // backward sweep to take long edges with the same completeness guarantee as
 // the forward sweep, the long edges must be aligned to boundaries counted
 // from the *end* of the time domain: a reverse level-L edge u ⇐ w certifies
 // that an item present in u's component at time tb−L is in w's component at
-// tb, where tb is w's reverse boundary. Reversing the time axis turns the
-// backward traversal into a forward traversal of the reversed graph, so
-// correctness of the forward rules carries over verbatim.
+// tb, where tb is w's reverse boundary. Augment composes them exactly as it
+// composes forward edges, with time running backward: In edges for Out,
+// span starts for span ends, RevBoundary for Boundary.
 package dn
 
 import (
@@ -17,86 +17,15 @@ import (
 	"streach/internal/trajectory"
 )
 
-// Reverse returns the time-reversed graph: node IDs are mirrored
-// (id′ = n−1−id) so ascending IDs remain a topological order, spans are
-// mirrored around the time domain, and In/Out edge roles swap. Members are
-// shared with the receiver (the reversed view must not be mutated). Long
-// edges are not carried over; call Augment on the result to compute the
-// reversed graph's own long edges.
-func (g *Graph) Reverse() *Graph {
-	n := len(g.Nodes)
-	last := trajectory.Tick(g.NumTicks - 1)
-	rev := &Graph{
-		NumObjects:   g.NumObjects,
-		NumTicks:     g.NumTicks,
-		Nodes:        make([]Node, n),
-		runsByObject: make([][]NodeID, g.NumObjects),
-	}
-	mirror := func(id NodeID) NodeID { return NodeID(n-1) - id }
-	for id := range g.Nodes {
-		src := &g.Nodes[id]
-		dst := &rev.Nodes[mirror(NodeID(id))]
-		dst.Start = last - src.End
-		dst.End = last - src.Start
-		dst.Members = src.Members
-		dst.Out = make([]NodeID, len(src.In))
-		for i, u := range src.In {
-			dst.Out[i] = mirror(u)
-		}
-		dst.In = make([]NodeID, len(src.Out))
-		for i, v := range src.Out {
-			dst.In[i] = mirror(v)
-		}
-	}
-	for o, runs := range g.runsByObject {
-		rr := make([]NodeID, len(runs))
-		for i, id := range runs {
-			rr[len(runs)-1-i] = mirror(id)
-		}
-		rev.runsByObject[o] = rr
-	}
-	return rev
-}
-
-// AugmentBidirectional computes forward long edges (Augment) and, in
-// addition, reverse long edges at the same resolutions by augmenting the
-// time-reversed graph and mapping the result back. The reverse edges feed
-// the backward half of BM-BFS.
-func (g *Graph) AugmentBidirectional(resolutions []int) error {
-	if err := g.Augment(resolutions); err != nil {
-		return err
-	}
-	rev := g.Reverse()
-	if err := rev.Augment(resolutions); err != nil {
-		return err
-	}
-	n := len(g.Nodes)
-	mirror := func(id NodeID) NodeID { return NodeID(n-1) - id }
-	g.revLongs = make([]map[NodeID][]NodeID, len(resolutions))
-	for li := range resolutions {
-		level := make(map[NodeID][]NodeID, len(rev.longs[li]))
-		for w, targets := range rev.longs[li] {
-			srcs := make([]NodeID, len(targets))
-			for i, u := range targets {
-				srcs[len(targets)-1-i] = mirror(u)
-			}
-			level[mirror(w)] = srcs
-		}
-		g.revLongs[li] = level
+// LongIn returns the level-L reverse sources of node id, ascending: nodes u
+// such that an item in u's component at RevBoundary(id, L) − L reaches id's
+// component at RevBoundary(id, L). Empty when the node has no level-L
+// reverse edges.
+func (g *Graph) LongIn(id NodeID, L int) []NodeID {
+	if li := g.levelIndex(L); li >= 0 {
+		return g.revLongs[li].of(id)
 	}
 	return nil
-}
-
-// LongIn returns the level-L reverse sources of node id: nodes u such that
-// an item in u's component at RevBoundary(id, L) − L reaches id's component
-// at RevBoundary(id, L). Empty when the node has no level-L reverse edges or
-// AugmentBidirectional was not called.
-func (g *Graph) LongIn(id NodeID, L int) []NodeID {
-	li := g.levelIndex(L)
-	if li < 0 || li >= len(g.revLongs) || g.revLongs == nil {
-		return nil
-	}
-	return g.revLongs[li][id]
 }
 
 // RevBoundary returns the arrival time of node id's reverse level-L edges:
@@ -118,20 +47,16 @@ func (g *Graph) RevBoundary(id NodeID, L int) (trajectory.Tick, bool) {
 	return tb, true
 }
 
-// HasReverseLongs reports whether reverse long edges have been computed.
-func (g *Graph) HasReverseLongs() bool { return g.revLongs != nil }
-
 // ReverseReach is the backward propagation primitive over the reduced
 // graph: walking DN1 in-edges in reverse time order from the runs of the
 // seed objects at iv.Hi, it returns every object that, holding an item at
 // iv.Lo, delivers it to some seed by iv.Hi (the deliverer set; seeds
 // included when the interval overlaps the time domain), sorted ascending.
-// This is forward propagation on Reverse() of the receiver, executed
-// directly without materializing the mirrored graph: an in-edge u ← v means
-// u is the adjacent run ending at Start(v)−1 that shares a member with v,
-// so any member of u holding the item within u's span hands it to v's
-// component, and by induction to a seed. A run starting at or before iv.Lo
-// is not expanded further — its predecessors end before the interval.
+// An in-edge u ← v means u is the adjacent run ending at Start(v)−1 that
+// shares a member with v, so any member of u holding the item within u's
+// span hands it to v's component, and by induction to a seed. A run
+// starting at or before iv.Lo is not expanded further — its predecessors
+// end before the interval.
 //
 // ReverseReach allocates its own scratch per call (it is the reference
 // implementation; the reachgraph engines run the same walk on pooled,

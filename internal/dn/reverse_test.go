@@ -8,137 +8,17 @@ import (
 	"streach/internal/trajectory"
 )
 
+func rwpNetwork(objects, ticks int, seed int64) *contact.Network {
+	return contact.Extract(mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: objects, NumTicks: ticks, Seed: seed}))
+}
+
 func randomGraph(t testing.TB, objects, ticks int, seed int64) *Graph {
 	t.Helper()
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: objects, NumTicks: ticks, Seed: seed})
-	g := Build(contact.Extract(d))
+	g := Build(rwpNetwork(objects, ticks, seed))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
 	}
 	return g
-}
-
-// TestReverseIsInvolution checks that reversing twice restores the graph.
-func TestReverseIsInvolution(t *testing.T) {
-	g := randomGraph(t, 30, 200, 101)
-	rr := g.Reverse().Reverse()
-	if len(rr.Nodes) != len(g.Nodes) {
-		t.Fatalf("node count changed: %d → %d", len(g.Nodes), len(rr.Nodes))
-	}
-	for id := range g.Nodes {
-		a, b := &g.Nodes[id], &rr.Nodes[id]
-		if a.Start != b.Start || a.End != b.End {
-			t.Fatalf("node %d span changed: [%d,%d] → [%d,%d]", id, a.Start, a.End, b.Start, b.End)
-		}
-		if len(a.Out) != len(b.Out) || len(a.In) != len(b.In) {
-			t.Fatalf("node %d degree changed", id)
-		}
-	}
-}
-
-// TestReverseStructure checks the mirrored topology: spans mirror around
-// the time domain and every edge flips direction.
-func TestReverseStructure(t *testing.T) {
-	g := randomGraph(t, 25, 150, 103)
-	rev := g.Reverse()
-	n := len(g.Nodes)
-	last := trajectory.Tick(g.NumTicks - 1)
-	mirror := func(id NodeID) NodeID { return NodeID(n-1) - id }
-	for id := range g.Nodes {
-		nd := &g.Nodes[id]
-		rd := &rev.Nodes[mirror(NodeID(id))]
-		if rd.Start != last-nd.End || rd.End != last-nd.Start {
-			t.Fatalf("node %d: span [%d,%d] mirrored to [%d,%d]", id, nd.Start, nd.End, rd.Start, rd.End)
-		}
-		for _, v := range nd.Out {
-			if !containsNode(rev.Nodes[mirror(v)].Out, mirror(NodeID(id))) {
-				t.Fatalf("edge %d→%d not flipped in reverse", id, v)
-			}
-		}
-	}
-	// Mirrored IDs must remain a topological order.
-	for id := range rev.Nodes {
-		for _, v := range rev.Nodes[id].Out {
-			if v <= NodeID(id) {
-				t.Fatalf("reverse edge %d→%d violates topological order", id, v)
-			}
-		}
-	}
-}
-
-// stepReachable computes the nodes alive at time ta+steps reachable from u
-// (alive at ta) by brute-force DN1 stepping — the ground truth for long
-// edges in both directions.
-func stepReachable(g *Graph, u NodeID, ta trajectory.Tick, steps int) map[NodeID]bool {
-	cur := map[NodeID]bool{u: true}
-	for s := 0; s < steps; s++ {
-		next := map[NodeID]bool{}
-		tt := ta + trajectory.Tick(s)
-		for v := range cur {
-			if g.Nodes[v].End > tt {
-				next[v] = true
-				continue
-			}
-			for _, w := range g.Nodes[v].Out {
-				next[w] = true
-			}
-		}
-		cur = next
-	}
-	return cur
-}
-
-// TestReverseLongEdgesSound verifies every reverse level-L edge u ⇐ w
-// against brute force: an item in u's component at RevBoundary(w)−L must
-// reach w's component at RevBoundary(w), and the edge set must be complete
-// (every such u is listed).
-func TestReverseLongEdgesSound(t *testing.T) {
-	g := randomGraph(t, 25, 120, 107)
-	if err := g.AugmentBidirectional([]int{2, 4, 8}); err != nil {
-		t.Fatal(err)
-	}
-	for _, L := range []int{2, 4, 8} {
-		for id := range g.Nodes {
-			w := NodeID(id)
-			tb, ok := g.RevBoundary(w, L)
-			sources := g.LongIn(w, L)
-			if !ok {
-				if len(sources) != 0 {
-					t.Fatalf("node %d has no rev boundary at L=%d but %d sources", w, L, len(sources))
-				}
-				continue
-			}
-			dep := tb - trajectory.Tick(L)
-			// Brute force: which nodes alive at dep (and dead before tb,
-			// i.e. needing an explicit edge) reach w at tb?
-			want := map[NodeID]bool{}
-			for uid := range g.Nodes {
-				u := NodeID(uid)
-				nd := &g.Nodes[u]
-				if nd.Start > dep || nd.End < dep {
-					continue
-				}
-				if nd.End >= tb {
-					continue // self-survival, expressed by the span
-				}
-				if stepReachable(g, u, dep, L)[w] {
-					want[u] = true
-				}
-			}
-			got := map[NodeID]bool{}
-			for _, u := range sources {
-				got[u] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("node %d L=%d: %d sources, want %d", w, L, len(got), len(want))
-			}
-			for u := range want {
-				if !got[u] {
-					t.Fatalf("node %d L=%d: missing source %d", w, L, u)
-				}
-			}
-		}
-	}
 }
 
 // TestRevBoundaryAlgebra pins the reverse boundary definition: it is the
@@ -175,22 +55,17 @@ func TestRevBoundaryAlgebra(t *testing.T) {
 }
 
 // TestAugmentBidirectionalResetOnReaugment ensures re-augmenting replaces
-// old levels in both directions.
+// old levels in both directions: Augment always builds forward and reverse
+// edges, so the levels a second call drops are gone from both and the
+// levels it keeps are rebuilt in both.
 func TestAugmentBidirectionalResetOnReaugment(t *testing.T) {
 	g := randomGraph(t, 15, 80, 113)
-	if err := g.AugmentBidirectional([]int{2, 4}); err != nil {
-		t.Fatal(err)
+	checkReaugment(t, "rwp 15×80", g, 2, 1)
+	reverse := 0
+	for id := range g.Nodes {
+		reverse += len(g.LongIn(NodeID(id), 2))
 	}
-	if !g.HasReverseLongs() {
-		t.Fatal("reverse longs missing after AugmentBidirectional")
-	}
-	if err := g.Augment([]int{2}); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasReverseLongs() {
-		t.Fatal("plain Augment kept stale reverse longs")
-	}
-	if got := g.LongIn(0, 2); got != nil {
-		t.Fatalf("LongIn after plain Augment: %v", got)
+	if reverse == 0 {
+		t.Fatal("no reverse level-2 edges after re-augmenting")
 	}
 }

@@ -4,8 +4,25 @@ import (
 	"fmt"
 	"testing"
 
+	"streach/internal/contact"
 	"streach/internal/dn"
+	"streach/internal/mobility"
 )
+
+// BenchmarkBuild is what an index build costs from an extracted contact
+// network: the reduction (dn.Build), then long-edge augmentation, partitioning
+// and encoding (Build) at default Params, on an RWP 400 × 1000 dataset. One op
+// is one build.
+func BenchmarkBuild(b *testing.B) {
+	net := contact.Extract(mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 400, NumTicks: 1000, Seed: 17}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(dn.Build(net), Params{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkPartitionLookup finds a vertex in a buffered partition: the
 // median partition of the benchmark's D1 holds one

@@ -33,13 +33,12 @@ type Mem struct {
 	pool *visit.Pool[scratch]
 }
 
-// NewMem wraps g for in-memory query evaluation. g must carry bidirectional
-// long edges when BM-BFS will be used; NewMem computes them at the given
-// resolutions if absent (pass nil resolutions for a DN1-only graph serving
-// B-BFS/E-BFS/E-DFS).
+// NewMem wraps g for in-memory query evaluation. BM-BFS needs long edges;
+// NewMem computes them at the given resolutions if g carries others (pass
+// nil resolutions for a DN1-only graph serving B-BFS/E-BFS/E-DFS).
 func NewMem(g *dn.Graph, resolutions []int) (*Mem, error) {
-	if resolutions != nil && (!sameResolutions(g.Resolutions, resolutions) || !g.HasReverseLongs()) {
-		if err := g.AugmentBidirectional(resolutions); err != nil {
+	if resolutions != nil && !sameResolutions(g.Resolutions, resolutions) {
+		if err := g.Augment(resolutions); err != nil {
 			return nil, err
 		}
 	}

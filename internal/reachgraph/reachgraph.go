@@ -107,15 +107,14 @@ type Index struct {
 }
 
 // Build constructs the ReachGraph of the reduced graph g. Long edges at
-// params.Resolutions are computed (bidirectionally) if g does not already
-// carry them.
+// params.Resolutions are computed if g does not already carry them.
 func Build(g *dn.Graph, params Params) (*Index, error) {
 	params.applyDefaults()
 	if len(g.Nodes) == 0 {
 		return nil, errors.New("reachgraph: empty graph")
 	}
-	if !sameResolutions(g.Resolutions, params.Resolutions) || !g.HasReverseLongs() {
-		if err := g.AugmentBidirectional(params.Resolutions); err != nil {
+	if !sameResolutions(g.Resolutions, params.Resolutions) {
+		if err := g.Augment(params.Resolutions); err != nil {
 			return nil, err
 		}
 	}

@@ -22,9 +22,9 @@
 //     boundary, skipping intermediate vertices loses no objects: object
 //     sets only grow at run boundaries, and every carrier's own run at the
 //     boundary is among the targets.
-//   - Backward: the exact time-mirror, using the reverse long edges of
-//     dn.AugmentBidirectional, whose boundaries are aligned from the end of
-//     the time domain.
+//   - Backward: the exact time-mirror, using the reverse long edges that
+//     dn.Graph.Augment builds beside the forward ones, whose boundaries are
+//     aligned from the end of the time domain.
 //
 // B-BFS is BM-BFS restricted to resolution DN1; E-BFS and E-DFS are
 // unidirectional traversals that ignore vertex members and long edges and
