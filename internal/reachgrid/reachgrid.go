@@ -29,8 +29,12 @@
 // object within dT of one becomes a seed and spreads in turn — the closure
 // of "joins a seed's connected component" (the recursive restart at t′ of
 // §4.2) at a cost that follows the infected frontier, not the buffer. The
-// sweep stops as soon as the destination is infected. Cells are buffered
-// for the duration of a bucket and discarded at its end.
+// new seeds' cells are then admitted, and the instant is spread again only
+// if that admission buffered a new segment: the spread is already a
+// closure over the buffer, so over the same buffer it would find nothing.
+// Mostly it finds the cells prefetched and the instant is settled after
+// one round. The sweep stops as soon as the destination is infected. Cells
+// are buffered for the duration of a bucket and discarded at its end.
 //
 // One bucket walk serves this sweep and the hop-counting sweep of
 // semantics.go; they differ in the per-instant step it is handed. The steps
@@ -145,7 +149,7 @@ func Build(d *trajectory.Dataset, params Params) (*Index, error) {
 	enc := pagefile.NewEncoder(4096)
 	cellObjs := make([][]trajectory.ObjectID, numCells) // objects per cell, this bucket
 	touched := make([]int, 0, 64)
-	seen := make(map[int]bool, 16)
+	var seen visit.Set // cells of the current object's bucket segment
 
 	for lo := trajectory.Tick(0); int(lo) < ix.numTicks; lo += trajectory.Tick(params.BucketTicks) {
 		hi := lo + trajectory.Tick(params.BucketTicks) - 1
@@ -163,13 +167,10 @@ func Build(d *trajectory.Dataset, params Params) (*Index, error) {
 			o := tr.Object
 			dir[o] = int32(ix.grid.CellID(tr.AtClamped(lo)))
 			seg := tr.Slice(lo, hi)
-			for k := range seen {
-				delete(seen, k)
-			}
+			seen.Reset(numCells)
 			for _, p := range seg.Pos {
 				id := ix.grid.CellID(p)
-				if !seen[id] {
-					seen[id] = true
+				if seen.Visit(id) {
 					if len(cellObjs[id]) == 0 {
 						touched = append(touched, id)
 					}
@@ -465,7 +466,10 @@ func (ix *Index) sweep(ctx context.Context, initial []trajectory.ObjectID, iv co
 			sc.reached = append(sc.reached, s)
 		}
 	}
-	return ix.walk(ctx, sc, iv, acct, func(t trajectory.Tick) ([]trajectory.ObjectID, bool) {
+	return ix.walk(ctx, sc, iv, acct, func(t trajectory.Tick, grown bool) ([]trajectory.ObjectID, bool) {
+		if !grown {
+			return nil, false // settled: the spread is a closure of the buffer
+		}
 		fresh := ix.infectAt(sc, t)
 		for i, o := range fresh {
 			if !onInfect(o) {
@@ -485,7 +489,17 @@ func (ix *Index) sweep(ctx context.Context, initial []trajectory.ObjectID, iv co
 // cells resolve within their own tick (the recursive restart at t′ in
 // §4.2). stop ends the walk once the step's objects are recorded. The
 // context is observed once per instant.
-func (ix *Index) walk(ctx context.Context, sc *gridScratch, iv contact.Interval, acct *pagefile.Stats, step func(trajectory.Tick) (fresh []trajectory.ObjectID, stop bool)) error {
+//
+// grown tells the step whether the buffer gained a segment since its last
+// round at t; it is true on every instant's first round. Both steps return
+// a closure over the buffered segments of t — every object the carriers
+// reach there — so a round over an unchanged buffer finds nothing, and a
+// step handed grown == false may answer so without looking. That is the
+// common case: admission usually buffers no new segment, because the
+// potential-seed prefetch already loaded the new carriers' cells. The
+// admission itself still runs after every round that found objects, so
+// every read and its charge stay where they are.
+func (ix *Index) walk(ctx context.Context, sc *gridScratch, iv contact.Interval, acct *pagefile.Stats, step func(t trajectory.Tick, grown bool) (fresh []trajectory.ObjectID, stop bool)) error {
 	prevBi := -1
 	for bi := ix.bucketOf(iv.Lo); bi <= ix.bucketOf(iv.Hi) && bi < len(ix.buckets); bi++ {
 		w := ix.buckets[bi].span.Intersect(iv)
@@ -509,8 +523,8 @@ func (ix *Index) walk(ctx context.Context, sc *gridScratch, iv contact.Interval,
 					return err
 				}
 			}
-			for {
-				fresh, stop := step(t)
+			for grown := true; ; {
+				fresh, stop := step(t, grown)
 				sc.reached = append(sc.reached, fresh...)
 				if stop {
 					return nil
@@ -518,9 +532,11 @@ func (ix *Index) walk(ctx context.Context, sc *gridScratch, iv contact.Interval,
 				if len(fresh) == 0 {
 					break
 				}
+				buffered := len(sc.segs)
 				if err := ix.admitSeeds(bi, sc, fresh, t, w.Hi, acct); err != nil {
 					return err
 				}
+				grown = len(sc.segs) > buffered
 			}
 		}
 		// Cells buffered during Ti are discarded at the end of Ti.

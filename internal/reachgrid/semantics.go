@@ -41,25 +41,12 @@ func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.Profile
 	}
 	sc, acct := ix.begin(acct)
 	defer ix.pool.Put(sc)
-	sc.hops.Reset(ix.numObjects)
-	sc.arrTicks.Reset(ix.numObjects)
-	for _, s := range seeds {
-		if int(s.Obj) < 0 || int(s.Obj) >= ix.numObjects {
-			return dst, 0, fmt.Errorf("reachgrid: seed %d outside [0, %d)", s.Obj, ix.numObjects)
-		}
-		if s.Hops < 0 || s.Hops > budget || s.Start > iv.Hi {
-			continue
-		}
-		if s.Start > iv.Lo {
-			sc.deferred = append(sc.deferred, s)
-			continue
-		}
-		sc.activate(s, iv.Lo)
+	if err := ix.seedSem(sc, seeds, iv, budget); err != nil {
+		return dst, 0, err
 	}
 	if len(sc.reached) == 0 && len(sc.deferred) == 0 {
 		return dst, 0, nil
 	}
-	sort.Slice(sc.deferred, func(i, j int) bool { return sc.deferred[i].Start < sc.deferred[j].Start })
 	dstReached := func() bool {
 		if int(earlyDst) < 0 || int(earlyDst) >= ix.numObjects {
 			return false
@@ -70,8 +57,14 @@ func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.Profile
 	var err error
 	if !dstReached() {
 		// The destination is polled only once an instant is fully relaxed,
-		// which keeps an early-terminated hop count exact at its tick.
-		err = ix.walk(ctx, sc, iv, acct, func(t trajectory.Tick) ([]trajectory.ObjectID, bool) {
+		// which keeps an early-terminated hop count exact at its tick. A
+		// settled round is the relaxation's empty round, answered without
+		// rerunning it: the pairs and hop counts it would see are the ones
+		// the last round left at fixpoint.
+		err = ix.walk(ctx, sc, iv, acct, func(t trajectory.Tick, grown bool) ([]trajectory.ObjectID, bool) {
+			if !grown {
+				return nil, dstReached()
+			}
 			fresh := ix.relaxAt(sc, t, budget)
 			return fresh, len(fresh) == 0 && dstReached()
 		})
@@ -85,6 +78,28 @@ func (ix *Index) AppendSemProfileFrom(ctx context.Context, dst []queries.Profile
 		return dst, len(sc.reached), err
 	}
 	return appendSemEntries(dst, sc), len(sc.reached), nil
+}
+
+// seedSem prepares sc for a semantic sweep: the seeds holding the item at
+// iv.Lo become carriers, the later ones are deferred in order of Start.
+func (ix *Index) seedSem(sc *gridScratch, seeds []queries.SeedState, iv contact.Interval, budget int32) error {
+	sc.hops.Reset(ix.numObjects)
+	sc.arrTicks.Reset(ix.numObjects)
+	for _, s := range seeds {
+		if int(s.Obj) < 0 || int(s.Obj) >= ix.numObjects {
+			return fmt.Errorf("reachgrid: seed %d outside [0, %d)", s.Obj, ix.numObjects)
+		}
+		if s.Hops < 0 || s.Hops > budget || s.Start > iv.Hi {
+			continue
+		}
+		if s.Start > iv.Lo {
+			sc.deferred = append(sc.deferred, s)
+			continue
+		}
+		sc.activate(s, iv.Lo)
+	}
+	sort.Slice(sc.deferred, func(i, j int) bool { return sc.deferred[i].Start < sc.deferred[j].Start })
+	return nil
 }
 
 // activate makes the seed a carrier from tick at on and reports whether it
