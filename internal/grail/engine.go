@@ -243,7 +243,7 @@ func (dk *Disk) Store() *pagefile.Store { return dk.store }
 
 // findVertex locates object o's vertex at tick t via the on-disk directory.
 func (dk *Disk) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *pagefile.Stats) (dn.NodeID, error) {
-	data, err := dk.store.ReadBlob(dk.dirRefs[o], acct)
+	data, err := pagefile.Whole(dk.store.ReadBlob(dk.dirRefs[o], acct))
 	if err != nil {
 		return dn.Invalid, fmt.Errorf("grail: directory of object %d: %w", o, err)
 	}
@@ -278,7 +278,7 @@ func (dk *Disk) fetch(id dn.NodeID, cache map[dn.NodeID]*diskVertex, acct *pagef
 	if id < 0 || int(id) >= len(dk.blobOf) {
 		return nil, fmt.Errorf("grail: vertex %d outside [0, %d)", id, len(dk.blobOf))
 	}
-	data, err := dk.store.ReadBlob(dk.blobRefs[dk.blobOf[id]], acct)
+	data, err := pagefile.Whole(dk.store.ReadBlob(dk.blobRefs[dk.blobOf[id]], acct))
 	if err != nil {
 		return nil, fmt.Errorf("grail: blob of vertex %d: %w", id, err)
 	}

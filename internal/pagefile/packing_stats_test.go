@@ -38,7 +38,7 @@ func TestPackedSamePageReadsCountOnce(t *testing.T) {
 		if i > 0 && ref.Page == refs[i-1].Page {
 			samePage++
 		}
-		if _, err := st.ReadBlob(ref, &acct); err != nil {
+		if _, err := Whole(st.ReadBlob(ref, &acct)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestPackedDeltaTotalPoolInvariant(t *testing.T) {
 	for qi := 0; qi < 3; qi++ { // several "queries", each its own stream
 		var acct Stats
 		for _, ref := range refs {
-			if _, err := st.ReadBlob(ref, &acct); err != nil {
+			if _, err := Whole(st.ReadBlob(ref, &acct)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,7 +112,7 @@ func TestPackedEncoderBlobsRoundTrip(t *testing.T) {
 		refs = append(refs, st.AppendBlob(enc.Bytes()))
 	}
 	for i, ref := range refs {
-		data, err := st.ReadBlob(ref, nil)
+		data, err := Whole(st.ReadBlob(ref, nil))
 		if err != nil {
 			t.Fatalf("blob %d (off %d): %v", i, ref.Off, err)
 		}

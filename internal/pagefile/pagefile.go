@@ -12,13 +12,31 @@
 //
 // # Integrity
 //
+// The promise: no answer is computed from a byte that this read did not
+// verify. A reader verifies what it interprets, when it first interprets it,
+// at the granularity of a page — the way a disk checks a sector — so a query
+// that decodes a few pages of a long extent does not checksum the rest.
+//
 // Every blob carries an 8-byte header: its payload length and the payload's
 // CRC-32C (Castagnoli, the polynomial with SSE4.2 / ARMv8 instructions —
-// hash/crc32 uses them, and slicing-8 elsewhere). ReadBlob checks both on
-// every call, pool hit or miss; nothing is verified once and trusted after.
+// hash/crc32 uses them, and slicing-8 elsewhere). ReadBlob checks the length
+// on every call, pool hit or miss, and a blob that fits in one page — run
+// directories, most partitions and cells — is verified whole against its
+// header CRC right there. A blob that spans pages is not: the store keeps,
+// beside its page table and outside the page bytes, the CRC-32C of the
+// blob's bytes on each page, and ReadBlob returns a Blob whose Verify checks
+// the pages under a byte range before the caller interprets them, each page
+// once per read. Whole verifies every page, for readers that decode a blob
+// in full. A multi-page blob starts at offset 0 of a fresh extent, so a page
+// holds at most one multi-page fragment, and the sub-page blobs packed after
+// it on its tail page lie outside the page's sum.
+//
 // Any single-bit flip inside a blob's bytes, header included, therefore
-// surfaces as ErrCorruptBlob, while damage to page slack or to a
-// neighbouring blob packed on the same page leaves this blob readable.
+// surfaces as ErrCorruptBlob from the read or verification that covers it,
+// while damage to page slack, to a neighbouring blob packed on the same page,
+// or to a page of the blob that no verification covers leaves the reader
+// unaffected. Nothing is verified once and trusted after: the next read
+// verifies again.
 //
 // The checksum is not moved to the moment a page enters the pool. On the
 // paper's setup — an index behind a pool of about 1 % of it — nearly every
@@ -37,9 +55,9 @@
 // # Views
 //
 // A blob occupies one extent: pages that are consecutive on the simulated
-// disk and contiguous in memory. ReadBlob returns a view of that memory —
-// no copy — after passing each page through the buffer pool, so the I/O
-// counts are those of a page-at-a-time read. The view aliases the store:
+// disk and contiguous in memory. ReadBlob returns a Blob, a view of that
+// memory — no copy — after passing each page through the buffer pool, so
+// the I/O counts are those of a page-at-a-time read. The view aliases the store:
 // callers must not modify it, and it stays valid and unchanged for the
 // life of the store, because a store only ever appends and blobs never
 // overlap. The buffer pool consequently tracks which pages are resident,
@@ -87,6 +105,8 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
+
+	"streach/internal/visit"
 )
 
 // PageSize is the size of one disk page in bytes (Table 3: 4 KiB pages).
@@ -107,6 +127,10 @@ type Stats struct {
 	SequentialReads int64
 	PagesWritten    int64
 	BufferHits      int64
+	// PagesVerified counts the pages whose checksum this stream checked: one
+	// for each single-page blob read, one for each page of a longer blob a
+	// Verify covered. The store keeps no total of it.
+	PagesVerified int64
 
 	lastPage int64 // physical id of the last page fetched from "disk"
 	valid    bool  // whether lastPage is meaningful
@@ -133,6 +157,7 @@ func (s *Stats) Add(d Stats) {
 	s.SequentialReads += d.SequentialReads
 	s.PagesWritten += d.PagesWritten
 	s.BufferHits += d.BufferHits
+	s.PagesVerified += d.PagesVerified
 }
 
 // sequential reports whether fetching page would continue this stream's
@@ -166,6 +191,7 @@ type Store struct {
 
 	mu       sync.RWMutex
 	pages    [][]byte      // page table: len PageSize each, cap to the end of the page's extent
+	sums     []uint32      // by page: CRC-32C of the multi-page blob's bytes on it, else 0
 	frames   []*frameChunk // residency, by page (see frameChunk); covers pages when pool is set
 	spare    [][]byte      // pages allocExtent obtained but has not handed out yet
 	tailUsed int           // bytes used in the final page (blob packing)
@@ -328,8 +354,9 @@ func (st *Store) allocExtent(n int) []byte {
 // are packed: one that fits the free tail of the last page is placed
 // there (page-granular footprints would otherwise swallow the codec's
 // byte savings — a 200-byte posting must not cost 4 KiB); larger blobs
-// start on a fresh page and occupy one extent of consecutive pages. An
-// empty blob is legal.
+// start on a fresh page and occupy one extent of consecutive pages, and
+// one that spans several has the sum of each of its pages recorded (see
+// Blob). An empty blob is legal.
 func (st *Store) AppendBlob(data []byte) BlobRef {
 	size := blobHeaderSize + len(data)
 	sum := crc32.Checksum(data, castagnoli)
@@ -344,6 +371,7 @@ func (st *Store) AppendBlob(data []byte) BlobRef {
 		extent := st.allocExtent(n)
 		for off := 0; off < len(extent); off += PageSize {
 			st.pages = append(st.pages, extent[off:off+PageSize:len(extent)])
+			st.sums = append(st.sums, 0)
 		}
 		for st.pool != nil && len(st.frames)*framesPerChunk < len(st.pages) {
 			st.frames = append(st.frames, new(frameChunk))
@@ -355,6 +383,12 @@ func (st *Store) AppendBlob(data []byte) BlobRef {
 	binary.LittleEndian.PutUint32(dst[0:4], uint32(len(data)))
 	binary.LittleEndian.PutUint32(dst[4:8], sum)
 	copy(dst[blobHeaderSize:], data)
+	if size > PageSize {
+		buf := st.pages[ref.Page][:size]
+		for k := 0; k*PageSize < size; k++ {
+			st.sums[ref.Page+int64(k)] = crc32.Checksum(buf[k*PageSize:min((k+1)*PageSize, size)], castagnoli)
+		}
+	}
 	st.tailUsed = (end-1)%PageSize + 1
 	return ref
 }
@@ -362,32 +396,39 @@ func (st *Store) AppendBlob(data []byte) BlobRef {
 // ReadBlob fetches the blob at ref, charging acct (and the store's atomic
 // totals) for pages that miss the buffer pool. acct may be nil, in which
 // case sequential runs are still detected within this one blob but not
-// across calls. Length and checksum are verified on every call. The
-// returned slice is a view of the store's memory (see the package comment)
-// and must not be modified.
-func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
+// across calls. The length is checked on every call, and a blob within one
+// page is verified whole; a longer one is verified page by page through the
+// returned Blob (see the package comment), whose bytes are a view of the
+// store's memory and must not be modified.
+func (st *Store) ReadBlob(ref BlobRef, acct *Stats) (Blob, error) {
 	if ref.Bytes < blobHeaderSize {
-		return nil, fmt.Errorf("%w: header too short (%d bytes)", ErrCorruptBlob, ref.Bytes)
+		return Blob{}, fmt.Errorf("%w: header too short (%d bytes)", ErrCorruptBlob, ref.Bytes)
 	}
 	if ref.Off < 0 || ref.Off >= PageSize {
-		return nil, fmt.Errorf("pagefile: blob offset %d outside page", ref.Off)
+		return Blob{}, fmt.Errorf("pagefile: blob offset %d outside page", ref.Off)
 	}
+	// stream is acct, or a Stats of this one read; acct alone goes into the
+	// Blob, so that own does not escape.
+	stream := acct
 	var own Stats
-	if acct == nil {
-		acct = &own
+	if stream == nil {
+		stream = &own
 	}
 	end := int(ref.Off) + int(ref.Bytes)
 	numPages := int64(end+PageSize-1) / PageSize
+	if numPages > 1 && ref.Off != 0 {
+		return Blob{}, fmt.Errorf("pagefile: blob of %d pages at offset %d, not at a page start", numPages, ref.Off)
+	}
 	st.mu.RLock()
-	pages, frames := st.pages, st.frames // append-only: the entries of a snapshot never move
+	pages, frames, sums := st.pages, st.frames, st.sums // append-only: the entries of a snapshot never move
 	st.mu.RUnlock()
 	if ref.Page < 0 || ref.Page > int64(len(pages))-numPages {
-		return nil, fmt.Errorf("pagefile: blob [%d, %d) outside store of %d pages",
+		return Blob{}, fmt.Errorf("pagefile: blob [%d, %d) outside store of %d pages",
 			ref.Page, ref.Page+numPages, len(pages))
 	}
 	first := pages[ref.Page]
 	if end > cap(first) {
-		return nil, fmt.Errorf("pagefile: blob [%d, %d) is not within one extent", ref.Page, ref.Page+numPages)
+		return Blob{}, fmt.Errorf("pagefile: blob [%d, %d) is not within one extent", ref.Page, ref.Page+numPages)
 	}
 	// The pages pass through the pool a window at a time; the misses are
 	// then classified in page order, which pool hits do not interrupt.
@@ -402,14 +443,14 @@ func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
 			switch {
 			case h:
 				hits++
-			case acct.sequential(p + int64(i)):
+			case stream.sequential(p + int64(i)):
 				seq++
 			default:
 				random++
 			}
 		}
 	}
-	acct.BufferHits += hits
+	stream.BufferHits += hits
 	addNonZero(&st.bufferHits, hits)
 	addNonZero(&st.sequentialReads, seq)
 	addNonZero(&st.randomReads, random)
@@ -419,13 +460,80 @@ func (st *Store) ReadBlob(ref BlobRef, acct *Stats) ([]byte, error) {
 
 	buf := first[ref.Off:end]
 	if n := binary.LittleEndian.Uint32(buf[0:4]); int64(n) != int64(ref.Bytes)-blobHeaderSize {
-		return nil, fmt.Errorf("%w: length mismatch (header %d, ref %d)", ErrCorruptBlob, n, ref.Bytes-blobHeaderSize)
+		return Blob{}, fmt.Errorf("%w: length mismatch (header %d, ref %d)", ErrCorruptBlob, n, ref.Bytes-blobHeaderSize)
 	}
-	payload := buf[blobHeaderSize:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptBlob)
+	if numPages > 1 {
+		return Blob{buf: buf, sums: sums[ref.Page : ref.Page+numPages], page: ref.Page, acct: acct}, nil
 	}
-	return payload, nil
+	stream.PagesVerified++
+	if crc32.Checksum(buf[blobHeaderSize:], castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return Blob{}, fmt.Errorf("%w: checksum mismatch", ErrCorruptBlob)
+	}
+	return Blob{buf: buf}, nil
+}
+
+// Blob is one read of a blob: a view of its bytes in the store, verified
+// whole when they lie on one page and page by page, on demand, when they
+// span several. It is a value; keeping it allocates nothing, and its
+// methods take it by pointer so that a check does not copy it.
+type Blob struct {
+	buf  []byte   // header and payload
+	sums []uint32 // the CRC-32C of buf's bytes on each of its pages; nil when buf was verified whole
+	page int64    // the store page buf starts on
+	acct *Stats   // charged for the pages Verify checks; may be nil
+}
+
+// Bytes returns the payload. Only the bytes a Verify has covered, or all of
+// them for a blob within one page, are verified.
+func (b *Blob) Bytes() []byte { return b.buf[blobHeaderSize:] }
+
+// Verify checks the pages that hold payload bytes [lo, hi) against their
+// sums. seen, when not nil, is the reader's set of store pages verified in
+// this read, sized to the store's page count: pages in it are skipped and
+// pages that pass are added, so each page is checked once however many
+// ranges cover it. A blob within one page was verified by ReadBlob and
+// costs nothing here.
+func (b *Blob) Verify(lo, hi int, seen *visit.Set) error {
+	if b.sums == nil {
+		return nil
+	}
+	return b.verify(lo, hi, seen)
+}
+
+func (b *Blob) verify(lo, hi int, seen *visit.Set) error {
+	lo, hi = max(lo, 0)+blobHeaderSize, min(hi+blobHeaderSize, len(b.buf))
+	if lo >= hi {
+		return nil
+	}
+	for k := lo / PageSize; k*PageSize < hi; k++ {
+		p := int(b.page) + k
+		if seen != nil && seen.Has(p) {
+			continue
+		}
+		if crc32.Checksum(b.buf[k*PageSize:min((k+1)*PageSize, len(b.buf))], castagnoli) != b.sums[k] {
+			return fmt.Errorf("%w: checksum mismatch on page %d of %d", ErrCorruptBlob, k, len(b.sums))
+		}
+		if seen != nil {
+			seen.Visit(p)
+		}
+		if b.acct != nil {
+			b.acct.PagesVerified++
+		}
+	}
+	return nil
+}
+
+// Whole verifies every page of a blob ReadBlob returned and gives its
+// payload: what a reader that decodes the whole blob calls, as in
+// Whole(st.ReadBlob(ref, acct)).
+func Whole(b Blob, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Verify(0, len(b.buf), nil); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
 }
 
 // CorruptPage flips a byte of page p. It exists for failure-injection tests

@@ -13,7 +13,7 @@ func TestAppendAndReadBlob(t *testing.T) {
 	st := NewStore(0)
 	data := []byte("hello spatiotemporal world")
 	ref := st.AppendBlob(data)
-	got, err := st.ReadBlob(ref, nil)
+	got, err := Whole(st.ReadBlob(ref, nil))
 	if err != nil {
 		t.Fatalf("ReadBlob: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestBlobSpanningMultiplePages(t *testing.T) {
 	if st.NumPages() != 4 {
 		t.Fatalf("NumPages = %d, want 4", st.NumPages())
 	}
-	got, err := st.ReadBlob(ref, nil)
+	got, err := Whole(st.ReadBlob(ref, nil))
 	if err != nil {
 		t.Fatalf("ReadBlob: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestBlobSpanningMultiplePages(t *testing.T) {
 func TestEmptyBlob(t *testing.T) {
 	st := NewStore(0)
 	ref := st.AppendBlob(nil)
-	got, err := st.ReadBlob(ref, nil)
+	got, err := Whole(st.ReadBlob(ref, nil))
 	if err != nil {
 		t.Fatalf("ReadBlob: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 	refSmall := st.AppendBlob(small) // page 6
 
 	var s Stats
-	if _, err := st.ReadBlob(refBig, &s); err != nil {
+	if _, err := Whole(st.ReadBlob(refBig, &s)); err != nil {
 		t.Fatal(err)
 	}
 	// First page random, remaining 5 sequential.
@@ -68,14 +68,14 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 		t.Fatalf("big blob: random=%d sequential=%d, want 1/5", s.RandomReads, s.SequentialReads)
 	}
 	// Reading the next physical page continues the sequential run.
-	if _, err := st.ReadBlob(refSmall, &s); err != nil {
+	if _, err := Whole(st.ReadBlob(refSmall, &s)); err != nil {
 		t.Fatal(err)
 	}
 	if s.RandomReads != 1 || s.SequentialReads != 6 {
 		t.Fatalf("adjacent blob: random=%d sequential=%d, want 1/6", s.RandomReads, s.SequentialReads)
 	}
 	// Jumping backwards is random.
-	if _, err := st.ReadBlob(refBig, &s); err != nil {
+	if _, err := Whole(st.ReadBlob(refBig, &s)); err != nil {
 		t.Fatal(err)
 	}
 	if s.RandomReads != 2 {
@@ -102,11 +102,11 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 func TestBufferPoolAvoidsIO(t *testing.T) {
 	st := NewStore(16)
 	ref := st.AppendBlob([]byte("cached"))
-	if _, err := st.ReadBlob(ref, nil); err != nil {
+	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatal(err)
 	}
 	first := st.Counters().RandomReads
-	if _, err := st.ReadBlob(ref, nil); err != nil {
+	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Counters().RandomReads != first {
@@ -116,7 +116,7 @@ func TestBufferPoolAvoidsIO(t *testing.T) {
 		t.Fatal("expected buffer hits")
 	}
 	st.DropCache()
-	if _, err := st.ReadBlob(ref, nil); err != nil {
+	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Counters().RandomReads == first {
@@ -141,7 +141,7 @@ func TestPerStreamDeltasSumToStoreTotals(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 200; i++ {
-				if _, err := st.ReadBlob(refs[rng.Intn(len(refs))], &deltas[w]); err != nil {
+				if _, err := Whole(st.ReadBlob(refs[rng.Intn(len(refs))], &deltas[w])); err != nil {
 					t.Error(err)
 					return
 				}
@@ -176,14 +176,14 @@ func TestSharedPoolAcrossStores(t *testing.T) {
 	if refA.Page != refB.Page {
 		t.Fatalf("both stores should start at page 0 (got %d, %d)", refA.Page, refB.Page)
 	}
-	if _, err := a.ReadBlob(refA, nil); err != nil {
+	if _, err := Whole(a.ReadBlob(refA, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ReadBlob(refB, nil); err != nil {
+	if _, err := Whole(b.ReadBlob(refB, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Same physical page number, different stores: both must be resident.
-	gotA, err := a.ReadBlob(refA, nil)
+	gotA, err := Whole(a.ReadBlob(refA, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSharedPoolAcrossStores(t *testing.T) {
 	// DropCache on a must not evict b's pages.
 	a.DropCache()
 	before := b.Counters().BufferHits
-	if _, err := b.ReadBlob(refB, nil); err != nil {
+	if _, err := Whole(b.ReadBlob(refB, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if b.Counters().BufferHits != before+1 {
@@ -208,17 +208,17 @@ func TestReadBlobErrors(t *testing.T) {
 	st := NewStore(0)
 	ref := st.AppendBlob([]byte("data"))
 
-	if _, err := st.ReadBlob(BlobRef{Page: 99, Bytes: 32}, nil); err == nil {
+	if _, err := Whole(st.ReadBlob(BlobRef{Page: 99, Bytes: 32}, nil)); err == nil {
 		t.Error("out-of-range blob accepted")
 	}
-	if _, err := st.ReadBlob(BlobRef{Page: 0, Bytes: 2}, nil); err == nil {
+	if _, err := Whole(st.ReadBlob(BlobRef{Page: 0, Bytes: 2}, nil)); err == nil {
 		t.Error("undersized blob accepted")
 	}
 	// Corrupt the payload: checksum must catch it.
 	if err := st.CorruptPage(ref.Page, blobHeaderSize+1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := st.ReadBlob(ref, nil)
+	_, err := Whole(st.ReadBlob(ref, nil))
 	if !errors.Is(err, ErrCorruptBlob) {
 		t.Errorf("corrupted read returned %v, want ErrCorruptBlob", err)
 	}
@@ -230,13 +230,13 @@ func TestReadBlobErrors(t *testing.T) {
 func TestCorruptionVisibleThroughPool(t *testing.T) {
 	st := NewStore(8)
 	ref := st.AppendBlob([]byte("payload"))
-	if _, err := st.ReadBlob(ref, nil); err != nil {
+	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatal(err) // warm the cache
 	}
 	if err := st.CorruptPage(ref.Page, blobHeaderSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ReadBlob(ref, nil); !errors.Is(err, ErrCorruptBlob) {
+	if _, err := Whole(st.ReadBlob(ref, nil)); !errors.Is(err, ErrCorruptBlob) {
 		t.Errorf("cached corruption returned %v, want ErrCorruptBlob", err)
 	}
 }
@@ -256,7 +256,7 @@ func pageStore(pool *BufferPool, n int) *Store {
 func touch(t testing.TB, st *Store, p int64) bool {
 	t.Helper()
 	var s Stats
-	if _, err := st.ReadBlob(BlobRef{Page: p, Bytes: PageSize}, &s); err != nil {
+	if _, err := Whole(st.ReadBlob(BlobRef{Page: p, Bytes: PageSize}, &s)); err != nil {
 		t.Error(err)
 	}
 	return s.BufferHits == 1

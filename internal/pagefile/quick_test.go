@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"streach/internal/visit"
 )
 
 // TestQuickBlobRoundTrip stores arbitrary payloads and reads them back.
@@ -13,7 +15,7 @@ func TestQuickBlobRoundTrip(t *testing.T) {
 	st := NewStore(8)
 	f := func(payload []byte) bool {
 		ref := st.AppendBlob(payload)
-		got, err := st.ReadBlob(ref, nil)
+		got, err := Whole(st.ReadBlob(ref, nil))
 		if err != nil {
 			return false
 		}
@@ -43,7 +45,7 @@ func TestQuickCorruptionDetected(t *testing.T) {
 		if err := st.CorruptPage(page, off); err != nil {
 			return false
 		}
-		_, err := st.ReadBlob(ref, nil)
+		_, err := Whole(st.ReadBlob(ref, nil))
 		return errors.Is(err, ErrCorruptBlob)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -54,11 +56,14 @@ func TestQuickCorruptionDetected(t *testing.T) {
 // TestQuickEveryBitFlipDetected lays out, for arbitrary sizes and contents,
 // a page of packed blobs followed by a multi-page extent whose tail page
 // takes one more packed blob, and then flips every single bit of the page
-// range one at a time. A flip inside a blob's bytes — header included, on
-// whichever page of its extent — must fail that blob, and only that blob,
-// with ErrCorruptBlob; a flip in page slack must fail none. The pool is
-// large enough that every read after the first is a hit: hits are verified
-// like misses.
+// range one at a time. A flip inside a single-page blob — header included —
+// must fail that blob's read, and only that blob's, with ErrCorruptBlob. A
+// flip on page j of the multi-page blob must fail exactly the verifications
+// that cover j (a flip in its length field, the read itself), and its
+// tail-page neighbour and page slack must fail nothing. Each read verifies a
+// page once: covering it again through the same set costs nothing. The pool
+// is large enough that every read after the first is a hit: hits are
+// verified like misses.
 func TestQuickEveryBitFlipDetected(t *testing.T) {
 	f := func(seed int64, sizeA, sizeB uint8, spanRaw, cut uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -69,13 +74,14 @@ func TestQuickEveryBitFlipDetected(t *testing.T) {
 			span*PageSize - blobHeaderSize - 64 - int(cut%(PageSize/2)), // own extent, pages 1..span
 			16, // packed in the extent's tail page
 		}
+		const big = 2
 		refs := make([]BlobRef, len(sizes))
 		for i, n := range sizes {
 			data := make([]byte, n)
 			rng.Read(data)
 			refs[i] = st.AppendBlob(data)
 		}
-		if refs[1].Page != 0 || refs[2].Page != 1 || refs[3].Page != int64(span) || st.NumPages() != int64(span)+1 {
+		if refs[1].Page != 0 || refs[big].Page != 1 || refs[3].Page != int64(span) || st.NumPages() != int64(span)+1 {
 			t.Errorf("unexpected layout %+v", refs)
 			return false
 		}
@@ -90,6 +96,7 @@ func TestQuickEveryBitFlipDetected(t *testing.T) {
 				owner[b] = i
 			}
 		}
+		var seen visit.Set
 		for b, own := range owner {
 			for bit := 0; bit < 8; bit++ {
 				st.pages[b/PageSize][b%PageSize] ^= 1 << bit
@@ -97,16 +104,49 @@ func TestQuickEveryBitFlipDetected(t *testing.T) {
 					// Reading the big extent for every flip elsewhere
 					// would square the cost; its neighbours' flips are
 					// checked against it on one bit per byte.
-					if i == 2 && own != 2 && bit != b%8 {
+					if i == big && own != big && bit != b%8 {
 						continue
 					}
-					_, err := st.ReadBlob(r, nil)
-					if i == own && !errors.Is(err, ErrCorruptBlob) {
-						t.Errorf("bit %d of byte %d (blob %d): err = %v, want ErrCorruptBlob", bit, b, i, err)
+					var acct Stats
+					blob, err := st.ReadBlob(r, &acct)
+					damaged := i == own
+					if i == big && damaged && b < int(r.Page)*PageSize+4 {
+						damaged = false // the length: the read itself fails
+						if !errors.Is(err, ErrCorruptBlob) {
+							t.Errorf("bit %d of byte %d (the big blob's length): read err = %v, want ErrCorruptBlob", bit, b, err)
+							return false
+						}
+						continue
+					}
+					if i != big {
+						if damaged != errors.Is(err, ErrCorruptBlob) || (!damaged && err != nil) {
+							t.Errorf("bit %d of byte %d (owner %d): blob %d read err = %v", bit, b, own, i, err)
+							return false
+						}
+						continue
+					}
+					if err != nil {
+						t.Errorf("bit %d of byte %d (owner %d): the big blob's read failed: %v", bit, b, own, err)
 						return false
 					}
-					if i != own && err != nil {
-						t.Errorf("bit %d of byte %d (owner %d) broke blob %d: %v", bit, b, own, i, err)
+					seen.Reset(int(st.NumPages()))
+					for j := 0; j < span; j++ {
+						lo, hi := j*PageSize-blobHeaderSize, (j+1)*PageSize-blobHeaderSize
+						want := damaged && b/PageSize == int(r.Page)+j
+						for pass := 0; pass < 2; pass++ {
+							err := blob.Verify(lo, hi, &seen)
+							if want != errors.Is(err, ErrCorruptBlob) || (!want && err != nil) {
+								t.Errorf("bit %d of byte %d (owner %d): page %d of the big blob, pass %d: err = %v", bit, b, own, j, pass, err)
+								return false
+							}
+						}
+					}
+					if verified := int(acct.PagesVerified); (!damaged && verified != span) || (damaged && verified != span-1) {
+						t.Errorf("bit %d of byte %d (owner %d): %d pages verified of %d", bit, b, own, verified, span)
+						return false
+					}
+					if _, err := Whole(blob, nil); damaged != errors.Is(err, ErrCorruptBlob) || (!damaged && err != nil) {
+						t.Errorf("bit %d of byte %d (owner %d): whole big blob err = %v", bit, b, own, err)
 						return false
 					}
 				}

@@ -62,7 +62,7 @@ func (c readCase) fixture() *readFixture {
 func (f *readFixture) read(acct *Stats) ([]byte, error) {
 	ref := f.refs[f.next%len(f.refs)]
 	f.next++
-	return f.st.ReadBlob(ref, acct)
+	return Whole(f.st.ReadBlob(ref, acct))
 }
 
 // TestReadBlobDoesNotAllocate pins the mechanism: a blob read is a view of
@@ -117,12 +117,12 @@ func TestReadBlobViewsAliasTheStore(t *testing.T) {
 	st := NewStore(4)
 	data := bytes.Repeat([]byte{7}, 2*PageSize)
 	ref := st.AppendBlob(data)
-	a, err := st.ReadBlob(ref, nil)
+	a, err := Whole(st.ReadBlob(ref, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.DropCache()
-	b, err := st.ReadBlob(ref, nil)
+	b, err := Whole(st.ReadBlob(ref, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestForgedRefAcrossExtentsRejected(t *testing.T) {
 	a := st.AppendBlob(make([]byte, PageSize-blobHeaderSize))
 	st.AppendBlob(make([]byte, 3*PageSize-blobHeaderSize))
 	forged := BlobRef{Page: a.Page, Bytes: 2 * PageSize}
-	if _, err := st.ReadBlob(forged, nil); err == nil {
+	if _, err := Whole(st.ReadBlob(forged, nil)); err == nil {
 		t.Fatal("blob reference spanning two extents accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestCorruptPageRejectsNegativeOffset(t *testing.T) {
 	if err := st.CorruptPage(ref.Page, -1); err == nil {
 		t.Fatal("negative offset accepted")
 	}
-	if _, err := st.ReadBlob(ref, nil); err != nil {
+	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatalf("refused corruption damaged the page: %v", err)
 	}
 }
@@ -240,7 +240,7 @@ func concurrentViews(t *testing.T, poolPages int, spans []int, dropping bool) {
 			for i := 0; i < reads; i++ {
 				s := rng.Intn(2)
 				b := blobs[s][rng.Intn(len(blobs[s]))]
-				got, err := stores[s].ReadBlob(b.ref, &deltas[w][s])
+				got, err := Whole(stores[s].ReadBlob(b.ref, &deltas[w][s]))
 				if err != nil {
 					t.Error(err)
 					return
@@ -329,7 +329,7 @@ func BenchmarkReadBlobParallel(b *testing.B) {
 			var acct Stats
 			next := int(clients.Add(1)) * 7
 			for pb.Next() {
-				if _, err := f.st.ReadBlob(f.refs[next%len(f.refs)], &acct); err != nil {
+				if _, err := Whole(f.st.ReadBlob(f.refs[next%len(f.refs)], &acct)); err != nil {
 					b.Error(err)
 					return
 				}
@@ -476,7 +476,7 @@ func blobReadsMatchPageLRU(t *testing.T, poolPages int, seed int64) {
 	var accts, want [2]Stats
 	read := func(step, s int, ref BlobRef, wantErr error) (displaced bool) {
 		got, exp := accts[s], want[s]
-		if _, err := stores[s].ReadBlob(ref, &accts[s]); !errors.Is(err, wantErr) {
+		if _, err := Whole(stores[s].ReadBlob(ref, &accts[s])); !errors.Is(err, wantErr) {
 			t.Fatalf("step %d: read %+v of store %d: err = %v, want %v", step, ref, s, err, wantErr)
 		}
 		displaced = m.read(stores[s], ref, &want[s])

@@ -1,12 +1,14 @@
 package reachgraph
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"streach/internal/contact"
 	"streach/internal/dn"
 	"streach/internal/mobility"
+	"streach/internal/pagefile"
 )
 
 // BenchmarkBuild is what an index build costs from an extracted contact
@@ -36,16 +38,19 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			for i := range members {
 				members[i] = dn.NodeID(3 * i)
 			}
-			blob := newPartitionWriter().encode(g, members, make([]int32, len(g.Nodes)))
-			pv, err := parsePartition(blob)
-			if err != nil {
+			ix := blobIndex(len(g.Nodes), 1, newPartitionWriter().encode(g, members, make([]int32, len(g.Nodes))))
+			sc := ix.begin(nil)
+			defer ix.pool.Put(sc)
+			c := &sc.cur
+			if err := c.loadPartition(0); err != nil {
 				b.Fatal(err)
 			}
+			pv := &c.parts[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := members[i*7919%n]
-				if _, err := pv.find(id); err != nil {
+				if _, err := pv.find(id, &c.checked); err != nil {
 					b.Fatalf("vertex %d: %v", id, err)
 				}
 			}
@@ -93,5 +98,33 @@ func BenchmarkDecodeVertex(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPointQuery is graph-point's query at a smaller scale: BM-BFS
+// point queries of 60–240 ticks, round-robin from a fixed list, on RWP
+// 400 × 1000 behind the default 64-page pool — an index many times its
+// pool, so that nearly every partition read misses and every query reads
+// and verifies what it interprets. One op is one query.
+func BenchmarkPointQuery(b *testing.B) {
+	f := newFixture(b, 400, 1000, 17)
+	ix, err := Build(f.g, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	work := f.workload(1024, 60, 240, 17)
+	ctx := context.Background()
+	var acct pagefile.Stats
+	for _, q := range work { // warm: scratch arrays, slabs and pool
+		if _, _, err := ix.ReachStrategyCounted(ctx, q, BMBFS, &acct); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ix.ReachStrategyCounted(ctx, work[i%len(work)], BMBFS, &acct); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

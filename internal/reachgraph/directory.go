@@ -13,6 +13,13 @@
 // area); a lookup binary-searches the anchors and decodes at most
 // anchorStride entries. The first group needs no anchor: it starts at
 // offset 0 of both areas with previous id 0.
+//
+// A partition that spans pages is verified where it is interpreted (see
+// pagefile's Integrity): its header before it is parsed, its anchors once
+// when it is buffered, an entry group before a lookup scans it, and a
+// record before it is decoded — or, kept from an earlier query, used. The
+// cursor's set of verified pages makes each page cost one checksum per
+// query however many of these cover it.
 package reachgraph
 
 import (
@@ -76,17 +83,24 @@ func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, partOf []int3
 	return w.blob.Bytes()
 }
 
-// partView is a buffered partition: three views of its blob.
+// partView is a buffered partition: its blob, and where the anchors (the
+// fixed-width searchable part), the entries and the records begin in the
+// payload; each area ends where the next begins, the records at its end.
 type partView struct {
-	n       int    // vertices in the partition
-	index   []byte // fixed-width searchable part: the anchors
-	entries []byte
-	records []byte
+	blob                    pagefile.Blob
+	n                       int32 // vertices in the partition
+	index, entries, records int32
 }
 
+// maxPartitionHeader bounds the bytes in front of the anchors: the version
+// byte and two uvarints.
+const maxPartitionHeader = 1 + 2*binary.MaxVarintLen64
+
 // parsePartition validates the header of a partition blob against the
-// blob's length and returns its views. No directory entry is read.
-func parsePartition(data []byte) (partView, error) {
+// blob's length and returns its view. The caller has verified the first
+// maxPartitionHeader bytes; no directory entry is read.
+func parsePartition(blob pagefile.Blob) (partView, error) {
+	data := blob.Bytes()
 	dec := pagefile.NewDecoder(data)
 	dec.Format()
 	var pv partView
@@ -102,15 +116,16 @@ func parsePartition(data []byte) (partView, error) {
 	if err := dec.Err(); err != nil {
 		return partView{}, err
 	}
-	rest := data[len(data)-dec.Remaining():]
+	rest := dec.Remaining()
 	// n is bounded by the blob's length, so the sum is exact.
-	if entryBytes > uint64(len(rest)) || indexBytes+entryBytes > uint64(len(rest)) {
-		return partView{}, fmt.Errorf("reachgraph: directory of %d records truncated (%d bytes left)", n, len(rest))
+	if entryBytes > uint64(rest) || indexBytes+entryBytes > uint64(rest) {
+		return partView{}, fmt.Errorf("reachgraph: directory of %d records truncated (%d bytes left)", n, rest)
 	}
-	pv.n = int(n)
-	pv.index = rest[:indexBytes]
-	pv.entries = rest[indexBytes : indexBytes+entryBytes]
-	pv.records = rest[indexBytes+entryBytes:]
+	pv.blob = blob
+	pv.n = int32(n)
+	pv.index = int32(len(data) - rest)
+	pv.entries = pv.index + int32(indexBytes)
+	pv.records = pv.entries + int32(entryBytes)
 	return pv, nil
 }
 
@@ -128,14 +143,18 @@ var (
 
 // find returns the record bytes of vertex id, errNotListed when the
 // directory does not list id, or errBadDirectory when the entry that should
-// locate it points outside the blob.
-func (pv *partView) find(id dn.NodeID) ([]byte, error) {
+// locate it points outside the blob. It verifies the entry group it scans,
+// through seen; the anchors it searches were verified when the partition
+// was buffered.
+func (pv *partView) find(id dn.NodeID, seen *visit.Set) ([]byte, error) {
+	data := pv.blob.Bytes()
+	index, entries, records := data[pv.index:pv.entries], data[pv.entries:pv.records], data[pv.records:]
 	// The group that can hold id: the last anchor at or below it, else the
 	// unanchored first group.
-	lo, hi := 0, len(pv.index)/anchorBytes
+	lo, hi := 0, len(index)/anchorBytes
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if dn.NodeID(binary.LittleEndian.Uint32(pv.index[mid*anchorBytes:])) <= id {
+		if dn.NodeID(binary.LittleEndian.Uint32(index[mid*anchorBytes:])) <= id {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -144,25 +163,30 @@ func (pv *partView) find(id dn.NodeID) ([]byte, error) {
 	group := lo // 0: the first group; k: the group of anchor k-1
 	cur, entOff, recOff := int64(0), uint64(0), uint64(0)
 	if group > 0 {
-		a := pv.index[(group-1)*anchorBytes:]
+		a := index[(group-1)*anchorBytes:]
 		cur = int64(int32(binary.LittleEndian.Uint32(a)))
 		entOff = uint64(binary.LittleEndian.Uint32(a[4:]))
 		recOff = uint64(binary.LittleEndian.Uint32(a[8:]))
-		if entOff > uint64(len(pv.entries)) {
-			return nil, errBadDirectory
-		}
 	}
-	if recOff > uint64(len(pv.records)) {
+	// The group ends where the next one's anchor says it begins.
+	entEnd := uint64(len(entries))
+	if group < len(index)/anchorBytes {
+		entEnd = uint64(binary.LittleEndian.Uint32(index[group*anchorBytes+4:]))
+	}
+	if entOff > entEnd || entEnd > uint64(len(entries)) || recOff > uint64(len(records)) {
 		return nil, errBadDirectory
 	}
-	ents := pv.entries[entOff:]
-	for i, left := 0, min(anchorStride, pv.n-group*anchorStride); i < left; i++ {
+	if err := pv.blob.Verify(int(pv.entries)+int(entOff), int(pv.entries)+int(entEnd), seen); err != nil {
+		return nil, err
+	}
+	ents := entries[entOff:entEnd]
+	for i, left := 0, min(anchorStride, int(pv.n)-group*anchorStride); i < left; i++ {
 		gap, w1 := binary.Uvarint(ents)
 		if w1 <= 0 {
 			return nil, errBadDirectory
 		}
 		length, w2 := binary.Uvarint(ents[w1:])
-		if w2 <= 0 || length > uint64(len(pv.records))-recOff {
+		if w2 <= 0 || length > uint64(len(records))-recOff {
 			return nil, errBadDirectory
 		}
 		ents = ents[w1+w2:]
@@ -170,7 +194,7 @@ func (pv *partView) find(id dn.NodeID) ([]byte, error) {
 			cur += int64(gap)
 		}
 		if cur == int64(id) {
-			return pv.records[recOff : recOff+length], nil
+			return records[recOff : recOff+length], nil
 		}
 		if cur > int64(id) {
 			break
@@ -192,20 +216,21 @@ func (pv *partView) find(id dn.NodeID) ([]byte, error) {
 // and there are at most keepRecords of them (begin): a working set that
 // fits the pool is decoded once, not once per query. Partitions never
 // outlive it. Every query reads each partition it uses — the pool is
-// touched and charged, the blob checksummed — before it takes a record of
-// it, kept or new, so page counts and corruption errors are those of a
-// cursor that keeps nothing.
+// touched and charged — and verifies the pages of a record, kept or new,
+// before it takes the record, so page counts and corruption errors are
+// those of a cursor that keeps nothing.
 type cursor struct {
 	ix   *Index
 	acct *pagefile.Stats
 
-	verts  visit.Table[*diskRec] // decoded records, by node
-	loaded visit.Set             // partitions buffered by this query
-	parts  []partView            // their views, by partition; valid where loaded
-	arena  arena
-	held   int      // records in the arena
-	last   *diskRec // the record vertex returned last
-	gen    uint64   // pool generation the kept records were decoded under
+	verts   visit.Table[*diskRec] // decoded records, by node
+	loaded  visit.Set             // partitions buffered by this query
+	checked visit.Set             // store pages this query verified
+	parts   []partView            // their views, by partition; valid where loaded
+	arena   arena
+	held    int      // records in the arena
+	last    *diskRec // the record vertex returned last
+	gen     uint64   // pool generation the kept records were decoded under
 }
 
 // reset empties the cursor.
@@ -224,7 +249,8 @@ func (c *cursor) reset(numNodes, numParts int) {
 // queries are kept while the pool's generation stands still — every page
 // they came from is then still resident — and dropped the moment a page is
 // displaced or evicted or the cache dropped; a cursor holding more than
-// keepRecords starts empty too. An index without a pool keeps nothing.
+// keepRecords starts empty too. An index without a pool keeps nothing. No
+// page counts as verified until this query verifies it.
 func (c *cursor) begin(ix *Index, acct *pagefile.Stats) {
 	var gen uint64
 	pool := ix.store.Pool()
@@ -237,10 +263,12 @@ func (c *cursor) begin(ix *Index, acct *pagefile.Stats) {
 		c.reset(ix.numNodes, len(ix.partRefs))
 	}
 	c.ix, c.acct, c.gen = ix, acct, gen
+	c.checked.Reset(int(ix.store.NumPages()))
 }
 
-// loadPartition buffers partition pid: one blob read and a header check. No
-// directory entry and no vertex is decoded until visited.
+// loadPartition buffers partition pid: one blob read, and a check of its
+// header and anchors. No directory entry and no vertex is decoded until
+// visited.
 func (c *cursor) loadPartition(pid int32) error {
 	if pid < 0 || int(pid) >= len(c.ix.partRefs) {
 		return fmt.Errorf("reachgraph: no partition %d", pid)
@@ -248,11 +276,17 @@ func (c *cursor) loadPartition(pid int32) error {
 	if c.loaded.Has(int(pid)) {
 		return nil
 	}
-	data, err := c.ix.store.ReadBlob(c.ix.partRefs[pid], c.acct)
-	if err != nil {
-		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
+	blob, err := c.ix.store.ReadBlob(c.ix.partRefs[pid], c.acct)
+	if err == nil {
+		err = blob.Verify(0, maxPartitionHeader, &c.checked)
 	}
-	pv, err := parsePartition(data)
+	var pv partView
+	if err == nil {
+		pv, err = parsePartition(blob)
+	}
+	if err == nil {
+		err = pv.blob.Verify(int(pv.index), int(pv.entries), &c.checked)
+	}
 	if err != nil {
 		return fmt.Errorf("reachgraph: partition %d: %w", pid, err)
 	}
@@ -263,8 +297,8 @@ func (c *cursor) loadPartition(pid int32) error {
 
 // vertex returns the record of node id, which the referencing edge (or the
 // run directory) says lives in partition part: the partition is buffered on
-// first use, the record found through its directory, and header and
-// members decoded. Edge sections wait for need.
+// first use, the record found through its directory, its pages verified,
+// and header and members decoded. Edge sections wait for need.
 func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 	if id < 0 || int(id) >= c.ix.numNodes {
 		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
@@ -276,11 +310,23 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 	if ok && r.part != part {
 		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, errNotListed)
 	}
-	if !ok {
-		raw, err := c.parts[part].find(id)
-		if err != nil {
+	pv := &c.parts[part]
+	var raw []byte
+	if ok {
+		raw = r.raw // kept from an earlier query, whose read verified it
+	} else {
+		var err error
+		if raw, err = pv.find(id, &c.checked); err != nil {
 			return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
 		}
+	}
+	// The record, like the blob, is a view of the store's memory: where it
+	// starts in the payload is how much shorter its capacity is.
+	at := cap(pv.blob.Bytes()) - cap(raw)
+	if err := pv.blob.Verify(at, at+len(raw), &c.checked); err != nil {
+		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
+	}
+	if !ok {
 		r = &c.arena.recs.alloc(1)[0]
 		*r = diskRec{vertexRec: vertexRec{id: id}, part: part, raw: raw, known: 1}
 		dec := pagefile.NewDecoder(raw)

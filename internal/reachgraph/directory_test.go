@@ -62,6 +62,17 @@ func wantLongs(g *dn.Graph, partOf []int32, edgesOf func(L int) []dn.NodeID) []l
 	return out
 }
 
+// graphRecord is the record of vertex id as g holds it.
+func graphRecord(g *dn.Graph, partOf []int32, id dn.NodeID) *vertexRec {
+	nd := &g.Nodes[id]
+	return &vertexRec{
+		id: id, start: nd.Start, end: nd.End, members: nd.Members,
+		out: wantEdges(nd.Out, partOf), in: wantEdges(nd.In, partOf),
+		longOut: wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
+		longIn:  wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
+	}
+}
+
 // sameRecord compares the decoded content of two records; empty and nil
 // lists are the same list.
 func sameRecord(a, b *vertexRec) bool {
@@ -120,10 +131,10 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			pv := &c.parts[pid]
-			if pv.n != len(members) {
+			if int(pv.n) != len(members) {
 				t.Fatalf("depth %d: partition %d lists %d vertices, want %d", depth, pid, pv.n, len(members))
 			}
-			blob, err := ix.store.ReadBlob(ix.partRefs[pid], nil)
+			blob, err := pagefile.Whole(ix.store.ReadBlob(ix.partRefs[pid], nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,14 +142,14 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 			for i, id := range members {
 				enc.Reset()
 				encodeVertex(enc, g, id, partOf)
-				rec, err := pv.find(id)
+				rec, err := pv.find(id, &c.checked)
 				if err != nil {
 					t.Fatalf("depth %d: vertex %d in partition %d of %d: %v", depth, id, pid, len(members), err)
 				}
 				if !bytes.Equal(rec, enc.Bytes()) || !withinBlob(blob, rec) {
 					t.Fatalf("depth %d: vertex %d: directory leads to other bytes than Build encoded", depth, id)
 				}
-				if at := cap(pv.records) - cap(rec); at != recOff {
+				if at := cap(blob) - cap(rec) - int(pv.records); at != recOff {
 					t.Fatalf("depth %d: vertex %d: record at offset %d of the record area, want %d", depth, id, at, recOff)
 				}
 				recOff += len(rec)
@@ -152,26 +163,20 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 					absent = absent[:len(absent)-1]
 				}
 				for _, a := range absent {
-					if rec, err := pv.find(a); err != errNotListed || rec != nil {
+					if rec, err := pv.find(a, &c.checked); err != errNotListed || rec != nil {
 						t.Fatalf("depth %d: partition %d answers for vertex %d, which it does not hold: %v", depth, pid, a, err)
 					}
 				}
 			}
-			if recOff != len(pv.records) {
-				t.Fatalf("depth %d: partition %d: records cover %d of %d bytes", depth, pid, recOff, len(pv.records))
+			if recOff != len(blob)-int(pv.records) {
+				t.Fatalf("depth %d: partition %d: records cover %d of %d bytes", depth, pid, recOff, len(blob)-int(pv.records))
 			}
 			ix.pool.Put(sc)
 		}
 
 		for id := range g.Nodes {
 			id := dn.NodeID(id)
-			nd := &g.Nodes[id]
-			want := &vertexRec{
-				id: id, start: nd.Start, end: nd.End, members: nd.Members,
-				out: wantEdges(nd.Out, partOf), in: wantEdges(nd.In, partOf),
-				longOut: wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
-				longIn:  wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
-			}
+			want := graphRecord(g, partOf, id)
 			sc := ix.begin(nil)
 			eager, err := sc.cur.vertex(id, partOf[id])
 			if err == nil {
@@ -353,9 +358,9 @@ func TestSlabKeepsEarlierSlicesAndCapacity(t *testing.T) {
 
 // TestCursorKeepsRecordsWhileResident pins what a cursor carries from one
 // query to the next. While the pool lets no page go, the records stay —
-// same pointers, nothing decoded again — but every query still reads and
-// checksums each partition it takes a record of, so its page counts are
-// those of a cursor that kept nothing. A displacement, DropCache or a
+// same pointers, nothing decoded again — but every query still reads each
+// partition it takes a record of, and verifies the record's pages, so its
+// page counts are those of a cursor that kept nothing. A displacement, DropCache or a
 // damaged page empties it; so does having no pool at all, and so does
 // holding more than keepRecords.
 func TestCursorKeepsRecordsWhileResident(t *testing.T) {
@@ -369,8 +374,9 @@ func TestCursorKeepsRecordsWhileResident(t *testing.T) {
 	}
 	all := secOut | secIn | secLongOut | secLongIn
 	// readAll looks up every vertex and decodes the sections in want,
-	// returning the records and the pages the cursor touched for them.
-	readAll := func(c *cursor, ix *Index, want uint8) ([]*vertexRec, int64) {
+	// returning the records, the pages the cursor touched for them and the
+	// pages it verified.
+	readAll := func(c *cursor, ix *Index, want uint8) ([]*vertexRec, int64, int64) {
 		t.Helper()
 		var acct pagefile.Stats
 		c.begin(ix, &acct)
@@ -385,7 +391,7 @@ func TestCursorKeepsRecordsWhileResident(t *testing.T) {
 			}
 			recs[id] = v
 		}
-		return recs, acct.BufferHits + acct.RandomReads + acct.SequentialReads
+		return recs, acct.BufferHits + acct.RandomReads + acct.SequentialReads, acct.PagesVerified
 	}
 
 	ix, err := Build(f.g, Params{PoolPages: 4096})
@@ -396,22 +402,25 @@ func TestCursorKeepsRecordsWhileResident(t *testing.T) {
 		t.Fatalf("index has %d pages; the test wants it resident", n)
 	}
 	c := &cursor{}
-	first, pages := readAll(c, ix, secOut)
+	first, pages, verified := readAll(c, ix, secOut)
 	decoded := c.held
 	edges := len(c.arena.edges.buf)
 
-	again, pagesAgain := readAll(c, ix, secOut)
+	again, pagesAgain, verifiedAgain := readAll(c, ix, secOut)
 	if !slices.Equal(first, again) || c.held != decoded || len(c.arena.edges.buf) != edges {
 		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, len(c.arena.edges.buf))
 	}
 	if pagesAgain != pages {
 		t.Fatalf("second pass touched %d pages, the first %d: kept records must not skip partition reads", pagesAgain, pages)
 	}
+	if verifiedAgain != verified {
+		t.Fatalf("second pass verified %d pages, the first %d: a kept record must be verified by the read that uses it", verifiedAgain, verified)
+	}
 
 	// Sections a kept record lacks are still decoded on demand, and
 	// agree with a cursor that starts empty.
-	kept, _ := readAll(c, ix, all)
-	fresh, _ := readAll(&cursor{}, ix, all)
+	kept, _, _ := readAll(c, ix, all)
+	fresh, _, _ := readAll(&cursor{}, ix, all)
 	for id := range kept {
 		if kept[id] != first[id] {
 			t.Fatalf("vertex %d was decoded into a new record", id)

@@ -10,8 +10,9 @@ import (
 	"streach/internal/trajectory"
 )
 
-// TestCorruptedPartitionSurfacesError damages partition pages and checks
-// queries report ErrCorruptBlob rather than silently mis-answering.
+// TestCorruptedPartitionSurfacesError damages every fifth page and checks
+// that every query either reports ErrCorruptBlob or answers as the oracle
+// does — never a wrong answer — and that at least one meets the damage.
 func TestCorruptedPartitionSurfacesError(t *testing.T) {
 	f := newFixture(t, 40, 250, 61)
 	ix, err := Build(f.g, Params{PoolPages: -1})
@@ -25,12 +26,14 @@ func TestCorruptedPartitionSurfacesError(t *testing.T) {
 	}
 	var failures int
 	for _, q := range f.workload(40, 20, 200, 63) {
-		_, err := ix.Reach(q)
-		if err != nil {
-			if !errors.Is(err, pagefile.ErrCorruptBlob) {
-				t.Fatalf("%v: unexpected error type: %v", q, err)
-			}
+		got, err := ix.Reach(q)
+		switch {
+		case errors.Is(err, pagefile.ErrCorruptBlob):
 			failures++
+		case err != nil:
+			t.Fatalf("%v: unexpected error type: %v", q, err)
+		case got != f.oracle.Reachable(q):
+			t.Fatalf("%v: answered %v from a damaged index, the oracle says %v", q, got, !got)
 		}
 	}
 	if failures == 0 {
@@ -65,7 +68,7 @@ func oldVersionPartition(tb testing.TB, g *dn.Graph) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	blob, err := ix.store.ReadBlob(ix.partRefs[0], nil)
+	blob, err := pagefile.Whole(ix.store.ReadBlob(ix.partRefs[0], nil))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestTruncatedDirectoryFails(t *testing.T) {
 
 	// A run directory under version byte 1, checksum valid: an error naming
 	// the version, not a lookup.
-	blob, err := ix.store.ReadBlob(ix.dirRefs[1], nil)
+	blob, err := pagefile.Whole(ix.store.ReadBlob(ix.dirRefs[1], nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +116,15 @@ func TestTruncatedDirectoryFails(t *testing.T) {
 }
 
 // TestCorruptionConfinedToItsBlob damages the store one byte at a time and
-// checks the damage surfaces exactly where it is: every byte of a directory
-// blob — its integrity header included — fails that object's lookup and
-// leaves the neighbour packed on the same page readable; a byte on each
-// page of a multi-page partition extent fails that partition and no other;
-// a byte of page slack fails nothing. The pool is on, so the reads after
-// the first are pool hits: those are verified like misses.
+// checks the damage surfaces exactly where it is read: every byte of a
+// directory blob — its integrity header included — fails that object's
+// lookup and leaves the neighbour packed on the same page readable; a byte
+// on each page of a multi-page partition extent fails the vertex lookups
+// that interpret that page — the one whose record holds the byte among
+// them — while every lookup that succeeds decodes the record Build wrote,
+// and another partition stays readable; a byte of page slack fails nothing.
+// The pool is on, so the reads after the first are pool hits: those are
+// verified like misses.
 func TestCorruptionConfinedToItsBlob(t *testing.T) {
 	f := newFixture(t, 40, 250, 61)
 	ix, err := Build(f.g, Params{PoolPages: 64})
@@ -136,11 +142,29 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 		_, _, err := ix.findVertex(trajectory.ObjectID(o), 50, nil)
 		return err
 	}
-	load := func(pid int) error {
-		c := &cursor{}
-		c.reset(ix.numNodes, len(ix.partRefs))
-		c.ix = ix
-		return c.loadPartition(int32(pid))
+	partOf, parts := partition(f.g, ix.params.PartitionDepth)
+	// failing reads every vertex of partition pid in one query, all its
+	// sections decoded, and returns those whose lookup met the damage.
+	failing := func(pid int) map[dn.NodeID]bool {
+		t.Helper()
+		sc := ix.begin(nil)
+		defer ix.pool.Put(sc)
+		failed := map[dn.NodeID]bool{}
+		for _, id := range parts[pid] {
+			v, err := sc.cur.vertex(id, int32(pid))
+			if err == nil {
+				err = sc.cur.need(v, secOut|secIn|secLongOut|secLongIn)
+			}
+			switch {
+			case errors.Is(err, pagefile.ErrCorruptBlob):
+				failed[id] = true
+			case err != nil:
+				t.Fatalf("vertex %d: unexpected error type: %v", id, err)
+			case !sameRecord(v, graphRecord(f.g, partOf, id)):
+				t.Fatalf("vertex %d decoded from a damaged partition differs from the graph's", id)
+			}
+		}
+		return failed
 	}
 
 	// A directory blob that shares its page with the next object's.
@@ -181,19 +205,52 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 		t.Fatal("no multi-page partition; fixture too small for the test")
 	}
 	other := (pid + 1) % len(ix.partRefs)
-	for b := int(ref.Bytes) - 1; b >= 0; b -= pagefile.PageSize { // one byte on each page, last byte first
-		page, off := ref.Page+int64(b/pagefile.PageSize), b%pagefile.PageSize
-		flip(page, off)
-		if err := load(pid); !errors.Is(err, pagefile.ErrCorruptBlob) {
-			t.Fatalf("page %d of partition %d damaged: load err = %v, want ErrCorruptBlob", page-ref.Page, pid, err)
-		}
-		if err := load(other); err != nil {
-			t.Fatalf("damage to partition %d broke partition %d: %v", pid, other, err)
-		}
-		flip(page, off)
+	// Where each record lies in the extent, header included.
+	type span struct {
+		id     dn.NodeID
+		lo, hi int
 	}
-	if err := load(pid); err != nil {
-		t.Fatalf("repaired partition still fails: %v", err)
+	var records []span
+	sc := ix.begin(nil)
+	if err := sc.cur.loadPartition(int32(pid)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range parts[pid] {
+		rec, err := sc.cur.parts[pid].find(id, &sc.cur.checked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A view of the extent: its capacity runs to the extent's last page.
+		at := (int(ref.Bytes)+pagefile.PageSize-1)/pagefile.PageSize*pagefile.PageSize - cap(rec)
+		records = append(records, span{id, at, at + len(rec)})
+	}
+	ix.pool.Put(sc)
+	for b := 0; b < int(ref.Bytes); b += pagefile.PageSize {
+		page := ref.Page + int64(b/pagefile.PageSize)
+		// The page's first byte, and the first byte on it of a record.
+		flip(page, 0)
+		if len(failing(pid)) == 0 {
+			t.Fatalf("page %d of partition %d damaged at its start: every lookup succeeded", page-ref.Page, pid)
+		}
+		if failed := failing(other); len(failed) != 0 {
+			t.Fatalf("damage to partition %d broke partition %d: vertices %v", pid, other, failed)
+		}
+		flip(page, 0)
+		for _, r := range records {
+			if r.hi <= b || r.lo >= b+pagefile.PageSize {
+				continue
+			}
+			at := max(r.lo, b)
+			flip(page, at-b)
+			if !failing(pid)[r.id] {
+				t.Fatalf("byte %d of vertex %d's record (page %d of partition %d) damaged: its lookup succeeded", at-r.lo, r.id, page-ref.Page, pid)
+			}
+			flip(page, at-b)
+			break
+		}
+	}
+	if failed := failing(pid); len(failed) != 0 {
+		t.Fatalf("repaired partition still fails: vertices %v", failed)
 	}
 
 	// Slack: the bytes after the last blob on the last page belong to none.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streach/internal/dn"
+	"streach/internal/pagefile"
 )
 
 // FuzzPartitionBlob feeds arbitrary bytes to the disk read path as a
@@ -30,7 +31,7 @@ func FuzzPartitionBlob(f *testing.F) {
 			f.Fatal(err)
 		}
 		for _, ref := range ix.partRefs {
-			blob, err := ix.store.ReadBlob(ref, nil)
+			blob, err := pagefile.Whole(ix.store.ReadBlob(ref, nil))
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -41,7 +42,7 @@ func FuzzPartitionBlob(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, pick uint32) {
 		ix := blobIndex(numNodes, numObjects, data)
-		blob, err := ix.store.ReadBlob(ix.partRefs[0], nil)
+		blob, err := pagefile.Whole(ix.store.ReadBlob(ix.partRefs[0], nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func FuzzPartitionBlob(f *testing.F) {
 			}
 		}
 		for i, id := range ids {
-			if rec, err := c.parts[0].find(id); err == nil && !withinBlob(blob, rec) {
+			if rec, err := c.parts[0].find(id, &c.checked); err == nil && !withinBlob(blob, rec) {
 				t.Fatalf("vertex %d: record of %d bytes runs past the %d-byte blob", id, len(rec), len(blob))
 			}
 			v, err := c.vertex(id, 0)

@@ -14,7 +14,7 @@ func indexDigest(t testing.TB, ix *Index) uint64 {
 	h := fnv.New64a()
 	for _, refs := range [][]pagefile.BlobRef{ix.partRefs, ix.dirRefs} {
 		for _, ref := range refs {
-			data, err := ix.store.ReadBlob(ref, nil)
+			data, err := pagefile.Whole(ix.store.ReadBlob(ref, nil))
 			if err != nil {
 				t.Fatal(err)
 			}

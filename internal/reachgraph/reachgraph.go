@@ -30,10 +30,13 @@
 // shard of a spatially cut dataset — is decoded once, and an index that
 // does not is decoded afresh by every query; what is kept is bounded by
 // the pool's page budget, not by a setting of its own. Partition reads are
-// never skipped: every query reads, and checksums, each partition it
-// takes a record from, so the bytes a query interprets were verified by
-// that query's own ReadBlob and the buffer pool is the only cache the
-// page counts depend on.
+// never skipped: every query reads each partition it takes a record from,
+// and verifies the pages of it that it interprets — the header, the
+// anchors, the entry groups it scans and the records it takes, kept ones
+// included — so the bytes a query interprets were verified by that query's
+// own read, and the buffer pool is the only cache the page counts depend
+// on. A partition within one page is verified whole by the read; of a
+// longer one, a query checksums the few pages it decodes, not the extent.
 //
 // Every blob begins with pagefile's layout version byte. Ticks and counts
 // are stored as varints and ID postings as zig-zag deltas: what a traversal
@@ -239,7 +242,7 @@ func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *page
 	if int(o) < 0 || int(o) >= ix.numObjects {
 		return dn.Invalid, -1, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, ix.numObjects)
 	}
-	data, err := ix.store.ReadBlob(ix.dirRefs[o], acct)
+	data, err := pagefile.Whole(ix.store.ReadBlob(ix.dirRefs[o], acct))
 	if err != nil {
 		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
 	}

@@ -68,8 +68,9 @@ type vertexRec struct {
 
 // diskRec is a vertex record read from a partition blob: the decoded view
 // plus what decoding the rest on demand needs. It lives in the arena of the
-// cursor that read it, and a query only ever sees it after its own ReadBlob
-// has checksummed the partition the bytes are in (cursor.vertex).
+// cursor that read it, and a query only ever sees it after its own read of
+// the partition has verified the pages the record's bytes are on
+// (cursor.vertex).
 type diskRec struct {
 	vertexRec
 	raw   []byte              // the record's bytes, a view of the partition blob

@@ -35,6 +35,8 @@ type sweepCounts struct {
 // did not, or a read was skipped, moved or added. The size of the disk
 // index is pinned beside them: with one page layout there is no second one
 // to compare against, so a layout change that bloats the index fails here.
+// Beside them, the pages each disk sweep verified are pinned too, and no
+// query may verify more pages than it is charged for.
 func TestSweepCountsUnchanged(t *testing.T) {
 	want := map[string]sweepCounts{
 		"varint/forward":   {9504, 71, 876, 105, 0xab10ce9c5e875e01},
@@ -43,6 +45,11 @@ func TestSweepCountsUnchanged(t *testing.T) {
 		"mem/forward":      {9504, 0, 0, 0, 0xfc1bcd236ec2499b},
 		"mem/staggered":    {9475, 0, 0, 0, 0xf9c03a36469c191},
 		"mem/backward":     {9115, 0, 0, 0, 0xdc933ca309df87f5},
+	}
+	wantVerified := map[string]int64{
+		"varint/forward":   462,
+		"varint/staggered": 489,
+		"varint/backward":  575,
 	}
 	f := newFixture(t, 60, 400, 16)
 	work := f.workload(24, 40, 160, 16)
@@ -101,6 +108,7 @@ func TestSweepCountsUnchanged(t *testing.T) {
 				tg.dropCache()
 			}
 			var got sweepCounts
+			var verified int64
 			h := fnv.New64a()
 			for _, q := range work {
 				var acct pagefile.Stats
@@ -112,6 +120,10 @@ func TestSweepCountsUnchanged(t *testing.T) {
 				got.random += acct.RandomReads
 				got.seq += acct.SequentialReads
 				got.hits += acct.BufferHits
+				verified += acct.PagesVerified
+				if charged := acct.RandomReads + acct.SequentialReads + acct.BufferHits; acct.PagesVerified > charged {
+					t.Errorf("%s/%s %v: %d pages verified, %d charged", tg.name, c.name, q, acct.PagesVerified, charged)
+				}
 				fmt.Fprintf(h, "%v %d %d %d %d;", prof, visits, acct.RandomReads, acct.SequentialReads, acct.BufferHits)
 			}
 			got.digest = h.Sum64()
@@ -119,6 +131,9 @@ func TestSweepCountsUnchanged(t *testing.T) {
 				t.Errorf("%q: {%d, %d, %d, %d, %#x}, recorded {%d, %d, %d, %d, %#x}", key,
 					got.visits, got.random, got.seq, got.hits, got.digest,
 					want[key].visits, want[key].random, want[key].seq, want[key].hits, want[key].digest)
+			}
+			if key := tg.name + "/" + c.name; verified != wantVerified[key] {
+				t.Errorf("%q: %d pages verified, recorded %d", key, verified, wantVerified[key])
 			}
 		}
 	}

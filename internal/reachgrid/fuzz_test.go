@@ -49,7 +49,7 @@ func realBlobs(tb testing.TB) (dir []byte, cells [][]byte) {
 		tb.Fatal(err)
 	}
 	read := func(ref pagefile.BlobRef) []byte {
-		b, err := ix.store.ReadBlob(ref, nil)
+		b, err := pagefile.Whole(ix.store.ReadBlob(ref, nil))
 		if err != nil {
 			tb.Fatal(err)
 		}

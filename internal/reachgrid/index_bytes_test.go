@@ -15,7 +15,7 @@ func indexDigest(t testing.TB, ix *Index) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	blob := func(tag int, ref pagefile.BlobRef) {
-		data, err := ix.store.ReadBlob(ref, nil)
+		data, err := pagefile.Whole(ix.store.ReadBlob(ref, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

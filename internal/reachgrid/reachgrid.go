@@ -622,8 +622,9 @@ func (ix *Index) loadCells(bi int, sc *gridScratch, acct *pagefile.Stats) error 
 // bridgeBuckets scans the disk arm across the trailing, unread cells of
 // bucket prev when the next bucket's directory is close enough that the
 // sequential scan beats the seek. The bytes are discarded — only the arm
-// position matters — so read errors in the bridged region are ignored: a
-// query must not fail on pages it does not need.
+// position matters — so none of them is verified beyond what the read
+// itself checks (a cell within one page), and read errors in the bridged
+// region are ignored: a query must not fail on pages it does not need.
 func (ix *Index) bridgeBuckets(prev, next int, sc *gridScratch, acct *pagefile.Stats) {
 	if sc.posPage < 0 || len(ix.buckets[next].dirRefs) == 0 {
 		return
@@ -712,7 +713,7 @@ func (ix *Index) loadCell(bi, cell int, sc *gridScratch, acct *pagefile.Stats) e
 		return nil
 	}
 	before, beforeOK := acct.Position()
-	data, err := ix.store.ReadBlob(ref, acct)
+	data, err := pagefile.Whole(ix.store.ReadBlob(ref, acct))
 	if err != nil {
 		return fmt.Errorf("reachgrid: cell %d of bucket %d: %w", cell, bi, err)
 	}
@@ -776,7 +777,7 @@ func (ix *Index) dirLookup(bi int, o trajectory.ObjectID, sc *gridScratch, acct 
 	chunk := int(o) / dirEntriesPerBlob
 	ref := ix.buckets[bi].dirRefs[chunk]
 	before, beforeOK := acct.Position()
-	data, err := ix.store.ReadBlob(ref, acct)
+	data, err := pagefile.Whole(ix.store.ReadBlob(ref, acct))
 	if err != nil {
 		return 0, fmt.Errorf("reachgrid: directory chunk %d of bucket %d: %w", chunk, bi, err)
 	}

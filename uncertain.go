@@ -107,7 +107,7 @@ func (c *uncertainCore) loadNetwork(iv Interval, f queries.Filter, acct *pagefil
 		if b.maxHi < iv.Lo || b.lo > iv.Hi {
 			continue
 		}
-		data, err := c.store.ReadBlob(b.ref, acct)
+		data, err := pagefile.Whole(c.store.ReadBlob(b.ref, acct))
 		if err != nil {
 			return nil, err
 		}
