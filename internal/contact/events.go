@@ -1,14 +1,17 @@
 // Contact events: the unit of real-feed ingestion. Extract and Builder
 // consume positions in strict tick order; an Event instead names one
 // (pair, tick) co-location instant directly — possibly late, duplicated,
-// or retracting an instant ingested earlier — and ApplyEvents folds a
-// batch of them into an existing network. This is the patch primitive of
-// the segment delta log: a sealed slab's network plus its pending events
-// yields the corrected slab, without touching the sealed index until a
-// compaction rebuilds it.
+// or retracting an instant ingested earlier — and PairTable.Apply folds a
+// batch of them into a per-instant table. This is the patch primitive of
+// the segment log: a late batch copies a slab's table once and replaces the
+// lists of the instants it touches, without touching the sealed index until
+// a compaction rebuilds it.
 package contact
 
 import (
+	"cmp"
+	"slices"
+
 	"streach/internal/stjoin"
 	"streach/internal/trajectory"
 )
@@ -32,59 +35,54 @@ type EventCounts struct {
 	Retracted, Misses int
 }
 
-// ApplyEvents returns a copy of n with events folded in. Event ticks are
-// local to n and must lie in [0, NumTicks); events are applied in slice
-// order within each tick, so an add followed by a retraction of the same
-// pair at the same tick cancels out. The second result is the effective
-// subset of events — duplicates and misses removed — chosen so that
-// re-applying it to n in order reproduces the same network. n itself is
-// never mutated.
-func (n *Network) ApplyEvents(events []Event) (*Network, []Event, EventCounts) {
-	byTick := make(map[trajectory.Tick][]Event, len(events))
-	for _, ev := range events {
-		if ev.A > ev.B {
-			ev.A, ev.B = ev.B, ev.A
-		}
-		byTick[ev.Tick] = append(byTick[ev.Tick], ev)
-	}
-	b := NewBuilder(n.NumObjects)
+// Apply returns a copy of tb with events folded in. Event ticks are local
+// to tb and must lie in [0, NumTicks); events are applied in slice order
+// within each tick, so an add followed by a retraction of the same pair at
+// the same tick cancels out. The second result is the effective subset of
+// events — duplicates and misses removed, pairs normalized to A < B, in
+// tick order — chosen so that re-applying it to tb reproduces the same
+// table. The copy shares every list of a tick no event changed; tb itself
+// is never mutated. When nothing is kept the copy is tb's equal and may be
+// dropped.
+func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
+	sorted := slices.Clone(events)
+	slices.SortStableFunc(sorted, func(x, y Event) int { return cmp.Compare(x.Tick, y.Tick) })
+	next := &PairTable{NumObjects: tb.NumObjects, ticks: slices.Clone(tb.ticks)}
 	var kept []Event
 	var counts EventCounts
-	set := make(map[stjoin.Pair]bool)
-	out := make([]stjoin.Pair, 0, 64)
-	n.Snapshot(0, trajectory.Tick(n.NumTicks)-1, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
-		evs := byTick[t]
-		if len(evs) == 0 {
-			b.AddInstant(pairs)
-			return true
-		}
-		clear(set)
-		for _, pr := range pairs {
-			set[pr] = true
-		}
-		for _, ev := range evs {
-			pr := stjoin.Pair{A: ev.A, B: ev.B}
+	for i := 0; i < len(sorted); {
+		t := sorted[i].Tick
+		var list []stjoin.Pair // the tick's patched list, copied on first change
+		cur := tb.ticks[t]
+		for ; i < len(sorted) && sorted[i].Tick == t; i++ {
+			ev := sorted[i]
+			pr := stjoin.MakePair(ev.A, ev.B)
+			ev.A, ev.B = pr.A, pr.B
+			at, present := slices.BinarySearchFunc(cur, pr, comparePairs)
 			switch {
-			case !ev.Retract && set[pr]:
+			case !ev.Retract && present:
 				counts.Duplicates++
-			case !ev.Retract:
-				set[pr] = true
-				counts.Applied++
-				kept = append(kept, ev)
-			case set[pr]:
-				delete(set, pr)
-				counts.Retracted++
-				kept = append(kept, ev)
-			default:
+				continue
+			case ev.Retract && !present:
 				counts.Misses++
+				continue
 			}
+			if list == nil {
+				list = slices.Clone(cur)
+			}
+			if ev.Retract {
+				list = slices.Delete(list, at, at+1)
+				counts.Retracted++
+			} else {
+				list = slices.Insert(list, at, pr)
+				counts.Applied++
+			}
+			cur = list
+			kept = append(kept, ev)
 		}
-		out = out[:0]
-		for pr := range set {
-			out = append(out, pr)
+		if list != nil {
+			next.ticks[t] = slices.Clip(list)
 		}
-		b.AddInstant(out)
-		return true
-	})
-	return b.Network(), kept, counts
+	}
+	return next, kept, counts
 }

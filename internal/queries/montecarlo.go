@@ -38,7 +38,7 @@ func (o *Oracle) MonteCarloReachable(q Query) float64 {
 	if p <= 0 {
 		return 0
 	}
-	net := o.Filtered(sem.Filter()).net
+	net := o.Filtered(sem.Filter()).Network()
 	iv := q.Interval
 	if iv.Lo < 0 {
 		iv.Lo = 0

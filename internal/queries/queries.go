@@ -95,19 +95,38 @@ func RandomWorkload(cfg WorkloadConfig) []Query {
 // allocates its own scratch, so one Oracle serves concurrent queries. (The
 // filtered-projection cache behind Filtered is guarded by its own mutex.)
 type Oracle struct {
-	net *contact.Network
+	// src is what every propagation loop sweeps, instant by instant: a
+	// contact network, or a live log's pair table read directly.
+	src        instants
+	numObjects int
+	numTicks   int
+	network    func() *contact.Network
 
 	mu       sync.Mutex
 	filtered map[Filter]*Oracle
 }
 
+// instants is the per-instant read contract the propagation loops sweep;
+// *contact.Network and *contact.PairTable both satisfy it.
+type instants interface {
+	Snapshot(lo, hi trajectory.Tick, visit func(t trajectory.Tick, pairs []stjoin.Pair) bool)
+}
+
 // NewOracle returns an oracle over net.
 func NewOracle(net *contact.Network) *Oracle {
-	return &Oracle{net: net}
+	return &Oracle{src: net, numObjects: net.NumObjects, numTicks: net.NumTicks,
+		network: func() *contact.Network { return net }}
+}
+
+// NewTableOracle returns an oracle sweeping tb's per-instant lists directly.
+// The network tb stands for is materialized (once per table) only when a
+// filtered projection or the Monte-Carlo sampler needs contact records.
+func NewTableOracle(tb *contact.PairTable) *Oracle {
+	return &Oracle{src: tb, numObjects: tb.NumObjects, numTicks: tb.NumTicks(), network: tb.Network}
 }
 
 // Network returns the contact network the oracle evaluates over.
-func (o *Oracle) Network() *contact.Network { return o.net }
+func (o *Oracle) Network() *contact.Network { return o.network() }
 
 // Filtered returns an oracle over the projection of the network onto the
 // contacts f accepts. Because per-contact predicates depend only on the
@@ -128,7 +147,7 @@ func (o *Oracle) Filtered(f Filter) *Oracle {
 	if o.filtered == nil {
 		o.filtered = make(map[Filter]*Oracle)
 	}
-	fo := NewOracle(o.net.Filter(f.Match))
+	fo := NewOracle(o.Network().Filter(f.Match))
 	o.filtered[f] = fo
 	return fo
 }
@@ -236,7 +255,7 @@ func (o *Oracle) ReverseProfileFrom(seeds []trajectory.ObjectID, iv contact.Inte
 func (o *Oracle) reversePropagateFrom(seeds []trajectory.ObjectID, iv contact.Interval,
 	onDeliver func(trajectory.ObjectID, trajectory.Tick) bool) {
 
-	n := o.net.NumObjects
+	n := o.numObjects
 	if iv.Len() == 0 {
 		return
 	}
@@ -261,7 +280,7 @@ func (o *Oracle) reversePropagateFrom(seeds []trajectory.ObjectID, iv contact.In
 		pairs []stjoin.Pair
 	}
 	var ticks []tickPairs
-	o.net.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
+	o.src.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
 		if len(pairs) == 0 {
 			return true
 		}
@@ -339,7 +358,7 @@ func (o *Oracle) propagate2(src trajectory.ObjectID, iv contact.Interval,
 func (o *Oracle) propagateFrom(seeds []trajectory.ObjectID, iv contact.Interval,
 	onTick func(trajectory.Tick), onInfect func(trajectory.ObjectID) bool) {
 
-	n := o.net.NumObjects
+	n := o.numObjects
 	if iv.Len() == 0 {
 		return
 	}
@@ -365,7 +384,7 @@ func (o *Oracle) propagateFrom(seeds []trajectory.ObjectID, iv contact.Interval,
 			return
 		}
 	}
-	o.net.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
+	o.src.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
 		if len(pairs) == 0 {
 			return true
 		}

@@ -237,9 +237,9 @@ type ProfileEntry struct {
 // object ID; the int result is the number of objects reached (the
 // expansion counter).
 func (o *Oracle) ProfileFrom(seeds []SeedState, iv contact.Interval, budget int32, earlyDst trajectory.ObjectID) ([]ProfileEntry, int) {
-	n := o.net.NumObjects
-	iv = iv.Intersect(contact.Interval{Lo: 0, Hi: trajectory.Tick(o.net.NumTicks - 1)})
-	if o.net.NumTicks == 0 || iv.Len() == 0 {
+	n := o.numObjects
+	iv = iv.Intersect(contact.Interval{Lo: 0, Hi: trajectory.Tick(o.numTicks - 1)})
+	if o.numTicks == 0 || iv.Len() == 0 {
 		return nil, 0
 	}
 	if budget < 0 || budget > UnboundedHops {
@@ -284,7 +284,7 @@ func (o *Oracle) ProfileFrom(seeds []SeedState, iv contact.Interval, budget int3
 		return int(earlyDst) >= 0 && int(earlyDst) < n && hops[earlyDst] >= 0
 	}
 	if !dstReached() {
-		o.net.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
+		o.src.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
 			// Seeds whose activation tick the sweep has reached join the
 			// carriers before the instant relaxes (an earlier organic
 			// arrival, if any, is kept by activate).

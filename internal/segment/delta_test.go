@@ -123,21 +123,21 @@ func TestDeltaLateAndRetract(t *testing.T) {
 	if slabs[1].Overlay != nil || slabs[1].Pending != 0 {
 		t.Fatal("slab 1 should be clean")
 	}
-	hasPair := func(net *contact.Network, tk trajectory.Tick, pr stjoin.Pair) bool {
-		for _, q := range net.PairsAt(tk) {
+	hasPair := func(pairsAt func(trajectory.Tick) []stjoin.Pair, tk trajectory.Tick, pr stjoin.Pair) bool {
+		for _, q := range pairsAt(tk) {
 			if q == pr {
 				return true
 			}
 		}
 		return false
 	}
-	if !hasPair(slabs[0].Overlay, 5, stjoin.MakePair(0, 7)) {
+	if !hasPair(slabs[0].Overlay.PairsAt, 5, stjoin.MakePair(0, 7)) {
 		t.Fatal("overlay misses the late add")
 	}
-	if hasPair(slabs[0].Value, 5, stjoin.MakePair(0, 7)) {
+	if hasPair(slabs[0].Value.PairsAt, 5, stjoin.MakePair(0, 7)) {
 		t.Fatal("sealed value mutated before compaction")
 	}
-	if !hasPair(tailNet, 35-32, stjoin.MakePair(0, 7)) {
+	if !hasPair(tailNet.PairsAt, 35-32, stjoin.MakePair(0, 7)) {
 		t.Fatal("tail view misses the late add")
 	}
 

@@ -11,29 +11,35 @@
 //     dataset) is Layout plus contact.Network.Window /
 //     trajectory.Dataset.Window.
 //   - Log is the streaming half, shaped like an LSM tree: appends go to one
-//     mutable in-memory tail segment (an incremental contact.Builder over
-//     the current slab only); when the tail's slab closes it is sealed —
-//     flushed through a build callback into an immutable per-slab value
-//     (typically a disk-resident index segment) — and a fresh tail opens.
-//     Appends therefore cost O(instant) and never rebuild history, and
-//     queries see sealed segments plus a snapshot of the small tail.
+//     mutable in-memory tail segment, a per-instant pair table
+//     (contact.PairTable) over the current slab only; when the tail's slab
+//     closes it is sealed — materialized once and flushed through a build
+//     callback into an immutable per-slab value (typically a disk-resident
+//     index segment) — and a fresh tail opens. Appends therefore cost
+//     O(instant) and never rebuild history, and queries see sealed
+//     segments plus the tail's table as it stands.
 //
 // Real feeds are not append-only, so each sealed slab also carries a
 // delta log: late contact events and retractions targeting an already-
-// sealed tick are buffered against the slab as an effective overlay
-// network, which readers consult instead of the (now stale) sealed value.
+// sealed tick turn the slab dirty, and its overlay — the slab's pair table
+// with the events folded in — is what readers consult instead of the (now
+// stale) sealed value. A late batch copies each touched slab's table once
+// and replaces only the lists of the instants it changes (copy-on-write),
+// so a patch costs the instants it lands on, not the slab around them.
 // Answers are exact immediately; the sealed index itself is only rebuilt
 // when a compaction pass (manual Compact or a per-ingest threshold) folds
 // the deltas in through the same build callback and swaps the value under
 // the log's mutex, invisible to in-flight readers holding a View.
 //
 // Log is safe for one appender running concurrently with any number of
-// readers: sealed values and overlay networks are immutable once published
-// and View hands out consistent snapshots.
+// readers: sealed values and pair tables are immutable once published, and
+// View hands out their current headers without building anything.
 package segment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -44,8 +50,8 @@ import (
 
 // DefaultWidth is the slab width used when a caller passes no explicit
 // width: wide enough that typical query intervals (the paper's 150-350
-// instants) span only a few slabs, narrow enough that a tail rebuild or a
-// single slab index stays small.
+// instants) span only a few slabs, narrow enough that a seal or a single
+// slab index stays small.
 const DefaultWidth = 128
 
 // Width returns w defaulted.
@@ -104,13 +110,14 @@ type BuildFunc[S any] func(span contact.Interval, net *contact.Network) (S, erro
 
 // slabDelta is the mutable correction state riding alongside one sealed
 // segment. base is the slab-local network the sealed value was built from;
-// events are the effective late/retraction events accepted since, and
-// patched is base with events folded in (nil when the slab is clean). A
-// compaction rebuilds the sealed value from patched and resets the delta.
+// table is base's pair table with the pending events folded in (nil while
+// the slab is clean, so a clean slab holds its network alone), and pending
+// counts those events. A compaction rebuilds the sealed value from table
+// and resets the delta.
 type slabDelta struct {
 	base    *contact.Network
-	patched *contact.Network
-	events  []contact.Event
+	table   *contact.PairTable
+	pending int
 }
 
 // Counters are the log's cumulative ingest-anomaly and maintenance
@@ -127,14 +134,14 @@ type Counters struct {
 }
 
 // SlabView is one sealed segment as seen by a reader. When late events are
-// pending against the slab, Overlay is the slab-local network with those
+// pending against the slab, Overlay is the slab-local pair table with those
 // events folded in — the sealed Value is stale and the reader must answer
 // from Overlay instead; Pending is the delta-log depth. A clean slab has a
 // nil Overlay.
 type SlabView[S any] struct {
 	Span    contact.Interval
 	Value   S
-	Overlay *contact.Network
+	Overlay *contact.PairTable
 	Pending int
 }
 
@@ -162,18 +169,14 @@ type Log[S any] struct {
 	width      int
 	build      BuildFunc[S]
 
-	mu        sync.Mutex
-	sealed    []Sealed[S]
-	deltas    []slabDelta      // parallel to sealed
-	tail      *contact.Builder // slab-local: tick 0 of the builder is tailStart
-	tailStart trajectory.Tick
-	tailNet   *contact.Network // cached raw tail snapshot, nil when dirty
-	// Late events within the tail's span cannot be inserted into the
-	// append-only Builder, so they overlay it just like a slab delta:
-	// tailPatched caches tailNet with tailEvents folded in. The overlay is
-	// absorbed at seal time — slabs are born clean.
-	tailEvents  []contact.Event
-	tailPatched *contact.Network
+	mu     sync.Mutex
+	sealed []Sealed[S]
+	deltas []slabDelta // parallel to sealed
+	// tail is the open slab's table, late events included (they are
+	// absorbed at seal time, so slabs are born clean); its tick 0 is
+	// tailStart.
+	tail        *contact.PairTable
+	tailStart   trajectory.Tick
 	fullNet     *contact.Network // cached Snapshot, nil when dirty
 	pairScratch []stjoin.Pair
 	counters    Counters
@@ -186,7 +189,7 @@ func NewLog[S any](numObjects, width int, build BuildFunc[S]) *Log[S] {
 		numObjects: numObjects,
 		width:      Width(width),
 		build:      build,
-		tail:       contact.NewBuilder(numObjects),
+		tail:       contact.NewPairTable(numObjects),
 	}
 }
 
@@ -231,29 +234,27 @@ func (l *Log[S]) AdvanceTo(numTicks int) (ApplyResult, error) {
 }
 
 // appendInstantLocked appends one frontier instant and seals the tail's
-// slab if the append closed it — its local network is flushed through the
-// build callback and a fresh tail opens — accumulating the outcome into
-// res; res.Sealed gains the sealed slab's global tick interval (callers
-// invalidating derived state — query caches, watchers — key off it).
-// applied is the number of distinct contact pairs at the new instant. A
-// build error leaves the tail un-sealed — the instant itself is retained
+// slab if the append closed it — its table is materialized once and flushed
+// through the build callback and a fresh tail opens — accumulating the
+// outcome into res; res.Sealed gains the sealed slab's global tick interval
+// (callers invalidating derived state — query caches, watchers — key off
+// it). applied is the number of distinct contact pairs at the new instant.
+// A build error leaves the tail un-sealed — the instant itself is retained
 // and the time axis stays intact — and is returned to the appender; the
 // next append retries the seal over the (now wider) tail, so a transient
 // build failure merely widens that one sealed slab.
 func (l *Log[S]) appendInstantLocked(pairs []stjoin.Pair, res *ApplyResult) (applied int, err error) {
 	t := l.tailStart + trajectory.Tick(l.tail.NumTicks())
-	l.tail.AddInstant(pairs)
-	applied = l.tail.ActivePairs()
-	l.tailNet, l.tailPatched, l.fullNet = nil, nil, nil
+	l.tail, applied = l.tail.Append(pairs)
+	l.fullNet = nil
 	res.Changed = appendChangedTick(res.Changed, t)
 	if l.tail.NumTicks() < l.width {
 		return applied, nil
 	}
-	// Seal the whole tail — with any late events already folded in, so the
-	// slab is born clean. Normally that is exactly one slab; after a failed
-	// build it can be wider — the span always matches the sealed network,
-	// so the planner's slab walk stays exact.
-	net := l.tailEffectiveLocked()
+	// Seal the whole tail. Normally that is exactly one slab; after a
+	// failed build it can be wider — the span always matches the sealed
+	// network, so the planner's slab walk stays exact.
+	net := l.tail.Network()
 	span := contact.Interval{
 		Lo: l.tailStart,
 		Hi: l.tailStart + trajectory.Tick(net.NumTicks) - 1,
@@ -265,8 +266,7 @@ func (l *Log[S]) appendInstantLocked(pairs []stjoin.Pair, res *ApplyResult) (app
 	l.sealed = append(l.sealed, Sealed[S]{Span: span, Value: value})
 	l.deltas = append(l.deltas, slabDelta{base: net})
 	l.tailStart += trajectory.Tick(net.NumTicks)
-	l.tail = contact.NewBuilder(l.numObjects)
-	l.tailEvents, l.tailNet, l.tailPatched = nil, nil, nil
+	l.tail = contact.NewPairTable(l.numObjects)
 	res.Sealed = append(res.Sealed, span)
 	return applied, nil
 }
@@ -287,7 +287,7 @@ func (l *Log[S]) IngestEvents(events []contact.Event, compactThreshold int) (App
 	}
 
 	// Fast path: the common in-order feed — every event an add at the
-	// frontier tick — is a single Builder append, no sorting or grouping.
+	// frontier tick — is a single table append, no grouping.
 	frontier := trajectory.Tick(l.numTicksLocked())
 	fast := true
 	for _, ev := range events {
@@ -308,24 +308,22 @@ func (l *Log[S]) IngestEvents(events []contact.Event, compactThreshold int) (App
 		return res, err
 	}
 
-	sorted := make([]contact.Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Tick < sorted[j].Tick })
+	// Late events — every tick behind the frontier — land first, all
+	// against the current slabs; the frontier groups then extend the time
+	// domain in tick order, so res.Changed stays ascending.
+	sorted := slices.Clone(events)
+	slices.SortStableFunc(sorted, func(x, y contact.Event) int { return cmp.Compare(x.Tick, y.Tick) })
+	late, _ := slices.BinarySearchFunc(sorted, frontier, func(ev contact.Event, t trajectory.Tick) int {
+		return cmp.Compare(ev.Tick, t)
+	})
+	l.applyLateLocked(sorted[:late], &res)
 	var err error
-	for i := 0; i < len(sorted) && err == nil; {
+	for i := late; i < len(sorted) && err == nil; {
 		j := i
 		for j < len(sorted) && sorted[j].Tick == sorted[i].Tick {
 			j++
 		}
-		t, group := sorted[i].Tick, sorted[i:j]
-		switch {
-		case int(t) >= l.numTicksLocked():
-			err = l.applyFrontierGroupLocked(t, group, &res)
-		case t >= l.tailStart:
-			l.applyTailLateLocked(t, group, &res)
-		default:
-			l.applySlabLateLocked(t, group, &res)
-		}
+		err = l.applyFrontierGroupLocked(sorted[i].Tick, sorted[i:j], &res)
 		i = j
 	}
 	l.counters.LateApplied += int64(res.Late)
@@ -382,63 +380,62 @@ func (l *Log[S]) applyFrontierGroupLocked(t trajectory.Tick, group []contact.Eve
 	return err
 }
 
-// applyTailLateLocked applies one tick's worth of late events landing in
-// the mutable tail's span by extending the tail overlay.
-func (l *Log[S]) applyTailLateLocked(t trajectory.Tick, group []contact.Event, res *ApplyResult) {
-	local := make([]contact.Event, len(group))
-	for i, ev := range group {
-		ev.Tick -= l.tailStart
-		local[i] = ev
+// applyLateLocked applies the events behind the frontier (sorted by tick)
+// slab by slab: each touched slab's table — the tail's, or a sealed slab's
+// overlay, derived from its base network when the slab was clean — is
+// patched once, and the patch is published only if some event took effect.
+func (l *Log[S]) applyLateLocked(events []contact.Event, res *ApplyResult) {
+	for i := 0; i < len(events); {
+		t := events[i].Tick
+		k := sort.Search(len(l.sealed), func(k int) bool { return l.sealed[k].Span.Hi >= t })
+		span := contact.Interval{Lo: l.tailStart, Hi: trajectory.Tick(l.numTicksLocked()) - 1}
+		var table *contact.PairTable
+		if k < len(l.sealed) {
+			span, table = l.sealed[k].Span, l.deltas[k].table
+			if table == nil {
+				table = contact.TableOf(l.deltas[k].base)
+			}
+		} else {
+			table = l.tail
+		}
+		j := i
+		for j < len(events) && events[j].Tick <= span.Hi {
+			j++
+		}
+		local := slices.Clone(events[i:j])
+		for n := range local {
+			local[n].Tick -= span.Lo
+		}
+		i = j
+
+		patched, kept, counts := table.Apply(local)
+		res.Late += counts.Applied
+		res.Retracted += counts.Retracted
+		res.Duplicates += counts.Duplicates
+		res.RetractMisses += counts.Misses
+		if len(kept) == 0 {
+			continue
+		}
+		if k < len(l.sealed) {
+			l.deltas[k].table = patched
+			l.deltas[k].pending += len(kept)
+		} else {
+			l.tail = patched
+		}
+		l.fullNet = nil
+		for _, ev := range kept {
+			res.Changed = appendChangedTick(res.Changed, ev.Tick+span.Lo)
+		}
 	}
-	patched, kept, counts := l.tailEffectiveLocked().ApplyEvents(local)
-	res.Late += counts.Applied
-	res.Retracted += counts.Retracted
-	res.Duplicates += counts.Duplicates
-	res.RetractMisses += counts.Misses
-	if len(kept) == 0 {
-		return
-	}
-	l.tailEvents = append(l.tailEvents, kept...)
-	l.tailPatched = patched
-	l.fullNet = nil
-	res.Changed = appendChangedTick(res.Changed, t)
 }
 
-// applySlabLateLocked applies one tick's worth of late events landing in a
-// sealed slab by extending that slab's delta log and overlay.
-func (l *Log[S]) applySlabLateLocked(t trajectory.Tick, group []contact.Event, res *ApplyResult) {
-	i := sort.Search(len(l.sealed), func(i int) bool { return l.sealed[i].Span.Hi >= t })
-	d := &l.deltas[i]
-	span := l.sealed[i].Span
-	local := make([]contact.Event, len(group))
-	for k, ev := range group {
-		ev.Tick -= span.Lo
-		local[k] = ev
-	}
-	base := d.patched
-	if base == nil {
-		base = d.base
-	}
-	patched, kept, counts := base.ApplyEvents(local)
-	res.Late += counts.Applied
-	res.Retracted += counts.Retracted
-	res.Duplicates += counts.Duplicates
-	res.RetractMisses += counts.Misses
-	if len(kept) == 0 {
-		return
-	}
-	d.patched = patched
-	d.events = append(d.events, kept...)
-	l.fullNet = nil
-	res.Changed = appendChangedTick(res.Changed, t)
-}
-
-// Compact re-seals every dirty slab: each overlay network is flushed
-// through the build callback and the sealed value swapped in place under
-// the log's mutex — in-flight readers keep their (still-correct) overlay
-// views; new Views see the clean rebuilt slab. Returns the number of slabs
-// compacted. On a build error the failing slab keeps its delta log and
-// stays exact through its overlay; already-compacted slabs stay compacted.
+// Compact re-seals every dirty slab: each overlay table is materialized
+// and flushed through the build callback and the sealed value swapped in
+// place under the log's mutex — in-flight readers keep their (still-
+// correct) overlay views; new Views see the clean rebuilt slab. Returns the
+// number of slabs compacted. On a build error the failing slab keeps its
+// delta log and stays exact through its overlay; already-compacted slabs
+// stay compacted.
 func (l *Log[S]) Compact() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -451,15 +448,16 @@ func (l *Log[S]) compactLocked(threshold int) (int, error) {
 	n := 0
 	for i := range l.deltas {
 		d := &l.deltas[i]
-		if len(d.events) == 0 || len(d.events) < threshold {
+		if d.pending == 0 || d.pending < threshold {
 			continue
 		}
-		value, err := l.build(l.sealed[i].Span, d.patched)
+		net := d.table.Network()
+		value, err := l.build(l.sealed[i].Span, net)
 		if err != nil {
 			return n, fmt.Errorf("segment: compact slab %v: %w", l.sealed[i].Span, err)
 		}
 		l.sealed[i].Value = value
-		d.base, d.patched, d.events = d.patched, nil, nil
+		*d = slabDelta{base: net}
 		l.counters.Compactions++
 		n++
 	}
@@ -475,66 +473,43 @@ func (l *Log[S]) ActiveAt(a, b trajectory.ObjectID, t trajectory.Tick) bool {
 		return false
 	}
 	pr := stjoin.MakePair(a, b)
-	var net *contact.Network
-	var local trajectory.Tick
 	if t >= l.tailStart {
-		net, local = l.tailEffectiveLocked(), t-l.tailStart
-	} else {
-		i := sort.Search(len(l.sealed), func(i int) bool { return l.sealed[i].Span.Hi >= t })
-		if net = l.deltas[i].patched; net == nil {
-			net = l.deltas[i].base
-		}
-		local = t - l.sealed[i].Span.Lo
+		return l.tail.Has(pr, t-l.tailStart)
 	}
-	for _, q := range net.PairsAt(local) {
-		if q == pr {
-			return true
-		}
+	i := sort.Search(len(l.sealed), func(i int) bool { return l.sealed[i].Span.Hi >= t })
+	local := t - l.sealed[i].Span.Lo
+	if d := &l.deltas[i]; d.table != nil {
+		return d.table.Has(pr, local)
 	}
-	return false
-}
-
-// tailEffectiveLocked returns the tail's slab-local network with any
-// pending tail-late events folded in, caching both layers.
-func (l *Log[S]) tailEffectiveLocked() *contact.Network {
-	if l.tailNet == nil {
-		l.tailNet = l.tail.Network()
-	}
-	if len(l.tailEvents) == 0 {
-		return l.tailNet
-	}
-	if l.tailPatched == nil {
-		l.tailPatched, _, _ = l.tailNet.ApplyEvents(l.tailEvents)
-	}
-	return l.tailPatched
+	return slices.Contains(l.deltas[i].base.PairsAt(local), pr)
 }
 
 // View returns a consistent snapshot for one query: the sealed segments
-// (with delta overlays where slabs are dirty), the tail's span and
-// slab-local effective network (nil when the tail is empty), and the total
-// tick count. The returned slice is the reader's own; slab values and
-// networks are immutable — the reader may use them lock-free for the whole
-// query even across a concurrent compaction.
-func (l *Log[S]) View() (slabs []SlabView[S], tailSpan contact.Interval, tailNet *contact.Network, numTicks int) {
+// (with overlay tables where slabs are dirty), the tail's span and table
+// (nil when the tail is empty), and the total tick count. It builds
+// nothing: the returned slice is the reader's own, and the slab values and
+// tables it points to are immutable — the reader may use them lock-free for
+// the whole query even across concurrent patches and compactions.
+func (l *Log[S]) View() (slabs []SlabView[S], tailSpan contact.Interval, tail *contact.PairTable, numTicks int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	numTicks = l.numTicksLocked()
 	slabs = make([]SlabView[S], len(l.sealed))
 	for i, s := range l.sealed {
 		slabs[i] = SlabView[S]{Span: s.Span, Value: s.Value}
-		if d := &l.deltas[i]; len(d.events) > 0 {
-			slabs[i].Overlay = d.patched
-			slabs[i].Pending = len(d.events)
+		if d := &l.deltas[i]; d.pending > 0 {
+			slabs[i].Overlay = d.table
+			slabs[i].Pending = d.pending
 		}
 	}
 	if l.tail.NumTicks() > 0 {
-		tailNet = l.tailEffectiveLocked()
+		tail = l.tail
 		tailSpan = contact.Interval{
 			Lo: l.tailStart,
 			Hi: l.tailStart + trajectory.Tick(l.tail.NumTicks()) - 1,
 		}
 	}
-	return slabs, tailSpan, tailNet, numTicks
+	return slabs, tailSpan, tail, numTicks
 }
 
 // Snapshot returns the cumulative effective contact network over every
@@ -549,23 +524,22 @@ func (l *Log[S]) Snapshot() *contact.Network {
 		return l.fullNet
 	}
 	var all []contact.Contact
-	for i, s := range l.sealed {
-		net := l.deltas[i].patched
-		if net == nil {
-			net = l.deltas[i].base
-		}
+	shifted := func(net *contact.Network, lo trajectory.Tick) {
 		for _, c := range net.Contacts {
-			c.Validity.Lo += s.Span.Lo
-			c.Validity.Hi += s.Span.Lo
+			c.Validity.Lo += lo
+			c.Validity.Hi += lo
 			all = append(all, c)
 		}
 	}
-	if l.tail.NumTicks() > 0 {
-		for _, c := range l.tailEffectiveLocked().Contacts {
-			c.Validity.Lo += l.tailStart
-			c.Validity.Hi += l.tailStart
-			all = append(all, c)
+	for i, s := range l.sealed {
+		net := l.deltas[i].base
+		if tb := l.deltas[i].table; tb != nil {
+			net = tb.Network()
 		}
+		shifted(net, s.Span.Lo)
+	}
+	if l.tail.NumTicks() > 0 {
+		shifted(l.tail.Network(), l.tailStart)
 	}
 	l.fullNet = contact.FromContacts(l.numObjects, l.numTicksLocked(), all)
 	return l.fullNet

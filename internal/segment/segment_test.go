@@ -137,7 +137,7 @@ func TestLogSealLifecycle(t *testing.T) {
 		t.Fatalf("tail span %v, want [%d, %d]", tailSpan, total, total)
 	}
 	win := log.Snapshot().Window(tailSpan.Lo, tailSpan.Hi)
-	if !sameNetwork(tailNet, win) {
+	if !sameNetwork(tailNet.Network(), win) {
 		t.Fatal("tail network disagrees with the snapshot window")
 	}
 }

@@ -3,23 +3,25 @@
 // architecture — where "segmented:<name>" slices a frozen dataset,
 // LiveEngine grows the slices as the feed arrives:
 //
-//	tail    — appends land in one mutable in-memory segment (an
-//	          incremental contact builder over the current time slab only);
+//	tail    — appends land in one mutable in-memory segment (a
+//	          per-instant pair table over the current time slab only);
 //	sealed  — when the tail's slab closes it is flushed through the base
 //	          backend's builder into an immutable index segment;
-//	query   — the cross-segment planner walks sealed segments plus a
-//	          snapshot of the tail, so answers always cover every ingested
-//	          instant with no rebuild of historical slabs, ever.
+//	query   — the cross-segment planner walks sealed segments plus the
+//	          tail's table as it stands, so answers always cover every
+//	          ingested instant with no rebuild of historical slabs, ever.
 //
 // Real feeds are late, duplicated and occasionally wrong, so ingestion is
 // event-based underneath: Ingest accepts ContactEvents at any tick —
 // frontier appends, late adds into already-sealed slabs, retractions
 // (privacy deletes / bad-data corrections). Out-of-order events land in
-// per-slab delta logs (segment.Log) whose overlay networks the planner
-// consults instead of the stale sealed index, so answers are exact
-// immediately; Compact (or the Options.CompactEvents threshold) re-seals
-// dirty slabs through the same build machinery. AddInstant remains as a
-// thin position-join wrapper over the event path.
+// per-slab delta logs (segment.Log): a dirty slab's overlay is its
+// per-instant pair table with the events folded in, patched copy-on-write
+// (a late batch replaces only the lists of the instants it touches), and
+// the planner sweeps it instead of the stale sealed index, so answers are
+// exact immediately; Compact (or the Options.CompactEvents threshold)
+// re-seals dirty slabs through the same build machinery. AddInstant
+// remains as a thin position-join wrapper over the event path.
 //
 // Appends cost O(one instant) amortized (plus one slab-sized index build
 // each SegmentTicks instants); queries are lock-free after taking a
@@ -59,7 +61,7 @@ type ContactEvent struct {
 // IngestReport summarizes what one Ingest batch did.
 type IngestReport struct {
 	// Applied counts contact instants applied at (or beyond) the frontier;
-	// Late counts instants applied behind it, into the tail overlay or a
+	// Late counts instants applied behind it, into the tail's table or a
 	// sealed segment's delta log.
 	Applied int
 	Late    int
@@ -301,7 +303,7 @@ func (le *LiveEngine) OnSegmentSeal(fn func(span Interval)) { le.sealHook = fn }
 // Ingest folds a batch of contact events into the feed — the primary
 // ingest surface. Events may target any tick: adds at the frontier extend
 // the time domain (padding any gap with empty instants, sealing slabs as
-// widths close), adds behind it land in the tail overlay or a sealed
+// widths close), adds behind it land in the tail's table or a sealed
 // segment's delta log, and retractions remove previously ingested contact
 // instants. Answers reflect the batch exactly as soon as Ingest returns —
 // no compaction is needed for correctness.
@@ -534,40 +536,45 @@ func (le *LiveEngine) snapshotNet() *contact.Network {
 }
 
 // views pins one consistent view per lane — the slab list the planner
-// walks: sealed segments plus, when the tail holds instants, an oracle over
-// the tail's slab-local network. A dirty sealed segment — one with pending
-// delta-log events — is served by an oracle over its overlay network
-// instead of its (stale) sealed index, so out-of-order corrections are
-// query-visible immediately. Everything returned is immutable, so a query
-// proceeds lock-free. numTicks is the common time domain — the minimum
+// walks; see laneCore. numTicks is the common time domain — the minimum
 // lane frontier, so queries racing an append see only ticks every lane has
 // covered.
 func (le *LiveEngine) views() (segs []*segmentedCore, numTicks int) {
 	segs = make([]*segmentedCore, len(le.lanes))
 	for i, ln := range le.lanes {
-		sealed, tailSpan, tailNet, nt := ln.log.View()
-		slabs := make([]segSlab, 0, len(sealed)+1)
-		for _, s := range sealed {
-			slab := segSlab{span: s.Span, core: s.Value.core, sealed: s.Value, pending: s.Pending}
-			if s.Overlay != nil {
-				slab.core = oracleCore{o: queries.NewOracle(s.Overlay)}
-			}
-			slabs = append(slabs, slab)
-		}
-		if tailNet != nil {
-			slabs = append(slabs, segSlab{span: tailSpan, core: oracleCore{o: queries.NewOracle(tailNet)}})
-		}
-		segs[i] = &segmentedCore{
-			slabs:      slabs,
-			numObjects: le.numObjects,
-			numTicks:   nt,
-			bidir:      le.bidir,
-		}
-		if i == 0 || nt < numTicks {
+		segs[i] = le.laneCore(ln.log.View())
+		if nt := segs[i].numTicks; i == 0 || nt < numTicks {
 			numTicks = nt
 		}
 	}
 	return segs, numTicks
+}
+
+// laneCore is the planner over one lane's view: sealed segments plus, when
+// the tail holds instants, an oracle sweeping the tail's pair table. A
+// dirty sealed segment — one with pending delta-log events — is served by
+// an oracle over its overlay table instead of its (stale) sealed index, so
+// out-of-order corrections are query-visible immediately. Nothing is built:
+// the oracles read the tables the view pinned, which are immutable, so a
+// query proceeds lock-free.
+func (le *LiveEngine) laneCore(sealed []segment.SlabView[sealedSlab], tailSpan Interval, tail *contact.PairTable, numTicks int) *segmentedCore {
+	slabs := make([]segSlab, 0, len(sealed)+1)
+	for _, s := range sealed {
+		slab := segSlab{span: s.Span, core: s.Value.core, sealed: s.Value, pending: s.Pending}
+		if s.Overlay != nil {
+			slab.core = oracleCore{o: queries.NewTableOracle(s.Overlay)}
+		}
+		slabs = append(slabs, slab)
+	}
+	if tail != nil {
+		slabs = append(slabs, segSlab{span: tailSpan, core: oracleCore{o: queries.NewTableOracle(tail)}})
+	}
+	return &segmentedCore{
+		slabs:      slabs,
+		numObjects: le.numObjects,
+		numTicks:   numTicks,
+		bidir:      le.bidir,
+	}
 }
 
 // coordinator returns the scatter-gather coordinator over the lane views of
