@@ -67,17 +67,8 @@ func NewMem(g *dn.Graph, d int, seed int64) (*Mem, error) {
 	return &Mem{g: g, labels: labels, pool: newDFSPool()}, nil
 }
 
-// Labels exposes the labelling (for tests).
-func (m *Mem) Labels() *Labels { return m.labels }
-
-// Reach answers the reachability query by label-pruned DFS.
-func (m *Mem) Reach(q queries.Query) (bool, error) {
-	ok, _, err := m.ReachCounted(context.Background(), q)
-	return ok, err
-}
-
-// ReachCounted is Reach plus the number of vertices the pruned DFS visited.
-// The context is observed inside the DFS loop.
+// ReachCounted answers q by label-pruned DFS and returns the number of
+// vertices the DFS visited. The context is observed inside the DFS loop.
 func (m *Mem) ReachCounted(ctx context.Context, q queries.Query) (bool, int, error) {
 	u, v, done, ans, err := entryVertices(m.g, q)
 	if done || err != nil {
@@ -331,17 +322,8 @@ func contains(u, v *diskVertex) bool {
 	return true
 }
 
-// Reach answers q with the disk-resident label-pruned DFS, charging all
-// page reads to the store's cumulative Counters through a query-scoped
-// accountant.
-func (dk *Disk) Reach(q queries.Query) (bool, error) {
-	var acct pagefile.Stats
-	ok, _, err := dk.ReachCounted(context.Background(), q, &acct)
-	return ok, err
-}
-
-// ReachCounted is Reach plus the number of vertices the pruned DFS visited.
-// Page reads are charged to acct (which may be nil) in addition to the
+// ReachCounted answers q with the disk-resident label-pruned DFS and
+// returns the number of vertices it visited. Page reads are charged to acct (which may be nil) in addition to the
 // cumulative counters; all traversal state is per-query. The context is
 // observed inside the DFS loop.
 func (dk *Disk) ReachCounted(ctx context.Context, q queries.Query, acct *pagefile.Stats) (bool, int, error) {

@@ -1,6 +1,7 @@
 package grail
 
 import (
+	"context"
 	"testing"
 
 	"streach/internal/contact"
@@ -19,6 +20,17 @@ func buildGraph(t testing.TB, objects, ticks int, seed int64) (*dn.Graph, *queri
 		t.Fatalf("graph invalid: %v", err)
 	}
 	return g, queries.NewOracle(net), d
+}
+
+// memReach and diskReach are the point query on either engine.
+func memReach(m *Mem, q queries.Query) (bool, error) {
+	ok, _, err := m.ReachCounted(context.Background(), q)
+	return ok, err
+}
+
+func diskReach(dk *Disk, q queries.Query) (bool, error) {
+	ok, _, err := dk.ReachCounted(context.Background(), q, nil)
+	return ok, err
 }
 
 func TestLabelsValidate(t *testing.T) {
@@ -85,7 +97,7 @@ func TestMemMatchesOracle(t *testing.T) {
 	var pos int
 	for _, q := range work {
 		want := oracle.Reachable(q)
-		got, err := m.Reach(q)
+		got, err := memReach(m, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +128,11 @@ func TestDiskMatchesMem(t *testing.T) {
 		Count: 80, MinLen: 10, MaxLen: 180, Seed: 19,
 	})
 	for _, q := range work {
-		a, err := m.Reach(q)
+		a, err := memReach(m, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dk.Reach(q)
+		b, err := diskReach(dk, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +151,14 @@ func TestDiskDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dk.Reach(queries.Query{Src: -2, Dst: 1, Interval: contact.Interval{Lo: 0, Hi: 5}}); err == nil {
+	if _, err := diskReach(dk, queries.Query{Src: -2, Dst: 1, Interval: contact.Interval{Lo: 0, Hi: 5}}); err == nil {
 		t.Error("bad source: want error")
 	}
-	got, err := dk.Reach(queries.Query{Src: 1, Dst: 1, Interval: contact.Interval{Lo: 0, Hi: 5}})
+	got, err := diskReach(dk, queries.Query{Src: 1, Dst: 1, Interval: contact.Interval{Lo: 0, Hi: 5}})
 	if err != nil || !got {
 		t.Errorf("self query: got (%v, %v)", got, err)
 	}
-	got, err = dk.Reach(queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 7, Hi: 3}})
+	got, err = diskReach(dk, queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 7, Hi: 3}})
 	if err != nil || got {
 		t.Errorf("empty interval: got (%v, %v)", got, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"streach/internal/dn"
 	"streach/internal/mobility"
 	"streach/internal/pagefile"
+	"streach/internal/queries"
 )
 
 // BenchmarkBuild is what an index build costs from an extracted contact
@@ -126,5 +127,60 @@ func BenchmarkPointQuery(b *testing.B) {
 		if _, _, err := ix.ReachStrategyCounted(ctx, work[i%len(work)], BMBFS, &acct); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// memFixture is the memory index over BenchmarkPointQuery's dataset at the
+// default resolutions, with the same query list.
+func memFixture(b *testing.B) (*Mem, []queries.Query) {
+	f := newFixture(b, 400, 1000, 17)
+	m, err := NewMem(f.g, []int{2, 4, 8, 16, 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, f.workload(1024, 60, 240, 17)
+}
+
+// BenchmarkMemPointQuery is BenchmarkPointQuery on the memory index: BM-BFS
+// point queries over the graph itself, no page read. One op is one query.
+func BenchmarkMemPointQuery(b *testing.B) {
+	m, work := memFixture(b)
+	reach := func(q queries.Query) {
+		if _, err := memReach(m, q, BMBFS); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range work { // warm the scratch
+		reach(q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reach(work[i%len(work)])
+	}
+}
+
+// BenchmarkMemSweep is the memory index's DN1 sweep on the same queries:
+// the forward profile of each query's source over its interval, what every
+// set and arrival answer reads off. One op is one sweep.
+func BenchmarkMemSweep(b *testing.B) {
+	m, work := memFixture(b)
+	ctx := context.Background()
+	var out []queries.ProfileEntry
+	seeds := make([]queries.SeedState, 1)
+	sweep := func(q queries.Query) {
+		var err error
+		seeds[0].Obj = q.Src
+		if out, _, err = m.AppendProfile(ctx, out[:0], seeds, q.Interval, queries.Forward); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range work {
+		sweep(q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(work[i%len(work)])
 	}
 }

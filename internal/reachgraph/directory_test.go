@@ -44,10 +44,10 @@ func withinBlob(blob, rec []byte) bool {
 }
 
 // wantEdges is what a decoded edge list must equal.
-func wantEdges(ids []dn.NodeID, partOf []int32) []edge {
-	out := make([]edge, len(ids))
+func wantEdges(ids []dn.NodeID, partOf []int32) edgeList {
+	out := edgeList{nodes: ids, parts: make([]int32, len(ids))}
 	for i, v := range ids {
-		out[i] = edge{node: v, part: partOf[v]}
+		out.parts[i] = partOf[v]
 	}
 	return out
 }
@@ -76,14 +76,17 @@ func graphRecord(g *dn.Graph, partOf []int32, id dn.NodeID) *vertexRec {
 // sameRecord compares the decoded content of two records; empty and nil
 // lists are the same list.
 func sameRecord(a, b *vertexRec) bool {
+	sameEdges := func(x, y edgeList) bool {
+		return slices.Equal(x.nodes, y.nodes) && slices.Equal(x.parts, y.parts)
+	}
 	sameLongs := func(x, y []levelEdges) bool {
 		return slices.EqualFunc(x, y, func(p, q levelEdges) bool {
-			return p.level == q.level && slices.Equal(p.edges, q.edges)
+			return p.level == q.level && sameEdges(p.edges, q.edges)
 		})
 	}
 	return a.id == b.id && a.start == b.start && a.end == b.end &&
 		slices.Equal(a.members, b.members) &&
-		slices.Equal(a.out, b.out) && slices.Equal(a.in, b.in) &&
+		sameEdges(a.out, b.out) && sameEdges(a.in, b.in) &&
 		sameLongs(a.longOut, b.longOut) && sameLongs(a.longIn, b.longIn)
 }
 
@@ -312,7 +315,7 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 				t.Errorf("section %d: %s count %d over %d bytes: err = %v, want an implausible-count error", tc.section, tc.what, forged, body, err)
 			}
 			a := &sc.cur.arena
-			if n := cap(a.members.buf) + cap(a.edges.buf) + cap(a.levels.buf); n != 0 {
+			if n := cap(a.members.buf) + cap(a.nodes.buf) + cap(a.parts.buf) + cap(a.levels.buf); n != 0 {
 				t.Errorf("section %d: %s count %d: the failed decode reserved %d slab elements", tc.section, tc.what, forged, n)
 			}
 			ix.pool.Put(sc)
@@ -404,11 +407,11 @@ func TestCursorKeepsRecordsWhileResident(t *testing.T) {
 	c := &cursor{}
 	first, pages, verified := readAll(c, ix, secOut)
 	decoded := c.held
-	edges := len(c.arena.edges.buf)
+	edges := len(c.arena.nodes.buf)
 
 	again, pagesAgain, verifiedAgain := readAll(c, ix, secOut)
-	if !slices.Equal(first, again) || c.held != decoded || len(c.arena.edges.buf) != edges {
-		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, len(c.arena.edges.buf))
+	if !slices.Equal(first, again) || c.held != decoded || len(c.arena.nodes.buf) != edges {
+		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, len(c.arena.nodes.buf))
 	}
 	if pagesAgain != pages {
 		t.Fatalf("second pass touched %d pages, the first %d: kept records must not skip partition reads", pagesAgain, pages)

@@ -12,7 +12,7 @@ func TestDN1OnlyIndex(t *testing.T) {
 	}
 	for _, q := range f.workload(60, 10, 150, 73) {
 		want := f.oracle.Reachable(q)
-		got, err := ix.Reach(q)
+		got, err := diskReach(ix, q, BMBFS)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestCorruptedPartitionSurfacesError(t *testing.T) {
 	}
 	var failures int
 	for _, q := range f.workload(40, 20, 200, 63) {
-		got, err := ix.Reach(q)
+		got, err := diskReach(ix, q, BMBFS)
 		switch {
 		case errors.Is(err, pagefile.ErrCorruptBlob):
 			failures++

@@ -82,18 +82,25 @@ func FuzzPartitionBlob(f *testing.F) {
 					t.Fatalf("vertex %d: member %d outside [0, %d)", id, m, numObjects)
 				}
 			}
-			for _, es := range [][]edge{v.out, v.in} {
-				for _, e := range es {
-					if e.node < 0 || int(e.node) >= numNodes {
-						t.Fatalf("vertex %d: edge target %d outside [0, %d)", id, e.node, numNodes)
+			for _, es := range []edgeList{v.out, v.in} {
+				if len(es.parts) != len(es.nodes) {
+					t.Fatalf("vertex %d: %d edges, %d partition hints", id, len(es.nodes), len(es.parts))
+				}
+				for _, n := range es.nodes {
+					if n < 0 || int(n) >= numNodes {
+						t.Fatalf("vertex %d: edge target %d outside [0, %d)", id, n, numNodes)
 					}
 				}
 			}
 		}
 		// Every element costs at least a byte of some record, and a record
-		// is decoded at most once per id asked.
+		// is decoded at most once per id asked. Partition hints grow in step
+		// with the neighbours they belong to.
 		a := &c.arena
-		if got, bound := cap(a.members.buf)+cap(a.edges.buf)+cap(a.levels.buf), 3*2*max(64, len(ids)*len(data)); got > bound {
+		if cap(a.parts.buf) != cap(a.nodes.buf) {
+			t.Fatalf("slabs hold %d neighbours but %d partition hints", cap(a.nodes.buf), cap(a.parts.buf))
+		}
+		if got, bound := cap(a.members.buf)+cap(a.nodes.buf)+cap(a.levels.buf), 3*2*max(64, len(ids)*len(data)); got > bound {
 			t.Fatalf("slabs hold %d elements for a %d-byte blob and %d lookups", got, len(data), len(ids))
 		}
 	})

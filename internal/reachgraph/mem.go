@@ -5,10 +5,14 @@
 // paper uses to compare ReachGraph against GRAIL on memory-resident contact
 // datasets, and it also provides the CPU-time measurements of Figure 15.
 //
-// Record views are materialized eagerly and every piece of traversal state
-// comes from the pooled scratch, so steady-state point queries perform
-// zero heap allocations (asserted by TestHotpathSteadyStateAllocs at the
-// module root).
+// Mem holds nothing but the graph. A query's record is one scratch-owned
+// vertexRec, refilled at every visit (memAccess): its members and edge
+// lists are the graph's own slices, its long-edge levels a buffer reused
+// from visit to visit, so there is no second copy of the graph and no build
+// phase beyond augmentation. Every piece of traversal state comes from the
+// pooled scratch, so steady-state point queries perform zero heap
+// allocations (asserted by TestHotpathSteadyStateAllocs at the module
+// root).
 package reachgraph
 
 import (
@@ -22,13 +26,11 @@ import (
 	"streach/internal/visit"
 )
 
-// Mem is a memory-resident ReachGraph over a reduced graph. Record views
-// are materialized eagerly at construction, so queries never mutate shared
-// state and the engine is safe for fully parallel evaluation.
+// Mem is a memory-resident ReachGraph over a reduced graph. Queries only
+// read the graph, so the engine is safe for fully parallel evaluation.
 type Mem struct {
 	g           *dn.Graph
 	resolutions []int
-	recs        []vertexRec // record views, indexed by NodeID
 
 	pool *visit.Pool[scratch]
 }
@@ -42,88 +44,69 @@ func NewMem(g *dn.Graph, resolutions []int) (*Mem, error) {
 			return nil, err
 		}
 	}
-	m := &Mem{
-		g:           g,
-		resolutions: resolutions,
-		recs:        make([]vertexRec, len(g.Nodes)),
-		pool:        newScratchPool(),
-	}
-	for id := range g.Nodes {
-		m.materialize(dn.NodeID(id))
-	}
-	return m, nil
+	return &Mem{g: g, resolutions: resolutions, pool: newScratchPool()}, nil
 }
 
-// materialize builds the record view of node id at construction time.
-func (m *Mem) materialize(id dn.NodeID) {
-	nd := &m.g.Nodes[id]
-	rec := vertexRec{
-		id:      id,
-		start:   nd.Start,
-		end:     nd.End,
-		members: nd.Members,
-		out:     plainEdges(nd.Out),
-		in:      plainEdges(nd.In),
-	}
-	for _, L := range m.resolutions {
-		if ts := m.g.LongOut(id, L); len(ts) > 0 {
-			rec.longOut = append(rec.longOut, levelEdges{level: L, edges: plainEdges(ts)})
-		}
-		if ss := m.g.LongIn(id, L); len(ss) > 0 {
-			rec.longIn = append(rec.longIn, levelEdges{level: L, edges: plainEdges(ss)})
-		}
-	}
-	m.recs[id] = rec
+// memAccess is Mem's graphAccess for one query: the one record the
+// traversal holds, whose slices are views of the graph.
+type memAccess struct {
+	m   *Mem
+	rec vertexRec
 }
 
-// vertex returns the record view of node id. Partition hints are
-// meaningless in memory and ignored.
-func (m *Mem) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
-	if id < 0 || int(id) >= len(m.recs) {
+// vertex points the record at node id: header fields only. Partition hints
+// are meaningless in memory and ignored.
+func (a *memAccess) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
+	g := a.m.g
+	if id < 0 || int(id) >= len(g.Nodes) {
 		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
 	}
-	return &m.recs[id], nil
+	nd, r := &g.Nodes[id], &a.rec
+	r.id, r.start, r.end, r.members = id, nd.Start, nd.End, nd.Members
+	return r, nil
 }
 
-// need has nothing to do: record views are materialized whole.
-func (m *Mem) need(*vertexRec, uint8) error { return nil }
-
-func plainEdges(ids []dn.NodeID) []edge {
-	if len(ids) == 0 {
-		return nil
+// need points the sections asked for at the graph's lists of v's node.
+func (a *memAccess) need(v *vertexRec, want uint8) error {
+	g, id := a.m.g, v.id
+	if want&secOut != 0 {
+		v.out = edgeList{nodes: g.Nodes[id].Out}
 	}
-	out := make([]edge, len(ids))
-	for i, v := range ids {
-		out[i] = edge{node: v, part: -1}
+	if want&secIn != 0 {
+		v.in = edgeList{nodes: g.Nodes[id].In}
 	}
-	return out
+	if want&secLongOut != 0 {
+		v.longOut = v.longOut[:0]
+		for _, L := range a.m.resolutions {
+			if ts := g.LongOut(id, L); len(ts) > 0 {
+				v.longOut = append(v.longOut, levelEdges{level: L, edges: edgeList{nodes: ts}})
+			}
+		}
+	}
+	if want&secLongIn != 0 {
+		v.longIn = v.longIn[:0]
+		for _, L := range a.m.resolutions {
+			if ss := g.LongIn(id, L); len(ss) > 0 {
+				v.longIn = append(v.longIn, levelEdges{level: L, edges: edgeList{nodes: ss}})
+			}
+		}
+	}
+	return nil
 }
 
-// Reach answers q with BM-BFS.
-func (m *Mem) Reach(q queries.Query) (bool, error) { return m.ReachStrategy(q, BMBFS) }
-
-// ReachStrategy answers q with the chosen strategy.
-func (m *Mem) ReachStrategy(q queries.Query, s Strategy) (bool, error) {
-	ok, _, err := m.ReachStrategyCounted(context.Background(), q, s)
-	return ok, err
+// locate maps object o to its run at tick t; an object without one has
+// dn.Invalid there.
+func (a *memAccess) locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error) {
+	g := a.m.g
+	if int(o) < 0 || int(o) >= g.NumObjects {
+		return entry{dn.Invalid, -1}, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, g.NumObjects)
+	}
+	return entry{g.NodeOf(o, t), -1}, nil
 }
 
 // clampInterval intersects iv with the graph's time domain.
 func (m *Mem) clampInterval(iv contact.Interval) contact.Interval {
 	return iv.Intersect(contact.Interval{Lo: 0, Hi: trajectory.Tick(m.g.NumTicks - 1)})
-}
-
-// ReachStrategyCounted is ReachStrategy plus the number of vertex visits.
-// The context is observed inside the expansion loops.
-func (m *Mem) ReachStrategyCounted(ctx context.Context, q queries.Query, s Strategy) (bool, int, error) {
-	if int(q.Src) < 0 || int(q.Src) >= m.g.NumObjects ||
-		int(q.Dst) < 0 || int(q.Dst) >= m.g.NumObjects {
-		return false, 0, fmt.Errorf("reachgraph: query objects outside [0, %d)", m.g.NumObjects)
-	}
-	if q.Src == q.Dst && m.clampInterval(q.Interval).Len() > 0 {
-		return true, 0, nil
-	}
-	return m.ReachFromCounted(ctx, []trajectory.ObjectID{q.Src}, q.Dst, q.Interval, s)
 }
 
 // ReachFromCounted is the multi-source point query over the in-memory
@@ -147,7 +130,7 @@ func (m *Mem) ReachFromCounted(ctx context.Context, seeds []trajectory.ObjectID,
 	if s == BBFS || s == EBFS || s == EDFS {
 		res = nil
 	}
-	ok, err := reachFrom(ctx, m, sc, s, seeds, dst, iv, res, m.g.NumTicks)
+	ok, err := reachFrom(ctx, &sc.mem, sc, s, seeds, dst, iv, res, m.g.NumTicks)
 	return ok, sc.visits, err
 }
 
@@ -160,23 +143,15 @@ func (m *Mem) AppendProfile(ctx context.Context, out []queries.ProfileEntry, see
 	}
 	sc := m.begin()
 	defer m.pool.Put(sc)
-	out, err := appendProfile(ctx, m, sc, out, seeds, iv, dir)
+	out, err := appendProfile(ctx, &sc.mem, sc, out, seeds, iv, dir)
 	return out, sc.visits, err
 }
 
-// begin checks a traversal scratch out of the pool, reset for one query;
-// the caller returns it with m.pool.Put.
+// begin checks a traversal scratch out of the pool, reset for one query
+// over this graph; the caller returns it with m.pool.Put.
 func (m *Mem) begin() *scratch {
 	sc := m.pool.Get()
 	sc.reset(len(m.g.Nodes), m.g.NumObjects)
+	sc.mem.m = m
 	return sc
-}
-
-// locate maps object o to its run at tick t; an object without one has
-// dn.Invalid there.
-func (m *Mem) locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error) {
-	if int(o) < 0 || int(o) >= m.g.NumObjects {
-		return entry{dn.Invalid, -1}, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, m.g.NumObjects)
-	}
-	return entry{m.g.NodeOf(o, t), -1}, nil
 }

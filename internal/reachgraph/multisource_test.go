@@ -159,7 +159,7 @@ func TestCancelledContextStopsTraversal(t *testing.T) {
 		if _, _, err := ix.ReachStrategyCounted(ctx, q, s, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("disk %v: got %v, want context.Canceled", s, err)
 		}
-		if _, _, err := mem.ReachStrategyCounted(ctx, q, s); !errors.Is(err, context.Canceled) {
+		if _, _, err := mem.ReachFromCounted(ctx, []trajectory.ObjectID{q.Src}, q.Dst, q.Interval, s); !errors.Is(err, context.Canceled) {
 			t.Errorf("mem %v: got %v, want context.Canceled", s, err)
 		}
 	}

@@ -44,10 +44,11 @@ var graphSeeds = []graphSeed{
 }
 
 // graphCase is one generated input: an index over a random-waypoint
-// dataset, its oracle, and one query — a seed frontier, a destination, an
-// interval and a point-query strategy.
+// dataset, the memory index over the same graph, its oracle, and one query
+// — a seed frontier, a destination, an interval and a point-query strategy.
 type graphCase struct {
 	ix       *Index
+	mem      *Mem
 	oracle   *queries.Oracle
 	seeds    []queries.SeedState
 	objs     []trajectory.ObjectID // the seeds' distinct objects
@@ -71,11 +72,16 @@ func newGraphCase(tb testing.TB, s graphSeed) *graphCase {
 		cfg.Env = geo.NewRect(geo.Point{}, geo.Point{X: side, Y: side})
 	}
 	net := contact.Extract(mobility.RandomWaypoint(cfg))
-	ix, err := Build(dn.Build(net), Params{PartitionDepth: int(s.depth) % 65, PoolPages: int(s.pool)%33 - 1})
+	g := dn.Build(net)
+	ix, err := Build(g, Params{PartitionDepth: int(s.depth) % 65, PoolPages: int(s.pool)%33 - 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := &graphCase{ix: ix, oracle: queries.NewOracle(net), dst: trajectory.ObjectID(int(s.dst) % n), strategy: Strategy(s.strategy % 4)}
+	mem, err := NewMem(g, ix.params.Resolutions)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := &graphCase{ix: ix, mem: mem, oracle: queries.NewOracle(net), dst: trajectory.ObjectID(int(s.dst) % n), strategy: Strategy(s.strategy % 4)}
 	c.iv.Lo = trajectory.Tick(int(s.lo) % nt)
 	c.iv.Hi = min(c.iv.Lo+trajectory.Tick(int(s.span)%nt), trajectory.Tick(nt-1))
 	byteAt := func(i int) int {
@@ -149,24 +155,32 @@ func addGraphSeeds(f *testing.F, corrupt bool) {
 	}
 }
 
-// FuzzGraphSweepVsOracle holds the disk index's read path to the oracle on
-// generated datasets and Params (newGraphCase): ReachFromCounted under all
-// four strategies gives the oracle's answer, and AppendProfile, forward
-// from seeds that activate at their own ticks and backward, its profile.
-// Every query verifies at most the pages it is charged for.
+// FuzzGraphSweepVsOracle holds both indexes' read paths, the disk Index's
+// and the memory Mem's record views, to the oracle on generated datasets
+// and Params (newGraphCase): ReachFromCounted under all four strategies
+// gives the oracle's answer, and AppendProfile, forward from seeds that
+// activate at their own ticks and backward, its profile. Every disk query
+// verifies at most the pages it is charged for.
 func FuzzGraphSweepVsOracle(f *testing.F) {
 	addGraphSeeds(f, false)
 	f.Fuzz(func(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8) {
 		c := newGraphCase(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy})
+		ctx := context.Background()
 		wantOK, wantFw, wantBw := c.want()
 		for dir, want := range map[queries.Direction][]queries.ProfileEntry{queries.Forward: wantFw, queries.Backward: wantBw} {
 			if prof, err := c.profile(t, dir); err != nil || !slices.Equal(prof, want) {
 				t.Fatalf("AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
 			}
+			if prof, _, err := c.mem.AppendProfile(ctx, nil, c.seeds, c.iv, dir); err != nil || !slices.Equal(prof, want) {
+				t.Fatalf("mem AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
+			}
 		}
 		for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
 			if got, err := c.reach(t, s); err != nil || got != wantOK {
 				t.Fatalf("%v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
+			}
+			if got, _, err := c.mem.ReachFromCounted(ctx, c.objs, c.dst, c.iv, s); err != nil || got != wantOK {
+				t.Fatalf("mem %v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
 			}
 		}
 	})

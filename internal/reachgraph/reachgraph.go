@@ -47,8 +47,10 @@
 // ReachFromCounted, the multi-source point query (BM-BFS or one of the
 // comparison strategies, stopping at the destination), and AppendProfile,
 // the multi-seed DN1 sweep in either time direction that every set, arrival
-// and departure answer is read off. Reach, ReachStrategy and
-// ReachStrategyCounted are single-source conveniences over the former.
+// and departure answer is read off. Index.ReachStrategyCounted is the
+// single-source form of the former. Only what a record is differs: on disk
+// a record decoded into the query's arena, in memory a view of the graph's
+// own lists (mem.go), so Mem keeps no copy of the graph beside the graph.
 package reachgraph
 
 import (
@@ -301,25 +303,12 @@ func (ix *Index) begin(acct *pagefile.Stats) *scratch {
 	return sc
 }
 
-// Reach answers q with the default BM-BFS strategy.
-func (ix *Index) Reach(q queries.Query) (bool, error) {
-	return ix.ReachStrategy(q, BMBFS)
-}
-
-// ReachStrategy answers q with the chosen traversal strategy, charging all
-// page reads to the store's cumulative Counters through a query-scoped
-// accountant.
-func (ix *Index) ReachStrategy(q queries.Query, s Strategy) (bool, error) {
-	var acct pagefile.Stats
-	ok, _, err := ix.ReachStrategyCounted(context.Background(), q, s, &acct)
-	return ok, err
-}
-
-// ReachStrategyCounted is ReachStrategy plus the number of vertex visits the
-// traversal performed. Page reads are charged to acct (which may be nil) in
-// addition to the cumulative counters; one accountant per query keeps
-// parallel evaluation exact. The context is observed inside the expansion
-// loops, so a cancelled query returns ctx.Err() promptly.
+// ReachStrategyCounted answers the single-source query q with strategy s and
+// returns the number of vertex visits the traversal performed. Page reads
+// are charged to acct (which may be nil) in addition to the cumulative
+// counters; one accountant per query keeps parallel evaluation exact. The
+// context is observed inside the expansion loops, so a cancelled query
+// returns ctx.Err() promptly.
 func (ix *Index) ReachStrategyCounted(ctx context.Context, q queries.Query, s Strategy, acct *pagefile.Stats) (bool, int, error) {
 	if err := ix.validateQuery(q); err != nil {
 		return false, 0, err

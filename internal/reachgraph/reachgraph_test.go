@@ -45,6 +45,18 @@ func (f *fixture) workload(count, minLen, maxLen int, seed int64) []queries.Quer
 	})
 }
 
+// diskReach and memReach are the single-source point query under strategy
+// s on either engine.
+func diskReach(ix *Index, q queries.Query, s Strategy) (bool, error) {
+	ok, _, err := ix.ReachStrategyCounted(context.Background(), q, s, nil)
+	return ok, err
+}
+
+func memReach(m *Mem, q queries.Query, s Strategy) (bool, error) {
+	ok, _, err := m.ReachFromCounted(context.Background(), []trajectory.ObjectID{q.Src}, q.Dst, q.Interval, s)
+	return ok, err
+}
+
 // seedsOf lifts bare objects into sweep seeds that hold the item from the
 // interval's near edge.
 func seedsOf(objs ...trajectory.ObjectID) []queries.SeedState {
@@ -84,7 +96,7 @@ func TestAllStrategiesMatchOracle(t *testing.T) {
 			pos++
 		}
 		for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
-			got, err := ix.ReachStrategy(q, s)
+			got, err := diskReach(ix, q, s)
 			if err != nil {
 				t.Fatalf("%v %v: %v", s, q, err)
 			}
@@ -110,11 +122,11 @@ func TestMemMatchesDisk(t *testing.T) {
 	}
 	for _, q := range f.workload(100, 10, 200, 6) {
 		for _, s := range []Strategy{BMBFS, BBFS, EDFS} {
-			d, err := ix.ReachStrategy(q, s)
+			d, err := diskReach(ix, q, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := mem.ReachStrategy(q, s)
+			m, err := memReach(mem, q, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +145,7 @@ func TestMemMatchesOracle(t *testing.T) {
 	}
 	for _, q := range f.workload(150, 5, 300, 7) {
 		want := f.oracle.Reachable(q)
-		got, err := mem.Reach(q)
+		got, err := memReach(mem, q, BMBFS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +167,7 @@ func TestBMBFSReadsLessThanEDFS(t *testing.T) {
 		ix.ResetCounters()
 		ix.DropCache()
 		for _, q := range work {
-			if _, err := ix.ReachStrategy(q, s); err != nil {
+			if _, err := diskReach(ix, q, s); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -220,24 +232,24 @@ func TestQueryValidationAndDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Reach(queries.Query{Src: -1, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 9}}); err == nil {
+	if _, err := diskReach(ix, queries.Query{Src: -1, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 9}}, BMBFS); err == nil {
 		t.Error("negative source: want error")
 	}
-	if _, err := ix.Reach(queries.Query{Src: 0, Dst: 999, Interval: contact.Interval{Lo: 0, Hi: 9}}); err == nil {
+	if _, err := diskReach(ix, queries.Query{Src: 0, Dst: 999, Interval: contact.Interval{Lo: 0, Hi: 9}}, BMBFS); err == nil {
 		t.Error("out-of-range destination: want error")
 	}
-	got, err := ix.Reach(queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 9, Hi: 2}})
+	got, err := diskReach(ix, queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 9, Hi: 2}}, BMBFS)
 	if err != nil || got {
 		t.Errorf("empty interval: got (%v, %v)", got, err)
 	}
-	got, err = ix.Reach(queries.Query{Src: 5, Dst: 5, Interval: contact.Interval{Lo: 0, Hi: 50}})
+	got, err = diskReach(ix, queries.Query{Src: 5, Dst: 5, Interval: contact.Interval{Lo: 0, Hi: 50}}, BMBFS)
 	if err != nil || !got {
 		t.Errorf("self query: got (%v, %v)", got, err)
 	}
 	// Instantaneous interval: reachable iff same component at that instant.
 	q := queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 42, Hi: 42}}
 	want := f.oracle.Reachable(q)
-	got, err = ix.Reach(q)
+	got, err = diskReach(ix, q, BMBFS)
 	if err != nil || got != want {
 		t.Errorf("instant query: got (%v, %v), oracle %v", got, err, want)
 	}
@@ -268,7 +280,7 @@ func TestSingleResolutionIndex(t *testing.T) {
 	}
 	for _, q := range f.workload(60, 10, 150, 9) {
 		want := f.oracle.Reachable(q)
-		got, err := ix.Reach(q)
+		got, err := diskReach(ix, q, BMBFS)
 		if err != nil {
 			t.Fatal(err)
 		}

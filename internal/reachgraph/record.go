@@ -30,10 +30,20 @@ const (
 
 var sectionNames = [numSections]string{"out", "in", "long-out", "long-in"}
 
-// edge references a neighbour vertex together with the partition holding it.
-type edge struct {
-	node dn.NodeID
-	part int32
+// edgeList is a neighbour list with its parallel list of partition hints,
+// the partitions holding the neighbours. The memory index leaves the hints
+// empty: every hint is then -1.
+type edgeList struct {
+	nodes []dn.NodeID
+	parts []int32
+}
+
+// entry returns neighbour i as a traversal entry.
+func (l edgeList) entry(i int) entry {
+	if len(l.parts) == 0 {
+		return entry{l.nodes[i], -1}
+	}
+	return entry{l.nodes[i], l.parts[i]}
 }
 
 // levelEdges is one long-edge resolution's target list. Records carry at
@@ -41,27 +51,28 @@ type edge struct {
 // allocations and lookup time.
 type levelEdges struct {
 	level int
-	edges []edge
+	edges edgeList
 }
 
-// levelEdgesAt returns the edges at resolution L, or nil.
-func levelEdgesAt(ls []levelEdges, L int) []edge {
+// levelEdgesAt returns the edges at resolution L, or an empty list.
+func levelEdgesAt(ls []levelEdges, L int) edgeList {
 	for i := range ls {
 		if ls[i].level == L {
 			return ls[i].edges
 		}
 	}
-	return nil
+	return edgeList{}
 }
 
-// vertexRec is a vertex record as the traversals read it. Mem holds one per
-// node for the life of the engine, so it carries no decode state: that
-// lives in diskRec.
+// vertexRec is a vertex record as the traversals read it: on disk decoded
+// into a cursor's arena (diskRec), in memory one record per query whose
+// slices are views of the graph's own (memAccess). It carries no decode
+// state: that lives in diskRec.
 type vertexRec struct {
 	id         dn.NodeID
 	start, end trajectory.Tick
 	members    []trajectory.ObjectID
-	out, in    []edge
+	out, in    edgeList
 	longOut    []levelEdges // ascending resolution
 	longIn     []levelEdges
 }
@@ -104,14 +115,16 @@ func (s *slab[T]) alloc(n int) []T {
 type arena struct {
 	recs    slab[diskRec]
 	members slab[trajectory.ObjectID]
-	edges   slab[edge]
+	nodes   slab[dn.NodeID]
+	parts   slab[int32] // the hints of nodes, allocated in step with it
 	levels  slab[levelEdges]
 }
 
 func (a *arena) reset() {
 	a.recs.reset()
 	a.members.reset()
-	a.edges.reset()
+	a.nodes.reset()
+	a.parts.reset()
 	a.levels.reset()
 }
 
@@ -214,19 +227,21 @@ func decodeHeader(dec *pagefile.Decoder, numObjects int, v *vertexRec, a *arena)
 // graph's node-ID space: decoded IDs index the epoch-stamped visited
 // arrays directly, so an out-of-range value must surface as a decode
 // error (the documented corruption behavior), never as a panic.
-func decodeEdges(dec *pagefile.Decoder, numNodes int, a *arena) []edge {
-	out := a.edges.alloc(readCount(dec, minEdge, "edge"))
+func decodeEdges(dec *pagefile.Decoder, numNodes int, a *arena) edgeList {
+	n := readCount(dec, minEdge, "edge")
+	nodes, parts := a.nodes.alloc(n), a.parts.alloc(n)
+	parts = parts[:len(nodes)]
 	prevNode, prevPart := int64(0), int64(0)
-	for i := range out {
+	for i := range nodes {
 		prevNode += dec.Varint()
 		prevPart += dec.Varint()
 		if prevNode < 0 || prevNode >= int64(numNodes) {
 			dec.Failf("reachgraph: edge target %d outside [0, %d)", prevNode, numNodes)
-			return nil
+			return edgeList{}
 		}
-		out[i] = edge{node: dn.NodeID(prevNode), part: int32(prevPart)}
+		nodes[i], parts[i] = dn.NodeID(prevNode), int32(prevPart)
 	}
-	return out
+	return edgeList{nodes, parts}
 }
 
 func decodeLongs(dec *pagefile.Decoder, numNodes int, a *arena) []levelEdges {

@@ -91,14 +91,20 @@ func (s Strategy) String() string {
 
 // graphAccess abstracts vertex retrieval so the same traversal code runs
 // against the disk-resident index (charging I/O) and the memory-resident
-// graph (Table 5a). Implementations are passed by pointer, so boxing them
-// into the interface costs nothing on the hot path.
+// graph (Table 5a). Each implementation is one query's, held in its scratch
+// (cursor, memAccess) and passed by pointer, so boxing it into the
+// interface costs nothing on the hot path.
+//
+// Every traversal loop holds one record at a time: it calls vertex, then
+// need, then reads the edges it asked for before the next vertex. The
+// memory index relies on that, refilling one record per visit.
 type graphAccess interface {
 	// vertex returns the record of node id with span and members ready.
 	vertex(id dn.NodeID, part int32) (*vertexRec, error)
 	// need makes the edge sections named in sections (sec* bits) readable
-	// on v, a record vertex returned during this query. The disk index
-	// decodes them on demand; in memory they always are.
+	// on v, the record vertex returned last. The disk index decodes them;
+	// in memory they are views of the graph's lists. Sections not asked
+	// for hold whatever an earlier visit left there.
 	need(v *vertexRec, sections uint8) error
 	// locate is FindVertex: the run of object o covering tick t. On disk an
 	// object without one is a corrupt run directory and an error; in memory
@@ -106,8 +112,8 @@ type graphAccess interface {
 	locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error)
 }
 
-// entry is a traversal starting point: a vertex and the partition hint that
-// locates it (ignored by memory access).
+// entry is a vertex a traversal is to visit, with the partition hint that
+// locates it on disk: -1 in memory, where hints are neither stored nor read.
 type entry struct {
 	node dn.NodeID
 	part int32
@@ -132,7 +138,8 @@ type scratch struct {
 	starts           []entry
 	tickStarts       []tickItem // per-seed-tick starts (sweep)
 
-	cur cursor // disk-side partitions, records and their arena; unused by Mem
+	cur cursor    // the disk Index's partitions, records and their arena
+	mem memAccess // the memory index's one record, views of its graph
 }
 
 // newScratchPool returns the per-engine pool of traversal scratch.
@@ -141,9 +148,9 @@ func newScratchPool() *visit.Pool[scratch] {
 }
 
 // reset prepares the scratch for one query over a graph of numNodes
-// vertices and numObjects objects. The disk cursor is not touched: only
-// the disk index resets (and pays for) it, so the memory engine's pools
-// never materialize the per-node record tables.
+// vertices and numObjects objects. Neither access is touched: each engine
+// readies its own (cursor.begin, Mem.begin), so the memory engine's pools
+// never allocate the disk cursor's per-node record tables.
 func (sc *scratch) reset(numNodes, numObjects int) {
 	sc.visits = 0
 	sc.fwTicks.Reset(numNodes)
@@ -365,7 +372,7 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 	for li := len(resolutions) - 1; li >= 0; li-- {
 		L := resolutions[li]
 		targets := levelEdgesAt(v.longOut, L)
-		if len(targets) == 0 {
+		if len(targets.nodes) == 0 {
 			continue
 		}
 		dep, okB := boundary(v, L)
@@ -373,9 +380,9 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 			continue
 		}
 		arr := dep + trajectory.Tick(L)
-		for _, e := range targets {
-			if fw.betterForward(e.node, arr) {
-				fw.queue.PushBack(tickItem{entry{e.node, e.part}, arr})
+		for i, n := range targets.nodes {
+			if fw.betterForward(n, arr) {
+				fw.queue.PushBack(tickItem{targets.entry(i), arr})
 			}
 		}
 		return false, nil
@@ -383,9 +390,9 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 	// Fall back to DN1 edges: depart at the span end, arrive one instant
 	// later (always ≤ mid here since v.end < mid).
 	arr := v.end + 1
-	for _, e := range v.out {
-		if fw.betterForward(e.node, arr) {
-			fw.queue.PushBack(tickItem{entry{e.node, e.part}, arr})
+	for i, n := range v.out.nodes {
+		if fw.betterForward(n, arr) {
+			fw.queue.PushBack(tickItem{v.out.entry(i), arr})
 		}
 	}
 	return false, nil
@@ -424,7 +431,7 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 	for li := len(resolutions) - 1; li >= 0; li-- {
 		L := resolutions[li]
 		sources := levelEdgesAt(v.longIn, L)
-		if len(sources) == 0 {
+		if len(sources.nodes) == 0 {
 			continue
 		}
 		arr, okB := revBoundaryOf(v, L, numTicks)
@@ -432,17 +439,17 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 			continue
 		}
 		dep := arr - trajectory.Tick(L)
-		for _, e := range sources {
-			if bw.betterBackward(e.node, dep) {
-				bw.queue.PushBack(tickItem{entry{e.node, e.part}, dep})
+		for i, n := range sources.nodes {
+			if bw.betterBackward(n, dep) {
+				bw.queue.PushBack(tickItem{sources.entry(i), dep})
 			}
 		}
 		return false, nil
 	}
 	bound := v.start - 1
-	for _, e := range v.in {
-		if bw.betterBackward(e.node, bound) {
-			bw.queue.PushBack(tickItem{entry{e.node, e.part}, bound})
+	for i, n := range v.in.nodes {
+		if bw.betterBackward(n, bound) {
+			bw.queue.PushBack(tickItem{v.in.entry(i), bound})
 		}
 	}
 	return false, nil
@@ -485,9 +492,9 @@ func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []en
 		if err := g.need(v, secOut); err != nil {
 			return false, err
 		}
-		for _, e := range v.out {
-			if sc.nodes.Visit(int(e.node)) {
-				sc.queue.PushBack(entry{e.node, e.part})
+		for i, n := range v.out.nodes {
+			if sc.nodes.Visit(int(n)) {
+				sc.queue.PushBack(v.out.entry(i))
 			}
 		}
 	}
@@ -577,8 +584,8 @@ func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, i
 		if !fwd {
 			edges = v.in
 		}
-		for _, e := range edges {
-			push(entry{e.node, e.part}, next)
+		for i := range edges.nodes {
+			push(edges.entry(i), next)
 		}
 	}
 	return nil

@@ -118,16 +118,6 @@ func (c *resultCache) get(k cacheKey) (any, bool) {
 	return el.Value.(*cacheEntry).value, true
 }
 
-// put stores v under k, evicting the least recently used entry when full.
-func (c *resultCache) put(k cacheKey, v any) {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(k, v)
-}
-
 // version returns the current invalidation version, to be captured before
 // an evaluation and handed to putFresh.
 func (c *resultCache) version() uint64 {

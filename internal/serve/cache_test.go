@@ -23,7 +23,7 @@ func TestCacheInvalidateOverlappingExact(t *testing.T) {
 	late := key(kindReachable, 1, 2, 20, 30)
 	spanning := key(kindSet, 3, 0, 5, 25)
 	for _, k := range []cacheKey{early, late, spanning} {
-		c.put(k, "v")
+		c.putFresh(k, "v", c.version())
 	}
 
 	if dropped := c.invalidateOverlapping(streach.NewInterval(12, 18)); dropped != 1 {
@@ -116,8 +116,8 @@ func TestCacheKeySemanticsDistinct(t *testing.T) {
 	a := key(kindReachable, 1, 2, 0, 10)
 	b := a
 	b.sem.MaxHops = 3
-	c.put(a, "unbounded")
-	c.put(b, "bounded")
+	c.putFresh(a, "unbounded", c.version())
+	c.putFresh(b, "bounded", c.version())
 	if v, _ := c.get(a); v != "unbounded" {
 		t.Errorf("unbounded key returned %v", v)
 	}
@@ -129,8 +129,8 @@ func TestCacheKeySemanticsDistinct(t *testing.T) {
 	d.sem.MinDuration = 5
 	e := a
 	e.sem.Prob, e.sem.ProbThreshold = 0.7, 0.3
-	c.put(d, "filtered")
-	c.put(e, "probabilistic")
+	c.putFresh(d, "filtered", c.version())
+	c.putFresh(e, "probabilistic", c.version())
 	if v, _ := c.get(a); v != "unbounded" {
 		t.Errorf("plain key collided with an extension key: %v", v)
 	}
@@ -147,10 +147,10 @@ func TestCacheKeySemanticsDistinct(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	k1, k2, k3 := key(kindReachable, 1, 0, 0, 1), key(kindReachable, 2, 0, 0, 1), key(kindReachable, 3, 0, 0, 1)
-	c.put(k1, 1)
-	c.put(k2, 2)
+	c.putFresh(k1, 1, c.version())
+	c.putFresh(k2, 2, c.version())
 	c.get(k1) // k1 becomes most recently used; k2 is now the LRU victim
-	c.put(k3, 3)
+	c.putFresh(k3, 3, c.version())
 	if _, ok := c.get(k2); ok {
 		t.Error("LRU victim k2 still cached after overflow")
 	}
@@ -170,7 +170,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(-1)
 	k := key(kindReachable, 1, 2, 0, 10)
-	c.put(k, "v")
+	c.putFresh(k, "v", c.version())
 	if _, ok := c.get(k); ok {
 		t.Error("disabled cache returned a hit")
 	}
