@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // layoutVersion is the byte every index blob begins with: varint counts and
@@ -106,9 +107,10 @@ func (e *Encoder) Int32SliceDelta(vs []int32) {
 // Float64Xor appends v as the uvarint of bits(v) XOR bits(pred). When the
 // caller predicts well (positions along a near-linear trajectory under a
 // linear extrapolation predictor) the XOR has only a few noisy low bits and
-// encodes in 1-3 bytes instead of 8. Decoding with the same pred is exact:
-// the predictor runs on already-decoded values on both sides, so the
-// reconstruction is lossless for every input.
+// encodes in 1-3 bytes instead of 8. Decoding is the caller's: read the
+// residuals back (Uvarints) and XOR each with the same pred; the predictor
+// runs on already-decoded values on both sides, so the reconstruction is
+// lossless for every input.
 func (e *Encoder) Float64Xor(pred, v float64) {
 	e.Uvarint(math.Float64bits(v) ^ math.Float64bits(pred))
 }
@@ -162,18 +164,28 @@ func (d *Decoder) Skip(n int) { d.take(n) }
 // SkipVarints advances past n varints without decoding them. Signed and
 // unsigned varints alike end at their first byte without a continuation
 // bit, so one byte scan steps over either; a value is validated only if it
-// is later decoded.
+// is later decoded. The scan counts those terminators eight bytes at a time
+// while the word holds fewer than are left to skip, then finds the last
+// one byte by byte.
 func (d *Decoder) SkipVarints(n int) {
 	if d.err != nil {
 		return
 	}
-	off := d.off
+	buf, off := d.buf, d.off
+	for n > 0 && off+8 <= len(buf) {
+		ends := bits.OnesCount64(^binary.LittleEndian.Uint64(buf[off:]) & 0x8080808080808080)
+		if ends >= n {
+			break
+		}
+		n -= ends
+		off += 8
+	}
 	for ; n > 0; off++ {
-		if off == len(d.buf) {
+		if off == len(buf) {
 			d.err = fmt.Errorf("pagefile: buffer ends with %d varints still to skip", n)
 			return
 		}
-		if d.buf[off] < 0x80 {
+		if buf[off] < 0x80 {
 			n--
 		}
 	}
@@ -237,6 +249,48 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	d.off += n
 	return v
+}
+
+// Uvarints reads len(dst) LEB128-encoded unsigned values into dst in one
+// pass over the buffer. A value below 128 costs one compare; one of up to
+// eight bytes with eight bytes left is found and assembled from one
+// little-endian word without a branch per byte; the rest go to
+// binary.Uvarint. It fails exactly where a sequence of Uvarint calls would,
+// with the same error; dst then holds the values in front of the failing
+// one, and its rest is unspecified.
+func (d *Decoder) Uvarints(dst []uint64) {
+	if d.err != nil {
+		return
+	}
+	buf, off := d.buf, d.off
+	for i := range dst {
+		if off < len(buf) && buf[off] < 0x80 {
+			dst[i] = uint64(buf[off])
+			off++
+			continue
+		}
+		if off+8 <= len(buf) {
+			w := binary.LittleEndian.Uint64(buf[off:])
+			if ends := ^w & 0x8080808080808080; ends != 0 {
+				// Keep the bytes up to the first terminator, then close
+				// the gaps the continuation bits leave.
+				w &= ends ^ (ends - 1)
+				dst[i] = w&0x7f | w>>1&(0x7f<<7) | w>>2&(0x7f<<14) | w>>3&(0x7f<<21) |
+					w>>4&(0x7f<<28) | w>>5&(0x7f<<35) | w>>6&(0x7f<<42) | w>>7&(0x7f<<49)
+				off += (bits.TrailingZeros64(ends) + 1) / 8
+				continue
+			}
+		}
+		v, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			d.err = fmt.Errorf("pagefile: truncated or overlong uvarint at offset %d", off)
+			d.off = off
+			return
+		}
+		dst[i] = v
+		off += n
+	}
+	d.off = off
 }
 
 // Varint reads a zig-zag varint (0 after an error).
@@ -315,10 +369,4 @@ func (d *Decoder) Int32SliceDelta() []int32 {
 		vs = append(vs, int32(prev))
 	}
 	return vs
-}
-
-// Float64Xor reads a value written by Encoder.Float64Xor against the same
-// prediction.
-func (d *Decoder) Float64Xor(pred float64) float64 {
-	return math.Float64frombits(d.Uvarint() ^ math.Float64bits(pred))
 }

@@ -136,62 +136,6 @@ func TestInt32SliceDeltaCompressesSortedPostings(t *testing.T) {
 	}
 }
 
-func TestFloat64XorRoundTrip(t *testing.T) {
-	vals := []float64{0, 1, -1, 3.14159, 1e-300, 1e300, math.Inf(1), math.Inf(-1)}
-	enc := NewEncoder(64)
-	pred := 0.0
-	for _, v := range vals {
-		enc.Float64Xor(pred, v)
-		pred = v
-	}
-	dec := NewDecoder(enc.Bytes())
-	pred = 0.0
-	for _, want := range vals {
-		got := dec.Float64Xor(pred)
-		if got != want {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-		pred = got
-	}
-	if err := dec.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFloat64XorLinearPredictor pins the compression property the grid cell
-// layout relies on: points along a line under the 2*b-a extrapolation
-// predictor encode in a few bytes each, and reconstruction is bit-exact.
-func TestFloat64XorLinearPredictor(t *testing.T) {
-	pts := make([]float64, 64)
-	for i := range pts {
-		pts[i] = 5000.0 + 12.5*float64(i)
-	}
-	enc := NewEncoder(64)
-	enc.Float64(pts[0])
-	enc.Float64Xor(pts[0], pts[1])
-	for i := 2; i < len(pts); i++ {
-		enc.Float64Xor(2*pts[i-1]-pts[i-2], pts[i])
-	}
-	if n := enc.Len(); n > 8+len(pts)*3 {
-		t.Fatalf("linear trajectory took %d bytes for %d points", n, len(pts))
-	}
-	dec := NewDecoder(enc.Bytes())
-	got := make([]float64, len(pts))
-	got[0] = dec.Float64()
-	got[1] = dec.Float64Xor(got[0])
-	for i := 2; i < len(pts); i++ {
-		got[i] = dec.Float64Xor(2*got[i-1] - got[i-2])
-	}
-	if err := dec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if got[i] != pts[i] {
-			t.Fatalf("point %d: got %v, want %v", i, got[i], pts[i])
-		}
-	}
-}
-
 // TestFormatByte: every blob starts with the layout version byte, and a
 // decoder that finds any other value — the byte of the layout this one
 // replaced included — fails with an error naming the version it found.
@@ -224,15 +168,47 @@ func TestDecoderTruncation(t *testing.T) {
 	enc.Int32SliceDelta([]int32{-7, 7, 1 << 29})
 	enc.Float64Xor(0, 3.7)
 	full := enc.Bytes()
+	residual := make([]uint64, 1)
 	for cut := 0; cut < len(full); cut++ {
 		dec := NewDecoder(full[:cut])
 		dec.Uvarint()
 		dec.Varint()
 		dec.Uint32Delta(nil)
 		dec.Int32SliceDelta()
-		dec.Float64Xor(0)
+		dec.Uvarints(residual)
 		if dec.Err() == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(full))
+		}
+	}
+}
+
+// BenchmarkUvarints decodes runs of 38 uvarints — the residuals of one
+// 20-tick segment of a grid cell — in the mix a random-waypoint cell holds:
+// about 93 % one byte (a sample on the predicted line), the rest seven or
+// eight bytes (a sample at a turn). SetBytes counts the encoded bytes.
+func BenchmarkUvarints(b *testing.B) {
+	const runs, perRun = 256, 38
+	rng := rand.New(rand.NewSource(1))
+	enc := NewEncoder(runs * perRun * 2)
+	for i := 0; i < runs*perRun; i++ {
+		if rng.Intn(100) < 7 {
+			enc.Uvarint(rng.Uint64() >> (8 + rng.Intn(8)))
+		} else {
+			enc.Uvarint(uint64(rng.Intn(128)))
+		}
+	}
+	buf := enc.Bytes()
+	dst := make([]uint64, perRun)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dec := NewDecoder(buf)
+		for r := 0; r < runs; r++ {
+			dec.Uvarints(dst)
+		}
+		if dec.Err() != nil || dec.Remaining() != 0 {
+			b.Fatal(dec.Err(), dec.Remaining())
 		}
 	}
 }

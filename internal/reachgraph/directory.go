@@ -327,7 +327,7 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
 	}
 	if !ok {
-		r = &c.arena.recs.alloc(1)[0]
+		r = &c.arena.recs.Alloc(1)[0]
 		*r = diskRec{vertexRec: vertexRec{id: id}, part: part, raw: raw, known: 1}
 		dec := pagefile.NewDecoder(raw)
 		decodeHeader(dec, c.ix.numObjects, &r.vertexRec, &c.arena)

@@ -11,7 +11,6 @@ import (
 	"streach/internal/dn"
 	"streach/internal/pagefile"
 	"streach/internal/stjoin"
-	"streach/internal/trajectory"
 )
 
 // toggleGraph is a three-object contact history whose components change at
@@ -315,47 +314,11 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 				t.Errorf("section %d: %s count %d over %d bytes: err = %v, want an implausible-count error", tc.section, tc.what, forged, body, err)
 			}
 			a := &sc.cur.arena
-			if n := cap(a.members.buf) + cap(a.nodes.buf) + cap(a.parts.buf) + cap(a.levels.buf); n != 0 {
+			if n := a.members.Cap() + a.nodes.Cap() + a.parts.Cap() + a.levels.Cap(); n != 0 {
 				t.Errorf("section %d: %s count %d: the failed decode reserved %d slab elements", tc.section, tc.what, forged, n)
 			}
 			ix.pool.Put(sc)
 		}
-	}
-}
-
-// TestSlabKeepsEarlierSlicesAndCapacity pins the two properties the arena
-// rests on: growing a slab does not disturb what it handed out before, and
-// a reset slab serves the same demand again without allocating.
-func TestSlabKeepsEarlierSlicesAndCapacity(t *testing.T) {
-	var s slab[trajectory.ObjectID]
-	var handed [][]trajectory.ObjectID
-	for i := 0; i < 300; i++ {
-		part := s.alloc(i % 7)
-		for j := range part {
-			part[j] = trajectory.ObjectID(i)
-		}
-		handed = append(handed, part)
-	}
-	for i, part := range handed {
-		if len(part) != i%7 || cap(part) != len(part) {
-			t.Fatalf("slice %d: len %d cap %d, want both %d", i, len(part), cap(part), i%7)
-		}
-		for _, v := range part {
-			if v != trajectory.ObjectID(i) {
-				t.Fatalf("slice %d was overwritten by a later alloc", i)
-			}
-		}
-	}
-	replay := func() {
-		s.reset()
-		for i := 0; i < 300; i++ {
-			s.alloc(i % 7)
-		}
-	}
-	replay() // the last array may hold less than the whole demand once
-	replay()
-	if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
-		t.Errorf("a warm slab allocates %.1f times per replay", allocs)
 	}
 }
 
@@ -407,11 +370,11 @@ func TestCursorKeepsRecordsWhileResident(t *testing.T) {
 	c := &cursor{}
 	first, pages, verified := readAll(c, ix, secOut)
 	decoded := c.held
-	edges := len(c.arena.nodes.buf)
+	edges := c.arena.nodes.Len()
 
 	again, pagesAgain, verifiedAgain := readAll(c, ix, secOut)
-	if !slices.Equal(first, again) || c.held != decoded || len(c.arena.nodes.buf) != edges {
-		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, len(c.arena.nodes.buf))
+	if !slices.Equal(first, again) || c.held != decoded || c.arena.nodes.Len() != edges {
+		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, c.arena.nodes.Len())
 	}
 	if pagesAgain != pages {
 		t.Fatalf("second pass touched %d pages, the first %d: kept records must not skip partition reads", pagesAgain, pages)

@@ -97,10 +97,10 @@ func FuzzPartitionBlob(f *testing.F) {
 		// is decoded at most once per id asked. Partition hints grow in step
 		// with the neighbours they belong to.
 		a := &c.arena
-		if cap(a.parts.buf) != cap(a.nodes.buf) {
-			t.Fatalf("slabs hold %d neighbours but %d partition hints", cap(a.nodes.buf), cap(a.parts.buf))
+		if a.parts.Cap() != a.nodes.Cap() {
+			t.Fatalf("slabs hold %d neighbours but %d partition hints", a.nodes.Cap(), a.parts.Cap())
 		}
-		if got, bound := cap(a.members.buf)+cap(a.nodes.buf)+cap(a.levels.buf), 3*2*max(64, len(ids)*len(data)); got > bound {
+		if got, bound := a.members.Cap()+a.nodes.Cap()+a.levels.Cap(), 3*2*max(64, len(ids)*len(data)); got > bound {
 			t.Fatalf("slabs hold %d elements for a %d-byte blob and %d lookups", got, len(data), len(ids))
 		}
 	})

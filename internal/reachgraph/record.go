@@ -15,6 +15,7 @@ import (
 	"streach/internal/dn"
 	"streach/internal/pagefile"
 	"streach/internal/trajectory"
+	"streach/internal/visit"
 )
 
 // Edge sections of a vertex record, as bits in on-page order.
@@ -91,41 +92,22 @@ type diskRec struct {
 	known uint8               // off[:known] are valid; at least 1 once decoded
 }
 
-// slab hands out slices of one backing array and takes them all back at
-// reset, keeping the capacity: the allocator behind decoded records. When
-// the array is full a larger one replaces it — slices handed out earlier
-// keep the old array alive until the reset — so after a few queries the
-// slab has reached the workload's high-water mark and allocates nothing.
-type slab[T any] struct{ buf []T }
-
-func (s *slab[T]) reset() { s.buf = s.buf[:0] }
-
-// alloc returns n elements holding whatever an earlier query left there;
-// the caller overwrites all of them.
-func (s *slab[T]) alloc(n int) []T {
-	if n > cap(s.buf)-len(s.buf) {
-		s.buf = make([]T, 0, max(2*cap(s.buf), n, 64))
-	}
-	lo := len(s.buf)
-	s.buf = s.buf[:lo+n]
-	return s.buf[lo : lo+n : lo+n]
-}
-
-// arena owns every decoded record of one cursor.
+// arena owns every decoded record of one cursor, one visit.Slab per element
+// type.
 type arena struct {
-	recs    slab[diskRec]
-	members slab[trajectory.ObjectID]
-	nodes   slab[dn.NodeID]
-	parts   slab[int32] // the hints of nodes, allocated in step with it
-	levels  slab[levelEdges]
+	recs    visit.Slab[diskRec]
+	members visit.Slab[trajectory.ObjectID]
+	nodes   visit.Slab[dn.NodeID]
+	parts   visit.Slab[int32] // the hints of nodes, allocated in step with it
+	levels  visit.Slab[levelEdges]
 }
 
 func (a *arena) reset() {
-	a.recs.reset()
-	a.members.reset()
-	a.nodes.reset()
-	a.parts.reset()
-	a.levels.reset()
+	a.recs.Reset()
+	a.members.Reset()
+	a.nodes.Reset()
+	a.parts.Reset()
+	a.levels.Reset()
 }
 
 // encodeVertex appends one vertex record. Every referenced neighbour is
@@ -211,7 +193,7 @@ func decodeHeader(dec *pagefile.Decoder, numObjects int, v *vertexRec, a *arena)
 	v.start = trajectory.Tick(dec.Uvarint())
 	v.end = v.start + trajectory.Tick(dec.Uvarint())
 	nm := readCount(dec, minMember, "member")
-	v.members = a.members.alloc(nm)
+	v.members = a.members.Alloc(nm)
 	prev := int64(0)
 	for i := range v.members {
 		prev += dec.Varint()
@@ -229,7 +211,7 @@ func decodeHeader(dec *pagefile.Decoder, numObjects int, v *vertexRec, a *arena)
 // error (the documented corruption behavior), never as a panic.
 func decodeEdges(dec *pagefile.Decoder, numNodes int, a *arena) edgeList {
 	n := readCount(dec, minEdge, "edge")
-	nodes, parts := a.nodes.alloc(n), a.parts.alloc(n)
+	nodes, parts := a.nodes.Alloc(n), a.parts.Alloc(n)
 	parts = parts[:len(nodes)]
 	prevNode, prevPart := int64(0), int64(0)
 	for i := range nodes {
@@ -245,7 +227,7 @@ func decodeEdges(dec *pagefile.Decoder, numNodes int, a *arena) edgeList {
 }
 
 func decodeLongs(dec *pagefile.Decoder, numNodes int, a *arena) []levelEdges {
-	ls := a.levels.alloc(readCount(dec, minLevel, "level"))
+	ls := a.levels.Alloc(readCount(dec, minLevel, "level"))
 	for i := range ls {
 		L := int(dec.Uvarint())
 		ls[i] = levelEdges{level: L, edges: decodeEdges(dec, numNodes, a)}

@@ -58,3 +58,43 @@ func BenchmarkSemProfile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodePositions loads every cell of one bucket of a D1-sized
+// dataset (RWP 800 objects, one 20-tick bucket, default Params) into a
+// fresh bucket buffer: each object's samples are decoded once and its
+// repeats in later cells stepped over, as a sweep that reached every cell
+// would. Reads are pool hits; SetBytes counts the cell blobs' bytes.
+func BenchmarkDecodePositions(b *testing.B) {
+	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 800, NumTicks: 20, Seed: 20120827})
+	ix, err := Build(d, Params{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var size int64
+	for _, ref := range ix.buckets[0].cellRefs {
+		if !ref.Null() {
+			size += int64(ref.Bytes)
+		}
+	}
+	sc, acct := ix.begin(nil)
+	defer ix.pool.Put(sc)
+	load := func() {
+		sc.resetBucket(ix.numObjects, ix.grid.NumCells())
+		for cell := range ix.buckets[0].cellRefs {
+			if err := ix.loadCell(0, cell, sc, acct); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	load() // the arena's last array may hold less than one bucket once
+	load()
+	if len(sc.segs) != d.NumObjects() {
+		b.Fatalf("buffered %d segments of %d objects", len(sc.segs), d.NumObjects())
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+}

@@ -98,9 +98,9 @@ func TestRepeatedRecordsAreSteppedOver(t *testing.T) {
 			}
 			points += len(want.Pos)
 		}
-		if len(sc.segs) != len(d.Trajs) || len(sc.arena) != points {
+		if len(sc.segs) != len(d.Trajs) || sc.arena.Len() != points {
 			t.Fatalf("order %v: %d segments over %d arena points, want %d over %d",
-				order, len(sc.segs), len(sc.arena), len(d.Trajs), points)
+				order, len(sc.segs), sc.arena.Len(), len(d.Trajs), points)
 		}
 		ix.pool.Put(sc)
 	}
@@ -112,11 +112,11 @@ func TestRepeatedRecordsAreSteppedOver(t *testing.T) {
 // array.
 func TestArenaKeepsEarlierSegments(t *testing.T) {
 	var sc gridScratch
-	first := sc.positions(10)
+	first := sc.arena.Alloc(10)
 	for k := range first {
 		first[k] = geo.Point{X: float64(k), Y: -1}
 	}
-	second := sc.positions(5000) // forces a replacement
+	second := sc.arena.Alloc(5000) // forces a replacement
 	for k := range second {
 		second[k] = geo.Point{X: -2, Y: -2}
 	}
@@ -128,10 +128,10 @@ func TestArenaKeepsEarlierSegments(t *testing.T) {
 	if cap(first) != 10 || cap(second) != 5000 {
 		t.Fatalf("segments can grow into their neighbours: caps %d, %d", cap(first), cap(second))
 	}
-	grown := cap(sc.arena)
+	grown := sc.arena.Cap()
 	sc.resetBucket(1, 1)
-	sc.positions(4000)
-	if cap(sc.arena) != grown {
-		t.Fatalf("reset arena reallocated: cap %d, was %d", cap(sc.arena), grown)
+	sc.arena.Alloc(4000)
+	if sc.arena.Cap() != grown {
+		t.Fatalf("reset arena reallocated: cap %d, was %d", sc.arena.Cap(), grown)
 	}
 }

@@ -115,7 +115,7 @@ func FuzzCellBlob(f *testing.F) {
 			if err := ix.loadCell(0, 0, sc, acct); err != nil {
 				t.Fatal(err)
 			}
-			before = len(sc.arena)
+			before = sc.arena.Len()
 		}
 		err := ix.loadCell(0, 1, sc, acct)
 		if err != nil && !strings.HasPrefix(err.Error(), "reachgrid: cell 1 of bucket 0: ") {
@@ -136,8 +136,8 @@ func FuzzCellBlob(f *testing.F) {
 			points += len(seg.Pos)
 		}
 		// A sample costs at least two bytes of the blob.
-		if points != len(sc.arena) || 2*(len(sc.arena)-before) > len(data) {
-			t.Fatalf("%d points buffered, arena holds %d (%d before), blob has %d bytes", points, len(sc.arena), before, len(data))
+		if points != sc.arena.Len() || 2*(sc.arena.Len()-before) > len(data) {
+			t.Fatalf("%d points buffered, arena holds %d (%d before), blob has %d bytes", points, sc.arena.Len(), before, len(data))
 		}
 		for _, b := range real {
 			if !bytes.Equal(b, data) {

@@ -137,7 +137,7 @@ func (sc *gridScratch) activateDue(t trajectory.Tick) []trajectory.ObjectID {
 // improvements to already reached objects propagate within the same
 // fixpoint but are not reported.
 func (ix *Index) relaxAt(sc *gridScratch, t trajectory.Tick, budget int32) []trajectory.ObjectID {
-	sc.gather(t)
+	sc.gather(t, nil)
 	sc.fresh = sc.fresh[:0]
 	if len(sc.pts) < 2 {
 		return nil

@@ -16,7 +16,10 @@
 // Order guarantee: Join visits cells in order of first appearance in pts
 // and the points of a cell in ascending index, so the sequence of emitted
 // pairs is a function of pts alone; Spread reports new carriers in
-// breadth-first order from the initial ones.
+// breadth-first order from the initial ones. Only Join depends on the
+// first-appearance order, and it reads it off the table itself (a cell
+// comes up at the point its chain starts with), so hashing pays for no
+// order: a Spread's hash is one pass computing cells and one chaining them.
 package stjoin
 
 import (
@@ -40,7 +43,7 @@ type Joiner struct {
 	head    []int32 // per cell: lowest point hashed into it, -1 when empty
 	next    []int32 // per point: next higher point of the same cell, or -1
 	cell    []int32 // per point: its cell; complemented while it is a carrier
-	touched []int32 // cells hashed into by the last call, first appearance first
+	touched []int32 // cells hashed into by the last call, for its reset
 }
 
 // NewJoiner returns a joiner for points inside env with threshold dT > 0.
@@ -92,8 +95,9 @@ func (j *Joiner) cellOf(p geo.Point) (int, int) {
 // hash empties the table of the previous call (which may have been aborted
 // half-way) and chains every point into its cell, except the carriers
 // listed in hot, whose cell is complemented instead. Pushing points in
-// descending index makes every chain ascend; the last pass lists the cells
-// by their lowest point, which is their order of first appearance.
+// descending index makes every chain ascend. A cell is listed in touched
+// when its chain starts, for the next call's reset; the list is in no
+// useful order.
 func (j *Joiner) hash(pts []geo.Point, hot []int32) {
 	for _, id := range j.touched {
 		j.head[id] = -1
@@ -103,36 +107,42 @@ func (j *Joiner) hash(pts []geo.Point, hot []int32) {
 		j.cell = make([]int32, 2*len(pts))
 		j.next = make([]int32, 2*len(pts))
 	}
-	j.cell, j.next = j.cell[:len(pts)], j.next[:len(pts)]
+	cell, next, head := j.cell[:len(pts)], j.next[:len(pts)], j.head
+	j.cell, j.next = cell, next
 	for i, p := range pts {
 		cx, cy := j.cellOf(p)
-		j.cell[i] = int32(cy*j.nx + cx)
+		cell[i] = int32(cy*j.nx + cx)
 	}
 	for _, h := range hot {
-		j.cell[h] = ^j.cell[h]
+		cell[h] = ^cell[h]
 	}
 	for i := len(pts) - 1; i >= 0; i-- {
-		if c := j.cell[i]; c >= 0 {
-			j.next[i] = j.head[c]
-			j.head[c] = int32(i)
+		c := cell[i]
+		if c < 0 {
+			continue
 		}
-	}
-	for i, c := range j.cell {
-		if c >= 0 && j.head[c] == int32(i) {
+		if head[c] < 0 {
 			j.touched = append(j.touched, c)
 		}
+		next[i] = head[c]
+		head[c] = int32(i)
 	}
 }
 
 // Join emits every unordered pair (a, b), a < b, of indices into pts whose
 // points are within dT of each other. emit returning false aborts the join
 // early (used for first-match queries). The order of emitted pairs is
-// deterministic for a fixed input.
+// deterministic for a fixed input: cells in order of first appearance —
+// the cell of point i is one whose chain starts at i — and the points of
+// a cell in ascending index.
 func (j *Joiner) Join(pts []geo.Point, emit func(a, b int) bool) {
 	j.hash(pts, nil)
-	for _, id := range j.touched {
+	for i, id := range j.cell {
+		first := int32(i)
+		if j.head[id] != first {
+			continue
+		}
 		cx, cy := int(id)%j.nx, int(id)/j.nx
-		first := j.head[id]
 		// Pairs within the cell.
 		for a := first; a >= 0; a = j.next[a] {
 			for b := j.next[a]; b >= 0; b = j.next[b] {
@@ -185,21 +195,24 @@ func (j *Joiner) Spread(pts []geo.Point, hot []int32) []int32 {
 		return hot
 	}
 	j.hash(pts, hot)
+	head, next, cell, nx, dT2 := j.head, j.next, j.cell, j.nx, j.dT2
 	for q := 0; q < len(hot); q++ {
 		h := hot[q]
 		p := pts[h]
-		c := int(^j.cell[h])
-		cx, cy := c%j.nx, c/j.nx
+		c := int(^cell[h])
+		cx, cy := c%nx, c/nx
+		x0, x1 := max(cx-1, 0), min(cx+1, nx-1)
 		for y := max(cy-1, 0); y <= min(cy+1, j.ny-1); y++ {
-			for x := max(cx-1, 0); x <= min(cx+1, j.nx-1); x++ {
-				at := &j.head[y*j.nx+x]
+			row := head[y*nx+x0 : y*nx+x1+1]
+			for x := range row {
+				at := &row[x]
 				for b := *at; b >= 0; b = *at {
-					if p.Dist2(pts[b]) > j.dT2 {
-						at = &j.next[b]
+					if p.Dist2(pts[b]) > dT2 {
+						at = &next[b]
 						continue
 					}
-					*at = j.next[b]
-					j.cell[b] = ^j.cell[b]
+					*at = next[b]
+					cell[b] = ^cell[b]
 					hot = append(hot, b)
 				}
 			}

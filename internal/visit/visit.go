@@ -178,6 +178,39 @@ func (q *Deque[T]) grow() {
 	q.head = 0
 }
 
+// Slab hands out slices of one backing array and takes them all back at
+// Reset, keeping the capacity: the allocator behind decoded records and
+// buffered positions. When the array is full a larger one replaces it —
+// slices handed out earlier keep the old array alive until the Reset — so
+// after a few queries the slab has reached the workload's high-water mark
+// and allocates nothing.
+type Slab[T any] struct {
+	buf []T
+	n   int // elements handed out since the last Reset, from any array
+}
+
+// Reset takes back every slice handed out, keeping the capacity.
+func (s *Slab[T]) Reset() { s.buf, s.n = s.buf[:0], 0 }
+
+// Alloc returns n elements holding whatever an earlier user left there; the
+// caller overwrites all of them. The slice's capacity is its length, so it
+// cannot grow into its neighbour.
+func (s *Slab[T]) Alloc(n int) []T {
+	if n > cap(s.buf)-len(s.buf) {
+		s.buf = make([]T, 0, max(2*cap(s.buf), n, 64))
+	}
+	lo := len(s.buf)
+	s.buf = s.buf[:lo+n]
+	s.n += n
+	return s.buf[lo : lo+n : lo+n]
+}
+
+// Len returns the number of elements handed out since the last Reset.
+func (s *Slab[T]) Len() int { return s.n }
+
+// Cap returns the capacity of the current backing array.
+func (s *Slab[T]) Cap() int { return cap(s.buf) }
+
 // Pool hands out per-query scratch values, one per in-flight query; it is
 // a typed wrapper over sync.Pool, so steady-state traffic recycles scratch
 // instead of allocating it.

@@ -187,3 +187,39 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 		t.Fatalf("steady-state cycle allocates %.1f times", n)
 	}
 }
+
+// TestSlabKeepsEarlierSlicesAndCapacity pins the two properties the arenas
+// rest on: growing a slab does not disturb what it handed out before, and
+// a reset slab serves the same demand again without allocating.
+func TestSlabKeepsEarlierSlicesAndCapacity(t *testing.T) {
+	var s Slab[int32]
+	var handed [][]int32
+	for i := 0; i < 300; i++ {
+		part := s.Alloc(i % 7)
+		for j := range part {
+			part[j] = int32(i)
+		}
+		handed = append(handed, part)
+	}
+	for i, part := range handed {
+		if len(part) != i%7 || cap(part) != len(part) {
+			t.Fatalf("slice %d: len %d cap %d, want both %d", i, len(part), cap(part), i%7)
+		}
+		for _, v := range part {
+			if v != int32(i) {
+				t.Fatalf("slice %d was overwritten by a later alloc", i)
+			}
+		}
+	}
+	replay := func() {
+		s.Reset()
+		for i := 0; i < 300; i++ {
+			s.Alloc(i % 7)
+		}
+	}
+	replay() // the last array may hold less than the whole demand once
+	replay()
+	if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
+		t.Errorf("a warm slab allocates %.1f times per replay", allocs)
+	}
+}
