@@ -242,7 +242,7 @@ type backendSpec struct {
 	open func(src Source, opts Options) (core, error)
 	// decorate, when set by the combinator that supplied open, wraps the
 	// uniform engine with the extra public surface its core offers
-	// (Segmented, Sharded).
+	// (Segmented, the sharding fields of Stats).
 	decorate func(e *engine) Engine
 
 	// The outermost combinator of the name, so that NewLiveEngine can grow
@@ -285,7 +285,6 @@ var (
 	aliases = map[string]string{
 		"reachgraph-bmbfs": "reachgraph",
 		"grail-disk":       "grail",
-		"uncertain":        "uncertain:oracle",
 	}
 )
 
@@ -392,7 +391,7 @@ func buildGridIndex(src Source, opts Options) (*reachgrid.Index, error) {
 
 // resolve is the one parser of backend names. The grammar is
 //
-//	name := leaf | "segmented:" name | "bidir:" name | "uncertain:" name
+//	name := leaf | "segmented:" name | "bidir:" name
 //	      | "shard:" K [":hash" | ":spatial"] ":" name
 //
 // plus a leading "live:", the mark of a LiveEngine's name, which only
@@ -418,8 +417,6 @@ func resolve(name string) (backendSpec, error) {
 	switch head {
 	case "segmented", "bidir":
 		wrap = func(base backendSpec) backendSpec { return segmentedOver(base, head == "bidir") }
-	case "uncertain":
-		wrap = uncertainOver
 	case "shard":
 		kStr, after, _ := strings.Cut(rest, ":")
 		k, err := strconv.Atoi(kStr)
@@ -459,7 +456,7 @@ var advertised = []string{
 	"shard:1:reachgraph", "shard:1:spatial:reachgraph",
 	"shard:2:reachgraph", "shard:2:spatial:reachgraph",
 	"shard:4:reachgraph", "shard:4:spatial:reachgraph",
-	"spj", "uncertain:oracle", "uncertain:reachgraph",
+	"spj",
 }
 
 var advertisedInfos = func() []BackendInfo {
@@ -539,10 +536,10 @@ func sourceDims(src Source) (numObjects, numTicks int) {
 
 // withSharedPool returns opts with a buffer pool for one group of
 // disk-resident stores to share — the slabs of a segmented or live engine,
-// one shard's child, an uncertain wrapper and its base: the caller's
-// Options.Pool when set, otherwise a fresh private one, so the group draws
-// on a single page budget exactly like the serving configuration of a plain
-// engine. The 64-page fallback mirrors the backends' own Params default.
+// one shard's child: the caller's Options.Pool when set, otherwise a fresh
+// private one, so the group draws on a single page budget exactly like the
+// serving configuration of a plain engine. The 64-page fallback mirrors the
+// backends' own Params default.
 func withSharedPool(opts Options, diskResident bool) Options {
 	if !diskResident || opts.Pool != nil {
 		return opts
@@ -566,11 +563,11 @@ const (
 )
 
 // core is the one backend surface the root package composes: every index
-// adapter, every combinator ("segmented:", "bidir:", "shard:", "uncertain:")
-// and every pinned view of a live feed implements it, and combinators are
-// functions from cores to cores. Implementations must be safe for
-// concurrent calls: all traversal state is per-call and page reads are
-// charged to the caller's accountant.
+// adapter, every combinator ("segmented:", "bidir:", "shard:") and every
+// pinned view of a live feed implements it, and combinators are functions
+// from cores to cores. Implementations must be safe for concurrent calls:
+// all traversal state is per-call and page reads are charged to the
+// caller's accountant.
 //
 // There are two evaluation methods because there are two kinds of
 // algorithm, selected by the kind of query: reach is the index's own point

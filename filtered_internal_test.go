@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/pagefile"
+	"streach/internal/queries"
+	"streach/internal/uncertain"
 )
 
 // filtered_internal_test.go pins the two places predicate filtering is
 // easiest to get wrong — slab boundaries (a contact clipped by a segment
 // edge must be judged by its full validity) and shard cuts (a cross-cut
 // contact duplicated on both shards must be filtered identically on each)
-// — plus the cross-validation of the facade's p^minHops probabilistic
-// answers against the exact −log p Dijkstra of the uncertain store.
+// — plus the cross-validation of the engines' p^minHops probabilistic
+// answers against the exact −log p Dijkstra of internal/uncertain.
 
 func cnOf(numObjects, numTicks int, cs []contact.Contact) *ContactNetwork {
 	return &ContactNetwork{net: contact.FromContacts(numObjects, numTicks, cs)}
@@ -31,7 +32,7 @@ func TestSlabBoundaryMinDuration(t *testing.T) {
 		{A: 1, B: 2, Validity: Interval{Lo: 55, Hi: 56}},
 	})
 	ctx := context.Background()
-	for _, name := range []string{"segmented:oracle", "segmented:reachgraph-mem", "oracle", "uncertain:oracle"} {
+	for _, name := range []string{"segmented:oracle", "segmented:reachgraph-mem", "oracle", "reachgraph-mem"} {
 		e, err := Open(name, cn, Options{SegmentTicks: 37})
 		if err != nil {
 			t.Fatal(err)
@@ -142,18 +143,18 @@ func TestShardCutFiltered(t *testing.T) {
 	}
 }
 
-// TestUncertainDijkstraCrossValidation: the facade's probabilistic answers
-// (best-path probability p^minHops from the profile evaluation) must agree
-// query-by-query with the paper's −log p Dijkstra run over the same
-// decoded contact store — the two formulations of §7's maximum path
+// TestUncertainDijkstraCrossValidation: the engines' probabilistic answers
+// (best-path probability p^minHops from the profile evaluation, native on
+// oracle, through the oracle fallback on reachgraph) must agree
+// query-by-query with the paper's −log p Dijkstra (internal/uncertain) over
+// the same contacts — the two formulations of §7's maximum path
 // probability.
 func TestUncertainDijkstraCrossValidation(t *testing.T) {
 	ds := GenerateRandomWaypoint(RWPOptions{NumObjects: 30, NumTicks: 120, Seed: 7})
-	e, err := Open("uncertain:oracle", ds, Options{})
+	dijkstra, err := uncertain.NewEngine(uncertain.FromNetwork(ds.Contacts().net, func(contact.Contact) float64 { return 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := e.(*engine).core.(*uncertainCore)
 	work := RandomQueries(WorkloadOptions{
 		NumObjects: ds.NumObjects(), NumTicks: ds.NumTicks(),
 		Count: 12, MinLen: 20, MaxLen: 100, Seed: 3,
@@ -165,76 +166,50 @@ func TestUncertainDijkstraCrossValidation(t *testing.T) {
 		{Prob: 0.6, MaxHops: 3},
 	}
 	ctx := context.Background()
-	acct := new(pagefile.Stats)
-	for qi, q := range work {
-		for si, sem := range sems {
-			pq := q
-			pq.Semantics = sem
-			res, err := e.Reachable(ctx, pq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := core.probPath(pq, acct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Reachable != pr.OK {
-				t.Fatalf("q%d sem%d %v: facade reachable=%v, Dijkstra OK=%v", qi, si, pq, res.Reachable, pr.OK)
-			}
-			if !pr.OK {
-				continue
-			}
-			if math.Abs(res.Prob-pr.Prob) > 1e-9 {
-				t.Fatalf("q%d sem%d: facade Prob %v, Dijkstra %v", qi, si, res.Prob, pr.Prob)
-			}
-			// With p < 1 minimal cost is minimal transfers, so the hop
-			// counts coincide too.
-			if sem.Prob < 1 && res.Hops != pr.Hops {
-				t.Fatalf("q%d sem%d: facade hops %d, Dijkstra %d", qi, si, res.Hops, pr.Hops)
+	for _, name := range []string{"oracle", "reachgraph"} {
+		e, err := Open(name, ds, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range work {
+			for si, sem := range sems {
+				pq := q
+				pq.Semantics = sem
+				res, err := e.Reachable(ctx, pq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The uniform p overrides every contact's, the predicate
+				// filters them, the τ-folded budget bounds the transfers.
+				popts := uncertain.PathOpts{Prob: sem.Prob}
+				if f := sem.Filter(); f.Active() {
+					popts.Filter = func(uc uncertain.Contact) bool { return f.Match(uc.Deterministic()) }
+				}
+				if b := sem.EffectiveBudget(); b != queries.UnboundedHops {
+					if b <= 0 {
+						t.Fatalf("sem%d: budget %d, which PathOpts reads as unbounded", si, b)
+					}
+					popts.MaxHops = b
+				}
+				pr, err := dijkstra.BestProbPath(pq.Src, pq.Dst, pq.Interval, popts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Reachable != pr.OK {
+					t.Fatalf("%s q%d sem%d %v: engine reachable=%v, Dijkstra OK=%v", name, qi, si, pq, res.Reachable, pr.OK)
+				}
+				if !pr.OK {
+					continue
+				}
+				if math.Abs(res.Prob-pr.Prob) > 1e-9 {
+					t.Fatalf("%s q%d sem%d: engine Prob %v, Dijkstra %v", name, qi, si, res.Prob, pr.Prob)
+				}
+				// Every p here is below 1, where minimal cost is minimal
+				// transfers, so the hop counts coincide too.
+				if res.Hops != pr.Hops {
+					t.Fatalf("%s q%d sem%d: engine hops %d, Dijkstra %d", name, qi, si, res.Hops, pr.Hops)
+				}
 			}
 		}
-	}
-}
-
-// TestUncertainStoreAccounting: the uncertain wrapper's contact store is
-// real simulated disk — semantic queries charge blob reads, the store
-// contributes to the index footprint, and what is decoded from it answers
-// like the oracle.
-func TestUncertainStoreAccounting(t *testing.T) {
-	ds := GenerateRandomWaypoint(RWPOptions{NumObjects: 25, NumTicks: 150, Seed: 13})
-	ctx := context.Background()
-	iv := NewInterval(10, 130)
-	e, err := Open("uncertain:oracle", ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := Open("oracle", ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.IndexBytes() <= 0 {
-		t.Fatal("uncertain store reports no index bytes")
-	}
-	var io float64
-	for src := ObjectID(0); src < 5; src++ {
-		for dst := ObjectID(5); dst < 15; dst++ {
-			q := Query{Src: src, Dst: dst, Interval: iv,
-				Semantics: Semantics{MinDuration: 2, Prob: 0.8, ProbThreshold: 0.4}}
-			r, err := e.Reachable(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracle.Reachable(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Reachable != want.Reachable {
-				t.Fatalf("%v: the decoded store says %v, the oracle %v", q, r.Reachable, want.Reachable)
-			}
-			io += r.IO.Normalized
-		}
-	}
-	if io == 0 {
-		t.Fatal("filtered probabilistic queries charged no store I/O")
 	}
 }

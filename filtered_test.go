@@ -231,7 +231,7 @@ func TestRegisteredFilterConformance(t *testing.T) {
 	cn := ds.Contacts()
 	ctx := context.Background()
 	iv := streach.NewInterval(10, 150)
-	for _, name := range []string{"oracle", "uncertain:reachgraph", "reachgraph-mem", "segmented:oracle", "shard:2:oracle"} {
+	for _, name := range []string{"oracle", "reachgraph", "reachgraph-mem", "segmented:oracle", "shard:2:oracle"} {
 		e, err := streach.Open(name, ds, streach.Options{SegmentTicks: 37})
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +309,7 @@ func TestMonteCarloFacade(t *testing.T) {
 	cn := ds.Contacts()
 	ctx := context.Background()
 	iv := streach.NewInterval(10, 150)
-	for _, name := range []string{"oracle", "reachgraph", "uncertain:oracle"} {
+	for _, name := range []string{"oracle", "reachgraph", "segmented:oracle"} {
 		e, err := streach.Open(name, ds, streach.Options{})
 		if err != nil {
 			t.Fatal(err)

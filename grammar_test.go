@@ -24,7 +24,7 @@ func TestBackendsGolden(t *testing.T) {
 		"shard:1:reachgraph", "shard:1:spatial:reachgraph",
 		"shard:2:reachgraph", "shard:2:spatial:reachgraph",
 		"shard:4:reachgraph", "shard:4:spatial:reachgraph",
-		"spj", "uncertain:oracle", "uncertain:reachgraph",
+		"spj",
 	}
 	got := streach.Backends()
 	if !slices.Equal(got, want) {
@@ -63,23 +63,18 @@ func TestNameGrammar(t *testing.T) {
 		{"reachgraph", "reachgraph", true, false},
 		{" ReachGraph-BMBFS ", "reachgraph", true, false},
 		{"grail-disk", "grail", true, false},
-		{"uncertain", "uncertain:oracle", false, false},
 		// Aliases apply at every level, under every wrapper.
 		{"segmented:reachgraph-bmbfs", "segmented:reachgraph", true, false},
 		{"bidir:reachgraph-bmbfs", "bidir:reachgraph", true, false},
 		{"shard:2:reachgraph-bmbfs", "shard:2:reachgraph", true, false},
-		{"uncertain:reachgraph-bmbfs", "uncertain:reachgraph", true, false},
 		// Every strategy carries through the frontier entry points.
 		{"segmented:reachgraph-ebfs", "segmented:reachgraph-ebfs", true, false},
 		// Wrappers compose in either order, to any depth.
-		{"uncertain:shard:2:reachgraph", "uncertain:shard:2:reachgraph", true, false},
-		{"shard:2:uncertain:reachgraph-mem", "shard:2:uncertain:reachgraph-mem", false, false},
-		{"segmented:uncertain:oracle", "segmented:uncertain:oracle", false, false},
 		{"bidir:segmented:reachgraph-mem", "bidir:segmented:reachgraph-mem", false, false},
 		{"segmented:shard:2:reachgraph-mem", "segmented:shard:2:reachgraph-mem", false, false},
 		{"shard:3:hash:bidir:oracle", "shard:3:bidir:oracle", false, false},
 		{"shard:2:spatial:segmented:reachgraph-mem", "shard:2:spatial:segmented:reachgraph-mem", false, true},
-		{"uncertain:segmented:reachgrid", "uncertain:segmented:reachgrid", true, true},
+		{"segmented:reachgrid", "segmented:reachgrid", true, true},
 	}
 	for _, tc := range accepted {
 		info, ok := streach.LookupBackend(tc.name)
@@ -111,7 +106,7 @@ func TestNameGrammar(t *testing.T) {
 	}{
 		{"nosuch", ds, streach.ErrUnknownBackend},
 		{"segmented:nosuch", ds, streach.ErrUnknownBackend},
-		{"shard:2:uncertain:nosuch", ds, streach.ErrUnknownBackend},
+		{"shard:2:segmented:nosuch", ds, streach.ErrUnknownBackend},
 		{"segmented:", ds, streach.ErrUnknownBackend},
 		{"shard:0:reachgraph", ds, streach.ErrUnknownBackend},
 		{"shard:x:reachgraph", ds, streach.ErrUnknownBackend},
@@ -121,22 +116,36 @@ func TestNameGrammar(t *testing.T) {
 		{"shard:2:shard:2:reachgraph", ds, streach.ErrUnknownBackend},
 		{"segmented:segmented:reachgraph", ds, streach.ErrUnknownBackend},
 		{"bidir:bidir:oracle", ds, streach.ErrUnknownBackend},
-		{"uncertain:uncertain:oracle", ds, streach.ErrUnknownBackend},
 		// Nestings the base's capability predicate refuses: no sweep at all
-		// (GRAIL, SPJ), no backward sweep (ReachGrid, the uncertain store).
+		// (GRAIL, SPJ), no backward sweep (ReachGrid).
 		{"segmented:grail", ds, streach.ErrUnknownBackend},
 		{"segmented:spj", ds, streach.ErrUnknownBackend},
 		{"shard:2:grail-mem", ds, streach.ErrUnknownBackend},
 		{"bidir:reachgrid", ds, streach.ErrUnknownBackend},
+		// The uncertain: family is gone, alias, leaf and every nesting: its
+		// queries go to the base itself (Semantics.Prob).
+		{"uncertain", ds, streach.ErrUnknownBackend},
+		{"uncertain:oracle", ds, streach.ErrUnknownBackend},
+		{"uncertain:reachgraph-bmbfs", ds, streach.ErrUnknownBackend},
+		{"uncertain:shard:2:reachgraph", ds, streach.ErrUnknownBackend},
+		{"shard:2:uncertain:reachgraph-mem", ds, streach.ErrUnknownBackend},
+		{"segmented:uncertain:oracle", ds, streach.ErrUnknownBackend},
 		{"bidir:uncertain:oracle", ds, streach.ErrUnknownBackend},
+		{"uncertain:segmented:reachgrid", ds, streach.ErrUnknownBackend},
+		{"uncertain:uncertain:oracle", ds, streach.ErrUnknownBackend},
 		// Trajectory needs propagate through the wrappers.
 		{"reachgrid", ds.Contacts(), streach.ErrNeedsTrajectories},
-		{"uncertain:segmented:reachgrid", ds.Contacts(), streach.ErrNeedsTrajectories},
+		{"segmented:reachgrid", ds.Contacts(), streach.ErrNeedsTrajectories},
 		{"shard:2:spatial:reachgraph", ds.Contacts(), streach.ErrNeedsTrajectories},
 	}
 	for _, tc := range rejected {
 		if _, err := streach.Open(tc.name, tc.src, opts); !errors.Is(err, tc.want) {
 			t.Errorf("Open(%q) = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	for _, name := range []string{"uncertain", "uncertain:oracle", "shard:2:uncertain:reachgraph-mem", "live:shard:2:uncertain:oracle"} {
+		if info, ok := streach.LookupBackend(name); ok {
+			t.Errorf("LookupBackend(%q) = %+v, want no such name", name, info)
 		}
 	}
 	// A LiveEngine's name resolves, but Open has no frozen form to build.
@@ -155,7 +164,7 @@ func TestNameGrammar(t *testing.T) {
 		{"bidir:oracle", "live:bidir:oracle"},
 		{"shard:1:reachgraph-mem", "live:shard:1:reachgraph-mem"},
 		{"live:shard:2:bidir:reachgraph-mem", "live:shard:2:bidir:reachgraph-mem"},
-		{"shard:2:hash:uncertain:oracle", "live:shard:2:uncertain:oracle"},
+		{"shard:2:hash:oracle", "live:shard:2:oracle"},
 		{"segmented:reachgraph", "live:segmented:reachgraph"},
 	}
 	for _, tc := range live {
@@ -184,7 +193,10 @@ func TestNameGrammar(t *testing.T) {
 		{"reachgrid", streach.ErrNotLiveCapable},
 		{"shard:2:spatial:reachgraph", streach.ErrNotLiveCapable},
 		{"grail", streach.ErrNotLiveCapable},
-		{"bidir:uncertain:oracle", streach.ErrNotLiveCapable},
+		{"uncertain", streach.ErrUnknownBackend},
+		{"shard:2:hash:uncertain:oracle", streach.ErrUnknownBackend},
+		{"live:shard:2:uncertain:oracle", streach.ErrUnknownBackend},
+		{"bidir:uncertain:oracle", streach.ErrUnknownBackend},
 	} {
 		if _, err := streach.NewLiveEngine(tc.name, ds.NumObjects(), ds.Env(), ds.ContactDist(), opts); !errors.Is(err, tc.want) {
 			t.Errorf("NewLiveEngine(%q) = %v, want %v", tc.name, err, tc.want)

@@ -183,14 +183,39 @@ func FuzzLongEdges(f *testing.F) {
 		}
 	}
 	f.Add(fuzzBytes(contact.FromContacts(fuzzMaxObjects, fuzzMaxTicks, corner), 3, 1))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		net, levels, keep := fuzzNetwork(data)
-		g := Build(net)
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		checkReaugment(t, "fuzz", g, levels, keep)
-	})
+	f.Fuzz(longEdgesVsDN1)
+}
+
+// TestLongEdgesSeeded is FuzzLongEdges' body over inputs drawn from a
+// fixed seed: 2000 cases, 200 under -short. An input is the header and up
+// to fuzzMaxContacts contact records of random bytes.
+func TestLongEdgesSeeded(t *testing.T) {
+	cases := 2000
+	if testing.Short() {
+		cases = 200
+	}
+	rng := rand.New(rand.NewSource(20261017))
+	for i := 0; i < cases; i++ {
+		data := make([]byte, 3+4*rng.Intn(fuzzMaxContacts+1))
+		rng.Read(data)
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("case %d: longEdgesVsDN1(%v)", i, data)
+				}
+			}()
+			longEdgesVsDN1(t, data)
+		}()
+	}
+}
+
+func longEdgesVsDN1(t *testing.T, data []byte) {
+	net, levels, keep := fuzzNetwork(data)
+	g := Build(net)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	checkReaugment(t, "fuzz", g, levels, keep)
 }
 
 func TestLongEdgesMatchBruteForce(t *testing.T) {

@@ -3,6 +3,7 @@ package reachgraph
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -163,27 +164,57 @@ func addGraphSeeds(f *testing.F, corrupt bool) {
 // verifies at most the pages it is charged for.
 func FuzzGraphSweepVsOracle(f *testing.F) {
 	addGraphSeeds(f, false)
-	f.Fuzz(func(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8) {
-		c := newGraphCase(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy})
-		ctx := context.Background()
-		wantOK, wantFw, wantBw := c.want()
-		for dir, want := range map[queries.Direction][]queries.ProfileEntry{queries.Forward: wantFw, queries.Backward: wantBw} {
-			if prof, err := c.profile(t, dir); err != nil || !slices.Equal(prof, want) {
-				t.Fatalf("AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
-			}
-			if prof, _, err := c.mem.AppendProfile(ctx, nil, c.seeds, c.iv, dir); err != nil || !slices.Equal(prof, want) {
-				t.Fatalf("mem AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
-			}
+	f.Fuzz(graphSweepVsOracle)
+}
+
+// TestGraphSweepVsOracleSeeded is FuzzGraphSweepVsOracle's body over inputs
+// drawn from a fixed seed: 2000 cases, 200 under -short.
+func TestGraphSweepVsOracleSeeded(t *testing.T) {
+	cases := 2000
+	if testing.Short() {
+		cases = 200
+	}
+	rng := rand.New(rand.NewSource(20261017))
+	u8 := func() uint8 { return uint8(rng.Intn(256)) }
+	u16 := func() uint16 { return uint16(rng.Intn(1 << 16)) }
+	for i := 0; i < cases; i++ {
+		dataSeed := rng.Int63n(1 << 20)
+		objects, ticks, env, depth, pool := u8(), u16(), u8(), u8(), u8()
+		spec := make([]byte, rng.Intn(9))
+		rng.Read(spec)
+		lo, span, dst, strategy := u16(), u16(), u8(), u8()
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("case %d: graphSweepVsOracle(%d, %d, %d, %d, %d, %d, %v, %d, %d, %d, %d)",
+						i, dataSeed, objects, ticks, env, depth, pool, spec, lo, span, dst, strategy)
+				}
+			}()
+			graphSweepVsOracle(t, dataSeed, objects, ticks, env, depth, pool, spec, lo, span, dst, strategy)
+		}()
+	}
+}
+
+func graphSweepVsOracle(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8) {
+	c := newGraphCase(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy})
+	ctx := context.Background()
+	wantOK, wantFw, wantBw := c.want()
+	for dir, want := range map[queries.Direction][]queries.ProfileEntry{queries.Forward: wantFw, queries.Backward: wantBw} {
+		if prof, err := c.profile(t, dir); err != nil || !slices.Equal(prof, want) {
+			t.Fatalf("AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
 		}
-		for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
-			if got, err := c.reach(t, s); err != nil || got != wantOK {
-				t.Fatalf("%v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
-			}
-			if got, _, err := c.mem.ReachFromCounted(ctx, c.objs, c.dst, c.iv, s); err != nil || got != wantOK {
-				t.Fatalf("mem %v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
-			}
+		if prof, _, err := c.mem.AppendProfile(ctx, nil, c.seeds, c.iv, dir); err != nil || !slices.Equal(prof, want) {
+			t.Fatalf("mem AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
 		}
-	})
+	}
+	for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
+		if got, err := c.reach(t, s); err != nil || got != wantOK {
+			t.Fatalf("%v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
+		}
+		if got, _, err := c.mem.ReachFromCounted(ctx, c.objs, c.dst, c.iv, s); err != nil || got != wantOK {
+			t.Fatalf("mem %v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
+		}
+	}
 }
 
 // FuzzCorruptionNeverWrong is the integrity promise as a property: over the

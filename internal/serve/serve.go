@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -324,8 +325,15 @@ func (s *Server) validateObject(field string, id int) error {
 	return nil
 }
 
+// validateInterval reports a from/to pair that is not a tick range. A tick
+// past math.MaxInt32 would wrap into streach.Tick, so it is refused by name.
 func validateInterval(from, to int) error {
-	if from < 0 || to < from {
+	switch {
+	case from > math.MaxInt32:
+		return fmt.Errorf("from %d exceeds the largest tick %d", from, math.MaxInt32)
+	case to > math.MaxInt32:
+		return fmt.Errorf("to %d exceeds the largest tick %d", to, math.MaxInt32)
+	case from < 0 || to < from:
 		return fmt.Errorf("interval [%d, %d] is not a valid tick range", from, to)
 	}
 	return nil
@@ -832,6 +840,10 @@ func (s *Server) ingestEvents(w http.ResponseWriter, events []ingestEvent) {
 		case ev.Tick < 0:
 			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("event %d: negative tick; nothing ingested", i), 0)
+			return
+		case ev.Tick > math.MaxInt32:
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Sprintf("event %d: tick %d exceeds the largest tick %d; nothing ingested", i, ev.Tick, math.MaxInt32), 0)
 			return
 		}
 	}

@@ -627,6 +627,32 @@ func TestIngestEventErrors(t *testing.T) {
 	}
 }
 
+// TestWireTicksBeyondInt32: a wire tick past math.MaxInt32 is a 400 naming
+// its field, not a tick wrapped into the engine's int32 domain — neither
+// an event at 2^32+3 ingested late at tick 3 nor an interval
+// [2^32, 2^32+5] evaluated as [0, 5].
+func TestWireTicksBeyondInt32(t *testing.T) {
+	le, ts := newLiveEventServer(t)
+	for _, tc := range []struct{ path, body, named string }{
+		{"/v1/ingest", `{"events":[{"tick":4294967299,"a":0,"b":1}]}`, "event 0: tick 4294967299 "},
+		{"/v1/reachable", `{"src":0,"dst":1,"from":4294967296,"to":4294967301}`, "from 4294967296 "},
+		{"/v1/reachable", `{"src":0,"dst":1,"from":0,"to":4294967301}`, "to 4294967301 "},
+		{"/v1/reachable-set", `{"src":0,"from":0,"to":2147483648}`, "to 2147483648 "},
+	} {
+		resp := post(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status = %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+		apiErr := decodeErr(t, resp)
+		if apiErr.Code != CodeBadRequest || !strings.HasPrefix(apiErr.Message, tc.named) {
+			t.Errorf("%s %s: error %+v, want %s starting %q", tc.path, tc.body, apiErr, CodeBadRequest, tc.named)
+		}
+	}
+	if st := le.Stats(); st.NumTicks != 50 || st.LateEvents != 0 || le.ContactActiveAt(0, 1, 3) {
+		t.Fatalf("a rejected tick reached the engine: %+v", st)
+	}
+}
+
 // TestLiveEventStaleness is the out-of-order staleness regression: a late
 // add and its retraction at tick 15 must each invalidate exactly the
 // cached entries whose intervals cover tick 15 — flipping the covered

@@ -252,9 +252,8 @@ func (e *Engine) BestProbDijkstra(src, dst trajectory.ObjectID, iv contact.Inter
 
 // PathOpts modifies a BestProbPath search per query, which is how one
 // indexed Engine serves the whole probabilistic query surface without
-// rebuilding: the registry's uncertain backend indexes the network once
-// and threads each query's uniform probability and contact predicate
-// through here.
+// rebuilding: each query's uniform probability, contact predicate and
+// transfer budget thread through here.
 type PathOpts struct {
 	// Prob, when > 0, overrides every contact's probability with one
 	// per-query value (the uniform per-contact p of Query.Semantics.Prob).

@@ -95,9 +95,9 @@ var ErrIngestHorizon = errors.New("streach: event tick beyond ingest horizon")
 var ErrNotLiveCapable = errors.New("streach: backend cannot serve a live feed")
 
 // LiveEngine is an Engine over a live position feed. It satisfies Engine
-// (and Segmented, and Sharded) like every registry backend, but its time
-// domain grows with each AddInstant; queries are evaluated against every
-// instant ingested before the query took its view.
+// (and Segmented) like every registry backend, but its time domain grows
+// with each AddInstant; queries are evaluated against every instant
+// ingested before the query took its view.
 type LiveEngine struct {
 	// engine is the query side: the uniform wrapper, viewing the lanes
 	// through pin.
@@ -150,7 +150,7 @@ type liveLane struct {
 //   - what is built once per sealed slab — the name itself, or what its
 //     "shard:"/"segmented:"/"bidir:" prefixes wrap — must open from a
 //     contact network and carry a frontier forward ("reachgraph",
-//     "reachgraph-mem", "oracle", "uncertain:" over any of them, ...);
+//     "reachgraph-mem", "oracle", ...);
 //     Options.SegmentTicks sets the slab width and disk-resident segments
 //     share one buffer pool (Options.Pool or a private one);
 //   - a "bidir:" prefix ("bidir:reachgraph", ...) routes point queries
@@ -645,17 +645,6 @@ func (le *LiveEngine) Stats() EngineStats {
 	return st
 }
 
-// ShardStats returns one entry per ingest lane; nil for engines opened
-// without a "shard:<K>:" prefix. Contacts counts the contact adds routed to
-// the lane so far — cross-shard contacts once per side.
-func (le *LiveEngine) ShardStats() []ShardStats {
-	sh := le.coordinator(le.views())
-	if sh == nil {
-		return nil
-	}
-	return sh.shardStats()
-}
-
 // SegmentStats returns one entry per segment — sealed segments first, then
 // the mutable tail (which never charges I/O) when it holds instants. A
 // sealed segment's DeltaEvents is its pending delta-log depth. Every lane
@@ -668,4 +657,3 @@ func (le *LiveEngine) SegmentStats() []SegmentStats {
 
 var _ Engine = (*LiveEngine)(nil)
 var _ Segmented = (*LiveEngine)(nil)
-var _ Sharded = (*LiveEngine)(nil)

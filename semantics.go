@@ -22,7 +22,6 @@
 //     native whenever every slab core is
 //   - shard:*: the scatter-gather relaxation exchanges arrival ticks across
 //     the cut (hop-agnostic specs only)
-//   - uncertain:*: every spec, over the decoded contact store
 //
 // Everything else (spj, grail, grail-mem; hop queries on reachgraph) falls
 // back to a brute-force oracle over the engine's source contacts; results

@@ -249,16 +249,12 @@ func TestSemanticsNativeMatrix(t *testing.T) {
 		// tracking does not compose across shards and falls back.
 		"shard:1:reachgraph": true, "shard:2:reachgraph": true, "shard:4:reachgraph": true,
 		"shard:1:spatial:reachgraph": true, "shard:2:spatial:reachgraph": true, "shard:4:spatial:reachgraph": true,
-		// The uncertain wrappers evaluate every spec over their own decoded
-		// contact store, whatever the base supports.
-		"uncertain:oracle": true, "uncertain:reachgraph": true,
 		"spj": false, "grail": false, "grail-mem": false,
 	}
 	hopNative := map[string]bool{
 		"oracle": true, "reachgrid": true,
 		"segmented:oracle": true, "segmented:reachgrid": true,
-		"bidir:oracle":     true,
-		"uncertain:oracle": true, "uncertain:reachgraph": true,
+		"bidir:oracle": true,
 	}
 	for _, name := range streach.Backends() {
 		e, err := streach.Open(name, ds, opts)

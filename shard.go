@@ -158,7 +158,7 @@ func (c *shardCore) fillStats(st *EngineStats) {
 	st.ShardDetails = c.shardStats()
 }
 
-// shardEngine wraps the uniform engine with the Sharded surface.
+// shardEngine wraps the uniform engine with the sharding fields of Stats.
 type shardEngine struct {
 	*engine
 	sh *shardCore
@@ -169,8 +169,6 @@ func (e *shardEngine) Stats() EngineStats {
 	e.sh.fillStats(&st)
 	return st
 }
-
-func (e *shardEngine) ShardStats() []ShardStats { return e.sh.shardStats() }
 
 // --- the scatter-gather relaxation planner ---
 

@@ -109,8 +109,8 @@ func TestShardNameErrors(t *testing.T) {
 }
 
 // TestShardStatsSurface checks the sharding observability: Stats shard
-// fields, the Sharded interface, per-shard accounting and the cross-shard
-// frontier counter.
+// fields, per-shard accounting (ShardDetails) and the cross-shard frontier
+// counter.
 func TestShardStatsSurface(t *testing.T) {
 	ds := shardSource(t)
 	ctx := context.Background()
@@ -128,18 +128,14 @@ func TestShardStatsSurface(t *testing.T) {
 	if !st.HasPool {
 		t.Error("disk-resident shards report no buffer pool")
 	}
-	sh, ok := eng.(streach.Sharded)
-	if !ok {
-		t.Fatal("shard backend does not implement Sharded")
-	}
-	details := sh.ShardStats()
+	details := st.ShardDetails
 	if len(details) != 4 {
-		t.Fatalf("ShardStats len = %d", len(details))
+		t.Fatalf("ShardDetails len = %d", len(details))
 	}
 	objects := 0
 	for s, d := range details {
 		if d.Shard != s {
-			t.Errorf("ShardStats[%d].Shard = %d", s, d.Shard)
+			t.Errorf("ShardDetails[%d].Shard = %d", s, d.Shard)
 		}
 		if d.Objects <= 0 {
 			t.Errorf("shard %d owns %d objects; spatial cut should balance", s, d.Objects)
@@ -258,9 +254,9 @@ func TestLiveShardMatchesOracle(t *testing.T) {
 	if st.CrossShardFrontier == 0 {
 		t.Error("no frontier object ever crossed the shard cut")
 	}
-	details := le.ShardStats()
+	details := st.ShardDetails
 	if len(details) != 3 {
-		t.Fatalf("live ShardStats len = %d", len(details))
+		t.Fatalf("live ShardDetails len = %d", len(details))
 	}
 	objects := 0
 	for _, d := range details {

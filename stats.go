@@ -72,21 +72,14 @@ type EngineStats struct {
 
 // ShardStats describes one shard of a sharded engine: its owned object
 // count, the contacts of its sub-network (cross-shard contacts counted on
-// both sides), its index footprint and its cumulative simulated I/O.
+// both sides; on a LiveEngine, the contact adds routed to the lane so far),
+// its index footprint and its cumulative simulated I/O.
 type ShardStats struct {
 	Shard      int
 	Objects    int
 	Contacts   int
 	IndexBytes int64
 	IO         IOStats
-}
-
-// Sharded is implemented by engines built from object shards (the
-// "shard:*" backends and sharded LiveEngines). Callers obtain it by type
-// assertion from an Engine.
-type Sharded interface {
-	// ShardStats returns one entry per shard in shard order.
-	ShardStats() []ShardStats
 }
 
 func (e *engine) Stats() EngineStats {

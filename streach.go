@@ -54,8 +54,9 @@
 // worker pool and context cancellation, and LiveEngine serves the same
 // queries over a feed while it is being ingested. Two §7 extensions the
 // registry cannot express keep their own types: UncertainNetwork
-// (per-contact transmission probabilities; "uncertain:<base>" engines are
-// uniform-p) and NonImmediate (the exact environmental-lifetime engine).
+// (per-contact transmission probabilities; every registry engine answers
+// uniform-p queries through Semantics.Prob) and NonImmediate (the exact
+// environmental-lifetime engine).
 package streach
 
 import (
