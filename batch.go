@@ -33,7 +33,7 @@ type BatchOptions struct {
 // buffer pool is latched per page shard — so batch throughput scales with
 // Workers up to GOMAXPROCS. Every Result still carries its exact per-query
 // I/O delta; the deltas of successfully evaluated queries sum to the
-// engine's cumulative IOTotals and, for engines sharing a BufferPool, to
+// engine's cumulative Stats().IO and, for engines sharing a BufferPool, to
 // the pool's global counters (a query that errors or is cancelled
 // mid-evaluation charges the totals but returns no delta).
 func EvaluateBatch(ctx context.Context, e Engine, qs []Query, opts BatchOptions) ([]Result, error) {

@@ -192,7 +192,7 @@ func TestBidirLiveEngineDirtyDeltas(t *testing.T) {
 			t.Fatalf("%s: no retraction applied", base)
 		}
 		dirty := 0
-		for _, st := range le.SegmentStats() {
+		for _, st := range le.Stats().SegmentDetails {
 			if st.DeltaEvents > 0 {
 				dirty++
 			}

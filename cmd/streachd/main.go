@@ -109,7 +109,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("indexed %s with %s in %v (%d index bytes)",
-			ds.Name(), *backend, time.Since(start).Round(time.Millisecond), e.IndexBytes())
+			ds.Name(), *backend, time.Since(start).Round(time.Millisecond), e.Stats().IndexBytes)
 		eng = e
 	}
 

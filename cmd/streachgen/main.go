@@ -169,8 +169,8 @@ func serve(src streach.Source, numObjects, numTicks int, backend string, count, 
 	}
 	n := len(results)
 	fmt.Printf("\nbackend    %s\n", e.Name())
-	if e.IndexBytes() > 0 {
-		fmt.Printf("index      %d KiB on disk\n", e.IndexBytes()/1024)
+	if b := e.Stats().IndexBytes; b > 0 {
+		fmt.Printf("index      %d KiB on disk\n", b/1024)
 	}
 	fmt.Printf("queries    %d (%d positive)\n", n, positive)
 	fmt.Printf("IO/query   %.1f normalized\n", io/float64(n))

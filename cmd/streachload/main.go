@@ -44,14 +44,12 @@ func main() {
 		duration   = flag.Duration("duration", 10*time.Second, "measured duration per point")
 		warmup     = flag.Duration("warmup", time.Second, "warmup before measurement (not recorded)")
 		window     = flag.Int("window", 250, "query interval length in ticks")
-		arrivals   = flag.Float64("arrival-frac", 0, "fraction of queries sent to /v1/earliest-arrival")
 		minDur     = flag.Int("min-duration", 0, "contact-duration floor (ticks) attached to reachability queries (0: unfiltered)")
 		prob       = flag.Float64("prob", 0, "per-contact transmission probability attached to reachability queries (0: deterministic)")
 		probThresh = flag.Float64("prob-threshold", 0, "reachability threshold τ attached to probabilistic queries (requires -prob)")
 		noCache    = flag.Bool("no-cache", false, "bypass the server's result cache")
 		ingestQPS  = flag.Float64("ingest-qps", 0, "feed instants per second to POST to /v1/ingest while measuring")
 		lateFrac   = flag.Float64("late-frac", 0, "fraction of ingest posts sent as v2 out-of-order contact events at a past tick (a quarter of those adds are later retracted)")
-		strategy   = flag.String("strategy", "auto", `strategy label on emitted records: "forward", "bidir", or "auto" (derive from the server's backend name)`)
 		seed       = flag.Int64("seed", 1, "workload seed")
 		jsonPath   = flag.String("json", "", "write a streachload/v1 report here")
 		timeoutStr = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
@@ -71,19 +69,12 @@ func main() {
 	log.Printf("target: %s serving %s via %s — %d objects × %d ticks, live=%v",
 		base, st.Dataset, st.Backend, st.Engine.NumObjects, st.Engine.NumTicks, st.Live)
 
-	// Sweeping bidir:* against forward backends is the point of the label:
-	// "auto" reads the direction off the served backend's name, so a sweep
-	// script only has to change -addr (or the daemon's -backend).
-	strat := *strategy
-	switch strat {
-	case "auto":
-		strat = "forward"
-		if strings.Contains(st.Backend, "bidir:") {
-			strat = "bidir"
-		}
-	case "forward", "bidir":
-	default:
-		log.Fatalf(`bad -strategy %q (want "forward", "bidir" or "auto")`, strat)
+	// The strategy label reads the direction off the served backend's name,
+	// so a sweep of bidir:* against forward backends only has to change
+	// -addr (or the daemon's -backend).
+	strat := "forward"
+	if strings.Contains(st.Backend, "bidir:") {
+		strat = "bidir"
 	}
 
 	// τ is meaningless without a per-contact probability (the server 400s the
@@ -91,12 +82,6 @@ func main() {
 	if *probThresh > 0 && *prob == 0 {
 		log.Printf("-prob-threshold %v without -prob: defaulting -prob to 0.9", *probThresh)
 		*prob = 0.9
-	}
-	// The earliest-arrival endpoint strict-decodes its body and carries no
-	// semantics fields, so the extension knobs only compose with pure
-	// reachability traffic.
-	if (*minDur > 0 || *prob > 0) && *arrivals > 0 {
-		log.Fatal("-min-duration/-prob do not combine with -arrival-frac (earliest-arrival carries no semantics fields)")
 	}
 
 	counts := []int{*clients}
@@ -119,7 +104,6 @@ func main() {
 			duration:    *duration,
 			warmup:      *warmup,
 			window:      *window,
-			arrivalFrac: *arrivals,
 			minDuration: *minDur,
 			prob:        *prob,
 			probThresh:  *probThresh,
@@ -167,7 +151,6 @@ type pointConfig struct {
 	duration    time.Duration
 	warmup      time.Duration
 	window      int
-	arrivalFrac float64
 	minDuration int
 	prob        float64
 	probThresh  float64
@@ -218,8 +201,7 @@ func runPoint(client *http.Client, base string, st *statsDoc, cfg pointConfig) r
 				}
 				intended = time.Now()
 			}
-			body, path := randomQuery(rng, st, cfg)
-			code := postQuery(client, base+path, body)
+			code := postQuery(client, base+"/v1/reachable", randomQuery(rng, st, cfg))
 			lat := time.Since(intended)
 			if recording.Load() {
 				switch code {
@@ -344,8 +326,9 @@ func runPoint(client *http.Client, base string, st *statsDoc, cfg pointConfig) r
 	return rec
 }
 
-// randomQuery synthesizes one request within the served time domain.
-func randomQuery(rng *rand.Rand, st *statsDoc, cfg pointConfig) (body []byte, path string) {
+// randomQuery synthesizes one /v1/reachable body within the served time
+// domain.
+func randomQuery(rng *rand.Rand, st *statsDoc, cfg pointConfig) []byte {
 	numObjects, numTicks := st.Engine.NumObjects, st.Engine.NumTicks
 	src := rng.Intn(numObjects)
 	dst := rng.Intn(numObjects)
@@ -361,25 +344,17 @@ func randomQuery(rng *rand.Rand, st *statsDoc, cfg pointConfig) (body []byte, pa
 	if cfg.noCache {
 		req["no_cache"] = true
 	}
-	path = "/v1/reachable"
-	if cfg.arrivalFrac > 0 && rng.Float64() < cfg.arrivalFrac {
-		path = "/v1/earliest-arrival"
-	} else {
-		// Extension semantics attach to reachability bodies only; the
-		// earliest-arrival decoder rejects unknown fields (and main refuses
-		// the flag combination anyway).
-		if cfg.minDuration > 0 {
-			req["min_duration"] = cfg.minDuration
-		}
-		if cfg.prob > 0 {
-			req["prob"] = cfg.prob
-		}
-		if cfg.probThresh > 0 {
-			req["prob_threshold"] = cfg.probThresh
-		}
+	if cfg.minDuration > 0 {
+		req["min_duration"] = cfg.minDuration
 	}
-	body, _ = json.Marshal(req)
-	return body, path
+	if cfg.prob > 0 {
+		req["prob"] = cfg.prob
+	}
+	if cfg.probThresh > 0 {
+		req["prob_threshold"] = cfg.probThresh
+	}
+	body, _ := json.Marshal(req)
+	return body
 }
 
 func postQuery(client *http.Client, url string, body []byte) int {

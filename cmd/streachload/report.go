@@ -31,8 +31,9 @@ type record struct {
 	SealedSegments int     `json:"sealed_segments,omitempty"`
 	LateRate       float64 `json:"late_rate,omitempty"`
 	LateEvents     int64   `json:"late_events,omitempty"`
-	// What the queries asked (-strategy, -min-duration, -prob,
-	// -prob-threshold) and what a fresh evaluation cost the server.
+	// What the queries asked (the planner direction the served backend's
+	// name implies, -min-duration, -prob, -prob-threshold) and what a fresh
+	// evaluation cost the server.
 	Strategy         string  `json:"strategy,omitempty"`
 	ExpandedPerQuery float64 `json:"expanded_per_query,omitempty"`
 	Filtered         bool    `json:"filtered,omitempty"`

@@ -63,7 +63,7 @@ func TestConcurrencyConformance(t *testing.T) {
 			sum.SequentialReads += r.IO.SequentialReads
 			sum.BufferHits += r.IO.BufferHits
 		}
-		totals := e.IOTotals()
+		totals := e.Stats().IO
 		if sum.RandomReads != totals.RandomReads ||
 			sum.SequentialReads != totals.SequentialReads ||
 			sum.BufferHits != totals.BufferHits {

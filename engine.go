@@ -33,14 +33,19 @@ import (
 // atomic counters, so no query ever serializes behind another. Per-query
 // I/O deltas stay exact under concurrency (each query models its own disk
 // arm); the deltas of successfully evaluated queries sum to the engine's
-// cumulative IOTotals.
+// cumulative Stats().IO.
 type Engine interface {
 	// Name returns the registry name the engine was opened under.
 	Name() string
 	// Reachable answers the reachability query q. The context is checked
 	// before evaluation begins and observed inside the expansion loops of
 	// the traversal backends, so cancelling it aborts a long-running
-	// evaluation promptly with ctx.Err().
+	// evaluation promptly with ctx.Err(). With q.Semantics.TrackArrival set
+	// the Result also carries the earliest tick at which Dst holds the item
+	// — the |T'p| of Theorems 4.1/5.4 — and its transfer count; backends
+	// without a native evaluation of q's semantics fall back to the
+	// brute-force oracle over the engine's source contacts (Result.Native
+	// reports which path answered).
 	Reachable(ctx context.Context, q Query) (Result, error)
 	// ReachableSet returns every object reachable from src during iv
 	// (including src when the interval overlaps the time domain). The
@@ -48,33 +53,21 @@ type Engine interface {
 	// backend. Backends without a native set primitive answer with one
 	// point query per candidate object, honouring ctx between candidates.
 	ReachableSet(ctx context.Context, src ObjectID, iv Interval) (SetResult, error)
-	// EarliestArrival returns the first tick in iv at which dst holds an
-	// item initiated by src at the interval start — the |T'p| of Theorems
-	// 4.1/5.4 surfaced as a query. Backends without a native arrival
-	// evaluation fall back to the brute-force oracle over the engine's
-	// source contacts (ArrivalResult.Native reports which path answered).
-	EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error)
 	// TopKReachable returns the k objects (src excluded) reachable from
 	// src during iv that receive the item with the highest decayed weight
 	// decay^transfers, ranked by weight, then arrival tick, then ID.
 	// Backends that cannot track transfer counts natively fall back to the
 	// oracle (TopKResult.Native).
 	TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error)
-	// IndexBytes returns the on-disk size of the engine's index; zero for
-	// memory-resident backends.
-	IndexBytes() int64
 	// Stats returns a consistent point-in-time snapshot of the engine's
 	// observable state — cumulative I/O, buffer-pool counters, index
-	// footprint, time-domain dimensions and segment counts — the one struct
-	// a serving layer reads instead of poking individual accessors. The
-	// snapshot is safe to take while queries run; all counters are atomic.
+	// footprint, time-domain dimensions, per-segment and per-shard detail —
+	// the one struct a serving layer reads. The snapshot is safe to take
+	// while queries run; all counters are atomic. Its IO totals are exact
+	// under concurrency: the IO deltas of successfully evaluated queries
+	// sum to them (queries that error or are cancelled mid-evaluation
+	// charge the totals but return no delta).
 	Stats() EngineStats
-	// IOTotals returns the engine's cumulative simulated disk traffic
-	// (zero for memory-resident backends). Totals are concurrency-safe;
-	// the IO deltas of successfully evaluated queries sum to them exactly
-	// (queries that error or are cancelled mid-evaluation charge the
-	// totals but return no delta).
-	IOTotals() IOStats
 }
 
 // Result is the typed answer to one reachability query.
@@ -240,10 +233,6 @@ type backendSpec struct {
 	// open builds the backend's core over src; go through build, which
 	// checks the source first.
 	open func(src Source, opts Options) (core, error)
-	// decorate, when set by the combinator that supplied open, wraps the
-	// uniform engine with the extra public surface its core offers
-	// (Segmented, the sharding fields of Stats).
-	decorate func(e *engine) Engine
 
 	// The outermost combinator of the name, so that NewLiveEngine can grow
 	// the same structure over ingest logs instead of a frozen source: base
@@ -509,7 +498,7 @@ func Open(name string, src Source, opts Options) (Engine, error) {
 	d.resetIO()
 	d.dropCache()
 	numObjects, numTicks := sourceDims(src)
-	e := &engine{
+	return &engine{
 		name:       spec.info.Name,
 		numObjects: numObjects,
 		core:       c,
@@ -519,11 +508,7 @@ func Open(name string, src Source, opts Options) (Engine, error) {
 		fallback: sync.OnceValue(func() *queries.Oracle {
 			return queries.NewOracle(src.sourceContacts().net)
 		}),
-	}
-	if spec.decorate != nil {
-		return spec.decorate(e), nil
-	}
-	return e, nil
+	}, nil
 }
 
 func sourceDims(src Source) (numObjects, numTicks int) {
@@ -708,16 +693,6 @@ func (e *engine) pinned() (core, int) {
 }
 
 func (e *engine) Name() string { return e.name }
-
-func (e *engine) IndexBytes() int64 {
-	c, _ := e.pinned()
-	return c.disk().indexBytes()
-}
-
-func (e *engine) IOTotals() IOStats {
-	c, _ := e.pinned()
-	return statsOf(c.disk().ioTotals())
-}
 
 // queryScratch is the pooled per-query state of the engine wrapper: the I/O
 // accountant and the one-seed frontier (both escape into the core's

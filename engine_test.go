@@ -242,8 +242,6 @@ type blockingEngine struct {
 }
 
 func (b *blockingEngine) Name() string               { return "blocking" }
-func (b *blockingEngine) IndexBytes() int64          { return 0 }
-func (b *blockingEngine) IOTotals() streach.IOStats  { return streach.IOStats{} }
 func (b *blockingEngine) Stats() streach.EngineStats { return streach.EngineStats{Backend: "blocking"} }
 func (b *blockingEngine) Reachable(ctx context.Context, q streach.Query) (streach.Result, error) {
 	select {
@@ -255,9 +253,6 @@ func (b *blockingEngine) Reachable(ctx context.Context, q streach.Query) (streac
 }
 func (b *blockingEngine) ReachableSet(ctx context.Context, src streach.ObjectID, iv streach.Interval) (streach.SetResult, error) {
 	return streach.SetResult{}, ctx.Err()
-}
-func (b *blockingEngine) EarliestArrival(ctx context.Context, src, dst streach.ObjectID, iv streach.Interval) (streach.ArrivalResult, error) {
-	return streach.ArrivalResult{}, ctx.Err()
 }
 func (b *blockingEngine) TopKReachable(ctx context.Context, src streach.ObjectID, iv streach.Interval, k int, decay float64) (streach.TopKResult, error) {
 	return streach.TopKResult{}, ctx.Err()
@@ -318,8 +313,6 @@ func TestEvaluateBatchCancellation(t *testing.T) {
 type failingEngine struct{ calls int }
 
 func (f *failingEngine) Name() string               { return "failing" }
-func (f *failingEngine) IndexBytes() int64          { return 0 }
-func (f *failingEngine) IOTotals() streach.IOStats  { return streach.IOStats{} }
 func (f *failingEngine) Stats() streach.EngineStats { return streach.EngineStats{Backend: "failing"} }
 func (f *failingEngine) Reachable(ctx context.Context, q streach.Query) (streach.Result, error) {
 	f.calls++
@@ -330,9 +323,6 @@ func (f *failingEngine) Reachable(ctx context.Context, q streach.Query) (streach
 }
 func (f *failingEngine) ReachableSet(ctx context.Context, src streach.ObjectID, iv streach.Interval) (streach.SetResult, error) {
 	return streach.SetResult{}, errors.New("boom")
-}
-func (f *failingEngine) EarliestArrival(ctx context.Context, src, dst streach.ObjectID, iv streach.Interval) (streach.ArrivalResult, error) {
-	return streach.ArrivalResult{}, errors.New("boom")
 }
 func (f *failingEngine) TopKReachable(ctx context.Context, src streach.ObjectID, iv streach.Interval, k int, decay float64) (streach.TopKResult, error) {
 	return streach.TopKResult{}, errors.New("boom")

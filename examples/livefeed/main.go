@@ -86,11 +86,9 @@ func main() {
 	}
 
 	// The per-segment view: spans, accumulated I/O, on-disk size.
-	if seg, ok := streach.Engine(live).(streach.Segmented); ok {
-		for i, s := range seg.SegmentStats() {
-			fmt.Printf("  segment %d: span %v, %.1f IOs served, %d KiB\n",
-				i, s.Span, s.IO.Normalized, s.IndexBytes/1024)
-		}
+	for i, s := range live.Stats().SegmentDetails {
+		fmt.Printf("  segment %d: span %v, %.1f IOs served, %d KiB\n",
+			i, s.Span, s.IO.Normalized, s.IndexBytes/1024)
 	}
 
 	// The snapshot path exists for batch tooling: a LiveEngine snapshot is

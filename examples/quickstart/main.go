@@ -32,8 +32,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if e.IndexBytes() > 0 {
-			fmt.Printf("%-10s index: %d KiB on disk\n", e.Name(), e.IndexBytes()/1024)
+		if b := e.Stats().IndexBytes; b > 0 {
+			fmt.Printf("%-10s index: %d KiB on disk\n", e.Name(), b/1024)
 		}
 		engines = append(engines, e)
 	}

@@ -2,9 +2,11 @@ package streach_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"streach"
 )
@@ -360,6 +362,27 @@ func TestMonteCarloFacade(t *testing.T) {
 		if cr.Reachable != plain || (plain && cr.Prob != 1) {
 			t.Fatalf("%s: certain estimate (%v, %v), oracle %v", name, cr.Reachable, cr.Prob, plain)
 		}
+	}
+}
+
+// TestMonteCarloHonoursDeadline: a Monte-Carlo query of 2^16 worlds, about
+// a second of sampling, under a 20 ms deadline returns the deadline's
+// error instead of running every world to the end.
+func TestMonteCarloHonoursDeadline(t *testing.T) {
+	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 48, NumTicks: 240, Seed: 3})
+	e, err := streach.Open("oracle", ds, streach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := streach.Query{Src: 0, Dst: 1, Interval: streach.NewInterval(0, 239),
+		Semantics: streach.Semantics{Prob: 0.5, MCTrials: 1 << 16}}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	r, err := e.Reachable(ctx, q)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Reachable under a 20 ms deadline = (%+v, %v) after %v, want context.DeadlineExceeded",
+			r, err, time.Since(start))
 	}
 }
 

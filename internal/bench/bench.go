@@ -292,7 +292,7 @@ func (l *Lab) BackendSweep() *Table {
 			e := l.OpenBackend(name, d, streach.Options{})
 			io, dur, exp := engineCost(e, work)
 			t.AddRow(e.Name(), d.Name, fmt.Sprintf("%.1f", io), fmtDur(dur),
-				fmt.Sprintf("%.1f", exp), fmtBytes(e.IndexBytes()))
+				fmt.Sprintf("%.1f", exp), fmtBytes(e.Stats().IndexBytes))
 		}
 	}
 	t.AddNote("every engine satisfies streach.Engine and was opened by name via streach.Open;")

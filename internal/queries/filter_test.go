@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"streach/internal/contact"
@@ -126,48 +128,72 @@ func TestMonteCarloMatchesSinglePath(t *testing.T) {
 	want := p * p * p
 	q := Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
 		Semantics: Semantics{Prob: p, MCTrials: 20000, MCSeed: 42}}
-	got := o.MonteCarloReachable(q)
+	got := mcEstimate(t, o, q)
 	if diff := got - want; diff < -0.02 || diff > 0.02 {
 		t.Fatalf("MC estimate %.4f, want %.4f ± 0.02", got, want)
 	}
 	// Deterministic under a fixed seed.
-	if again := o.MonteCarloReachable(q); again != got {
+	if again := mcEstimate(t, o, q); again != got {
 		t.Fatalf("MC not reproducible: %.6f then %.6f", got, again)
 	}
 	// Different seed, same distribution: still inside the tolerance.
 	q.Semantics.MCSeed = 7
-	if got := o.MonteCarloReachable(q); got-want < -0.02 || got-want > 0.02 {
+	if got := mcEstimate(t, o, q); got-want < -0.02 || got-want > 0.02 {
 		t.Fatalf("MC estimate %.4f at seed 7, want %.4f ± 0.02", got, want)
+	}
+}
+
+// mcEstimate is MonteCarloReachable under a background context, which
+// cannot fail.
+func mcEstimate(t *testing.T, o *Oracle, q Query) float64 {
+	t.Helper()
+	got, err := o.MonteCarloReachable(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestMonteCarloHonoursContext: a done context stops the sampler before
+// its next world, with the context's error and no estimate.
+func TestMonteCarloHonoursContext(t *testing.T) {
+	o := NewOracle(chainNetwork(3))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
+		Semantics: Semantics{Prob: 0.7, MCTrials: 1 << 20, MCSeed: 42}}
+	if got, err := o.MonteCarloReachable(ctx, q); !errors.Is(err, context.Canceled) || got != 0 {
+		t.Fatalf("cancelled MonteCarloReachable = (%v, %v), want (0, context.Canceled)", got, err)
 	}
 }
 
 func TestMonteCarloRespectsBudgetAndFilter(t *testing.T) {
 	o := NewOracle(chainNetwork(3))
 	// A 2-hop budget can never cross a 3-hop chain, whatever the coins say.
-	got := o.MonteCarloReachable(Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
+	got := mcEstimate(t, o, Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
 		Semantics: Semantics{Prob: 1, MaxHops: 2, MCTrials: 200, MCSeed: 1}})
 	if got != 0 {
 		t.Fatalf("budget-violating estimate %v, want 0", got)
 	}
 	// p = 1 with enough hops is certain.
-	got = o.MonteCarloReachable(Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
+	got = mcEstimate(t, o, Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
 		Semantics: Semantics{Prob: 1, MCTrials: 200, MCSeed: 1}})
 	if got != 1 {
 		t.Fatalf("certain chain estimate %v, want 1", got)
 	}
 	// Every chain contact is a single instant, so a min-duration filter
 	// empties the network.
-	got = o.MonteCarloReachable(Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
+	got = mcEstimate(t, o, Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 2},
 		Semantics: Semantics{Prob: 0.9, MinDuration: 2, MCTrials: 200, MCSeed: 1}})
 	if got != 0 {
 		t.Fatalf("filtered-out estimate %v, want 0", got)
 	}
 	// Self queries are certain; empty intervals impossible.
-	if got := o.MonteCarloReachable(Query{Src: 2, Dst: 2, Interval: contact.Interval{Lo: 0, Hi: 1},
+	if got := mcEstimate(t, o, Query{Src: 2, Dst: 2, Interval: contact.Interval{Lo: 0, Hi: 1},
 		Semantics: Semantics{Prob: 0.1, MCTrials: 10, MCSeed: 3}}); got != 1 {
 		t.Fatalf("self estimate %v, want 1", got)
 	}
-	if got := o.MonteCarloReachable(Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 2, Hi: 1},
+	if got := mcEstimate(t, o, Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 2, Hi: 1},
 		Semantics: Semantics{Prob: 0.9, MCTrials: 10, MCSeed: 3}}); got != 0 {
 		t.Fatalf("empty-interval estimate %v, want 0", got)
 	}

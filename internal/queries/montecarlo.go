@@ -13,6 +13,7 @@
 package queries
 
 import (
+	"context"
 	"math/rand"
 
 	"streach/internal/trajectory"
@@ -24,8 +25,9 @@ import (
 // Prob. It runs q.Semantics.MCTrials sampled worlds seeded from MCSeed and
 // returns the success fraction; the hop budget applies per world (the
 // probability threshold does NOT fold into the budget here — trials model
-// it, the caller compares the estimate against τ).
-func (o *Oracle) MonteCarloReachable(q Query) float64 {
+// it, the caller compares the estimate against τ). ctx is checked before
+// every world; once it is done the estimate is abandoned with ctx.Err().
+func (o *Oracle) MonteCarloReachable(ctx context.Context, q Query) (float64, error) {
 	sem := q.Semantics
 	trials := sem.MCTrials
 	if trials <= 0 {
@@ -36,7 +38,7 @@ func (o *Oracle) MonteCarloReachable(q Query) float64 {
 		p = 1
 	}
 	if p <= 0 {
-		return 0
+		return 0, nil
 	}
 	net := o.Filtered(sem.Filter()).Network()
 	iv := q.Interval
@@ -47,10 +49,10 @@ func (o *Oracle) MonteCarloReachable(q Query) float64 {
 		iv.Hi = trajectory.Tick(net.NumTicks) - 1
 	}
 	if q.Src == q.Dst {
-		return 1
+		return 1, nil
 	}
 	if iv.Len() == 0 {
-		return 0
+		return 0, nil
 	}
 
 	// Precompute, once per query, the contacts overlapping the interval and
@@ -67,7 +69,7 @@ func (o *Oracle) MonteCarloReachable(q Query) float64 {
 		}
 	}
 	if len(cs) == 0 {
-		return 0
+		return 0, nil
 	}
 	ticks := iv.Len()
 	atTick := make([][]int32, ticks)
@@ -90,6 +92,9 @@ func (o *Oracle) MonteCarloReachable(q Query) float64 {
 	hops := make([]int32, net.NumObjects)
 	successes := 0
 	for trial := 0; trial < trials; trial++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		for i := range alive {
 			alive[i] = rng.Float64() < p
 		}
@@ -128,5 +133,5 @@ func (o *Oracle) MonteCarloReachable(q Query) float64 {
 			successes++
 		}
 	}
-	return float64(successes) / float64(trials)
+	return float64(successes) / float64(trials), nil
 }

@@ -1,5 +1,6 @@
 // Temporal query semantics beyond boolean reachability: earliest-arrival
-// ticks, hop (transfer) bounds, and per-transfer decay weights, after the
+// ticks, hop (transfer) bounds, and the transfer counts that top-k ranking
+// under per-transfer decay weighs, after the
 // query families of Strzheletska & Tsotras ("Reachability and Top-k
 // Reachability Queries with Transfer Decay") and Ali et al. ("An Efficient
 // Index for Contact Tracing Query").
@@ -37,10 +38,6 @@ type Semantics struct {
 	// TrackArrival requests the earliest-arrival tick (and, where the
 	// evaluator tracks them, the minimal transfer count) in the Result.
 	TrackArrival bool
-	// Decay is the per-transfer weight d ∈ (0, 1] of top-k ranking: an
-	// item forwarded over h transfers arrives with weight d^h. Point
-	// queries ignore it; TopKReachable sets it from its argument.
-	Decay float64
 
 	// MinDuration restricts propagation to contacts whose full original
 	// validity spans at least this many ticks (contact-tracing exposure
@@ -81,7 +78,7 @@ type Semantics struct {
 // values (NaN != 0), so malformed parameters reach validation instead of
 // silently riding the plain boolean path.
 func (s Semantics) Active() bool {
-	return s.MaxHops > 0 || s.TrackArrival || s.Decay != 0 ||
+	return s.MaxHops > 0 || s.TrackArrival ||
 		s.MinDuration != 0 || s.MaxWeight != 0 || s.FilterID != "" ||
 		s.Prob != 0 || s.ProbThreshold != 0 || s.MCTrials != 0
 }

@@ -175,24 +175,31 @@ func TestGraphSweepVsOracleSeeded(t *testing.T) {
 		cases = 200
 	}
 	rng := rand.New(rand.NewSource(20261017))
-	u8 := func() uint8 { return uint8(rng.Intn(256)) }
-	u16 := func() uint16 { return uint16(rng.Intn(1 << 16)) }
 	for i := 0; i < cases; i++ {
-		dataSeed := rng.Int63n(1 << 20)
-		objects, ticks, env, depth, pool := u8(), u16(), u8(), u8(), u8()
-		spec := make([]byte, rng.Intn(9))
-		rng.Read(spec)
-		lo, span, dst, strategy := u16(), u16(), u8(), u8()
+		s := randomGraphSeed(rng)
 		func() {
 			defer func() {
 				if t.Failed() {
 					t.Logf("case %d: graphSweepVsOracle(%d, %d, %d, %d, %d, %d, %v, %d, %d, %d, %d)",
-						i, dataSeed, objects, ticks, env, depth, pool, spec, lo, span, dst, strategy)
+						i, s.dataSeed, s.objects, s.ticks, s.env, s.depth, s.pool, s.spec, s.lo, s.span, s.dst, s.strategy)
 				}
 			}()
-			graphSweepVsOracle(t, dataSeed, objects, ticks, env, depth, pool, spec, lo, span, dst, strategy)
+			graphSweepVsOracle(t, s.dataSeed, s.objects, s.ticks, s.env, s.depth, s.pool, s.spec, s.lo, s.span, s.dst, s.strategy)
 		}()
 	}
+}
+
+// randomGraphSeed draws one fuzz input of the graph fuzzers from rng, each
+// value uniform over its type (the spec 0–8 bytes long).
+func randomGraphSeed(rng *rand.Rand) graphSeed {
+	u8 := func() uint8 { return uint8(rng.Intn(256)) }
+	u16 := func() uint16 { return uint16(rng.Intn(1 << 16)) }
+	s := graphSeed{dataSeed: rng.Int63n(1 << 20)}
+	s.objects, s.ticks, s.env, s.depth, s.pool = u8(), u16(), u8(), u8(), u8()
+	s.spec = make([]byte, rng.Intn(9))
+	rng.Read(s.spec)
+	s.lo, s.span, s.dst, s.strategy = u16(), u16(), u8(), u8()
+	return s
 }
 
 func graphSweepVsOracle(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8) {
@@ -227,35 +234,61 @@ func graphSweepVsOracle(t *testing.T, dataSeed int64, objects uint8, ticks uint1
 func FuzzCorruptionNeverWrong(f *testing.F) {
 	addGraphSeeds(f, true)
 	f.Fuzz(func(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8, off uint16) {
-		c := newGraphCase(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy})
-		wantOK, wantFw, wantBw := c.want()
-		st := c.ix.Store()
-		for p := int64(0); p < st.NumPages(); p++ {
-			damage := func() {
-				if err := st.CorruptPage(p, int(off)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(what string, err error, same bool) {
-				t.Helper()
-				switch {
-				case errors.Is(err, pagefile.ErrCorruptBlob):
-				case err != nil:
-					t.Fatalf("byte %d of page %d damaged: %s: an error that is not ErrCorruptBlob: %v", int(off)%pagefile.PageSize, p, what, err)
-				case !same:
-					t.Fatalf("byte %d of page %d damaged: %s: a wrong answer", int(off)%pagefile.PageSize, p, what)
-				}
-			}
-			damage()
-			got, err := c.reach(t, c.strategy)
-			check(c.strategy.String()+" ReachFromCounted", err, got == wantOK)
-			prof, err := c.profile(t, queries.Forward)
-			check("forward AppendProfile", err, slices.Equal(prof, wantFw))
-			prof, err = c.profile(t, queries.Backward)
-			check("backward AppendProfile", err, slices.Equal(prof, wantBw))
-			damage() // and back
-		}
+		corruptionNeverWrong(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy}, off)
 	})
+}
+
+// TestCorruptionNeverWrongSeeded is FuzzCorruptionNeverWrong's body over
+// inputs drawn from a fixed seed: 1000 cases, 100 under -short.
+func TestCorruptionNeverWrongSeeded(t *testing.T) {
+	cases := 1000
+	if testing.Short() {
+		cases = 100
+	}
+	rng := rand.New(rand.NewSource(20261018))
+	for i := 0; i < cases; i++ {
+		s := randomGraphSeed(rng)
+		off := uint16(rng.Intn(1 << 16))
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("case %d: corruptionNeverWrong(%+v, %d)", i, s, off)
+				}
+			}()
+			corruptionNeverWrong(t, s, off)
+		}()
+	}
+}
+
+func corruptionNeverWrong(t *testing.T, s graphSeed, off uint16) {
+	c := newGraphCase(t, s)
+	wantOK, wantFw, wantBw := c.want()
+	st := c.ix.Store()
+	for p := int64(0); p < st.NumPages(); p++ {
+		damage := func() {
+			if err := st.CorruptPage(p, int(off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(what string, err error, same bool) {
+			t.Helper()
+			switch {
+			case errors.Is(err, pagefile.ErrCorruptBlob):
+			case err != nil:
+				t.Fatalf("byte %d of page %d damaged: %s: an error that is not ErrCorruptBlob: %v", int(off)%pagefile.PageSize, p, what, err)
+			case !same:
+				t.Fatalf("byte %d of page %d damaged: %s: a wrong answer", int(off)%pagefile.PageSize, p, what)
+			}
+		}
+		damage()
+		got, err := c.reach(t, c.strategy)
+		check(c.strategy.String()+" ReachFromCounted", err, got == wantOK)
+		prof, err := c.profile(t, queries.Forward)
+		check("forward AppendProfile", err, slices.Equal(prof, wantFw))
+		prof, err = c.profile(t, queries.Backward)
+		check("backward AppendProfile", err, slices.Equal(prof, wantBw))
+		damage() // and back
+	}
 }
 
 // TestGraphSeedsSpanPages pins what the seed corpus is for: its first two

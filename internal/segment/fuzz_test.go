@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -31,12 +32,36 @@ func FuzzLogEvents(f *testing.F) {
 	for _, seed := range logSeeds() {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, script []byte) {
-		s := newLogScript(t, script)
-		for step := 0; step < 64 && s.more(); step++ {
-			s.step(step)
-		}
-	})
+	f.Fuzz(logEvents)
+}
+
+// TestLogEventsSeeded is FuzzLogEvents' body over scripts drawn from a
+// fixed seed, 2–257 random bytes each: 2000 cases, 200 under -short.
+func TestLogEventsSeeded(t *testing.T) {
+	cases := 2000
+	if testing.Short() {
+		cases = 200
+	}
+	rng := rand.New(rand.NewSource(20261019))
+	for i := 0; i < cases; i++ {
+		script := make([]byte, 2+rng.Intn(256))
+		rng.Read(script)
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("case %d: logEvents(%v)", i, script)
+				}
+			}()
+			logEvents(t, script)
+		}()
+	}
+}
+
+func logEvents(t *testing.T, script []byte) {
+	s := newLogScript(t, script)
+	for step := 0; step < 64 && s.more(); step++ {
+		s.step(step)
+	}
 }
 
 var errBuild = errors.New("injected build failure")

@@ -24,7 +24,6 @@ type queryKind uint8
 const (
 	kindReachable queryKind = iota + 1
 	kindSet
-	kindArrival
 	kindTopK
 )
 

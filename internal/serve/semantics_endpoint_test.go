@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"streach"
 )
@@ -126,5 +128,24 @@ func TestReachableFilteredAndProbabilistic(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %s: status %d (%+v), want 400", bad, resp.StatusCode, apiErr)
 		}
+	}
+}
+
+// TestMonteCarloQueryTimeout: the server's QueryTimeout stops a Monte-Carlo
+// query mid-sampling and answers 504, the admission slot released.
+func TestMonteCarloQueryTimeout(t *testing.T) {
+	eng, err := streach.Open("oracle", streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 48, NumTicks: 240, Seed: 3}), streach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{QueryTimeout: 20 * time.Millisecond, MaxInFlight: 1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	resp := post(t, ts.URL+"/v1/reachable", `{"src":0,"dst":1,"from":0,"to":239,"prob":0.5,"mc_trials":262144}`)
+	if apiErr := decodeErr(t, resp); resp.StatusCode != http.StatusGatewayTimeout || apiErr.Code != CodeCanceled {
+		t.Fatalf("status %d %+v, want 504 %s", resp.StatusCode, apiErr, CodeCanceled)
+	}
+	if code, _ := postReachable(t, ts.URL, `{"src":0,"dst":1,"from":0,"to":239}`); code != http.StatusOK {
+		t.Fatalf("query after the timeout: status %d, want 200 (slot released)", code)
 	}
 }

@@ -1,11 +1,11 @@
 // Package serve is the network serving layer over streach engines: an
 // HTTP/JSON surface (stdlib net/http only) exposing reachability,
-// reachable-set (NDJSON streaming), earliest-arrival, top-k and live
-// ingest endpoints, behind a query-result cache with ingest/seal
-// invalidation, admission control (concurrency limiter with a bounded
-// wait queue plus per-client token-bucket quotas) and Prometheus-style
-// metrics. cmd/streachd wires it to a listener and signals;
-// cmd/streachload drives it under sustained load.
+// reachable-set (NDJSON streaming), top-k and live ingest endpoints,
+// behind a query-result cache with ingest/seal invalidation, admission
+// control (concurrency limiter with a bounded wait queue plus per-client
+// token-bucket quotas) and Prometheus-style metrics. cmd/streachd wires it
+// to a listener and signals; cmd/streachload drives it under sustained
+// load.
 //
 // The boolean point-query path stays on the engines' zero-allocation
 // steady state: the serve layer calls Engine.Reachable directly and all
@@ -124,7 +124,6 @@ func New(eng streach.Engine, cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/reachable", s.instrument("reachable", true, s.handleReachable))
 	mux.HandleFunc("/v1/reachable-set", s.instrument("reachable-set", true, s.handleReachableSet))
-	mux.HandleFunc("/v1/earliest-arrival", s.instrument("earliest-arrival", true, s.handleEarliestArrival))
 	mux.HandleFunc("/v1/topk", s.instrument("topk", true, s.handleTopK))
 	mux.HandleFunc("/v1/ingest", s.instrument("ingest", true, s.handleIngest))
 	mux.HandleFunc("/v1/stats", s.instrument("stats", false, s.handleStats))
@@ -272,6 +271,29 @@ func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc)
 	return r.Context(), func() {}
 }
 
+// cachedEval answers one cacheable query: the cached response when key is
+// present (hit reports it), otherwise eval's under the query context,
+// stored afterwards. The cache version is captured before eval runs, so an
+// answer an overlapping ingest made stale while it evaluated is never
+// stored. noCache bypasses the cache both ways.
+func cachedEval[T any](s *Server, r *http.Request, key cacheKey, noCache bool, eval func(context.Context) (T, error)) (resp T, hit bool, err error) {
+	if !noCache {
+		if v, ok := s.cache.get(key); ok {
+			return v.(T), true, nil
+		}
+	}
+	ver := s.cache.version()
+	ctx, cancel := s.queryCtx(r)
+	defer cancel()
+	if resp, err = eval(ctx); err != nil {
+		return resp, false, err
+	}
+	if !noCache {
+		s.cache.putFresh(key, resp, ver)
+	}
+	return resp, false, nil
+}
+
 // decode parses the request body strictly (unknown fields are a 400).
 func decode(r *http.Request, into any) error {
 	dec := json.NewDecoder(r.Body)
@@ -412,47 +434,39 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 		lo: streach.Tick(req.From), hi: streach.Tick(req.To),
 		sem: sem,
 	}
-	if !req.NoCache {
-		if v, ok := s.cache.get(key); ok {
-			resp := v.(reachableResponse)
-			resp.Cached = true
-			writeJSON(w, resp)
-			return
+	resp, hit, err := cachedEval(s, r, key, req.NoCache, func(ctx context.Context) (reachableResponse, error) {
+		res, err := s.eng.Reachable(ctx, streach.Query{
+			Src:       streach.ObjectID(req.Src),
+			Dst:       streach.ObjectID(req.Dst),
+			Interval:  streach.NewInterval(streach.Tick(req.From), streach.Tick(req.To)),
+			Semantics: sem,
+		})
+		if err != nil {
+			return reachableResponse{}, err
 		}
-	}
-	ver := s.cache.version()
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	res, err := s.eng.Reachable(ctx, streach.Query{
-		Src:       streach.ObjectID(req.Src),
-		Dst:       streach.ObjectID(req.Dst),
-		Interval:  streach.NewInterval(streach.Tick(req.From), streach.Tick(req.To)),
-		Semantics: sem,
+		s.met.observeExpanded("reachable", res.Expanded)
+		if sem.Filter().Active() {
+			s.met.filteredQueries.Add(1)
+		}
+		if sem.Prob > 0 {
+			s.met.probabilisticQueries.Add(1)
+		}
+		return reachableResponse{
+			Reachable: res.Reachable,
+			Arrival:   int(res.Arrival),
+			Hops:      res.Hops,
+			Prob:      res.Prob,
+			Native:    res.Native,
+			Expanded:  res.Expanded,
+			LatencyUS: float64(res.Latency) / float64(time.Microsecond),
+			IO:        ioOf(res.IO),
+		}, nil
 	})
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	s.met.observeExpanded("reachable", res.Expanded)
-	if sem.Filter().Active() {
-		s.met.filteredQueries.Add(1)
-	}
-	if sem.Prob > 0 {
-		s.met.probabilisticQueries.Add(1)
-	}
-	resp := reachableResponse{
-		Reachable: res.Reachable,
-		Arrival:   int(res.Arrival),
-		Hops:      res.Hops,
-		Prob:      res.Prob,
-		Native:    res.Native,
-		Expanded:  res.Expanded,
-		LatencyUS: float64(res.Latency) / float64(time.Microsecond),
-		IO:        ioOf(res.IO),
-	}
-	if !req.NoCache {
-		s.cache.putFresh(key, resp, ver)
-	}
+	resp.Cached = hit
 	writeJSON(w, resp)
 }
 
@@ -507,39 +521,24 @@ func (s *Server) handleReachableSet(w http.ResponseWriter, r *http.Request) {
 		src:  streach.ObjectID(req.Src),
 		lo:   streach.Tick(req.From), hi: streach.Tick(req.To),
 	}
-	var (
-		objects []streach.ObjectID
-		trailer setTrailer
-		cached  bool
-	)
-	if !req.NoCache {
-		if v, ok := s.cache.get(key); ok {
-			cs := v.(cachedSet)
-			objects, trailer, cached = cs.objects, cs.trailer, true
-		}
-	}
-	if !cached {
-		ver := s.cache.version()
-		ctx, cancel := s.queryCtx(r)
+	cs, cached, err := cachedEval(s, r, key, req.NoCache, func(ctx context.Context) (cachedSet, error) {
 		res, err := s.eng.ReachableSet(ctx, streach.ObjectID(req.Src),
 			streach.NewInterval(streach.Tick(req.From), streach.Tick(req.To)))
-		cancel()
 		if err != nil {
-			writeEngineError(w, err)
-			return
+			return cachedSet{}, err
 		}
 		s.met.observeExpanded("reachable-set", res.Expanded)
-		objects = res.Objects
-		trailer = setTrailer{
+		return cachedSet{objects: res.Objects, trailer: setTrailer{
 			Done:      true,
 			Count:     len(res.Objects),
 			Expanded:  res.Expanded,
 			LatencyUS: float64(res.Latency) / float64(time.Microsecond),
 			IO:        ioOf(res.IO),
-		}
-		if !req.NoCache {
-			s.cache.putFresh(key, cachedSet{objects: objects, trailer: trailer}, ver)
-		}
+		}}, nil
+	})
+	if err != nil {
+		writeEngineError(w, err)
+		return
 	}
 
 	// Stream: one header line, the set in fixed-size chunks, one trailer.
@@ -554,88 +553,16 @@ func (s *Server) handleReachableSet(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(setHeader{Src: req.Src, From: req.From, To: req.To, Cached: cached})
 	flush()
 	chunk := make([]int, 0, s.cfg.SetChunk)
-	for i, obj := range objects {
+	for i, obj := range cs.objects {
 		chunk = append(chunk, int(obj))
-		if len(chunk) == s.cfg.SetChunk || i == len(objects)-1 {
+		if len(chunk) == s.cfg.SetChunk || i == len(cs.objects)-1 {
 			enc.Encode(setChunk{Objects: chunk})
 			flush()
 			chunk = chunk[:0]
 		}
 	}
-	enc.Encode(trailer)
+	enc.Encode(cs.trailer)
 	flush()
-}
-
-// --- /v1/earliest-arrival ---
-
-type arrivalRequest struct {
-	Src     int  `json:"src"`
-	Dst     int  `json:"dst"`
-	From    int  `json:"from"`
-	To      int  `json:"to"`
-	NoCache bool `json:"no_cache,omitempty"`
-}
-
-type arrivalResponse struct {
-	Reachable bool    `json:"reachable"`
-	Arrival   int     `json:"arrival"`
-	Hops      int     `json:"hops"`
-	Native    bool    `json:"native"`
-	Expanded  int     `json:"expanded"`
-	LatencyUS float64 `json:"latency_us"`
-	IO        ioJSON  `json:"io"`
-	Cached    bool    `json:"cached"`
-}
-
-func (s *Server) handleEarliestArrival(w http.ResponseWriter, r *http.Request) {
-	var req arrivalRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
-		return
-	}
-	if err := errors.Join(
-		s.validateObject("src", req.Src), s.validateObject("dst", req.Dst),
-		validateInterval(req.From, req.To),
-	); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error(), 0)
-		return
-	}
-	key := cacheKey{
-		kind: kindArrival,
-		src:  streach.ObjectID(req.Src), dst: streach.ObjectID(req.Dst),
-		lo: streach.Tick(req.From), hi: streach.Tick(req.To),
-	}
-	if !req.NoCache {
-		if v, ok := s.cache.get(key); ok {
-			resp := v.(arrivalResponse)
-			resp.Cached = true
-			writeJSON(w, resp)
-			return
-		}
-	}
-	ver := s.cache.version()
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	res, err := s.eng.EarliestArrival(ctx, streach.ObjectID(req.Src), streach.ObjectID(req.Dst),
-		streach.NewInterval(streach.Tick(req.From), streach.Tick(req.To)))
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	s.met.observeExpanded("earliest-arrival", res.Expanded)
-	resp := arrivalResponse{
-		Reachable: res.Reachable,
-		Arrival:   int(res.Arrival),
-		Hops:      res.Hops,
-		Native:    res.Native,
-		Expanded:  res.Expanded,
-		LatencyUS: float64(res.Latency) / float64(time.Microsecond),
-		IO:        ioOf(res.IO),
-	}
-	if !req.NoCache {
-		s.cache.putFresh(key, resp, ver)
-	}
-	writeJSON(w, resp)
 }
 
 // --- /v1/topk ---
@@ -691,40 +618,32 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		lo:   streach.Tick(req.From), hi: streach.Tick(req.To),
 		k: req.K, decay: req.Decay,
 	}
-	if !req.NoCache {
-		if v, ok := s.cache.get(key); ok {
-			resp := v.(topKResponse)
-			resp.Cached = true
-			writeJSON(w, resp)
-			return
+	resp, hit, err := cachedEval(s, r, key, req.NoCache, func(ctx context.Context) (topKResponse, error) {
+		res, err := s.eng.TopKReachable(ctx, streach.ObjectID(req.Src),
+			streach.NewInterval(streach.Tick(req.From), streach.Tick(req.To)), req.K, req.Decay)
+		if err != nil {
+			return topKResponse{}, err
 		}
-	}
-	ver := s.cache.version()
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	res, err := s.eng.TopKReachable(ctx, streach.ObjectID(req.Src),
-		streach.NewInterval(streach.Tick(req.From), streach.Tick(req.To)), req.K, req.Decay)
+		s.met.observeExpanded("topk", res.Expanded)
+		items := make([]rankedJSON, len(res.Items))
+		for i, it := range res.Items {
+			items[i] = rankedJSON{
+				Object: int(it.Object), Hops: it.Hops, Arrival: int(it.Arrival), Weight: it.Weight,
+			}
+		}
+		return topKResponse{
+			Items:     items,
+			Native:    res.Native,
+			Expanded:  res.Expanded,
+			LatencyUS: float64(res.Latency) / float64(time.Microsecond),
+			IO:        ioOf(res.IO),
+		}, nil
+	})
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	s.met.observeExpanded("topk", res.Expanded)
-	items := make([]rankedJSON, len(res.Items))
-	for i, it := range res.Items {
-		items[i] = rankedJSON{
-			Object: int(it.Object), Hops: it.Hops, Arrival: int(it.Arrival), Weight: it.Weight,
-		}
-	}
-	resp := topKResponse{
-		Items:     items,
-		Native:    res.Native,
-		Expanded:  res.Expanded,
-		LatencyUS: float64(res.Latency) / float64(time.Microsecond),
-		IO:        ioOf(res.IO),
-	}
-	if !req.NoCache {
-		s.cache.putFresh(key, resp, ver)
-	}
+	resp.Cached = hit
 	writeJSON(w, resp)
 }
 

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +76,8 @@ func TestStructuredErrors(t *testing.T) {
 		{"inverted interval", http.MethodPost, "/v1/reachable", `{"src":1,"dst":2,"from":9,"to":0}`, 400, CodeBadRequest},
 		{"negative max_hops", http.MethodPost, "/v1/reachable", `{"src":1,"dst":2,"from":0,"to":9,"max_hops":-2}`, 400, CodeBadRequest},
 		{"set bad src", http.MethodPost, "/v1/reachable-set", `{"src":999,"from":0,"to":9}`, 400, CodeBadRequest},
-		{"arrival bad interval", http.MethodPost, "/v1/earliest-arrival", `{"src":1,"dst":2,"from":-5,"to":9}`, 400, CodeBadRequest},
+		{"arrival bad interval", http.MethodPost, "/v1/reachable", `{"src":1,"dst":2,"from":-5,"to":9,"track_arrival":true}`, 400, CodeBadRequest},
+		{"earliest-arrival route gone", http.MethodPost, "/v1/earliest-arrival", `{"src":1,"dst":2,"from":0,"to":9}`, 404, CodeNotFound},
 		{"topk zero k", http.MethodPost, "/v1/topk", `{"src":1,"from":0,"to":9,"k":0,"decay":0.5}`, 400, CodeBadRequest},
 		{"topk bad decay", http.MethodPost, "/v1/topk", `{"src":1,"from":0,"to":9,"k":3,"decay":1.5}`, 400, CodeBadRequest},
 		{"ingest on frozen", http.MethodPost, "/v1/ingest", `{"instants":[[[0,0]]]}`, 501, CodeNotLive},
@@ -250,7 +252,9 @@ func TestReachableSetNDJSON(t *testing.T) {
 
 // TestLiveNoStaleReads is the staleness regression: cache a negative
 // answer, ingest a contact that flips it, and check the re-query sees the
-// new truth — while a non-overlapping cached entry survives untouched.
+// new truth — while a non-overlapping cached entry survives untouched. The
+// reachable set and the top-k ranking of the same interval, cached before
+// the ingest grows them, are answered fresh after it too.
 func TestLiveNoStaleReads(t *testing.T) {
 	env := streach.Rect{Min: streach.Point{X: 0, Y: 0}, Max: streach.Point{X: 1000, Y: 1000}}
 	le, err := streach.NewLiveEngine("oracle", 2, env, 10, streach.Options{SegmentTicks: 4})
@@ -297,6 +301,51 @@ func TestLiveNoStaleReads(t *testing.T) {
 	future := `{"src":0,"dst":1,"from":20,"to":30}`
 	query(future)
 
+	set := func() (setHeader, []int) {
+		resp := post(t, ts.URL+"/v1/reachable-set", `{"src":0,"from":0,"to":9}`)
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("set query status %d", resp.StatusCode)
+		}
+		dec := json.NewDecoder(resp.Body)
+		var hdr setHeader
+		var objects []int
+		if err := dec.Decode(&hdr); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			var line struct {
+				Objects []int `json:"objects"`
+				Done    bool  `json:"done"`
+			}
+			if err := dec.Decode(&line); err != nil {
+				t.Fatal(err)
+			}
+			if line.Done {
+				return hdr, objects
+			}
+			objects = append(objects, line.Objects...)
+		}
+	}
+	topk := func() topKResponse {
+		resp := post(t, ts.URL+"/v1/topk", `{"src":0,"from":0,"to":9,"k":3,"decay":0.5}`)
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("topk query status %d", resp.StatusCode)
+		}
+		var r topKResponse
+		json.NewDecoder(resp.Body).Decode(&r)
+		return r
+	}
+	set()
+	if hdr, objs := set(); !hdr.Cached || !slices.Equal(objs, []int{0}) {
+		t.Fatalf("repeat set query: cached %v, objects %v; want cached [0]", hdr.Cached, objs)
+	}
+	topk()
+	if r := topk(); !r.Cached || len(r.Items) != 0 {
+		t.Fatalf("repeat topk query: %+v, want cached and empty", r)
+	}
+
 	// Tick 5: the objects meet. The ingest hook must drop the cached
 	// [0,9] answer.
 	resp = post(t, ts.URL+"/v1/ingest", `{"instants":[[[500,500],[502,500]]]}`)
@@ -311,6 +360,12 @@ func TestLiveNoStaleReads(t *testing.T) {
 	}
 	if rf := query(future); !rf.Cached {
 		t.Error("non-overlapping cached entry [20,30] was dropped by an ingest at tick 5")
+	}
+	if hdr, objs := set(); hdr.Cached || !slices.Equal(objs, []int{0, 1}) {
+		t.Fatalf("set after the contact: cached %v, objects %v; want fresh [0 1]", hdr.Cached, objs)
+	}
+	if r := topk(); r.Cached || len(r.Items) != 1 || r.Items[0].Object != 1 || r.Items[0].Arrival != 5 {
+		t.Fatalf("topk after the contact: %+v, want fresh [object 1 arriving at 5]", r)
 	}
 }
 
@@ -341,14 +396,9 @@ func (e *stubEngine) Reachable(ctx context.Context, q streach.Query) (streach.Re
 func (e *stubEngine) ReachableSet(context.Context, streach.ObjectID, streach.Interval) (streach.SetResult, error) {
 	return streach.SetResult{}, nil
 }
-func (e *stubEngine) EarliestArrival(context.Context, streach.ObjectID, streach.ObjectID, streach.Interval) (streach.ArrivalResult, error) {
-	return streach.ArrivalResult{}, nil
-}
 func (e *stubEngine) TopKReachable(context.Context, streach.ObjectID, streach.Interval, int, float64) (streach.TopKResult, error) {
 	return streach.TopKResult{}, nil
 }
-func (e *stubEngine) IndexBytes() int64         { return 0 }
-func (e *stubEngine) IOTotals() streach.IOStats { return streach.IOStats{} }
 func (e *stubEngine) Stats() streach.EngineStats {
 	return streach.EngineStats{Backend: "stub", NumObjects: 8, NumTicks: 100}
 }

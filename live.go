@@ -95,9 +95,9 @@ var ErrIngestHorizon = errors.New("streach: event tick beyond ingest horizon")
 var ErrNotLiveCapable = errors.New("streach: backend cannot serve a live feed")
 
 // LiveEngine is an Engine over a live position feed. It satisfies Engine
-// (and Segmented) like every registry backend, but its time domain grows
-// with each AddInstant; queries are evaluated against every instant
-// ingested before the query took its view.
+// like every registry backend, but its time domain grows with each
+// AddInstant; queries are evaluated against every instant ingested before
+// the query took its view.
 type LiveEngine struct {
 	// engine is the query side: the uniform wrapper, viewing the lanes
 	// through pin.
@@ -535,21 +535,6 @@ func (le *LiveEngine) snapshotNet() *contact.Network {
 	return shard.Merge(nets, le.numObjects, numTicks)
 }
 
-// views pins one consistent view per lane — the slab list the planner
-// walks; see laneCore. numTicks is the common time domain — the minimum
-// lane frontier, so queries racing an append see only ticks every lane has
-// covered.
-func (le *LiveEngine) views() (segs []*segmentedCore, numTicks int) {
-	segs = make([]*segmentedCore, len(le.lanes))
-	for i, ln := range le.lanes {
-		segs[i] = le.laneCore(ln.log.View())
-		if nt := segs[i].numTicks; i == 0 || nt < numTicks {
-			numTicks = nt
-		}
-	}
-	return segs, numTicks
-}
-
 // laneCore is the planner over one lane's view: sealed segments plus, when
 // the tail holds instants, an oracle sweeping the tail's pair table. A
 // dirty sealed segment — one with pending delta-log events — is served by
@@ -577,33 +562,30 @@ func (le *LiveEngine) laneCore(sealed []segment.SlabView[sealedSlab], tailSpan I
 	}
 }
 
-// coordinator returns the scatter-gather coordinator over the lane views of
-// a sharded feed; nil for an unsharded one, whose one lane view is the
-// query core itself.
-func (le *LiveEngine) coordinator(segs []*segmentedCore, numTicks int) *shardCore {
+// pin is the engine wrapper's view: the core one query evaluates against —
+// the planner over one consistent view of the lane (see laneCore) or, on a
+// sharded feed, the scatter-gather coordinator over one view per lane. Its
+// time domain is the minimum lane frontier, so queries racing an append
+// see only ticks every lane has covered.
+func (le *LiveEngine) pin() (core, int) {
 	if le.cut == nil {
-		return nil
+		seg := le.laneCore(le.lanes[0].log.View())
+		return seg, seg.numTicks
 	}
 	sh := &shardCore{
 		assign:     le.assign,
-		parts:      make([]core, len(segs)),
+		parts:      make([]core, len(le.lanes)),
 		numObjects: le.numObjects,
-		numTicks:   numTicks,
 		cut:        le.cut,
 	}
-	for i, seg := range segs {
+	for i, ln := range le.lanes {
+		seg := le.laneCore(ln.log.View())
 		sh.parts[i] = seg
+		if i == 0 || seg.numTicks < sh.numTicks {
+			sh.numTicks = seg.numTicks
+		}
 	}
-	return sh
-}
-
-// pin is the engine wrapper's view: the core one query evaluates against.
-func (le *LiveEngine) pin() (core, int) {
-	segs, numTicks := le.views()
-	if sh := le.coordinator(segs, numTicks); sh != nil {
-		return sh, numTicks
-	}
-	return segs[0], numTicks
+	return sh, sh.numTicks
 }
 
 // Stats returns a consistent snapshot of the live engine's observable
@@ -614,30 +596,20 @@ func (le *LiveEngine) pin() (core, int) {
 // Sharded engines sum the per-lane footprints and ingest counters; the
 // counters count lane applications, so a cross-shard event stored on both
 // sides counts once per side, like ShardStats.Contacts. Segment counts
-// come from lane 0, whose slab boundaries speak for all lanes.
+// come from lane 0, whose slab boundaries speak for all lanes (the
+// appender keeps the clocks aligned), and SegmentDetails lists the sealed
+// segments, then the tail when it holds instants, each summed across
+// lanes.
 func (le *LiveEngine) Stats() EngineStats {
-	segs, numTicks := le.views()
-	var st EngineStats
-	if sh := le.coordinator(segs, numTicks); sh != nil {
-		st = coreStats(le.name, le.numObjects, numTicks, sh)
-		sh.fillStats(&st)
-	} else {
-		st = coreStats(le.name, le.numObjects, numTicks, segs[0])
-	}
-	st.Segments = len(segs[0].slabs)
-	for _, s := range segs[0].slabs {
+	c, numTicks := le.pin()
+	st := coreStats(le.name, le.numObjects, numTicks, c)
+	for _, s := range slabChains(c)[0].slabs {
 		if s.sealed.core != nil {
 			st.SealedSegments++
 		}
 	}
-	for i, seg := range segs {
-		for _, s := range seg.slabs {
-			st.DeltaEvents += s.pending
-			if s.pending > 0 {
-				st.DirtySegments++
-			}
-		}
-		c := le.lanes[i].log.Counters()
+	for _, ln := range le.lanes {
+		c := ln.log.Counters()
 		st.LateEvents += c.LateApplied
 		st.Retractions += c.Retractions
 		st.Compactions += c.Compactions
@@ -645,15 +617,4 @@ func (le *LiveEngine) Stats() EngineStats {
 	return st
 }
 
-// SegmentStats returns one entry per segment — sealed segments first, then
-// the mutable tail (which never charges I/O) when it holds instants. A
-// sealed segment's DeltaEvents is its pending delta-log depth. Every lane
-// seals the same slab spans (the appender keeps the clocks aligned), so on
-// a sharded feed an entry is one time slab, summed across shards.
-func (le *LiveEngine) SegmentStats() []SegmentStats {
-	segs, _ := le.views()
-	return segmentStats(segs)
-}
-
 var _ Engine = (*LiveEngine)(nil)
-var _ Segmented = (*LiveEngine)(nil)

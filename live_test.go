@@ -93,10 +93,9 @@ func TestLiveEngineMatchesOracleAtCheckpoints(t *testing.T) {
 			t.Errorf("%s: %d sealed segments after 360 ticks at width 64, want %d",
 				base, le.NumSealedSegments(), 360/64)
 		}
-		if seg, ok := streach.Engine(le).(streach.Segmented); !ok {
-			t.Errorf("%s: LiveEngine does not expose SegmentStats", base)
-		} else if stats := seg.SegmentStats(); len(stats) == 0 {
-			t.Errorf("%s: empty SegmentStats", base)
+		if st := le.Stats(); len(st.SegmentDetails) != st.Segments || st.Segments != 360/64+1 {
+			t.Errorf("%s: %d SegmentDetails for %d segments, want %d sealed + the tail",
+				base, len(st.SegmentDetails), st.Segments, 360/64)
 		}
 	}
 }
@@ -263,8 +262,7 @@ func TestLiveEngineRejectsUnfit(t *testing.T) {
 // for a rebuilt one, and the retired segment's store counters must stay in
 // the sum. On a disk-resident base the deltas of all queries equal the
 // totals before the compaction, the totals never decrease across it, the
-// deltas still equal the totals after it, and Stats().IO is IOTotals()
-// throughout.
+// deltas still equal the totals after it, all read through Stats().IO.
 func TestLiveIOTotalsSurviveCompaction(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 60, NumTicks: 300, Seed: 5})
 	le, err := streach.NewLiveEngine("reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(),
@@ -290,16 +288,13 @@ func TestLiveIOTotalsSurviveCompaction(t *testing.T) {
 			sum.SequentialReads += r.IO.SequentialReads
 			sum.BufferHits += r.IO.BufferHits
 		}
-		tot := le.IOTotals()
+		tot := le.Stats().IO
 		if tot.RandomReads != sum.RandomReads || tot.SequentialReads != sum.SequentialReads || tot.BufferHits != sum.BufferHits {
-			t.Fatalf("%s: IOTotals %+v, sum of query deltas %+v", when, tot, sum)
-		}
-		if st := le.Stats().IO; st != tot {
-			t.Fatalf("%s: Stats().IO %+v != IOTotals %+v", when, st, tot)
+			t.Fatalf("%s: Stats().IO %+v, sum of query deltas %+v", when, tot, sum)
 		}
 	}
 	run("before compaction")
-	before := le.IOTotals()
+	before := le.Stats().IO
 	if before.RandomReads+before.SequentialReads+before.BufferHits == 0 {
 		t.Fatal("200 queries on a disk-resident base charged no I/O")
 	}
@@ -315,12 +310,9 @@ func TestLiveIOTotalsSurviveCompaction(t *testing.T) {
 	if n, err := le.Compact(); err != nil || n != 2 {
 		t.Fatalf("Compact() = %d, %v; want 2 slabs re-sealed", n, err)
 	}
-	after := le.IOTotals()
+	after := le.Stats().IO
 	if after.RandomReads < before.RandomReads || after.SequentialReads < before.SequentialReads || after.BufferHits < before.BufferHits {
-		t.Fatalf("IOTotals ran backwards across compaction: %+v -> %+v", before, after)
-	}
-	if st := le.Stats().IO; st != after {
-		t.Fatalf("after compaction: Stats().IO %+v != IOTotals %+v", st, after)
+		t.Fatalf("Stats().IO ran backwards across compaction: %+v -> %+v", before, after)
 	}
 	run("after compaction")
 }
@@ -399,11 +391,11 @@ func TestLiveQueryPinsOneView(t *testing.T) {
 								got.Reachable, got.Arrival, got.Hops, want.Reachable, want.Arrival, want.Hops)
 						}
 					}
-					got, err := le.EarliestArrival(ctx, src, dst, iv)
+					got, err := le.Reachable(ctx, arrivalQuery(src, dst, iv))
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := ref.EarliestArrival(ctx, src, dst, iv)
+					want, err := ref.Reachable(ctx, arrivalQuery(src, dst, iv))
 					if err != nil {
 						t.Fatal(err)
 					}

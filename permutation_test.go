@@ -178,13 +178,13 @@ func assertConformant(t *testing.T, live *streach.LiveEngine, ref *refState, pro
 					label, p.src, p.dst, iv, gotR.Reachable, wantR.Reachable)
 			}
 
-			gotA, err1 := live.EarliestArrival(ctx, p.src, p.dst, iv)
-			wantA, err2 := oracle.EarliestArrival(ctx, p.src, p.dst, iv)
+			gotA, err1 := live.Reachable(ctx, arrivalQuery(p.src, p.dst, iv))
+			wantA, err2 := oracle.Reachable(ctx, arrivalQuery(p.src, p.dst, iv))
 			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: EarliestArrival errs %v / %v", label, err1, err2)
+				t.Fatalf("%s: arrival query errs %v / %v", label, err1, err2)
 			}
 			if gotA.Reachable != wantA.Reachable || gotA.Arrival != wantA.Arrival {
-				t.Fatalf("%s: EarliestArrival(%d->%d, %v) = (%v, %d), want (%v, %d)",
+				t.Fatalf("%s: arrival query (%d->%d, %v) = (%v, %d), want (%v, %d)",
 					label, p.src, p.dst, iv, gotA.Reachable, gotA.Arrival, wantA.Reachable, wantA.Arrival)
 			}
 		}

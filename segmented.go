@@ -337,9 +337,9 @@ func (c *segmentedCore) disk() diskIO {
 	return d
 }
 
-// segmentStats describes the time slabs of a segmented engine — or of
-// several over the same slab spans, the lanes of a sharded feed, summed per
-// slab.
+// segmentStats describes the time slabs of a segmented core — or of
+// several over the same slab spans, the shards of a sharded engine, summed
+// per slab.
 func segmentStats(segs []*segmentedCore) []SegmentStats {
 	out := make([]SegmentStats, len(segs[0].slabs))
 	for i := range out {
@@ -355,44 +355,6 @@ func segmentStats(segs []*segmentedCore) []SegmentStats {
 		out[i].IndexBytes = d.indexBytes()
 	}
 	return out
-}
-
-// SegmentStats describes one time-slab segment of a segmented engine: its
-// global tick span, the cumulative simulated I/O its segment has served,
-// and its on-disk size. The per-segment counters make planner locality
-// observable — a query must only ever charge the segments overlapping its
-// interval. For a LiveEngine, DeltaEvents is the segment's pending
-// delta-log depth (late/retracted contacts not yet compacted into the
-// sealed index); zero for frozen segments.
-type SegmentStats struct {
-	Span        Interval
-	IO          IOStats
-	IndexBytes  int64
-	DeltaEvents int
-}
-
-// Segmented is implemented by engines built from time-sliced segments
-// (the "segmented:*" and "bidir:*" backends and LiveEngine). Callers obtain
-// it by type assertion from an Engine.
-type Segmented interface {
-	// SegmentStats returns one entry per segment in ascending time order.
-	SegmentStats() []SegmentStats
-}
-
-// segmentedEngine wraps the uniform engine with the Segmented surface.
-type segmentedEngine struct {
-	*engine
-	seg *segmentedCore
-}
-
-func (e *segmentedEngine) SegmentStats() []SegmentStats {
-	return segmentStats([]*segmentedCore{e.seg})
-}
-
-func (e *segmentedEngine) Stats() EngineStats {
-	st := e.engine.Stats()
-	st.Segments = len(e.seg.slabs)
-	return st
 }
 
 // segmentedOver is the "segmented:" combinator and, with bidir set, the
@@ -413,9 +375,6 @@ func segmentedOver(base backendSpec, bidir bool) backendSpec {
 		},
 		open: func(src Source, opts Options) (core, error) {
 			return buildSegmentedCore(base, bidir, src, opts)
-		},
-		decorate: func(e *engine) Engine {
-			return &segmentedEngine{engine: e, seg: e.core.(*segmentedCore)}
 		},
 		base:   &base,
 		sliced: true,

@@ -75,72 +75,78 @@ func TestSegmentedAgreesWithBase(t *testing.T) {
 }
 
 // TestPlannerReadsOnlyOverlappingSegments asserts the planner's locality
-// guarantee via the per-segment I/O counters: a query whose interval
-// touches only some slabs must charge zero traffic to every other slab.
+// guarantee via the per-segment I/O counters of Stats().SegmentDetails: a
+// query whose interval touches only some slabs must charge zero traffic to
+// every other slab — one-directional and bidirectional planners alike, and
+// under a shard cut, where every shard's slab chain is summed per slab.
 func TestPlannerReadsOnlyOverlappingSegments(t *testing.T) {
 	ds := conformanceSource(t) // 400 ticks
-	e, err := streach.Open("segmented:reachgraph", ds, streach.Options{SegmentTicks: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, ok := e.(streach.Segmented)
-	if !ok {
-		t.Fatal("segmented engine does not expose SegmentStats")
-	}
-	stats := seg.SegmentStats()
-	if len(stats) != 8 {
-		t.Fatalf("got %d segments, want 8", len(stats))
-	}
-	// Spans must tile the domain.
-	expect := streach.Tick(0)
-	for i, s := range stats {
-		if s.Span.Lo != expect {
-			t.Fatalf("segment %d starts at %d, want %d", i, s.Span.Lo, expect)
-		}
-		expect = s.Span.Hi + 1
-		if s.IO.Normalized != 0 {
-			t.Fatalf("segment %d charged %f IOs before any query", i, s.IO.Normalized)
-		}
-	}
-	if int(expect) != ds.NumTicks() {
-		t.Fatalf("segments end at %d, want %d", expect, ds.NumTicks())
-	}
+	for _, name := range []string{"segmented:reachgraph", "bidir:reachgraph", "shard:2:segmented:reachgraph", "shard:2:bidir:reachgraph"} {
+		t.Run(name, func(t *testing.T) {
+			e, err := streach.Open(name, ds, streach.Options{SegmentTicks: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := e.Stats()
+			if len(st.SegmentDetails) != 8 || st.Segments != 8 {
+				t.Fatalf("got %d segment details for %d segments, want 8", len(st.SegmentDetails), st.Segments)
+			}
+			// Spans must tile the domain.
+			expect := streach.Tick(0)
+			for i, s := range st.SegmentDetails {
+				if s.Span.Lo != expect {
+					t.Fatalf("segment %d starts at %d, want %d", i, s.Span.Lo, expect)
+				}
+				expect = s.Span.Hi + 1
+				if s.IO.Normalized != 0 {
+					t.Fatalf("segment %d charged %f IOs before any query", i, s.IO.Normalized)
+				}
+			}
+			if int(expect) != ds.NumTicks() {
+				t.Fatalf("segments end at %d, want %d", expect, ds.NumTicks())
+			}
 
-	// Interval [120, 230] overlaps exactly slabs 2..4.
-	iv := streach.NewInterval(120, 230)
-	ctx := context.Background()
-	for src := streach.ObjectID(0); src < 8; src++ {
-		if _, err := e.Reachable(ctx, streach.Query{Src: src, Dst: src + 20, Interval: iv}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.ReachableSet(ctx, src, iv); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var touched float64
-	for i, s := range seg.SegmentStats() {
-		inPlan := i >= 2 && i <= 4
-		if !inPlan && s.IO.Normalized != 0 {
-			t.Errorf("segment %d (span %v) outside the plan charged %.1f IOs", i, s.Span, s.IO.Normalized)
-		}
-		if inPlan {
-			touched += s.IO.Normalized
-		}
-	}
-	if touched == 0 {
-		t.Error("no I/O charged to the overlapping segments")
-	}
-	// Engine totals must equal the per-segment sum.
-	var sum streach.IOStats
-	for _, s := range seg.SegmentStats() {
-		sum.RandomReads += s.IO.RandomReads
-		sum.SequentialReads += s.IO.SequentialReads
-		sum.BufferHits += s.IO.BufferHits
-	}
-	tot := e.IOTotals()
-	if sum.RandomReads != tot.RandomReads || sum.SequentialReads != tot.SequentialReads ||
-		sum.BufferHits != tot.BufferHits {
-		t.Errorf("per-segment sum %+v != engine totals %+v", sum, tot)
+			// Interval [120, 230] overlaps exactly slabs 2..4.
+			iv := streach.NewInterval(120, 230)
+			ctx := context.Background()
+			for src := streach.ObjectID(0); src < 8; src++ {
+				if _, err := e.Reachable(ctx, streach.Query{Src: src, Dst: src + 20, Interval: iv}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.ReachableSet(ctx, src, iv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st = e.Stats()
+			var touched float64
+			var sum streach.IOStats
+			var bytes int64
+			for i, s := range st.SegmentDetails {
+				inPlan := i >= 2 && i <= 4
+				if !inPlan && s.IO.Normalized != 0 {
+					t.Errorf("segment %d (span %v) outside the plan charged %.1f IOs", i, s.Span, s.IO.Normalized)
+				}
+				if inPlan {
+					touched += s.IO.Normalized
+				}
+				sum.RandomReads += s.IO.RandomReads
+				sum.SequentialReads += s.IO.SequentialReads
+				sum.BufferHits += s.IO.BufferHits
+				bytes += s.IndexBytes
+			}
+			if touched == 0 {
+				t.Error("no I/O charged to the overlapping segments")
+			}
+			// Engine totals must equal the per-segment sums.
+			tot := st.IO
+			if sum.RandomReads != tot.RandomReads || sum.SequentialReads != tot.SequentialReads ||
+				sum.BufferHits != tot.BufferHits {
+				t.Errorf("per-segment sum %+v != engine totals %+v", sum, tot)
+			}
+			if bytes != st.IndexBytes {
+				t.Errorf("per-segment index bytes %d != engine's %d", bytes, st.IndexBytes)
+			}
+		})
 	}
 }
 

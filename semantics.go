@@ -1,5 +1,6 @@
-// The temporal-semantics query layer: earliest-arrival, hop-bounded and
-// top-k transfer-decay queries over every registry backend.
+// The temporal-semantics query layer: earliest-arrival and hop-bounded
+// point queries (Reachable with a Semantics) and top-k transfer-decay
+// queries (TopKReachable) over every registry backend.
 //
 // Plain reachability answers *whether* an item spreads; contact-tracing
 // and dissemination workloads also ask *when* it arrives, *through how
@@ -45,34 +46,10 @@ import (
 )
 
 // Semantics optionally refines a Query's propagation model: a transfer
-// (hop) bound, earliest-arrival tracking, a per-transfer decay weight. The
-// zero value is plain boolean reachability and stays on the engines'
-// allocation-free boolean path.
+// (hop) bound, earliest-arrival tracking, contact predicates, uncertain
+// contacts. The zero value is plain boolean reachability and stays on the
+// engines' allocation-free boolean path.
 type Semantics = queries.Semantics
-
-// ArrivalResult is the typed answer to an EarliestArrival query.
-type ArrivalResult struct {
-	// Src, Dst and Interval echo the evaluated query.
-	Src, Dst ObjectID
-	Interval Interval
-	// Reachable is the boolean answer; Arrival is the earliest tick at
-	// which Dst holds the item (-1 when unreachable).
-	Reachable bool
-	Arrival   Tick
-	// Hops is the minimal number of transfers among delivery chains
-	// arriving by the Arrival tick, when the evaluating core tracks
-	// transfer counts; -1 otherwise (ReachGraph's arrival sweep is
-	// hop-agnostic). Contacts after the arrival may deliver the item over
-	// fewer transfers — TopKReachable ranks by that full-interval minimum.
-	Hops int
-	// Native reports whether the backend evaluated the query in its own
-	// traversal core; false means the oracle fallback answered.
-	Native bool
-	// IO, Latency, Expanded mirror Result.
-	IO       IOStats
-	Latency  time.Duration
-	Expanded int
-}
 
 // Ranked is one entry of a top-k reachability answer.
 type Ranked struct {
@@ -96,7 +73,7 @@ type TopKResult struct {
 	// Items holds at most K entries, ranked by Weight descending, then
 	// Arrival ascending, then Object ascending. Src itself is excluded.
 	Items []Ranked
-	// Native, IO, Latency, Expanded mirror ArrivalResult.
+	// Native, IO, Latency, Expanded mirror Result.
 	Native   bool
 	IO       IOStats
 	Latency  time.Duration
@@ -236,7 +213,7 @@ func (e *engine) reachableSem(ctx context.Context, q Query) (Result, error) {
 	iv := clampDomain(q.Interval, numTicks)
 	res := Result{Query: q, Evaluated: true, Arrival: -1, Hops: -1}
 	if q.Semantics.MCTrials > 0 {
-		return e.monteCarlo(res, iv), nil
+		return e.monteCarlo(ctx, res, iv)
 	}
 	res.Native = c.supports(spec)
 	if iv.Len() == 0 {
@@ -283,15 +260,19 @@ func (e *engine) reachableSem(ctx context.Context, q Query) (Result, error) {
 // iv by seeded world sampling over the exact contact oracle (two-terminal
 // reliability, an upper bound on the best-path probability). It is the
 // documented fallback — never native — and reports the estimate in
-// Result.Prob; Reachable compares it against the query's threshold.
-func (e *engine) monteCarlo(res Result, iv Interval) Result {
+// Result.Prob; Reachable compares it against the query's threshold. The
+// sampler checks ctx between worlds, so a deadline stops it.
+func (e *engine) monteCarlo(ctx context.Context, res Result, iv Interval) (Result, error) {
 	if iv.Len() == 0 {
-		return res
+		return res, nil
 	}
 	start := time.Now()
 	mq := res.Query
 	mq.Interval = iv
-	res.Prob = e.fallback().MonteCarloReachable(mq)
+	var err error
+	if res.Prob, err = e.fallback().MonteCarloReachable(ctx, mq); err != nil {
+		return Result{}, err
+	}
 	if tau := mq.Semantics.ProbThreshold; tau > 0 {
 		res.Reachable = res.Prob >= tau
 	} else {
@@ -301,24 +282,7 @@ func (e *engine) monteCarlo(res Result, iv Interval) Result {
 		res.Arrival, res.Hops = iv.Lo, 0
 	}
 	res.Latency = time.Since(start)
-	return res
-}
-
-// EarliestArrival is the arrival-tracking point query under its own result
-// type: the same profile evaluation, stopped at dst.
-func (e *engine) EarliestArrival(ctx context.Context, src, dst ObjectID, iv Interval) (ArrivalResult, error) {
-	if err := ctx.Err(); err != nil {
-		return ArrivalResult{}, err
-	}
-	r, err := e.reachableSem(ctx, Query{Src: src, Dst: dst, Interval: iv, Semantics: Semantics{TrackArrival: true}})
-	if err != nil {
-		return ArrivalResult{}, err
-	}
-	return ArrivalResult{
-		Src: src, Dst: dst, Interval: iv,
-		Reachable: r.Reachable, Arrival: r.Arrival, Hops: r.Hops, Native: r.Native,
-		IO: r.IO, Latency: r.Latency, Expanded: r.Expanded,
-	}, nil
+	return res, nil
 }
 
 func (e *engine) TopKReachable(ctx context.Context, src ObjectID, iv Interval, k int, decay float64) (TopKResult, error) {

@@ -148,13 +148,13 @@ func TestSemanticsConformance(t *testing.T) {
 				ref := referenceProfile(cn, q.Src, q.Interval, 0)
 
 				// Earliest arrival.
-				ar, err := e.EarliestArrival(ctx, q.Src, q.Dst, q.Interval)
+				ar, err := e.Reachable(ctx, arrivalQuery(q.Src, q.Dst, q.Interval))
 				if err != nil {
-					t.Fatalf("q%d EarliestArrival: %v", qi, err)
+					t.Fatalf("q%d arrival query: %v", qi, err)
 				}
 				wantReach := ref.hops[q.Dst] >= 0
 				if ar.Reachable != wantReach {
-					t.Fatalf("q%d %v: EarliestArrival reachable=%v, reference %v", qi, q, ar.Reachable, wantReach)
+					t.Fatalf("q%d %v: arrival query reachable=%v, reference %v", qi, q, ar.Reachable, wantReach)
 				}
 				if wantReach && ar.Arrival != ref.arrival[q.Dst] {
 					t.Fatalf("q%d %v: arrival %d, reference %d", qi, q, ar.Arrival, ref.arrival[q.Dst])
@@ -261,12 +261,12 @@ func TestSemanticsNativeMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ar, err := e.EarliestArrival(ctx, 0, 1, iv)
+		ar, err := e.Reachable(ctx, arrivalQuery(0, 1, iv))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := arrivalNative[name]; ar.Native != want {
-			t.Errorf("%s: EarliestArrival native=%v, want %v", name, ar.Native, want)
+			t.Errorf("%s: arrival query native=%v, want %v", name, ar.Native, want)
 		}
 		tk, err := e.TopKReachable(ctx, 0, iv, 3, 0.9)
 		if err != nil {
@@ -312,7 +312,7 @@ func TestSemanticsLiveEngine(t *testing.T) {
 			for src := streach.ObjectID(0); src < 5; src++ {
 				ref := referenceProfile(cn, src, iv, 0)
 				for dst := streach.ObjectID(0); dst < streach.ObjectID(ds.NumObjects()); dst += 7 {
-					ar, err := le.EarliestArrival(ctx, src, dst, iv)
+					ar, err := le.Reachable(ctx, arrivalQuery(src, dst, iv))
 					if err != nil {
 						t.Fatal(err)
 					}

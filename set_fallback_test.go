@@ -61,7 +61,7 @@ func TestSetFallbackCancelAccounting(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-set cancel: got %v, want context.Canceled", err)
 			}
-			afterCancel := e.IOTotals()
+			afterCancel := e.Stats().IO
 			if afterCancel.RandomReads+afterCancel.SequentialReads == 0 {
 				t.Fatal("cancelled set charged no I/O at all; cancellation fired before any query ran")
 			}
@@ -83,7 +83,7 @@ func TestSetFallbackCancelAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := e.IOTotals()
+			after := e.Stats().IO
 			if got, want := after.RandomReads-afterCancel.RandomReads, r.IO.RandomReads; got != want {
 				t.Fatalf("set delta random=%d but totals moved by %d", want, got)
 			}
@@ -129,7 +129,7 @@ func TestSetFallbackPreCancelled(t *testing.T) {
 	if _, err := e.ReachableSet(ctx, 0, streach.NewInterval(0, 50)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if tot := e.IOTotals(); tot.RandomReads+tot.SequentialReads+tot.BufferHits != 0 {
+	if tot := e.Stats().IO; tot.RandomReads+tot.SequentialReads+tot.BufferHits != 0 {
 		t.Fatalf("pre-cancelled set still charged I/O: %+v", tot)
 	}
 }

@@ -158,18 +158,6 @@ func (c *shardCore) fillStats(st *EngineStats) {
 	st.ShardDetails = c.shardStats()
 }
 
-// shardEngine wraps the uniform engine with the sharding fields of Stats.
-type shardEngine struct {
-	*engine
-	sh *shardCore
-}
-
-func (e *shardEngine) Stats() EngineStats {
-	st := e.engine.Stats()
-	e.sh.fillStats(&st)
-	return st
-}
-
 // --- the scatter-gather relaxation planner ---
 
 // shardPlanScratch is the pooled working state of one scatter-gather query:
@@ -393,9 +381,6 @@ func shardOver(k int, partitioner string, base backendSpec) backendSpec {
 		},
 		open: func(src Source, opts Options) (core, error) {
 			return buildShardCore(k, partitioner, base, src, opts)
-		},
-		decorate: func(e *engine) Engine {
-			return &shardEngine{engine: e, sh: e.core.(*shardCore)}
 		},
 		base:        &base,
 		shards:      k,

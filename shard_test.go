@@ -210,11 +210,11 @@ func TestLiveShardMatchesOracle(t *testing.T) {
 			if want := oracle.Reachable(q); r.Reachable != want {
 				t.Fatalf("disagrees with oracle on %v at tick %d: got %v, want %v", q, checkpoint, r.Reachable, want)
 			}
-			ar, err := le.EarliestArrival(ctx, q.Src, q.Dst, q.Interval)
+			ar, err := le.Reachable(ctx, arrivalQuery(q.Src, q.Dst, q.Interval))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.EarliestArrival(ctx, q.Src, q.Dst, q.Interval)
+			want, err := ref.Reachable(ctx, arrivalQuery(q.Src, q.Dst, q.Interval))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,8 +268,8 @@ func TestLiveShardMatchesOracle(t *testing.T) {
 	if objects != ds.NumObjects() {
 		t.Errorf("lanes own %d objects, feed has %d", objects, ds.NumObjects())
 	}
-	if seg := le.SegmentStats(); len(seg) == 0 {
-		t.Error("empty SegmentStats")
+	if len(st.SegmentDetails) == 0 || len(st.SegmentDetails) != st.Segments {
+		t.Errorf("live SegmentDetails len = %d for %d segments", len(st.SegmentDetails), st.Segments)
 	}
 }
 

@@ -131,13 +131,13 @@ func assertSlabEdgeConformance(t *testing.T, ctx context.Context, e, oracle stre
 				}
 				// Earliest arrival must also survive the slab split: the
 				// planner re-bases slab-local ticks to global ones.
-				wantA, err := oracle.EarliestArrival(ctx, src, dst, iv)
+				wantA, err := oracle.Reachable(ctx, arrivalQuery(src, dst, iv))
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotA, err := e.EarliestArrival(ctx, src, dst, iv)
+				gotA, err := e.Reachable(ctx, arrivalQuery(src, dst, iv))
 				if err != nil {
-					t.Fatalf("%s EarliestArrival %v: %v", name, q, err)
+					t.Fatalf("%s arrival query %v: %v", name, q, err)
 				}
 				if gotA.Reachable != wantA.Reachable || gotA.Arrival != wantA.Arrival {
 					t.Fatalf("%s %v: arrival (%v, %d), oracle (%v, %d)",

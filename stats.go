@@ -1,10 +1,10 @@
 // Engine statistics snapshots. A serving layer (metrics endpoints, load
-// shedders, dashboards) needs one consistent view of an engine's counters
-// instead of poking IOTotals, IndexBytes and the buffer pool separately;
-// EngineStats is that view, and every Engine — registry backends,
-// segmented engines and LiveEngine — produces it with Stats(). Snapshots
-// are safe to take while queries run and while a LiveEngine ingests: every
-// consolidated counter is atomic or taken under the owning lock.
+// shedders, dashboards) needs one consistent view of an engine's counters:
+// EngineStats is that view, and every Engine — registry backends, segmented
+// and sharded engines, LiveEngine — produces it with Stats(), read off the
+// one core a query would pin. Snapshots are safe to take while queries run
+// and while a LiveEngine ingests: every consolidated counter is atomic or
+// taken under the owning lock.
 
 package streach
 
@@ -21,7 +21,9 @@ type EngineStats struct {
 	// segments for segmented and live engines); zero for memory-resident
 	// backends.
 	IndexBytes int64
-	// IO is the engine's cumulative simulated disk traffic (IOTotals).
+	// IO is the engine's cumulative simulated disk traffic (zero for
+	// memory-resident backends); the IO deltas of successfully evaluated
+	// queries sum to it.
 	IO IOStats
 	// HasPool reports whether the engine's index stores draw on a buffer
 	// pool; Pool is that pool's global counters, summed when the stores
@@ -33,8 +35,12 @@ type EngineStats struct {
 	Pool    PoolStats
 	// Segments is the number of time slabs a segmented engine plans over
 	// (for a LiveEngine: sealed segments plus the mutable tail when it
-	// holds instants); zero for unsegmented engines.
-	Segments int
+	// holds instants); zero for unsegmented engines. SegmentDetails holds
+	// one entry per slab in ascending time order, summed across shards
+	// when every shard is a slab chain over the same spans (a sharded
+	// LiveEngine, "shard:<K>:segmented:*"); nil for unsegmented engines.
+	Segments       int
+	SegmentDetails []SegmentStats
 	// SealedSegments is the number of immutable sealed segments of a
 	// LiveEngine; zero elsewhere.
 	SealedSegments int
@@ -82,13 +88,30 @@ type ShardStats struct {
 	IO         IOStats
 }
 
+// SegmentStats describes one time-slab segment of a segmented engine: its
+// global tick span, the cumulative simulated I/O its segment has served,
+// and its on-disk size. The per-segment counters make planner locality
+// observable — a query must only ever charge the segments overlapping its
+// interval. For a LiveEngine, DeltaEvents is the segment's pending
+// delta-log depth (late/retracted contacts not yet compacted into the
+// sealed index); zero for frozen segments. The mutable tail of a
+// LiveEngine never charges I/O.
+type SegmentStats struct {
+	Span        Interval
+	IO          IOStats
+	IndexBytes  int64
+	DeltaEvents int
+}
+
 func (e *engine) Stats() EngineStats {
 	c, numTicks := e.pinned()
 	return coreStats(e.name, e.numObjects, numTicks, c)
 }
 
-// coreStats is the part of a snapshot every engine reads off its (pinned)
-// core; the segmented, sharded and live wrappers add their own fields.
+// coreStats is the snapshot of an engine whose queries pin c: the footprint
+// and counters every core has, plus what the outermost combinator adds —
+// the cut of a sharded core, the slabs of a segmented one or of the slab
+// chains a sharded core runs over.
 func coreStats(name string, numObjects, numTicks int, c core) EngineStats {
 	d := c.disk()
 	st := EngineStats{
@@ -99,5 +122,40 @@ func coreStats(name string, numObjects, numTicks int, c core) EngineStats {
 		IO:         statsOf(d.ioTotals()),
 	}
 	st.Pool, st.HasPool = d.poolStats()
+	if sh, ok := c.(*shardCore); ok {
+		sh.fillStats(&st)
+	}
+	if chains := slabChains(c); chains != nil {
+		st.Segments = len(chains[0].slabs)
+		st.SegmentDetails = segmentStats(chains)
+		for _, seg := range chains {
+			for _, s := range seg.slabs {
+				st.DeltaEvents += s.pending
+				if s.pending > 0 {
+					st.DirtySegments++
+				}
+			}
+		}
+	}
 	return st
+}
+
+// slabChains returns the segmented cores c plans over: c itself, or every
+// part of a sharded c when all are slab chains; nil otherwise.
+func slabChains(c core) []*segmentedCore {
+	switch c := c.(type) {
+	case *segmentedCore:
+		return []*segmentedCore{c}
+	case *shardCore:
+		chains := make([]*segmentedCore, len(c.parts))
+		for i, p := range c.parts {
+			seg, ok := p.(*segmentedCore)
+			if !ok {
+				return nil
+			}
+			chains[i] = seg
+		}
+		return chains
+	}
+	return nil
 }

@@ -20,7 +20,8 @@ func TestEngineStatsSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open %s: %v", name, err)
 		}
-		if _, err := e.Reachable(ctx, streach.Query{Src: 1, Dst: 2, Interval: streach.NewInterval(0, 250)}); err != nil {
+		res, err := e.Reachable(ctx, streach.Query{Src: 1, Dst: 2, Interval: streach.NewInterval(0, 250)})
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st := e.Stats()
@@ -30,13 +31,15 @@ func TestEngineStatsSnapshot(t *testing.T) {
 		if st.NumObjects != ds.NumObjects() || st.NumTicks != ds.NumTicks() {
 			t.Errorf("%s: dims %d×%d, want %d×%d", name, st.NumObjects, st.NumTicks, ds.NumObjects(), ds.NumTicks())
 		}
-		if got, want := st.IO, e.IOTotals(); got != want {
-			t.Errorf("%s: Stats().IO %+v != IOTotals %+v", name, got, want)
-		}
-		if got, want := st.IndexBytes, e.IndexBytes(); got != want {
-			t.Errorf("%s: Stats().IndexBytes %d != IndexBytes %d", name, got, want)
+		// Open starts the counters at zero, so the totals are the one
+		// query's delta.
+		if got, want := st.IO, res.IO; got != want {
+			t.Errorf("%s: Stats().IO %+v != the only query's delta %+v", name, got, want)
 		}
 		info, _ := streach.LookupBackend(name)
+		if got := st.IndexBytes > 0; got != info.DiskResident {
+			t.Errorf("%s: Stats().IndexBytes = %d, disk-resident %v", name, st.IndexBytes, info.DiskResident)
+		}
 		if info.DiskResident {
 			if !st.HasPool {
 				t.Errorf("%s: disk-resident engine reports no pool", name)
@@ -51,8 +54,8 @@ func TestEngineStatsSnapshot(t *testing.T) {
 		if name == "segmented:reachgraph" {
 			wantSegs = 3 // 300 ticks / 100-tick slabs
 		}
-		if st.Segments != wantSegs {
-			t.Errorf("%s: Segments = %d, want %d", name, st.Segments, wantSegs)
+		if st.Segments != wantSegs || len(st.SegmentDetails) != wantSegs {
+			t.Errorf("%s: Segments = %d with %d details, want %d", name, st.Segments, len(st.SegmentDetails), wantSegs)
 		}
 	}
 }
@@ -213,5 +216,78 @@ func TestLiveEngineHooks(t *testing.T) {
 		if seals[i] != want[i] {
 			t.Fatalf("seal %d span %v, want %v", i, seals[i], want[i])
 		}
+	}
+}
+
+// TestLiveSegmentDetails pins Stats().SegmentDetails on live engines,
+// unsharded and over two lanes: sealed slabs, then the tail, each summed
+// across lanes — the index bytes and I/O of the lanes' segments, the
+// pending delta depth of both copies of a cross-shard late contact — and
+// adding up to the engine's totals.
+func TestLiveSegmentDetails(t *testing.T) {
+	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 40, NumTicks: 120, Seed: 13})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		backend   string
+		wantDelta int // copies of one late contact between objects 0 and 1
+	}{{"reachgraph", 1}, {"shard:2:reachgraph", 2}} {
+		t.Run(tc.backend, func(t *testing.T) {
+			le, err := streach.NewLiveEngine(tc.backend, ds.NumObjects(), ds.Env(), ds.ContactDist(),
+				streach.Options{SegmentTicks: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedLive(t, le, ds, ds.NumTicks())
+			late := streach.ContactEvent{Tick: 10, A: 0, B: 1}
+			for le.ContactActiveAt(late.A, late.B, late.Tick) {
+				late.Tick++
+			}
+			// A lane may already hold deltas: on a sharded feed the copy of
+			// a cross-shard contact that lands after its lane sealed the
+			// instant's slab is a late add there.
+			before := le.Stats().SegmentDetails[0].DeltaEvents
+			if _, err := le.Ingest([]streach.ContactEvent{late}); err != nil {
+				t.Fatal(err)
+			}
+			for src := streach.ObjectID(0); src < 10; src++ {
+				if _, err := le.Reachable(ctx, streach.Query{Src: src, Dst: src + 20, Interval: streach.NewInterval(0, 119)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := le.Stats()
+			spans := []streach.Interval{streach.NewInterval(0, 49), streach.NewInterval(50, 99), streach.NewInterval(100, 119)}
+			if st.Segments != 3 || st.SealedSegments != 2 || len(st.SegmentDetails) != 3 {
+				t.Fatalf("%d segments (%d sealed), %d details; want 3 (2 sealed), 3", st.Segments, st.SealedSegments, len(st.SegmentDetails))
+			}
+			var sum streach.IOStats
+			var bytes int64
+			delta := 0
+			for i, s := range st.SegmentDetails {
+				if s.Span != spans[i] {
+					t.Errorf("segment %d spans %v, want %v", i, s.Span, spans[i])
+				}
+				if sealed := i < 2; sealed != (s.IndexBytes > 0) {
+					t.Errorf("segment %d: %d index bytes, sealed %v", i, s.IndexBytes, sealed)
+				}
+				sum.RandomReads += s.IO.RandomReads
+				sum.SequentialReads += s.IO.SequentialReads
+				sum.BufferHits += s.IO.BufferHits
+				bytes += s.IndexBytes
+				delta += s.DeltaEvents
+			}
+			if tail := st.SegmentDetails[2]; tail.IO != (streach.IOStats{}) || tail.DeltaEvents != 0 {
+				t.Errorf("tail %+v charged I/O or holds deltas", tail)
+			}
+			if got := st.SegmentDetails[0].DeltaEvents - before; got != tc.wantDelta || delta != st.DeltaEvents {
+				t.Errorf("the late add put %d delta events on slab 0 (all slabs %d, engine %d), want %d", got, delta, st.DeltaEvents, tc.wantDelta)
+			}
+			if sum.RandomReads != st.IO.RandomReads || sum.SequentialReads != st.IO.SequentialReads ||
+				sum.BufferHits != st.IO.BufferHits || sum.RandomReads+sum.SequentialReads+sum.BufferHits == 0 {
+				t.Errorf("per-segment I/O %+v, engine %+v; want equal and nonzero", sum, st.IO)
+			}
+			if bytes != st.IndexBytes {
+				t.Errorf("per-segment index bytes %d, engine %d", bytes, st.IndexBytes)
+			}
+		})
 	}
 }

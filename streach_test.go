@@ -216,6 +216,12 @@ func TestDeterministicGeneration(t *testing.T) {
 	}
 }
 
+// arrivalQuery is the earliest-arrival query src ⤳ dst over iv: a point
+// query with arrival tracking, whose Result carries Arrival and Hops.
+func arrivalQuery(src, dst streach.ObjectID, iv streach.Interval) streach.Query {
+	return streach.Query{Src: src, Dst: dst, Interval: iv, Semantics: streach.Semantics{TrackArrival: true}}
+}
+
 func sortIDs(s []streach.ObjectID) {
 	sort.Slice(s, func(i, k int) bool { return s[i] < s[k] })
 }
