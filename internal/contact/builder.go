@@ -37,10 +37,6 @@ func (b *Builder) NumTicks() int { return b.numTicks }
 // NumObjects returns the number of objects the builder was created for.
 func (b *Builder) NumObjects() int { return b.numObjects }
 
-// ActivePairs returns the number of distinct contact pairs active at the
-// most recently ingested instant (zero before the first instant).
-func (b *Builder) ActivePairs() int { return len(b.active) }
-
 // AddInstant ingests the contact pairs active at the next instant.
 // Contacts absent from pairs that were previously open are closed with the
 // previous instant as their validity end. Pair sets carry no positions, so

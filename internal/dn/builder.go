@@ -8,41 +8,49 @@
 package dn
 
 import (
+	"slices"
+
 	"streach/internal/contact"
 	"streach/internal/stjoin"
 	"streach/internal/trajectory"
 )
 
-// Builder constructs the reduced graph one time instant at a time.
+// Builder constructs the reduced graph one time instant at a time. A run's
+// members and in-edges are known when the run opens, so they are appended
+// to growing CSR arrays there; Graph derives the rest.
 type Builder struct {
-	g *Graph
+	numObjects int
+	numTicks   int
+	nodes      []Node
+	members    csr[trajectory.ObjectID]
+	in         csr[NodeID]
 
 	parent  []int32
 	size    []int32
-	prevRun []NodeID
+	prevRun []NodeID // each object's run at the last instant
 
-	groupOf    []int32
+	// The components of the current instant, counting-sorted by group:
+	// group gi holds flat[groupEnd[gi-1]:groupEnd[gi]], ascending.
+	groupOf    []int32 // per root, valid when its groupEpoch is epoch
 	groupEpoch []int64
 	epoch      int64
-	groups     [][]trajectory.ObjectID
-	groupRoots []int32
-	srcSet     []NodeID
+	groupEnd   []int32
+	flat       []trajectory.ObjectID
 }
 
 // NewBuilder returns a builder for numObjects objects with an empty time
 // domain.
 func NewBuilder(numObjects int) *Builder {
 	b := &Builder{
-		g: &Graph{
-			NumObjects:   numObjects,
-			runsByObject: make([][]NodeID, numObjects),
-		},
+		numObjects: numObjects,
+		members:    csr[trajectory.ObjectID]{off: []int32{0}},
+		in:         csr[NodeID]{off: []int32{0}},
 		parent:     make([]int32, numObjects),
 		size:       make([]int32, numObjects),
 		prevRun:    make([]NodeID, numObjects),
 		groupOf:    make([]int32, numObjects),
 		groupEpoch: make([]int64, numObjects),
-		srcSet:     make([]NodeID, 0, 8),
+		flat:       make([]trajectory.ObjectID, numObjects),
 	}
 	for i := range b.prevRun {
 		b.prevRun[i] = Invalid
@@ -51,17 +59,16 @@ func NewBuilder(numObjects int) *Builder {
 }
 
 // NumTicks returns the number of instants fed so far.
-func (b *Builder) NumTicks() int { return b.g.NumTicks }
+func (b *Builder) NumTicks() int { return b.numTicks }
 
 // AddInstant appends the next time instant, whose contact graph G_t has the
 // given edge set. Components unchanged since the previous instant extend
 // their run; changed components open new run nodes wired to the runs their
 // members came from.
 func (b *Builder) AddInstant(pairs []stjoin.Pair) {
-	g := b.g
-	t := trajectory.Tick(g.NumTicks)
-	g.NumTicks++
-	n := g.NumObjects
+	t := trajectory.Tick(b.numTicks)
+	b.numTicks++
+	n := b.numObjects
 	if n == 0 {
 		return
 	}
@@ -81,67 +88,53 @@ func (b *Builder) AddInstant(pairs []stjoin.Pair) {
 		b.size[ra] += b.size[rb]
 	}
 	// Group objects by root in order of first appearance: objects are
-	// scanned in ascending ID order, so groups are deterministic. A group
-	// slot keeps the member array an extended run left in it at the last
-	// instant; a slot whose array a node took holds nil.
+	// scanned in ascending ID order, so groups are deterministic. Count
+	// each group's size, turn the sizes into starts, and place the objects;
+	// each start advances to its group's end.
 	b.epoch++
-	b.groups = b.groups[:0]
-	b.groupRoots = b.groupRoots[:0]
+	b.groupEnd = b.groupEnd[:0]
 	for o := int32(0); o < int32(n); o++ {
 		r := b.find(o)
 		if b.groupEpoch[r] != b.epoch {
 			b.groupEpoch[r] = b.epoch
-			gi := len(b.groups)
-			b.groupOf[r] = int32(gi)
-			if gi < cap(b.groups) {
-				b.groups = b.groups[:gi+1]
-				b.groups[gi] = b.groups[gi][:0]
-			} else {
-				b.groups = append(b.groups, nil)
-			}
-			b.groupRoots = append(b.groupRoots, r)
+			b.groupOf[r] = int32(len(b.groupEnd))
+			b.groupEnd = append(b.groupEnd, 0)
 		}
-		gi := b.groupOf[r]
-		b.groups[gi] = append(b.groups[gi], trajectory.ObjectID(o))
+		b.groupEnd[b.groupOf[r]]++
 	}
-	for gi := range b.groups {
-		members := b.groups[gi]
+	start := int32(0)
+	for gi, size := range b.groupEnd {
+		b.groupEnd[gi] = start
+		start += size
+	}
+	for o := int32(0); o < int32(n); o++ {
+		gi := b.groupOf[b.find(o)]
+		b.flat[b.groupEnd[gi]] = trajectory.ObjectID(o)
+		b.groupEnd[gi]++
+	}
+	lo := int32(0)
+	for _, hi := range b.groupEnd {
+		members := b.flat[lo:hi]
+		lo = hi
 		r := b.prevRun[members[0]]
-		if r != Invalid && len(g.Nodes[r].Members) == len(members) && sameRun(b.prevRun, members, r) {
+		if r != Invalid && len(b.members.of(int(r))) == len(members) && sameRun(b.prevRun, members, r) {
 			// The component is unchanged: extend the run.
-			g.Nodes[r].End = t
-			continue // the member array stays in its slot for reuse
+			b.nodes[r].End = t
+			continue
 		}
 		// New run node, wired to the distinct previous runs of its members.
-		id := NodeID(len(g.Nodes))
-		node := Node{Start: t, End: t, Members: members}
-		b.srcSet = b.srcSet[:0]
+		id := NodeID(len(b.nodes))
+		b.nodes = append(b.nodes, Node{Start: t, End: t})
+		b.members.tgt = append(b.members.tgt, members...)
+		b.members.push()
+		first := len(b.in.tgt)
 		for _, m := range members {
-			pr := b.prevRun[m]
-			if pr == Invalid {
-				continue
+			if pr := b.prevRun[m]; pr != Invalid && !slices.Contains(b.in.tgt[first:], pr) {
+				b.in.tgt = append(b.in.tgt, pr)
 			}
-			dup := false
-			for _, s := range b.srcSet {
-				if s == pr {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				b.srcSet = append(b.srcSet, pr)
-			}
-		}
-		g.Nodes = append(g.Nodes, node)
-		for _, s := range b.srcSet {
-			g.Nodes[s].Out = append(g.Nodes[s].Out, id)
-			g.Nodes[id].In = append(g.Nodes[id].In, s)
-		}
-		for _, m := range members {
 			b.prevRun[m] = id
-			g.runsByObject[m] = append(g.runsByObject[m], id)
 		}
-		b.groups[gi] = nil // member slice now owned by the node
+		b.in.push()
 	}
 }
 
@@ -159,18 +152,24 @@ func (b *Builder) AppendNetwork(net *contact.Network, from trajectory.Tick) {
 	})
 }
 
-// Graph finalizes and returns the reduced graph over the instants fed so
-// far. The builder remains usable: more instants can be appended and Graph
-// called again — the paper's incremental maintenance. Long edges are not
-// carried over; call Augment on the result.
+// Graph returns the reduced graph over the instants fed so far, as an
+// exact-size snapshot that shares nothing with the builder. The builder
+// remains usable: more instants can be appended and Graph called again —
+// the paper's incremental maintenance — without changing an earlier
+// snapshot. Out-edges are the transpose of in-edges and the runs of each
+// object the transpose of members, so both come out ascending. The
+// snapshot carries no long edges; call Augment on it.
 func (b *Builder) Graph() *Graph {
-	// The returned graph aliases the builder's state; callers appending
-	// more instants will see the same underlying nodes extended, which is
-	// exactly the incremental contract. Resolutions are invalidated.
-	b.g.Resolutions = nil
-	b.g.longs = nil
-	b.g.revLongs = nil
-	return b.g
+	g := &Graph{
+		NumObjects: b.numObjects,
+		NumTicks:   b.numTicks,
+		Nodes:      slices.Clone(b.nodes),
+		members:    b.members.clone(),
+		in:         b.in.clone(),
+	}
+	g.out = transpose[NodeID](&g.in, len(g.Nodes))
+	g.runs = transpose[NodeID](&g.members, g.NumObjects)
+	return g
 }
 
 func (b *Builder) find(x int32) int32 {

@@ -1,6 +1,7 @@
 package dn
 
 import (
+	"slices"
 	"testing"
 
 	"streach/internal/contact"
@@ -69,6 +70,60 @@ func TestBuilderEmptyDomains(t *testing.T) {
 	}
 }
 
+// TestBuilderSnapshotIsStable takes a snapshot mid-stream and keeps
+// feeding the builder: the snapshot must still equal a second builder's
+// graph over the prefix alone, even where a run open at the snapshot went
+// on to be extended.
+func TestBuilderSnapshotIsStable(t *testing.T) {
+	net := rwpNetwork(30, 200, 139)
+	half := trajectory.Tick(net.NumTicks / 2)
+	b := NewBuilder(net.NumObjects)
+	feed(b, net, 0, half-1)
+	mid := b.Graph()
+	feed(b, net, half, trajectory.Tick(net.NumTicks-1))
+	full := b.Graph()
+
+	prefix := NewBuilder(net.NumObjects)
+	feed(prefix, net, 0, half-1)
+	compareGraphs(t, mid, prefix.Graph())
+	if err := mid.Validate(); err != nil {
+		t.Fatalf("snapshot invalid after feeding on: %v", err)
+	}
+	extended := 0
+	for id := range mid.Nodes {
+		if full.Nodes[id].End != mid.Nodes[id].End {
+			extended++
+		}
+	}
+	if extended == 0 {
+		t.Fatal("no run open at the snapshot was extended; the test proves nothing")
+	}
+}
+
+// TestBuildAllocations pins that Build allocates per array, not per node:
+// a graph's lists live in a fixed number of CSR arrays, so the count stays
+// far below one allocation per hundred nodes.
+func TestBuildAllocations(t *testing.T) {
+	net := rwpNetwork(400, 1000, 17)
+	g := Build(net)
+	allocs := testing.AllocsPerRun(3, func() { Build(net) })
+	if limit := float64(len(g.Nodes) / 100); allocs >= limit {
+		t.Fatalf("Build made %.0f allocations for %d nodes, want < %.0f", allocs, len(g.Nodes), limit)
+	}
+}
+
+// BenchmarkDNBuild is dn.Build alone on the benchmark's D1 shape, RWP
+// 400 × 1000: the reduction every graph index and every live seal runs
+// before its own build.
+func BenchmarkDNBuild(b *testing.B) {
+	net := rwpNetwork(400, 1000, 17)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(net)
+	}
+}
+
 func feed(b *Builder, net *contact.Network, lo, hi trajectory.Tick) {
 	net.Snapshot(lo, hi, func(_ trajectory.Tick, pairs []stjoin.Pair) bool {
 		b.AddInstant(pairs)
@@ -82,23 +137,24 @@ func compareGraphs(t *testing.T, got, want *Graph) {
 		t.Fatalf("shape mismatch: got (%d ticks, %d nodes), want (%d, %d)",
 			got.NumTicks, len(got.Nodes), want.NumTicks, len(want.Nodes))
 	}
-	for id := range want.Nodes {
-		a, b := &got.Nodes[id], &want.Nodes[id]
+	for i := range want.Nodes {
+		id, a, b := NodeID(i), &got.Nodes[i], &want.Nodes[i]
 		if a.Start != b.Start || a.End != b.End {
 			t.Fatalf("node %d span: got [%d,%d], want [%d,%d]", id, a.Start, a.End, b.Start, b.End)
 		}
-		if len(a.Members) != len(b.Members) || len(a.Out) != len(b.Out) || len(a.In) != len(b.In) {
-			t.Fatalf("node %d shape mismatch", id)
+		if !slices.Equal(got.Members(id), want.Members(id)) {
+			t.Fatalf("node %d members differ", id)
 		}
-		for i := range a.Members {
-			if a.Members[i] != b.Members[i] {
-				t.Fatalf("node %d members differ", id)
-			}
+		if !slices.Equal(got.Out(id), want.Out(id)) {
+			t.Fatalf("node %d out edges differ", id)
 		}
-		for i := range a.Out {
-			if a.Out[i] != b.Out[i] {
-				t.Fatalf("node %d out edges differ", id)
-			}
+		if !slices.Equal(got.In(id), want.In(id)) {
+			t.Fatalf("node %d in edges differ", id)
+		}
+	}
+	for o := trajectory.ObjectID(0); int(o) < want.NumObjects; o++ {
+		if !slices.Equal(got.RunsOf(o), want.RunsOf(o)) {
+			t.Fatalf("object %d runs differ", o)
 		}
 	}
 }

@@ -24,8 +24,12 @@
 // which keeps the index compact. Every level is also built in reverse,
 // aligned from the end of the time domain (reverse.go), for the backward
 // half of BM-BFS; reverse levels are composed backward on the same graph.
-// Each level of each direction is stored in CSR form: per-node offsets into
-// one array of targets, ascending per node.
+//
+// Every adjacency is stored in one form, compressed sparse rows: per-row
+// offsets into one array of entries. Run members, DN1 out- and in-edges,
+// the runs of each object and every level of long edges in each direction
+// are such arrays, so a Node is just its span and the graph holds no
+// per-node or per-object slice.
 package dn
 
 import (
@@ -45,14 +49,11 @@ type NodeID int32
 // Invalid is the null NodeID.
 const Invalid NodeID = -1
 
-// Node is one run of a connected component: the object set Members was a
-// connected component of G_t (and exactly this set) for every t in
+// Node is one run of a connected component: the object set Members(id) was
+// a connected component of G_t (and exactly this set) for every t in
 // [Start, End].
 type Node struct {
 	Start, End trajectory.Tick
-	Members    []trajectory.ObjectID // sorted ascending
-	Out        []NodeID              // successors: share a member, Start = End+1
-	In         []NodeID              // predecessors (reverse graph, stored per §5.1.3)
 }
 
 // Span returns the node's validity interval.
@@ -66,34 +67,74 @@ type Graph struct {
 	NumTicks   int
 	Nodes      []Node
 
-	// runsByObject[o] lists the nodes containing object o in ascending
-	// span order; spans of consecutive entries are adjacent and together
-	// cover [0, NumTicks).
-	runsByObject [][]NodeID
+	// members lists each node's objects, ascending.
+	members csr[trajectory.ObjectID]
+	// out lists each node's DN1 successors (they share a member and start
+	// at End+1), ascending; in lists its predecessors in the order the
+	// builder met them.
+	out, in csr[NodeID]
+	// runs lists each object's nodes in ascending span order; spans of
+	// consecutive entries are adjacent and together cover [0, NumTicks).
+	runs csr[NodeID]
 
 	// Resolutions lists the long-edge levels present, ascending (e.g.
 	// [2 4 8 16 32] for the paper's optimal HN = DN1 ∪ DN2 ∪ … ∪ DN32).
 	Resolutions []int
 	// longs[i] holds the level-Resolutions[i] targets of every node; the
 	// departure boundary is Boundary(node, L) and arrival is departure+L.
-	longs []csr
+	longs []csr[NodeID]
 	// revLongs[i] holds the level-Resolutions[i] reverse sources of every
 	// node, aligned to RevBoundary (see reverse.go).
-	revLongs []csr
+	revLongs []csr[NodeID]
 }
 
-// csr is one level of long edges in one direction: node id's edges are
-// tgt[off[id]:off[id+1]], ascending.
-type csr struct {
-	off []int32 // len(Nodes)+1
-	tgt []NodeID
+// csr is one adjacency in compressed sparse row form: row i's entries are
+// tgt[off[i]:off[i+1]]. A zero csr (a graph literal without the adjacency)
+// has no rows and reads as empty lists.
+type csr[T any] struct {
+	off []int32 // rows+1
+	tgt []T
 }
 
-// of returns the edges of node id, capped so that appending to them cannot
-// overwrite the next node's.
-func (c *csr) of(id NodeID) []NodeID {
-	lo, hi := c.off[id], c.off[id+1]
+// of returns the entries of row i, capped so that appending to them cannot
+// overwrite the next row's.
+func (c *csr[T]) of(i int) []T {
+	if len(c.off) == 0 {
+		return nil
+	}
+	lo, hi := c.off[i], c.off[i+1]
 	return c.tgt[lo:hi:hi]
+}
+
+// rows returns the number of rows.
+func (c *csr[T]) rows() int { return max(len(c.off)-1, 0) }
+
+// push closes a row holding the entries appended since the last one.
+func (c *csr[T]) push() { c.off = append(c.off, int32(len(c.tgt))) }
+
+// clone returns an exact-size copy of c.
+func (c *csr[T]) clone() csr[T] {
+	return csr[T]{off: slices.Clone(c.off), tgt: slices.Clone(c.tgt)}
+}
+
+// transpose returns the reverse relation of c as rows rows: row j lists,
+// ascending, every row i of c that holds j.
+func transpose[U, T ~int32](c *csr[T], rows int) csr[U] {
+	t := csr[U]{off: make([]int32, rows+1), tgt: make([]U, len(c.tgt))}
+	for _, j := range c.tgt {
+		t.off[j+1]++
+	}
+	for j := 0; j < rows; j++ {
+		t.off[j+1] += t.off[j]
+	}
+	next := slices.Clone(t.off[:rows])
+	for i := 0; i < c.rows(); i++ {
+		for _, j := range c.of(i) {
+			t.tgt[next[j]] = U(i)
+			next[j]++
+		}
+	}
+	return t
 }
 
 // Build reduces the contact network to its run-merged component DAG. It is
@@ -125,10 +166,10 @@ func sameRun(prevRun []NodeID, members []trajectory.ObjectID, r NodeID) bool {
 // NodeOf returns the node containing object o at tick t, or Invalid when t
 // is outside the graph's time domain.
 func (g *Graph) NodeOf(o trajectory.ObjectID, t trajectory.Tick) NodeID {
-	if int(o) < 0 || int(o) >= len(g.runsByObject) || t < 0 || int(t) >= g.NumTicks {
+	if t < 0 || int(t) >= g.NumTicks {
 		return Invalid
 	}
-	runs := g.runsByObject[o]
+	runs := g.RunsOf(o)
 	i := sort.Search(len(runs), func(i int) bool {
 		return g.Nodes[runs[i]].End >= t
 	})
@@ -144,20 +185,25 @@ func (g *Graph) NodeOf(o trajectory.ObjectID, t trajectory.Tick) NodeID {
 
 // RunsOf returns the run nodes of object o in span order.
 func (g *Graph) RunsOf(o trajectory.ObjectID) []NodeID {
-	if int(o) < 0 || int(o) >= len(g.runsByObject) {
+	if int(o) < 0 || int(o) >= g.runs.rows() {
 		return nil
 	}
-	return g.runsByObject[o]
+	return g.runs.of(int(o))
 }
 
+// Members returns the objects of node id, ascending.
+func (g *Graph) Members(id NodeID) []trajectory.ObjectID { return g.members.of(int(id)) }
+
+// Out returns the DN1 successors of node id, ascending: the runs starting
+// at End(id)+1 that share a member with it.
+func (g *Graph) Out(id NodeID) []NodeID { return g.out.of(int(id)) }
+
+// In returns the DN1 predecessors of node id: the runs ending at
+// Start(id)−1 that share a member with it.
+func (g *Graph) In(id NodeID) []NodeID { return g.in.of(int(id)) }
+
 // NumEdges returns the number of DN1 (forward) edges.
-func (g *Graph) NumEdges() int64 {
-	var e int64
-	for i := range g.Nodes {
-		e += int64(len(g.Nodes[i].Out))
-	}
-	return e
-}
+func (g *Graph) NumEdges() int64 { return int64(len(g.out.tgt)) }
 
 // Boundary returns the departure time of node id's long edges at resolution
 // L: the unique multiple of L in (End−L, End]. The second return value is
@@ -191,7 +237,7 @@ func (g *Graph) levelIndex(L int) int {
 // is that plus L.
 func (g *Graph) LongOut(id NodeID, L int) []NodeID {
 	if li := g.levelIndex(L); li >= 0 {
-		return g.longs[li].of(id)
+		return g.longs[li].of(int(id))
 	}
 	return nil
 }
@@ -209,7 +255,7 @@ func (g *Graph) Augment(resolutions []int) error {
 	}
 	g.Resolutions, g.longs, g.revLongs = nil, nil, nil
 	c := composer{g: g, mark: make([]uint32, len(g.Nodes))}
-	var prev, prevRev *csr
+	var prev, prevRev *csr[NodeID]
 	for _, L := range resolutions {
 		fwd, rev := c.level(L, false, prev), c.level(L, true, prevRev)
 		g.Resolutions = append(g.Resolutions, L)
@@ -235,9 +281,9 @@ type composer struct {
 // departs at its Boundary and the hops go forward in time; reverse (back),
 // it is reached at its RevBoundary and the hops go backward from there, so
 // the targets are the nodes that deliver to it L ticks earlier.
-func (c *composer) level(L int, back bool, prev *csr) csr {
+func (c *composer) level(L int, back bool, prev *csr[NodeID]) csr[NodeID] {
 	g := c.g
-	out := csr{off: make([]int32, len(g.Nodes)+1)}
+	out := csr[NodeID]{off: make([]int32, len(g.Nodes)+1)}
 	h := trajectory.Tick(L / 2)
 	if back {
 		h = -h
@@ -312,14 +358,14 @@ func (c *composer) holds(v NodeID, t, h trajectory.Tick) bool {
 
 // hop returns v's edges in level, or its DN1 edges in the direction of
 // travel (h < 0 going backward) when level is nil.
-func (c *composer) hop(v NodeID, level *csr, h trajectory.Tick) []NodeID {
+func (c *composer) hop(v NodeID, level *csr[NodeID], h trajectory.Tick) []NodeID {
 	switch {
 	case level != nil:
-		return level.of(v)
+		return level.of(int(v))
 	case h < 0:
-		return c.g.Nodes[v].In
+		return c.g.In(v)
 	default:
-		return c.g.Nodes[v].Out
+		return c.g.Out(v)
 	}
 }
 
@@ -365,41 +411,41 @@ func (g *Graph) AvgDegree(L int) (avg float64, nodes int) {
 // are mutually consistent.
 func (g *Graph) Validate() error {
 	for id := range g.Nodes {
-		nd := &g.Nodes[id]
+		u, nd := NodeID(id), &g.Nodes[id]
 		if nd.Start > nd.End {
 			return fmt.Errorf("dn: node %d has inverted span [%d, %d]", id, nd.Start, nd.End)
 		}
-		if !sort.SliceIsSorted(nd.Members, func(i, k int) bool { return nd.Members[i] < nd.Members[k] }) {
+		if !slices.IsSorted(g.Members(u)) {
 			return fmt.Errorf("dn: node %d members unsorted", id)
 		}
-		for _, v := range nd.Out {
-			if v <= NodeID(id) {
+		for _, v := range g.Out(u) {
+			if v <= u {
 				return fmt.Errorf("dn: edge %d→%d violates topological ID order", id, v)
 			}
 			if g.Nodes[v].Start != nd.End+1 {
 				return fmt.Errorf("dn: edge %d→%d spans not adjacent", id, v)
 			}
-			if !shareMember(nd.Members, g.Nodes[v].Members) {
+			if !shareMember(g.Members(u), g.Members(v)) {
 				return fmt.Errorf("dn: edge %d→%d without shared member", id, v)
 			}
-			if !containsNode(g.Nodes[v].In, NodeID(id)) {
+			if !slices.Contains(g.In(v), u) {
 				return fmt.Errorf("dn: edge %d→%d missing from In list", id, v)
 			}
 		}
-		for _, u := range nd.In {
-			if !containsNode(g.Nodes[u].Out, NodeID(id)) {
-				return fmt.Errorf("dn: reverse edge %d→%d missing from Out list", u, id)
+		for _, w := range g.In(u) {
+			if !slices.Contains(g.Out(w), u) {
+				return fmt.Errorf("dn: reverse edge %d→%d missing from Out list", w, id)
 			}
 		}
 	}
-	for o, runs := range g.runsByObject {
+	for o := 0; o < g.runs.rows(); o++ {
 		expect := trajectory.Tick(0)
-		for _, id := range runs {
+		for _, id := range g.RunsOf(trajectory.ObjectID(o)) {
 			nd := &g.Nodes[id]
 			if nd.Start != expect {
 				return fmt.Errorf("dn: object %d runs leave gap before tick %d", o, nd.Start)
 			}
-			if !containsObject(nd.Members, trajectory.ObjectID(o)) {
+			if !containsObject(g.Members(id), trajectory.ObjectID(o)) {
 				return fmt.Errorf("dn: object %d not a member of its run %d", o, id)
 			}
 			expect = nd.End + 1
@@ -421,15 +467,6 @@ func shareMember(a, b []trajectory.ObjectID) bool {
 			i++
 		default:
 			k++
-		}
-	}
-	return false
-}
-
-func containsNode(s []NodeID, v NodeID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
 		}
 	}
 	return false

@@ -36,7 +36,7 @@ func TestBuildFigure1(t *testing.T) {
 		t.Fatal("no node for object 0 at tick 2")
 	}
 	nd := g.Nodes[merged]
-	if nd.Start != 2 || nd.End != 3 || len(nd.Members) != 2 {
+	if nd.Start != 2 || nd.End != 3 || len(g.Members(merged)) != 2 {
 		t.Fatalf("merged run = %+v", nd)
 	}
 	if g.NodeOf(1, 3) != merged {
@@ -47,7 +47,7 @@ func TestBuildFigure1(t *testing.T) {
 	src := g.NodeOf(0, 0)
 	big := g.NodeOf(3, 1)
 	found := false
-	for _, v := range g.Nodes[src].Out {
+	for _, v := range g.Out(src) {
 		if v == big {
 			found = true
 		}
@@ -56,12 +56,12 @@ func TestBuildFigure1(t *testing.T) {
 		t.Error("missing edge {0,1}@0 → {1,2,3}@1")
 	}
 	back := g.NodeOf(3, 0) // {3}@[0,0]
-	for _, v := range g.Nodes[back].Out {
+	for _, v := range g.Out(back) {
 		if v != big {
 			t.Errorf("unexpected edge from {3}@0 to node %d", v)
 		}
 	}
-	if containsObject(g.Nodes[big].Members, 0) {
+	if containsObject(g.Members(big), 0) {
 		t.Error("{1,2,3}@1 must not contain object 0")
 	}
 }
@@ -88,11 +88,11 @@ func TestBuildNoContacts(t *testing.T) {
 	if len(g.Nodes) != 3 {
 		t.Fatalf("nodes = %d, want 3", len(g.Nodes))
 	}
-	for _, nd := range g.Nodes {
-		if nd.Start != 0 || nd.End != 4 || len(nd.Members) != 1 {
+	for id, nd := range g.Nodes {
+		if nd.Start != 0 || nd.End != 4 || len(g.Members(NodeID(id))) != 1 {
 			t.Fatalf("singleton run = %+v", nd)
 		}
-		if len(nd.Out) != 0 || len(nd.In) != 0 {
+		if len(g.Out(NodeID(id))) != 0 || len(g.In(NodeID(id))) != 0 {
 			t.Fatal("no edges expected")
 		}
 	}
@@ -129,14 +129,14 @@ func TestBuildInvariantsOnRandomNetworks(t *testing.T) {
 		// Property 5.1 (snapshot symmetry): each node's member set is a
 		// connected component of G_t at every covered tick.
 		for id := range g.Nodes {
-			nd := &g.Nodes[id]
+			nd, members := &g.Nodes[id], g.Members(NodeID(id))
 			for tk := nd.Start; tk <= nd.End; tk++ {
-				comp := componentOf(net, nd.Members[0], tk)
-				if len(comp) != len(nd.Members) {
+				comp := componentOf(net, members[0], tk)
+				if len(comp) != len(members) {
 					t.Fatalf("node %d at tick %d: component size %d, members %d",
-						id, tk, len(comp), len(nd.Members))
+						id, tk, len(comp), len(members))
 				}
-				for _, m := range nd.Members {
+				for _, m := range members {
 					if !comp[m] {
 						t.Fatalf("node %d at tick %d: member %d outside component", id, tk, m)
 					}
@@ -146,8 +146,8 @@ func TestBuildInvariantsOnRandomNetworks(t *testing.T) {
 		// Runs are maximal: a node's predecessor-successor structure never
 		// links two nodes with identical member sets back to back.
 		for id := range g.Nodes {
-			for _, v := range g.Nodes[id].Out {
-				if equalMembers(g.Nodes[id].Members, g.Nodes[v].Members) {
+			for _, v := range g.Out(NodeID(id)) {
+				if equalMembers(g.Members(NodeID(id)), g.Members(v)) {
 					t.Fatalf("nodes %d→%d have identical members; run not maximal", id, v)
 				}
 			}
@@ -200,7 +200,7 @@ func TestNodeOfExhaustive(t *testing.T) {
 				t.Fatalf("NodeOf(%d, %d) = Invalid", o, tk)
 			}
 			nd := g.Nodes[id]
-			if !nd.Span().Contains(tk) || !containsObject(nd.Members, o) {
+			if !nd.Span().Contains(tk) || !containsObject(g.Members(id), o) {
 				t.Fatalf("NodeOf(%d, %d) = node %d %+v", o, tk, id, nd)
 			}
 		}
@@ -300,15 +300,15 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal("node counts differ between builds")
 	}
 	for i := range g1.Nodes {
-		a, b := g1.Nodes[i], g2.Nodes[i]
-		if a.Start != b.Start || a.End != b.End || !equalMembers(a.Members, b.Members) {
+		id, a, b := NodeID(i), g1.Nodes[i], g2.Nodes[i]
+		if a.Start != b.Start || a.End != b.End || !equalMembers(g1.Members(id), g2.Members(id)) {
 			t.Fatalf("node %d differs between builds", i)
 		}
-		if len(a.Out) != len(b.Out) {
+		if len(g1.Out(id)) != len(g2.Out(id)) {
 			t.Fatalf("node %d out-degree differs", i)
 		}
-		for k := range a.Out {
-			if a.Out[k] != b.Out[k] {
+		for k, v := range g1.Out(id) {
+			if v != g2.Out(id)[k] {
 				t.Fatalf("node %d edge %d differs", i, k)
 			}
 		}
@@ -324,6 +324,27 @@ func TestRunsOf(t *testing.T) {
 	if g.RunsOf(99) != nil || g.RunsOf(-1) != nil {
 		t.Error("out-of-range RunsOf should be nil")
 	}
+}
+
+// TestViewsAreNotWritePaths appends to every list the graph hands out:
+// each is a capped view of a shared array, so the append must copy rather
+// than overwrite the next node's or object's entries.
+func TestViewsAreNotWritePaths(t *testing.T) {
+	net := rwpNetwork(30, 200, 143)
+	g := Build(net)
+	for i := range g.Nodes {
+		id := NodeID(i)
+		_ = append(g.Members(id), 0)
+		_ = append(g.Out(id), 0)
+		_ = append(g.In(id), 0)
+	}
+	for o := trajectory.ObjectID(0); int(o) < g.NumObjects; o++ {
+		_ = append(g.RunsOf(o), 0)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("graph invalid after appends to its views: %v", err)
+	}
+	compareGraphs(t, g, Build(net))
 }
 
 func TestStatsOnFigure1WithAugment(t *testing.T) {

@@ -28,11 +28,11 @@ func bruteHop(g *Graph, u NodeID, t trajectory.Tick, steps int, back bool) []Nod
 			case !back && nd.End > t, back && nd.Start < t:
 				next[v] = true // the span goes on
 			case back:
-				for _, w := range nd.In {
+				for _, w := range g.In(v) {
 					next[w] = true
 				}
 			default:
-				for _, w := range nd.Out {
+				for _, w := range g.Out(v) {
 					next[w] = true
 				}
 			}

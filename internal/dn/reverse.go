@@ -1,4 +1,4 @@
-// Reverse long edges and the reference backward walk.
+// Reverse long edges.
 //
 // BM-BFS (§5.2) traverses HN backward from the query destination. For the
 // backward sweep to take long edges with the same completeness guarantee as
@@ -10,12 +10,7 @@
 // span starts for span ends, RevBoundary for Boundary.
 package dn
 
-import (
-	"sort"
-
-	"streach/internal/contact"
-	"streach/internal/trajectory"
-)
+import "streach/internal/trajectory"
 
 // LongIn returns the level-L reverse sources of node id, ascending: nodes u
 // such that an item in u's component at RevBoundary(id, L) − L reaches id's
@@ -23,7 +18,7 @@ import (
 // reverse edges.
 func (g *Graph) LongIn(id NodeID, L int) []NodeID {
 	if li := g.levelIndex(L); li >= 0 {
-		return g.revLongs[li].of(id)
+		return g.revLongs[li].of(int(id))
 	}
 	return nil
 }
@@ -45,59 +40,4 @@ func (g *Graph) RevBoundary(id NodeID, L int) (trajectory.Tick, bool) {
 		return 0, false
 	}
 	return tb, true
-}
-
-// ReverseReach is the backward propagation primitive over the reduced
-// graph: walking DN1 in-edges in reverse time order from the runs of the
-// seed objects at iv.Hi, it returns every object that, holding an item at
-// iv.Lo, delivers it to some seed by iv.Hi (the deliverer set; seeds
-// included when the interval overlaps the time domain), sorted ascending.
-// An in-edge u ← v means u is the adjacent run ending at Start(v)−1 that
-// shares a member with v, so any member of u holding the item within u's
-// span hands it to v's component, and by induction to a seed. A run
-// starting at or before iv.Lo is not expanded further — its predecessors
-// end before the interval.
-//
-// ReverseReach allocates its own scratch per call (it is the reference
-// implementation; the reachgraph engines run the same walk on pooled,
-// epoch-stamped state).
-func (g *Graph) ReverseReach(seeds []trajectory.ObjectID, iv contact.Interval) []trajectory.ObjectID {
-	iv = iv.Intersect(contact.Interval{Lo: 0, Hi: trajectory.Tick(g.NumTicks - 1)})
-	if iv.Len() == 0 {
-		return nil
-	}
-	visited := make([]bool, len(g.Nodes))
-	var queue []NodeID
-	for _, o := range seeds {
-		id := g.NodeOf(o, iv.Hi)
-		if id == Invalid || visited[id] {
-			continue
-		}
-		visited[id] = true
-		queue = append(queue, id)
-	}
-	delivers := make(map[trajectory.ObjectID]bool)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		nd := &g.Nodes[id]
-		for _, m := range nd.Members {
-			delivers[m] = true
-		}
-		if nd.Start <= iv.Lo {
-			continue
-		}
-		for _, u := range nd.In {
-			if !visited[u] {
-				visited[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	out := make([]trajectory.ObjectID, 0, len(delivers))
-	for o := range delivers {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
-	return out
 }

@@ -91,7 +91,7 @@ func (m *Mem) ReachCounted(ctx context.Context, q queries.Query) (bool, int, err
 		if cur == v {
 			return true, sc.visits, nil
 		}
-		for _, c := range m.g.Nodes[cur].Out {
+		for _, c := range m.g.Out(cur) {
 			if !sc.visited.Has(int(c)) && m.labels.MayReach(c, v) {
 				sc.visited.Visit(int(c))
 				sc.visits++
@@ -185,8 +185,9 @@ func NewDisk(g *dn.Graph, d int, seed int64, poolPages int, pool *pagefile.Buffe
 				enc.Int32(lo)
 				enc.Int32(hi)
 			}
-			enc.Uint32(uint32(len(g.Nodes[id].Out)))
-			for _, c := range g.Nodes[id].Out {
+			out := g.Out(id)
+			enc.Uint32(uint32(len(out)))
+			for _, c := range out {
 				enc.Int32(int32(c))
 			}
 		}
@@ -196,7 +197,7 @@ func NewDisk(g *dn.Graph, d int, seed int64, poolPages int, pool *pagefile.Buffe
 	// Pack vertices into page-sized blobs in generation order.
 	budget := 0
 	for id := range g.Nodes {
-		recSize := 4 + 8*d + 4 + 4*len(g.Nodes[id].Out)
+		recSize := 4 + 8*d + 4 + 4*len(g.Out(dn.NodeID(id)))
 		if budget+recSize > pagefile.PageSize-64 && len(pending) > 0 {
 			flush()
 			budget = 0

@@ -40,7 +40,7 @@ func BuildLabels(g *dn.Graph, d int, seed int64) (*Labels, error) {
 
 	roots := make([]dn.NodeID, 0, 64)
 	for id := range g.Nodes {
-		if len(g.Nodes[id].In) == 0 {
+		if len(g.In(dn.NodeID(id))) == 0 {
 			roots = append(roots, dn.NodeID(id))
 		}
 	}
@@ -77,7 +77,7 @@ func BuildLabels(g *dn.Graph, d int, seed int64) (*Labels, error) {
 					lo[f.id] = rank
 					rank++
 					state[f.id] = 2
-					for _, c := range g.Nodes[f.id].Out {
+					for _, c := range g.Out(f.id) {
 						if lo[c] < lo[f.id] {
 							lo[f.id] = lo[c]
 						}
@@ -89,7 +89,7 @@ func BuildLabels(g *dn.Graph, d int, seed int64) (*Labels, error) {
 				}
 				state[f.id] = 1
 				stack = append(stack, frame{f.id, false})
-				children = append(children[:0], g.Nodes[f.id].Out...)
+				children = append(children[:0], g.Out(f.id)...)
 				rng.Shuffle(len(children), func(i, k int) {
 					children[i], children[k] = children[k], children[i]
 				})
@@ -136,7 +136,7 @@ func (l *Labels) Validate(g *dn.Graph) error {
 			if l.hi[pass][id] <= 0 {
 				return fmt.Errorf("grail: pass %d left vertex %d unranked", pass, id)
 			}
-			for _, c := range g.Nodes[id].Out {
+			for _, c := range g.Out(dn.NodeID(id)) {
 				if !l.Contains(pass, dn.NodeID(id), c) {
 					return fmt.Errorf("grail: pass %d edge %d→%d violates containment", pass, id, c)
 				}

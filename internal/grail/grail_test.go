@@ -67,7 +67,7 @@ func TestContainmentSound(t *testing.T) {
 	reach := make([]map[dn.NodeID]bool, n)
 	for id := n - 1; id >= 0; id-- {
 		r := map[dn.NodeID]bool{}
-		for _, c := range g.Nodes[id].Out {
+		for _, c := range g.Out(dn.NodeID(id)) {
 			r[c] = true
 			for w := range reach[c] {
 				r[w] = true

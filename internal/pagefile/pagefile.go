@@ -200,7 +200,6 @@ type Store struct {
 	sequentialReads atomic.Int64
 	bufferHits      atomic.Int64
 	pagesWritten    atomic.Int64
-	payloadBytes    atomic.Int64
 }
 
 // NewStore returns an empty store whose reads go through a private buffer
@@ -263,11 +262,6 @@ func (st *Store) NumPages() int64 {
 
 // SizeBytes returns the total on-disk size.
 func (st *Store) SizeBytes() int64 { return st.NumPages() * PageSize }
-
-// PayloadBytes returns the bytes actually occupied by blobs (headers
-// included) — SizeBytes minus page-packing slack. PayloadBytes/NumPages
-// is the page utilization the codec ablation reports as bytes_per_page.
-func (st *Store) PayloadBytes() int64 { return st.payloadBytes.Load() }
 
 // DropCache evicts this store's pages from the buffer pool (e.g. between
 // measured queries) without touching the I/O counters. Pages of other
@@ -360,7 +354,6 @@ func (st *Store) allocExtent(n int) []byte {
 func (st *Store) AppendBlob(data []byte) BlobRef {
 	size := blobHeaderSize + len(data)
 	sum := crc32.Checksum(data, castagnoli)
-	st.payloadBytes.Add(int64(size))
 
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -65,8 +65,8 @@ func wantLongs(g *dn.Graph, partOf []int32, edgesOf func(L int) []dn.NodeID) []l
 func graphRecord(g *dn.Graph, partOf []int32, id dn.NodeID) *vertexRec {
 	nd := &g.Nodes[id]
 	return &vertexRec{
-		id: id, start: nd.Start, end: nd.End, members: nd.Members,
-		out: wantEdges(nd.Out, partOf), in: wantEdges(nd.In, partOf),
+		id: id, start: nd.Start, end: nd.End, members: g.Members(id),
+		out: wantEdges(g.Out(id), partOf), in: wantEdges(g.In(id), partOf),
 		longOut: wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
 		longIn:  wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
 	}

@@ -7,9 +7,10 @@
 //
 // Mem holds nothing but the graph. A query's record is one scratch-owned
 // vertexRec, refilled at every visit (memAccess): its members and edge
-// lists are the graph's own slices, its long-edge levels a buffer reused
-// from visit to visit, so there is no second copy of the graph and no build
-// phase beyond augmentation. Every piece of traversal state comes from the
+// lists are views of the graph's CSR arrays (Members, Out, In, LongOut,
+// LongIn), its long-edge levels a buffer reused from visit to visit, so
+// there is no second copy of the graph and no build phase beyond
+// augmentation. Every piece of traversal state comes from the
 // pooled scratch, so steady-state point queries perform zero heap
 // allocations (asserted by TestHotpathSteadyStateAllocs at the module
 // root).
@@ -62,7 +63,7 @@ func (a *memAccess) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
 		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
 	}
 	nd, r := &g.Nodes[id], &a.rec
-	r.id, r.start, r.end, r.members = id, nd.Start, nd.End, nd.Members
+	r.id, r.start, r.end, r.members = id, nd.Start, nd.End, g.Members(id)
 	return r, nil
 }
 
@@ -70,10 +71,10 @@ func (a *memAccess) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
 func (a *memAccess) need(v *vertexRec, want uint8) error {
 	g, id := a.m.g, v.id
 	if want&secOut != 0 {
-		v.out = edgeList{nodes: g.Nodes[id].Out}
+		v.out = edgeList{nodes: g.Out(id)}
 	}
 	if want&secIn != 0 {
-		v.in = edgeList{nodes: g.Nodes[id].In}
+		v.in = edgeList{nodes: g.In(id)}
 	}
 	if want&secLongOut != 0 {
 		v.longOut = v.longOut[:0]

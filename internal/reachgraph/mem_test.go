@@ -34,7 +34,7 @@ func TestMemRecordsAliasGraph(t *testing.T) {
 		if v.id != id || v.start != nd.Start || v.end != nd.End {
 			t.Fatalf("vertex %d: record of %d over [%d, %d], graph [%d, %d]", id, v.id, v.start, v.end, nd.Start, nd.End)
 		}
-		if len(v.members) != len(nd.Members) || unsafe.SliceData(v.members) != unsafe.SliceData(nd.Members) {
+		if members := f.g.Members(id); len(v.members) != len(members) || unsafe.SliceData(v.members) != unsafe.SliceData(members) {
 			t.Fatalf("vertex %d: members are not the graph's", id)
 		}
 		aliased := func(what string, got edgeList, want []dn.NodeID) {
@@ -46,8 +46,8 @@ func TestMemRecordsAliasGraph(t *testing.T) {
 				t.Fatalf("vertex %d: %s edges are not the graph's", id, what)
 			}
 		}
-		aliased("out", v.out, nd.Out)
-		aliased("in", v.in, nd.In)
+		aliased("out", v.out, f.g.Out(id))
+		aliased("in", v.in, f.g.In(id))
 		for _, dir := range []struct {
 			what   string
 			levels []levelEdges

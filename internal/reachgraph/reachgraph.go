@@ -202,7 +202,7 @@ func partition(g *dn.Graph, depth int) (partOf []int32, parts [][]dn.NodeID) {
 			if it.d == depth {
 				continue
 			}
-			for _, v := range g.Nodes[it.id].Out {
+			for _, v := range g.Out(it.id) {
 				if partOf[v] >= 0 {
 					continue
 				}

@@ -116,9 +116,9 @@ func encodeVertex(enc *pagefile.Encoder, g *dn.Graph, id dn.NodeID, partOf []int
 	nd := &g.Nodes[id]
 	enc.Uvarint(uint64(nd.Start))
 	enc.Uvarint(uint64(nd.End - nd.Start)) // End ≥ Start
-	encodeMembersDelta(enc, nd.Members)
-	encodeEdges(enc, nd.Out, partOf)
-	encodeEdges(enc, nd.In, partOf)
+	encodeMembersDelta(enc, g.Members(id))
+	encodeEdges(enc, g.Out(id), partOf)
+	encodeEdges(enc, g.In(id), partOf)
 	// Long edges, ascending resolution; only levels with targets.
 	encodeLongs(enc, partOf, g.Resolutions, func(L int) []dn.NodeID { return g.LongOut(id, L) })
 	encodeLongs(enc, partOf, g.Resolutions, func(L int) []dn.NodeID { return g.LongIn(id, L) })
