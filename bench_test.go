@@ -146,7 +146,6 @@ func benchmarkQuery(b *testing.B, backend string) {
 
 func BenchmarkReachGridQuery(b *testing.B)       { benchmarkQuery(b, "reachgrid") }
 func BenchmarkReachGraphQueryBMBFS(b *testing.B) { benchmarkQuery(b, "reachgraph") }
-func BenchmarkReachGraphQueryEDFS(b *testing.B)  { benchmarkQuery(b, "reachgraph-edfs") }
 
 func BenchmarkOracleQuery(b *testing.B) {
 	microSetup(b)

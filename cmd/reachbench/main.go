@@ -7,13 +7,15 @@
 //	reachbench -exp fig13,table5b      # selected artifacts
 //	reachbench -list                   # available experiment ids
 //	reachbench -exp fig14 -queries 200 -ticks 4000 -scale large
-//	reachbench -exp backends -backends reachgrid,reachgraph,grail
+//	reachbench -exp backends -backends reachgrid,reachgraph
 //
 // Each experiment prints a table whose rows mirror the series of the paper
 // artifact, with a footnote quoting the paper-reported numbers for
-// comparison. Query evaluators are drawn from the public backend registry
-// (streach.Backends); the "backends" experiment sweeps every registered
-// backend, restricted by the -backends flag.
+// comparison. The system's evaluators are drawn from the public backend
+// registry (streach.Backends); the §6 baselines (SPJ, GRAIL, B-BFS, E-BFS,
+// E-DFS) are built by the lab itself and appear in spj, fig13, table5a,
+// table5b and ablation-bidir. The "backends" experiment sweeps every
+// registered backend, restricted by the -backends flag.
 //
 // The tables reproduce the paper. How this repository's performance moves
 // from commit to commit is measured by benchmark/ (see BENCHMARK.json).

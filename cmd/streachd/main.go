@@ -80,7 +80,6 @@ func main() {
 		PoolPages:     *poolPages,
 		IngestHorizon: *ingestHorizon,
 		CompactEvents: *compactEvents,
-		Seed:          *seed,
 	}
 
 	var eng streach.Engine

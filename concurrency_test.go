@@ -167,7 +167,7 @@ func TestBatchThroughputScales(t *testing.T) {
 		}
 		return best
 	}
-	for _, name := range []string{"reachgraph-mem", "grail-mem", "oracle"} {
+	for _, name := range []string{"reachgraph-mem", "oracle"} {
 		e, err := streach.Open(name, ds, streach.Options{})
 		if err != nil {
 			t.Fatal(err)

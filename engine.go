@@ -1,9 +1,9 @@
 // The unified engine API: every query evaluator in the package — the two
-// paper indexes, the baselines of §6 and the ground-truth oracle — is
-// obtainable from a backend registry under a stable name and satisfies one
-// Engine interface. Engines answer queries with typed Results carrying the
-// per-query I/O delta, wall latency and expansion counters, replacing the
-// mutable IOStats()/ResetStats() measurement pattern for serving-style use.
+// paper indexes and the ground-truth oracle — is obtainable from a backend
+// registry under a stable name and satisfies one Engine interface. Engines
+// answer queries with typed Results carrying the per-query I/O delta, wall
+// latency and expansion counters, replacing the mutable
+// IOStats()/ResetStats() measurement pattern for serving-style use.
 
 package streach
 
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"streach/internal/dn"
-	"streach/internal/grail"
 	"streach/internal/pagefile"
 	"streach/internal/queries"
 	"streach/internal/reachgraph"
@@ -48,10 +47,9 @@ type Engine interface {
 	// reports which path answered).
 	Reachable(ctx context.Context, q Query) (Result, error)
 	// ReachableSet returns every object reachable from src during iv
-	// (including src when the interval overlaps the time domain). The
-	// returned slice is sorted ascending and free of duplicates for every
-	// backend. Backends without a native set primitive answer with one
-	// point query per candidate object, honouring ctx between candidates.
+	// (including src when the interval overlaps the time domain), by one
+	// forward sweep of the backend's core. The returned slice is sorted
+	// ascending and free of duplicates for every backend.
 	ReachableSet(ctx context.Context, src ObjectID, iv Interval) (SetResult, error)
 	// TopKReachable returns the k objects (src excluded) reachable from
 	// src during iv that receive the item with the highest decayed weight
@@ -138,7 +136,7 @@ var (
 // Source is a data source an engine can be opened from: a *Dataset (full
 // trajectory archive) or a *ContactNetwork (pre-extracted contacts, e.g. a
 // LiveEngine snapshot). Graph-based backends accept either; ReachGrid
-// and SPJ index raw trajectories and need a *Dataset.
+// indexes raw trajectories and needs a *Dataset.
 type Source interface {
 	sourceDataset() *Dataset
 	sourceContacts() *ContactNetwork
@@ -176,11 +174,9 @@ type Options struct {
 	// concurrent readers).
 	Pool *BufferPool
 
-	// CellSize is the ReachGrid spatial resolution RS in metres
-	// (reachgrid, spj).
+	// CellSize is the ReachGrid spatial resolution RS in metres.
 	CellSize float64
-	// BucketTicks is the ReachGrid temporal resolution RT in instants
-	// (reachgrid, spj).
+	// BucketTicks is the ReachGrid temporal resolution RT in instants.
 	BucketTicks int
 
 	// PartitionDepth is the ReachGraph partition depth dp.
@@ -188,9 +184,6 @@ type Options struct {
 	// Resolutions lists the ReachGraph long-edge levels (ascending powers
 	// of two); nil selects {2, 4, 8, 16, 32}.
 	Resolutions []int
-
-	// Seed seeds GRAIL's randomized labelling.
-	Seed int64
 
 	// SegmentTicks is the time-slab width of the segmented backends
 	// ("segmented:<name>") and of LiveEngine: the time axis is split into
@@ -263,19 +256,9 @@ func defaultResolutions(res []int) []int {
 	return res
 }
 
-// grailPasses is the GRAIL label count d.
-const grailPasses = 5
-
-// leaves holds the index backends — the names a composed name bottoms out
-// in — and aliases the accepted alternate spellings, applied at every level
-// of a composed name.
-var (
-	leaves  = leafSpecs()
-	aliases = map[string]string{
-		"reachgraph-bmbfs": "reachgraph",
-		"grail-disk":       "grail",
-	}
-)
+// leaves holds the index backends: the names a composed name bottoms out
+// in.
+var leaves = leafSpecs()
 
 func leafSpecs() map[string]backendSpec {
 	specs := map[string]backendSpec{}
@@ -288,47 +271,33 @@ func leafSpecs() map[string]backendSpec {
 		DiskResident:      true,
 		NeedsTrajectories: true,
 	}, func(src Source, opts Options) (core, error) {
-		ix, err := buildGridIndex(src, opts)
+		ix, err := reachgrid.Build(src.sourceDataset().d, reachgrid.Params{
+			CellSize:    opts.CellSize,
+			BucketTicks: opts.BucketTicks,
+			PoolPages:   opts.PoolPages,
+			Pool:        opts.Pool,
+		})
 		if err != nil {
 			return nil, err
 		}
 		return gridCore{onDisk(ix.Store()), ix}, nil
 	})
 	register(BackendInfo{
-		Name:              "spj",
-		Description:       "naive spatiotemporal-join pipeline over the ReachGrid layout (§6.1.2)",
-		DiskResident:      true,
-		NeedsTrajectories: true,
+		Name:         "reachgraph",
+		Description:  "disk-partitioned contact-network DAG, BM-BFS traversal (§5)",
+		DiskResident: true,
 	}, func(src Source, opts Options) (core, error) {
-		ix, err := buildGridIndex(src, opts)
+		ix, err := reachgraph.Build(dn.Build(src.sourceContacts().net), reachgraph.Params{
+			PartitionDepth: opts.PartitionDepth,
+			Resolutions:    opts.Resolutions,
+			PoolPages:      opts.PoolPages,
+			Pool:           opts.Pool,
+		})
 		if err != nil {
 			return nil, err
 		}
-		return spjCore{diskIO: onDisk(ix.Store()), ix: ix}, nil
+		return graphCore{onDisk(ix.Store()), ix}, nil
 	})
-	for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
-		name := "reachgraph"
-		if s != BMBFS {
-			name += "-" + strings.ToLower(strings.ReplaceAll(s.String(), "-", ""))
-		}
-		strat := s
-		register(BackendInfo{
-			Name:         name,
-			Description:  fmt.Sprintf("disk-partitioned contact-network DAG, %s traversal (§5)", strat),
-			DiskResident: true,
-		}, func(src Source, opts Options) (core, error) {
-			ix, err := reachgraph.Build(dn.Build(src.sourceContacts().net), reachgraph.Params{
-				PartitionDepth: opts.PartitionDepth,
-				Resolutions:    opts.Resolutions,
-				PoolPages:      opts.PoolPages,
-				Pool:           opts.Pool,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return graphCore{onDisk(ix.Store()), ix, strat}, nil
-		})
-	}
 	register(BackendInfo{
 		Name:        "reachgraph-mem",
 		Description: "memory-resident ReachGraph, BM-BFS traversal (§6.4)",
@@ -340,27 +309,6 @@ func leafSpecs() map[string]backendSpec {
 		return graphMemCore{m: m}, nil
 	})
 	register(BackendInfo{
-		Name:         "grail",
-		Description:  "GRAIL interval labelling, disk-resident adaptation (§6.4)",
-		DiskResident: true,
-	}, func(src Source, opts Options) (core, error) {
-		dk, err := grail.NewDisk(dn.Build(src.sourceContacts().net), grailPasses, opts.Seed, opts.PoolPages, opts.Pool)
-		if err != nil {
-			return nil, err
-		}
-		return grailDiskCore{diskIO: onDisk(dk.Store()), dk: dk}, nil
-	})
-	register(BackendInfo{
-		Name:        "grail-mem",
-		Description: "GRAIL interval labelling, memory-resident (§6.4)",
-	}, func(src Source, opts Options) (core, error) {
-		m, err := grail.NewMem(dn.Build(src.sourceContacts().net), grailPasses, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return grailMemCore{m: m}, nil
-	})
-	register(BackendInfo{
 		Name:        "oracle",
 		Description: "brute-force propagation simulation, the ground truth (§3.2)",
 	}, func(src Source, opts Options) (core, error) {
@@ -369,23 +317,13 @@ func leafSpecs() map[string]backendSpec {
 	return specs
 }
 
-func buildGridIndex(src Source, opts Options) (*reachgrid.Index, error) {
-	return reachgrid.Build(src.sourceDataset().d, reachgrid.Params{
-		CellSize:    opts.CellSize,
-		BucketTicks: opts.BucketTicks,
-		PoolPages:   opts.PoolPages,
-		Pool:        opts.Pool,
-	})
-}
-
 // resolve is the one parser of backend names. The grammar is
 //
 //	name := leaf | "segmented:" name | "bidir:" name
 //	      | "shard:" K [":hash" | ":spatial"] ":" name
 //
 // plus a leading "live:", the mark of a LiveEngine's name, which only
-// NewLiveEngine builds; peeled recursively down to a leaf, with aliases
-// applied at every level;
+// NewLiveEngine builds; peeled recursively down to a leaf;
 // each prefix is a combinator over the spec of the rest, and BackendInfo is
 // derived from the leaf through the wrappers. Which nestings are legal is
 // not decided here but by the capability predicate of the cores the
@@ -394,9 +332,6 @@ func buildGridIndex(src Source, opts Options) (*reachgrid.Index, error) {
 // wrapper directly wrapping itself is not a name.
 func resolve(name string) (backendSpec, error) {
 	name = strings.ToLower(strings.TrimSpace(name))
-	if alias, ok := aliases[name]; ok {
-		name = alias
-	}
 	if leaf, ok := leaves[name]; ok {
 		return leaf, nil
 	}
@@ -438,14 +373,11 @@ func resolve(name string) (backendSpec, error) {
 // grammar accepts opens just the same.
 var advertised = []string{
 	"bidir:oracle", "bidir:reachgraph", "bidir:reachgraph-mem",
-	"grail", "grail-mem", "oracle",
-	"reachgraph", "reachgraph-bbfs", "reachgraph-ebfs", "reachgraph-edfs", "reachgraph-mem",
-	"reachgrid",
+	"oracle", "reachgraph", "reachgraph-mem", "reachgrid",
 	"segmented:oracle", "segmented:reachgraph", "segmented:reachgraph-mem", "segmented:reachgrid",
 	"shard:1:reachgraph", "shard:1:spatial:reachgraph",
 	"shard:2:reachgraph", "shard:2:spatial:reachgraph",
 	"shard:4:reachgraph", "shard:4:spatial:reachgraph",
-	"spj",
 }
 
 var advertisedInfos = func() []BackendInfo {
@@ -466,8 +398,8 @@ func Backends() []string { return slices.Clone(advertised) }
 // BackendInfos describes every registered backend, sorted by name.
 func BackendInfos() []BackendInfo { return slices.Clone(advertisedInfos) }
 
-// LookupBackend resolves a backend name — a registered one, an alias, or
-// any composition the name grammar accepts — to its BackendInfo, reporting
+// LookupBackend resolves a backend name — a registered one or any
+// composition the name grammar accepts — to its BackendInfo, reporting
 // whether the name parses. Open can still refuse a parsed name whose base
 // lacks the capability a wrapper needs.
 func LookupBackend(name string) (BackendInfo, bool) {
@@ -557,10 +489,10 @@ const (
 // There are two evaluation methods because there are two kinds of
 // algorithm, selected by the kind of query: reach is the index's own point
 // algorithm, which stops at the destination (BM-BFS visits a twentieth of
-// the vertices a forward sweep does, and SPJ and GRAIL have nothing else);
-// sweep is the propagation profile every other answer — set, arrival,
-// top-k, hop-bounded, filtered, probabilistic, and the frontier carried
-// between slabs and shards — is a projection of.
+// the vertices a forward sweep does); sweep is the propagation profile
+// every other answer — set, arrival, top-k, hop-bounded, filtered,
+// probabilistic, and the frontier carried between slabs and shards — is a
+// projection of.
 type core interface {
 	// reach answers "can an item held by any seed at iv.Lo reach dst by
 	// iv.Hi?", returning the expansion counter alongside. Callers validate
@@ -584,8 +516,8 @@ type core interface {
 }
 
 // errNotNative is sweep's "this core has no native evaluation of the spec":
-// the engine then answers through the oracle, or a set query through one
-// point query per object.
+// the engine then answers through the oracle. Every core sweeps hopAgnostic,
+// so a plain set query never sees it.
 var errNotNative = errors.New("streach: no native evaluation")
 
 // diskIO is the store-backed helper behind every core's I/O surface: the
@@ -781,19 +713,13 @@ func (e *engine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (S
 	if clamped := clampDomain(iv, numTicks); clamped.Len() > 0 {
 		qs.seeds = append(qs.seeds[:0], queries.SeedState{Obj: src})
 		entries, _, err := c.sweep(ctx, qs.entries[:0], qs.seeds, clamped, hopAgnostic, queries.NoObject, &qs.acct)
-		switch {
-		case errors.Is(err, errNotNative):
-			if objs, err = e.setViaPointQueries(ctx, c, src, clamped, &qs.acct); err != nil {
-				return SetResult{}, err
-			}
-		case err != nil:
+		if err != nil {
 			return SetResult{}, err
-		default:
-			qs.entries = entries
-			objs = make([]ObjectID, len(entries))
-			for i, en := range entries {
-				objs[i] = en.Obj
-			}
+		}
+		qs.entries = entries
+		objs = make([]ObjectID, len(entries))
+		for i, en := range entries {
+			objs[i] = en.Obj
 		}
 	}
 	return SetResult{
@@ -804,32 +730,6 @@ func (e *engine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (S
 		Latency:  time.Since(start),
 		Expanded: len(objs),
 	}, nil
-}
-
-// setViaPointQueries answers a reachable-set query over the clamped,
-// non-empty iv with one point query per candidate destination, src
-// included like the sweeps include their seeds. All point queries charge
-// the one accountant of the set query.
-func (e *engine) setViaPointQueries(ctx context.Context, c core, src ObjectID, iv Interval, acct *pagefile.Stats) ([]ObjectID, error) {
-	seeds := []ObjectID{src}
-	var out []ObjectID
-	for o := 0; o < e.numObjects; o++ {
-		if ObjectID(o) == src {
-			out = append(out, src)
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ok, _, err := c.reach(ctx, seeds, ObjectID(o), iv, acct)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, ObjectID(o))
-		}
-	}
-	return out, nil
 }
 
 // --- index adapters ---
@@ -858,49 +758,13 @@ func (c gridCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds [
 	return c.ix.AppendSemProfileFrom(ctx, out, seeds, iv, spec.budget, early, acct)
 }
 
-// pointOnly is the sweep surface of the adapters whose index has a point
-// algorithm and nothing else (SPJ, GRAIL).
-type pointOnly struct{}
-
-func (pointOnly) supports(semSpec) bool { return false }
-
-func (pointOnly) sweep(_ context.Context, out []queries.ProfileEntry, _ []queries.SeedState, _ Interval, _ semSpec, _ ObjectID, _ *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
-	return out, 0, errNotNative
-}
-
-// reachAny answers a multi-seed point query on an index whose algorithm
-// takes one source: the item reaches dst from the frontier exactly when it
-// does from some seed.
-func reachAny(seeds []ObjectID, dst ObjectID, iv Interval, one func(Query) (bool, int, error)) (bool, int, error) {
-	expanded := 0
-	for _, src := range seeds {
-		ok, n, err := one(Query{Src: src, Dst: dst, Interval: iv})
-		expanded += n
-		if ok || err != nil {
-			return ok, expanded, err
-		}
-	}
-	return false, expanded, nil
-}
-
-type spjCore struct {
-	diskIO
-	pointOnly
-	ix *reachgrid.Index
-}
-
-func (c spjCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
-	return reachAny(seeds, dst, iv, func(q Query) (bool, int, error) { return c.ix.SPJReachCounted(ctx, q, acct) })
-}
-
 type graphCore struct {
 	diskIO
-	ix       *reachgraph.Index
-	strategy Strategy
+	ix *reachgraph.Index
 }
 
 func (c graphCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
-	return c.ix.ReachFromCounted(ctx, seeds, dst, iv, c.strategy, acct)
+	return c.ix.ReachFromCounted(ctx, seeds, dst, iv, BMBFS, acct)
 }
 
 // graphSupports is the sweep capability of both ReachGraph adapters: runs
@@ -955,26 +819,6 @@ func objectsOf(seeds []queries.SeedState) []ObjectID {
 		objs[i] = s.Obj
 	}
 	return objs
-}
-
-type grailDiskCore struct {
-	diskIO
-	pointOnly
-	dk *grail.Disk
-}
-
-func (c grailDiskCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
-	return reachAny(seeds, dst, iv, func(q Query) (bool, int, error) { return c.dk.ReachCounted(ctx, q, acct) })
-}
-
-type grailMemCore struct {
-	diskIO
-	pointOnly
-	m *grail.Mem
-}
-
-func (c grailMemCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, _ *pagefile.Stats) (bool, int, error) {
-	return reachAny(seeds, dst, iv, func(q Query) (bool, int, error) { return c.m.ReachCounted(ctx, q) })
 }
 
 // oracleCore projects both evaluation methods from Oracle.ProfileFrom, the

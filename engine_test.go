@@ -17,15 +17,11 @@ func conformanceSource(t testing.TB) *streach.Dataset {
 	})
 }
 
-// TestBackendRegistry pins the registry surface: every paper evaluator is
-// registered, aliases resolve, and unknown or ill-sourced opens fail with
-// the typed errors.
+// TestBackendRegistry pins the registry surface: both paper indexes and
+// the oracle are registered, names are case-insensitive, and unknown or
+// ill-sourced opens fail with the typed errors.
 func TestBackendRegistry(t *testing.T) {
-	want := []string{
-		"grail", "grail-mem", "oracle", "reachgrid", "reachgraph",
-		"reachgraph-bbfs", "reachgraph-ebfs", "reachgraph-edfs",
-		"reachgraph-mem", "spj",
-	}
+	want := []string{"oracle", "reachgrid", "reachgraph", "reachgraph-mem"}
 	have := map[string]bool{}
 	for _, name := range streach.Backends() {
 		have[name] = true
@@ -46,12 +42,12 @@ func TestBackendRegistry(t *testing.T) {
 	if _, err := streach.Open("reachgrid", ds.Contacts(), streach.Options{}); !errors.Is(err, streach.ErrNeedsTrajectories) {
 		t.Errorf("reachgrid from contacts: got %v, want ErrNeedsTrajectories", err)
 	}
-	e, err := streach.Open("ReachGraph-BMBFS", ds, streach.Options{})
+	e, err := streach.Open(" ReachGraph", ds, streach.Options{})
 	if err != nil {
-		t.Fatalf("alias open: %v", err)
+		t.Fatalf("mixed-case open: %v", err)
 	}
 	if e.Name() != "reachgraph" {
-		t.Errorf("alias resolved to %q, want reachgraph", e.Name())
+		t.Errorf("mixed-case name resolved to %q, want reachgraph", e.Name())
 	}
 }
 
@@ -171,7 +167,7 @@ func TestOpenFromContactNetwork(t *testing.T) {
 
 	oracle := ds.Contacts().Oracle()
 	ctx := context.Background()
-	for _, name := range []string{"reachgraph", "grail", "grail-mem", "oracle"} {
+	for _, name := range []string{"reachgraph", "reachgraph-mem", "oracle"} {
 		e, err := streach.Open(name, snap, streach.Options{})
 		if err != nil {
 			t.Fatalf("open %q from snapshot: %v", name, err)
@@ -189,10 +185,8 @@ func TestOpenFromContactNetwork(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"reachgrid", "spj"} {
-		if _, err := streach.Open(name, snap, streach.Options{}); !errors.Is(err, streach.ErrNeedsTrajectories) {
-			t.Errorf("open %q from snapshot: got %v, want ErrNeedsTrajectories", name, err)
-		}
+	if _, err := streach.Open("reachgrid", snap, streach.Options{}); !errors.Is(err, streach.ErrNeedsTrajectories) {
+		t.Errorf("open reachgrid from snapshot: got %v, want ErrNeedsTrajectories", err)
 	}
 }
 

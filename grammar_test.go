@@ -17,14 +17,11 @@ import (
 func TestBackendsGolden(t *testing.T) {
 	want := []string{
 		"bidir:oracle", "bidir:reachgraph", "bidir:reachgraph-mem",
-		"grail", "grail-mem", "oracle",
-		"reachgraph", "reachgraph-bbfs", "reachgraph-ebfs", "reachgraph-edfs", "reachgraph-mem",
-		"reachgrid",
+		"oracle", "reachgraph", "reachgraph-mem", "reachgrid",
 		"segmented:oracle", "segmented:reachgraph", "segmented:reachgraph-mem", "segmented:reachgrid",
 		"shard:1:reachgraph", "shard:1:spatial:reachgraph",
 		"shard:2:reachgraph", "shard:2:spatial:reachgraph",
 		"shard:4:reachgraph", "shard:4:spatial:reachgraph",
-		"spj",
 	}
 	got := streach.Backends()
 	if !slices.Equal(got, want) {
@@ -61,14 +58,8 @@ func TestNameGrammar(t *testing.T) {
 		disk, needsTraj bool
 	}{
 		{"reachgraph", "reachgraph", true, false},
-		{" ReachGraph-BMBFS ", "reachgraph", true, false},
-		{"grail-disk", "grail", true, false},
-		// Aliases apply at every level, under every wrapper.
-		{"segmented:reachgraph-bmbfs", "segmented:reachgraph", true, false},
-		{"bidir:reachgraph-bmbfs", "bidir:reachgraph", true, false},
-		{"shard:2:reachgraph-bmbfs", "shard:2:reachgraph", true, false},
-		// Every strategy carries through the frontier entry points.
-		{"segmented:reachgraph-ebfs", "segmented:reachgraph-ebfs", true, false},
+		{" ReachGraph ", "reachgraph", true, false},
+		{"Segmented:ReachGraph", "segmented:reachgraph", true, false},
 		// Wrappers compose in either order, to any depth.
 		{"bidir:segmented:reachgraph-mem", "bidir:segmented:reachgraph-mem", false, false},
 		{"segmented:shard:2:reachgraph-mem", "segmented:shard:2:reachgraph-mem", false, false},
@@ -116,12 +107,25 @@ func TestNameGrammar(t *testing.T) {
 		{"shard:2:shard:2:reachgraph", ds, streach.ErrUnknownBackend},
 		{"segmented:segmented:reachgraph", ds, streach.ErrUnknownBackend},
 		{"bidir:bidir:oracle", ds, streach.ErrUnknownBackend},
-		// Nestings the base's capability predicate refuses: no sweep at all
-		// (GRAIL, SPJ), no backward sweep (ReachGrid).
-		{"segmented:grail", ds, streach.ErrUnknownBackend},
+		// A nesting the base's capability predicate refuses: ReachGrid has
+		// no backward sweep.
+		{"bidir:reachgrid", ds, streach.ErrUnknownBackend},
+		// The §6 baselines are the lab's (internal/bench), not names:
+		// leaves, former aliases and every nesting.
+		{"spj", ds, streach.ErrUnknownBackend},
+		{"grail", ds, streach.ErrUnknownBackend},
+		{"grail-mem", ds, streach.ErrUnknownBackend},
+		{"grail-disk", ds, streach.ErrUnknownBackend},
+		{"reachgraph-bbfs", ds, streach.ErrUnknownBackend},
+		{"reachgraph-ebfs", ds, streach.ErrUnknownBackend},
+		{"reachgraph-edfs", ds, streach.ErrUnknownBackend},
+		{"reachgraph-bmbfs", ds, streach.ErrUnknownBackend},
+		{"segmented:reachgraph-ebfs", ds, streach.ErrUnknownBackend},
+		{"segmented:reachgraph-bmbfs", ds, streach.ErrUnknownBackend},
+		{"bidir:reachgraph-bmbfs", ds, streach.ErrUnknownBackend},
+		{"shard:2:reachgraph-bmbfs", ds, streach.ErrUnknownBackend},
 		{"segmented:spj", ds, streach.ErrUnknownBackend},
 		{"shard:2:grail-mem", ds, streach.ErrUnknownBackend},
-		{"bidir:reachgrid", ds, streach.ErrUnknownBackend},
 		// The uncertain: family is gone, alias, leaf and every nesting: its
 		// queries go to the base itself (Semantics.Prob).
 		{"uncertain", ds, streach.ErrUnknownBackend},
@@ -160,7 +164,7 @@ func TestNameGrammar(t *testing.T) {
 	live := []struct{ name, canonical string }{
 		{"reachgraph-mem", "live:reachgraph-mem"},
 		{"live:reachgraph-mem", "live:reachgraph-mem"},
-		{"Live:ReachGraph-BMBFS", "live:reachgraph"},
+		{"Live:ReachGraph", "live:reachgraph"},
 		{"bidir:oracle", "live:bidir:oracle"},
 		{"shard:1:reachgraph-mem", "live:shard:1:reachgraph-mem"},
 		{"live:shard:2:bidir:reachgraph-mem", "live:shard:2:bidir:reachgraph-mem"},
@@ -192,7 +196,8 @@ func TestNameGrammar(t *testing.T) {
 		{"live:live:oracle", streach.ErrUnknownBackend},
 		{"reachgrid", streach.ErrNotLiveCapable},
 		{"shard:2:spatial:reachgraph", streach.ErrNotLiveCapable},
-		{"grail", streach.ErrNotLiveCapable},
+		{"bidir:reachgrid", streach.ErrNotLiveCapable},
+		{"grail", streach.ErrUnknownBackend},
 		{"uncertain", streach.ErrUnknownBackend},
 		{"shard:2:hash:uncertain:oracle", streach.ErrUnknownBackend},
 		{"live:shard:2:uncertain:oracle", streach.ErrUnknownBackend},

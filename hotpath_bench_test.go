@@ -64,10 +64,6 @@ func BenchmarkHotpathReachGridSweep(b *testing.B) {
 	benchmarkHotpath(b, "reachgrid", streach.Options{})
 }
 
-func BenchmarkHotpathGrailMem(b *testing.B) {
-	benchmarkHotpath(b, "grail-mem", streach.Options{})
-}
-
 func BenchmarkHotpathSegmentedPlanner(b *testing.B) {
 	benchmarkHotpath(b, "segmented:reachgraph", streach.Options{SegmentTicks: 60})
 }
@@ -260,7 +256,7 @@ func BenchmarkShardPointHash4(b *testing.B) {
 
 // TestHotpathSteadyStateAllocs asserts the tentpole claim directly: once
 // the pooled scratch is warm, point queries on the memory backends and on
-// disk ReachGraph and ReachGrid (guided sweep and SPJ) perform zero heap
+// disk ReachGraph and ReachGrid perform zero heap
 // allocations per evaluation — visited sets, frontier queues and object
 // sets all come from the per-engine pools, and on disk so do the buffered
 // partitions and the arena the visited records are decoded into, and the
@@ -277,9 +273,9 @@ func TestHotpathSteadyStateAllocs(t *testing.T) {
 	// coordinator must delegate to its single child without touching the
 	// scatter-gather scratch.
 	for _, backend := range []string{
-		"reachgraph-mem", "grail-mem", "bidir:reachgraph-mem", "shard:1:reachgraph-mem",
+		"reachgraph-mem", "bidir:reachgraph-mem", "shard:1:reachgraph-mem",
 		"reachgraph", "segmented:reachgraph", "bidir:reachgraph",
-		"reachgrid", "spj", "segmented:reachgrid",
+		"reachgrid", "segmented:reachgrid",
 	} {
 		e, err := streach.Open(backend, ds, streach.Options{})
 		if err != nil {

@@ -2,14 +2,16 @@
 // optimization — the number of long-edge resolutions (1..7, optimum 6 =
 // DN1 ∪ DN2 ∪ … ∪ DN32). The remaining ablations quantify design choices
 // DESIGN.md calls out that the paper fixes silently: the buffer-pool size
-// and the bidirectional/multi-resolution split of BM-BFS. All evaluators
-// come from the registry; a configuration is a backend name plus Options.
+// and the bidirectional/multi-resolution split of BM-BFS. ReachGraph comes
+// from the registry, a configuration being a backend name plus Options; the
+// E-BFS and B-BFS traversals are the lab's baselines.
 package bench
 
 import (
 	"fmt"
 
 	"streach"
+	"streach/internal/reachgraph"
 )
 
 // resolutionSets returns the HN configurations "DN1 only", "+DN2", …
@@ -81,9 +83,8 @@ func (l *Lab) AblationBidirectional() *Table {
 	for _, d := range l.comparePair() {
 		work := l.Workload(d, 0)
 		row := []string{d.Name}
-		for _, backend := range []string{"reachgraph-ebfs", "reachgraph-bbfs", "reachgraph"} {
-			io := l.graphQueryCost(d, backend, streach.Options{}, work)
-			row = append(row, fmt.Sprintf("%.1f", io))
+		for _, s := range []reachgraph.Strategy{reachgraph.EBFS, reachgraph.BBFS, reachgraph.BMBFS} {
+			row = append(row, fmt.Sprintf("%.1f", l.strategyCost(d, s, work)))
 		}
 		t.AddRow(row...)
 	}

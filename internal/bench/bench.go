@@ -11,11 +11,11 @@
 // crossovers fall — are the reproduction target, not absolute values; the
 // table footnotes quote the paper-reported numbers for comparison.
 //
-// Cross-backend experiments select evaluators from the public backend
-// registry by name (streach.Open) and measure them through the typed
-// per-query Results; only experiments probing internal structure (graph
-// reduction, construction time, parameter encodings) touch the internal
-// packages directly.
+// Cross-backend experiments select the system's evaluators from the public
+// backend registry by name (streach.Open) and the §6 baselines from
+// baselines.go, and measure both through the typed per-query Results; only
+// experiments probing internal structure (graph reduction, construction
+// time, parameter encodings) touch the internal packages otherwise.
 //
 // This package reproduces the paper; it does not track this repository's
 // performance over time. That is benchmark/ (BENCHMARK.json), the one
@@ -257,17 +257,17 @@ func (l *Lab) OpenBackend(name string, d *trajectory.Dataset, opts streach.Optio
 	return e
 }
 
-// engineCost drives work through e and returns the mean normalized I/O,
-// wall time and expansion count per query, read off the typed per-query
-// Results.
-func engineCost(e streach.Engine, work []queries.Query) (ioPerQ float64, timePerQ time.Duration, expandedPerQ float64) {
+// engineCost drives work through query — an Engine's Reachable or a
+// baseline's — and returns the mean normalized I/O, wall time and expansion
+// count per query, read off the typed per-query Results.
+func engineCost(query pointQuery, work []queries.Query) (ioPerQ float64, timePerQ time.Duration, expandedPerQ float64) {
 	ctx := context.Background()
 	var io, expanded float64
 	var dur time.Duration
 	for _, q := range work {
-		r, err := e.Reachable(ctx, q)
+		r, err := query(ctx, q)
 		if err != nil {
-			panic(fmt.Sprintf("bench: %s on %v: %v", e.Name(), q, err))
+			panic(fmt.Sprintf("bench: %v: %v", q, err))
 		}
 		io += r.IO.Normalized
 		expanded += float64(r.Expanded)
@@ -290,7 +290,7 @@ func (l *Lab) BackendSweep() *Table {
 		work := l.Workload(d, 0)
 		for _, name := range l.opts.Backends {
 			e := l.OpenBackend(name, d, streach.Options{})
-			io, dur, exp := engineCost(e, work)
+			io, dur, exp := engineCost(e.Reachable, work)
 			t.AddRow(e.Name(), d.Name, fmt.Sprintf("%.1f", io), fmtDur(dur),
 				fmt.Sprintf("%.1f", exp), fmtBytes(e.Stats().IndexBytes))
 		}

@@ -1,9 +1,10 @@
 // ReachGraph experiments: Figure 10 (contact network size + reduction
 // ratios), Figure 11 (DN construction time), Table 4 (multi-resolution
 // degree), Figure 12 (partition depth) and Figure 13 (traversal
-// strategies). Query measurements open "reachgraph*" registry backends —
-// traversal strategy selection is a backend-name string; the structural
-// figures (10, 11, Table 4) inspect the internal reduced graph directly.
+// strategies). Query measurements open the "reachgraph" registry backend,
+// and the lab's strategy baselines for the traversals it does not run; the
+// structural figures (10, 11, Table 4) inspect the internal reduced graph
+// directly.
 package bench
 
 import (
@@ -12,6 +13,7 @@ import (
 	"streach"
 	"streach/internal/dn"
 	"streach/internal/queries"
+	"streach/internal/reachgraph"
 	"streach/internal/trajectory"
 )
 
@@ -98,7 +100,18 @@ func (l *Lab) Table4() *Table {
 func (l *Lab) graphQueryCost(d *trajectory.Dataset, backend string,
 	opts streach.Options, work []queries.Query) float64 {
 
-	io, _, _ := engineCost(l.OpenBackend(backend, d, opts), work)
+	io, _, _ := engineCost(l.OpenBackend(backend, d, opts).Reachable, work)
+	return io
+}
+
+// strategyCost returns the mean normalized I/O per query of traversal s on
+// d's default disk ReachGraph: BM-BFS through the registry's "reachgraph",
+// any other traversal through the lab's baseline.
+func (l *Lab) strategyCost(d *trajectory.Dataset, s reachgraph.Strategy, work []queries.Query) float64 {
+	if s == reachgraph.BMBFS {
+		return l.graphQueryCost(d, "reachgraph", streach.Options{}, work)
+	}
+	io, _, _ := engineCost(l.strategyBaseline(d, s), work)
 	return io
 }
 
@@ -131,9 +144,8 @@ func (l *Lab) Fig13() *Table {
 	for _, d := range l.comparePair() {
 		work := l.Workload(d, 0)
 		row := []string{d.Name}
-		for _, backend := range []string{"reachgraph", "reachgraph-bbfs", "reachgraph-edfs"} {
-			io := l.graphQueryCost(d, backend, streach.Options{}, work)
-			row = append(row, fmt.Sprintf("%.1f", io))
+		for _, s := range []reachgraph.Strategy{reachgraph.BMBFS, reachgraph.BBFS, reachgraph.EDFS} {
+			row = append(row, fmt.Sprintf("%.1f", l.strategyCost(d, s, work)))
 		}
 		t.AddRow(row...)
 	}

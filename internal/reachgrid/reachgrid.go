@@ -47,7 +47,7 @@
 // objects, which the hop relaxation must, so the boolean step is
 // materially cheaper than a relaxation with an unbounded budget. The query
 // surface is those two plus the baseline: ReachFromCounted (multi-source
-// point query, ReachCounted and Reach its single-source forms),
+// point query, ReachCounted its single-source form),
 // AppendSemProfileFrom (the profile every set and arrival answer is read
 // off) and SPJReachCounted (spj.go).
 //
@@ -320,19 +320,10 @@ func (ix *Index) validateQuery(q queries.Query) error {
 	return nil
 }
 
-// Reach answers the reachability query q : Src ⤳ Dst over q.Interval using
-// the guided expansion of Algorithm 1. I/O is charged to the store's
-// cumulative Counters through a query-scoped accountant (so sequential
-// runs spanning blob reads are classified as in the paper's cost model).
-func (ix *Index) Reach(q queries.Query) (bool, error) {
-	var acct pagefile.Stats
-	ok, _, err := ix.ReachCounted(context.Background(), q, &acct)
-	return ok, err
-}
-
-// ReachCounted is Reach plus the number of objects the guided expansion
-// infected (src included) before terminating — the frontier size the facade
-// surfaces per query. Page reads are charged to acct (which may be nil) in
+// ReachCounted answers the reachability query q : Src ⤳ Dst over
+// q.Interval using the guided expansion of Algorithm 1, and returns the
+// number of objects it infected (src included) before terminating — the
+// frontier size the facade surfaces per query. Page reads are charged to acct (which may be nil) in
 // addition to the store's cumulative counters; passing one accountant per
 // query keeps evaluation safe to run fully in parallel. The context is
 // observed inside the expansion loop (once per instant), so a cancelled

@@ -15,18 +15,11 @@ import (
 	"streach/internal/queries"
 )
 
-// SPJReach answers q by the full spatiotemporal-join pipeline: every cell of
-// every bucket overlapping the query interval is read from disk, the
-// per-instant contact graph is built by joining all buffered segments, and
-// the item is propagated until the destination is found or the interval is
-// exhausted.
-func (ix *Index) SPJReach(q queries.Query) (bool, error) {
-	var acct pagefile.Stats
-	ok, _, err := ix.SPJReachCounted(context.Background(), q, &acct)
-	return ok, err
-}
-
-// SPJReachCounted is SPJReach plus the number of objects infected during
+// SPJReachCounted answers q by the full spatiotemporal-join pipeline: every
+// cell of every bucket overlapping the query interval is read from disk,
+// the per-instant contact graph is built by joining all buffered segments,
+// and the item is propagated until the destination is found or the
+// interval is exhausted. It returns the number of objects infected during
 // propagation (src included). Page reads are charged to acct (which may be
 // nil); all traversal state is pooled per-query scratch. The context is
 // observed once per instant of the join sweep.

@@ -2,6 +2,7 @@ package streach_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,8 +244,8 @@ func TestLiveEngineRejectsUnfit(t *testing.T) {
 	if _, err := streach.NewLiveEngine("reachgrid", 10, env, 50, streach.Options{}); err == nil {
 		t.Error("reachgrid (needs trajectories) must not open live")
 	}
-	if _, err := streach.NewLiveEngine("grail", 10, env, 50, streach.Options{}); err == nil {
-		t.Error("grail (no frontier entry points) must not open live")
+	if _, err := streach.NewLiveEngine("bidir:reachgrid", 10, env, 50, streach.Options{}); !errors.Is(err, streach.ErrNotLiveCapable) {
+		t.Errorf("bidir:reachgrid (no backward sweep, needs trajectories): got %v, want ErrNotLiveCapable", err)
 	}
 	if _, err := streach.NewLiveEngine("nope", 10, env, 50, streach.Options{}); err == nil {
 		t.Error("unknown backend must not open live")

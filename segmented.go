@@ -383,14 +383,11 @@ func segmentedOver(base backendSpec, bidir bool) backendSpec {
 }
 
 // sliceable reports why c, built by base, cannot be a slab core of a
-// time-sliced engine, or nil: slabs must carry the plain frontier forward,
-// and backward too under the bidirectional planner. (ReachGrid's guided
-// expansion has no backward analogue; SPJ and GRAIL have no sweep at all.)
+// time-sliced engine, or nil. Every core carries the plain frontier
+// forward; the bidirectional planner needs it carried backward too, which
+// ReachGrid's guided expansion has no analogue of.
 func sliceable(c core, base string, bidir bool) error {
-	switch {
-	case !c.supports(hopAgnostic):
-		return fmt.Errorf("%q has no forward sweep to carry a frontier across slabs with", base)
-	case bidir && !c.supports(hopAgnosticBackward):
+	if bidir && !c.supports(hopAgnosticBackward) {
 		return fmt.Errorf("%q has no backward sweep for the bidirectional planner", base)
 	}
 	return nil

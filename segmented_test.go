@@ -167,10 +167,6 @@ func TestSegmentedRegistrySurface(t *testing.T) {
 	if _, err := streach.Open("segmented:reachgrid", ds.Contacts(), streach.Options{}); !errors.Is(err, streach.ErrNeedsTrajectories) {
 		t.Errorf("segmented:reachgrid from contacts: got %v, want ErrNeedsTrajectories", err)
 	}
-	// grail has no frontier entry points and must not be segmentable.
-	if _, err := streach.Open("segmented:grail", ds, streach.Options{}); !errors.Is(err, streach.ErrUnknownBackend) {
-		t.Errorf("segmented:grail: got %v, want ErrUnknownBackend", err)
-	}
 }
 
 // TestCancelledQueryReturnsPromptly cancels contexts against real engines:
@@ -180,7 +176,7 @@ func TestSegmentedRegistrySurface(t *testing.T) {
 func TestCancelledQueryReturnsPromptly(t *testing.T) {
 	ds := conformanceSource(t)
 	q := streach.Query{Src: 1, Dst: 2, Interval: streach.NewInterval(0, streach.Tick(ds.NumTicks()-1))}
-	for _, name := range []string{"reachgrid", "spj", "reachgraph", "segmented:reachgraph"} {
+	for _, name := range []string{"reachgrid", "reachgraph", "segmented:reachgraph"} {
 		e, err := streach.Open(name, ds, streach.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +190,7 @@ func TestCancelledQueryReturnsPromptly(t *testing.T) {
 
 	// In-flight: cancel while a batch over a slow backend is running; the
 	// traversal-loop ctx checks must unblock it long before the deadline.
-	e, err := streach.Open("spj", ds, streach.Options{})
+	e, err := streach.Open("reachgrid", ds, streach.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

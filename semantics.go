@@ -15,7 +15,7 @@
 //   - reachgrid: the guided sweep with a hop relaxation as its
 //     per-instant step instead of the boolean spread (all semantics — the
 //     grid joins real contact pairs per instant)
-//   - reachgraph, reachgraph-mem (all strategies): a forward arrival sweep
+//   - reachgraph, reachgraph-mem: a forward arrival sweep
 //     over the run DAG (earliest-arrival only; runs collapse contact
 //     components, so transfer counts are not derivable)
 //   - segmented:*, bidir:* and LiveEngine: the cross-segment planner
@@ -24,7 +24,7 @@
 //   - shard:*: the scatter-gather relaxation exchanges arrival ticks across
 //     the cut (hop-agnostic specs only)
 //
-// Everything else (spj, grail, grail-mem; hop queries on reachgraph) falls
+// Everything else (hop-bounded or filtered queries on reachgraph, say) falls
 // back to a brute-force oracle over the engine's source contacts; results
 // carry a Native flag so the fallback is always explicit. All of it is one
 // method, core.sweep, with the class of evaluation (semSpec) passed as

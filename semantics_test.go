@@ -236,8 +236,7 @@ func TestSemanticsNativeMatrix(t *testing.T) {
 
 	arrivalNative := map[string]bool{
 		"oracle": true, "reachgrid": true,
-		"reachgraph": true, "reachgraph-bbfs": true, "reachgraph-ebfs": true, "reachgraph-edfs": true,
-		"reachgraph-mem":   true,
+		"reachgraph": true, "reachgraph-mem": true,
 		"segmented:oracle": true, "segmented:reachgrid": true,
 		"segmented:reachgraph": true, "segmented:reachgraph-mem": true,
 		// Bidirectional planning covers boolean point queries only; the
@@ -249,7 +248,6 @@ func TestSemanticsNativeMatrix(t *testing.T) {
 		// tracking does not compose across shards and falls back.
 		"shard:1:reachgraph": true, "shard:2:reachgraph": true, "shard:4:reachgraph": true,
 		"shard:1:spatial:reachgraph": true, "shard:2:spatial:reachgraph": true, "shard:4:spatial:reachgraph": true,
-		"spj": false, "grail": false, "grail-mem": false,
 	}
 	hopNative := map[string]bool{
 		"oracle": true, "reachgrid": true,

@@ -3,23 +3,23 @@ package streach_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"streach"
 )
 
-// set_fallback_test.go is the regression suite for the engine's
-// set-via-point-queries fallback (backends without a native reachable-set
-// primitive): cancelling the context between per-destination point queries
-// must abort promptly, and the I/O accounting must stay balanced — the
-// cancelled set query charges the cumulative totals for the pages it
-// actually read (and returns no delta), while later successful queries'
-// deltas sum exactly on top. Nothing may be double-counted.
+// set_cancel_test.go is the regression suite for cancelling a reachable-set
+// sweep: cancelling the context inside the sweep must abort promptly, and
+// the I/O accounting must stay balanced — the cancelled set query charges
+// the cumulative totals for the pages it actually read (and returns no
+// delta), while later successful queries' deltas sum exactly on top.
+// Nothing may be double-counted.
 
 // cancelAfterCtx reports Canceled from its Nth Err() call on, making
-// mid-set cancellation deterministic (the fallback loop polls Err between
-// destinations).
+// mid-sweep cancellation deterministic (the sweeps poll Err per expansion
+// step).
 type cancelAfterCtx struct {
 	context.Context
 	remaining atomic.Int32
@@ -38,32 +38,42 @@ func (c *cancelAfterCtx) Err() error {
 	return nil
 }
 
-func TestSetFallbackCancelAccounting(t *testing.T) {
+func TestSetCancelAccounting(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 32, NumTicks: 120, Seed: 9,
 	})
-	iv := streach.NewInterval(0, 100)
-	// Disk-resident backends that answer sets through the point-query
-	// fallback.
-	for _, name := range []string{"grail", "reachgraph"} {
-		name := name
+	iv := streach.NewInterval(0, 60)
+	oracle, err := streach.Open("oracle", ds, streach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.ReachableSet(context.Background(), 0, iv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want.Objects); n < 3 || n == ds.NumObjects() {
+		t.Fatalf("fixture reaches %d of %d objects; want a set that can be wrong", n, ds.NumObjects())
+	}
+	// Disk-resident backends, each sweeping sets its own way: the graph's
+	// DN1 sweep, the grid's guided sweep, and the cross-segment planner.
+	for _, name := range []string{"reachgraph", "reachgrid", "segmented:reachgraph"} {
 		t.Run(name, func(t *testing.T) {
 			pool := streach.NewBufferPool(64)
-			e, err := streach.Open(name, ds, streach.Options{Pool: pool})
+			e, err := streach.Open(name, ds, streach.Options{Pool: pool, SegmentTicks: 32})
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := pool.Stats()
 
-			// Cancel deep inside the destination loop: the entry check and
-			// a handful of point queries run, then Err flips.
+			// Cancel deep inside the sweep: the entry check and the first
+			// expansion steps run, reading pages, then Err flips.
 			_, err = e.ReachableSet(cancelAfter(8), 0, iv)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-set cancel: got %v, want context.Canceled", err)
 			}
 			afterCancel := e.Stats().IO
 			if afterCancel.RandomReads+afterCancel.SequentialReads == 0 {
-				t.Fatal("cancelled set charged no I/O at all; cancellation fired before any query ran")
+				t.Fatal("cancelled set charged no I/O at all; cancellation fired before any page was read")
 			}
 			// The cancelled query's partial charges must already be
 			// consistent with the pool: totals count exactly the pool
@@ -77,8 +87,7 @@ func TestSetFallbackCancelAccounting(t *testing.T) {
 			}
 
 			// A successful set query after the cancellation: its delta must
-			// sum exactly onto the totals (no double count of the per-point
-			// charges into the one set-query accountant).
+			// sum exactly onto the totals.
 			r, err := e.ReachableSet(context.Background(), 0, iv)
 			if err != nil {
 				t.Fatal(err)
@@ -98,17 +107,9 @@ func TestSetFallbackCancelAccounting(t *testing.T) {
 				t.Fatalf("after success: totals count %d page fetches, pool saw %d misses", got, want)
 			}
 
-			// The fallback answer itself must match the oracle.
-			oracle, err := streach.Open("oracle", ds, streach.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracle.ReachableSet(context.Background(), 0, iv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(r.Objects) != len(want.Objects) {
-				t.Fatalf("fallback set %v, oracle %v", r.Objects, want.Objects)
+			// The answer itself must be the oracle's, member for member.
+			if !slices.Equal(r.Objects, want.Objects) {
+				t.Fatalf("set %v, oracle %v", r.Objects, want.Objects)
 			}
 		})
 	}
@@ -120,7 +121,7 @@ func TestSetFallbackPreCancelled(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 16, NumTicks: 60, Seed: 10,
 	})
-	e, err := streach.Open("grail", ds, streach.Options{})
+	e, err := streach.Open("reachgraph", ds, streach.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,15 +388,6 @@ func shardOver(k int, partitioner string, base backendSpec) backendSpec {
 	}
 }
 
-// shardable reports why c cannot be a part of a sharded engine over base,
-// or nil: parts exchange arrival profiles, so they must sweep.
-func shardable(c core, base string) error {
-	if !c.supports(hopAgnostic) {
-		return fmt.Errorf("%w: %q has no sweep for the scatter-gather planner to exchange frontiers with", ErrUnknownBackend, base)
-	}
-	return nil
-}
-
 // buildShardCore partitions the source, cuts the contact network and opens
 // one base child per shard. Disk-resident children each get a private
 // buffer pool of the configured page budget unless the caller supplied a
@@ -434,9 +425,6 @@ func buildShardCore(k int, partitioner string, base backendSpec, src Source, opt
 		child, err := base.build(&ContactNetwork{net: split.Parts[s]}, withSharedPool(opts, base.info.DiskResident))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		if err := shardable(child, base.info.Name); err != nil {
-			return nil, err
 		}
 		c.parts = append(c.parts, child)
 	}

@@ -32,11 +32,6 @@ func TestShardDynamicNamesMatchOracle(t *testing.T) {
 	} else if eng.Name() != "shard:3:reachgraph-mem" {
 		t.Errorf("hash spelling canonicalized to %q", eng.Name())
 	}
-	// GRAIL cores answer by label containment, not frontier expansion, so
-	// they cannot serve as shard children.
-	if _, err := streach.Open("shard:2:grail-mem", ds, streach.Options{}); err == nil {
-		t.Error("Open(shard:2:grail-mem) accepted a base with no scatter-gather entry points")
-	}
 	for _, name := range []string{
 		"shard:3:reachgraph-mem",
 		"shard:3:spatial:reachgraph-mem",

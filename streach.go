@@ -12,7 +12,7 @@
 // contacts within the interval.
 //
 // The package offers two disk-resident indexes from the paper plus
-// baselines and extensions:
+// extensions:
 //
 //   - ReachGrid (§4): a spatiotemporal grid over trajectory segments;
 //     queries expand the contact network on the fly, guided through the
@@ -22,8 +22,6 @@
 //     component runs, augmented with multi-resolution reachability "long
 //     edges", partitioned in topological order on disk, and traversed with
 //     a bidirectional multi-resolution BFS (BM-BFS).
-//   - Baselines: the naïve spatiotemporal-join pipeline (SPJ), external
-//     DFS/BFS graph traversals, and GRAIL interval labelling (§6).
 //   - Extensions (§7): uncertain contact networks (transmission
 //     probabilities with threshold queries) and non-immediate contacts
 //     (items with a lifetime deposited in the environment).
@@ -251,21 +249,13 @@ func statsOf(s pagefile.Stats) IOStats {
 	}
 }
 
-// Strategy names a ReachGraph traversal algorithm; the registry exposes one
-// "reachgraph[-<strategy>]" backend per strategy.
+// Strategy names a ReachGraph traversal algorithm (§5.2). The registry's
+// "reachgraph" backends run BMBFS; the §6.2.2 baselines B-BFS, E-BFS and
+// E-DFS run only in the paper's lab (internal/bench).
 type Strategy = reachgraph.Strategy
 
-// Traversal strategies of §5.2 and §6.2.2.
-const (
-	// BMBFS is bidirectional multi-resolution BFS, the paper's algorithm.
-	BMBFS = reachgraph.BMBFS
-	// BBFS is bidirectional BFS at the base resolution only.
-	BBFS = reachgraph.BBFS
-	// EBFS is unidirectional external BFS.
-	EBFS = reachgraph.EBFS
-	// EDFS is unidirectional external DFS, the naïve baseline.
-	EDFS = reachgraph.EDFS
-)
+// BMBFS is bidirectional multi-resolution BFS, the paper's algorithm.
+const BMBFS = reachgraph.BMBFS
 
 // UncertainNetwork is a contact network whose contacts transmit with a
 // probability (§7).

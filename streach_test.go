@@ -9,7 +9,7 @@ import (
 )
 
 // pipeline opens the two paper indexes once for the integration tests: the
-// ReachGrid and one ReachGraph engine per traversal strategy, BM-BFS first.
+// ReachGrid, then the ReachGraph on disk and in memory.
 type pipeline struct {
 	ds     *streach.Dataset
 	oracle *streach.Oracle
@@ -20,7 +20,7 @@ type pipeline struct {
 func buildPipeline(t testing.TB, ds *streach.Dataset) *pipeline {
 	t.Helper()
 	p := &pipeline{ds: ds, oracle: ds.Contacts().Oracle()}
-	for _, name := range []string{"reachgrid", "reachgraph", "reachgraph-bbfs", "reachgraph-ebfs", "reachgraph-edfs"} {
+	for _, name := range []string{"reachgrid", "reachgraph", "reachgraph-mem"} {
 		e, err := streach.Open(name, ds, streach.Options{})
 		if err != nil {
 			t.Fatalf("Open(%q): %v", name, err)
@@ -55,7 +55,7 @@ func (p *pipeline) workload(t testing.TB, count int, seed int64) []streach.Query
 }
 
 // TestEndToEndRWP runs the full pipeline on a random-waypoint dataset: every
-// engine and every traversal strategy must agree with ground truth.
+// engine must agree with ground truth.
 func TestEndToEndRWP(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 60, NumTicks: 500, Seed: 3,
