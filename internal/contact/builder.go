@@ -5,7 +5,6 @@
 package contact
 
 import (
-	"streach/internal/geo"
 	"streach/internal/stjoin"
 	"streach/internal/trajectory"
 )
@@ -40,8 +39,7 @@ func (b *Builder) NumObjects() int { return b.numObjects }
 // AddInstant ingests the contact pairs active at the next instant.
 // Contacts absent from pairs that were previously open are closed with the
 // previous instant as their validity end. Pair sets carry no positions, so
-// contacts ingested this way have a zero Weight; AddPositions records the
-// closest approach.
+// contacts ingested this way have a zero Weight.
 func (b *Builder) AddInstant(pairs []stjoin.Pair) {
 	b.addInstant(pairs, nil)
 }
@@ -79,21 +77,6 @@ func (b *Builder) addInstant(pairs []stjoin.Pair, dists []float32) {
 			delete(b.minDist, pr)
 		}
 	}
-}
-
-// AddPositions joins the given per-object positions with joiner j and
-// ingests the resulting pairs — the convenience for feeding raw location
-// samples. positions[i] is object i's position at the new instant; each
-// open contact remembers its closest approach as its Weight.
-func (b *Builder) AddPositions(j *stjoin.Joiner, positions []geo.Point) {
-	var pairs []stjoin.Pair
-	var dists []float32
-	j.Join(positions, func(x, y int) bool {
-		pairs = append(pairs, stjoin.MakePair(trajectory.ObjectID(x), trajectory.ObjectID(y)))
-		dists = append(dists, float32(positions[x].Dist(positions[y])))
-		return true
-	})
-	b.addInstant(pairs, dists)
 }
 
 // Network snapshots the contact network over the instants ingested so far.

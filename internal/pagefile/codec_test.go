@@ -212,3 +212,53 @@ func BenchmarkUvarints(b *testing.B) {
 		}
 	}
 }
+
+// Uint32Delta appends a sorted (non-decreasing) uint32 slice as a uvarint
+// length, the first value, and uvarint gaps — the posting-list layout of
+// the varint format. The caller must pass a non-decreasing slice.
+func (e *Encoder) Uint32Delta(vs []uint32) {
+	e.Uvarint(uint64(len(vs)))
+	prev := uint32(0)
+	for i, v := range vs {
+		if i == 0 {
+			e.Uvarint(uint64(v))
+		} else {
+			e.Uvarint(uint64(v - prev)) // non-negative by contract
+		}
+		prev = v
+	}
+}
+
+// Uint32Delta reads a posting list written by Encoder.Uint32Delta,
+// appending onto dst (which may be nil). The whole list is decoded in one
+// pass over the remaining buffer — no per-element bounds-checked take.
+func (d *Decoder) Uint32Delta(dst []uint32) []uint32 {
+	n := int(d.Uvarint())
+	if d.err != nil {
+		return dst
+	}
+	// Every element costs at least one byte, so a length beyond the
+	// remaining bytes is corrupt without reading further.
+	if n < 0 || n > d.Remaining() {
+		d.err = fmt.Errorf("pagefile: implausible delta-list length %d with %d bytes left", n, d.Remaining())
+		return dst
+	}
+	prev := uint64(0)
+	for i := 0; i < n; i++ {
+		gap := d.Uvarint()
+		if d.err != nil {
+			return dst
+		}
+		if i == 0 {
+			prev = gap
+		} else {
+			prev += gap
+		}
+		if prev > math.MaxUint32 {
+			d.err = fmt.Errorf("pagefile: delta list overflows uint32 at element %d", i)
+			return dst
+		}
+		dst = append(dst, uint32(prev))
+	}
+	return dst
+}

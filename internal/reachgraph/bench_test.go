@@ -3,6 +3,7 @@ package reachgraph
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"streach/internal/contact"
@@ -10,6 +11,7 @@ import (
 	"streach/internal/mobility"
 	"streach/internal/pagefile"
 	"streach/internal/queries"
+	"streach/internal/trajectory"
 )
 
 // BenchmarkBuild is what an index build costs from an extracted contact
@@ -51,7 +53,7 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				id := members[i*7919%n]
-				if _, err := pv.find(id, &c.checked); err != nil {
+				if _, _, err := pv.find(id, &c.checked); err != nil {
 					b.Fatalf("vertex %d: %v", id, err)
 				}
 			}
@@ -92,7 +94,7 @@ func BenchmarkDecodeVertex(b *testing.B) {
 				}
 				v, err := c.vertex(id, partOf[id])
 				if err == nil {
-					err = c.need(v, dir.want)
+					_, err = c.need(v, dir.want)
 				}
 				if err != nil {
 					b.Fatal(err)
@@ -183,4 +185,64 @@ func BenchmarkMemSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sweep(work[i%len(work)])
 	}
+}
+
+// BenchmarkSweepResident is set-shard's sweep on one index: forward DN1
+// sweeps of 340 ticks from four seeds of one cluster, round-robin over 256
+// sources and starts, on the clustered 768 × 1024 dataset (24 clusters,
+// seed 20120828) behind a pool larger than the index, so that no page ever
+// leaves it. Every record a warm-up pass decoded is then in the index's
+// shared table: fresh-decodes/op is the records a sweep decoded or
+// completed itself, retained-MiB the heap live after the run. One op is one
+// sweep.
+func BenchmarkSweepResident(b *testing.B) {
+	const objects, ticks, clusters, window = 768, 1024, 24, 340
+	d := mobility.Clustered(mobility.ClusteredConfig{NumObjects: objects, NumTicks: ticks, NumClusters: clusters, RoamProb: 0.002, Seed: 20120828})
+	ix, err := Build(dn.Build(contact.Extract(d)), Params{PoolPages: 1 << 15})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := ix.store.NumPages(); n >= 1<<15 {
+		b.Fatalf("index has %d pages; the benchmark wants it resident", n)
+	}
+	type sweepQuery struct {
+		seeds []queries.SeedState
+		iv    contact.Interval
+	}
+	work := make([]sweepQuery, 256)
+	for i := range work {
+		src := trajectory.ObjectID(i * 3 % (objects - 3*clusters)) // objects join clusters round-robin
+		lo := trajectory.Tick(i * (ticks - window) / len(work))
+		work[i] = sweepQuery{seedsOf(src, src+clusters, src+2*clusters, src+3*clusters), contact.Interval{Lo: lo, Hi: lo + window - 1}}
+	}
+	ctx := context.Background()
+	var out []queries.ProfileEntry
+	// sweep is AppendProfile, opened up to count what the sweep decoded.
+	sweep := func(q sweepQuery) int {
+		sc := ix.begin(nil)
+		var err error
+		out, err = appendProfile(ctx, &sc.cur, sc, out[:0], q.seeds, q.iv, queries.Forward)
+		fresh := sc.cur.arena.recs.Len()
+		ix.end(sc, err)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fresh
+	}
+	for _, q := range work {
+		sweep(q)
+	}
+	fresh := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh += sweep(work[i%len(work)])
+	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(ix)
+	b.ReportMetric(float64(fresh)/float64(b.N), "fresh-decodes/op")
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MiB")
 }

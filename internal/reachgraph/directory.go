@@ -17,7 +17,8 @@
 // A partition that spans pages is verified where it is interpreted (see
 // pagefile's Integrity): its header before it is parsed, its anchors once
 // when it is buffered, an entry group before a lookup scans it, and a
-// record before it is decoded — or, kept from an earlier query, used. The
+// record before it is decoded — or, taken decoded from the index's shared
+// table, used, together with the entry group its lookup scanned. The
 // cursor's set of verified pages makes each page cost one checksum per
 // query however many of these cover it.
 package reachgraph
@@ -27,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"streach/internal/dn"
 	"streach/internal/pagefile"
@@ -129,24 +131,19 @@ func parsePartition(blob pagefile.Blob) (partView, error) {
 	return pv, nil
 }
 
-// keepRecords is how many decoded records a cursor may carry into its next
-// query (cursor.begin). Residency alone does not bound them: under a pool
-// larger than the index every scratch would end up holding the whole index
-// decoded, several times its size on the pages.
-const keepRecords = 4096
-
 // The two ways a directory lookup fails.
 var (
 	errNotListed    = errors.New("missing from partition")
 	errBadDirectory = errors.New("directory entry points outside the blob")
 )
 
-// find returns the record bytes of vertex id, errNotListed when the
-// directory does not list id, or errBadDirectory when the entry that should
-// locate it points outside the blob. It verifies the entry group it scans,
-// through seen; the anchors it searches were verified when the partition
-// was buffered.
-func (pv *partView) find(id dn.NodeID, seen *visit.Set) ([]byte, error) {
+// find returns the record bytes of vertex id and the payload range of the
+// directory entries it scanned for them, errNotListed when the directory
+// does not list id, or errBadDirectory when the entry that should locate it
+// points outside the blob. It verifies the entry group it scans, through
+// seen; the anchors it searches were verified when the partition was
+// buffered.
+func (pv *partView) find(id dn.NodeID, seen *visit.Set) ([]byte, [2]int32, error) {
 	data := pv.blob.Bytes()
 	index, entries, records := data[pv.index:pv.entries], data[pv.entries:pv.records], data[pv.records:]
 	// The group that can hold id: the last anchor at or below it, else the
@@ -174,96 +171,90 @@ func (pv *partView) find(id dn.NodeID, seen *visit.Set) ([]byte, error) {
 		entEnd = uint64(binary.LittleEndian.Uint32(index[group*anchorBytes+4:]))
 	}
 	if entOff > entEnd || entEnd > uint64(len(entries)) || recOff > uint64(len(records)) {
-		return nil, errBadDirectory
+		return nil, [2]int32{}, errBadDirectory
 	}
-	if err := pv.blob.Verify(int(pv.entries)+int(entOff), int(pv.entries)+int(entEnd), seen); err != nil {
-		return nil, err
+	scanned := [2]int32{pv.entries + int32(entOff), pv.entries + int32(entEnd)}
+	if err := pv.blob.Verify(int(scanned[0]), int(scanned[1]), seen); err != nil {
+		return nil, [2]int32{}, err
 	}
 	ents := entries[entOff:entEnd]
 	for i, left := 0, min(anchorStride, int(pv.n)-group*anchorStride); i < left; i++ {
 		gap, w1 := binary.Uvarint(ents)
 		if w1 <= 0 {
-			return nil, errBadDirectory
+			return nil, [2]int32{}, errBadDirectory
 		}
 		length, w2 := binary.Uvarint(ents[w1:])
 		if w2 <= 0 || length > uint64(len(records))-recOff {
-			return nil, errBadDirectory
+			return nil, [2]int32{}, errBadDirectory
 		}
 		ents = ents[w1+w2:]
 		if i > 0 || group == 0 { // an anchored entry's id is the anchor's
 			cur += int64(gap)
 		}
 		if cur == int64(id) {
-			return records[recOff : recOff+length], nil
+			return records[recOff : recOff+length], scanned, nil
 		}
 		if cur > int64(id) {
 			break
 		}
 		recOff += length
 	}
-	return nil, errNotListed
+	return nil, [2]int32{}, errNotListed
 }
 
 // cursor is a query's working set: the partitions it buffered (the paper's
-// traversal buffer), the records decoded from them and the arena that owns
-// those, plus the query's I/O accountant. The tables are epoch-stamped
-// scratch recycled with the rest of the traversal state, so a steady-state
-// query re-uses the previous query's arrays and allocates nothing. Nothing
-// in a cursor is shared between in-flight queries, so evaluation runs fully
-// in parallel.
+// traversal buffer), the records it decoded and the arena that owns them,
+// plus the query's I/O accountant. The tables are epoch-stamped scratch
+// recycled with the rest of the traversal state, so a steady-state query
+// re-uses the previous query's arrays and allocates nothing. Nothing a
+// cursor writes is shared between in-flight queries, so evaluation runs
+// fully in parallel.
 //
-// Records outlive the query for as long as the buffer pool lets no page go
-// and there are at most keepRecords of them (begin): a working set that
-// fits the pool is decoded once, not once per query. Partitions never
-// outlive it. Every query reads each partition it uses — the pool is
-// touched and charged — and verifies the pages of a record, kept or new,
-// before it takes the record, so page counts and corruption errors are
-// those of a cursor that keeps nothing.
+// The arena lives for one query. Decoded records outlive it only through
+// the index's one decoded copy (recTable): a record the query finds there
+// is read in place, not decoded again, and the records the query decoded
+// or completed are published there when it ends (end). Partitions never
+// outlive the query. Every query reads each partition it uses — the pool
+// is touched and charged — and verifies the pages of a record, shared or
+// its own, before it takes the record, so page counts and corruption
+// errors are those of a cursor that keeps nothing.
 type cursor struct {
 	ix   *Index
 	acct *pagefile.Stats
 
-	verts   visit.Table[*diskRec] // decoded records, by node
+	verts   visit.Table[*diskRec] // the records this query decoded or completed, by node
 	loaded  visit.Set             // partitions buffered by this query
 	checked visit.Set             // store pages this query verified
 	parts   []partView            // their views, by partition; valid where loaded
-	arena   arena
-	held    int      // records in the arena
-	last    *diskRec // the record vertex returned last
-	gen     uint64   // pool generation the kept records were decoded under
+	arena   arena                 // owns the records in verts
+	fresh   []dn.NodeID           // their nodes, to publish when the query ends
+	shared  *recTable             // the index's decoded records, if filled under gen
+	view    diskRec               // the shared record vertex returned last, thawed
+	last    *diskRec              // the record vertex returned last
+	gen     uint64                // pool generation at begin
 }
 
-// reset empties the cursor.
-func (c *cursor) reset(numNodes, numParts int) {
-	c.ix, c.acct, c.last = nil, nil, nil
-	c.verts.Reset(numNodes)
-	c.loaded.Reset(numParts)
-	if numParts > len(c.parts) {
-		c.parts = make([]partView, numParts)
-	}
-	c.arena.reset()
-	c.held = 0
-}
-
-// begin readies the cursor for one query against ix. The records of earlier
-// queries are kept while the pool's generation stands still — every page
-// they came from is then still resident — and dropped the moment a page is
-// displaced or evicted or the cache dropped; a cursor holding more than
-// keepRecords starts empty too. An index without a pool keeps nothing. No
-// page counts as verified until this query verifies it.
+// begin readies the cursor for one query against ix. It reads the pool's
+// generation once: the index's shared records are used only if they were
+// decoded under that same generation, while every page they came from is
+// still resident. An index without a pool shares nothing. No page counts
+// as verified until this query verifies it.
 func (c *cursor) begin(ix *Index, acct *pagefile.Stats) {
-	var gen uint64
-	pool := ix.store.Pool()
-	if pool != nil {
-		gen = pool.Generation()
+	c.ix, c.acct, c.last, c.shared, c.gen = ix, acct, nil, nil, 0
+	c.verts.Reset(ix.numNodes)
+	c.loaded.Reset(len(ix.partRefs))
+	if len(ix.partRefs) > len(c.parts) {
+		c.parts = make([]partView, len(ix.partRefs))
 	}
-	if pool != nil && c.ix == ix && c.gen == gen && c.held <= keepRecords {
-		c.loaded.Reset(len(ix.partRefs))
-	} else {
-		c.reset(ix.numNodes, len(ix.partRefs))
-	}
-	c.ix, c.acct, c.gen = ix, acct, gen
 	c.checked.Reset(int(ix.store.NumPages()))
+	c.arena.reset()
+	c.fresh = c.fresh[:0]
+	if pool := ix.store.Pool(); pool != nil {
+		c.gen = pool.Generation()
+		if t := ix.decoded.Load(); t != nil && t.gen == c.gen {
+			c.shared = t
+		}
+	}
 }
 
 // loadPartition buffers partition pid: one blob read, and a check of its
@@ -297,8 +288,10 @@ func (c *cursor) loadPartition(pid int32) error {
 
 // vertex returns the record of node id, which the referencing edge (or the
 // run directory) says lives in partition part: the partition is buffered on
-// first use, the record found through its directory, its pages verified,
-// and header and members decoded. Edge sections wait for need.
+// first use, and the record taken from this query's own, else from the
+// index's shared table, else found through the partition's directory and
+// decoded, header and members only. Its pages are verified either way.
+// Edge sections wait for need.
 func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 	if id < 0 || int(id) >= c.ix.numNodes {
 		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
@@ -306,17 +299,31 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 	if err := c.loadPartition(part); err != nil {
 		return nil, err
 	}
+	pv := &c.parts[part]
 	r, ok := c.verts.Get(int(id))
+	if !ok && c.shared != nil {
+		// A shared record of another partition is not thawed against this
+		// one's payload: the lookup below finds it unlisted here.
+		if s := c.shared.load(id); s != nil && s.part == part {
+			r, ok = &c.view, true
+			s.thaw(id, pv.blob.Bytes(), r)
+		}
+	}
 	if ok && r.part != part {
 		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, errNotListed)
 	}
-	pv := &c.parts[part]
 	var raw []byte
+	var scanned [2]int32
 	if ok {
-		raw = r.raw // kept from an earlier query, whose read verified it
+		// Decoded by a lookup like the one skipped here, whose directory
+		// entries are verified as that lookup would have.
+		raw, scanned = r.raw, r.scanned
+		if err := pv.blob.Verify(int(scanned[0]), int(scanned[1]), &c.checked); err != nil {
+			return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
+		}
 	} else {
 		var err error
-		if raw, err = pv.find(id, &c.checked); err != nil {
+		if raw, scanned, err = pv.find(id, &c.checked); err != nil {
 			return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
 		}
 	}
@@ -327,8 +334,8 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
 	}
 	if !ok {
-		r = &c.arena.recs.Alloc(1)[0]
-		*r = diskRec{vertexRec: vertexRec{id: id}, part: part, raw: raw, known: 1}
+		r = c.own(id)
+		*r = diskRec{vertexRec: vertexRec{id: id}, part: part, raw: raw, scanned: scanned, known: 1}
 		dec := pagefile.NewDecoder(raw)
 		decodeHeader(dec, c.ix.numObjects, &r.vertexRec, &c.arena)
 		if err := dec.Err(); err != nil {
@@ -336,20 +343,38 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 		}
 		r.off[0] = uint32(len(raw) - dec.Remaining())
 		c.verts.Set(int(id), r)
-		c.held++
 	}
 	c.last = r
 	return &r.vertexRec, nil
 }
 
+// own returns a record of node id in the arena, for this query to fill and
+// to publish when it ends.
+func (c *cursor) own(id dn.NodeID) *diskRec {
+	c.fresh = append(c.fresh, id)
+	return &c.arena.recs.Alloc(1)[0]
+}
+
 // need decodes the sections of v named in want that are not decoded yet,
-// skip-parsing the sections in front of them.
-func (c *cursor) need(v *vertexRec, want uint8) error {
+// skip-parsing the sections in front of them, and returns the record that
+// holds them: v itself, or, when v is a shared record — never written once
+// published — this query's own copy of it.
+func (c *cursor) need(v *vertexRec, want uint8) (*vertexRec, error) {
 	r := c.last
 	if r == nil || &r.vertexRec != v { // not the record just returned: find it again
 		r, _ = c.verts.Get(int(v.id))
 	}
 	want &^= r.have
+	if want == 0 {
+		return v, nil
+	}
+	if r == &c.view {
+		cp := c.own(r.id)
+		*cp = *r
+		r = cp
+		c.verts.Set(int(r.id), r)
+		c.last = r
+	}
 	for s := 0; want != 0; s++ {
 		bit := uint8(1) << s
 		if want&bit == 0 {
@@ -357,11 +382,11 @@ func (c *cursor) need(v *vertexRec, want uint8) error {
 		}
 		want &^= bit
 		if err := c.decodeSection(r, s); err != nil {
-			return fmt.Errorf("reachgraph: vertex %d, %s edges: %w", r.id, sectionNames[s], err)
+			return nil, fmt.Errorf("reachgraph: vertex %d, %s edges: %w", r.id, sectionNames[s], err)
 		}
 		r.have |= bit
 	}
-	return nil
+	return &r.vertexRec, nil
 }
 
 // decodeSection decodes section s of r, first stepping over the sections
@@ -394,4 +419,102 @@ func (c *cursor) decodeSection(r *diskRec, s int) error {
 		}
 	}
 	return nil
+}
+
+// recTable is an index's one decoded copy of its records, by node, filled
+// by the queries of one pool generation. A query publishes to it only if
+// the generation has not moved since the query began, and reads it only if
+// the table's generation is the one it began under: every record in it then
+// comes from pages that are still resident, so what the table holds is
+// bounded by the pool's page budget. When the generation moves, the next
+// publication starts a new table; the old one, and the records in it, are
+// never written again and are freed once no query holds them.
+type recTable struct {
+	gen    uint64
+	chunks []atomic.Pointer[recChunk] // by node / chunkNodes; nil until published to
+}
+
+// recChunk is the unit a recTable grows by, so that a new table costs what
+// its queries publish, not a pointer per node of the index: under a pool
+// just short of the index the generation moves every few queries.
+type recChunk [chunkNodes]atomic.Pointer[sharedRec]
+
+const chunkNodes = 256
+
+func newRecTable(gen uint64, numNodes int) *recTable {
+	return &recTable{gen: gen, chunks: make([]atomic.Pointer[recChunk], (numNodes+chunkNodes-1)/chunkNodes)}
+}
+
+// load returns the shared record of node id, or nil.
+func (t *recTable) load(id dn.NodeID) *sharedRec {
+	if ch := t.chunks[id/chunkNodes].Load(); ch != nil {
+		return ch[id%chunkNodes].Load()
+	}
+	return nil
+}
+
+// store publishes s as the record of node id. The caller holds the index's
+// publication lock.
+func (t *recTable) store(id dn.NodeID, s *sharedRec) {
+	slot := &t.chunks[id/chunkNodes]
+	ch := slot.Load()
+	if ch == nil {
+		ch = new(recChunk)
+		slot.Store(ch)
+	}
+	ch[id%chunkNodes].Store(s)
+}
+
+// end closes the query: if it succeeded, what it decoded is published, and
+// the cursor lets go of the shared table either way.
+func (c *cursor) end(err error) {
+	if err == nil {
+		c.publish()
+	}
+	c.shared, c.view, c.last = nil, diskRec{}, nil
+}
+
+// publish offers the records this query decoded or completed to the index's
+// shared table, copied out of the arena, which the next query reuses. A
+// record the table already holds with every section this query decoded is
+// left as it is; one that gains sections is replaced by a copy carrying the
+// sections of both.
+func (c *cursor) publish() {
+	ix := c.ix
+	pool := ix.store.Pool()
+	if len(c.fresh) == 0 || pool == nil {
+		return
+	}
+	ix.publishMu.Lock()
+	defer ix.publishMu.Unlock()
+	// Checked under the lock: generations only grow, so no table of a later
+	// generation than this query's can have been published yet.
+	if pool.Generation() != c.gen {
+		return
+	}
+	t := ix.decoded.Load()
+	if t == nil || t.gen != c.gen {
+		t = newRecTable(c.gen, ix.numNodes)
+		ix.decoded.Store(t)
+	}
+	var recs []*diskRec
+	for _, id := range c.fresh {
+		r, _ := c.verts.Get(int(id))
+		if old := t.load(id); old != nil {
+			if r.have&^old.have == 0 {
+				continue
+			}
+			var o diskRec
+			old.thaw(id, c.parts[r.part].blob.Bytes(), &o)
+			r.merge(&o)
+		}
+		recs = append(recs, r)
+	}
+	if len(recs) == 0 {
+		return
+	}
+	shared := freeze(recs, c.parts)
+	for i, r := range recs {
+		t.store(r.id, &shared[i])
+	}
 }

@@ -2,14 +2,18 @@ package reachgraph
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"strings"
 	"testing"
 
+	"streach/internal/contact"
 	"streach/internal/dn"
 	"streach/internal/pagefile"
+	"streach/internal/queries"
 	"streach/internal/stjoin"
 )
 
@@ -144,7 +148,7 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 			for i, id := range members {
 				enc.Reset()
 				encodeVertex(enc, g, id, partOf)
-				rec, err := pv.find(id, &c.checked)
+				rec, _, err := pv.find(id, &c.checked)
 				if err != nil {
 					t.Fatalf("depth %d: vertex %d in partition %d of %d: %v", depth, id, pid, len(members), err)
 				}
@@ -165,7 +169,7 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 					absent = absent[:len(absent)-1]
 				}
 				for _, a := range absent {
-					if rec, err := pv.find(a, &c.checked); err != errNotListed || rec != nil {
+					if rec, _, err := pv.find(a, &c.checked); err != errNotListed || rec != nil {
 						t.Fatalf("depth %d: partition %d answers for vertex %d, which it does not hold: %v", depth, pid, a, err)
 					}
 				}
@@ -182,7 +186,7 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 			sc := ix.begin(nil)
 			eager, err := sc.cur.vertex(id, partOf[id])
 			if err == nil {
-				err = sc.cur.need(eager, secOut|secIn|secLongOut|secLongIn)
+				eager, err = sc.cur.need(eager, secOut|secIn|secLongOut|secLongIn)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -199,7 +203,7 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, s := range order {
-					if err := lazy.cur.need(v, 1<<s); err != nil {
+					if v, err = lazy.cur.need(v, 1<<s); err != nil {
 						t.Fatalf("vertex %d, order %v: %v", id, order, err)
 					}
 				}
@@ -308,7 +312,7 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 			sc := ix.begin(nil)
 			v, err := sc.cur.vertex(5, 0)
 			if err == nil && tc.section >= 0 {
-				err = sc.cur.need(v, 1<<tc.section)
+				_, err = sc.cur.need(v, 1<<tc.section)
 			}
 			if err == nil || !strings.Contains(err.Error(), "implausible "+tc.what+" count") {
 				t.Errorf("section %d: %s count %d over %d bytes: err = %v, want an implausible-count error", tc.section, tc.what, forged, body, err)
@@ -322,139 +326,223 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 	}
 }
 
-// TestCursorKeepsRecordsWhileResident pins what a cursor carries from one
-// query to the next. While the pool lets no page go, the records stay —
-// same pointers, nothing decoded again — but every query still reads each
-// partition it takes a record of, and verifies the record's pages, so its
-// page counts are those of a cursor that kept nothing. A displacement, DropCache or a
-// damaged page empties it; so does having no pool at all, and so does
-// holding more than keepRecords.
-func TestCursorKeepsRecordsWhileResident(t *testing.T) {
+// TestIndexSharesRecordsWhileResident pins the one decoded copy an index
+// keeps. While the pool lets no page go, a query takes the records earlier
+// queries published — their lists, not copies, and nothing decoded again —
+// but still reads each partition it takes a record of and verifies the
+// record's pages, so its page counts are those of a query that shares
+// nothing. A section a shared record lacks is decoded on a copy, and the
+// shared record stays as it was. A displacement, DropCache or a damaged page
+// retires the table; no pool, or a pool too small for the index, never
+// fills one.
+func TestIndexSharesRecordsWhileResident(t *testing.T) {
 	f := newFixture(t, 30, 200, 17)
-	if n := len(f.g.Nodes); n > keepRecords {
-		t.Fatalf("fixture has %d vertices; the test wants at most %d", n, keepRecords)
-	}
 	partOf, parts := partition(f.g, 32)
 	if len(parts) < 3 {
 		t.Fatalf("fixture has %d partitions, the test wants a few", len(parts))
 	}
 	all := secOut | secIn | secLongOut | secLongIn
-	// readAll looks up every vertex and decodes the sections in want,
-	// returning the records, the pages the cursor touched for them and the
-	// pages it verified.
-	readAll := func(c *cursor, ix *Index, want uint8) ([]*vertexRec, int64, int64) {
+	// pass is what one query that reads every vertex did.
+	type pass struct {
+		recs            []vertexRec // as the query read them
+		pages, verified int64
+		decoded         int // records it decoded or completed itself
+	}
+	// readAll looks up every vertex through a new cursor, decodes the
+	// sections in want, and ends the query, which publishes what it decoded.
+	readAll := func(ix *Index, want uint8) pass {
 		t.Helper()
 		var acct pagefile.Stats
+		c := &cursor{}
 		c.begin(ix, &acct)
-		recs := make([]*vertexRec, len(f.g.Nodes))
+		p := pass{recs: make([]vertexRec, len(f.g.Nodes))}
 		for id := range f.g.Nodes {
 			v, err := c.vertex(dn.NodeID(id), partOf[id])
 			if err == nil {
-				err = c.need(v, want)
+				v, err = c.need(v, want)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs[id] = v
+			p.recs[id] = *v
 		}
-		return recs, acct.BufferHits + acct.RandomReads + acct.SequentialReads, acct.PagesVerified
+		p.decoded = c.arena.recs.Len()
+		c.end(nil)
+		p.pages, p.verified = acct.BufferHits+acct.RandomReads+acct.SequentialReads, acct.PagesVerified
+		return p
 	}
-
-	ix, err := Build(f.g, Params{PoolPages: 4096})
+	// sharesNothing fails unless a query beginning now sees no shared table
+	// and decodes every record itself.
+	sharesNothing := func(ix *Index, why string) {
+		t.Helper()
+		c := &cursor{}
+		c.begin(ix, nil)
+		if c.shared != nil {
+			t.Fatalf("%s: a query began with a shared table", why)
+		}
+		if p := readAll(ix, secOut); p.decoded != len(f.g.Nodes) {
+			t.Fatalf("%s: a query decoded %d of %d records", why, p.decoded, len(f.g.Nodes))
+		}
+	}
+	// The records a query that shares nothing decodes, and the index's size.
+	plain, err := Build(f.g, Params{PoolPages: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ix.store.NumPages(); n > 4096 {
-		t.Fatalf("index has %d pages; the test wants it resident", n)
+	fresh := readAll(plain, all)
+
+	// The index under test fills a pool of its own size exactly, which a
+	// second index shares: a read of that one displaces pages of this one.
+	pool := pagefile.NewBufferPool(int(plain.store.NumPages()))
+	ix, err := Build(f.g, Params{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
 	}
+	other, err := Build(newFixture(t, 30, 200, 18).g, Params{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.decoded.Load() != nil {
+		t.Fatal("Build filled a shared table")
+	}
+	// thawed is shared record s of vertex id as a query of ix reads it.
+	thawed := func(id int, s *sharedRec) vertexRec {
+		t.Helper()
+		c := &cursor{}
+		c.begin(ix, nil)
+		if err := c.loadPartition(s.part); err != nil {
+			t.Fatal(err)
+		}
+		var r diskRec
+		s.thaw(dn.NodeID(id), c.parts[s.part].blob.Bytes(), &r)
+		return r.vertexRec
+	}
+
+	first := readAll(ix, secOut)
+	if first.decoded != len(f.g.Nodes) {
+		t.Fatalf("first query decoded %d of %d records", first.decoded, len(f.g.Nodes))
+	}
+	table := ix.decoded.Load()
+	if table == nil {
+		t.Fatal("a query on a resident index published nothing")
+	}
+	shared := make([]*sharedRec, len(f.g.Nodes))
+	for id := range shared {
+		if shared[id] = table.load(dn.NodeID(id)); shared[id] == nil {
+			t.Fatalf("vertex %d was not published", id)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		again := readAll(ix, secOut)
+		if again.decoded != 0 {
+			t.Fatalf("a resident index was decoded again: %d records", again.decoded)
+		}
+		if ix.decoded.Load() != table {
+			t.Fatal("a query that decoded nothing replaced the shared table")
+		}
+		for id, v := range again.recs {
+			s := table.load(dn.NodeID(id))
+			if s != shared[id] {
+				t.Fatalf("vertex %d was published again", id)
+			}
+			if &v.members[0] != &s.lists.members[s.members.lo] ||
+				len(v.out.nodes) > 0 && &v.out.nodes[0] != &s.lists.nodes[s.out.lo] {
+				t.Fatalf("vertex %d: the query read a copy, not the shared record", id)
+			}
+			if !sameRecord(&v, &first.recs[id]) {
+				t.Fatalf("vertex %d: shared record differs from the one decoded", id)
+			}
+		}
+		if again.pages != first.pages {
+			t.Fatalf("a query touched %d pages, the first %d: shared records must not skip partition reads", again.pages, first.pages)
+		}
+		if again.verified != first.verified {
+			t.Fatalf("a query verified %d pages, the first %d: a shared record must be verified by the read that uses it", again.verified, first.verified)
+		}
+	}
+
+	// Sections a shared record lacks are decoded on a copy, which agrees
+	// with a fresh decode; the shared record is not written.
+	completed := readAll(ix, all)
+	if completed.decoded != len(f.g.Nodes) {
+		t.Fatalf("%d of %d records completed on a copy", completed.decoded, len(f.g.Nodes))
+	}
+	for id := range completed.recs {
+		if !sameRecord(&completed.recs[id], &fresh.recs[id]) {
+			t.Fatalf("vertex %d: record completed on demand differs from a fresh decode", id)
+		}
+		s := shared[id]
+		if v := thawed(id, s); s.have != secOut || !sameRecord(&v, &first.recs[id]) {
+			t.Fatalf("vertex %d: completing it on demand changed the shared record", id)
+		}
+		if v := thawed(id, table.load(dn.NodeID(id))); !sameRecord(&v, &fresh.recs[id]) {
+			t.Fatalf("vertex %d: the completed record published differs from a fresh decode", id)
+		}
+	}
+	if p := readAll(ix, all); p.decoded != 0 {
+		t.Fatalf("the completed records were not published: %d decoded again", p.decoded)
+	}
+
+	// A shared record answers only through its own partition.
 	c := &cursor{}
-	first, pages, verified := readAll(c, ix, secOut)
-	decoded := c.held
-	edges := c.arena.nodes.Len()
-
-	again, pagesAgain, verifiedAgain := readAll(c, ix, secOut)
-	if !slices.Equal(first, again) || c.held != decoded || c.arena.nodes.Len() != edges {
-		t.Fatalf("a resident index was decoded again (%d → %d records, %d → %d edges)", decoded, c.held, edges, c.arena.nodes.Len())
-	}
-	if pagesAgain != pages {
-		t.Fatalf("second pass touched %d pages, the first %d: kept records must not skip partition reads", pagesAgain, pages)
-	}
-	if verifiedAgain != verified {
-		t.Fatalf("second pass verified %d pages, the first %d: a kept record must be verified by the read that uses it", verifiedAgain, verified)
-	}
-
-	// Sections a kept record lacks are still decoded on demand, and
-	// agree with a cursor that starts empty.
-	kept, _, _ := readAll(c, ix, all)
-	fresh, _, _ := readAll(&cursor{}, ix, all)
-	for id := range kept {
-		if kept[id] != first[id] {
-			t.Fatalf("vertex %d was decoded into a new record", id)
-		}
-		if !sameRecord(kept[id], fresh[id]) {
-			t.Fatalf("vertex %d: kept record completed on demand differs from a fresh decode", id)
-		}
-	}
-
-	// A kept record answers only through its own partition.
 	c.begin(ix, nil)
 	wrong := (partOf[0] + 1) % int32(len(parts))
 	if v, err := c.vertex(0, wrong); !errors.Is(err, errNotListed) || v != nil {
-		t.Fatalf("kept vertex 0 through partition %d (its own is %d): got %v, %v", wrong, partOf[0], v, err)
+		t.Fatalf("shared vertex 0 through partition %d (its own is %d): got %v, %v", wrong, partOf[0], v, err)
 	}
 
-	// Damage: the query that meets it fails, kept records or not.
+	// Damage under a query that holds the table: the shared record is
+	// verified like a fresh one, so the query fails. The table is retired.
+	c.begin(ix, nil)
+	if c.shared == nil {
+		t.Fatal("a query on a resident index began without the shared table")
+	}
 	ref := ix.partRefs[partOf[0]]
 	if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil {
 		t.Fatal(err)
 	}
-	c.begin(ix, nil)
 	if _, err := c.vertex(0, partOf[0]); !errors.Is(err, pagefile.ErrCorruptBlob) {
-		t.Fatalf("vertex of a damaged partition: err = %v, want ErrCorruptBlob", err)
+		t.Fatalf("shared vertex of a damaged partition: err = %v, want ErrCorruptBlob", err)
 	}
 	if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil { // repair
 		t.Fatal(err)
 	}
+	sharesNothing(ix, "after CorruptPage")
 
-	readAll(c, ix, secOut)
+	readAll(ix, secOut)
 	ix.DropCache()
-	c.begin(ix, nil)
-	if c.held != 0 {
-		t.Fatalf("%d records survived DropCache", c.held)
-	}
+	sharesNothing(ix, "after DropCache")
 
-	// Residency is not enough once the cursor holds too much.
-	big := newFixture(t, 80, 600, 17)
-	bigIx, err := Build(big.g, Params{PoolPages: 1 << 16})
-	if err != nil {
+	// A query that fails publishes nothing.
+	ix.DropCache()
+	fails := &cursor{}
+	fails.begin(ix, nil)
+	if _, err := fails.vertex(0, partOf[0]); err != nil {
 		t.Fatal(err)
 	}
-	bigPartOf, _ := partition(big.g, 32)
-	c = &cursor{}
-	for pass := 0; pass < 2; pass++ {
-		c.begin(bigIx, nil)
-		if c.held != 0 {
-			t.Fatalf("a cursor holding %d records, more than %d, kept them", c.held, keepRecords)
-		}
-		for id := 0; id <= keepRecords; id++ {
-			if _, err := c.vertex(dn.NodeID(id), bigPartOf[id]); err != nil {
-				t.Fatal(err)
-			}
-		}
+	fails.end(errors.New("the query failed"))
+	if ix.decoded.Load().gen == fails.gen {
+		t.Fatal("a failed query published its records")
 	}
 
-	// Too small a pool displaces pages during every pass; no pool keeps
-	// no page. Neither cursor carries anything over.
+	// A read of the other index displaces pages of this one.
+	readAll(ix, secOut)
+	if _, _, err := other.AppendProfile(context.Background(), nil, seedsOf(0, 1, 2), contact.Interval{Lo: 0, Hi: 199}, queries.Forward, nil); err != nil {
+		t.Fatal(err)
+	}
+	sharesNothing(ix, "after a displacement")
+
+	// Too small a pool displaces pages during every pass; no pool keeps no
+	// page. Neither index ever fills a table.
 	for _, poolPages := range []int{1, -1} {
 		ix, err := Build(f.g, Params{PoolPages: poolPages})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &cursor{}
-		readAll(c, ix, secOut)
-		c.begin(ix, nil)
-		if c.held != 0 {
-			t.Fatalf("pool of %d pages: %d records kept across queries", poolPages, c.held)
+		readAll(ix, secOut)
+		if ix.decoded.Load() != nil {
+			t.Fatalf("pool of %d pages: a query filled a shared table", poolPages)
 		}
+		sharesNothing(ix, fmt.Sprintf("pool of %d pages", poolPages))
 	}
 }

@@ -153,7 +153,7 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 		for _, id := range parts[pid] {
 			v, err := sc.cur.vertex(id, int32(pid))
 			if err == nil {
-				err = sc.cur.need(v, secOut|secIn|secLongOut|secLongIn)
+				v, err = sc.cur.need(v, secOut|secIn|secLongOut|secLongIn)
 			}
 			switch {
 			case errors.Is(err, pagefile.ErrCorruptBlob):
@@ -216,7 +216,7 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range parts[pid] {
-		rec, err := sc.cur.parts[pid].find(id, &sc.cur.checked)
+		rec, _, err := sc.cur.parts[pid].find(id, &sc.cur.checked)
 		if err != nil {
 			t.Fatal(err)
 		}

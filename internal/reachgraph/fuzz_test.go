@@ -61,7 +61,7 @@ func FuzzPartitionBlob(f *testing.F) {
 			}
 		}
 		for i, id := range ids {
-			if rec, err := c.parts[0].find(id, &c.checked); err == nil && !withinBlob(blob, rec) {
+			if rec, _, err := c.parts[0].find(id, &c.checked); err == nil && !withinBlob(blob, rec) {
 				t.Fatalf("vertex %d: record of %d bytes runs past the %d-byte blob", id, len(rec), len(blob))
 			}
 			v, err := c.vertex(id, 0)
@@ -73,9 +73,11 @@ func FuzzPartitionBlob(f *testing.F) {
 			}
 			for k := 0; k < numSections; k++ {
 				s := (k + i + int(pick)) % numSections
-				if c.need(v, 1<<s) != nil {
+				w, err := c.need(v, 1<<s)
+				if err != nil {
 					break
 				}
+				v = w
 			}
 			for _, m := range v.members {
 				if m < 0 || int(m) >= numObjects {

@@ -68,7 +68,7 @@ func (a *memAccess) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
 }
 
 // need points the sections asked for at the graph's lists of v's node.
-func (a *memAccess) need(v *vertexRec, want uint8) error {
+func (a *memAccess) need(v *vertexRec, want uint8) (*vertexRec, error) {
 	g, id := a.m.g, v.id
 	if want&secOut != 0 {
 		v.out = edgeList{nodes: g.Out(id)}
@@ -92,7 +92,7 @@ func (a *memAccess) need(v *vertexRec, want uint8) error {
 			}
 		}
 	}
-	return nil
+	return v, nil
 }
 
 // locate maps object o to its run at tick t; an object without one has

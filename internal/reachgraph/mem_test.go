@@ -26,7 +26,7 @@ func TestMemRecordsAliasGraph(t *testing.T) {
 		nd := &f.g.Nodes[id]
 		v, err := ga.vertex(id, -1)
 		if err == nil {
-			err = ga.need(v, secOut|secIn|secLongOut|secLongIn)
+			v, err = ga.need(v, secOut|secIn|secLongOut|secLongIn)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -23,16 +23,17 @@
 // The records carry no id of their own — the directory names them — and
 // are decoded lazily (record.go): header and members on the first visit,
 // each of the four edge sections only when a traversal's direction asks
-// for it, all into an arena that is recycled with the rest of the
-// traversal scratch. Decoded records follow the buffer pool: a scratch
-// keeps them from query to query for as long as the pool lets no page go
+// for it, all into an arena that lives for one query. Decoded records
+// follow the buffer pool, one copy per index: a query publishes what it
+// decoded to the index's shared table (directory.go), and later queries
+// take records from it for as long as the pool lets no page go
 // (pagefile.BufferPool.Generation), so an index that fits its pool — one
 // shard of a spatially cut dataset — is decoded once, and an index that
 // does not is decoded afresh by every query; what is kept is bounded by
 // the pool's page budget, not by a setting of its own. Partition reads are
 // never skipped: every query reads each partition it takes a record from,
 // and verifies the pages of it that it interprets — the header, the
-// anchors, the entry groups it scans and the records it takes, kept ones
+// anchors, the entry groups it scans and the records it takes, shared ones
 // included — so the bytes a query interprets were verified by that query's
 // own read, and the buffer pool is the only cache the page counts depend
 // on. A partition within one page is verified whole by the read; of a
@@ -57,6 +58,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"streach/internal/contact"
 	"streach/internal/dn"
@@ -109,6 +112,9 @@ type Index struct {
 	dirRefs  []pagefile.BlobRef // per-object run directory blobs
 
 	pool *visit.Pool[scratch] // per-query traversal scratch
+
+	decoded   atomic.Pointer[recTable] // the one decoded copy of its records; nil until a query publishes
+	publishMu sync.Mutex               // serializes publication into decoded
 }
 
 // Build constructs the ReachGraph of the reduced graph g. Long edges at
@@ -295,12 +301,19 @@ func (ix *Index) validateQuery(q queries.Query) error {
 
 // begin checks a traversal scratch out of the pool, reset for one query
 // against this index with its page reads charged to acct; the caller
-// returns it with ix.pool.Put.
+// returns it with ix.end.
 func (ix *Index) begin(acct *pagefile.Stats) *scratch {
 	sc := ix.pool.Get()
 	sc.reset(ix.numNodes, ix.numObjects)
 	sc.cur.begin(ix, acct)
 	return sc
+}
+
+// end closes the query of sc, which ended with err, and returns sc to the
+// pool.
+func (ix *Index) end(sc *scratch, err error) {
+	sc.cur.end(err)
+	ix.pool.Put(sc)
 }
 
 // ReachStrategyCounted answers the single-source query q with strategy s and
@@ -339,9 +352,10 @@ func (ix *Index) ReachFromCounted(ctx context.Context, seeds []trajectory.Object
 		}
 	}
 	sc := ix.begin(acct)
-	defer ix.pool.Put(sc)
 	ok, err := reachFrom(ctx, &sc.cur, sc, s, seeds, dst, iv, ix.params.Resolutions, ix.numTicks)
-	return ok, sc.visits, err
+	visits := sc.visits
+	ix.end(sc, err)
+	return ok, visits, err
 }
 
 // AppendProfile appends to out the propagation profile of the seed frontier
@@ -362,7 +376,8 @@ func (ix *Index) AppendProfile(ctx context.Context, out []queries.ProfileEntry, 
 		return out, 0, nil
 	}
 	sc := ix.begin(acct)
-	defer ix.pool.Put(sc)
 	out, err := appendProfile(ctx, &sc.cur, sc, out, seeds, iv, dir)
-	return out, sc.visits, err
+	visits := sc.visits
+	ix.end(sc, err)
+	return out, visits, err
 }

@@ -1,5 +1,5 @@
-// Vertex records: the on-page layout, and its lazy decode into the
-// cursor's arena.
+// Vertex records: the on-page layout, its lazy decode into the cursor's
+// arena, and the frozen form an index shares between queries.
 //
 // A record is a header (span), the member posting, and four edge sections
 // in fixed order — out, in, longOut, longIn. The vertex id is not stored:
@@ -80,19 +80,148 @@ type vertexRec struct {
 
 // diskRec is a vertex record read from a partition blob: the decoded view
 // plus what decoding the rest on demand needs. It lives in the arena of the
-// cursor that read it, and a query only ever sees it after its own read of
+// query that decoded it, or in the cursor's view of a shared record
+// (sharedRec.thaw), and a query only ever takes it after its own read of
 // the partition has verified the pages the record's bytes are on
 // (cursor.vertex).
 type diskRec struct {
 	vertexRec
-	raw   []byte              // the record's bytes, a view of the partition blob
-	off   [numSections]uint32 // where each section starts in raw
-	part  int32               // the partition holding it
-	have  uint8               // sections decoded so far
-	known uint8               // off[:known] are valid; at least 1 once decoded
+	raw     []byte              // the record's bytes, a view of the partition blob
+	off     [numSections]uint32 // where each section starts in raw
+	scanned [2]int32            // the directory entries its lookup scanned, in the payload
+	part    int32               // the partition holding it
+	have    uint8               // sections decoded so far
+	known   uint8               // off[:known] are valid; at least 1 once decoded
 }
 
-// arena owns every decoded record of one cursor, one visit.Slab per element
+// merge gives r the sections that o, a record of the same vertex, has and
+// r lacks, and o's section starts if o knows more of them.
+func (r *diskRec) merge(o *diskRec) {
+	add := o.have &^ r.have
+	if add&secOut != 0 {
+		r.out = o.out
+	}
+	if add&secIn != 0 {
+		r.in = o.in
+	}
+	if add&secLongOut != 0 {
+		r.longOut = o.longOut
+	}
+	if add&secLongIn != 0 {
+		r.longIn = o.longIn
+	}
+	r.have |= add
+	if o.known > r.known {
+		r.off, r.known = o.off, o.known
+	}
+}
+
+// sharedRec is a record in an index's shared table (recTable): a diskRec
+// with its lists as ranges of the arrays of the publication that froze it.
+// Records are many and their lists short, so ranges rather than slices keep
+// the table near the size of what it decoded. It is never written once
+// published; a query reads it through a diskRec rebuilt around those
+// arrays (thaw).
+type sharedRec struct {
+	lists      *frozen // the arrays its spans index
+	start, end trajectory.Tick
+	part       int32
+	at, n      uint32 // the record's bytes in its partition's payload
+	scanned    [2]int32
+	off        [numSections]uint32
+	have       uint8
+	known      uint8
+
+	members, out, in, longOut, longIn span
+}
+
+// span is a range of one of frozen's arrays.
+type span struct{ lo, hi uint32 }
+
+// frozen holds the lists of the records one publication froze.
+type frozen struct {
+	members []trajectory.ObjectID
+	nodes   []dn.NodeID
+	parts   []int32 // the hints of nodes
+	levels  []levelEdges
+}
+
+// thaw rebuilds into r the record of node id that s holds; payload is its
+// partition's.
+func (s *sharedRec) thaw(id dn.NodeID, payload []byte, r *diskRec) {
+	f := s.lists
+	r.id, r.start, r.end = id, s.start, s.end
+	r.members = f.members[s.members.lo:s.members.hi:s.members.hi]
+	r.out, r.in = f.edges(s.out), f.edges(s.in)
+	r.longOut = f.levels[s.longOut.lo:s.longOut.hi:s.longOut.hi]
+	r.longIn = f.levels[s.longIn.lo:s.longIn.hi:s.longIn.hi]
+	r.raw = payload[s.at : s.at+s.n] // capacity to the payload's end, as find's
+	r.off, r.scanned, r.part, r.have, r.known = s.off, s.scanned, s.part, s.have, s.known
+}
+
+func (f *frozen) edges(s span) edgeList {
+	return edgeList{f.nodes[s.lo:s.hi:s.hi], f.parts[s.lo:s.hi:s.hi]}
+}
+
+// freeze copies the lists of records rs, decoded from the payloads of
+// parts, into arrays of their own, exactly sized, and returns the records
+// as shared ones, in order.
+func freeze(rs []*diskRec, parts []partView) []sharedRec {
+	var members, nodes, levels int
+	for _, r := range rs {
+		members += len(r.members)
+		nodes += len(r.out.nodes) + len(r.in.nodes)
+		for _, ls := range [...][]levelEdges{r.longOut, r.longIn} {
+			levels += len(ls)
+			for _, l := range ls {
+				nodes += len(l.edges.nodes)
+			}
+		}
+	}
+	f := &frozen{
+		members: make([]trajectory.ObjectID, 0, members),
+		nodes:   make([]dn.NodeID, 0, nodes),
+		parts:   make([]int32, 0, nodes),
+		levels:  make([]levelEdges, 0, levels),
+	}
+	out := make([]sharedRec, len(rs))
+	for i, r := range rs {
+		at := cap(parts[r.part].blob.Bytes()) - cap(r.raw)
+		out[i] = sharedRec{
+			lists: f, start: r.start, end: r.end, part: r.part,
+			at: uint32(at), n: uint32(len(r.raw)), scanned: r.scanned,
+			off: r.off, have: r.have, known: r.known,
+			members: appendSpan(&f.members, r.members),
+			out:     f.putEdges(r.out), in: f.putEdges(r.in),
+			longOut: f.putLevels(r.longOut), longIn: f.putLevels(r.longIn),
+		}
+	}
+	return out
+}
+
+// appendSpan appends src to *dst and returns where it landed.
+func appendSpan[T any](dst *[]T, src []T) span {
+	lo := len(*dst)
+	*dst = append(*dst, src...)
+	return span{uint32(lo), uint32(len(*dst))}
+}
+
+func (f *frozen) putEdges(l edgeList) span {
+	appendSpan(&f.parts, l.parts)
+	return appendSpan(&f.nodes, l.nodes)
+}
+
+// putLevels appends ls, whose edges land in f's arrays first: those are
+// sized exactly, so the copies' slices of them stay valid.
+func (f *frozen) putLevels(ls []levelEdges) span {
+	lo := len(f.levels)
+	for _, l := range ls {
+		f.levels = append(f.levels, levelEdges{level: l.level, edges: f.edges(f.putEdges(l.edges))})
+	}
+	return span{uint32(lo), uint32(len(f.levels))}
+}
+
+// arena owns every record one query decoded, one visit.Slab per element
 // type.
 type arena struct {
 	recs    visit.Slab[diskRec]

@@ -102,10 +102,12 @@ type graphAccess interface {
 	// vertex returns the record of node id with span and members ready.
 	vertex(id dn.NodeID, part int32) (*vertexRec, error)
 	// need makes the edge sections named in sections (sec* bits) readable
-	// on v, the record vertex returned last. The disk index decodes them;
-	// in memory they are views of the graph's lists. Sections not asked
-	// for hold whatever an earlier visit left there.
-	need(v *vertexRec, sections uint8) error
+	// on v, the record vertex returned last, and returns the record to read
+	// them from: v, or on disk a query-local copy of a shared record that
+	// lacked them. The disk index decodes them; in memory they are views
+	// of the graph's lists. Sections not asked for hold whatever an earlier
+	// visit left there.
+	need(v *vertexRec, sections uint8) (*vertexRec, error)
 	// locate is FindVertex: the run of object o covering tick t. On disk an
 	// object without one is a corrupt run directory and an error; in memory
 	// the entry's node is dn.Invalid.
@@ -364,7 +366,7 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 	if len(resolutions) > 0 {
 		want |= secLongOut
 	}
-	if err := g.need(v, want); err != nil {
+	if v, err = g.need(v, want); err != nil {
 		return false, err
 	}
 	// Highest admissible resolution first (§5.2): departure must not
@@ -425,7 +427,7 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 	if len(resolutions) > 0 {
 		want |= secLongIn
 	}
-	if err := g.need(v, want); err != nil {
+	if v, err = g.need(v, want); err != nil {
 		return false, err
 	}
 	for li := len(resolutions) - 1; li >= 0; li-- {
@@ -489,7 +491,7 @@ func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []en
 		if v.start > iv.Hi {
 			continue
 		}
-		if err := g.need(v, secOut); err != nil {
+		if v, err = g.need(v, secOut); err != nil {
 			return false, err
 		}
 		for i, n := range v.out.nodes {
@@ -577,7 +579,7 @@ func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, i
 		if done {
 			continue
 		}
-		if err := g.need(v, section); err != nil {
+		if v, err = g.need(v, section); err != nil {
 			return err
 		}
 		edges := v.out // readable only once need has returned
