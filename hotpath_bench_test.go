@@ -295,3 +295,40 @@ func TestHotpathSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestShardPlannerAllocsPerQuery bounds what the scatter-gather planner
+// allocates: its rounds run owner by owner out of one pooled scratch, so a
+// batch of 32 point and 32 set queries allocates per query (the set
+// answers themselves), not per round or per owner task.
+func TestShardPlannerAllocsPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts only hold un-instrumented")
+	}
+	const bound = 1000
+	ds := hotpathDataset()
+	work := hotpathWorkload(ds)
+	ctx := context.Background()
+	for _, backend := range []string{"shard:4:reachgraph", "shard:4:spatial:reachgraph"} {
+		e, err := streach.Open(backend, ds, streach.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			for _, q := range work {
+				if _, err := e.Reachable(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.ReachableSet(ctx, q.Src, q.Interval); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // warm the scratch pools to their high-water marks
+		allocs := testing.AllocsPerRun(20, run)
+		t.Logf("%s: %.1f allocs per batch", backend, allocs)
+		if allocs > bound {
+			t.Errorf("%s: %.1f allocs per batch of %d point and %d set queries, want at most %d",
+				backend, allocs, len(work), len(work), bound)
+		}
+	}
+}

@@ -19,13 +19,19 @@ import (
 // Event is one contact-instant mutation: objects A and B were within
 // contact range at tick Tick (Retract false), or that observation is
 // withdrawn (Retract true — a privacy delete or bad-data correction).
+// Mirror marks a second copy of an event stored for another owner — the
+// other endpoint's shard of a cross-shard contact: it is applied like any
+// event but left out of every count, so the event is counted once, where
+// its original lands.
 type Event struct {
 	Tick    trajectory.Tick
 	A, B    trajectory.ObjectID
 	Retract bool
+	Mirror  bool
 }
 
-// EventCounts tallies what a batch of events did when applied.
+// EventCounts tallies what a batch of events did when applied, mirrored
+// copies left out.
 type EventCounts struct {
 	// Applied counts adds landing on an instant where the pair was not
 	// already in contact; Duplicates counts adds where it was.
@@ -49,7 +55,7 @@ func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
 	slices.SortStableFunc(sorted, func(x, y Event) int { return cmp.Compare(x.Tick, y.Tick) })
 	next := &PairTable{NumObjects: tb.NumObjects, ticks: slices.Clone(tb.ticks)}
 	var kept []Event
-	var counts EventCounts
+	var counts, mirrored EventCounts
 	for i := 0; i < len(sorted); {
 		t := sorted[i].Tick
 		var list []stjoin.Pair // the tick's patched list, copied on first change
@@ -58,13 +64,17 @@ func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
 			ev := sorted[i]
 			pr := stjoin.MakePair(ev.A, ev.B)
 			ev.A, ev.B = pr.A, pr.B
+			tally := &counts
+			if ev.Mirror {
+				tally = &mirrored
+			}
 			at, present := slices.BinarySearchFunc(cur, pr, comparePairs)
 			switch {
 			case !ev.Retract && present:
-				counts.Duplicates++
+				tally.Duplicates++
 				continue
 			case ev.Retract && !present:
-				counts.Misses++
+				tally.Misses++
 				continue
 			}
 			if list == nil {
@@ -72,10 +82,10 @@ func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
 			}
 			if ev.Retract {
 				list = slices.Delete(list, at, at+1)
-				counts.Retracted++
+				tally.Retracted++
 			} else {
 				list = slices.Insert(list, at, pr)
-				counts.Applied++
+				tally.Applied++
 			}
 			cur = list
 			kept = append(kept, ev)

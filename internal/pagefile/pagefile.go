@@ -151,6 +151,11 @@ func (s *Stats) Reset() { *s = Stats{} }
 // small gap beats seeking (sequential read-through).
 func (s *Stats) Position() (page int64, ok bool) { return s.lastPage + 1, s.valid }
 
+// ForgetPosition marks the stream's head position unknown, as after a
+// fetch from another store: the next fetch counts as random. A planner that
+// moves one stream from store to store calls it at each move.
+func (s *Stats) ForgetPosition() { s.valid = false }
+
 // Add accumulates d into s, ignoring d's stream position.
 func (s *Stats) Add(d Stats) {
 	s.RandomReads += d.RandomReads

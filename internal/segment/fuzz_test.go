@@ -145,7 +145,7 @@ func (m *logModel) ingest(events []contact.Event, threshold int) (ApplyResult, e
 	frontier := trajectory.Tick(len(m.ticks))
 	fast := true
 	for _, ev := range events {
-		fast = fast && !ev.Retract && ev.Tick == frontier
+		fast = fast && !ev.Retract && !ev.Mirror && ev.Tick == frontier
 	}
 	if fast {
 		pairs := make([]stjoin.Pair, len(events))
@@ -175,19 +175,20 @@ func (m *logModel) ingest(events []contact.Event, threshold int) (ApplyResult, e
 		set, kept := m.ticks[t], 0
 		for _, ev := range group {
 			pr := stjoin.MakePair(ev.A, ev.B)
+			tally := tallyOf(ev, &res)
 			switch {
 			case !ev.Retract && set[pr]:
-				res.Duplicates++
+				tally.Duplicates++
 			case !ev.Retract:
 				set[pr] = true
-				res.Late++
+				tally.Late++
 				kept++
 			case set[pr]:
 				delete(set, pr)
-				res.Retracted++
+				tally.Retracted++
 				kept++
 			default:
-				res.RetractMisses++
+				tally.RetractMisses++
 			}
 		}
 		if kept == 0 {
@@ -216,18 +217,19 @@ func (m *logModel) frontierGroup(t trajectory.Tick, group []contact.Event, res *
 	anyAdd := false
 	for _, ev := range group {
 		pr := stjoin.MakePair(ev.A, ev.B)
+		tally := tallyOf(ev, res)
 		switch {
 		case !ev.Retract && set[pr]:
-			res.Duplicates++
+			tally.Duplicates++
 		case !ev.Retract:
 			set[pr] = true
 			anyAdd = true
-			res.Frontier++
+			tally.Frontier++
 		case set[pr]:
 			delete(set, pr)
-			res.Retracted++
+			tally.Retracted++
 		default:
-			res.RetractMisses++
+			tally.RetractMisses++
 		}
 	}
 	if !anyAdd {
@@ -240,6 +242,15 @@ func (m *logModel) frontierGroup(t trajectory.Tick, group []contact.Event, res *
 	}
 	_, err := m.appendInstant(slices.Collect(maps.Keys(set)), res)
 	return err
+}
+
+// tallyOf is where the model counts ev's outcome: res, or nowhere for a
+// mirrored copy.
+func tallyOf(ev contact.Event, res *ApplyResult) *ApplyResult {
+	if ev.Mirror {
+		return new(ApplyResult)
+	}
+	return res
 }
 
 func (m *logModel) compact(threshold int) (int, error) {
@@ -350,7 +361,7 @@ func (s *logScript) pair() (trajectory.ObjectID, trajectory.ObjectID) {
 //	1 k c (t p f)×(1+k%6)
 //	               a general batch with compaction threshold c%4: each event
 //	               at tick t % (NumTicks + 4·width + 2), a retraction when f
-//	               is odd
+//	               is odd, a mirrored copy when f&2 is set
 //	2 d            AdvanceTo(NumTicks + 1 + d % (2·width))
 //	3              Compact
 //	4              the next build fails
@@ -374,7 +385,8 @@ func (s *logScript) step(step int) {
 		for i := range evs {
 			tick := trajectory.Tick(int(s.next()) % bound)
 			a, b := s.pair()
-			evs[i] = contact.Event{Tick: tick, A: a, B: b, Retract: s.next()%2 == 1}
+			f := s.next()
+			evs[i] = contact.Event{Tick: tick, A: a, B: b, Retract: f%2 == 1, Mirror: f&2 != 0}
 		}
 		s.last = evs
 		s.ingest(step, evs, threshold)

@@ -133,13 +133,14 @@ type LiveEngine struct {
 	sealHook   func(span Interval)
 }
 
-// liveLane is one ingest log. evs and secEvs are the appender's routing
-// buffers for the batch in flight: the primary batch (events whose endpoint
-// A the lane owns) carries the report counts, the secondary batch only the
-// duplicated side of cross-shard events.
+// liveLane is one ingest log. evs is the appender's routing buffer for the
+// batch in flight: the events whose endpoint A the lane owns, and, marked
+// Mirror, the copies of cross-shard events whose endpoint B it owns. Both
+// are applied as one batch, so a copy lands at the frontier like its
+// original instead of behind an instant the original just closed.
 type liveLane struct {
-	log         *segment.Log[sealedSlab]
-	evs, secEvs []contact.Event
+	log *segment.Log[sealedSlab]
+	evs []contact.Event
 }
 
 // NewLiveEngine returns a live engine for numObjects objects moving in env
@@ -349,20 +350,22 @@ func (le *LiveEngine) owner(o ObjectID) int {
 
 func (le *LiveEngine) clearRoutes() {
 	for _, ln := range le.lanes {
-		ln.evs, ln.secEvs = ln.evs[:0], ln.secEvs[:0]
+		ln.evs = ln.evs[:0]
 	}
 }
 
 // routeEvent appends e to its owner lanes' routing buffers: owner(A)'s
-// primary batch carries the report counts, and when the endpoints live on
-// different shards the duplicated copy lands in owner(B)'s secondary batch,
-// so both shard sub-networks stay complete for their own objects. On a
-// sharded feed adds also feed the live partition-quality counters.
+// copy carries the report counts, and when the endpoints live on different
+// shards a mirrored copy lands in owner(B)'s batch, so both shard
+// sub-networks stay complete for their own objects. On a sharded feed adds
+// also feed the live partition-quality counters.
 func (le *LiveEngine) routeEvent(e contact.Event) {
 	sa, sb := le.owner(e.A), le.owner(e.B)
 	le.lanes[sa].evs = append(le.lanes[sa].evs, e)
 	if sb != sa {
-		le.lanes[sb].secEvs = append(le.lanes[sb].secEvs, e)
+		mirror := e
+		mirror.Mirror = true
+		le.lanes[sb].evs = append(le.lanes[sb].evs, mirror)
 	}
 	if le.cut != nil && !e.Retract {
 		le.cut.total.Add(1)
@@ -376,22 +379,17 @@ func (le *LiveEngine) routeEvent(e contact.Event) {
 
 // applyLanes folds the routed batches into every lane and re-aligns the
 // lane clocks to the common frontier, so a shard whose objects were quiet
-// still covers the ticks its peers ingested. Per-event report counts come
-// from the primary batches alone (a cross-shard event is one event, however
-// many lanes store it); Compacted sums over lanes, and Sealed — with the
-// seal hook — reports lane 0's spans, identical across lanes once aligned.
+// still covers the ticks its peers ingested. Per-event report counts skip
+// the mirrored copies (a cross-shard event is one event, however many lanes
+// store it); Compacted sums over lanes, and Sealed — with the seal hook —
+// reports lane 0's spans, identical across lanes once aligned.
 func (le *LiveEngine) applyLanes() (IngestReport, error) {
 	var rep IngestReport
 	var firstErr error
 	for s, ln := range le.lanes {
 		if len(ln.evs) > 0 {
 			res, err := ln.log.IngestEvents(ln.evs, le.compactEvents)
-			le.countLane(s, res, &rep, true)
-			firstErr = cmp.Or(firstErr, err)
-		}
-		if len(ln.secEvs) > 0 {
-			res, err := ln.log.IngestEvents(ln.secEvs, le.compactEvents)
-			le.countLane(s, res, &rep, false)
+			le.countLane(s, res, &rep)
 			firstErr = cmp.Or(firstErr, err)
 		}
 	}
@@ -411,7 +409,7 @@ func (le *LiveEngine) advanceLanes(numTicks int, rep *IngestReport) error {
 			continue
 		}
 		res, err := ln.log.AdvanceTo(numTicks)
-		le.countLane(s, res, rep, false)
+		le.countLane(s, res, rep)
 		firstErr = cmp.Or(firstErr, err)
 	}
 	return firstErr
@@ -423,14 +421,12 @@ func (le *LiveEngine) advanceLanes(numTicks int, rep *IngestReport) error {
 // about it. The ingest hook fires per lane — an invalidation heard once per
 // shard that changed is idempotent for derived state; the seal hook fires
 // from lane 0 only, whose slab boundaries speak for all lanes.
-func (le *LiveEngine) countLane(s int, res segment.ApplyResult, rep *IngestReport, primary bool) {
-	if primary {
-		rep.Applied += res.Frontier
-		rep.Late += res.Late
-		rep.Retracted += res.Retracted
-		rep.Duplicates += res.Duplicates
-		rep.RetractMisses += res.RetractMisses
-	}
+func (le *LiveEngine) countLane(s int, res segment.ApplyResult, rep *IngestReport) {
+	rep.Applied += res.Frontier
+	rep.Late += res.Late
+	rep.Retracted += res.Retracted
+	rep.Duplicates += res.Duplicates
+	rep.RetractMisses += res.RetractMisses
 	rep.Compacted += res.Compacted
 	if s == 0 {
 		rep.Sealed = append(rep.Sealed, res.Sealed...)
@@ -593,9 +589,12 @@ func (le *LiveEngine) pin() (core, int) {
 // instants ingested before the snapshot, and may lag an ongoing append by
 // at most one instant. DeltaEvents/DirtySegments expose the current
 // delta-log pressure; LateEvents/Retractions/Compactions are cumulative.
-// Sharded engines sum the per-lane footprints and ingest counters; the
-// counters count lane applications, so a cross-shard event stored on both
-// sides counts once per side, like ShardStats.Contacts. Segment counts
+// Sharded engines sum the per-lane footprints and counters.
+// LateEvents and Retractions count events, not lane applications: a
+// cross-shard event is stored on both sides but counted once, on the lane
+// of its A endpoint. Compactions counts the slabs each lane re-sealed, and
+// DeltaEvents the stored copies, so a late cross-shard event counts there
+// once per side, like ShardStats.Contacts. Segment counts
 // come from lane 0, whose slab boundaries speak for all lanes (the
 // appender keeps the clocks aligned), and SegmentDetails lists the sealed
 // segments, then the tail when it holds instants, each summed across

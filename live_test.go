@@ -411,3 +411,41 @@ func TestLiveQueryPinsOneView(t *testing.T) {
 		flips.Wait()
 	}
 }
+
+// TestLiveShardInOrderFeedStaysClean: an in-order feed leaves a sharded
+// live engine as clean as an unsharded one. The mirrored copy of a
+// cross-shard contact is applied in one batch with its lane's own events,
+// so it lands at the frontier instead of behind the instant (and possibly
+// the slab) the lane just closed; and the report counts each event once.
+func TestLiveShardInOrderFeedStaysClean(t *testing.T) {
+	// Objects 0, 1 and 3 meet every instant; object 2 stays apart.
+	positions := []streach.Point{{X: 10, Y: 10}, {X: 11, Y: 10}, {X: 90, Y: 90}, {X: 10, Y: 11}}
+	for _, backend := range []string{"reachgraph-mem", "shard:2:reachgraph-mem"} {
+		t.Run(backend, func(t *testing.T) {
+			le, err := streach.NewLiveEngine(backend, 4, streach.NewEnv(100, 100), 5, streach.Options{SegmentTicks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if err := le.AddInstant(positions); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := le.Ingest([]streach.ContactEvent{{Tick: 8, A: 0, B: 1}, {Tick: 8, A: 1, B: 0}, {Tick: 8, A: 0, B: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Applied != 2 || rep.Duplicates != 1 || rep.Late != 0 {
+				t.Errorf("frontier batch report %+v, want 2 applied, 1 duplicate, 0 late", rep)
+			}
+			st := le.Stats()
+			if st.NumTicks != 9 || st.SealedSegments != 2 {
+				t.Errorf("%d ticks, %d sealed segments; want 9, 2", st.NumTicks, st.SealedSegments)
+			}
+			if st.LateEvents != 0 || st.DirtySegments != 0 || st.DeltaEvents != 0 {
+				t.Errorf("in-order feed left LateEvents %d, DirtySegments %d, DeltaEvents %d; want 0/0/0",
+					st.LateEvents, st.DirtySegments, st.DeltaEvents)
+			}
+		})
+	}
+}

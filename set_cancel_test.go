@@ -55,8 +55,11 @@ func TestSetCancelAccounting(t *testing.T) {
 		t.Fatalf("fixture reaches %d of %d objects; want a set that can be wrong", n, ds.NumObjects())
 	}
 	// Disk-resident backends, each sweeping sets its own way: the graph's
-	// DN1 sweep, the grid's guided sweep, and the cross-segment planner.
-	for _, name := range []string{"reachgraph", "reachgrid", "segmented:reachgraph"} {
+	// DN1 sweep, the grid's guided sweep, the cross-segment planner, and the
+	// scatter-gather planner, whose rounds stop at the first failing owner
+	// sweep.
+	for _, name := range []string{"reachgraph", "reachgrid", "segmented:reachgraph",
+		"shard:4:reachgraph", "shard:4:spatial:reachgraph"} {
 		t.Run(name, func(t *testing.T) {
 			pool := streach.NewBufferPool(64)
 			e, err := streach.Open(name, ds, streach.Options{Pool: pool, SegmentTicks: 32})

@@ -14,10 +14,10 @@
 // set of (object, arrival) improvements; each round it groups the pending
 // objects by owning shard and scatters ONE expansion per shard — the
 // child's sweep over [earliest arrival, iv.Hi] with every pending object
-// activating at its own arrival tick (SeedState.Start), run concurrently
-// across shards by a bounded worker group — then gathers the per-shard
-// profiles and exchanges only the boundary objects whose global arrival
-// improved and whose owner is another shard. Correctness rests on the
+// activating at its own arrival tick (SeedState.Start), the shards' sweeps
+// run one after another on the query's goroutine — then gathers the
+// per-shard profiles and exchanges only the boundary objects whose global
+// arrival improved and whose owner is another shard. Correctness rests on the
 // ownership invariant of the cut: shard s's sub-network contains every contact
 // incident to an s-owned object, so one owner-side expansion from an
 // object's best arrival covers everything reachable through that object —
@@ -33,10 +33,11 @@
 // cannot beat the destination's best-known arrival: an expansion seeded at
 // tick t only produces arrivals >= t.
 //
-// Each expansion worker charges a private pagefile.Stats accountant; the
-// gather step sums every worker's accountant into the query's — including
-// failed workers, whose page reads already hit the store totals — so the
-// engine invariant delta == total == pool stays exact under sharding.
+// Every owner sweep charges the query's own pagefile.Stats accountant, so
+// the engine invariant delta == total == pool holds under sharding as it
+// does for one index; a failing sweep ends the query at once, its reads
+// already charged. Sharding buys a working set that fits per-shard pools,
+// not a faster planner: a query uses one core, whatever K is.
 // Single-shard coordinators ("shard:1:<base>") delegate straight to their
 // only child, preserving the allocation-free serial path.
 //
@@ -50,7 +51,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"streach/internal/pagefile"
@@ -162,34 +162,29 @@ func (c *shardCore) fillStats(st *EngineStats) {
 
 // shardPlanScratch is the pooled working state of one scatter-gather query:
 // the global best-arrival table, the reached-object list, the pending and
-// next-round hand-off buffers, and the task list of one round.
+// next-round hand-off buffers, the task list of one round, and the seeds
+// and profiles of the round's owner sweeps.
 type shardPlanScratch struct {
 	arrival visit.Ticks
 	reached []ObjectID
 	pend    []ObjectID
 	next    []ObjectID
 	tasks   []shardPlanTask
+	seeds   []queries.SeedState
+	results []queries.ProfileEntry
 }
 
 // shardPlanTask is one owner-side expansion: the pending objects
-// pend[lo:hi], all owned by shard part with best arrival t.
+// pend[lo:hi], all owned by shard part with best arrival t. Once the task
+// has run, its profile ends at results[end].
 type shardPlanTask struct {
 	part   int
 	t      Tick
 	lo, hi int
+	end    int
 }
 
 var shardPlanPool = visit.NewPool(func() *shardPlanScratch { return new(shardPlanScratch) })
-
-// shardTaskResult collects one expansion worker's output; the private
-// accountant is summed into the query's after the join even on failure
-// (the reads already hit the store totals).
-type shardTaskResult struct {
-	entries []queries.ProfileEntry
-	n       int
-	io      pagefile.Stats
-	err     error
-}
 
 // scatterGather is the scatter-gather relaxation over the parts' sweeps; see
 // the file comment for the algorithm and its exactness argument. parts[s]
@@ -281,41 +276,38 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 		if len(ps.tasks) == 0 {
 			break
 		}
-		// Scatter: expand every task on its owner, one goroutine per task
-		// (there is at most one task per owner) — sharded expansion is
-		// concurrent, that is the point of the partition; each charges a
-		// private accountant.
-		results := make([]shardTaskResult, len(ps.tasks))
-		if len(ps.tasks) == 1 {
-			c.runTask(ctx, ps, &ps.tasks[0], &results[0], iv, spec, earlyDst)
-		} else {
-			var wg sync.WaitGroup
-			for i := range ps.tasks {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					c.runTask(ctx, ps, &ps.tasks[i], &results[i], iv, spec, earlyDst)
-				}(i)
+		// Scatter: sweep every task on its owner over [earliest arrival,
+		// iv.Hi], one after another, each pending object activating at its
+		// own best-known arrival. Each owner reads its own store, so its
+		// sweep starts with the disk head elsewhere. Child profiles are
+		// global-tick, and the arrival table stays untouched until every
+		// task has run.
+		ps.results = ps.results[:0]
+		for i := range ps.tasks {
+			task := &ps.tasks[i]
+			ps.seeds = ps.seeds[:0]
+			for _, o := range ps.pend[task.lo:task.hi] {
+				t, _ := ps.arrival.Get(int(o))
+				ps.seeds = append(ps.seeds, queries.SeedState{Obj: o, Start: Tick(t)})
 			}
-			wg.Wait()
+			acct.ForgetPosition()
+			out, n, err := c.parts[task.part].sweep(ctx, ps.results, ps.seeds,
+				Interval{Lo: task.t, Hi: iv.Hi}, spec, earlyDst, acct)
+			ps.results = out
+			expanded += n
+			if err != nil {
+				return dst, expanded, err
+			}
+			task.end = len(ps.results)
 		}
 		// Gather: merge the per-shard profiles into the global arrival
 		// table; only improvements owned by a different shard than the one
 		// that discovered them re-enter the pending set (the discovering
 		// sweep already expanded owner-local improvements exhaustively).
 		ps.next = ps.next[:0]
-		var firstErr error
-		for i := range ps.tasks {
-			r := &results[i]
-			expanded += r.n
-			acct.Add(r.io)
-			if r.err != nil && firstErr == nil {
-				firstErr = r.err
-			}
-			if firstErr != nil {
-				continue
-			}
-			for _, en := range r.entries {
+		from := 0
+		for _, task := range ps.tasks {
+			for _, en := range ps.results[from:task.end] {
 				cur, ok := ps.arrival.Get(int(en.Obj))
 				if ok && int32(en.Arrival) >= cur {
 					continue
@@ -324,14 +316,12 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 				if !ok {
 					ps.reached = append(ps.reached, en.Obj)
 				}
-				if assign.Owner(en.Obj) != ps.tasks[i].part {
+				if assign.Owner(en.Obj) != task.part {
 					ps.next = append(ps.next, en.Obj)
 					cross++
 				}
 			}
-		}
-		if firstErr != nil {
-			return dst, expanded, firstErr
+			from = task.end
 		}
 		ps.pend, ps.next = ps.next, ps.pend
 	}
@@ -341,23 +331,6 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 		dst = append(dst, queries.ProfileEntry{Obj: o, Hops: -1, Arrival: Tick(arr)})
 	}
 	return dst, expanded, nil
-}
-
-// runTask evaluates one owner-side expansion: the task's pending objects
-// seed the owner's sweep over [earliest arrival, iv.Hi],
-// each seed activating at its own best-known arrival tick (SeedState.Start),
-// so the whole round costs one sweep per shard. Child profiles are
-// global-tick (children index the full time domain), so no re-basing
-// happens on gather. The arrival table is read-only during the scatter
-// phase; gather mutates it only after the workers join.
-func (c *shardCore) runTask(ctx context.Context, ps *shardPlanScratch, task *shardPlanTask, r *shardTaskResult, iv Interval, spec semSpec, earlyDst ObjectID) {
-	seeds := make([]queries.SeedState, 0, task.hi-task.lo)
-	for _, o := range ps.pend[task.lo:task.hi] {
-		t, _ := ps.arrival.Get(int(o))
-		seeds = append(seeds, queries.SeedState{Obj: o, Start: Tick(t)})
-	}
-	r.entries, r.n, r.err = c.parts[task.part].sweep(ctx, nil, seeds,
-		Interval{Lo: task.t, Hi: iv.Hi}, spec, earlyDst, &r.io)
 }
 
 // --- the "shard:" combinator ---

@@ -9,12 +9,11 @@ import (
 )
 
 // TestShardScatterGatherRaceWithIngest drives scatter-gather queries
-// through a hash-sharded live engine — every shard expanding concurrently
-// on its own ingest lane — while the appender seals lanes and drops late
-// events behind the frontier (run under -race in CI). All lanes draw on one
-// shared buffer pool, and the per-shard accountants summed into each
-// query's delta must match the pool's counter movement exactly: delta ==
-// total == pool, even while sealing builds run.
+// through a hash-sharded live engine — each query sweeping the shards'
+// ingest lanes owner by owner — while the appender seals lanes and drops
+// late events behind the frontier (run under -race in CI). All lanes draw on one shared buffer pool, and the
+// owner sweeps charged to each query's delta must match the pool's counter
+// movement exactly: delta == total == pool, even while sealing builds run.
 func TestShardScatterGatherRaceWithIngest(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{
 		NumObjects: 192, NumTicks: 200, Seed: 77,
