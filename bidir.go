@@ -68,6 +68,7 @@ func (c *segmentedCore) reachBidir(ctx context.Context, seeds []ObjectID, dst Ob
 		}
 		if fi == bi && len(B.reached) == 1 {
 			_, local := localInterval(c.slabs[fi].span, iv)
+			acct.ForgetPosition()
 			ok, n, err := c.slabs[fi].core.reach(ctx, F.reached, dst, local, acct)
 			return ok, expanded + n, err
 		}

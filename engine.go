@@ -779,7 +779,7 @@ func (c graphCore) sweep(ctx context.Context, out []queries.ProfileEntry, seeds 
 	if !graphSupports(spec) {
 		return out, 0, errNotNative
 	}
-	return c.ix.AppendProfile(ctx, out, seeds, iv, spec.dir, acct)
+	return c.ix.AppendProfile(ctx, out, seeds, iv, spec.dir, spec.done, acct)
 }
 
 type graphMemCore struct {
@@ -797,7 +797,7 @@ func (c graphMemCore) sweep(ctx context.Context, out []queries.ProfileEntry, see
 	if !graphSupports(spec) {
 		return out, 0, errNotNative
 	}
-	return c.m.AppendProfile(ctx, out, seeds, iv, spec.dir)
+	return c.m.AppendProfile(ctx, out, seeds, iv, spec.dir, spec.done)
 }
 
 // seedStates lifts a bare frontier — every object holding the item from

@@ -10,7 +10,9 @@ import (
 // ablation-bidir is a page count or a ratio of page counts, so none may
 // move. The goldens were recorded when the baselines (spj, grail and the
 // reachgraph-bbfs/-ebfs/-edfs strategies) were still registry backends
-// opened through streach.Open; the lab's baseline adapter must reproduce
+// opened through streach.Open, and the ReachGraph cells re-recorded when
+// run directories gained their anchors (layout version 3), which moves
+// directory blobs across pages; the lab's baseline adapter must reproduce
 // them, cold pool and zeroed counters included.
 func TestBaselineCountsPinned(t *testing.T) {
 	l := NewLab(Options{
@@ -21,10 +23,10 @@ func TestBaselineCountsPinned(t *testing.T) {
 		Seed:     1,
 	})
 	golden := map[string]string{
-		"fig13":          "RWP300 17.3 18.0 27.3; VN120 3.1 3.1 14.1",
+		"fig13":          "RWP300 17.3 18.0 27.3; VN120 3.5 3.5 13.6",
 		"spj":            "RWP150 33 1.8 1.5 -17%; RWP300 47 2.7 2.6 -5%; VN120 33 1.5 1.4 -9%",
-		"table5b":        "RWP300 28.8 17.3 40%; VN120 5.0 3.1 39%",
-		"ablation-bidir": "RWP300 37.4 18.0 17.3; VN120 15.9 3.1 3.1",
+		"table5b":        "RWP300 28.8 17.3 40%; VN120 5.0 3.5 30%",
+		"ablation-bidir": "RWP300 37.4 18.0 17.3; VN120 15.7 3.5 3.5",
 	}
 	for _, id := range []string{"fig13", "spj", "table5b", "ablation-bidir"} {
 		var rows []string

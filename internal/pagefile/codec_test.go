@@ -142,14 +142,14 @@ func TestInt32SliceDeltaCompressesSortedPostings(t *testing.T) {
 func TestFormatByte(t *testing.T) {
 	enc := NewEncoder(4)
 	enc.Format()
-	if got := enc.Bytes(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Format wrote % x, want the single byte 02", got)
+	if got := enc.Bytes(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("Format wrote % x, want the single byte 03", got)
 	}
 	dec := NewDecoder(enc.Bytes())
 	if dec.Format(); dec.Err() != nil {
 		t.Fatalf("own version byte rejected: %v", dec.Err())
 	}
-	for _, v := range []byte{0, 1, 3, 0x7F} {
+	for _, v := range []byte{0, 1, 2, 4, 0x7F} {
 		dec := NewDecoder([]byte{v})
 		dec.Format()
 		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) {

@@ -173,7 +173,7 @@ func BenchmarkMemSweep(b *testing.B) {
 	sweep := func(q queries.Query) {
 		var err error
 		seeds[0].Obj = q.Src
-		if out, _, err = m.AppendProfile(ctx, out[:0], seeds, q.Interval, queries.Forward); err != nil {
+		if out, _, err = m.AppendProfile(ctx, out[:0], seeds, q.Interval, queries.Forward, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func BenchmarkSweepResident(b *testing.B) {
 	sweep := func(q sweepQuery) int {
 		sc := ix.begin(nil)
 		var err error
-		out, err = appendProfile(ctx, &sc.cur, sc, out[:0], q.seeds, q.iv, queries.Forward)
+		out, err = appendProfile(ctx, &sc.cur, sc, out[:0], q.seeds, q.iv, queries.Forward, nil)
 		fresh := sc.cur.arena.recs.Len()
 		ix.end(sc, err)
 		if err != nil {

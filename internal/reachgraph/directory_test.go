@@ -527,7 +527,7 @@ func TestIndexSharesRecordsWhileResident(t *testing.T) {
 
 	// A read of the other index displaces pages of this one.
 	readAll(ix, secOut)
-	if _, _, err := other.AppendProfile(context.Background(), nil, seedsOf(0, 1, 2), contact.Interval{Lo: 0, Hi: 199}, queries.Forward, nil); err != nil {
+	if _, _, err := other.AppendProfile(context.Background(), nil, seedsOf(0, 1, 2), contact.Interval{Lo: 0, Hi: 199}, queries.Forward, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	sharesNothing(ix, "after a displacement")

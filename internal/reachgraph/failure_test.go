@@ -52,8 +52,8 @@ func TestCorruptedPartitionSurfacesError(t *testing.T) {
 	}
 }
 
-// oldVersionBlob is a copy of blob under version byte 1, that of the layout
-// this one replaced.
+// oldVersionBlob is a copy of blob under version byte 1, that of an earlier
+// layout.
 func oldVersionBlob(blob []byte) []byte {
 	old := append([]byte(nil), blob...)
 	old[0] = 1

@@ -136,15 +136,15 @@ func (m *Mem) ReachFromCounted(ctx context.Context, seeds []trajectory.ObjectID,
 }
 
 // AppendProfile appends to out the propagation profile of the seed frontier
-// over iv in direction dir; see Index.AppendProfile.
-func (m *Mem) AppendProfile(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, dir queries.Direction) ([]queries.ProfileEntry, int, error) {
+// over iv in direction dir, pruned by done; see Index.AppendProfile.
+func (m *Mem) AppendProfile(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, dir queries.Direction, done *visit.Ticks) ([]queries.ProfileEntry, int, error) {
 	iv = m.clampInterval(iv)
 	if iv.Len() == 0 {
 		return out, 0, nil
 	}
 	sc := m.begin()
 	defer m.pool.Put(sc)
-	out, err := appendProfile(ctx, &sc.mem, sc, out, seeds, iv, dir)
+	out, err := appendProfile(ctx, &sc.mem, sc, out, seeds, iv, dir, done)
 	return out, sc.visits, err
 }
 

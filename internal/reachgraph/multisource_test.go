@@ -43,14 +43,14 @@ func TestMultiSourceMatchesOracle(t *testing.T) {
 			positives++
 		}
 
-		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward, nil)
+		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotSet := objectsOf(prof); !equalIDSlices(gotSet, wantSet) {
 			t.Fatalf("disk set from %v over %v: got %v, want %v", seeds, iv, gotSet, wantSet)
 		}
-		prof, _, err = mem.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward)
+		prof, _, err = mem.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,10 +66,10 @@ func TestMultiSourceMatchesOracle(t *testing.T) {
 		wantProf, _ := f.oracle.ProfileFrom(staggered, iv, queries.UnboundedHops, queries.NoObject)
 		for name, sweep := range map[string]func() ([]queries.ProfileEntry, int, error){
 			"disk": func() ([]queries.ProfileEntry, int, error) {
-				return ix.AppendProfile(ctx, nil, staggered, iv, queries.Forward, nil)
+				return ix.AppendProfile(ctx, nil, staggered, iv, queries.Forward, nil, nil)
 			},
 			"mem": func() ([]queries.ProfileEntry, int, error) {
-				return mem.AppendProfile(ctx, nil, staggered, iv, queries.Forward)
+				return mem.AppendProfile(ctx, nil, staggered, iv, queries.Forward, nil)
 			},
 		} {
 			prof, _, err := sweep()
@@ -121,7 +121,7 @@ func TestSetIsSortedAndDeduped(t *testing.T) {
 	// Duplicate, unsorted seeds on purpose.
 	seeds := seedsOf(7, 3, 7, 3, 12)
 	for _, dir := range []queries.Direction{queries.Forward, queries.Backward} {
-		prof, _, err := ix.AppendProfile(context.Background(), nil, seeds, contact.Interval{Lo: 10, Hi: 90}, dir, nil)
+		prof, _, err := ix.AppendProfile(context.Background(), nil, seeds, contact.Interval{Lo: 10, Hi: 90}, dir, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,10 +164,10 @@ func TestCancelledContextStopsTraversal(t *testing.T) {
 		}
 	}
 	for _, dir := range []queries.Direction{queries.Forward, queries.Backward} {
-		if _, _, err := ix.AppendProfile(ctx, nil, seedsOf(q.Src), q.Interval, dir, nil); !errors.Is(err, context.Canceled) {
+		if _, _, err := ix.AppendProfile(ctx, nil, seedsOf(q.Src), q.Interval, dir, nil, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("disk sweep, direction %d: got %v, want context.Canceled", dir, err)
 		}
-		if _, _, err := mem.AppendProfile(ctx, nil, seedsOf(q.Src), q.Interval, dir); !errors.Is(err, context.Canceled) {
+		if _, _, err := mem.AppendProfile(ctx, nil, seedsOf(q.Src), q.Interval, dir, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("mem sweep, direction %d: got %v, want context.Canceled", dir, err)
 		}
 	}

@@ -119,7 +119,7 @@ func (c *graphCase) reach(tb testing.TB, s Strategy) (bool, error) {
 func (c *graphCase) profile(tb testing.TB, dir queries.Direction) ([]queries.ProfileEntry, error) {
 	tb.Helper()
 	var acct pagefile.Stats
-	prof, _, err := c.ix.AppendProfile(context.Background(), nil, c.seeds, c.iv, dir, &acct)
+	prof, _, err := c.ix.AppendProfile(context.Background(), nil, c.seeds, c.iv, dir, nil, &acct)
 	checkVerifiedCharged(tb, acct)
 	return prof, err
 }
@@ -210,7 +210,7 @@ func graphSweepVsOracle(t *testing.T, dataSeed int64, objects uint8, ticks uint1
 		if prof, err := c.profile(t, dir); err != nil || !slices.Equal(prof, want) {
 			t.Fatalf("AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
 		}
-		if prof, _, err := c.mem.AppendProfile(ctx, nil, c.seeds, c.iv, dir); err != nil || !slices.Equal(prof, want) {
+		if prof, _, err := c.mem.AppendProfile(ctx, nil, c.seeds, c.iv, dir, nil); err != nil || !slices.Equal(prof, want) {
 			t.Fatalf("mem AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
 		}
 	}

@@ -14,7 +14,11 @@
 // state is the partition catalogue (one BlobRef per partition), mirroring
 // the paper's in-memory hash table of Ht locations. A per-object run
 // directory on disk implements FindVertex — locating the vertex of object o
-// at instant t — in one blob read.
+// at instant t — as one blob read and a search in place (runs.go): the
+// directory lists the object's runs by ascending end, each group of 32
+// closed by a fixed-width anchor, so a lookup binary-searches the anchors
+// and decodes one group of at most 32 entries, however many runs the
+// object has.
 //
 // A traversal pays for the vertices it visits, not for the partitions it
 // buffers. A partition blob opens with a directory sorted by vertex id and
@@ -146,25 +150,11 @@ func Build(g *dn.Graph, params Params) (*Index, error) {
 		ix.partRefs = append(ix.partRefs, ix.store.AppendBlob(w.encode(g, members, partOf)))
 	}
 
-	// Per-object run directory: triples (end, node, partition) in run
-	// order — ends ascending, stored as end gaps and node/partition
-	// deltas.
-	enc := pagefile.NewEncoder(1 << 10)
+	// Per-object run directories (runs.go).
+	rw := newRunWriter()
 	ix.dirRefs = make([]pagefile.BlobRef, g.NumObjects)
 	for o := 0; o < g.NumObjects; o++ {
-		runs := g.RunsOf(trajectory.ObjectID(o))
-		enc.Reset()
-		enc.Format()
-		enc.Uvarint(uint64(len(runs)))
-		prevEnd, prevNode, prevPart := int64(0), int64(0), int64(0)
-		for _, id := range runs {
-			end := int64(g.Nodes[id].End)
-			enc.Uvarint(uint64(end - prevEnd)) // ends strictly ascend
-			enc.Varint(int64(id) - prevNode)
-			enc.Varint(int64(partOf[id]) - prevPart)
-			prevEnd, prevNode, prevPart = end, int64(id), int64(partOf[id])
-		}
-		ix.dirRefs[o] = ix.store.AppendBlob(enc.Bytes())
+		ix.dirRefs[o] = ix.store.AppendBlob(rw.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
 	}
 	return ix, nil
 }
@@ -242,10 +232,9 @@ func (ix *Index) NumPartitions() int { return len(ix.partRefs) }
 // NumTicks returns |T| of the indexed graph.
 func (ix *Index) NumTicks() int { return ix.numTicks }
 
-// findVertex implements FindVertex(Ht(o), o, t): it reads o's run directory
-// and scans for the (node, partition) of the run covering t. Runs are
-// stored in ascending end order; the scan decodes at most the prefix up to
-// the hit and allocates nothing.
+// findVertex implements FindVertex(Ht(o), o, t): it reads o's run
+// directory — one blob read — and searches it for the (node, partition) of
+// the run covering t (findRun). It allocates nothing.
 func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *pagefile.Stats) (dn.NodeID, int32, error) {
 	if int(o) < 0 || int(o) >= ix.numObjects {
 		return dn.Invalid, -1, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, ix.numObjects)
@@ -254,28 +243,16 @@ func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *page
 	if err != nil {
 		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
 	}
-	dec := pagefile.NewDecoder(data)
-	dec.Format()
-	n := int(dec.Uvarint())
-	end, node, part := int64(0), int64(0), int64(0)
-	for i := 0; i < n; i++ {
-		end += int64(dec.Uvarint())
-		node += dec.Varint()
-		part += dec.Varint()
-		if dec.Err() != nil {
-			break
-		}
-		if trajectory.Tick(end) >= t {
-			if node < 0 || node >= int64(ix.numNodes) {
-				return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d names vertex %d outside [0, %d)", o, node, ix.numNodes)
-			}
-			return dn.NodeID(node), int32(part), nil
-		}
-	}
-	if err := dec.Err(); err != nil {
+	node, part, err := findRun(data, t)
+	switch {
+	case err != nil:
 		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
+	case node < 0 || node >= int64(ix.numNodes):
+		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d names vertex %d outside [0, %d)", o, node, ix.numNodes)
+	case part < 0 || part >= int64(len(ix.partRefs)):
+		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d names partition %d outside [0, %d)", o, part, len(ix.partRefs))
 	}
-	return dn.Invalid, -1, fmt.Errorf("reachgraph: object %d has no run at tick %d", o, t)
+	return dn.NodeID(node), int32(part), nil
 }
 
 // locate is findVertex charged to the query's accountant.
@@ -370,13 +347,19 @@ func (ix *Index) ReachFromCounted(ctx context.Context, seeds []trajectory.Object
 // have it delivered to a seed by iv.Hi. Hops is always -1 and seed Hops are
 // not consulted: the run DAG collapses contact components, so transfer
 // counts are not derivable. The int result is the vertex-visit counter.
-func (ix *Index) AppendProfile(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, dir queries.Direction, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
+//
+// done, when non-nil, prunes a forward sweep: it maps an object to a tick
+// it was already expanded from over a network holding all of its contacts,
+// and the sweep neither records nor expands a run whose members all have a
+// done tick at or below its entry tick (see sweep). The shard planner
+// passes its owners' expansions; every other caller passes nil.
+func (ix *Index) AppendProfile(ctx context.Context, out []queries.ProfileEntry, seeds []queries.SeedState, iv contact.Interval, dir queries.Direction, done *visit.Ticks, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
 	iv = ix.clampInterval(iv)
 	if iv.Len() == 0 {
 		return out, 0, nil
 	}
 	sc := ix.begin(acct)
-	out, err := appendProfile(ctx, &sc.cur, sc, out, seeds, iv, dir)
+	out, err := appendProfile(ctx, &sc.cur, sc, out, seeds, iv, dir, done)
 	visits := sc.visits
 	ix.end(sc, err)
 	return out, visits, err

@@ -265,8 +265,8 @@ func TestQueryValidationAndDegenerates(t *testing.T) {
 	if derr == nil || merr == nil || dv != mv {
 		t.Errorf("bad seed, point query: disk (%d, %v), mem (%d, %v); want errors and equal visits", dv, derr, mv, merr)
 	}
-	_, dv, derr = ix.AppendProfile(ctx, nil, seedsOf(0, 999), iv, queries.Forward, nil)
-	_, mv, merr = mem.AppendProfile(ctx, nil, seedsOf(0, 999), iv, queries.Forward)
+	_, dv, derr = ix.AppendProfile(ctx, nil, seedsOf(0, 999), iv, queries.Forward, nil, nil)
+	_, mv, merr = mem.AppendProfile(ctx, nil, seedsOf(0, 999), iv, queries.Forward, nil)
 	if derr == nil || merr == nil || dv != mv {
 		t.Errorf("bad seed, sweep: disk (%d, %v), mem (%d, %v); want errors and equal visits", dv, derr, mv, merr)
 	}

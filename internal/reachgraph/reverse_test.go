@@ -38,14 +38,14 @@ func TestReverseSetMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := f.oracle.ReverseReachableSetFrom(tc.seeds, tc.iv)
-		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward, nil)
+		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward, nil, nil)
 		if err != nil {
 			t.Fatalf("disk reverse %v over %v: %v", tc.seeds, tc.iv, err)
 		}
 		if got := objectsOf(prof); !reflect.DeepEqual(got, want) {
 			t.Fatalf("disk reverse %v over %v = %v, oracle %v", tc.seeds, tc.iv, got, want)
 		}
-		prof, _, err = m.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward)
+		prof, _, err = m.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward, nil)
 		if err != nil {
 			t.Fatalf("mem reverse %v over %v: %v", tc.seeds, tc.iv, err)
 		}
@@ -129,7 +129,7 @@ func TestReverseProfileMatchesOracle(t *testing.T) {
 		for _, seed := range []trajectory.ObjectID{2, 17, 35} {
 			seeds := []trajectory.ObjectID{seed}
 			want := f.oracle.ReverseProfileFrom(seeds, iv)
-			got, _, err := ix.AppendProfile(ctx, nil, seedsOf(seed), iv, queries.Backward, nil)
+			got, _, err := ix.AppendProfile(ctx, nil, seedsOf(seed), iv, queries.Backward, nil, nil)
 			if err != nil {
 				t.Fatalf("disk reverse profile %d over %v: %v", seed, iv, err)
 			}
@@ -141,7 +141,7 @@ func TestReverseProfileMatchesOracle(t *testing.T) {
 					t.Fatalf("disk reverse profile %d over %v: entry %d = %+v, oracle %+v", seed, iv, i, got[i], want[i])
 				}
 			}
-			memGot, _, err := m.AppendProfile(ctx, nil, seedsOf(seed), iv, queries.Backward)
+			memGot, _, err := m.AppendProfile(ctx, nil, seedsOf(seed), iv, queries.Backward, nil)
 			if err != nil {
 				t.Fatalf("mem reverse profile %d over %v: %v", seed, iv, err)
 			}

@@ -56,11 +56,11 @@ func TestSharedRecordsUnderConcurrentQueries(t *testing.T) {
 					var err error
 					switch (w + k + r) % 3 {
 					case 0:
-						if prof, _, err = ix.AppendProfile(ctx, prof[:0], seedsOf(q.Src), q.Interval, queries.Forward, nil); err == nil && !slices.Equal(prof, want[i].fw) {
+						if prof, _, err = ix.AppendProfile(ctx, prof[:0], seedsOf(q.Src), q.Interval, queries.Forward, nil, nil); err == nil && !slices.Equal(prof, want[i].fw) {
 							t.Errorf("forward sweep %d: %v, oracle %v", i, prof, want[i].fw)
 						}
 					case 1:
-						if prof, _, err = ix.AppendProfile(ctx, prof[:0], seedsOf(q.Src), q.Interval, queries.Backward, nil); err == nil && !slices.Equal(prof, want[i].bw) {
+						if prof, _, err = ix.AppendProfile(ctx, prof[:0], seedsOf(q.Src), q.Interval, queries.Backward, nil, nil); err == nil && !slices.Equal(prof, want[i].bw) {
 							t.Errorf("backward sweep %d: %v, oracle %v", i, prof, want[i].bw)
 						}
 					case 2:

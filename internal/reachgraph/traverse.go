@@ -192,10 +192,11 @@ func reachFrom(ctx context.Context, g graphAccess, sc *scratch, s Strategy, seed
 }
 
 // appendProfile is the profile query behind both AppendProfile methods: it
-// enters each seed's run at the seed's tick, sweeps, and drains the
-// per-object ticks into entries sorted by object.
+// enters each seed's run at the seed's tick, sweeps (pruning forward runs
+// that done already covers), and drains the per-object ticks into entries
+// sorted by object.
 func appendProfile(ctx context.Context, g graphAccess, sc *scratch, out []queries.ProfileEntry,
-	seeds []queries.SeedState, iv contact.Interval, dir queries.Direction) ([]queries.ProfileEntry, error) {
+	seeds []queries.SeedState, iv contact.Interval, dir queries.Direction, done *visit.Ticks) ([]queries.ProfileEntry, error) {
 
 	for _, s := range seeds {
 		at := iv.Hi
@@ -212,7 +213,7 @@ func appendProfile(ctx context.Context, g graphAccess, sc *scratch, out []querie
 			sc.tickStarts = append(sc.tickStarts, tickItem{e, at})
 		}
 	}
-	if err := sweep(ctx, g, sc, sc.tickStarts, iv, dir); err != nil {
+	if err := sweep(ctx, g, sc, sc.tickStarts, iv, dir, done); err != nil {
 		return out, err
 	}
 	for _, o := range trajectory.SortDedupObjects(sc.objList) {
@@ -530,8 +531,19 @@ func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []en
 // tick on the interval's near edge (every backward sweep, and a forward one
 // whose seeds hold from iv.Lo) no successor can be a start run, the table
 // degenerates to a visited set and nothing is expanded twice.
-func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, iv contact.Interval, dir queries.Direction) error {
+//
+// Forward, a non-nil done prunes: it holds, per object, a tick the object
+// was already expanded from elsewhere — by a shard planner's owner sweep,
+// over a network holding every contact of the object — and a run whose
+// members all have done ticks at or below its entry tick is visited (its
+// read is charged) but neither recorded nor expanded, since everything it
+// could pass the item to was reached through those expansions already.
+// Backward sweeps ignore done.
+func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, iv contact.Interval, dir queries.Direction, done *visit.Ticks) error {
 	fwd := dir == queries.Forward
+	if !fwd {
+		done = nil
+	}
 	better := func(t, prev int32) bool {
 		if fwd {
 			return t < prev
@@ -560,6 +572,9 @@ func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, i
 		v, err := g.vertex(it.e.node, it.e.part)
 		if err != nil {
 			return err
+		}
+		if done != nil && expandedBy(done, v.members, it.t) {
+			continue
 		}
 		for _, o := range v.members {
 			if prev, ok := sc.objTicks.Get(int(o)); !ok || better(int32(it.t), prev) {
@@ -591,6 +606,17 @@ func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, i
 		}
 	}
 	return nil
+}
+
+// expandedBy reports whether done holds a tick at or below t for every
+// object of members.
+func expandedBy(done *visit.Ticks, members []trajectory.ObjectID, t trajectory.Tick) bool {
+	for _, o := range members {
+		if d, ok := done.Get(int(o)); !ok || d > int32(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // boundary mirrors dn.Graph.Boundary on a decoded record: the departure

@@ -160,6 +160,9 @@ func (w *walk) step(ctx context.Context, s segSlab, iv Interval, early ObjectID,
 	if len(w.seeds) == 0 {
 		return 0, nil
 	}
+	// Each slab reads its own store, so the sweep starts with the disk
+	// head elsewhere.
+	acct.ForgetPosition()
 	entries, n, err := s.core.sweep(ctx, w.buf[:0], w.seeds, local, w.spec, early, acct)
 	if err != nil {
 		return n, err
@@ -262,6 +265,7 @@ func (c *segmentedCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectI
 		}
 		if i == last {
 			_, local := localInterval(c.slabs[i].span, iv)
+			acct.ForgetPosition()
 			ok, n, err := c.slabs[i].core.reach(ctx, w.reached, dst, local, acct)
 			return ok, expanded + n, err
 		}
@@ -287,6 +291,7 @@ func (c *segmentedCore) sweep(ctx context.Context, out []queries.ProfileEntry, s
 	if iv.Len() == 0 {
 		return out, 0, nil
 	}
+	spec.done = nil // its ticks are global, the slab cores' local
 	w := walkPool.Get()
 	defer walkPool.Put(w)
 	w.reset(c.numObjects, spec)

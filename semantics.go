@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"streach/internal/queries"
+	"streach/internal/visit"
 )
 
 // Semantics optionally refines a Query's propagation model: a transfer
@@ -90,11 +91,18 @@ type TopKResult struct {
 // hop-tracking plumbing of every layer — the spec they compile to is just
 // a budgeted, hop-reporting spec, and the engine wrapper stamps Result.Prob from
 // the returned transfer count.
+//
+// done is not part of a query's meaning but of one sweep's: the shard
+// planner's table of objects whose owners already expanded them, and from
+// which tick (shard.go). ReachGraph sweeps prune by it; every other core
+// ignores it, and the segmented planner, whose slab cores sweep slab-local
+// ticks, clears it.
 type semSpec struct {
 	dir      direction
 	budget   int32
 	needHops bool
 	filter   queries.Filter
+	done     *visit.Ticks
 }
 
 // hopAgnostic is the spec of plain propagation — forward, unbounded

@@ -33,6 +33,22 @@
 // cannot beat the destination's best-known arrival: an expansion seeded at
 // tick t only produces arrivals >= t.
 //
+// Owner sweeps do not pay twice for the same run. The coordinator keeps a
+// second table, done: for each object, the arrival its owner has expanded
+// it from. A task's seeds enter it once their sweep has returned; an
+// improvement the owner discovered itself enters it at gather, since the
+// discovering sweep continued through it; a foreign discovery enters it
+// only once its owner has run it. The table rides the sweep's semSpec, and
+// a ReachGraph child skips a run whose members all have a done tick at or
+// below the run's entry tick: it still reads the run, but records none of
+// its members and pushes none of its successors. That is exact by the same
+// ownership invariant — each member's owner already expanded it from that
+// tick or earlier over a sub-network holding all of its contacts, so
+// everything the run could reach was reached through those expansions, and
+// every member's global arrival is already at or below the entry tick. A
+// seed's own run is never skipped: a pending seed's arrival is below any
+// done tick it had, because it is pending only for having improved.
+//
 // Every owner sweep charges the query's own pagefile.Stats accountant, so
 // the engine invariant delta == total == pool holds under sharding as it
 // does for one index; a failing sweep ends the query at once, its reads
@@ -161,11 +177,13 @@ func (c *shardCore) fillStats(st *EngineStats) {
 // --- the scatter-gather relaxation planner ---
 
 // shardPlanScratch is the pooled working state of one scatter-gather query:
-// the global best-arrival table, the reached-object list, the pending and
+// the global best-arrival table, the table of arrivals each object's owner
+// has expanded it from, the reached-object list, the pending and
 // next-round hand-off buffers, the task list of one round, and the seeds
 // and profiles of the round's owner sweeps.
 type shardPlanScratch struct {
 	arrival visit.Ticks
+	done    visit.Ticks
 	reached []ObjectID
 	pend    []ObjectID
 	next    []ObjectID
@@ -205,6 +223,8 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 	ps := shardPlanPool.Get()
 	defer shardPlanPool.Put(ps)
 	ps.arrival.Reset(numObjects)
+	ps.done.Reset(numObjects)
+	spec.done = &ps.done
 	ps.reached = ps.reached[:0]
 	ps.pend = ps.pend[:0]
 	for _, s := range seeds {
@@ -299,11 +319,16 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 				return dst, expanded, err
 			}
 			task.end = len(ps.results)
+			for _, s := range ps.seeds {
+				ps.done.Set(int(s.Obj), int32(s.Start))
+			}
 		}
 		// Gather: merge the per-shard profiles into the global arrival
 		// table; only improvements owned by a different shard than the one
 		// that discovered them re-enter the pending set (the discovering
-		// sweep already expanded owner-local improvements exhaustively).
+		// sweep already expanded owner-local improvements exhaustively, so
+		// those enter done here; a foreign one enters it once its owner
+		// has run it).
 		ps.next = ps.next[:0]
 		from := 0
 		for _, task := range ps.tasks {
@@ -316,7 +341,9 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 				if !ok {
 					ps.reached = append(ps.reached, en.Obj)
 				}
-				if assign.Owner(en.Obj) != task.part {
+				if assign.Owner(en.Obj) == task.part {
+					ps.done.Set(int(en.Obj), int32(en.Arrival))
+				} else {
 					ps.next = append(ps.next, en.Obj)
 					cross++
 				}

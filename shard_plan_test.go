@@ -23,8 +23,8 @@ func TestShardPlannerCountsPinned(t *testing.T) {
 		frontier          int64
 		io                streach.IOStats
 	}{
-		{"shard:4:reachgraph", 14479, 929, 1623, streach.IOStats{RandomReads: 17, SequentialReads: 29, BufferHits: 4798}},
-		{"shard:4:spatial:reachgraph", 11506, 929, 1218, streach.IOStats{RandomReads: 49, SequentialReads: 158, BufferHits: 3675}},
+		{"shard:4:reachgraph", 10405, 929, 1613, streach.IOStats{RandomReads: 17, SequentialReads: 29, BufferHits: 4717}},
+		{"shard:4:spatial:reachgraph", 8565, 929, 1214, streach.IOStats{RandomReads: 49, SequentialReads: 158, BufferHits: 3671}},
 	} {
 		e, err := streach.Open(tc.backend, ds, streach.Options{PoolPages: 16})
 		if err != nil {
