@@ -119,7 +119,10 @@ type SetResult struct {
 	// IO, Latency mirror Result.
 	IO      IOStats
 	Latency time.Duration
-	// Expanded is the size of the reachable set.
+	// Expanded counts the evaluation frontier as Result.Expanded does:
+	// objects infected by propagation-style backends, vertices visited by
+	// graph traversals, summed over every slab or shard a planner swept.
+	// It is not the size of the set, which is len(Objects).
 	Expanded int
 }
 
@@ -710,13 +713,14 @@ func (e *engine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (S
 	defer queryPool.Put(qs)
 	start := time.Now()
 	var objs []ObjectID
+	var expanded int
 	if clamped := clampDomain(iv, numTicks); clamped.Len() > 0 {
 		qs.seeds = append(qs.seeds[:0], queries.SeedState{Obj: src})
-		entries, _, err := c.sweep(ctx, qs.entries[:0], qs.seeds, clamped, hopAgnostic, queries.NoObject, &qs.acct)
+		entries, n, err := c.sweep(ctx, qs.entries[:0], qs.seeds, clamped, hopAgnostic, queries.NoObject, &qs.acct)
 		if err != nil {
 			return SetResult{}, err
 		}
-		qs.entries = entries
+		qs.entries, expanded = entries, n
 		objs = make([]ObjectID, len(entries))
 		for i, en := range entries {
 			objs[i] = en.Obj
@@ -728,7 +732,7 @@ func (e *engine) ReachableSet(ctx context.Context, src ObjectID, iv Interval) (S
 		Objects:  objs,
 		IO:       statsOf(qs.acct),
 		Latency:  time.Since(start),
-		Expanded: len(objs),
+		Expanded: expanded,
 	}, nil
 }
 

@@ -138,8 +138,8 @@ func TestCrossBackendConformance(t *testing.T) {
 			if !equalIDs(sr.Objects, want) {
 				t.Fatalf("%q set %d %v: got %v, want %v", name, src, iv, sr.Objects, want)
 			}
-			if sr.Expanded != len(sr.Objects) {
-				t.Errorf("%q set %d: Expanded=%d, |Objects|=%d", name, src, sr.Expanded, len(sr.Objects))
+			if len(sr.Objects) > 0 && sr.Expanded <= 0 {
+				t.Errorf("%q set %d: Expanded=%d for a set of %d objects", name, src, sr.Expanded, len(sr.Objects))
 			}
 		}
 	}

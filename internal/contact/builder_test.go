@@ -1,6 +1,7 @@
 package contact
 
 import (
+	"slices"
 	"testing"
 
 	"streach/internal/geo"
@@ -99,15 +100,18 @@ func TestBuilderIgnoresSelfAndDuplicatePairs(t *testing.T) {
 }
 
 // AddPositions joins the given per-object positions with joiner j and
-// ingests the resulting pairs — how the tests feed raw location samples. positions[i] is object i's position at the new instant; each
-// open contact remembers its closest approach as its Weight.
+// ingests the resulting pairs — how the tests feed raw location samples.
+// positions[i] is object i's position at the new instant; each open contact
+// remembers its closest approach as its Weight.
 func (b *Builder) AddPositions(j *stjoin.Joiner, positions []geo.Point) {
-	var pairs []stjoin.Pair
-	var dists []float32
+	var in []sample
 	j.Join(positions, func(x, y int) bool {
-		pairs = append(pairs, stjoin.MakePair(trajectory.ObjectID(x), trajectory.ObjectID(y)))
-		dists = append(dists, float32(positions[x].Dist(positions[y])))
+		in = append(in, sample{
+			pr:   stjoin.MakePair(trajectory.ObjectID(x), trajectory.ObjectID(y)),
+			dist: float32(positions[x].Dist(positions[y])),
+		})
 		return true
 	})
-	b.addInstant(pairs, dists)
+	slices.SortStableFunc(in, compareSamples)
+	b.addInstant(in)
 }

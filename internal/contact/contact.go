@@ -5,10 +5,13 @@
 package contact
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"streach/internal/geo"
+	"streach/internal/par"
 	"streach/internal/stjoin"
 	"streach/internal/trajectory"
 )
@@ -94,81 +97,101 @@ type Network struct {
 // Extract builds the contact network of d over all its ticks by sweeping a
 // per-instant grid-hash join over time and merging consecutive co-location
 // instants into validity intervals (the window trajectory self-join
-// R(T) ⋈_dT R(T) of §4).
-func Extract(d *trajectory.Dataset) *Network {
-	numTicks := d.NumTicks()
-	net := &Network{
-		NumObjects:   d.NumObjects(),
-		NumTicks:     numTicks,
-		pairsPerTick: make([]int32, numTicks),
-	}
-	j := stjoin.NewJoiner(d.Env, d.ContactDist)
-	open := make(map[stjoin.Pair]trajectory.Tick) // pair → validity start
-	minDist := make(map[stjoin.Pair]float32)      // pair → closest approach
-	active := make(map[stjoin.Pair]bool)
-	pts := make([]geo.Point, 0, d.NumObjects())
-	ids := make([]trajectory.ObjectID, 0, d.NumObjects())
+// R(T) ⋈_dT R(T) of §4). Blocks of ticks are joined in parallel, one
+// Joiner per worker, and the Builder stitches their pairs in tick order, so
+// the network does not depend on the number of workers.
+func Extract(d *trajectory.Dataset) *Network { return extract(d, par.Workers()) }
 
-	for t := trajectory.Tick(0); int(t) < numTicks; t++ {
-		pts, ids = pts[:0], ids[:0]
-		for i := range d.Trajs {
-			if d.Trajs[i].Covers(t) {
-				pts = append(pts, d.Trajs[i].At(t))
-				ids = append(ids, d.Trajs[i].Object)
+// extractGrain is the number of ticks in a block of joins; a dataset of
+// fewer ticks is joined on the caller's goroutine.
+const extractGrain = 32
+
+func extract(d *trajectory.Dataset, workers int) *Network {
+	numTicks := d.NumTicks()
+	blocks := par.Split(numTicks, extractGrain)
+	joiners := make([]*tickJoiner, workers)
+	joined := make([]tickBlock, blocks)
+	b := NewBuilder(d.NumObjects())
+	par.Blocks(workers, blocks, func(w, i int) {
+		if joiners[w] == nil {
+			joiners[w] = newTickJoiner(d)
+		}
+		lo, hi := i*numTicks/blocks, (i+1)*numTicks/blocks
+		joined[i] = joiners[w].join(trajectory.Tick(lo), trajectory.Tick(hi))
+	}, func(i int) {
+		blk := joined[i]
+		for k := 0; k+1 < len(blk.ends); k++ {
+			b.addInstant(blk.samples[blk.ends[k]:blk.ends[k+1]])
+		}
+		joined[i] = tickBlock{}
+	})
+	return b.network(b.closed, b.pairsPerTick)
+}
+
+// tickBlock holds the pairs met at consecutive ticks: those of the k-th
+// tick are samples[ends[k]:ends[k+1]], sorted by pair, nearest first.
+type tickBlock struct {
+	samples []sample
+	ends    []int32
+}
+
+// tickJoiner is one worker's scratch for joining ticks of a dataset.
+type tickJoiner struct {
+	d   *trajectory.Dataset
+	j   *stjoin.Joiner
+	pts []geo.Point
+	ids []trajectory.ObjectID
+}
+
+func newTickJoiner(d *trajectory.Dataset) *tickJoiner {
+	return &tickJoiner{
+		d:   d,
+		j:   stjoin.NewJoiner(d.Env, d.ContactDist),
+		pts: make([]geo.Point, 0, d.NumObjects()),
+		ids: make([]trajectory.ObjectID, 0, d.NumObjects()),
+	}
+}
+
+// join returns the pairs within contact range at each tick of [lo, hi).
+func (tj *tickJoiner) join(lo, hi trajectory.Tick) tickBlock {
+	blk := tickBlock{ends: make([]int32, 1, hi-lo+1)}
+	for t := lo; t < hi; t++ {
+		pts, ids := tj.pts[:0], tj.ids[:0]
+		for i := range tj.d.Trajs {
+			tr := &tj.d.Trajs[i]
+			if k := int(t - tr.Start); k >= 0 && k < len(tr.Pos) { // tr covers t
+				pts = append(pts, tr.Pos[k])
+				ids = append(ids, tr.Object)
 			}
 		}
-		for k := range active {
-			delete(active, k)
-		}
-		j.Join(pts, func(a, b int) bool {
-			pr := stjoin.MakePair(ids[a], ids[b])
-			active[pr] = true
-			dist := float32(pts[a].Dist(pts[b]))
-			if _, isOpen := open[pr]; !isOpen {
-				open[pr] = t
-				minDist[pr] = dist
-			} else if dist < minDist[pr] {
-				minDist[pr] = dist
-			}
+		from := len(blk.samples)
+		tj.j.Join(pts, func(a, b int) bool {
+			blk.samples = append(blk.samples, sample{
+				pr:   stjoin.MakePair(ids[a], ids[b]),
+				dist: float32(pts[a].Dist(pts[b])),
+			})
 			return true
 		})
-		net.pairsPerTick[t] = int32(len(active))
-		// Close contacts that ended at t-1.
-		for pr, start := range open {
-			if !active[pr] {
-				net.Contacts = append(net.Contacts, Contact{
-					A: pr.A, B: pr.B,
-					Validity: Interval{Lo: start, Hi: t - 1},
-					Weight:   minDist[pr],
-				})
-				delete(open, pr)
-				delete(minDist, pr)
-			}
-		}
+		slices.SortFunc(blk.samples[from:], compareSamplesByDist)
+		blk.ends = append(blk.ends, int32(len(blk.samples)))
+		tj.pts, tj.ids = pts, ids
 	}
-	last := trajectory.Tick(numTicks) - 1
-	for pr, start := range open {
-		net.Contacts = append(net.Contacts, Contact{
-			A: pr.A, B: pr.B,
-			Validity: Interval{Lo: start, Hi: last},
-			Weight:   minDist[pr],
-		})
-	}
-	net.sortContacts()
-	return net
+	return blk
 }
 
 func (n *Network) sortContacts() {
-	sort.Slice(n.Contacts, func(i, k int) bool {
-		ci, ck := n.Contacts[i], n.Contacts[k]
-		if ci.Validity.Lo != ck.Validity.Lo {
-			return ci.Validity.Lo < ck.Validity.Lo
-		}
-		if ci.A != ck.A {
-			return ci.A < ck.A
-		}
-		return ci.B < ck.B
-	})
+	sort.Slice(n.Contacts, func(i, k int) bool { return compareContacts(n.Contacts[i], n.Contacts[k]) < 0 })
+}
+
+// compareContacts orders contacts by Validity.Lo, then A, then B.
+func compareContacts(x, y Contact) int {
+	if c := cmp.Compare(x.Validity.Lo, y.Validity.Lo); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
 }
 
 // FromContacts builds a Network directly from a contact list (used by tests

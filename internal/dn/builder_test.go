@@ -158,3 +158,18 @@ func compareGraphs(t *testing.T, got, want *Graph) {
 		}
 	}
 }
+
+// BenchmarkAugment is long-edge augmentation alone at the paper's levels
+// 2…32, forward and reverse, on the reduced graph of RWP 400 × 1000: the
+// part of every ReachGraph build that composes levels. One op is one
+// Augment, which replaces the levels of the op before.
+func BenchmarkAugment(b *testing.B) {
+	g := Build(rwpNetwork(400, 1000, 17))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Augment(allResolutions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"sort"
 
 	"streach/internal/contact"
+	"streach/internal/par"
 	"streach/internal/trajectory"
 )
 
@@ -245,8 +246,16 @@ func (g *Graph) LongOut(id NodeID, L int) []NodeID {
 // Augment precomputes long edges at the given resolutions, forward and
 // reverse. Resolutions must be ascending powers of two starting at 2 (each
 // level doubles the previous one, mirroring the paper's DN2 … DN32
-// hierarchy). Augment replaces any previously computed levels.
-func (g *Graph) Augment(resolutions []int) error {
+// hierarchy). Augment replaces any previously computed levels. Each level
+// is composed in parallel, both directions at once and in blocks of nodes,
+// and the levels do not depend on the number of workers.
+func (g *Graph) Augment(resolutions []int) error { return g.augment(resolutions, par.Workers()) }
+
+// composeGrain is the number of nodes in a block of a level's composition;
+// a graph of fewer nodes composes each direction as one block.
+const composeGrain = 4096
+
+func (g *Graph) augment(resolutions []int, workers int) error {
 	for i, r := range resolutions {
 		want := 2 << i
 		if r != want {
@@ -254,16 +263,47 @@ func (g *Graph) Augment(resolutions []int) error {
 		}
 	}
 	g.Resolutions, g.longs, g.revLongs = nil, nil, nil
-	c := composer{g: g, mark: make([]uint32, len(g.Nodes))}
+	composers := make([]*composer, workers)
+	blocks := par.Split(len(g.Nodes), composeGrain)
+	parts := make([]csr[NodeID], 2*blocks) // forward blocks, then reverse
 	var prev, prevRev *csr[NodeID]
 	for _, L := range resolutions {
-		fwd, rev := c.level(L, false, prev), c.level(L, true, prevRev)
+		par.Blocks(workers, len(parts), func(w, j int) {
+			if composers[w] == nil {
+				composers[w] = &composer{g: g, mark: make([]uint32, len(g.Nodes))}
+			}
+			i, back, from := j, false, prev
+			if j >= blocks {
+				i, back, from = j-blocks, true, prevRev
+			}
+			lo, hi := i*len(g.Nodes)/blocks, (i+1)*len(g.Nodes)/blocks
+			parts[j] = composers[w].level(L, back, from, lo, hi)
+		}, nil)
+		fwd, rev := concat(parts[:blocks]), concat(parts[blocks:])
 		g.Resolutions = append(g.Resolutions, L)
 		g.longs = append(g.longs, fwd)
 		g.revLongs = append(g.revLongs, rev)
 		prev, prevRev = &fwd, &rev
 	}
 	return nil
+}
+
+// concat joins the rows of consecutive blocks into one csr.
+func concat(parts []csr[NodeID]) csr[NodeID] {
+	rows, n := 0, 0
+	for i := range parts {
+		rows += parts[i].rows()
+		n += len(parts[i].tgt)
+	}
+	out := csr[NodeID]{off: make([]int32, 1, rows+1), tgt: make([]NodeID, 0, n)}
+	for i := range parts {
+		base := int32(len(out.tgt))
+		for _, o := range parts[i].off[1:] {
+			out.off = append(out.off, base+o)
+		}
+		out.tgt = append(out.tgt, parts[i].tgt...)
+	}
+	return out
 }
 
 // composer builds levels of long edges. Its scratch, reused from node to
@@ -276,19 +316,20 @@ type composer struct {
 	buf   []NodeID
 }
 
-// level composes the level-L edges of every node as two level-L/2 hops
-// through prev, or as two DN1 steps when L is 2 (prev nil). Forward, a node
-// departs at its Boundary and the hops go forward in time; reverse (back),
-// it is reached at its RevBoundary and the hops go backward from there, so
-// the targets are the nodes that deliver to it L ticks earlier.
-func (c *composer) level(L int, back bool, prev *csr[NodeID]) csr[NodeID] {
+// level composes the level-L edges of the nodes [lo, hi) as two level-L/2
+// hops through prev, or as two DN1 steps when L is 2 (prev nil), and
+// returns them as the rows of a csr. Forward, a node departs at its
+// Boundary and the hops go forward in time; reverse (back), it is reached
+// at its RevBoundary and the hops go backward from there, so the targets
+// are the nodes that deliver to it L ticks earlier.
+func (c *composer) level(L int, back bool, prev *csr[NodeID], lo, hi int) csr[NodeID] {
 	g := c.g
-	out := csr[NodeID]{off: make([]int32, len(g.Nodes)+1)}
+	out := csr[NodeID]{off: make([]int32, hi-lo+1)}
 	h := trajectory.Tick(L / 2)
 	if back {
 		h = -h
 	}
-	for id := range g.Nodes {
+	for id := lo; id < hi; id++ {
 		u := NodeID(id)
 		var t trajectory.Tick
 		var ok bool
@@ -320,7 +361,7 @@ func (c *composer) level(L int, back bool, prev *csr[NodeID]) csr[NodeID] {
 			slices.Sort(c.buf)
 			out.tgt = append(out.tgt, c.buf...)
 		}
-		out.off[id+1] = int32(len(out.tgt))
+		out.off[id-lo+1] = int32(len(out.tgt))
 	}
 	return out
 }

@@ -3,10 +3,12 @@ package dn
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"streach/internal/contact"
+	"streach/internal/mobility"
 	"streach/internal/trajectory"
 )
 
@@ -238,4 +240,38 @@ func TestReverseLongEdgesSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLongEdges(t, "rwp 25×120", g)
+}
+
+// TestBuildIndependentOfWorkers holds Augment to one set of long edges,
+// forward and reverse, whatever the number of workers composing a level's
+// blocks of nodes: over random-waypoint and clustered graphs of several
+// blocks, a graph of one block per direction, and a graph with no nodes.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *contact.Network
+	}{
+		{"rwp", rwpNetwork(300, 500, 8)},
+		{"clustered", contact.Extract(mobility.Clustered(mobility.ClusteredConfig{NumObjects: 256, NumTicks: 400, Seed: 9}))},
+		{"one-block", rwpNetwork(30, 60, 10)},
+		{"empty", contact.FromContacts(0, 0, nil)},
+	} {
+		want := Build(c.net)
+		if err := want.augment(allResolutions, 1); err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "rwp" && len(want.Nodes) < 4*composeGrain {
+			t.Fatalf("%s: %d nodes make fewer than four blocks", c.name, len(want.Nodes))
+		}
+		for _, w := range []int{2, 3, 8} {
+			got := Build(c.net)
+			if err := got.augment(allResolutions, w); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.longs, want.longs) || !reflect.DeepEqual(got.revLongs, want.revLongs) ||
+				!slices.Equal(got.Resolutions, want.Resolutions) {
+				t.Errorf("%s: %d workers compose other long edges than 1", c.name, w)
+			}
+		}
+	}
 }

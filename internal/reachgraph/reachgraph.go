@@ -68,6 +68,7 @@ import (
 	"streach/internal/contact"
 	"streach/internal/dn"
 	"streach/internal/pagefile"
+	"streach/internal/par"
 	"streach/internal/queries"
 	"streach/internal/trajectory"
 	"streach/internal/visit"
@@ -123,7 +124,19 @@ type Index struct {
 
 // Build constructs the ReachGraph of the reduced graph g. Long edges at
 // params.Resolutions are computed if g does not already carry them.
-func Build(g *dn.Graph, params Params) (*Index, error) {
+// Partitions and run directories are encoded in parallel and appended to
+// the store in one order, so the index does not depend on the number of
+// workers.
+func Build(g *dn.Graph, params Params) (*Index, error) { return build(g, params, par.Workers()) }
+
+// Encoding grains: a block encodes partitions holding at least
+// encodeGrain vertices, or the run directories of dirGrain objects.
+const (
+	encodeGrain = 4096
+	dirGrain    = 256
+)
+
+func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 	params.applyDefaults()
 	if len(g.Nodes) == 0 {
 		return nil, errors.New("reachgraph: empty graph")
@@ -144,19 +157,71 @@ func Build(g *dn.Graph, params Params) (*Index, error) {
 
 	partOf, parts := partition(g, params.PartitionDepth)
 
-	// Serialize partitions in generation order.
-	w := newPartitionWriter()
-	for _, members := range parts {
-		ix.partRefs = append(ix.partRefs, ix.store.AppendBlob(w.encode(g, members, partOf)))
+	// Blocks of partitions in generation order, then blocks of objects'
+	// run directories (runs.go): each block encodes its blobs into one
+	// buffer, and the blobs go onto the store in block order.
+	var partBlocks []int // first partition of each block, then len(parts)
+	for i, size := 0, 0; i < len(parts); i++ {
+		if size == 0 {
+			partBlocks = append(partBlocks, i)
+		}
+		if size += len(parts[i]); size >= encodeGrain {
+			size = 0
+		}
 	}
-
-	// Per-object run directories (runs.go).
-	rw := newRunWriter()
-	ix.dirRefs = make([]pagefile.BlobRef, g.NumObjects)
-	for o := 0; o < g.NumObjects; o++ {
-		ix.dirRefs[o] = ix.store.AppendBlob(rw.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
-	}
+	partBlocks = append(partBlocks, len(parts))
+	numPartBlocks := len(partBlocks) - 1
+	dirBlocks := par.Split(g.NumObjects, dirGrain)
+	writers := make([]*blobWriter, workers)
+	encoded := make([]blobBlock, numPartBlocks+dirBlocks)
+	ix.partRefs = make([]pagefile.BlobRef, 0, len(parts))
+	ix.dirRefs = make([]pagefile.BlobRef, 0, g.NumObjects)
+	par.Blocks(workers, len(encoded), func(w, i int) {
+		if writers[w] == nil {
+			writers[w] = &blobWriter{parts: newPartitionWriter(), runs: newRunWriter()}
+		}
+		bw, blk := writers[w], &encoded[i]
+		if i < numPartBlocks {
+			for _, members := range parts[partBlocks[i]:partBlocks[i+1]] {
+				blk.add(bw.parts.encode(g, members, partOf))
+			}
+			return
+		}
+		i -= numPartBlocks
+		for o := i * g.NumObjects / dirBlocks; o < (i+1)*g.NumObjects/dirBlocks; o++ {
+			blk.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
+		}
+	}, func(i int) {
+		refs := &ix.partRefs
+		if i >= numPartBlocks {
+			refs = &ix.dirRefs
+		}
+		blk, from := encoded[i], 0
+		for _, end := range blk.ends {
+			*refs = append(*refs, ix.store.AppendBlob(blk.data[from:end]))
+			from = end
+		}
+		encoded[i] = blobBlock{}
+	})
 	return ix, nil
+}
+
+// blobWriter is one worker's encoders.
+type blobWriter struct {
+	parts *partitionWriter
+	runs  *runWriter
+}
+
+// blobBlock holds consecutive encoded blobs: the k-th is
+// data[ends[k-1]:ends[k]], the first starting at 0.
+type blobBlock struct {
+	data []byte
+	ends []int
+}
+
+func (b *blobBlock) add(blob []byte) {
+	b.data = append(b.data, blob...)
+	b.ends = append(b.ends, len(b.data))
 }
 
 func sameResolutions(a, b []int) bool {

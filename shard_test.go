@@ -75,6 +75,34 @@ func TestShardDynamicNamesMatchOracle(t *testing.T) {
 }
 
 // TestShardNameErrors exercises the malformed and unsatisfiable shard names.
+// TestSetExpandedCountsShardSweeps holds SetResult.Expanded to the work a
+// set query did, not the size of its answer: the same set, found by one
+// ReachGraph sweep or by four shards' owner sweeps that hand frontiers to
+// each other, is one size, but the shards visit more vertices.
+func TestSetExpandedCountsShardSweeps(t *testing.T) {
+	ds := shardSource(t)
+	ctx := context.Background()
+	iv := streach.NewInterval(0, streach.Tick(ds.NumTicks()-1))
+	var got [2]streach.SetResult
+	for i, name := range []string{"reachgraph", "shard:4:reachgraph"} {
+		eng, err := streach.Open(name, ds, streach.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i], err = eng.ReachableSet(ctx, 0, iv); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	one, sharded := got[0], got[1]
+	if !equalIDs(one.Objects, sharded.Objects) {
+		t.Fatalf("sets differ: %v against %v", one.Objects, sharded.Objects)
+	}
+	if one.Expanded <= 0 || sharded.Expanded <= one.Expanded {
+		t.Errorf("expanded: reachgraph %d, shard:4:reachgraph %d; want 0 < reachgraph < sharded (set of %d)",
+			one.Expanded, sharded.Expanded, len(one.Objects))
+	}
+}
+
 func TestShardNameErrors(t *testing.T) {
 	ds := shardSource(t)
 	for _, name := range []string{
