@@ -11,7 +11,6 @@
 package contact
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -149,13 +148,4 @@ func (b *Builder) network(closed []Contact, pairsPerTick []int32) *Network {
 		Contacts:     closed,
 		pairsPerTick: pairsPerTick,
 	}
-}
-
-// compareSamplesByDist orders samples by pair, then nearest first, so that
-// the first of equal pairs carries their closest approach.
-func compareSamplesByDist(x, y sample) int {
-	if c := comparePairs(x.pr, y.pr); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.dist, y.dist)
 }

@@ -179,6 +179,15 @@ func (tj *tickJoiner) join(lo, hi trajectory.Tick) tickBlock {
 	return blk
 }
 
+// compareSamplesByDist orders samples by pair, then nearest first, so that
+// the first of equal pairs carries their closest approach.
+func compareSamplesByDist(x, y sample) int {
+	if c := comparePairs(x.pr, y.pr); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.dist, y.dist)
+}
+
 func (n *Network) sortContacts() {
 	sort.Slice(n.Contacts, func(i, k int) bool { return compareContacts(n.Contacts[i], n.Contacts[k]) < 0 })
 }

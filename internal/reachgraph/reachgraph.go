@@ -62,6 +62,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -180,17 +181,19 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 		if writers[w] == nil {
 			writers[w] = &blobWriter{parts: newPartitionWriter(), runs: newRunWriter()}
 		}
-		bw, blk := writers[w], &encoded[i]
+		bw := writers[w]
+		bw.data, bw.ends = bw.data[:0], bw.ends[:0]
 		if i < numPartBlocks {
 			for _, members := range parts[partBlocks[i]:partBlocks[i+1]] {
-				blk.add(bw.parts.encode(g, members, partOf))
+				bw.add(bw.parts.encode(g, members, partOf))
 			}
-			return
+		} else {
+			k := i - numPartBlocks
+			for o := k * g.NumObjects / dirBlocks; o < (k+1)*g.NumObjects/dirBlocks; o++ {
+				bw.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
+			}
 		}
-		i -= numPartBlocks
-		for o := i * g.NumObjects / dirBlocks; o < (i+1)*g.NumObjects/dirBlocks; o++ {
-			blk.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
-		}
+		encoded[i] = blobBlock{data: slices.Clone(bw.data), ends: slices.Clone(bw.ends)}
 	}, func(i int) {
 		refs := &ix.partRefs
 		if i >= numPartBlocks {
@@ -206,17 +209,19 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 	return ix, nil
 }
 
-// blobWriter is one worker's encoders.
-type blobWriter struct {
-	parts *partitionWriter
-	runs  *runWriter
-}
-
 // blobBlock holds consecutive encoded blobs: the k-th is
 // data[ends[k-1]:ends[k]], the first starting at 0.
 type blobBlock struct {
 	data []byte
 	ends []int
+}
+
+// blobWriter is one worker's encoders and the block it gathers their blobs
+// in, reused from block to block.
+type blobWriter struct {
+	parts *partitionWriter
+	runs  *runWriter
+	blobBlock
 }
 
 func (b *blobBlock) add(blob []byte) {
