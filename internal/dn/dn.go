@@ -265,7 +265,7 @@ func (g *Graph) augment(resolutions []int, workers int) error {
 	g.Resolutions, g.longs, g.revLongs = nil, nil, nil
 	composers := make([]*composer, workers)
 	blocks := par.Split(len(g.Nodes), composeGrain)
-	parts := make([]csr[NodeID], 2*blocks) // forward blocks, then reverse
+	parts := make([]csr[NodeID], 2*blocks) // forward blocks, then reverse; reused from level to level
 	var prev, prevRev *csr[NodeID]
 	for _, L := range resolutions {
 		par.Blocks(workers, len(parts), func(w, j int) {
@@ -277,7 +277,7 @@ func (g *Graph) augment(resolutions []int, workers int) error {
 				i, back, from = j-blocks, true, prevRev
 			}
 			lo, hi := i*len(g.Nodes)/blocks, (i+1)*len(g.Nodes)/blocks
-			parts[j] = composers[w].level(L, back, from, lo, hi)
+			parts[j] = composers[w].level(parts[j], L, back, from, lo, hi)
 		}, nil)
 		fwd, rev := concat(parts[:blocks]), concat(parts[blocks:])
 		g.Resolutions = append(g.Resolutions, L)
@@ -318,13 +318,13 @@ type composer struct {
 
 // level composes the level-L edges of the nodes [lo, hi) as two level-L/2
 // hops through prev, or as two DN1 steps when L is 2 (prev nil), and
-// returns them as the rows of a csr. Forward, a node departs at its
-// Boundary and the hops go forward in time; reverse (back), it is reached
-// at its RevBoundary and the hops go backward from there, so the targets
-// are the nodes that deliver to it L ticks earlier.
-func (c *composer) level(L int, back bool, prev *csr[NodeID], lo, hi int) csr[NodeID] {
+// returns them as the rows of a csr held in out's storage. Forward, a node
+// departs at its Boundary and the hops go forward in time; reverse (back),
+// it is reached at its RevBoundary and the hops go backward from there, so
+// the targets are the nodes that deliver to it L ticks earlier.
+func (c *composer) level(out csr[NodeID], L int, back bool, prev *csr[NodeID], lo, hi int) csr[NodeID] {
 	g := c.g
-	out := csr[NodeID]{off: make([]int32, hi-lo+1)}
+	out.off, out.tgt = append(out.off[:0], make([]int32, hi-lo+1)...), out.tgt[:0]
 	h := trajectory.Tick(L / 2)
 	if back {
 		h = -h

@@ -62,7 +62,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -174,26 +173,29 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 	numPartBlocks := len(partBlocks) - 1
 	dirBlocks := par.Split(g.NumObjects, dirGrain)
 	writers := make([]*blobWriter, workers)
-	encoded := make([]blobBlock, numPartBlocks+dirBlocks)
+	encoded := make([]*blobBlock, numPartBlocks+dirBlocks)
+	var spare sync.Pool // blocks whose blobs are on the store, for reuse
 	ix.partRefs = make([]pagefile.BlobRef, 0, len(parts))
 	ix.dirRefs = make([]pagefile.BlobRef, 0, g.NumObjects)
 	par.Blocks(workers, len(encoded), func(w, i int) {
 		if writers[w] == nil {
 			writers[w] = &blobWriter{parts: newPartitionWriter(), runs: newRunWriter()}
 		}
-		bw := writers[w]
-		bw.data, bw.ends = bw.data[:0], bw.ends[:0]
+		bw, blk := writers[w], &blobBlock{}
+		if b, ok := spare.Get().(*blobBlock); ok {
+			blk, b.data, b.ends = b, b.data[:0], b.ends[:0]
+		}
 		if i < numPartBlocks {
 			for _, members := range parts[partBlocks[i]:partBlocks[i+1]] {
-				bw.add(bw.parts.encode(g, members, partOf))
+				blk.add(bw.parts.encode(g, members, partOf))
 			}
 		} else {
 			k := i - numPartBlocks
 			for o := k * g.NumObjects / dirBlocks; o < (k+1)*g.NumObjects/dirBlocks; o++ {
-				bw.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
+				blk.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
 			}
 		}
-		encoded[i] = blobBlock{data: slices.Clone(bw.data), ends: slices.Clone(bw.ends)}
+		encoded[i] = blk
 	}, func(i int) {
 		refs := &ix.partRefs
 		if i >= numPartBlocks {
@@ -204,9 +206,16 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 			*refs = append(*refs, ix.store.AppendBlob(blk.data[from:end]))
 			from = end
 		}
-		encoded[i] = blobBlock{}
+		encoded[i] = nil
+		spare.Put(blk)
 	})
 	return ix, nil
+}
+
+// blobWriter is one worker's encoders.
+type blobWriter struct {
+	parts *partitionWriter
+	runs  *runWriter
 }
 
 // blobBlock holds consecutive encoded blobs: the k-th is
@@ -214,14 +223,6 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 type blobBlock struct {
 	data []byte
 	ends []int
-}
-
-// blobWriter is one worker's encoders and the block it gathers their blobs
-// in, reused from block to block.
-type blobWriter struct {
-	parts *partitionWriter
-	runs  *runWriter
-	blobBlock
 }
 
 func (b *blobBlock) add(blob []byte) {
