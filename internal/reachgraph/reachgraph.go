@@ -181,10 +181,12 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 		if writers[w] == nil {
 			writers[w] = &blobWriter{parts: newPartitionWriter(), runs: newRunWriter()}
 		}
-		bw, blk := writers[w], &blobBlock{}
-		if b, ok := spare.Get().(*blobBlock); ok {
-			blk, b.data, b.ends = b, b.data[:0], b.ends[:0]
+		bw := writers[w]
+		blk, _ := spare.Get().(*blobBlock)
+		if blk == nil {
+			blk = new(blobBlock)
 		}
+		blk.data, blk.ends = blk.data[:0], blk.ends[:0]
 		if i < numPartBlocks {
 			for _, members := range parts[partBlocks[i]:partBlocks[i+1]] {
 				blk.add(bw.parts.encode(g, members, partOf))
