@@ -24,9 +24,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Add returns the vector p + q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Scale returns p scaled by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
@@ -39,9 +36,6 @@ func (p Point) Dist2(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
 }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
 
 // Lerp linearly interpolates between p (f=0) and q (f=1).
 func (p Point) Lerp(q Point, f float64) Point {
@@ -138,14 +132,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// DistToPoint returns the minimum distance from p to the rectangle (0 when p
-// is inside).
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
 // Clamp returns the point of r closest to p.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
@@ -195,9 +181,6 @@ func NewGrid(env Rect, cellSize float64) Grid {
 // Env returns the environment rectangle the grid tiles.
 func (g Grid) Env() Rect { return g.env }
 
-// Dims returns the number of cells along x and y.
-func (g Grid) Dims() (nx, ny int) { return g.nx, g.ny }
-
 // NumCells returns the total number of cells.
 func (g Grid) NumCells() int { return g.nx * g.ny }
 
@@ -235,12 +218,6 @@ func (g Grid) CellID(p Point) int {
 
 // IDToCell is the inverse of CellID.
 func (g Grid) IDToCell(id int) (cx, cy int) { return id % g.nx, id / g.nx }
-
-// CellRect returns the rectangle covered by cell (cx, cy).
-func (g Grid) CellRect(cx, cy int) Rect {
-	min := Point{g.env.Min.X + float64(cx)*g.cellW, g.env.Min.Y + float64(cy)*g.cellH}
-	return Rect{Min: min, Max: Point{min.X + g.cellW, min.Y + g.cellH}}
-}
 
 // CellsIntersecting appends to dst the row-major IDs of all cells whose
 // rectangle intersects r, and returns the extended slice. The rectangle is

@@ -16,12 +16,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Add(q); got != (Point{4, 5}) {
 		t.Errorf("Add = %v, want (4,5)", got)
 	}
-	if got := p.Scale(2); got != (Point{6, 8}) {
-		t.Errorf("Scale = %v, want (6,8)", got)
-	}
-	if got := p.Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 }
 
 func TestDist(t *testing.T) {
@@ -131,19 +125,6 @@ func TestRectIntersects(t *testing.T) {
 	}
 }
 
-func TestRectDistToPoint(t *testing.T) {
-	r := NewRect(Point{0, 0}, Point{10, 10})
-	if d := r.DistToPoint(Point{5, 5}); d != 0 {
-		t.Errorf("inside point distance = %v, want 0", d)
-	}
-	if d := r.DistToPoint(Point{13, 14}); d != 5 {
-		t.Errorf("corner distance = %v, want 5", d)
-	}
-	if d := r.DistToPoint(Point{-3, 5}); d != 3 {
-		t.Errorf("edge distance = %v, want 3", d)
-	}
-}
-
 func TestRectClamp(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{10, 10})
 	if got := r.Clamp(Point{-5, 3}); got != (Point{0, 3}) {
@@ -171,10 +152,6 @@ func TestUnionProperties(t *testing.T) {
 func TestGridBasics(t *testing.T) {
 	env := NewRect(Point{0, 0}, Point{100, 50})
 	g := NewGrid(env, 10)
-	nx, ny := g.Dims()
-	if nx != 10 || ny != 5 {
-		t.Fatalf("Dims = %d×%d, want 10×5", nx, ny)
-	}
 	if g.NumCells() != 50 {
 		t.Fatalf("NumCells = %d, want 50", g.NumCells())
 	}
@@ -202,20 +179,6 @@ func TestGridClampsOutOfRange(t *testing.T) {
 	cx, cy = g.Cell(Point{100, 100})
 	if cx != 9 || cy != 9 {
 		t.Errorf("boundary Cell = (%d,%d), want (9,9)", cx, cy)
-	}
-}
-
-func TestGridCellRectRoundTrip(t *testing.T) {
-	g := NewGrid(NewRect(Point{0, 0}, Point{90, 90}), 9)
-	for cy := 0; cy < 10; cy++ {
-		for cx := 0; cx < 10; cx++ {
-			r := g.CellRect(cx, cy)
-			center := Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-			gx, gy := g.Cell(center)
-			if gx != cx || gy != cy {
-				t.Fatalf("center of cell (%d,%d) mapped to (%d,%d)", cx, cy, gx, gy)
-			}
-		}
 	}
 }
 

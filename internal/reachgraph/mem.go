@@ -19,6 +19,7 @@ package reachgraph
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"streach/internal/contact"
 	"streach/internal/dn"
@@ -40,7 +41,7 @@ type Mem struct {
 // NewMem computes them at the given resolutions if g carries others (pass
 // nil resolutions for a DN1-only graph serving B-BFS/E-BFS/E-DFS).
 func NewMem(g *dn.Graph, resolutions []int) (*Mem, error) {
-	if resolutions != nil && !sameResolutions(g.Resolutions, resolutions) {
+	if resolutions != nil && !slices.Equal(g.Resolutions, resolutions) {
 		if err := g.Augment(resolutions); err != nil {
 			return nil, err
 		}

@@ -62,6 +62,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -141,7 +142,7 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 	if len(g.Nodes) == 0 {
 		return nil, errors.New("reachgraph: empty graph")
 	}
-	if !sameResolutions(g.Resolutions, params.Resolutions) {
+	if !slices.Equal(g.Resolutions, params.Resolutions) {
 		if err := g.Augment(params.Resolutions); err != nil {
 			return nil, err
 		}
@@ -230,18 +231,6 @@ type blobBlock struct {
 func (b *blobBlock) add(blob []byte) {
 	b.data = append(b.data, blob...)
 	b.ends = append(b.ends, len(b.data))
-}
-
-func sameResolutions(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // partition assigns every vertex to a partition per §5.1.3 and returns the

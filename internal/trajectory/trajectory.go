@@ -71,23 +71,6 @@ func (tr *Trajectory) AtClamped(t Tick) geo.Point {
 	return tr.Pos[t-tr.Start]
 }
 
-// MBR returns the minimum bounding rectangle of the samples in [lo, hi]
-// (clamped to the covered range). ReachGrid expands these MBRs by dT to find
-// potential-seed cells (§4.2).
-func (tr *Trajectory) MBR(lo, hi Tick) geo.Rect {
-	if lo < tr.Start {
-		lo = tr.Start
-	}
-	if hi > tr.End() {
-		hi = tr.End()
-	}
-	r := geo.EmptyRect()
-	for t := lo; t <= hi; t++ {
-		r = r.ExtendPoint(tr.Pos[t-tr.Start])
-	}
-	return r
-}
-
 // Segment is a view of a trajectory restricted to a time window, the
 // r_i(w) of §4. It shares the backing array of its parent trajectory.
 type Segment struct {
@@ -126,15 +109,6 @@ func (s Segment) At(t Tick) geo.Point { return s.Pos[t-s.Start] }
 
 // Covers reports whether the segment has a sample at tick t.
 func (s Segment) Covers(t Tick) bool { return t >= s.Start && t <= s.End() }
-
-// MBR returns the minimum bounding rectangle of all samples in the segment.
-func (s Segment) MBR() geo.Rect {
-	r := geo.EmptyRect()
-	for _, p := range s.Pos {
-		r = r.ExtendPoint(p)
-	}
-	return r
-}
 
 // Dataset is a complete contact dataset: the trajectories of all objects
 // over a common time domain, plus the metadata needed to interpret them.

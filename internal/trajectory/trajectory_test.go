@@ -64,24 +64,6 @@ func TestEmptyTrajectoryEnd(t *testing.T) {
 	}
 }
 
-func TestMBR(t *testing.T) {
-	tr := lineTraj(0, 0, 10)
-	r := tr.MBR(2, 4)
-	want := geo.NewRect(geo.Point{X: 2, Y: 4}, geo.Point{X: 4, Y: 8})
-	if r != want {
-		t.Errorf("MBR = %+v, want %+v", r, want)
-	}
-	// Clamped window.
-	r = tr.MBR(-5, 100)
-	want = geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 9, Y: 18})
-	if r != want {
-		t.Errorf("clamped MBR = %+v, want %+v", r, want)
-	}
-	if !tr.MBR(50, 60).IsEmpty() {
-		t.Error("MBR of disjoint window should be empty")
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tr := lineTraj(7, 10, 10) // ticks 10..19
 	s := tr.Slice(12, 15)
@@ -103,22 +85,6 @@ func TestSlice(t *testing.T) {
 	s = tr.Slice(100, 200)
 	if s.Len() != 0 {
 		t.Errorf("disjoint Slice has %d samples", s.Len())
-	}
-}
-
-func TestSegmentMBRMatchesTrajectoryMBR(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pos := make([]geo.Point, 50)
-	for i := range pos {
-		pos[i] = geo.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-	}
-	tr := Trajectory{Object: 0, Start: 0, Pos: pos}
-	for trial := 0; trial < 50; trial++ {
-		lo := Tick(rng.Intn(50))
-		hi := lo + Tick(rng.Intn(50))
-		if got, want := tr.Slice(lo, hi).MBR(), tr.MBR(lo, hi); got != want {
-			t.Fatalf("segment MBR %+v != trajectory MBR %+v for [%d,%d]", got, want, lo, hi)
-		}
 	}
 }
 

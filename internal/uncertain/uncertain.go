@@ -250,10 +250,11 @@ func (e *Engine) BestProbDijkstra(src, dst trajectory.ObjectID, iv contact.Inter
 	return r.Prob, err
 }
 
-// PathOpts modifies a BestProbPath search per query, which is how one
-// indexed Engine serves the whole probabilistic query surface without
-// rebuilding: each query's uniform probability, contact predicate and
-// transfer budget thread through here.
+// PathOpts modifies a BestProbPath search per query: a uniform probability,
+// a contact predicate and a transfer budget. BestProbDijkstra passes the zero
+// value; the one caller that sets options is the reference check
+// TestUncertainDijkstraCrossValidation, which holds the root engine's
+// semantic queries to this Dijkstra.
 type PathOpts struct {
 	// Prob, when > 0, overrides every contact's probability with one
 	// per-query value (the uniform per-contact p of Query.Semantics.Prob).
