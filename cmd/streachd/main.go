@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8317", "listen address")
 		backend = flag.String("backend", "reachgraph", "frozen-mode backend, any composed name (see -list), e.g. shard:4:spatial:reachgraph")
-		liveStr = flag.String("live", "", "serve a LiveEngine over this base backend (oracle, reachgraph, reachgraph-mem, bidir:<base> for bidirectional point queries, shard:<K>:<base> for per-shard ingest lanes); replays the generated dataset as the initial feed and enables /v1/ingest")
+		liveStr = flag.String("live", "", "serve a LiveEngine over this base backend (oracle, reachgraph, reachgraph-mem, bidir:<base> for bidirectional point queries; one log, so no shard: prefix); replays the generated dataset as the initial feed and enables /v1/ingest")
 		objects = flag.Int("objects", 400, "dataset objects")
 		ticks   = flag.Int("ticks", 1000, "dataset ticks (live mode: preloaded feed instants)")
 		seed    = flag.Int64("seed", 42, "dataset seed")

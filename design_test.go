@@ -28,8 +28,7 @@ type rule struct {
 type kind int
 
 const (
-	forbid       kind = iota // no identifier, selector, type or declaration matches pat
-	forbidImport             // no import path matches pat
+	forbid       kind = iota // no identifier, selector, type, declaration or import path matches pat
 	exactlyOne               // exactly one declaration matches pat
 	forbidCallIn             // fn is declared and calls nothing that matches pat
 	forbidGo                 // no go statement
@@ -44,7 +43,7 @@ var designRules = []rule{
 	{name: "one-sweep", in: re(`^internal/reachgraph/traverse\.go$`), kind: exactlyOne, pat: re(`^func (\(\S+\) )?sweep\b`),
 		reason: "one DN1 sweep per index: sets, profiles and both directions are its modes",
 		bad:    "func sweep() {}\nfunc (s *scratch) sweep() {}"},
-	{name: "no-grail-in-root", in: re(`^[^/]+\.go$`), kind: forbidImport, pat: re(`^streach/internal/grail$`),
+	{name: "no-grail-in-root", in: re(`^[^/]+\.go$`), kind: forbid, pat: re(`^streach/internal/grail$`),
 		reason: "the §6 baselines run in internal/bench's lab, not as registry backends",
 		bad:    `import "streach/internal/grail"`},
 	{name: "no-id-maps", in: re(`^internal/(pagefile|dn)/`), kind: forbid, pat: re(`^map\[(pageKey|NodeID)\]`),
@@ -54,7 +53,7 @@ var designRules = []rule{
 		fn: re(`^func \(\*Store\) ReadBlob\b`), pat: re(`(^|\.)Touch$`),
 		reason: "ReadBlob latches each pool shard once per window of pages, not once per page",
 		bad:    "func (st *Store) ReadBlob() (Blob, error) { st.pool.Touch(0); return Blob{}, nil }"},
-	{name: "crc32-in-pagefile", in: re(`\.go$`), out: re(`^internal/pagefile/`), tests: true, kind: forbidImport, pat: re(`^hash/crc32$`),
+	{name: "crc32-in-pagefile", in: re(`\.go$`), out: re(`^internal/pagefile/`), tests: true, kind: forbid, pat: re(`^hash/crc32$`),
 		reason: "page checksums are internal/pagefile's alone; readers verify through Blob",
 		bad:    `import "hash/crc32"`},
 	{name: "one-blob-read", in: re(`^internal/pagefile/`), kind: exactlyOne, pat: re(`^func (\(\S+\) )?(Read\w*|[A-Z]\w* \(.*\bBlob\b)`),
@@ -66,6 +65,9 @@ var designRules = []rule{
 	{name: "no-bench-record", in: re(`^internal/bench/`), tests: true, kind: forbid, pat: re(`^type Record$`),
 		reason: "benchmark/ measures over time; internal/bench only renders the paper's artifacts",
 		bad:    "type Record struct{}"},
+	{name: "live-one-log", in: re(`^(live\.go|internal/(contact|segment)/[^/]+\.go)$`), kind: forbid, pat: re(`^(streach/internal/shard|Mirror)$`),
+		reason: "a live feed keeps one log over the whole population: no shard lanes, and no mirrored event copies to route between them",
+		bad:    "import \"streach/internal/shard\"\ntype Event struct{ Mirror bool }"},
 	{name: "go-sites", in: re(`^([^/]+\.go|internal/.*)$`), out: re(`^(batch\.go|internal/(par|serve)/.*)$`), kind: forbidGo,
 		reason: "goroutines start only in internal/par's build kernels, batch.go's workers and the server; a planner runs a query on its caller's goroutine",
 		bad:    "func f() { go func() {}() }"},
@@ -130,8 +132,7 @@ func (r rule) hits(f *ast.File) (at []token.Pos, hasFn bool) {
 				})
 			}
 		}
-		_, imp := n.(*ast.ImportSpec)
-		if (r.kind == forbid && !imp || r.kind == forbidImport && imp || r.kind == exactlyOne) && r.pat.MatchString(render(n)) {
+		if (r.kind == forbid || r.kind == exactlyOne) && r.pat.MatchString(render(n)) {
 			at = append(at, n.Pos())
 		}
 		return true

@@ -231,16 +231,15 @@ type backendSpec struct {
 	open func(src Source, opts Options) (core, error)
 
 	// The outermost combinator of the name, so that NewLiveEngine can grow
-	// the same structure over ingest logs instead of a frozen source: base
-	// is the spec it wraps (nil for a leaf), live marks "live:", sliced
-	// "segmented:" and "bidir:" (bidir the latter), shards and partitioner
-	// "shard:<K>".
-	base        *backendSpec
-	live        bool
-	sliced      bool
-	bidir       bool
-	shards      int
-	partitioner string
+	// the same structure over an ingest log instead of a frozen source:
+	// base is the spec it wraps (nil for a leaf), live marks "live:", sliced
+	// "segmented:" and "bidir:" (bidir the latter), and sharded "shard:<K>",
+	// which NewLiveEngine refuses.
+	base    *backendSpec
+	live    bool
+	sliced  bool
+	bidir   bool
+	sharded bool
 }
 
 // build opens the spec's core over src.

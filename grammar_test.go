@@ -166,9 +166,6 @@ func TestNameGrammar(t *testing.T) {
 		{"live:reachgraph-mem", "live:reachgraph-mem"},
 		{"Live:ReachGraph", "live:reachgraph"},
 		{"bidir:oracle", "live:bidir:oracle"},
-		{"shard:1:reachgraph-mem", "live:shard:1:reachgraph-mem"},
-		{"live:shard:2:bidir:reachgraph-mem", "live:shard:2:bidir:reachgraph-mem"},
-		{"shard:2:hash:oracle", "live:shard:2:oracle"},
 		{"segmented:reachgraph", "live:segmented:reachgraph"},
 	}
 	for _, tc := range live {
@@ -195,6 +192,11 @@ func TestNameGrammar(t *testing.T) {
 		{"nosuch", streach.ErrUnknownBackend},
 		{"live:live:oracle", streach.ErrUnknownBackend},
 		{"reachgrid", streach.ErrNotLiveCapable},
+		{"shard:1:reachgraph-mem", streach.ErrNotLiveCapable},
+		{"live:shard:2:bidir:reachgraph-mem", streach.ErrNotLiveCapable},
+		{"shard:2:hash:oracle", streach.ErrNotLiveCapable},
+		{"shard:2:reachgraph", streach.ErrNotLiveCapable},
+		{"live:shard:2:oracle", streach.ErrNotLiveCapable},
 		{"shard:2:spatial:reachgraph", streach.ErrNotLiveCapable},
 		{"bidir:reachgrid", streach.ErrNotLiveCapable},
 		{"grail", streach.ErrUnknownBackend},

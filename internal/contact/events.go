@@ -19,19 +19,13 @@ import (
 // Event is one contact-instant mutation: objects A and B were within
 // contact range at tick Tick (Retract false), or that observation is
 // withdrawn (Retract true — a privacy delete or bad-data correction).
-// Mirror marks a second copy of an event stored for another owner — the
-// other endpoint's shard of a cross-shard contact: it is applied like any
-// event but left out of every count, so the event is counted once, where
-// its original lands.
 type Event struct {
 	Tick    trajectory.Tick
 	A, B    trajectory.ObjectID
 	Retract bool
-	Mirror  bool
 }
 
-// EventCounts tallies what a batch of events did when applied, mirrored
-// copies left out.
+// EventCounts tallies what a batch of events did when applied.
 type EventCounts struct {
 	// Applied counts adds landing on an instant where the pair was not
 	// already in contact; Duplicates counts adds where it was.
@@ -55,7 +49,7 @@ func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
 	slices.SortStableFunc(sorted, func(x, y Event) int { return cmp.Compare(x.Tick, y.Tick) })
 	next := &PairTable{NumObjects: tb.NumObjects, ticks: slices.Clone(tb.ticks)}
 	var kept []Event
-	var counts, mirrored EventCounts
+	var counts EventCounts
 	for i := 0; i < len(sorted); {
 		t := sorted[i].Tick
 		var list []stjoin.Pair // the tick's patched list, copied on first change
@@ -64,17 +58,13 @@ func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
 			ev := sorted[i]
 			pr := stjoin.MakePair(ev.A, ev.B)
 			ev.A, ev.B = pr.A, pr.B
-			tally := &counts
-			if ev.Mirror {
-				tally = &mirrored
-			}
 			at, present := slices.BinarySearchFunc(cur, pr, comparePairs)
 			switch {
 			case !ev.Retract && present:
-				tally.Duplicates++
+				counts.Duplicates++
 				continue
 			case ev.Retract && !present:
-				tally.Misses++
+				counts.Misses++
 				continue
 			}
 			if list == nil {
@@ -82,10 +72,10 @@ func (tb *PairTable) Apply(events []Event) (*PairTable, []Event, EventCounts) {
 			}
 			if ev.Retract {
 				list = slices.Delete(list, at, at+1)
-				tally.Retracted++
+				counts.Retracted++
 			} else {
 				list = slices.Insert(list, at, pr)
-				tally.Applied++
+				counts.Applied++
 			}
 			cur = list
 			kept = append(kept, ev)

@@ -121,8 +121,7 @@ type slabDelta struct {
 }
 
 // Counters are the log's cumulative ingest-anomaly and maintenance
-// counters, monotone over the log's lifetime. Mirrored events are not
-// counted.
+// counters, monotone over the log's lifetime.
 type Counters struct {
 	// LateApplied counts contact adds accepted at a tick behind the
 	// frontier; Retractions counts removals of previously live instants.
@@ -278,10 +277,7 @@ func (l *Log[S]) appendInstantLocked(pairs []stjoin.Pair, res *ApplyResult) (app
 // re-sealed before returning. An error (a failed seal or compaction
 // build) may leave the batch partially applied; the returned ApplyResult
 // reflects exactly what was applied, and the log remains consistent —
-// dirty slabs keep answering exactly through their overlays. Mirrored
-// events (contact.Event.Mirror) change the log like any other but are left
-// out of the result's counts and the Counters; they still mark their ticks
-// Changed and deepen a sealed slab's delta log.
+// dirty slabs keep answering exactly through their overlays.
 func (l *Log[S]) IngestEvents(events []contact.Event, compactThreshold int) (ApplyResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -290,12 +286,12 @@ func (l *Log[S]) IngestEvents(events []contact.Event, compactThreshold int) (App
 		return res, nil
 	}
 
-	// Fast path: the common in-order feed — every event an unmirrored add
-	// at the frontier tick — is a single table append, no grouping.
+	// Fast path: the common in-order feed — every event an add at the
+	// frontier tick — is a single table append, no grouping.
 	frontier := trajectory.Tick(l.numTicksLocked())
 	fast := true
 	for _, ev := range events {
-		if ev.Retract || ev.Mirror || ev.Tick != frontier {
+		if ev.Retract || ev.Tick != frontier {
 			fast = false
 			break
 		}
@@ -352,25 +348,20 @@ func (l *Log[S]) IngestEvents(events []contact.Event, compactThreshold int) (App
 func (l *Log[S]) applyFrontierGroupLocked(t trajectory.Tick, group []contact.Event, res *ApplyResult) error {
 	set := make(map[stjoin.Pair]bool, len(group))
 	anyAdd := false
-	var mirrored ApplyResult
 	for _, ev := range group {
 		pr := stjoin.MakePair(ev.A, ev.B)
-		tally := res
-		if ev.Mirror {
-			tally = &mirrored
-		}
 		switch {
 		case !ev.Retract && set[pr]:
-			tally.Duplicates++
+			res.Duplicates++
 		case !ev.Retract:
 			set[pr] = true
 			anyAdd = true
-			tally.Frontier++
+			res.Frontier++
 		case set[pr]:
 			delete(set, pr)
-			tally.Retracted++
+			res.Retracted++
 		default:
-			tally.RetractMisses++
+			res.RetractMisses++
 		}
 	}
 	if !anyAdd {

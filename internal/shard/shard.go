@@ -253,34 +253,3 @@ func Cut(net *contact.Network, a *Assignment) *Split {
 	}
 	return sp
 }
-
-// Merge reassembles the effective whole-population network from per-shard
-// sub-networks, deduplicating the contacts the cut stored twice — the
-// inverse of Cut, used by sharded live engines to snapshot their feed.
-func Merge(parts []*contact.Network, numObjects, numTicks int) *contact.Network {
-	var all []contact.Contact
-	for _, p := range parts {
-		all = append(all, p.Contacts...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Validity.Lo != b.Validity.Lo {
-			return a.Validity.Lo < b.Validity.Lo
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.Validity.Hi < b.Validity.Hi
-	})
-	dedup := all[:0]
-	for i, c := range all {
-		if i > 0 && c == all[i-1] {
-			continue
-		}
-		dedup = append(dedup, c)
-	}
-	return contact.FromContacts(numObjects, numTicks, dedup)
-}

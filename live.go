@@ -28,23 +28,18 @@
 // consistent view. One goroutine may append while any number query.
 //
 // This file is the ingest side. The query side is the same engine wrapper
-// every Open'ed backend has, over a core that pins one view of the logs per
-// query: the cross-segment planner of segmented.go over the lane's slabs,
-// under the scatter-gather coordinator of shard.go when the feed is
-// sharded.
+// every Open'ed backend has, over a core that pins one view of the log per
+// query: the cross-segment planner of segmented.go over the log's slabs.
 
 package streach
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"streach/internal/contact"
 	"streach/internal/queries"
 	"streach/internal/segment"
-	"streach/internal/shard"
 	"streach/internal/stjoin"
 )
 
@@ -99,21 +94,15 @@ var ErrNotLiveCapable = errors.New("streach: backend cannot serve a live feed")
 // AddInstant; queries are evaluated against every instant ingested before
 // the query took its view.
 type LiveEngine struct {
-	// engine is the query side: the uniform wrapper, viewing the lanes
+	// engine is the query side: the uniform wrapper, viewing the log
 	// through pin.
 	*engine
 	joiner *stjoin.Joiner
 
-	// lanes are the ingest logs. An unsharded feed has one. Under a
-	// "shard:<K>:" name prefix (hash partitioner only — spatial needs
-	// trajectories the live feed does not carry) lanes[s] is shard s's own
-	// log: events route to the lane of each endpoint's owner (cross-shard
-	// contacts to both), so sealing and compaction stay per-shard, and
-	// queries run the scatter-gather relaxation over per-lane views. assign
-	// and cut are nil for an unsharded feed.
-	lanes  []*liveLane
-	assign *shard.Assignment
-	cut    *shardCut
+	// log is the ingest log over the whole population; evs is the
+	// appender's buffer for the batch in flight, reused across batches.
+	log *segment.Log[sealedSlab]
+	evs []contact.Event
 
 	// horizon bounds how far past the frontier an add may land (-1 means
 	// unbounded); compactEvents is the per-slab delta depth that triggers
@@ -121,8 +110,8 @@ type LiveEngine struct {
 	horizon       int
 	compactEvents int
 
-	// bidir routes the lanes' point queries through the bidirectional
-	// planner ("bidir:" in the name).
+	// bidir routes point queries through the bidirectional planner
+	// ("bidir:" in the name).
 	bidir bool
 
 	// ingestHook and sealHook are the notification hooks of OnIngest and
@@ -133,36 +122,22 @@ type LiveEngine struct {
 	sealHook   func(span Interval)
 }
 
-// liveLane is one ingest log. evs is the appender's routing buffer for the
-// batch in flight: the events whose endpoint A the lane owns, and, marked
-// Mirror, the copies of cross-shard events whose endpoint B it owns. Both
-// are applied as one batch, so a copy lands at the frontier like its
-// original instead of behind an instant the original just closed.
-type liveLane struct {
-	log *segment.Log[sealedSlab]
-	evs []contact.Event
-}
-
 // NewLiveEngine returns a live engine for numObjects objects moving in env
 // with contact threshold contactDist. backend is any name of the backend
 // grammar (a leading "live:" is accepted, so an engine's own Name() opens
 // its twin) whose structure can grow with a feed:
 //
 //   - what is built once per sealed slab — the name itself, or what its
-//     "shard:"/"segmented:"/"bidir:" prefixes wrap — must open from a
-//     contact network and carry a frontier forward ("reachgraph",
-//     "reachgraph-mem", "oracle", ...);
-//     Options.SegmentTicks sets the slab width and disk-resident segments
-//     share one buffer pool (Options.Pool or a private one);
+//     "segmented:"/"bidir:" prefix wraps — must open from a contact network
+//     and carry a frontier forward ("reachgraph", "reachgraph-mem",
+//     "oracle", ...); Options.SegmentTicks sets the slab width and
+//     disk-resident segments share one buffer pool (Options.Pool or a
+//     private one);
 //   - a "bidir:" prefix ("bidir:reachgraph", ...) routes point queries
 //     through the bidirectional planner, exactly as for the frozen "bidir:*"
 //     backends; the slabs must then sweep backward too;
-//   - a "shard:<K>:" prefix ("shard:4:reachgraph", "shard:2:bidir:reachgraph")
-//     hash-partitions the object population into K ingest lanes, each with
-//     its own segment log, buffer pool (unless Options.Pool is shared) and
-//     per-shard sealing/compaction; queries run the scatter-gather frontier
-//     relaxation over the lanes. Only the hash partitioner is live-capable —
-//     spatial partitioning snaps trajectories the feed does not carry.
+//   - an outer "shard:<K>:" prefix is refused with ErrNotLiveCapable: a live
+//     feed keeps one log over the whole population.
 func NewLiveEngine(backend string, numObjects int, env Rect, contactDist float64, opts Options) (*LiveEngine, error) {
 	spec, err := resolve(backend)
 	if err != nil {
@@ -170,6 +145,10 @@ func NewLiveEngine(backend string, numObjects int, env Rect, contactDist float64
 	}
 	if spec.live {
 		spec = *spec.base
+	}
+	if spec.sharded {
+		return nil, fmt.Errorf("live %q: %w (a live feed keeps one log; shard a frozen index instead)",
+			spec.info.Name, ErrNotLiveCapable)
 	}
 	if numObjects <= 0 {
 		return nil, errors.New("streach: live engine needs at least one object")
@@ -184,60 +163,40 @@ func NewLiveEngine(backend string, numObjects int, env Rect, contactDist float64
 	case horizon < 0:
 		horizon = -1
 	}
+	// Regrow the name's structure over the ingest log: a "segmented:" or
+	// "bidir:" names the log's own planner, and what it wraps is built per
+	// sealed slab.
 	le := &LiveEngine{
 		joiner:        stjoin.NewJoiner(env, contactDist),
-		lanes:         make([]*liveLane, 1),
 		horizon:       horizon,
 		compactEvents: max(opts.CompactEvents, 0),
 	}
+	slab := spec
+	if spec.sliced {
+		slab, le.bidir = *spec.base, spec.bidir
+	}
+	if slab.info.NeedsTrajectories {
+		return nil, fmt.Errorf("live %q: %w (indexes trajectories)", slab.info.Name, ErrNotLiveCapable)
+	}
+	opts = withSharedPool(opts, slab.info.DiskResident)
+	// Probe seal-ability now, not at the first slab boundary: a one-tick
+	// empty network must build, into a core the planner can carry a
+	// frontier through.
+	probe, err := slab.build(&ContactNetwork{net: contact.FromContacts(numObjects, 1, nil)}, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := sliceable(probe, slab.info.Name, le.bidir); err != nil {
+		return nil, fmt.Errorf("live: %w: %v", ErrNotLiveCapable, err)
+	}
+	le.log = newLiveLog(slab, opts, numObjects)
 	le.engine = &engine{
 		name:       "live:" + spec.info.Name,
 		numObjects: numObjects,
 		view:       le.pin,
 		// The snapshot may include instants ingested after the query's view
 		// was taken; answers remain exact for every instant of the view.
-		fallback: func() *queries.Oracle { return queries.NewOracle(le.snapshotNet()) },
-	}
-	// Regrow the name's structure over ingest logs: an outermost "shard:"
-	// becomes the ingest lanes, a "segmented:" or "bidir:" under it names
-	// the lanes' own planner, and what that wraps is built per sealed slab.
-	lane := spec
-	if spec.shards > 0 {
-		if spec.partitioner != "hash" {
-			return nil, fmt.Errorf("live shard:%s: %w (spatial partitioning snaps trajectories; live shards are hash-partitioned)",
-				spec.partitioner, ErrNotLiveCapable)
-		}
-		if le.assign, err = shard.Hash(numObjects, spec.shards); err != nil {
-			return nil, err
-		}
-		le.lanes = make([]*liveLane, spec.shards)
-		le.cut = &shardCut{contacts: make([]atomic.Int64, spec.shards)}
-		lane = *spec.base
-	}
-	slab := lane
-	if lane.sliced {
-		slab, le.bidir = *lane.base, lane.bidir
-	}
-	if slab.info.NeedsTrajectories {
-		return nil, fmt.Errorf("live %q: %w (indexes trajectories)", slab.info.Name, ErrNotLiveCapable)
-	}
-	for s := range le.lanes {
-		// Each lane's segments share a pool of their own unless the caller
-		// shared Options.Pool across all of them.
-		laneOpts := withSharedPool(opts, slab.info.DiskResident)
-		if s == 0 {
-			// Probe seal-ability now, not at the first slab boundary: a
-			// one-tick empty network must build, into a core the planner can
-			// carry a frontier through.
-			probe, err := slab.build(&ContactNetwork{net: contact.FromContacts(numObjects, 1, nil)}, laneOpts)
-			if err != nil {
-				return nil, err
-			}
-			if err := sliceable(probe, slab.info.Name, le.bidir); err != nil {
-				return nil, fmt.Errorf("live: %w: %v", ErrNotLiveCapable, err)
-			}
-		}
-		le.lanes[s] = newLiveLane(slab, laneOpts, numObjects, opts.SegmentTicks)
+		fallback: func() *queries.Oracle { return queries.NewOracle(le.log.Snapshot()) },
 	}
 	return le, nil
 }
@@ -260,8 +219,9 @@ func liveOver(base backendSpec) backendSpec {
 	}
 }
 
-// newLiveLane returns an empty ingest lane sealing its slabs through slab.
-func newLiveLane(slab backendSpec, opts Options, numObjects, width int) *liveLane {
+// newLiveLog returns an empty ingest log of Options.SegmentTicks-wide slabs,
+// sealing them through slab.
+func newLiveLog(slab backendSpec, opts Options, numObjects int) *segment.Log[sealedSlab] {
 	// built remembers the segment last sealed at each slab (by span start):
 	// a second build of a slab is a compaction, and the rebuilt segment
 	// carries the I/O totals of the one it retires forward so the engine's
@@ -270,7 +230,7 @@ func newLiveLane(slab backendSpec, opts Options, numObjects, width int) *liveLan
 	// delta but not the totals.) Builds run under the log's lock, on the
 	// single appender goroutine.
 	built := map[Tick]sealedSlab{}
-	return &liveLane{log: segment.NewLog(numObjects, width, func(span Interval, net *contact.Network) (sealedSlab, error) {
+	return segment.NewLog(numObjects, opts.SegmentTicks, func(span Interval, net *contact.Network) (sealedSlab, error) {
 		c, err := slab.build(&ContactNetwork{net: net}, opts)
 		if err != nil {
 			return sealedSlab{}, err
@@ -281,7 +241,7 @@ func newLiveLane(slab backendSpec, opts Options, numObjects, width int) *liveLan
 		}
 		built[span.Lo] = next
 		return next, nil
-	})}
+	})
 }
 
 // OnIngest registers fn to be invoked synchronously after every ingest
@@ -333,113 +293,36 @@ func (le *LiveEngine) Ingest(events []ContactEvent) (IngestReport, error) {
 				ErrIngestHorizon, i, ev.Tick, frontier, le.horizon)
 		}
 	}
-	le.clearRoutes()
+	le.evs = le.evs[:0]
 	for _, ev := range events {
-		le.routeEvent(contact.Event{Tick: ev.Tick, A: ev.A, B: ev.B, Retract: ev.Retract})
+		le.evs = append(le.evs, contact.Event(ev))
 	}
-	return le.applyLanes()
+	res, err := le.log.IngestEvents(le.evs, le.compactEvents)
+	return le.report(res), err
 }
 
-// owner returns the lane storing the contacts incident to o.
-func (le *LiveEngine) owner(o ObjectID) int {
-	if le.assign == nil {
-		return 0
-	}
-	return le.assign.Owner(o)
-}
-
-func (le *LiveEngine) clearRoutes() {
-	for _, ln := range le.lanes {
-		ln.evs = ln.evs[:0]
-	}
-}
-
-// routeEvent appends e to its owner lanes' routing buffers: owner(A)'s
-// copy carries the report counts, and when the endpoints live on different
-// shards a mirrored copy lands in owner(B)'s batch, so both shard
-// sub-networks stay complete for their own objects. On a sharded feed adds
-// also feed the live partition-quality counters.
-func (le *LiveEngine) routeEvent(e contact.Event) {
-	sa, sb := le.owner(e.A), le.owner(e.B)
-	le.lanes[sa].evs = append(le.lanes[sa].evs, e)
-	if sb != sa {
-		mirror := e
-		mirror.Mirror = true
-		le.lanes[sb].evs = append(le.lanes[sb].evs, mirror)
-	}
-	if le.cut != nil && !e.Retract {
-		le.cut.total.Add(1)
-		le.cut.contacts[sa].Add(1)
-		if sb != sa {
-			le.cut.cross.Add(1)
-			le.cut.contacts[sb].Add(1)
-		}
-	}
-}
-
-// applyLanes folds the routed batches into every lane and re-aligns the
-// lane clocks to the common frontier, so a shard whose objects were quiet
-// still covers the ticks its peers ingested. Per-event report counts skip
-// the mirrored copies (a cross-shard event is one event, however many lanes
-// store it); Compacted sums over lanes, and Sealed — with the seal hook —
-// reports lane 0's spans, identical across lanes once aligned.
-func (le *LiveEngine) applyLanes() (IngestReport, error) {
-	var rep IngestReport
-	var firstErr error
-	for s, ln := range le.lanes {
-		if len(ln.evs) > 0 {
-			res, err := ln.log.IngestEvents(ln.evs, le.compactEvents)
-			le.countLane(s, res, &rep)
-			firstErr = cmp.Or(firstErr, err)
-		}
-	}
-	frontier := 0
-	for _, ln := range le.lanes {
-		frontier = max(frontier, ln.log.NumTicks())
-	}
-	err := le.advanceLanes(frontier, &rep)
-	return rep, cmp.Or(firstErr, err)
-}
-
-// advanceLanes pads every lane to numTicks ticks.
-func (le *LiveEngine) advanceLanes(numTicks int, rep *IngestReport) error {
-	var firstErr error
-	for s, ln := range le.lanes {
-		if ln.log.NumTicks() >= numTicks {
-			continue
-		}
-		res, err := ln.log.AdvanceTo(numTicks)
-		le.countLane(s, res, rep)
-		firstErr = cmp.Or(firstErr, err)
-	}
-	return firstErr
-}
-
-// countLane accumulates one lane apply into the batch report and fires the
-// hooks for it. Hooks fire even when the apply ultimately erred: everything
-// listed in res was genuinely applied, so derived state must still hear
-// about it. The ingest hook fires per lane — an invalidation heard once per
-// shard that changed is idempotent for derived state; the seal hook fires
-// from lane 0 only, whose slab boundaries speak for all lanes.
-func (le *LiveEngine) countLane(s int, res segment.ApplyResult, rep *IngestReport) {
-	rep.Applied += res.Frontier
-	rep.Late += res.Late
-	rep.Retracted += res.Retracted
-	rep.Duplicates += res.Duplicates
-	rep.RetractMisses += res.RetractMisses
-	rep.Compacted += res.Compacted
-	if s == 0 {
-		rep.Sealed = append(rep.Sealed, res.Sealed...)
-	}
+// report turns one log apply into its batch report and fires the hooks for
+// it. Hooks fire even when the apply ultimately erred: everything listed in
+// res was genuinely applied, so derived state must still hear about it.
+func (le *LiveEngine) report(res segment.ApplyResult) IngestReport {
 	if le.ingestHook != nil {
 		for _, iv := range res.Changed {
 			le.ingestHook(iv)
 		}
 	}
-	if s == 0 && le.sealHook != nil {
+	if le.sealHook != nil {
 		for _, span := range res.Sealed {
 			le.sealHook(span)
 		}
+	}
+	return IngestReport{
+		Applied:       res.Frontier,
+		Late:          res.Late,
+		Retracted:     res.Retracted,
+		Duplicates:    res.Duplicates,
+		RetractMisses: res.RetractMisses,
+		Sealed:        res.Sealed,
+		Compacted:     res.Compacted,
 	}
 }
 
@@ -455,12 +338,14 @@ func (le *LiveEngine) AddInstant(positions []Point) error {
 		return fmt.Errorf("streach: got %d positions, want %d", len(positions), le.numObjects)
 	}
 	tick := Tick(le.NumTicks())
-	le.clearRoutes()
+	le.evs = le.evs[:0]
 	le.joiner.Join(positions, func(a, b int) bool {
-		le.routeEvent(contact.Event{Tick: tick, A: ObjectID(a), B: ObjectID(b)})
+		le.evs = append(le.evs, contact.Event{Tick: tick, A: ObjectID(a), B: ObjectID(b)})
 		return true
 	})
-	if _, err := le.applyLanes(); err != nil {
+	res, err := le.log.IngestEvents(le.evs, le.compactEvents)
+	le.report(res)
+	if err != nil {
 		return err
 	}
 	return le.AdvanceTo(tick)
@@ -472,8 +357,9 @@ func (le *LiveEngine) AddInstant(positions []Point) error {
 // ingest horizon). Already-covered ticks are a no-op; the clock never
 // rewinds. Single appender goroutine, like all ingestion.
 func (le *LiveEngine) AdvanceTo(tick Tick) error {
-	var rep IngestReport
-	return le.advanceLanes(int(tick)+1, &rep)
+	res, err := le.log.AdvanceTo(int(tick) + 1)
+	le.report(res)
+	return err
 }
 
 // Compact re-seals every sealed segment carrying pending delta-log events,
@@ -483,62 +369,36 @@ func (le *LiveEngine) AdvanceTo(tick Tick) error {
 // the base backend's indexed one. Returns the number of segments rebuilt.
 // Runs on the appender goroutine; queries may run concurrently and keep
 // their (still-exact) views.
-func (le *LiveEngine) Compact() (int, error) {
-	total := 0
-	var firstErr error
-	for _, ln := range le.lanes {
-		n, err := ln.log.Compact()
-		total += n
-		firstErr = cmp.Or(firstErr, err)
-	}
-	return total, firstErr
-}
+func (le *LiveEngine) Compact() (int, error) { return le.log.Compact() }
 
 // ContactActiveAt reports whether contact (a, b) is part of the feed's
 // current effective state at tick t — ingested (directly or late) and not
 // retracted. A serving layer uses it to pre-validate wire retractions.
 func (le *LiveEngine) ContactActiveAt(a, b ObjectID, t Tick) bool {
-	// Owner(a)'s lane holds every contact incident to a, including the
-	// duplicated cross-shard copies.
-	return le.lanes[le.owner(a)].log.ActiveAt(a, b, t)
+	return le.log.ActiveAt(a, b, t)
 }
 
 // NumTicks returns the number of instants ingested so far.
-func (le *LiveEngine) NumTicks() int { return le.lanes[0].log.NumTicks() }
+func (le *LiveEngine) NumTicks() int { return le.log.NumTicks() }
 
 // NumSealedSegments returns the number of sealed (immutable) segments.
-func (le *LiveEngine) NumSealedSegments() int { return le.lanes[0].log.NumSealed() }
+func (le *LiveEngine) NumSealedSegments() int { return le.log.NumSealed() }
 
 // Snapshot returns the contact network over every instant ingested so far,
 // for validation against ground truth and as an Open source. The engine
 // remains usable.
 func (le *LiveEngine) Snapshot() *ContactNetwork {
-	return &ContactNetwork{net: le.snapshotNet()}
+	return &ContactNetwork{net: le.log.Snapshot()}
 }
 
-func (le *LiveEngine) snapshotNet() *contact.Network {
-	if len(le.lanes) == 1 {
-		return le.lanes[0].log.Snapshot()
-	}
-	// Merge the lane snapshots back into the whole-population network,
-	// deduplicating the cross-shard contacts the cut stored twice.
-	nets := make([]*contact.Network, len(le.lanes))
-	numTicks := 0
-	for s, ln := range le.lanes {
-		nets[s] = ln.log.Snapshot()
-		numTicks = max(numTicks, nets[s].NumTicks)
-	}
-	return shard.Merge(nets, le.numObjects, numTicks)
-}
-
-// laneCore is the planner over one lane's view: sealed segments plus, when
-// the tail holds instants, an oracle sweeping the tail's pair table. A
+// viewCore is the planner over one view of the log: sealed segments plus,
+// when the tail holds instants, an oracle sweeping the tail's pair table. A
 // dirty sealed segment — one with pending delta-log events — is served by
 // an oracle over its overlay table instead of its (stale) sealed index, so
 // out-of-order corrections are query-visible immediately. Nothing is built:
 // the oracles read the tables the view pinned, which are immutable, so a
 // query proceeds lock-free.
-func (le *LiveEngine) laneCore(sealed []segment.SlabView[sealedSlab], tailSpan Interval, tail *contact.PairTable, numTicks int) *segmentedCore {
+func (le *LiveEngine) viewCore(sealed []segment.SlabView[sealedSlab], tailSpan Interval, tail *contact.PairTable, numTicks int) *segmentedCore {
 	slabs := make([]segSlab, 0, len(sealed)+1)
 	for _, s := range sealed {
 		slab := segSlab{span: s.Span, core: s.Value.core, sealed: s.Value, pending: s.Pending}
@@ -558,30 +418,11 @@ func (le *LiveEngine) laneCore(sealed []segment.SlabView[sealedSlab], tailSpan I
 	}
 }
 
-// pin is the engine wrapper's view: the core one query evaluates against —
-// the planner over one consistent view of the lane (see laneCore) or, on a
-// sharded feed, the scatter-gather coordinator over one view per lane. Its
-// time domain is the minimum lane frontier, so queries racing an append
-// see only ticks every lane has covered.
+// pin is the engine wrapper's view: the planner over one consistent view
+// of the log (see viewCore).
 func (le *LiveEngine) pin() (core, int) {
-	if le.cut == nil {
-		seg := le.laneCore(le.lanes[0].log.View())
-		return seg, seg.numTicks
-	}
-	sh := &shardCore{
-		assign:     le.assign,
-		parts:      make([]core, len(le.lanes)),
-		numObjects: le.numObjects,
-		cut:        le.cut,
-	}
-	for i, ln := range le.lanes {
-		seg := le.laneCore(ln.log.View())
-		sh.parts[i] = seg
-		if i == 0 || seg.numTicks < sh.numTicks {
-			sh.numTicks = seg.numTicks
-		}
-	}
-	return sh, sh.numTicks
+	seg := le.viewCore(le.log.View())
+	return seg, seg.numTicks
 }
 
 // Stats returns a consistent snapshot of the live engine's observable
@@ -589,30 +430,20 @@ func (le *LiveEngine) pin() (core, int) {
 // instants ingested before the snapshot, and may lag an ongoing append by
 // at most one instant. DeltaEvents/DirtySegments expose the current
 // delta-log pressure; LateEvents/Retractions/Compactions are cumulative.
-// Sharded engines sum the per-lane footprints and counters.
-// LateEvents and Retractions count events, not lane applications: a
-// cross-shard event is stored on both sides but counted once, on the lane
-// of its A endpoint. Compactions counts the slabs each lane re-sealed, and
-// DeltaEvents the stored copies, so a late cross-shard event counts there
-// once per side, like ShardStats.Contacts. Segment counts
-// come from lane 0, whose slab boundaries speak for all lanes (the
-// appender keeps the clocks aligned), and SegmentDetails lists the sealed
-// segments, then the tail when it holds instants, each summed across
-// lanes.
+// SegmentDetails lists the sealed segments, then the tail when it holds
+// instants.
 func (le *LiveEngine) Stats() EngineStats {
-	c, numTicks := le.pin()
-	st := coreStats(le.name, le.numObjects, numTicks, c)
-	for _, s := range slabChains(c)[0].slabs {
+	seg := le.viewCore(le.log.View())
+	st := coreStats(le.name, le.numObjects, seg.numTicks, seg)
+	for _, s := range seg.slabs {
 		if s.sealed.core != nil {
 			st.SealedSegments++
 		}
 	}
-	for _, ln := range le.lanes {
-		c := ln.log.Counters()
-		st.LateEvents += c.LateApplied
-		st.Retractions += c.Retractions
-		st.Compactions += c.Compactions
-	}
+	c := le.log.Counters()
+	st.LateEvents = c.LateApplied
+	st.Retractions = c.Retractions
+	st.Compactions = c.Compactions
 	return st
 }
 

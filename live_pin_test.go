@@ -56,13 +56,13 @@ func TestPinnedViewSurvivesPatches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sealed, tailSpan, tail, numTicks := le.lanes[0].log.View()
+	sealed, tailSpan, tail, numTicks := le.log.View()
 	if len(sealed) != 3 || sealed[1].Overlay == nil || tail == nil {
 		t.Fatalf("view: %d slabs, slab 1 overlay %v, tail %v", len(sealed), sealed[1].Overlay != nil, tail != nil)
 	}
-	pinned := &engine{name: "pinned", numObjects: le.numObjects, core: le.laneCore(sealed, tailSpan, tail, numTicks), numTicks: numTicks}
+	pinned := &engine{name: "pinned", numObjects: le.numObjects, core: le.viewCore(sealed, tailSpan, tail, numTicks), numTicks: numTicks}
 	digest := tablesDigest(sealed, tail)
-	ref := queries.NewOracle(le.snapshotNet())
+	ref := queries.NewOracle(le.log.Snapshot())
 
 	ctx := context.Background()
 	work := RandomQueries(WorkloadOptions{

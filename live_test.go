@@ -336,116 +336,110 @@ func TestLiveQueryPinsOneView(t *testing.T) {
 	ctx := context.Background()
 	iv := streach.NewInterval(0, 40)
 	sems := []streach.Semantics{{MaxHops: 1}, {MaxHops: 2}, {MinDuration: 3}, {MinDuration: 2, MaxHops: 3}}
-	for _, backend := range []string{"reachgraph-mem", "shard:2:reachgraph-mem"} {
-		le, err := streach.NewLiveEngine(backend, ds.NumObjects(), ds.Env(), ds.ContactDist(),
-			streach.Options{SegmentTicks: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedLive(t, le, ds, ds.NumTicks())
-		// The marker pair must not be in contact at tick 60 on its own, or
-		// the retraction would change the feed.
-		marker := streach.ContactEvent{Tick: 60, A: 0, B: 1}
-		for le.ContactActiveAt(marker.A, marker.B, marker.Tick) {
-			marker.B++
-		}
-		stop := make(chan struct{})
-		var flips sync.WaitGroup
-		flips.Add(1)
-		go func() {
-			defer flips.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				retract := marker
-				retract.Retract = true
-				for _, ev := range []streach.ContactEvent{marker, retract} {
-					if _, err := le.Ingest([]streach.ContactEvent{ev}); err != nil {
-						t.Error(err)
-						return
-					}
-					if _, err := le.Compact(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}()
-		for round := 0; round < 3; round++ {
-			for src := streach.ObjectID(0); src < 6; src++ {
-				for dst := streach.ObjectID(6); dst < streach.ObjectID(ds.NumObjects()); dst += 3 {
-					for _, sem := range sems {
-						q := streach.Query{Src: src, Dst: dst, Interval: iv, Semantics: sem}
-						got, err := le.Reachable(ctx, q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := ref.Reachable(ctx, q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Reachable != want.Reachable || got.Arrival != want.Arrival || got.Hops != want.Hops {
-							t.Fatalf("%s %v %+v: got (%v, arrival %d, hops %d), oracle (%v, %d, %d)", le.Name(), q, sem,
-								got.Reachable, got.Arrival, got.Hops, want.Reachable, want.Arrival, want.Hops)
-						}
-					}
-					got, err := le.Reachable(ctx, arrivalQuery(src, dst, iv))
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := ref.Reachable(ctx, arrivalQuery(src, dst, iv))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Reachable != want.Reachable || got.Arrival != want.Arrival {
-						t.Fatalf("%s arrival %d->%d: got (%v, %d), oracle (%v, %d)", le.Name(), src, dst,
-							got.Reachable, got.Arrival, want.Reachable, want.Arrival)
-					}
-				}
-			}
-		}
-		close(stop)
-		flips.Wait()
+	le, err := streach.NewLiveEngine("reachgraph-mem", ds.NumObjects(), ds.Env(), ds.ContactDist(),
+		streach.Options{SegmentTicks: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
+	feedLive(t, le, ds, ds.NumTicks())
+	// The marker pair must not be in contact at tick 60 on its own, or
+	// the retraction would change the feed.
+	marker := streach.ContactEvent{Tick: 60, A: 0, B: 1}
+	for le.ContactActiveAt(marker.A, marker.B, marker.Tick) {
+		marker.B++
+	}
+	stop := make(chan struct{})
+	var flips sync.WaitGroup
+	flips.Add(1)
+	go func() {
+		defer flips.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			retract := marker
+			retract.Retract = true
+			for _, ev := range []streach.ContactEvent{marker, retract} {
+				if _, err := le.Ingest([]streach.ContactEvent{ev}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := le.Compact(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for round := 0; round < 3; round++ {
+		for src := streach.ObjectID(0); src < 6; src++ {
+			for dst := streach.ObjectID(6); dst < streach.ObjectID(ds.NumObjects()); dst += 3 {
+				for _, sem := range sems {
+					q := streach.Query{Src: src, Dst: dst, Interval: iv, Semantics: sem}
+					got, err := le.Reachable(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.Reachable(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Reachable != want.Reachable || got.Arrival != want.Arrival || got.Hops != want.Hops {
+						t.Fatalf("%s %v %+v: got (%v, arrival %d, hops %d), oracle (%v, %d, %d)", le.Name(), q, sem,
+							got.Reachable, got.Arrival, got.Hops, want.Reachable, want.Arrival, want.Hops)
+					}
+				}
+				got, err := le.Reachable(ctx, arrivalQuery(src, dst, iv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Reachable(ctx, arrivalQuery(src, dst, iv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Reachable != want.Reachable || got.Arrival != want.Arrival {
+					t.Fatalf("%s arrival %d->%d: got (%v, %d), oracle (%v, %d)", le.Name(), src, dst,
+						got.Reachable, got.Arrival, want.Reachable, want.Arrival)
+				}
+			}
+		}
+	}
+	close(stop)
+	flips.Wait()
 }
 
-// TestLiveShardInOrderFeedStaysClean: an in-order feed leaves a sharded
-// live engine as clean as an unsharded one. The mirrored copy of a
-// cross-shard contact is applied in one batch with its lane's own events,
-// so it lands at the frontier instead of behind the instant (and possibly
-// the slab) the lane just closed; and the report counts each event once.
+// TestLiveShardInOrderFeedStaysClean: an in-order feed leaves the live
+// engine clean — every instant lands at the frontier, no slab turns dirty —
+// and the report counts each event once.
 func TestLiveShardInOrderFeedStaysClean(t *testing.T) {
 	// Objects 0, 1 and 3 meet every instant; object 2 stays apart.
 	positions := []streach.Point{{X: 10, Y: 10}, {X: 11, Y: 10}, {X: 90, Y: 90}, {X: 10, Y: 11}}
-	for _, backend := range []string{"reachgraph-mem", "shard:2:reachgraph-mem"} {
-		t.Run(backend, func(t *testing.T) {
-			le, err := streach.NewLiveEngine(backend, 4, streach.NewEnv(100, 100), 5, streach.Options{SegmentTicks: 4})
-			if err != nil {
+	t.Run("reachgraph-mem", func(t *testing.T) {
+		le, err := streach.NewLiveEngine("reachgraph-mem", 4, streach.NewEnv(100, 100), 5, streach.Options{SegmentTicks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := le.AddInstant(positions); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 8; i++ {
-				if err := le.AddInstant(positions); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rep, err := le.Ingest([]streach.ContactEvent{{Tick: 8, A: 0, B: 1}, {Tick: 8, A: 1, B: 0}, {Tick: 8, A: 0, B: 3}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Applied != 2 || rep.Duplicates != 1 || rep.Late != 0 {
-				t.Errorf("frontier batch report %+v, want 2 applied, 1 duplicate, 0 late", rep)
-			}
-			st := le.Stats()
-			if st.NumTicks != 9 || st.SealedSegments != 2 {
-				t.Errorf("%d ticks, %d sealed segments; want 9, 2", st.NumTicks, st.SealedSegments)
-			}
-			if st.LateEvents != 0 || st.DirtySegments != 0 || st.DeltaEvents != 0 {
-				t.Errorf("in-order feed left LateEvents %d, DirtySegments %d, DeltaEvents %d; want 0/0/0",
-					st.LateEvents, st.DirtySegments, st.DeltaEvents)
-			}
-		})
-	}
+		}
+		rep, err := le.Ingest([]streach.ContactEvent{{Tick: 8, A: 0, B: 1}, {Tick: 8, A: 1, B: 0}, {Tick: 8, A: 0, B: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Applied != 2 || rep.Duplicates != 1 || rep.Late != 0 {
+			t.Errorf("frontier batch report %+v, want 2 applied, 1 duplicate, 0 late", rep)
+		}
+		st := le.Stats()
+		if st.NumTicks != 9 || st.SealedSegments != 2 {
+			t.Errorf("%d ticks, %d sealed segments; want 9, 2", st.NumTicks, st.SealedSegments)
+		}
+		if st.LateEvents != 0 || st.DirtySegments != 0 || st.DeltaEvents != 0 {
+			t.Errorf("in-order feed left LateEvents %d, DirtySegments %d, DeltaEvents %d; want 0/0/0",
+				st.LateEvents, st.DirtySegments, st.DeltaEvents)
+		}
+	})
 }

@@ -57,8 +57,8 @@
 // Single-shard coordinators ("shard:1:<base>") delegate straight to their
 // only child, preserving the allocation-free serial path.
 //
-// A sharded LiveEngine is the same coordinator over per-lane views: each
-// ingest lane's pinned segmentedCore is one part.
+// Sharding is a frozen composition only: a LiveEngine keeps one log over
+// the whole population, and NewLiveEngine refuses an outer "shard:" prefix.
 
 package streach
 
@@ -75,30 +75,21 @@ import (
 	"streach/internal/visit"
 )
 
-// shardCut is the partition-quality and traffic accounting of one object
-// cut, shared by every coordinator over it (a sharded LiveEngine builds one
-// coordinator per query): contacts[s] counts shard s's sub-network
-// (cross-shard contacts on both sides), cross of total contacts span the
-// cut, and frontier counts the boundary objects queries handed across it —
-// the dynamic scatter-gather traffic metric. Fixed at build time for a
-// frozen engine; a live one counts as it routes.
-type shardCut struct {
-	contacts []atomic.Int64
-	cross    atomic.Int64
-	total    atomic.Int64
-	frontier atomic.Int64
-}
-
-// shardCore is the object-partitioned combinator: one part per shard — a
-// child core over the shard's sub-network, or a live ingest lane's view —
-// plus the scatter-gather planner. Parts are immutable, so queries run
-// fully in parallel like on every other core.
+// shardCore is the object-partitioned combinator: one child core per shard,
+// over the shard's sub-network, plus the scatter-gather planner. Children
+// are immutable, so queries run fully in parallel like on every other core.
+// contacts[s] counts shard s's sub-network (cross-shard contacts on both
+// sides) and cross of total contacts span the cut, all fixed at build time;
+// frontier counts the boundary objects queries handed across the cut — the
+// dynamic scatter-gather traffic metric.
 type shardCore struct {
-	assign     *shard.Assignment
-	parts      []core
-	numObjects int
-	numTicks   int
-	cut        *shardCut
+	assign       *shard.Assignment
+	parts        []core
+	numObjects   int
+	numTicks     int
+	contacts     []int
+	cross, total int
+	frontier     atomic.Int64
 }
 
 func (c *shardCore) reach(ctx context.Context, seeds []ObjectID, dst ObjectID, iv Interval, acct *pagefile.Stats) (bool, int, error) {
@@ -155,7 +146,7 @@ func (c *shardCore) shardStats() []ShardStats {
 		out[s] = ShardStats{
 			Shard:      s,
 			Objects:    c.assign.Objects(s),
-			Contacts:   int(c.cut.contacts[s].Load()),
+			Contacts:   c.contacts[s],
 			IndexBytes: d.indexBytes(),
 			IO:         statsOf(d.ioTotals()),
 		}
@@ -167,10 +158,10 @@ func (c *shardCore) shardStats() []ShardStats {
 func (c *shardCore) fillStats(st *EngineStats) {
 	st.Shards = len(c.parts)
 	st.Partitioner = c.assign.Partitioner
-	if total := c.cut.total.Load(); total > 0 {
-		st.CrossShardRatio = float64(c.cut.cross.Load()) / float64(total)
+	if c.total > 0 {
+		st.CrossShardRatio = float64(c.cross) / float64(c.total)
 	}
-	st.CrossShardFrontier = c.cut.frontier.Load()
+	st.CrossShardFrontier = c.frontier.Load()
 	st.ShardDetails = c.shardStats()
 }
 
@@ -210,12 +201,11 @@ var shardPlanPool = visit.NewPool(func() *shardPlanScratch { return new(shardPla
 // hop-agnostic (callers gate on supports). The profile is appended to dst
 // sorted by object with hop counts normalized to -1; with a valid earlyDst
 // it may be partial, but earlyDst's entry is exact. Every boundary hand-off
-// is counted in the cut's frontier.
+// is counted in c.frontier.
 func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntry, seeds []queries.SeedState, iv Interval, spec semSpec, earlyDst ObjectID, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {
 	assign, numObjects := c.assign, c.numObjects
-	// Clamping to the coordinator's own domain — for live lanes the minimum
-	// lane frontier — keeps a lane mid-append from leaking ticks its peers
-	// have not covered yet.
+	// Clamp to the coordinator's own domain, as every combinator does: the
+	// arrival ticks the relaxation records must be ticks its children cover.
 	iv = clampDomain(iv, c.numTicks)
 	if iv.Len() == 0 {
 		return dst, 0, nil
@@ -239,7 +229,7 @@ func (c *shardCore) scatterGather(ctx context.Context, dst []queries.ProfileEntr
 	}
 	hasEarly := int(earlyDst) >= 0 && int(earlyDst) < numObjects
 	var cross int64
-	defer func() { c.cut.frontier.Add(cross) }()
+	defer func() { c.frontier.Add(cross) }()
 	expanded := 0
 	for len(ps.pend) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -382,9 +372,8 @@ func shardOver(k int, partitioner string, base backendSpec) backendSpec {
 		open: func(src Source, opts Options) (core, error) {
 			return buildShardCore(k, partitioner, base, src, opts)
 		},
-		base:        &base,
-		shards:      k,
-		partitioner: partitioner,
+		base:    &base,
+		sharded: true,
 	}
 }
 
@@ -416,12 +405,11 @@ func buildShardCore(k int, partitioner string, base backendSpec, src Source, opt
 		assign:     assign,
 		numObjects: numObjects,
 		numTicks:   numTicks,
-		cut:        &shardCut{contacts: make([]atomic.Int64, k)},
+		cross:      split.CrossContacts,
+		total:      split.TotalContacts,
 	}
-	c.cut.cross.Store(int64(split.CrossContacts))
-	c.cut.total.Store(int64(split.TotalContacts))
 	for s := 0; s < k; s++ {
-		c.cut.contacts[s].Store(int64(len(split.Parts[s].Contacts)))
+		c.contacts = append(c.contacts, len(split.Parts[s].Contacts))
 		child, err := base.build(&ContactNetwork{net: split.Parts[s]}, withSharedPool(opts, base.info.DiskResident))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)

@@ -176,143 +176,3 @@ func TestShardStatsSurface(t *testing.T) {
 		t.Error("sharded set query charged no I/O on a disk backend")
 	}
 }
-
-// TestLiveShardMatchesOracle replays a feed into a hash-sharded LiveEngine
-// — per-shard ingest lanes, sealing and compaction — and asserts exact
-// oracle agreement at checkpoints, through late events and retractions.
-func TestLiveShardMatchesOracle(t *testing.T) {
-	ds := replaySource(t, 40, 240)
-	ctx := context.Background()
-	le, err := streach.NewLiveEngine("shard:3:reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(),
-		streach.Options{SegmentTicks: 32, CompactEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if le.Name() != "live:shard:3:reachgraph" {
-		t.Errorf("Name = %q", le.Name())
-	}
-	for _, checkpoint := range []int{60, 140, 240} {
-		feedLive(t, le, ds, checkpoint)
-		if got := le.NumTicks(); got != checkpoint {
-			t.Fatalf("NumTicks = %d, want %d", got, checkpoint)
-		}
-		// Drop a late add and retract an instant behind the frontier; the
-		// routed delta logs must keep answers exact immediately.
-		late := streach.Tick(checkpoint - 20)
-		rep, err := le.Ingest([]streach.ContactEvent{
-			{Tick: late, A: 1, B: 39},
-			{Tick: late, A: 1, B: 39, Retract: true},
-			{Tick: late, A: 2, B: 38},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Late+rep.Applied != 2 || rep.Retracted != 1 {
-			t.Fatalf("ingest report %+v, want 2 applies and 1 retraction", rep)
-		}
-		if !le.ContactActiveAt(2, 38, late) {
-			t.Error("late add invisible to ContactActiveAt")
-		}
-		if le.ContactActiveAt(1, 39, late) {
-			t.Error("retracted contact still active")
-		}
-		oracle := le.Snapshot().Oracle()
-		ref, err := streach.Open("oracle", le.Snapshot(), streach.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		work := streach.RandomQueries(streach.WorkloadOptions{
-			NumObjects: ds.NumObjects(), NumTicks: checkpoint,
-			Count: 40, MinLen: 8, MaxLen: checkpoint, Seed: int64(checkpoint),
-		})
-		for _, q := range work {
-			r, err := le.Reachable(ctx, q)
-			if err != nil {
-				t.Fatalf("%v: %v", q, err)
-			}
-			if want := oracle.Reachable(q); r.Reachable != want {
-				t.Fatalf("disagrees with oracle on %v at tick %d: got %v, want %v", q, checkpoint, r.Reachable, want)
-			}
-			ar, err := le.Reachable(ctx, arrivalQuery(q.Src, q.Dst, q.Interval))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Reachable(ctx, arrivalQuery(q.Src, q.Dst, q.Interval))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ar.Reachable != want.Reachable || ar.Arrival != want.Arrival {
-				t.Fatalf("arrival for %v: got (%v,%v), want (%v,%v)", q, ar.Arrival, ar.Reachable, want.Arrival, want.Reachable)
-			}
-			if !ar.Native {
-				t.Fatalf("sharded live arrival for %v fell back to the oracle", q)
-			}
-		}
-		for src := streach.ObjectID(0); src < 4; src++ {
-			iv := streach.NewInterval(streach.Tick(5*src), streach.Tick(checkpoint-1))
-			sr, err := le.ReachableSet(ctx, src, iv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := oracle.ReachableSet(src, iv)
-			sortIDs(want)
-			if !equalIDs(sr.Objects, want) {
-				t.Fatalf("set %d %v at tick %d: got %v, want %v", src, iv, checkpoint, sr.Objects, want)
-			}
-		}
-	}
-	if _, err := le.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st := le.Stats()
-	if st.Shards != 3 || st.Partitioner != "hash" {
-		t.Errorf("live Stats shards = %d/%q, want 3/hash", st.Shards, st.Partitioner)
-	}
-	if st.Compactions == 0 {
-		t.Error("no lane ever compacted")
-	}
-	if st.CrossShardRatio <= 0 || st.CrossShardRatio > 1 {
-		t.Errorf("live CrossShardRatio = %v, want (0, 1] under hash partitioning", st.CrossShardRatio)
-	}
-	if st.CrossShardFrontier == 0 {
-		t.Error("no frontier object ever crossed the shard cut")
-	}
-	details := st.ShardDetails
-	if len(details) != 3 {
-		t.Fatalf("live ShardDetails len = %d", len(details))
-	}
-	objects := 0
-	for _, d := range details {
-		objects += d.Objects
-		if d.Contacts == 0 {
-			t.Errorf("shard %d routed no contacts", d.Shard)
-		}
-	}
-	if objects != ds.NumObjects() {
-		t.Errorf("lanes own %d objects, feed has %d", objects, ds.NumObjects())
-	}
-	if len(st.SegmentDetails) == 0 || len(st.SegmentDetails) != st.Segments {
-		t.Errorf("live SegmentDetails len = %d for %d segments", len(st.SegmentDetails), st.Segments)
-	}
-}
-
-// TestLiveShardRejectsSpatial: the live feed carries no trajectories to
-// snap, so only hash partitioning is live-capable.
-func TestLiveShardRejectsSpatial(t *testing.T) {
-	ds := replaySource(t, 10, 10)
-	_, err := streach.NewLiveEngine("shard:2:spatial:reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{})
-	if !errors.Is(err, streach.ErrNotLiveCapable) {
-		t.Fatalf("spatial live shards = %v, want ErrNotLiveCapable", err)
-	}
-	// shard:1 keeps the single log but preserves the requested name.
-	le, err := streach.NewLiveEngine("shard:1:reachgraph-mem", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if le.Name() != "live:shard:1:reachgraph-mem" {
-		t.Errorf("Name = %q", le.Name())
-	}
-	if st := le.Stats(); st.Shards != 1 {
-		t.Errorf("Stats.Shards = %d, want 1", st.Shards)
-	}
-}

@@ -37,8 +37,8 @@ type EngineStats struct {
 	// (for a LiveEngine: sealed segments plus the mutable tail when it
 	// holds instants); zero for unsegmented engines. SegmentDetails holds
 	// one entry per slab in ascending time order, summed across shards
-	// when every shard is a slab chain over the same spans (a sharded
-	// LiveEngine, "shard:<K>:segmented:*"); nil for unsegmented engines.
+	// when every shard is a slab chain over the same spans
+	// ("shard:<K>:segmented:*"); nil for unsegmented engines.
 	Segments       int
 	SegmentDetails []SegmentStats
 	// SealedSegments is the number of immutable sealed segments of a
@@ -57,8 +57,8 @@ type EngineStats struct {
 	LateEvents  int64
 	Retractions int64
 	Compactions int64
-	// Shards is the shard count of a sharded engine ("shard:*" backends
-	// and sharded LiveEngines); zero for unsharded engines. Partitioner
+	// Shards is the shard count of a sharded engine (the frozen "shard:*"
+	// backends); zero for unsharded engines and every LiveEngine. Partitioner
 	// names the scheme that produced the object assignment ("hash" or
 	// "spatial").
 	Shards      int
@@ -78,8 +78,7 @@ type EngineStats struct {
 
 // ShardStats describes one shard of a sharded engine: its owned object
 // count, the contacts of its sub-network (cross-shard contacts counted on
-// both sides; on a LiveEngine, the contact adds routed to the lane so far),
-// its index footprint and its cumulative simulated I/O.
+// both sides), its index footprint and its cumulative simulated I/O.
 type ShardStats struct {
 	Shard      int
 	Objects    int

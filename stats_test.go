@@ -219,71 +219,65 @@ func TestLiveEngineHooks(t *testing.T) {
 	}
 }
 
-// TestLiveSegmentDetails pins Stats().SegmentDetails on live engines,
-// unsharded and over two lanes: sealed slabs, then the tail, each summed
-// across lanes — the index bytes and I/O of the lanes' segments, the
-// pending delta depth of both copies of a cross-shard late contact — and
-// adding up to the engine's totals.
+// TestLiveSegmentDetails pins Stats().SegmentDetails on a live engine:
+// sealed slabs, then the tail — the index bytes and I/O of each segment,
+// the pending delta depth of one late contact — adding up to the engine's
+// totals.
 func TestLiveSegmentDetails(t *testing.T) {
 	ds := streach.GenerateRandomWaypoint(streach.RWPOptions{NumObjects: 40, NumTicks: 120, Seed: 13})
 	ctx := context.Background()
-	for _, tc := range []struct {
-		backend   string
-		wantDelta int // copies of one late contact between objects 0 and 1
-	}{{"reachgraph", 1}, {"shard:2:reachgraph", 2}} {
-		t.Run(tc.backend, func(t *testing.T) {
-			le, err := streach.NewLiveEngine(tc.backend, ds.NumObjects(), ds.Env(), ds.ContactDist(),
-				streach.Options{SegmentTicks: 50})
-			if err != nil {
+	t.Run("reachgraph", func(t *testing.T) {
+		le, err := streach.NewLiveEngine("reachgraph", ds.NumObjects(), ds.Env(), ds.ContactDist(),
+			streach.Options{SegmentTicks: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedLive(t, le, ds, ds.NumTicks())
+		late := streach.ContactEvent{Tick: 10, A: 0, B: 1}
+		for le.ContactActiveAt(late.A, late.B, late.Tick) {
+			late.Tick++
+		}
+		if _, err := le.Ingest([]streach.ContactEvent{late}); err != nil {
+			t.Fatal(err)
+		}
+		for src := streach.ObjectID(0); src < 10; src++ {
+			if _, err := le.Reachable(ctx, streach.Query{Src: src, Dst: src + 20, Interval: streach.NewInterval(0, 119)}); err != nil {
 				t.Fatal(err)
 			}
-			feedLive(t, le, ds, ds.NumTicks())
-			late := streach.ContactEvent{Tick: 10, A: 0, B: 1}
-			for le.ContactActiveAt(late.A, late.B, late.Tick) {
-				late.Tick++
+		}
+		st := le.Stats()
+		spans := []streach.Interval{streach.NewInterval(0, 49), streach.NewInterval(50, 99), streach.NewInterval(100, 119)}
+		if st.Segments != 3 || st.SealedSegments != 2 || len(st.SegmentDetails) != 3 {
+			t.Fatalf("%d segments (%d sealed), %d details; want 3 (2 sealed), 3", st.Segments, st.SealedSegments, len(st.SegmentDetails))
+		}
+		var sum streach.IOStats
+		var bytes int64
+		delta := 0
+		for i, s := range st.SegmentDetails {
+			if s.Span != spans[i] {
+				t.Errorf("segment %d spans %v, want %v", i, s.Span, spans[i])
 			}
-			if _, err := le.Ingest([]streach.ContactEvent{late}); err != nil {
-				t.Fatal(err)
+			if sealed := i < 2; sealed != (s.IndexBytes > 0) {
+				t.Errorf("segment %d: %d index bytes, sealed %v", i, s.IndexBytes, sealed)
 			}
-			for src := streach.ObjectID(0); src < 10; src++ {
-				if _, err := le.Reachable(ctx, streach.Query{Src: src, Dst: src + 20, Interval: streach.NewInterval(0, 119)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := le.Stats()
-			spans := []streach.Interval{streach.NewInterval(0, 49), streach.NewInterval(50, 99), streach.NewInterval(100, 119)}
-			if st.Segments != 3 || st.SealedSegments != 2 || len(st.SegmentDetails) != 3 {
-				t.Fatalf("%d segments (%d sealed), %d details; want 3 (2 sealed), 3", st.Segments, st.SealedSegments, len(st.SegmentDetails))
-			}
-			var sum streach.IOStats
-			var bytes int64
-			delta := 0
-			for i, s := range st.SegmentDetails {
-				if s.Span != spans[i] {
-					t.Errorf("segment %d spans %v, want %v", i, s.Span, spans[i])
-				}
-				if sealed := i < 2; sealed != (s.IndexBytes > 0) {
-					t.Errorf("segment %d: %d index bytes, sealed %v", i, s.IndexBytes, sealed)
-				}
-				sum.RandomReads += s.IO.RandomReads
-				sum.SequentialReads += s.IO.SequentialReads
-				sum.BufferHits += s.IO.BufferHits
-				bytes += s.IndexBytes
-				delta += s.DeltaEvents
-			}
-			if tail := st.SegmentDetails[2]; tail.IO != (streach.IOStats{}) || tail.DeltaEvents != 0 {
-				t.Errorf("tail %+v charged I/O or holds deltas", tail)
-			}
-			if got := st.SegmentDetails[0].DeltaEvents; got != tc.wantDelta || delta != st.DeltaEvents {
-				t.Errorf("the late add put %d delta events on slab 0 (all slabs %d, engine %d), want %d", got, delta, st.DeltaEvents, tc.wantDelta)
-			}
-			if sum.RandomReads != st.IO.RandomReads || sum.SequentialReads != st.IO.SequentialReads ||
-				sum.BufferHits != st.IO.BufferHits || sum.RandomReads+sum.SequentialReads+sum.BufferHits == 0 {
-				t.Errorf("per-segment I/O %+v, engine %+v; want equal and nonzero", sum, st.IO)
-			}
-			if bytes != st.IndexBytes {
-				t.Errorf("per-segment index bytes %d, engine %d", bytes, st.IndexBytes)
-			}
-		})
-	}
+			sum.RandomReads += s.IO.RandomReads
+			sum.SequentialReads += s.IO.SequentialReads
+			sum.BufferHits += s.IO.BufferHits
+			bytes += s.IndexBytes
+			delta += s.DeltaEvents
+		}
+		if tail := st.SegmentDetails[2]; tail.IO != (streach.IOStats{}) || tail.DeltaEvents != 0 {
+			t.Errorf("tail %+v charged I/O or holds deltas", tail)
+		}
+		if got := st.SegmentDetails[0].DeltaEvents; got != 1 || delta != st.DeltaEvents {
+			t.Errorf("the late add put %d delta events on slab 0 (all slabs %d, engine %d), want 1", got, delta, st.DeltaEvents)
+		}
+		if sum.RandomReads != st.IO.RandomReads || sum.SequentialReads != st.IO.SequentialReads ||
+			sum.BufferHits != st.IO.BufferHits || sum.RandomReads+sum.SequentialReads+sum.BufferHits == 0 {
+			t.Errorf("per-segment I/O %+v, engine %+v; want equal and nonzero", sum, st.IO)
+		}
+		if bytes != st.IndexBytes {
+			t.Errorf("per-segment index bytes %d, engine %d", bytes, st.IndexBytes)
+		}
+	})
 }
