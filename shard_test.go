@@ -74,7 +74,6 @@ func TestShardDynamicNamesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestShardNameErrors exercises the malformed and unsatisfiable shard names.
 // TestSetExpandedCountsShardSweeps holds SetResult.Expanded to the work a
 // set query did, not the size of its answer: the same set, found by one
 // ReachGraph sweep or by four shards' owner sweeps that hand frontiers to
@@ -103,6 +102,7 @@ func TestSetExpandedCountsShardSweeps(t *testing.T) {
 	}
 }
 
+// TestShardNameErrors exercises the malformed and unsatisfiable shard names.
 func TestShardNameErrors(t *testing.T) {
 	ds := shardSource(t)
 	for _, name := range []string{
@@ -128,6 +128,29 @@ func TestShardNameErrors(t *testing.T) {
 	}
 	if _, err := streach.Open("shard:2:reachgraph", ds.Contacts(), streach.Options{}); err != nil {
 		t.Errorf("hash cut from contact network: %v", err)
+	}
+}
+
+// TestLiveShardRejectsSpatial: the live feed carries no trajectories to
+// snap, and a live engine keeps one log, so every outer shard: name is
+// refused live, the spatial cut included; the unsharded base still opens.
+func TestLiveShardRejectsSpatial(t *testing.T) {
+	ds := replaySource(t, 10, 10)
+	for _, name := range []string{"shard:2:spatial:reachgraph", "shard:1:spatial:reachgraph", "shard:1:reachgraph-mem"} {
+		_, err := streach.NewLiveEngine(name, ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{})
+		if !errors.Is(err, streach.ErrNotLiveCapable) {
+			t.Errorf("live %q = %v, want ErrNotLiveCapable", name, err)
+		}
+	}
+	le, err := streach.NewLiveEngine("reachgraph-mem", ds.NumObjects(), ds.Env(), ds.ContactDist(), streach.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if le.Name() != "live:reachgraph-mem" {
+		t.Errorf("Name = %q", le.Name())
+	}
+	if st := le.Stats(); st.Shards != 0 {
+		t.Errorf("Stats.Shards = %d, want 0 on a live engine", st.Shards)
 	}
 }
 
