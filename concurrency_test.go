@@ -3,6 +3,7 @@ package streach_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -112,9 +113,9 @@ func TestConcurrentSetQueries(t *testing.T) {
 			}
 			want := oracle.ReachableSet(src, iv)
 			got := append([]streach.ObjectID(nil), sr.Objects...)
-			sortIDs(want)
-			sortIDs(got)
-			if !equalIDs(got, want) {
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
 				t.Errorf("worker %d: set %v, oracle %v", w, got, want)
 			}
 			done <- nil

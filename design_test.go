@@ -68,6 +68,9 @@ var designRules = []rule{
 	{name: "live-one-log", in: re(`^(live\.go|internal/(contact|segment)/[^/]+\.go)$`), kind: forbid, pat: re(`^(streach/internal/shard|Mirror)$`),
 		reason: "a live feed keeps one log over the whole population: no shard lanes, and no mirrored event copies to route between them",
 		bad:    "import \"streach/internal/shard\"\ntype Event struct{ Mirror bool }"},
+	{name: "testgen-tests-only", in: re(`\.go$`), out: re(`^internal/testgen/`), kind: forbid, pat: re(`^streach/internal/testgen$`),
+		reason: "the test generator is for tests: no engine, command or benchmark binary links it",
+		bad:    `import "streach/internal/testgen"`},
 	{name: "go-sites", in: re(`^([^/]+\.go|internal/.*)$`), out: re(`^(batch\.go|internal/(par|serve)/.*)$`), kind: forbidGo,
 		reason: "goroutines start only in internal/par's build kernels, batch.go's workers and the server; a planner runs a query on its caller's goroutine",
 		bad:    "func f() { go func() {}() }"},

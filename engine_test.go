@@ -3,6 +3,7 @@ package streach_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,8 +135,8 @@ func TestCrossBackendConformance(t *testing.T) {
 						name, src, iv, i, sr.Objects)
 				}
 			}
-			sortIDs(want)
-			if !equalIDs(sr.Objects, want) {
+			slices.Sort(want)
+			if !slices.Equal(sr.Objects, want) {
 				t.Fatalf("%q set %d %v: got %v, want %v", name, src, iv, sr.Objects, want)
 			}
 			if len(sr.Objects) > 0 && sr.Expanded <= 0 {

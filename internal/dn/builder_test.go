@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/mobility"
 	"streach/internal/stjoin"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
 // TestBuilderIncrementalMatchesBatch feeds the network instant by instant
 // and compares the result with the batch build.
 func TestBuilderIncrementalMatchesBatch(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 35, NumTicks: 240, Seed: 137})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 35, Ticks: 240, Seed: 137}.Network()
 	want := Build(net)
 
 	b := NewBuilder(net.NumObjects)
@@ -27,8 +26,7 @@ func TestBuilderIncrementalMatchesBatch(t *testing.T) {
 // it), keep appending instants, and end up with the same graph as batch
 // building the full network.
 func TestBuilderResumeAfterSnapshot(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 30, NumTicks: 200, Seed: 139})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 30, Ticks: 200, Seed: 139}.Network()
 	want := Build(net)
 
 	b := NewBuilder(net.NumObjects)
@@ -75,7 +73,7 @@ func TestBuilderEmptyDomains(t *testing.T) {
 // graph over the prefix alone, even where a run open at the snapshot went
 // on to be extended.
 func TestBuilderSnapshotIsStable(t *testing.T) {
-	net := rwpNetwork(30, 200, 139)
+	net := testgen.Spec{Objects: 30, Ticks: 200, Seed: 139}.Network()
 	half := trajectory.Tick(net.NumTicks / 2)
 	b := NewBuilder(net.NumObjects)
 	feed(b, net, 0, half-1)
@@ -104,7 +102,7 @@ func TestBuilderSnapshotIsStable(t *testing.T) {
 // a graph's lists live in a fixed number of CSR arrays, so the count stays
 // far below one allocation per hundred nodes.
 func TestBuildAllocations(t *testing.T) {
-	net := rwpNetwork(400, 1000, 17)
+	net := testgen.Spec{Objects: 400, Ticks: 1000, Seed: 17}.Network()
 	g := Build(net)
 	allocs := testing.AllocsPerRun(3, func() { Build(net) })
 	if limit := float64(len(g.Nodes) / 100); allocs >= limit {
@@ -116,7 +114,7 @@ func TestBuildAllocations(t *testing.T) {
 // 400 × 1000: the reduction every graph index and every live seal runs
 // before its own build.
 func BenchmarkDNBuild(b *testing.B) {
-	net := rwpNetwork(400, 1000, 17)
+	net := testgen.Spec{Objects: 400, Ticks: 1000, Seed: 17}.Network()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -164,7 +162,7 @@ func compareGraphs(t *testing.T, got, want *Graph) {
 // part of every ReachGraph build that composes levels. One op is one
 // Augment, which replaces the levels of the op before.
 func BenchmarkAugment(b *testing.B) {
-	g := Build(rwpNetwork(400, 1000, 17))
+	g := Build(testgen.Spec{Objects: 400, Ticks: 1000, Seed: 17}.Network())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

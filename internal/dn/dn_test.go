@@ -1,11 +1,11 @@
 package dn
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/mobility"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
@@ -98,30 +98,9 @@ func TestBuildNoContacts(t *testing.T) {
 	}
 }
 
-func randomNetwork(rng *rand.Rand, numObjects, numTicks, contacts int) *contact.Network {
-	var cs []contact.Contact
-	for i := 0; i < contacts; i++ {
-		a := trajectory.ObjectID(rng.Intn(numObjects))
-		b := trajectory.ObjectID(rng.Intn(numObjects))
-		if a == b {
-			continue
-		}
-		lo := trajectory.Tick(rng.Intn(numTicks))
-		hi := lo + trajectory.Tick(rng.Intn(4))
-		if int(hi) >= numTicks {
-			hi = trajectory.Tick(numTicks - 1)
-		}
-		cs = append(cs, contact.Contact{A: a, B: b, Validity: contact.Interval{Lo: lo, Hi: hi}})
-	}
-	return contact.FromContacts(numObjects, numTicks, cs)
-}
-
 func TestBuildInvariantsOnRandomNetworks(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 25; trial++ {
-		numObjects := 2 + rng.Intn(12)
-		numTicks := 1 + rng.Intn(30)
-		net := randomNetwork(rng, numObjects, numTicks, rng.Intn(40))
+		net := testgen.New(testgen.Random(int64(5+trial), 2+6*trial)).Network(13, 30, 40)
 		g := Build(net)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -147,7 +126,7 @@ func TestBuildInvariantsOnRandomNetworks(t *testing.T) {
 		// links two nodes with identical member sets back to back.
 		for id := range g.Nodes {
 			for _, v := range g.Out(NodeID(id)) {
-				if equalMembers(g.Members(NodeID(id)), g.Members(v)) {
+				if slices.Equal(g.Members(NodeID(id)), g.Members(v)) {
 					t.Fatalf("nodes %d→%d have identical members; run not maximal", id, v)
 				}
 			}
@@ -177,21 +156,9 @@ func componentOf(net *contact.Network, o trajectory.ObjectID, tk trajectory.Tick
 	return comp
 }
 
-func equalMembers(a, b []trajectory.ObjectID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestNodeOfExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	net := randomNetwork(rng, 8, 25, 30)
+	// 8 objects over 25 ticks, 30 contacts.
+	net := testgen.New(append([]byte{7, 24}, testgen.Random(9, 4*30)...)).Network(8, 25, 30)
 	g := Build(net)
 	for o := trajectory.ObjectID(0); int(o) < 8; o++ {
 		for tk := trajectory.Tick(0); tk < 25; tk++ {
@@ -253,8 +220,7 @@ func TestBoundaryRules(t *testing.T) {
 }
 
 func TestStatsAndAvgDegree(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 80, NumTicks: 120, Seed: 3})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 80, Ticks: 120, Seed: 3}.Network()
 	g := Build(net)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -292,8 +258,7 @@ func TestStatsAndAvgDegree(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 40, NumTicks: 60, Seed: 8})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 40, Ticks: 60, Seed: 8}.Network()
 	g1 := Build(net)
 	g2 := Build(net)
 	if len(g1.Nodes) != len(g2.Nodes) {
@@ -301,7 +266,7 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	for i := range g1.Nodes {
 		id, a, b := NodeID(i), g1.Nodes[i], g2.Nodes[i]
-		if a.Start != b.Start || a.End != b.End || !equalMembers(g1.Members(id), g2.Members(id)) {
+		if a.Start != b.Start || a.End != b.End || !slices.Equal(g1.Members(id), g2.Members(id)) {
 			t.Fatalf("node %d differs between builds", i)
 		}
 		if len(g1.Out(id)) != len(g2.Out(id)) {
@@ -330,7 +295,7 @@ func TestRunsOf(t *testing.T) {
 // each is a capped view of a shared array, so the append must copy rather
 // than overwrite the next node's or object's entries.
 func TestViewsAreNotWritePaths(t *testing.T) {
-	net := rwpNetwork(30, 200, 143)
+	net := testgen.Spec{Objects: 30, Ticks: 200, Seed: 143}.Network()
 	g := Build(net)
 	for i := range g.Nodes {
 		id := NodeID(i)

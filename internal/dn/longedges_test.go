@@ -2,13 +2,12 @@ package dn
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/mobility"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
@@ -118,106 +117,58 @@ func checkReaugment(t testing.TB, name string, g *Graph, levels, keep int) {
 	}
 }
 
-// The fuzz input: objects−1, ticks−1, levels + 6·keep, then one contact per
-// four bytes (a, b, first tick, further ticks). Every byte is taken modulo
-// its range, so any input is a network of 1–12 objects over 1–80 ticks.
+// The fuzz bounds: any input is a network of 1–12 objects over 1–80 ticks
+// with at most 256 contacts (testgen's Network).
 const (
 	fuzzMaxObjects  = 12
 	fuzzMaxTicks    = 80
 	fuzzMaxContacts = 256
 )
 
-// fuzzNetwork derives a contact network and two resolution-prefix lengths,
-// levels ≥ keep, from fuzz bytes.
-func fuzzNetwork(data []byte) (net *contact.Network, levels, keep int) {
-	for len(data) < 3 {
-		data = append(data, 0)
-	}
-	objects := 1 + int(data[0])%fuzzMaxObjects
-	ticks := 1 + int(data[1])%fuzzMaxTicks
-	levels = int(data[2]) % (len(allResolutions) + 1)
-	keep = int(data[2]) / (len(allResolutions) + 1) % (levels + 1)
-	var cs []contact.Contact
-	for rest := data[3:]; len(rest) >= 4 && len(cs) < fuzzMaxContacts; rest = rest[4:] {
-		lo := int(rest[2]) % ticks
-		hi := lo + int(rest[3])%(ticks-lo)
-		cs = append(cs, contact.Contact{
-			A:        trajectory.ObjectID(int(rest[0]) % objects),
-			B:        trajectory.ObjectID(int(rest[1]) % objects),
-			Validity: contact.Interval{Lo: trajectory.Tick(lo), Hi: trajectory.Tick(hi)},
-		})
-	}
-	return contact.FromContacts(objects, ticks, cs), levels, keep
-}
-
-// fuzzBytes is the inverse of fuzzNetwork for a network within its ranges.
-func fuzzBytes(net *contact.Network, levels, keep int) []byte {
-	data := []byte{byte(net.NumObjects - 1), byte(net.NumTicks - 1), byte(levels + (len(allResolutions)+1)*keep)}
-	for _, c := range net.Contacts {
-		data = append(data, byte(c.A), byte(c.B), byte(c.Validity.Lo), byte(c.Validity.Hi-c.Validity.Lo))
-	}
-	return data
-}
-
-// bruteForceNetworks are TestLongEdgesMatchBruteForce's random networks.
+// bruteForceNetworks are TestLongEdgesMatchBruteForce's networks, 0–56
+// contacts each within the fuzz bounds.
 func bruteForceNetworks() []*contact.Network {
-	rng := rand.New(rand.NewSource(21))
 	nets := make([]*contact.Network, 15)
 	for i := range nets {
-		nets[i] = randomNetwork(rng, 2+rng.Intn(10), 20+rng.Intn(30), rng.Intn(60))
+		nets[i] = testgen.New(testgen.Random(int64(21+i), 2+16*i)).Network(fuzzMaxObjects, fuzzMaxTicks, fuzzMaxContacts)
 	}
 	return nets
 }
 
 // FuzzLongEdges holds generated networks' long edges, both directions and
 // every prefix of the paper's resolutions, to brute-force DN1 stepping, and
-// re-augmenting at fewer levels to replacing both directions. It is seeded
-// with the networks of TestLongEdgesMatchBruteForce and the 12-object,
-// 80-tick corner of TestReverseLongEdgesSound's.
+// re-augmenting at fewer levels to replacing both directions. The input is
+// a byte b (levels b%6 of the resolutions, then keep b/6 % (levels+1))
+// and a network (testgen's Network). It is seeded with the networks of
+// TestLongEdgesMatchBruteForce and the 12-object, 80-tick corner of
+// TestReverseLongEdgesSound's.
 func FuzzLongEdges(f *testing.F) {
+	levels3keep1 := byte(3 + (len(allResolutions)+1)*1)
 	for _, net := range bruteForceNetworks() {
-		f.Add(fuzzBytes(net, 3, 1))
+		f.Add(append([]byte{levels3keep1}, testgen.EncodeNetwork(net)...))
 	}
 	var corner []contact.Contact
-	for _, c := range rwpNetwork(25, 120, 107).Window(0, fuzzMaxTicks-1).Contacts {
+	rwp := testgen.Spec{Objects: 25, Ticks: 120, Seed: 107}.Network()
+	for _, c := range rwp.Window(0, fuzzMaxTicks-1).Contacts {
 		if c.A < fuzzMaxObjects && c.B < fuzzMaxObjects {
 			corner = append(corner, c)
 		}
 	}
-	f.Add(fuzzBytes(contact.FromContacts(fuzzMaxObjects, fuzzMaxTicks, corner), 3, 1))
+	f.Add(append([]byte{levels3keep1}, testgen.EncodeNetwork(contact.FromContacts(fuzzMaxObjects, fuzzMaxTicks, corner))...))
 	f.Fuzz(longEdgesVsDN1)
 }
 
-// TestLongEdgesSeeded is FuzzLongEdges' body over inputs drawn from a
-// fixed seed: 2000 cases, 200 under -short. An input is the header and up
-// to fuzzMaxContacts contact records of random bytes.
+// TestLongEdgesSeeded runs the fuzz body over 2000 seeded inputs.
 func TestLongEdgesSeeded(t *testing.T) {
-	cases := 2000
-	if testing.Short() {
-		cases = 200
-	}
-	rng := rand.New(rand.NewSource(20261017))
-	for i := 0; i < cases; i++ {
-		data := make([]byte, 3+4*rng.Intn(fuzzMaxContacts+1))
-		rng.Read(data)
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("case %d: longEdgesVsDN1(%v)", i, data)
-				}
-			}()
-			longEdgesVsDN1(t, data)
-		}()
-	}
+	testgen.Seeded(t, 20261017, 2000, longEdgesVsDN1)
 }
 
 func longEdgesVsDN1(t *testing.T, data []byte) {
-	net, levels, keep := fuzzNetwork(data)
-	g := Build(net)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	checkReaugment(t, "fuzz", g, levels, keep)
+	src := testgen.New(data)
+	b := int(src.Byte())
+	levels := b % (len(allResolutions) + 1)
+	keep := b / (len(allResolutions) + 1) % (levels + 1)
+	checkReaugment(t, "fuzz", validGraph(t, src.Network(fuzzMaxObjects, fuzzMaxTicks, fuzzMaxContacts)), levels, keep)
 }
 
 func TestLongEdgesMatchBruteForce(t *testing.T) {
@@ -235,7 +186,7 @@ func TestLongEdgesMatchBruteForce(t *testing.T) {
 // reach w's component at RevBoundary(w), and the edge set must be complete
 // (every such u is listed). The forward edges are checked with them.
 func TestReverseLongEdgesSound(t *testing.T) {
-	g := randomGraph(t, 25, 120, 107)
+	g := validGraph(t, testgen.Spec{Objects: 25, Ticks: 120, Seed: 107}.Network())
 	if err := g.Augment([]int{2, 4, 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +202,9 @@ func TestBuildIndependentOfWorkers(t *testing.T) {
 		name string
 		net  *contact.Network
 	}{
-		{"rwp", rwpNetwork(300, 500, 8)},
-		{"clustered", contact.Extract(mobility.Clustered(mobility.ClusteredConfig{NumObjects: 256, NumTicks: 400, Seed: 9}))},
-		{"one-block", rwpNetwork(30, 60, 10)},
+		{"rwp", testgen.Spec{Objects: 300, Ticks: 500, Seed: 8}.Network()},
+		{"clustered", testgen.Spec{Clustered: true, Objects: 256, Ticks: 400, Seed: 9}.Network()},
+		{"one-block", testgen.Spec{Objects: 30, Ticks: 60, Seed: 10}.Network()},
 		{"empty", contact.FromContacts(0, 0, nil)},
 	} {
 		want := Build(c.net)

@@ -4,17 +4,14 @@ import (
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/mobility"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
-func rwpNetwork(objects, ticks int, seed int64) *contact.Network {
-	return contact.Extract(mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: objects, NumTicks: ticks, Seed: seed}))
-}
-
-func randomGraph(t testing.TB, objects, ticks int, seed int64) *Graph {
+// validGraph builds net's graph and fails unless it is valid.
+func validGraph(t testing.TB, net *contact.Network) *Graph {
 	t.Helper()
-	g := Build(rwpNetwork(objects, ticks, seed))
+	g := Build(net)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
 	}
@@ -25,7 +22,7 @@ func randomGraph(t testing.TB, objects, ticks int, seed int64) *Graph {
 // unique instant in [Start, Start+L) whose distance from the last tick is a
 // multiple of L.
 func TestRevBoundaryAlgebra(t *testing.T) {
-	g := randomGraph(t, 20, 100, 109)
+	g := validGraph(t, testgen.Spec{Objects: 20, Ticks: 100, Seed: 109}.Network())
 	last := trajectory.Tick(g.NumTicks - 1)
 	for _, L := range []int{2, 4, 8, 16} {
 		for id := range g.Nodes {
@@ -59,7 +56,7 @@ func TestRevBoundaryAlgebra(t *testing.T) {
 // edges, so the levels a second call drops are gone from both and the
 // levels it keeps are rebuilt in both.
 func TestAugmentBidirectionalResetOnReaugment(t *testing.T) {
-	g := randomGraph(t, 15, 80, 113)
+	g := validGraph(t, testgen.Spec{Objects: 15, Ticks: 80, Seed: 113}.Network())
 	checkReaugment(t, "rwp 15×80", g, 2, 1)
 	reverse := 0
 	for id := range g.Nodes {

@@ -105,11 +105,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// ExtendPoint returns the smallest rectangle covering r and p.
-func (r Rect) ExtendPoint(p Point) Rect {
-	return r.Union(Rect{Min: p, Max: p})
-}
-
 // Expand grows r by d on every side. ReachGrid uses this to turn the MBR of
 // a seed trajectory segment into the region whose objects may contact the
 // seed (paper §4.2).

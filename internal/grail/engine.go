@@ -163,7 +163,7 @@ func NewDisk(g *dn.Graph, d int, seed int64, poolPages int, pool *pagefile.Buffe
 		poolPages = 64
 	}
 	dk := &Disk{
-		store:      pagefile.NewStoreWith(pool, poolPages),
+		store:      pagefile.NewStore(pool, poolPages),
 		d:          d,
 		numObjects: g.NumObjects,
 		numTicks:   g.NumTicks,

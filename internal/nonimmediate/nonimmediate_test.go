@@ -5,22 +5,16 @@ import (
 
 	"streach/internal/contact"
 	"streach/internal/geo"
-	"streach/internal/mobility"
 	"streach/internal/queries"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
-
-func rwp(objects, ticks int, seed int64) *trajectory.Dataset {
-	return mobility.RandomWaypoint(mobility.RWPConfig{
-		NumObjects: objects, NumTicks: ticks, Seed: seed,
-	})
-}
 
 // TestLifetimeZeroMatchesImmediateOracle pins the degenerate case: with
 // lifetime 0, non-immediate reachability equals the paper's ordinary
 // semantics.
 func TestLifetimeZeroMatchesImmediateOracle(t *testing.T) {
-	d := rwp(40, 200, 71)
+	d := testgen.Spec{Objects: 40, Ticks: 200, Seed: 71}.Dataset()
 	oracle := queries.NewOracle(contact.Extract(d))
 	cs := Extract(d, 0)
 	e, err := NewEngine(d.NumObjects(), d.NumTicks(), cs)
@@ -48,7 +42,7 @@ func TestLifetimeZeroMatchesImmediateOracle(t *testing.T) {
 // reproduce the deterministic oracle of contact.Extract exactly — same
 // contact records, same answers.
 func TestProjectNetworkLifetimeZeroRoundTrip(t *testing.T) {
-	d := rwp(35, 160, 89)
+	d := testgen.Spec{Objects: 35, Ticks: 160, Seed: 89}.Dataset()
 	direct := contact.Extract(d)
 	projected := ProjectNetwork(d.NumObjects(), d.NumTicks(), Extract(d, 0))
 	if got, want := len(projected.Contacts), len(direct.Contacts); got != want {
@@ -79,7 +73,7 @@ func TestProjectNetworkLifetimeZeroRoundTrip(t *testing.T) {
 // projection may only add reachability over the exact directed engine,
 // never remove it.
 func TestProjectNetworkOverApproximates(t *testing.T) {
-	d := rwp(25, 100, 101)
+	d := testgen.Spec{Objects: 25, Ticks: 100, Seed: 101}.Dataset()
 	cs := Extract(d, 4)
 	exact, err := NewEngine(d.NumObjects(), d.NumTicks(), cs)
 	if err != nil {
@@ -104,7 +98,7 @@ func TestProjectNetworkOverApproximates(t *testing.T) {
 // TestLifetimeMonotone verifies that a longer item lifetime never shrinks
 // the reachable set.
 func TestLifetimeMonotone(t *testing.T) {
-	d := rwp(30, 120, 79)
+	d := testgen.Spec{Objects: 30, Ticks: 120, Seed: 79}.Dataset()
 	iv := contact.Interval{Lo: 0, Hi: 119}
 	var prev map[trajectory.ObjectID]bool
 	for _, lt := range []int{0, 3, 10} {
@@ -214,7 +208,7 @@ func TestEngineValidation(t *testing.T) {
 }
 
 func TestInfectionTimesOrdered(t *testing.T) {
-	d := rwp(25, 100, 83)
+	d := testgen.Spec{Objects: 25, Ticks: 100, Seed: 83}.Dataset()
 	e, err := NewEngine(d.NumObjects(), d.NumTicks(), Extract(d, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"streach/internal/testgen"
 )
 
 // FuzzCodecRoundTrip drives the page layout's primitives through
@@ -15,35 +18,26 @@ import (
 // loop. The run decoders (Uvarints, SkipVarints) are also held to a
 // value-at-a-time binary.Uvarint over the encoding, both copies and a
 // generated byte string, from every start within a word of the front.
+//
+// The input is a seed for the values (eight bytes), then three bytes: the value
+// counts, where the truncated copy ends and which byte the corrupted copy
+// flips.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(0), uint8(0)) // flips the version byte
-	f.Add(int64(42), uint8(0), uint8(3), uint8(200))
-	f.Add(int64(-9), uint8(255), uint8(255), uint8(17))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 4, 0, 0}) // flips the version byte
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42, 0, 3, 200})
+	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 247, 255, 255, 17}) // seed −9
 	f.Fuzz(codecRoundTrip)
 }
 
-// TestCodecRoundTripSeeded is FuzzCodecRoundTrip's body over inputs drawn
-// from a fixed seed: 2000 cases, 200 under -short.
+// TestCodecRoundTripSeeded runs the fuzz body over 2000 seeded inputs.
 func TestCodecRoundTripSeeded(t *testing.T) {
-	cases := 2000
-	if testing.Short() {
-		cases = 200
-	}
-	rng := rand.New(rand.NewSource(20261017))
-	for i := 0; i < cases; i++ {
-		seed, n, cut, flip := rng.Int63()-rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("case %d: codecRoundTrip(%d, %d, %d, %d)", i, seed, n, cut, flip)
-				}
-			}()
-			codecRoundTrip(t, seed, n, cut, flip)
-		}()
-	}
+	testgen.Seeded(t, 20261017, 2000, codecRoundTrip)
 }
 
-func codecRoundTrip(t *testing.T, seed int64, n uint8, cut uint8, flip uint8) {
+func codecRoundTrip(t *testing.T, data []byte) {
+	src := testgen.New(data)
+	seed := int64(src.Intn(1<<32))<<32 | int64(src.Intn(1<<32))
+	n, cut, flip := src.Byte(), src.Byte(), src.Byte()
 	rng := rand.New(rand.NewSource(seed))
 
 	ticks := make([]uint32, int(n)%61)
@@ -227,12 +221,7 @@ func checkEq[T comparable](t *testing.T, what string, got, want T) {
 
 func checkSlice[T comparable](t *testing.T, what string, got, want []T) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s[%d]: got %v, want %v", what, i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: got %v, want %v", what, got, want)
 	}
 }

@@ -27,7 +27,7 @@ func packSmallBlobs(st *Store, n int) []BlobRef {
 // the successor page is sequential, and the page count charged equals the
 // pages fetched — not the blobs read.
 func TestPackedSamePageReadsCountOnce(t *testing.T) {
-	st := NewStore(-1) // no pool: every read goes to "disk"
+	st := NewStore(nil, -1) // no pool: every read goes to "disk"
 	refs := packSmallBlobs(st, 60)
 	if st.NumPages() >= int64(len(refs)) {
 		t.Fatalf("packing broken: %d blobs occupy %d pages", len(refs), st.NumPages())
@@ -63,7 +63,7 @@ func TestPackedSamePageReadsCountOnce(t *testing.T) {
 // is fetched from disk exactly once regardless of how many blobs it packs,
 // and every later blob read on it is a buffer hit.
 func TestPackedDeltaTotalPoolInvariant(t *testing.T) {
-	st := NewStore(64)
+	st := NewStore(nil, 64)
 	refs := packSmallBlobs(st, 60)
 	base := st.Pool().Stats()
 
@@ -101,7 +101,7 @@ func TestPackedDeltaTotalPoolInvariant(t *testing.T) {
 // TestPackedEncoderBlobsRoundTrip reads packed varint-encoded blobs back
 // and checks payload integrity is independent of their page offset.
 func TestPackedEncoderBlobsRoundTrip(t *testing.T) {
-	st := NewStore(8)
+	st := NewStore(nil, 8)
 	enc := NewEncoder(64)
 	var refs []BlobRef
 	for i := 0; i < 40; i++ {

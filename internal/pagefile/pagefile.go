@@ -207,31 +207,16 @@ type Store struct {
 	pagesWritten    atomic.Int64
 }
 
-// NewStore returns an empty store whose reads go through a private buffer
-// pool of poolPages pages. poolPages ≤ 0 disables caching entirely.
-func NewStore(poolPages int) *Store {
-	st := &Store{id: storeIDs.Add(1)}
-	if poolPages > 0 {
+// NewStore returns an empty store. Its reads go through pool, a buffer pool
+// shared with other stores (the page budget is common), when pool is
+// non-nil, and otherwise through a private pool of poolPages pages;
+// poolPages ≤ 0 disables caching entirely.
+func NewStore(pool *BufferPool, poolPages int) *Store {
+	st := &Store{id: storeIDs.Add(1), pool: pool, shared: pool != nil}
+	if pool == nil && poolPages > 0 {
 		st.pool = NewBufferPool(poolPages)
 	}
 	return st
-}
-
-// NewStoreShared returns an empty store whose reads go through pool, a
-// buffer pool shared with other stores (the page budget is common). A nil
-// pool disables caching.
-func NewStoreShared(pool *BufferPool) *Store {
-	return &Store{id: storeIDs.Add(1), pool: pool, shared: pool != nil}
-}
-
-// NewStoreWith is the constructor index builders use: it selects the shared
-// pool when non-nil and otherwise a private pool of poolPages pages
-// (NewStore semantics).
-func NewStoreWith(pool *BufferPool, poolPages int) *Store {
-	if pool != nil {
-		return NewStoreShared(pool)
-	}
-	return NewStore(poolPages)
 }
 
 // Counters returns a snapshot of the store's cumulative I/O totals. The

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAppendAndReadBlob(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	data := []byte("hello spatiotemporal world")
 	ref := st.AppendBlob(data)
 	got, err := Whole(st.ReadBlob(ref, nil))
@@ -23,7 +23,7 @@ func TestAppendAndReadBlob(t *testing.T) {
 }
 
 func TestBlobSpanningMultiplePages(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	data := make([]byte, 3*PageSize+17)
 	rng := rand.New(rand.NewSource(1))
 	rng.Read(data)
@@ -41,7 +41,7 @@ func TestBlobSpanningMultiplePages(t *testing.T) {
 }
 
 func TestEmptyBlob(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	ref := st.AppendBlob(nil)
 	got, err := Whole(st.ReadBlob(ref, nil))
 	if err != nil {
@@ -53,7 +53,7 @@ func TestEmptyBlob(t *testing.T) {
 }
 
 func TestSequentialVsRandomAccounting(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	big := make([]byte, 5*PageSize)
 	refBig := st.AppendBlob(big) // pages 0..5
 	small := []byte("x")
@@ -100,7 +100,7 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 }
 
 func TestBufferPoolAvoidsIO(t *testing.T) {
-	st := NewStore(16)
+	st := NewStore(nil, 16)
 	ref := st.AppendBlob([]byte("cached"))
 	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestBufferPoolAvoidsIO(t *testing.T) {
 }
 
 func TestPerStreamDeltasSumToStoreTotals(t *testing.T) {
-	st := NewStore(8)
+	st := NewStore(nil, 8)
 	refs := make([]BlobRef, 20)
 	for i := range refs {
 		refs[i] = st.AppendBlob(bytes.Repeat([]byte{byte(i)}, 100+i*97))
@@ -169,8 +169,8 @@ func TestPerStreamDeltasSumToStoreTotals(t *testing.T) {
 
 func TestSharedPoolAcrossStores(t *testing.T) {
 	pool := NewBufferPool(64)
-	a := NewStoreShared(pool)
-	b := NewStoreShared(pool)
+	a := NewStore(pool, 0)
+	b := NewStore(pool, 0)
 	refA := a.AppendBlob([]byte("store a"))
 	refB := b.AppendBlob([]byte("store b"))
 	if refA.Page != refB.Page {
@@ -205,7 +205,7 @@ func TestSharedPoolAcrossStores(t *testing.T) {
 }
 
 func TestReadBlobErrors(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	ref := st.AppendBlob([]byte("data"))
 
 	if _, err := Whole(st.ReadBlob(BlobRef{Page: 99, Bytes: 32}, nil)); err == nil {
@@ -228,7 +228,7 @@ func TestReadBlobErrors(t *testing.T) {
 }
 
 func TestCorruptionVisibleThroughPool(t *testing.T) {
-	st := NewStore(8)
+	st := NewStore(nil, 8)
 	ref := st.AppendBlob([]byte("payload"))
 	if _, err := Whole(st.ReadBlob(ref, nil)); err != nil {
 		t.Fatal(err) // warm the cache
@@ -245,7 +245,7 @@ func TestCorruptionVisibleThroughPool(t *testing.T) {
 // blob i on page i: reading it is one access to page i, so the pool's
 // per-page behaviour is observable through ReadBlob.
 func pageStore(pool *BufferPool, n int) *Store {
-	st := NewStoreShared(pool)
+	st := NewStore(pool, 0)
 	for i := 0; i < n; i++ {
 		st.AppendBlob(make([]byte, PageSize-blobHeaderSize))
 	}

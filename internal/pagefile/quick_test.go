@@ -12,7 +12,7 @@ import (
 
 // TestQuickBlobRoundTrip stores arbitrary payloads and reads them back.
 func TestQuickBlobRoundTrip(t *testing.T) {
-	st := NewStore(8)
+	st := NewStore(nil, 8)
 	f := func(payload []byte) bool {
 		ref := st.AppendBlob(payload)
 		got, err := Whole(st.ReadBlob(ref, nil))
@@ -33,7 +33,7 @@ func TestQuickCorruptionDetected(t *testing.T) {
 		if len(payload) == 0 {
 			return true
 		}
-		st := NewStore(0) // no pool: corruption must be visible immediately
+		st := NewStore(nil, 0) // no pool: corruption must be visible immediately
 		ref := st.AppendBlob(payload)
 		// Corrupt a byte inside the blob's payload region.
 		page := ref.Page + int64(int(where)%int((int64(ref.Bytes)+PageSize-1)/PageSize))
@@ -67,7 +67,7 @@ func TestQuickCorruptionDetected(t *testing.T) {
 func TestQuickEveryBitFlipDetected(t *testing.T) {
 	f := func(seed int64, sizeA, sizeB uint8, spanRaw, cut uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		st := NewStore(64)
+		st := NewStore(nil, 64)
 		span := 2 + int(spanRaw%3)
 		sizes := []int{
 			int(sizeA), int(sizeB), // packed together on page 0

@@ -48,7 +48,7 @@ type readFixture struct {
 }
 
 func (c readCase) fixture() *readFixture {
-	f := &readFixture{st: NewStore(c.poolPages)}
+	f := &readFixture{st: NewStore(nil, c.poolPages)}
 	rng := rand.New(rand.NewSource(int64(c.span)))
 	for i := 0; i < c.count; i++ {
 		data := make([]byte, c.span*PageSize-blobHeaderSize)
@@ -114,7 +114,7 @@ func TestReadBlobDoesNotAllocate(t *testing.T) {
 // TestReadBlobViewsAliasTheStore documents the aliasing contract: two reads
 // of one blob return the same memory, and it is the store's own.
 func TestReadBlobViewsAliasTheStore(t *testing.T) {
-	st := NewStore(4)
+	st := NewStore(nil, 4)
 	data := bytes.Repeat([]byte{7}, 2*PageSize)
 	ref := st.AppendBlob(data)
 	a, err := Whole(st.ReadBlob(ref, nil))
@@ -142,7 +142,7 @@ func TestReadBlobViewsAliasTheStore(t *testing.T) {
 // into the next names no blob; it must be refused, not served as a view
 // past the end of the first extent's memory.
 func TestForgedRefAcrossExtentsRejected(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	a := st.AppendBlob(make([]byte, PageSize-blobHeaderSize))
 	st.AppendBlob(make([]byte, 3*PageSize-blobHeaderSize))
 	forged := BlobRef{Page: a.Page, Bytes: 2 * PageSize}
@@ -154,7 +154,7 @@ func TestForgedRefAcrossExtentsRejected(t *testing.T) {
 // TestCorruptPageRejectsNegativeOffset is the regression test for the
 // negative index CorruptPage used to compute from offset % PageSize.
 func TestCorruptPageRejectsNegativeOffset(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore(nil, 0)
 	ref := st.AppendBlob([]byte("intact"))
 	if err := st.CorruptPage(ref.Page, -1); err == nil {
 		t.Fatal("negative offset accepted")
@@ -192,7 +192,7 @@ func concurrentViews(t *testing.T, poolPages int, spans []int, dropping bool) {
 	blobs := make([][]blob, 2)
 	rng := rand.New(rand.NewSource(11))
 	for s := range stores {
-		stores[s] = NewStoreShared(pool)
+		stores[s] = NewStore(pool, 0)
 		for _, span := range spans {
 			data := make([]byte, span*PageSize-blobHeaderSize-rng.Intn(PageSize/2))
 			rng.Read(data)
@@ -436,7 +436,7 @@ func blobReadsMatchPageLRU(t *testing.T, poolPages int, seed int64) {
 	bp := NewBufferPool(poolPages)
 	m := newPoolModel(bp)
 	rng := rand.New(rand.NewSource(seed))
-	stores := [2]*Store{NewStoreShared(bp), NewStoreShared(bp)}
+	stores := [2]*Store{NewStore(bp, 0), NewStore(bp, 0)}
 	var refs [2][]BlobRef
 	for s, st := range stores {
 		// One blob of 130 pages, then a mix of packed sub-page blobs, short

@@ -1,11 +1,12 @@
-package queries
+package queries_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/mobility"
+	"streach/internal/queries"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
@@ -19,24 +20,24 @@ func figure1Network() *contact.Network {
 }
 
 func TestOracleFigure1(t *testing.T) {
-	o := NewOracle(figure1Network())
+	o := queries.NewOracle(figure1Network())
 	// §1: "The object o4 is reachable from o1 during time interval [0, 1]"
 	// (0-based: 3 from 0); "o1 is not reachable from o4 during [0,1]".
 	cases := []struct {
-		q    Query
+		q    queries.Query
 		want bool
 	}{
-		{Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 1}}, true},
-		{Query{Src: 3, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 1}}, false},
+		{queries.Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 1}}, true},
+		{queries.Query{Src: 3, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 1}}, false},
 		// §4 example: for q: o1 ⤳[2,3] o2, contact c4 suffices.
-		{Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 2, Hi: 3}}, true},
+		{queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 2, Hi: 3}}, true},
 		// o3 never reaches o1 within [2,3] (no connecting contacts).
-		{Query{Src: 2, Dst: 0, Interval: contact.Interval{Lo: 2, Hi: 3}}, false},
+		{queries.Query{Src: 2, Dst: 0, Interval: contact.Interval{Lo: 2, Hi: 3}}, false},
 		// Within a single instant, contact chains propagate instantly.
-		{Query{Src: 1, Dst: 2, Interval: contact.Interval{Lo: 1, Hi: 1}}, true},
+		{queries.Query{Src: 1, Dst: 2, Interval: contact.Interval{Lo: 1, Hi: 1}}, true},
 		// Time-respecting order matters: o4→o1 succeeds over the full
 		// interval (o4-o2 at 1, o2-o1 at 2).
-		{Query{Src: 3, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 3}}, true},
+		{queries.Query{Src: 3, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 3}}, true},
 	}
 	for _, tc := range cases {
 		if got := o.Reachable(tc.q); got != tc.want {
@@ -49,29 +50,16 @@ func TestOracleSnapshotSymmetryAndTransitivity(t *testing.T) {
 	// Properties 5.1 and 5.2 on random networks.
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
-		n := 3 + rng.Intn(8)
-		ticks := 5 + rng.Intn(20)
-		var cs []contact.Contact
-		for i := 0; i < rng.Intn(25); i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a == b {
-				continue
-			}
-			lo := rng.Intn(ticks)
-			cs = append(cs, contact.Contact{
-				A: trajectory.ObjectID(a), B: trajectory.ObjectID(b),
-				Validity: contact.Interval{Lo: trajectory.Tick(lo), Hi: trajectory.Tick(lo + rng.Intn(3))},
-			})
-		}
-		net := contact.FromContacts(n, ticks, cs)
-		o := NewOracle(net)
+		net := testgen.New(testgen.Random(int64(2+trial), 2+4*trial)).Network(10, 24, 25)
+		n, ticks := net.NumObjects, net.NumTicks
+		o := queries.NewOracle(net)
 		// Snapshot symmetry: single-instant reachability is symmetric.
 		for tk := 0; tk < ticks; tk++ {
 			iv := contact.Interval{Lo: trajectory.Tick(tk), Hi: trajectory.Tick(tk)}
 			for a := 0; a < n; a++ {
 				for b := a + 1; b < n; b++ {
-					ab := o.Reachable(Query{Src: trajectory.ObjectID(a), Dst: trajectory.ObjectID(b), Interval: iv})
-					ba := o.Reachable(Query{Src: trajectory.ObjectID(b), Dst: trajectory.ObjectID(a), Interval: iv})
+					ab := o.Reachable(queries.Query{Src: trajectory.ObjectID(a), Dst: trajectory.ObjectID(b), Interval: iv})
+					ba := o.Reachable(queries.Query{Src: trajectory.ObjectID(b), Dst: trajectory.ObjectID(a), Interval: iv})
 					if ab != ba {
 						t.Fatalf("snapshot symmetry violated at t=%d for %d,%d", tk, a, b)
 					}
@@ -87,10 +75,10 @@ func TestOracleSnapshotSymmetryAndTransitivity(t *testing.T) {
 			t1 := rng.Intn(ticks)
 			t2 := t1 + rng.Intn(ticks-t1)
 			t3 := t2 + rng.Intn(ticks-t2)
-			ab := o.Reachable(Query{Src: a, Dst: b, Interval: contact.Interval{Lo: trajectory.Tick(t1), Hi: trajectory.Tick(t2)}})
-			bc := o.Reachable(Query{Src: b, Dst: c, Interval: contact.Interval{Lo: trajectory.Tick(t2), Hi: trajectory.Tick(t3)}})
+			ab := o.Reachable(queries.Query{Src: a, Dst: b, Interval: contact.Interval{Lo: trajectory.Tick(t1), Hi: trajectory.Tick(t2)}})
+			bc := o.Reachable(queries.Query{Src: b, Dst: c, Interval: contact.Interval{Lo: trajectory.Tick(t2), Hi: trajectory.Tick(t3)}})
 			if ab && bc {
-				if !o.Reachable(Query{Src: a, Dst: c, Interval: contact.Interval{Lo: trajectory.Tick(t1), Hi: trajectory.Tick(t3)}}) {
+				if !o.Reachable(queries.Query{Src: a, Dst: c, Interval: contact.Interval{Lo: trajectory.Tick(t1), Hi: trajectory.Tick(t3)}}) {
 					t.Fatalf("transitivity violated: %d⤳%d[%d,%d], %d⤳%d[%d,%d]", a, b, t1, t2, b, c, t2, t3)
 				}
 			}
@@ -99,9 +87,8 @@ func TestOracleSnapshotSymmetryAndTransitivity(t *testing.T) {
 }
 
 func TestReachableSetMonotone(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 60, NumTicks: 120, Seed: 4})
-	net := contact.Extract(d)
-	o := NewOracle(net)
+	net := testgen.Spec{Objects: 60, Ticks: 120, Seed: 4}.Network()
+	o := queries.NewOracle(net)
 	src := trajectory.ObjectID(0)
 	prev := 0
 	for _, hi := range []trajectory.Tick{10, 40, 80, 119} {
@@ -117,17 +104,16 @@ func TestReachableSetMonotone(t *testing.T) {
 }
 
 func TestReachableSetConsistentWithReachable(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 50, NumTicks: 100, Seed: 5})
-	net := contact.Extract(d)
-	o := NewOracle(net)
+	net := testgen.Spec{Objects: 50, Ticks: 100, Seed: 5}.Network()
+	o := queries.NewOracle(net)
 	iv := contact.Interval{Lo: 10, Hi: 90}
 	src := trajectory.ObjectID(7)
 	set := make(map[trajectory.ObjectID]bool)
 	for _, obj := range o.ReachableSet(src, iv) {
 		set[obj] = true
 	}
-	for dst := 0; dst < d.NumObjects(); dst++ {
-		q := Query{Src: src, Dst: trajectory.ObjectID(dst), Interval: iv}
+	for dst := 0; dst < net.NumObjects; dst++ {
+		q := queries.Query{Src: src, Dst: trajectory.ObjectID(dst), Interval: iv}
 		want := set[trajectory.ObjectID(dst)] || trajectory.ObjectID(dst) == src
 		if got := o.Reachable(q); got != want && dst != int(src) {
 			t.Fatalf("Reachable(%v) = %v, ReachableSet says %v", q, got, want)
@@ -140,22 +126,9 @@ func TestReverseReachableSetDuality(t *testing.T) {
 	// the reverse sweep is the forward sweep on the time-mirrored network.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 15; trial++ {
-		n := 4 + rng.Intn(8)
-		ticks := 6 + rng.Intn(20)
-		var cs []contact.Contact
-		for i := 0; i < rng.Intn(30); i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a == b {
-				continue
-			}
-			lo := rng.Intn(ticks)
-			cs = append(cs, contact.Contact{
-				A: trajectory.ObjectID(a), B: trajectory.ObjectID(b),
-				Validity: contact.Interval{Lo: trajectory.Tick(lo), Hi: trajectory.Tick(lo + rng.Intn(3))},
-			})
-		}
-		net := contact.FromContacts(n, ticks, cs)
-		o := NewOracle(net)
+		net := testgen.New(testgen.Random(int64(7+trial), 2+8*trial)).Network(11, 25, 30)
+		n, ticks := net.NumObjects, net.NumTicks
+		o := queries.NewOracle(net)
 		for q := 0; q < 8; q++ {
 			d := trajectory.ObjectID(rng.Intn(n))
 			lo := rng.Intn(ticks)
@@ -165,7 +138,7 @@ func TestReverseReachableSetDuality(t *testing.T) {
 				rev[obj] = true
 			}
 			for x := 0; x < n; x++ {
-				fwd := o.Reachable(Query{Src: trajectory.ObjectID(x), Dst: d, Interval: iv})
+				fwd := o.Reachable(queries.Query{Src: trajectory.ObjectID(x), Dst: d, Interval: iv})
 				if fwd != rev[trajectory.ObjectID(x)] {
 					t.Fatalf("trial %d: duality violated for %d⤳%d over %v: forward %v, reverse %v",
 						trial, x, d, iv, fwd, rev[trajectory.ObjectID(x)])
@@ -178,19 +151,18 @@ func TestReverseReachableSetDuality(t *testing.T) {
 func TestReverseProfileDepartures(t *testing.T) {
 	// The departure tick of each deliverer must be the last tick from which
 	// a delivery still succeeds: reachable over [dep, hi] but not [dep+1, hi].
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 30, NumTicks: 80, Seed: 9})
-	net := contact.Extract(d)
-	o := NewOracle(net)
+	net := testgen.Spec{Objects: 30, Ticks: 80, Seed: 9}.Network()
+	o := queries.NewOracle(net)
 	dst := trajectory.ObjectID(3)
 	iv := contact.Interval{Lo: 5, Hi: 70}
 	for _, e := range o.ReverseProfileFrom([]trajectory.ObjectID{dst}, iv) {
 		if e.Arrival < iv.Lo || e.Arrival > iv.Hi {
 			t.Fatalf("departure %d outside %v", e.Arrival, iv)
 		}
-		if !o.Reachable(Query{Src: e.Obj, Dst: dst, Interval: contact.Interval{Lo: e.Arrival, Hi: iv.Hi}}) {
+		if !o.Reachable(queries.Query{Src: e.Obj, Dst: dst, Interval: contact.Interval{Lo: e.Arrival, Hi: iv.Hi}}) {
 			t.Fatalf("object %d cannot deliver from its own departure tick %d", e.Obj, e.Arrival)
 		}
-		if e.Arrival < iv.Hi && o.Reachable(Query{Src: e.Obj, Dst: dst, Interval: contact.Interval{Lo: e.Arrival + 1, Hi: iv.Hi}}) {
+		if e.Arrival < iv.Hi && o.Reachable(queries.Query{Src: e.Obj, Dst: dst, Interval: contact.Interval{Lo: e.Arrival + 1, Hi: iv.Hi}}) {
 			t.Fatalf("object %d delivers after its supposed latest departure %d", e.Obj, e.Arrival)
 		}
 	}
@@ -211,28 +183,28 @@ func TestReverseProfileDepartures(t *testing.T) {
 }
 
 func TestEarliestReach(t *testing.T) {
-	o := NewOracle(figure1Network())
+	o := queries.NewOracle(figure1Network())
 	// o1 → o4 over [0,3]: earliest delivery is tick 1 (o2 hands over at 1).
-	tk, ok := o.EarliestReach(Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 3}})
+	tk, ok := o.EarliestReach(queries.Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 3}})
 	if !ok || tk != 1 {
 		t.Fatalf("EarliestReach = %d, %v; want 1, true", tk, ok)
 	}
 	// Self-query: reached at interval start.
-	tk, ok = o.EarliestReach(Query{Src: 2, Dst: 2, Interval: contact.Interval{Lo: 1, Hi: 3}})
+	tk, ok = o.EarliestReach(queries.Query{Src: 2, Dst: 2, Interval: contact.Interval{Lo: 1, Hi: 3}})
 	if !ok || tk != 1 {
 		t.Fatalf("self EarliestReach = %d, %v", tk, ok)
 	}
-	if _, ok := o.EarliestReach(Query{Src: 2, Dst: 0, Interval: contact.Interval{Lo: 2, Hi: 3}}); ok {
+	if _, ok := o.EarliestReach(queries.Query{Src: 2, Dst: 0, Interval: contact.Interval{Lo: 2, Hi: 3}}); ok {
 		t.Fatal("unreachable query reported a reach time")
 	}
 }
 
 func TestOracleDegenerateInputs(t *testing.T) {
-	o := NewOracle(figure1Network())
-	if o.Reachable(Query{Src: 99, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 3}}) {
+	o := queries.NewOracle(figure1Network())
+	if o.Reachable(queries.Query{Src: 99, Dst: 0, Interval: contact.Interval{Lo: 0, Hi: 3}}) {
 		t.Error("out-of-range source reachable")
 	}
-	if o.Reachable(Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 3, Hi: 1}}) {
+	if o.Reachable(queries.Query{Src: 0, Dst: 1, Interval: contact.Interval{Lo: 3, Hi: 1}}) {
 		t.Error("empty interval reachable")
 	}
 	if set := o.ReachableSet(0, contact.Interval{Lo: 2, Hi: 1}); set != nil {
@@ -241,7 +213,7 @@ func TestOracleDegenerateInputs(t *testing.T) {
 }
 
 func TestRandomWorkloadRespectsConfig(t *testing.T) {
-	w := RandomWorkload(WorkloadConfig{
+	w := queries.RandomWorkload(queries.WorkloadConfig{
 		NumObjects: 50, NumTicks: 1000, Count: 200, MinLen: 150, MaxLen: 350, Seed: 1,
 	})
 	if len(w) != 200 {
@@ -262,14 +234,14 @@ func TestRandomWorkloadRespectsConfig(t *testing.T) {
 }
 
 func TestRandomWorkloadClampsToDomain(t *testing.T) {
-	w := RandomWorkload(WorkloadConfig{NumObjects: 5, NumTicks: 60, Count: 50, Seed: 2})
+	w := queries.RandomWorkload(queries.WorkloadConfig{NumObjects: 5, NumTicks: 60, Count: 50, Seed: 2})
 	for _, q := range w {
 		if q.Interval.Len() > 60 {
 			t.Fatalf("interval %v longer than domain", q.Interval)
 		}
 	}
 	// Deterministic for a fixed seed.
-	w2 := RandomWorkload(WorkloadConfig{NumObjects: 5, NumTicks: 60, Count: 50, Seed: 2})
+	w2 := queries.RandomWorkload(queries.WorkloadConfig{NumObjects: 5, NumTicks: 60, Count: 50, Seed: 2})
 	for i := range w {
 		if w[i] != w2[i] {
 			t.Fatal("workload not deterministic")

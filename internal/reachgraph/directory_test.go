@@ -245,7 +245,7 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 // reach the read path.
 func blobIndex(numNodes, numObjects int, blobs ...[]byte) *Index {
 	ix := &Index{
-		store:      pagefile.NewStore(-1),
+		store:      pagefile.NewStore(nil, -1),
 		numNodes:   numNodes,
 		numObjects: numObjects,
 		numTicks:   1,

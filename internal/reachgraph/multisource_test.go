@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streach/internal/contact"
@@ -47,14 +48,14 @@ func TestMultiSourceMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotSet := objectsOf(prof); !equalIDSlices(gotSet, wantSet) {
+		if gotSet := objectsOf(prof); !slices.Equal(gotSet, wantSet) {
 			t.Fatalf("disk set from %v over %v: got %v, want %v", seeds, iv, gotSet, wantSet)
 		}
 		prof, _, err = mem.AppendProfile(ctx, nil, seedsOf(seeds...), iv, queries.Forward, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if memSet := objectsOf(prof); !equalIDSlices(memSet, wantSet) {
+		if memSet := objectsOf(prof); !slices.Equal(memSet, wantSet) {
 			t.Fatalf("mem set from %v over %v: got %v, want %v", seeds, iv, memSet, wantSet)
 		}
 
@@ -171,16 +172,4 @@ func TestCancelledContextStopsTraversal(t *testing.T) {
 			t.Errorf("mem sweep, direction %d: got %v, want context.Canceled", dir, err)
 		}
 	}
-}
-
-func equalIDSlices(a, b []trajectory.ObjectID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

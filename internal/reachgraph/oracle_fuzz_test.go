@@ -3,78 +3,55 @@ package reachgraph
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"slices"
 	"testing"
 
-	"streach/internal/contact"
 	"streach/internal/dn"
-	"streach/internal/geo"
-	"streach/internal/mobility"
 	"streach/internal/pagefile"
 	"streach/internal/queries"
-	"streach/internal/trajectory"
+	"streach/internal/testgen"
 )
 
-// graphSeed is one input of the generator behind FuzzGraphSweepVsOracle and
-// FuzzCorruptionNeverWrong, in the fuzz values' own types (see newGraphCase).
-type graphSeed struct {
-	dataSeed                  int64
-	objects, env, depth, pool uint8
-	ticks                     uint16
-	spec                      []byte
-	lo, span                  uint16
-	dst, strategy             uint8
-}
-
 // graphSeeds are the fuzzers' seed corpus, taken from the fixtures of the
-// tests that pin this read path. The first two build partitions that span
-// pages (TestGraphSeedsSpanPages).
-var graphSeeds = []graphSeed{
-	// TestCorruptionConfinedToItsBlob's fixture (40 × 250, seed 61, paper
-	// density, default depth) behind a 64-page pool, and again at depth 64
-	// behind a pool of 8.
-	{61, 38, 0, 0, 1, 249, []byte{3, 0, 17, 40}, 20, 200, 29, 0},
-	{61, 38, 0, 64, 9, 249, []byte{5, 10, 9, 0, 33, 7}, 0, 249, 12, 3},
+// tests that pin this read path, in newGraphCase's layout. The first two
+// build partitions that span pages (TestGraphSeedsSpanPages).
+var graphSeeds = [][]byte{
+	// TestCorruptionConfinedToItsBlob's fixture (RWP 40 × 250, seed 61,
+	// paper density, default depth) behind a 64-page pool, and again at
+	// depth 64 behind a pool of 8.
+	{0, 38, 0, 249, 0, 0, 0, 61, 0, 0, 1, 20, 200, 2, 3, 0, 0, 17, 0, 40, 0, 0, 0, 29, 0},
+	{0, 38, 0, 249, 0, 0, 0, 61, 0, 64, 9, 0, 249, 3, 5, 0, 10, 9, 0, 0, 33, 0, 7, 0, 0, 0, 12, 3},
 	// TestSweepCountsUnchanged's dataset seed, ticks and 16-page pool on 40
-	// objects, seeds activating before, inside and after the interval.
-	{16, 38, 0, 0, 17, 399, []byte{2, 0, 9, 50, 13, 200, 19, 255}, 40, 160, 21, 1},
+	// objects, seeds activating at, inside and after the interval.
+	{0, 38, 1, 143, 0, 0, 0, 16, 0, 0, 17, 0, 40, 0, 160, 3, 2, 0, 0, 9, 0, 50, 13, 0, 37, 19, 0, 162, 21, 1},
 	// A dense small environment, no pool, and a single-tick domain.
-	{5, 14, 3, 9, 0, 119, []byte{1, 2}, 10, 100, 7, 2},
-	{9, 3, 1, 1, 32, 0, []byte{0}, 0, 0, 1, 0},
+	{0, 14, 0, 119, 0, 0, 0, 5, 3, 9, 0, 10, 100, 1, 1, 0, 2, 0, 0, 0, 7, 2},
+	{0, 3, 0, 0, 0, 0, 0, 9, 1, 1, 32, 0, 0, 0, 0, 1, 0},
 }
 
-// graphCase is one generated input: an index over a random-waypoint
-// dataset, the memory index over the same graph, its oracle, and one query
-// — a seed frontier, a destination, an interval and a point-query strategy.
+// graphCase is one generated input: an index over a generated dataset, the
+// memory index over the same graph, its oracle, one query and a point-query
+// strategy.
 type graphCase struct {
 	ix       *Index
 	mem      *Mem
 	oracle   *queries.Oracle
-	seeds    []queries.SeedState
-	objs     []trajectory.ObjectID // the seeds' distinct objects
-	dst      trajectory.ObjectID
-	iv       contact.Interval
+	q        testgen.Query
 	strategy Strategy
 }
 
-// newGraphCase derives a case from fuzz values: 2–40 objects and 1–400
-// ticks of random waypoint, in a square of 40·(env%16) m (0: the paper's
-// density); Params with PartitionDepth depth%65 (0: the default) and
-// PoolPages pool%33-1 (-1 disables the pool, 0 is the default 64, a few
-// pages evict); an interval inside the time domain; 1–4 seeds (two spec
-// bytes each: object, start offset — past iv.Hi included); a destination
-// and a strategy.
-func newGraphCase(tb testing.TB, s graphSeed) *graphCase {
+// newGraphCase reads a case from src: an RWP or clustered dataset of 2–40
+// objects and 1–400 ticks in a square of 40·k m (k = 0: the paper's
+// density); Params with
+// PartitionDepth Intn(65) (0: the default) and PoolPages Intn(33)−1 (−1
+// disables the pool, 0 is the default 64, a few pages evict); a query; and
+// a strategy (Intn(4)).
+func newGraphCase(tb testing.TB, src *testgen.Source) *graphCase {
 	tb.Helper()
-	n, nt := 2+int(s.objects)%39, 1+int(s.ticks)%400
-	cfg := mobility.RWPConfig{NumObjects: n, NumTicks: nt, Seed: s.dataSeed}
-	if side := 40 * float64(s.env%16); side > 0 {
-		cfg.Env = geo.NewRect(geo.Point{}, geo.Point{X: side, Y: side})
-	}
-	net := contact.Extract(mobility.RandomWaypoint(cfg))
+	sp := src.Spec(40, 400, 0)
+	net := sp.Network()
 	g := dn.Build(net)
-	ix, err := Build(g, Params{PartitionDepth: int(s.depth) % 65, PoolPages: int(s.pool)%33 - 1})
+	ix, err := Build(g, Params{PartitionDepth: src.Intn(65), PoolPages: src.Intn(33) - 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -82,52 +59,27 @@ func newGraphCase(tb testing.TB, s graphSeed) *graphCase {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c := &graphCase{ix: ix, mem: mem, oracle: queries.NewOracle(net), dst: trajectory.ObjectID(int(s.dst) % n), strategy: Strategy(s.strategy % 4)}
-	c.iv.Lo = trajectory.Tick(int(s.lo) % nt)
-	c.iv.Hi = min(c.iv.Lo+trajectory.Tick(int(s.span)%nt), trajectory.Tick(nt-1))
-	byteAt := func(i int) int {
-		if i < len(s.spec) {
-			return int(s.spec[i])
-		}
-		return 0
-	}
-	for i := 0; i < 1+min(len(s.spec)/2, 3); i++ {
-		seed := queries.SeedState{
-			Obj:   trajectory.ObjectID(byteAt(2*i) % n),
-			Start: c.iv.Lo + trajectory.Tick(byteAt(2*i+1)%(int(c.iv.Len())+2)),
-		}
-		c.seeds = append(c.seeds, seed)
-		if !slices.Contains(c.objs, seed.Obj) {
-			c.objs = append(c.objs, seed.Obj)
-		}
-	}
-	return c
+	return &graphCase{ix: ix, mem: mem, oracle: queries.NewOracle(net), q: src.Query(sp.Objects, sp.Ticks), strategy: Strategy(src.Intn(4))}
 }
 
-// reach is the case's point query under strategy s, with its page counts
-// held to verified ≤ charged.
+// reach is the case's point query under strategy s, and profile its sweep
+// in direction dir. Each fails unless the query verified at most the pages
+// it was charged for: it verifies a page of what it read at most once.
 func (c *graphCase) reach(tb testing.TB, s Strategy) (bool, error) {
-	tb.Helper()
 	var acct pagefile.Stats
-	ok, _, err := c.ix.ReachFromCounted(context.Background(), c.objs, c.dst, c.iv, s, &acct)
-	checkVerifiedCharged(tb, acct)
+	defer checkVerifiedCharged(tb, &acct)
+	ok, _, err := c.ix.ReachFromCounted(context.Background(), c.q.Objs, c.q.Dst, c.q.Interval, s, &acct)
 	return ok, err
 }
 
-// profile is the case's sweep in direction dir, with its page counts held
-// to verified ≤ charged.
 func (c *graphCase) profile(tb testing.TB, dir queries.Direction) ([]queries.ProfileEntry, error) {
-	tb.Helper()
 	var acct pagefile.Stats
-	prof, _, err := c.ix.AppendProfile(context.Background(), nil, c.seeds, c.iv, dir, nil, &acct)
-	checkVerifiedCharged(tb, acct)
+	defer checkVerifiedCharged(tb, &acct)
+	prof, _, err := c.ix.AppendProfile(context.Background(), nil, c.q.Seeds, c.q.Interval, dir, nil, &acct)
 	return prof, err
 }
 
-// checkVerifiedCharged fails unless a query verified at most the pages it
-// was charged for: it verifies a page of what it read at most once.
-func checkVerifiedCharged(tb testing.TB, acct pagefile.Stats) {
-	tb.Helper()
+func checkVerifiedCharged(tb testing.TB, acct *pagefile.Stats) {
 	if charged := acct.RandomReads + acct.SequentialReads + acct.BufferHits; acct.PagesVerified > charged {
 		tb.Fatalf("%d pages verified, %d charged", acct.PagesVerified, charged)
 	}
@@ -137,23 +89,13 @@ func checkVerifiedCharged(tb testing.TB, acct pagefile.Stats) {
 // profile forward (arrival ticks only: the run DAG knows no hops) and
 // backward.
 func (c *graphCase) want() (reach bool, forward, backward []queries.ProfileEntry) {
-	reach, _ = c.oracle.ReachableFromCounted(c.objs, c.dst, c.iv)
-	forward, _ = c.oracle.ProfileFrom(c.seeds, c.iv, queries.UnboundedHops, queries.NoObject)
+	q := c.q
+	reach, _ = c.oracle.ReachableFromCounted(q.Objs, q.Dst, q.Interval)
+	forward, _ = c.oracle.ProfileFrom(q.Seeds, q.Interval, queries.UnboundedHops, queries.NoObject)
 	for i := range forward {
 		forward[i].Hops = -1
 	}
-	return reach, forward, c.oracle.ReverseProfileFrom(c.objs, c.iv)
-}
-
-func addGraphSeeds(f *testing.F, corrupt bool) {
-	for i, s := range graphSeeds {
-		if corrupt {
-			// A byte in the middle of the pages, a different one each seed.
-			f.Add(s.dataSeed, s.objects, s.ticks, s.env, s.depth, s.pool, s.spec, s.lo, s.span, s.dst, s.strategy, uint16(pagefile.PageSize/2+97*i))
-		} else {
-			f.Add(s.dataSeed, s.objects, s.ticks, s.env, s.depth, s.pool, s.spec, s.lo, s.span, s.dst, s.strategy)
-		}
-	}
+	return reach, forward, c.oracle.ReverseProfileFrom(q.Objs, q.Interval)
 }
 
 // FuzzGraphSweepVsOracle holds both indexes' read paths, the disk Index's
@@ -163,110 +105,69 @@ func addGraphSeeds(f *testing.F, corrupt bool) {
 // activate at their own ticks and backward, its profile. Every disk query
 // verifies at most the pages it is charged for.
 func FuzzGraphSweepVsOracle(f *testing.F) {
-	addGraphSeeds(f, false)
+	for _, s := range graphSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(graphSweepVsOracle)
 }
 
-// TestGraphSweepVsOracleSeeded is FuzzGraphSweepVsOracle's body over inputs
-// drawn from a fixed seed: 2000 cases, 200 under -short.
+// TestGraphSweepVsOracleSeeded runs the fuzz body over 2000 seeded inputs.
 func TestGraphSweepVsOracleSeeded(t *testing.T) {
-	cases := 2000
-	if testing.Short() {
-		cases = 200
-	}
-	rng := rand.New(rand.NewSource(20261017))
-	for i := 0; i < cases; i++ {
-		s := randomGraphSeed(rng)
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("case %d: graphSweepVsOracle(%d, %d, %d, %d, %d, %d, %v, %d, %d, %d, %d)",
-						i, s.dataSeed, s.objects, s.ticks, s.env, s.depth, s.pool, s.spec, s.lo, s.span, s.dst, s.strategy)
-				}
-			}()
-			graphSweepVsOracle(t, s.dataSeed, s.objects, s.ticks, s.env, s.depth, s.pool, s.spec, s.lo, s.span, s.dst, s.strategy)
-		}()
-	}
+	testgen.Seeded(t, 20261017, 2000, graphSweepVsOracle)
 }
 
-// randomGraphSeed draws one fuzz input of the graph fuzzers from rng, each
-// value uniform over its type (the spec 0–8 bytes long).
-func randomGraphSeed(rng *rand.Rand) graphSeed {
-	u8 := func() uint8 { return uint8(rng.Intn(256)) }
-	u16 := func() uint16 { return uint16(rng.Intn(1 << 16)) }
-	s := graphSeed{dataSeed: rng.Int63n(1 << 20)}
-	s.objects, s.ticks, s.env, s.depth, s.pool = u8(), u16(), u8(), u8(), u8()
-	s.spec = make([]byte, rng.Intn(9))
-	rng.Read(s.spec)
-	s.lo, s.span, s.dst, s.strategy = u16(), u16(), u8(), u8()
-	return s
-}
-
-func graphSweepVsOracle(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8) {
-	c := newGraphCase(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy})
-	ctx := context.Background()
+func graphSweepVsOracle(t *testing.T, data []byte) {
+	c := newGraphCase(t, testgen.New(data))
+	q, ctx := c.q, context.Background()
 	wantOK, wantFw, wantBw := c.want()
 	for dir, want := range map[queries.Direction][]queries.ProfileEntry{queries.Forward: wantFw, queries.Backward: wantBw} {
 		if prof, err := c.profile(t, dir); err != nil || !slices.Equal(prof, want) {
-			t.Fatalf("AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
+			t.Fatalf("AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", q.Seeds, q.Interval, dir, prof, err, want)
 		}
-		if prof, _, err := c.mem.AppendProfile(ctx, nil, c.seeds, c.iv, dir, nil); err != nil || !slices.Equal(prof, want) {
-			t.Fatalf("mem AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", c.seeds, c.iv, dir, prof, err, want)
+		if prof, _, err := c.mem.AppendProfile(ctx, nil, q.Seeds, q.Interval, dir, nil); err != nil || !slices.Equal(prof, want) {
+			t.Fatalf("mem AppendProfile(%+v, %v, direction %d) = %v (%v); oracle %v", q.Seeds, q.Interval, dir, prof, err, want)
 		}
 	}
 	for _, s := range []Strategy{BMBFS, BBFS, EBFS, EDFS} {
 		if got, err := c.reach(t, s); err != nil || got != wantOK {
-			t.Fatalf("%v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
+			t.Fatalf("%v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, q.Objs, q.Dst, q.Interval, got, err, wantOK)
 		}
-		if got, _, err := c.mem.ReachFromCounted(ctx, c.objs, c.dst, c.iv, s); err != nil || got != wantOK {
-			t.Fatalf("mem %v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, c.objs, c.dst, c.iv, got, err, wantOK)
+		if got, _, err := c.mem.ReachFromCounted(ctx, q.Objs, q.Dst, q.Interval, s); err != nil || got != wantOK {
+			t.Fatalf("mem %v ReachFromCounted(%v → %d, %v) = %v (%v); oracle %v", s, q.Objs, q.Dst, q.Interval, got, err, wantOK)
 		}
 	}
 }
 
 // FuzzCorruptionNeverWrong is the integrity promise as a property: over the
-// same generated cases, the byte at offset off of each page of the store is
-// damaged in turn (CorruptPage, one page at a time), and each time the
-// case's point query, under its strategy, and its profile in both
-// directions either fail with an error wrapping pagefile.ErrCorruptBlob or
-// give exactly the oracle's answer — never a panic, another error or a
-// wrong answer.
+// same generated cases, followed by an offset (Intn(2¹⁶)), the byte at that
+// offset of each page of the store is damaged in turn (CorruptPage, one
+// page at a time), and each time the case's point query, under its
+// strategy, and its profile in both directions either fail with an error
+// wrapping pagefile.ErrCorruptBlob or give exactly the oracle's answer —
+// never a panic, another error or a wrong answer.
 func FuzzCorruptionNeverWrong(f *testing.F) {
-	addGraphSeeds(f, true)
-	f.Fuzz(func(t *testing.T, dataSeed int64, objects uint8, ticks uint16, env, depth, pool uint8, spec []byte, lo, span uint16, dst, strategy uint8, off uint16) {
-		corruptionNeverWrong(t, graphSeed{dataSeed, objects, env, depth, pool, ticks, spec, lo, span, dst, strategy}, off)
-	})
+	for i, s := range graphSeeds {
+		// A byte in the middle of the pages, a different one each seed.
+		off := pagefile.PageSize/2 + 97*i
+		f.Add(append(slices.Clip(s), byte(off>>8), byte(off)))
+	}
+	f.Fuzz(corruptionNeverWrong)
 }
 
-// TestCorruptionNeverWrongSeeded is FuzzCorruptionNeverWrong's body over
-// inputs drawn from a fixed seed: 1000 cases, 100 under -short.
+// TestCorruptionNeverWrongSeeded runs the fuzz body over 1000 seeded inputs.
 func TestCorruptionNeverWrongSeeded(t *testing.T) {
-	cases := 1000
-	if testing.Short() {
-		cases = 100
-	}
-	rng := rand.New(rand.NewSource(20261018))
-	for i := 0; i < cases; i++ {
-		s := randomGraphSeed(rng)
-		off := uint16(rng.Intn(1 << 16))
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("case %d: corruptionNeverWrong(%+v, %d)", i, s, off)
-				}
-			}()
-			corruptionNeverWrong(t, s, off)
-		}()
-	}
+	testgen.Seeded(t, 20261018, 1000, corruptionNeverWrong)
 }
 
-func corruptionNeverWrong(t *testing.T, s graphSeed, off uint16) {
-	c := newGraphCase(t, s)
+func corruptionNeverWrong(t *testing.T, data []byte) {
+	src := testgen.New(data)
+	c := newGraphCase(t, src)
+	off := src.Intn(1 << 16)
 	wantOK, wantFw, wantBw := c.want()
 	st := c.ix.Store()
 	for p := int64(0); p < st.NumPages(); p++ {
 		damage := func() {
-			if err := st.CorruptPage(p, int(off)); err != nil {
+			if err := st.CorruptPage(p, off); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -275,9 +176,9 @@ func corruptionNeverWrong(t *testing.T, s graphSeed, off uint16) {
 			switch {
 			case errors.Is(err, pagefile.ErrCorruptBlob):
 			case err != nil:
-				t.Fatalf("byte %d of page %d damaged: %s: an error that is not ErrCorruptBlob: %v", int(off)%pagefile.PageSize, p, what, err)
+				t.Fatalf("byte %d of page %d damaged: %s: an error that is not ErrCorruptBlob: %v", off%pagefile.PageSize, p, what, err)
 			case !same:
-				t.Fatalf("byte %d of page %d damaged: %s: a wrong answer", int(off)%pagefile.PageSize, p, what)
+				t.Fatalf("byte %d of page %d damaged: %s: a wrong answer", off%pagefile.PageSize, p, what)
 			}
 		}
 		damage()
@@ -296,7 +197,7 @@ func corruptionNeverWrong(t *testing.T, s graphSeed, off uint16) {
 // page by page.
 func TestGraphSeedsSpanPages(t *testing.T) {
 	for _, s := range graphSeeds[:2] {
-		c := newGraphCase(t, s)
+		c := newGraphCase(t, testgen.New(s))
 		long := 0
 		for _, ref := range c.ix.partRefs {
 			if ref.Bytes > pagefile.PageSize {
@@ -304,7 +205,7 @@ func TestGraphSeedsSpanPages(t *testing.T) {
 			}
 		}
 		if long == 0 {
-			t.Errorf("seed %+v builds no partition longer than a page", s)
+			t.Errorf("seed %v builds no partition longer than a page", s)
 		}
 	}
 }

@@ -149,7 +149,7 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 	}
 	ix := &Index{
 		params:     params,
-		store:      pagefile.NewStoreWith(params.Pool, params.PoolPages),
+		store:      pagefile.NewStore(params.Pool, params.PoolPages),
 		numObjects: g.NumObjects,
 		numTicks:   g.NumTicks,
 		numNodes:   len(g.Nodes),

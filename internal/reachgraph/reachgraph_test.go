@@ -6,8 +6,8 @@ import (
 
 	"streach/internal/contact"
 	"streach/internal/dn"
-	"streach/internal/mobility"
 	"streach/internal/queries"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
@@ -21,11 +21,7 @@ type fixture struct {
 
 func newFixture(t testing.TB, objects, ticks int, seed int64) *fixture {
 	t.Helper()
-	d := mobility.RandomWaypoint(mobility.RWPConfig{
-		NumObjects: objects,
-		NumTicks:   ticks,
-		Seed:       seed,
-	})
+	d := testgen.Spec{Objects: objects, Ticks: ticks, Seed: seed}.Dataset()
 	net := contact.Extract(d)
 	g := dn.Build(net)
 	if err := g.Validate(); err != nil {

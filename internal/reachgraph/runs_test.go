@@ -3,12 +3,13 @@ package reachgraph
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"streach/internal/dn"
 	"streach/internal/pagefile"
 	"streach/internal/stjoin"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
@@ -257,11 +258,31 @@ func linearRun(data []byte, t trajectory.Tick) (node, part int64, found, ok bool
 
 // runDirectory is the body of FuzzRunDirectory: findRun must not panic on
 // any bytes, and on a well-formed directory it must answer what the linear
-// reading answers.
-func runDirectory(t *testing.T, data []byte, tick uint32) {
-	tk := trajectory.Tick(tick % (1 << 20))
-	node, part, err := findRun(data, tk)
-	wantNode, wantPart, found, ok := linearRun(data, tk)
+// reading answers. The input picks a directory: one of dirs (Intn of one
+// more than there are) — whole, with up to four bytes overwritten, or cut
+// short (Intn(3)) — probed at a tick Intn(400), or else its own remaining
+// bytes, probed at a tick Intn(2²⁰) read first.
+func runDirectory(t *testing.T, dirs [][]byte, data []byte) {
+	src := testgen.New(data)
+	var dir []byte
+	var tk trajectory.Tick
+	if k := src.Intn(len(dirs) + 1); k < len(dirs) {
+		dir = slices.Clone(dirs[k])
+		switch src.Intn(3) {
+		case 0:
+			for n := src.Intn(5); n > 0; n-- {
+				dir[src.Intn(len(dir))] = src.Byte()
+			}
+		case 1:
+			dir = dir[:src.Intn(len(dir)+1)]
+		}
+		tk = trajectory.Tick(src.Intn(400))
+	} else {
+		tk = trajectory.Tick(src.Intn(1 << 20))
+		dir = src.Rest()
+	}
+	node, part, err := findRun(dir, tk)
+	wantNode, wantPart, found, ok := linearRun(dir, tk)
 	if !ok {
 		return
 	}
@@ -291,46 +312,20 @@ func runDirectorySeeds(t testing.TB) [][]byte {
 }
 
 // FuzzRunDirectory feeds arbitrary bytes to FindVertex's decoder, seeded
-// with real directories: no input may panic it, and every well-formed one
-// must be read as a linear scan reads it.
+// with real directories given as the input's own bytes: no input may panic
+// it, and every well-formed one must be read as a linear scan reads it.
 func FuzzRunDirectory(f *testing.F) {
-	for i, blob := range runDirectorySeeds(f) {
-		f.Add(blob, uint32(i*37))
+	dirs := runDirectorySeeds(f)
+	for i, dir := range dirs {
+		f.Add(append([]byte{byte(len(dirs)), 0, byte(i * 37 >> 8), byte(i * 37)}, dir...))
 	}
-	f.Fuzz(runDirectory)
+	f.Fuzz(func(t *testing.T, data []byte) { runDirectory(t, dirs, data) })
 }
 
-// TestRunDirectorySeeded is FuzzRunDirectory's body over inputs drawn from
-// a fixed seed: real directories with up to four bytes overwritten, cut
-// short or left whole, each probed at a random tick; 4000 cases, 400 under
-// -short.
+// TestRunDirectorySeeded runs the fuzz body over 4000 seeded inputs.
 func TestRunDirectorySeeded(t *testing.T) {
-	seeds := runDirectorySeeds(t)
-	cases := 4000
-	if testing.Short() {
-		cases = 400
-	}
-	rng := rand.New(rand.NewSource(20261019))
-	for i := 0; i < cases; i++ {
-		data := append([]byte(nil), seeds[rng.Intn(len(seeds))]...)
-		switch rng.Intn(3) {
-		case 0:
-			for k := rng.Intn(5); k > 0; k-- {
-				data[rng.Intn(len(data))] = byte(rng.Intn(256))
-			}
-		case 1:
-			data = data[:rng.Intn(len(data)+1)]
-		}
-		tick := uint32(rng.Intn(400))
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("case %d: runDirectory(% x, %d)", i, data, tick)
-				}
-			}()
-			runDirectory(t, data, tick)
-		}()
-	}
+	dirs := runDirectorySeeds(t)
+	testgen.Seeded(t, 20261019, 4000, func(t *testing.T, data []byte) { runDirectory(t, dirs, data) })
 }
 
 // BenchmarkFindVertex is FindVertex over a run list of 2048 runs in a pool

@@ -19,7 +19,7 @@ func blobGrid(numObjects, numTicks int, dir []byte, cells ...[]byte) *Index {
 	env := geo.NewRect(geo.Point{}, geo.Point{X: 100, Y: 25})
 	ix := &Index{
 		params:     Params{CellSize: 25, BucketTicks: numTicks},
-		store:      pagefile.NewStore(-1),
+		store:      pagefile.NewStore(nil, -1),
 		grid:       geo.NewGrid(env, 25),
 		numObjects: numObjects,
 		numTicks:   numTicks,

@@ -147,7 +147,7 @@ func Build(d *trajectory.Dataset, params Params) (*Index, error) {
 	}
 	ix := &Index{
 		params:     params,
-		store:      pagefile.NewStoreWith(params.Pool, params.PoolPages),
+		store:      pagefile.NewStore(params.Pool, params.PoolPages),
 		grid:       geo.NewGrid(d.Env, params.CellSize),
 		numObjects: d.NumObjects(),
 		numTicks:   d.NumTicks(),

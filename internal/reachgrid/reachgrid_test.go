@@ -2,23 +2,19 @@ package reachgrid
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"testing"
 
 	"streach/internal/contact"
 	"streach/internal/geo"
-	"streach/internal/mobility"
 	"streach/internal/queries"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
 func testDataset(t *testing.T, objects, ticks int, seed int64) *trajectory.Dataset {
 	t.Helper()
-	d := mobility.RandomWaypoint(mobility.RWPConfig{
-		NumObjects: objects,
-		NumTicks:   ticks,
-		Seed:       seed,
-	})
+	d := testgen.Spec{Objects: objects, Ticks: ticks, Seed: seed}.Dataset()
 	if err := d.Validate(); err != nil {
 		t.Fatalf("dataset invalid: %v", err)
 	}
@@ -108,8 +104,8 @@ func TestReachableSetMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("src %d: %v", src, err)
 		}
-		sortObjs(want)
-		if !equalObjs(got, want) {
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
 			t.Fatalf("src %d over %v: got %v, want %v", src, iv, got, want)
 		}
 	}
@@ -313,20 +309,4 @@ func reachableSetFrom(ctx context.Context, ix *Index, objs []trajectory.ObjectID
 		set = append(set, e.Obj)
 	}
 	return set, err
-}
-
-func sortObjs(s []trajectory.ObjectID) {
-	sort.Slice(s, func(i, k int) bool { return s[i] < s[k] })
-}
-
-func equalObjs(a, b []trajectory.ObjectID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
 	"streach/internal/contact"
 	"streach/internal/stjoin"
+	"streach/internal/testgen"
 	"streach/internal/trajectory"
 )
 
@@ -26,8 +26,8 @@ import (
 // rules of the network-patching ingest path the pair tables replaced, so
 // the sealed and compacted networks are held to what that path built.
 //
-// Script bytes: objects, width, then operations, each an opcode byte and
-// its arguments (see logScript.step).
+// The script is testgen's Script: objects, width, then ops, each an opcode
+// byte and its arguments (see testgen.Script.Next).
 func FuzzLogEvents(f *testing.F) {
 	for _, seed := range logSeeds() {
 		f.Add(seed)
@@ -35,31 +35,14 @@ func FuzzLogEvents(f *testing.F) {
 	f.Fuzz(logEvents)
 }
 
-// TestLogEventsSeeded is FuzzLogEvents' body over scripts drawn from a
-// fixed seed, 2–257 random bytes each: 2000 cases, 200 under -short.
+// TestLogEventsSeeded runs the fuzz body over 2000 seeded inputs.
 func TestLogEventsSeeded(t *testing.T) {
-	cases := 2000
-	if testing.Short() {
-		cases = 200
-	}
-	rng := rand.New(rand.NewSource(20261019))
-	for i := 0; i < cases; i++ {
-		script := make([]byte, 2+rng.Intn(256))
-		rng.Read(script)
-		func() {
-			defer func() {
-				if t.Failed() {
-					t.Logf("case %d: logEvents(%v)", i, script)
-				}
-			}()
-			logEvents(t, script)
-		}()
-	}
+	testgen.Seeded(t, 20261019, 2000, logEvents)
 }
 
 func logEvents(t *testing.T, script []byte) {
 	s := newLogScript(t, script)
-	for step := 0; step < 64 && s.more(); step++ {
+	for step := 0; step < 64 && s.ops.More(); step++ {
 		s.step(step)
 	}
 }
@@ -293,23 +276,20 @@ func sortedPairs(set map[stjoin.Pair]bool) []stjoin.Pair {
 	return out
 }
 
-// logScript runs one decoded script against a log and the model.
+// logScript runs a testgen Script against a log and the model.
 type logScript struct {
 	t        *testing.T
-	bytes    []byte
+	ops      *testgen.Script
 	log      *Log[*contact.Network]
 	model    *logModel
 	failNext bool
 	builds   []builtNet
-	last     []contact.Event // the last general batch, for replays
 }
 
 func newLogScript(t *testing.T, script []byte) *logScript {
-	s := &logScript{t: t, bytes: script}
-	numObjects := 2 + int(s.next())%7
-	width := 1 + int(s.next())%16
-	s.model = &logModel{numObjects: numObjects, width: width}
-	s.log = NewLog(numObjects, width, func(span contact.Interval, net *contact.Network) (*contact.Network, error) {
+	s := &logScript{t: t, ops: testgen.New(script).Script()}
+	s.model = &logModel{numObjects: s.ops.Objects, width: s.ops.Width}
+	s.log = NewLog(s.ops.Objects, s.ops.Width, func(span contact.Interval, net *contact.Network) (*contact.Network, error) {
 		s.builds = append(s.builds, builtNet{span, net})
 		if s.failNext {
 			s.failNext = false
@@ -320,81 +300,25 @@ func newLogScript(t *testing.T, script []byte) *logScript {
 	return s
 }
 
-func (s *logScript) more() bool { return len(s.bytes) > 0 }
-
-func (s *logScript) next() byte {
-	if len(s.bytes) == 0 {
-		return 0
-	}
-	b := s.bytes[0]
-	s.bytes = s.bytes[1:]
-	return b
-}
-
-// pair decodes one byte p into a pair of distinct objects: p%n and
-// (p/n)%n, the second bumped when they coincide.
-func (s *logScript) pair() (trajectory.ObjectID, trajectory.ObjectID) {
-	n := s.model.numObjects
-	p := int(s.next())
-	a, b := p%n, (p/n)%n
-	if a == b {
-		b = (a + 1) % n
-	}
-	return trajectory.ObjectID(a), trajectory.ObjectID(b)
-}
-
-// step decodes and runs one operation:
-//
-//	0 k p×k        k%8 contacts at the frontier as one batch, then the clock
-//	               advanced over the instant (how the engine appends)
-//	1 k c (t p f)×(1+k%6)
-//	               a general batch with compaction threshold c%4: each event
-//	               at tick t % (NumTicks + 4·width + 2), a retraction when f
-//	               is odd
-//	2 d            AdvanceTo(NumTicks + 1 + d % (2·width))
-//	3              Compact
-//	4              the next build fails
-//	5 f            the last general batch again, every event's Retract
-//	               flipped when f is odd
+// step runs the script's next op on the log and the model and checks them.
 func (s *logScript) step(step int) {
 	frontier := len(s.model.ticks)
-	switch op := s.next() % 6; op {
-	case 0:
-		evs := make([]contact.Event, s.next()%8)
-		for i := range evs {
-			a, b := s.pair()
-			evs[i] = contact.Event{Tick: trajectory.Tick(frontier), A: a, B: b}
-		}
-		s.ingest(step, evs, 0)
+	switch op := s.ops.Next(frontier); op.Kind {
+	case testgen.OpInstant:
+		s.ingest(step, op.Events, 0)
 		s.advance(step, frontier+1)
-	case 1:
-		evs := make([]contact.Event, 1+s.next()%6)
-		threshold := int(s.next() % 4)
-		bound := frontier + 4*s.model.width + 2
-		for i := range evs {
-			tick := trajectory.Tick(int(s.next()) % bound)
-			a, b := s.pair()
-			evs[i] = contact.Event{Tick: tick, A: a, B: b, Retract: s.next()%2 == 1}
-		}
-		s.last = evs
-		s.ingest(step, evs, threshold)
-	case 2:
-		s.advance(step, frontier+1+int(s.next())%(2*s.model.width))
-	case 3:
+	case testgen.OpBatch, testgen.OpReplay:
+		s.ingest(step, op.Events, op.Threshold)
+	case testgen.OpAdvance:
+		s.advance(step, op.To)
+	case testgen.OpCompact:
 		n, err := s.log.Compact()
 		wn, werr := s.model.compact(0)
 		if n != wn || !errors.Is(err, werr) {
 			s.t.Fatalf("step %d Compact: (%d, %v), model (%d, %v)", step, n, err, wn, werr)
 		}
-	case 4:
+	case testgen.OpFail:
 		s.failNext, s.model.failNext = true, true
-	case 5:
-		flip := s.next()%2 == 1
-		evs := slices.Clone(s.last)
-		for i := range evs {
-			evs[i].Retract = evs[i].Retract != flip
-		}
-		s.ingest(step, evs, 0)
 	}
 	s.check(step)
 }
@@ -523,11 +447,7 @@ func sameContacts(a, b *contact.Network) bool {
 func logSeeds() [][]byte {
 	rolling := func(sc *seedScript, from, to int) {
 		for tk := from; tk < to; tk++ {
-			var pairs [][2]int
-			for _, pr := range pairsAt(sc.objects, trajectory.Tick(tk)) {
-				pairs = append(pairs, [2]int{int(pr.A), int(pr.B)})
-			}
-			sc.append(pairs...)
+			sc.append(pairsAt(sc.objects, trajectory.Tick(tk))...)
 		}
 	}
 	type ev = seedEvent
@@ -536,33 +456,33 @@ func logSeeds() [][]byte {
 	// TestDeltaLateAndRetract.
 	sc := newSeedScript(8, 16)
 	rolling(sc, 0, 40)
-	sc.batch(0, ev{5, 0, 7, false}, ev{35, 7, 0, false}, ev{6, 0, 1, true},
-		ev{4, 0, 1, false}, ev{20, 0, 7, true}, ev{100, 2, 3, true})
-	sc.replay(true)
-	seeds = append(seeds, sc.bytes())
+	sc.batch(0, ev{5, 0, 7, 0}, ev{35, 7, 0, 0}, ev{6, 0, 1, 1},
+		ev{4, 0, 1, 0}, ev{20, 0, 7, 1}, ev{100, 2, 3, 1})
+	sc.replay(1)
+	seeds = append(seeds, sc.out)
 
 	// TestDeltaCompaction.
 	sc = newSeedScript(8, 16)
 	rolling(sc, 0, 48)
-	sc.batch(0, ev{2, 0, 7, false}, ev{3, 0, 7, false}, ev{20, 0, 7, false})
-	sc.batch(2, ev{21, 0, 7, false})
+	sc.batch(0, ev{2, 0, 7, 0}, ev{3, 0, 7, 0}, ev{20, 0, 7, 0})
+	sc.batch(2, ev{21, 0, 7, 0})
 	sc.compact()
-	sc.batch(0, ev{40, 0, 7, false})
+	sc.batch(0, ev{40, 0, 7, 0})
 	sc.compact()
-	seeds = append(seeds, sc.bytes())
+	seeds = append(seeds, sc.out)
 
 	// TestEventFrontierGap.
 	sc = newSeedScript(4, 8)
-	sc.batch(0, ev{19, 0, 1, false}, ev{19, 0, 1, false})
+	sc.batch(0, ev{19, 0, 1, 0}, ev{19, 0, 1, 0})
 	sc.advance(4)
-	seeds = append(seeds, sc.bytes())
+	seeds = append(seeds, sc.out)
 
 	// TestSealAbsorbsTailLateEvents.
 	sc = newSeedScript(4, 8)
 	rolling(sc, 0, 4)
-	sc.batch(0, ev{1, 0, 3, false})
+	sc.batch(0, ev{1, 0, 3, 0})
 	rolling(sc, 4, 8)
-	seeds = append(seeds, sc.bytes())
+	seeds = append(seeds, sc.out)
 
 	// TestEventFastPathMatchesAddInstant's general path: each instant's
 	// adds plus a retraction that matches nothing.
@@ -570,35 +490,32 @@ func logSeeds() [][]byte {
 	for tk := 0; tk < 20; tk++ {
 		var evs []seedEvent
 		for _, pr := range pairsAt(8, trajectory.Tick(tk)) {
-			evs = append(evs, ev{tk, int(pr.A), int(pr.B), false})
+			evs = append(evs, ev{tk, int(pr.A), int(pr.B), 0})
 		}
-		sc.batch(0, append(evs, ev{tk, 0, 7, true})...)
+		sc.batch(0, append(evs, ev{tk, 0, 7, 1})...)
 	}
-	seeds = append(seeds, sc.bytes())
+	seeds = append(seeds, sc.out)
 
 	// TestLogBuildErrorSurfaces, then a compaction that fails once.
 	sc = newSeedScript(4, 4)
 	rolling(sc, 0, 7)
 	sc.fail()
 	rolling(sc, 7, 9)
-	sc.batch(0, ev{1, 0, 3, false}, ev{2, 0, 1, true})
+	sc.batch(0, ev{1, 0, 3, 0}, ev{2, 0, 1, 1})
 	sc.fail()
 	sc.compact()
 	sc.compact()
-	seeds = append(seeds, sc.bytes())
+	seeds = append(seeds, sc.out)
 	return seeds
 }
 
-// seedScript encodes a script in the decoder's byte format.
+// seedScript encodes a script in testgen.Script's byte format.
 type seedScript struct {
 	objects int
 	out     []byte
 }
 
-type seedEvent struct {
-	tick, a, b int
-	retract    bool
-}
+type seedEvent struct{ tick, a, b, retract int }
 
 func newSeedScript(objects, width int) *seedScript {
 	return &seedScript{objects: objects, out: []byte{byte(objects - 2), byte(width - 1)}}
@@ -606,10 +523,10 @@ func newSeedScript(objects, width int) *seedScript {
 
 func (sc *seedScript) pair(a, b int) byte { return byte(a + sc.objects*b) }
 
-func (sc *seedScript) append(pairs ...[2]int) {
+func (sc *seedScript) append(pairs ...stjoin.Pair) {
 	sc.out = append(sc.out, 0, byte(len(pairs)))
 	for _, pr := range pairs {
-		sc.out = append(sc.out, sc.pair(pr[0], pr[1]))
+		sc.out = append(sc.out, sc.pair(int(pr.A), int(pr.B)))
 	}
 }
 
@@ -618,24 +535,11 @@ func (sc *seedScript) append(pairs ...[2]int) {
 func (sc *seedScript) batch(threshold int, evs ...seedEvent) {
 	sc.out = append(sc.out, 1, byte(len(evs)-1), byte(threshold))
 	for _, e := range evs {
-		f := byte(0)
-		if e.retract {
-			f = 1
-		}
-		sc.out = append(sc.out, byte(e.tick), sc.pair(e.a, e.b), f)
+		sc.out = append(sc.out, byte(e.tick), sc.pair(e.a, e.b), byte(e.retract))
 	}
 }
 
-func (sc *seedScript) advance(d int) { sc.out = append(sc.out, 2, byte(d)) }
-func (sc *seedScript) compact()      { sc.out = append(sc.out, 3) }
-func (sc *seedScript) fail()         { sc.out = append(sc.out, 4) }
-
-func (sc *seedScript) replay(flip bool) {
-	f := byte(0)
-	if flip {
-		f = 1
-	}
-	sc.out = append(sc.out, 5, f)
-}
-
-func (sc *seedScript) bytes() []byte { return sc.out }
+func (sc *seedScript) advance(d int)   { sc.out = append(sc.out, 2, byte(d)) }
+func (sc *seedScript) compact()        { sc.out = append(sc.out, 3) }
+func (sc *seedScript) fail()           { sc.out = append(sc.out, 4) }
+func (sc *seedScript) replay(flip int) { sc.out = append(sc.out, 5, byte(flip)) }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"streach/internal/contact"
-	"streach/internal/mobility"
 	"streach/internal/queries"
+	"streach/internal/testgen"
 )
 
 // handNetwork builds the worked example used by several tests:
@@ -113,8 +113,7 @@ func TestSameInstantChain(t *testing.T) {
 }
 
 func TestSweepAgreesWithDijkstraRandom(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 40, NumTicks: 250, Seed: 41})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 40, Ticks: 250, Seed: 41}.Network()
 	rng := rand.New(rand.NewSource(43))
 	un := FromNetwork(net, func(contact.Contact) float64 {
 		return 0.2 + 0.8*rng.Float64()
@@ -144,8 +143,7 @@ func TestSweepAgreesWithDijkstraRandom(t *testing.T) {
 // TestCertainNetworkMatchesDeterministicOracle pins the p=1 special case to
 // the deterministic reachability semantics.
 func TestCertainNetworkMatchesDeterministicOracle(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 35, NumTicks: 200, Seed: 53})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 35, Ticks: 200, Seed: 53}.Network()
 	oracle := queries.NewOracle(net)
 	un := FromNetwork(net, func(contact.Contact) float64 { return 1 })
 	e, err := NewEngine(un)
@@ -206,8 +204,7 @@ func TestValidationAndDegenerates(t *testing.T) {
 }
 
 func TestBestProbAllMonotoneInInterval(t *testing.T) {
-	d := mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 30, NumTicks: 150, Seed: 61})
-	net := contact.Extract(d)
+	net := testgen.Spec{Objects: 30, Ticks: 150, Seed: 61}.Network()
 	rng := rand.New(rand.NewSource(67))
 	un := FromNetwork(net, func(contact.Contact) float64 { return 0.3 + 0.7*rng.Float64() })
 	e, err := NewEngine(un)

@@ -3,6 +3,7 @@ package streach_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,8 +84,8 @@ func TestLiveEngineMatchesOracleAtCheckpoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := oracle.ReachableSet(src, iv)
-				sortIDs(want)
-				if !equalIDs(sr.Objects, want) {
+				slices.Sort(want)
+				if !slices.Equal(sr.Objects, want) {
 					t.Fatalf("%s set %d %v at tick %d: got %v, want %v",
 						base, src, iv, checkpoint, sr.Objects, want)
 				}

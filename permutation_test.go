@@ -10,130 +10,52 @@ package streach_test
 
 import (
 	"context"
-	"math/rand"
+	"errors"
+	"maps"
+	"slices"
 	"testing"
 
 	"streach"
 	"streach/internal/contact"
 	"streach/internal/stjoin"
+	"streach/internal/testgen"
 )
 
-// permScript is a contact-event set plus the partial-order constraint
-// index: addOf[i] is the position (in events) of the add that retraction
-// events[i] withdraws (-1 for adds).
-type permScript struct {
-	events []streach.ContactEvent
-	addOf  []int
+// liveEvents converts a generated feed to the engine's events.
+func liveEvents(evs []contact.Event) []streach.ContactEvent {
+	out := make([]streach.ContactEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = streach.ContactEvent{Tick: ev.Tick, A: ev.A, B: ev.B, Retract: ev.Retract}
+	}
+	return out
 }
 
-// genPermScript synthesizes ~pairsPerTick contacts per tick over
-// [0, numTicks) and retracts retractFrac of them.
-func genPermScript(rng *rand.Rand, numObjects, numTicks, pairsPerTick int, retractFrac float64) permScript {
-	var s permScript
-	for tk := 0; tk < numTicks; tk++ {
-		for k := 0; k < pairsPerTick; k++ {
-			a := streach.ObjectID(rng.Intn(numObjects))
-			b := streach.ObjectID(rng.Intn(numObjects))
-			if a == b {
-				continue
-			}
-			add := streach.ContactEvent{Tick: streach.Tick(tk), A: a, B: b}
-			s.events = append(s.events, add)
-			s.addOf = append(s.addOf, -1)
-			if rng.Float64() < retractFrac {
-				ret := add
-				ret.Retract = true
-				s.events = append(s.events, ret)
-				s.addOf = append(s.addOf, len(s.events)-2)
-			}
-		}
-	}
-	return s
-}
-
-// permute returns a delivery order of s respecting the causal constraint:
-// every retraction lands after its add. Adds are shuffled freely; each
-// retraction is then inserted at a uniform position after its add.
-func permute(rng *rand.Rand, s permScript) []streach.ContactEvent {
-	var order []int // positions into s.events, adds only
-	for i, at := range s.addOf {
-		if at == -1 {
-			order = append(order, i)
-		}
-	}
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	posOf := make(map[int]int, len(order)) // event index -> delivery slot
-	out := make([]int, 0, len(s.events))
-	for _, idx := range order {
-		posOf[idx] = len(out)
-		out = append(out, idx)
-	}
-	for i, at := range s.addOf {
-		if at == -1 {
-			continue
-		}
-		slot := posOf[at] + 1 + rng.Intn(len(out)-posOf[at])
-		out = append(out, 0)
-		copy(out[slot+1:], out[slot:])
-		out[slot] = i
-		for idx, p := range posOf {
-			if p >= slot {
-				posOf[idx] = p + 1
-			}
-		}
-		posOf[i] = slot
-	}
-	events := make([]streach.ContactEvent, len(out))
-	for i, idx := range out {
-		events[i] = s.events[idx]
-	}
-	return events
-}
-
-// refState replays delivered events into per-tick membership and builds
+// refState replays delivered events into per-tick pair sets and builds
 // the in-order reference oracle over the resulting network.
 type refState struct {
 	numObjects int
-	numTicks   int
 	ticks      []map[stjoin.Pair]bool
 }
 
-func newRefState(numObjects int) *refState {
-	return &refState{numObjects: numObjects}
-}
-
 func (r *refState) apply(ev streach.ContactEvent) {
-	tk := int(ev.Tick)
+	tk, pr := int(ev.Tick), stjoin.MakePair(ev.A, ev.B)
 	if ev.Retract {
 		if tk < len(r.ticks) {
-			delete(r.ticks[tk], stjoin.MakePair(ev.A, ev.B))
+			delete(r.ticks[tk], pr)
 		}
 		return
 	}
 	for len(r.ticks) <= tk {
-		r.ticks = append(r.ticks, nil)
+		r.ticks = append(r.ticks, map[stjoin.Pair]bool{})
 	}
-	if r.ticks[tk] == nil {
-		r.ticks[tk] = make(map[stjoin.Pair]bool)
-	}
-	r.ticks[tk][stjoin.MakePair(ev.A, ev.B)] = true
-	if tk+1 > r.numTicks {
-		r.numTicks = tk + 1
-	}
+	r.ticks[tk][pr] = true
 }
 
 func (r *refState) oracle(t *testing.T) streach.Engine {
 	t.Helper()
 	b := contact.NewBuilder(r.numObjects)
-	var pairs []stjoin.Pair
-	for tk := 0; tk < r.numTicks; tk++ {
-		pairs = pairs[:0]
-		if tk < len(r.ticks) {
-			for pr := range r.ticks[tk] {
-				pairs = append(pairs, pr)
-			}
-		}
-		b.AddInstant(pairs)
+	for _, set := range r.ticks {
+		b.AddInstant(slices.Collect(maps.Keys(set)))
 	}
 	eng, err := streach.Open("oracle", streach.WrapContactNetwork(b.Network()), streach.Options{})
 	if err != nil {
@@ -151,15 +73,15 @@ type conformQuery struct {
 // and the in-order reference at the current prefix.
 func assertConformant(t *testing.T, live *streach.LiveEngine, ref *refState, probes []conformQuery, label string) {
 	t.Helper()
-	if ref.numTicks == 0 {
+	if len(ref.ticks) == 0 {
 		return
 	}
-	if got := live.NumTicks(); got != ref.numTicks {
-		t.Fatalf("%s: live NumTicks %d, reference %d", label, got, ref.numTicks)
+	if got := live.NumTicks(); got != len(ref.ticks) {
+		t.Fatalf("%s: live NumTicks %d, reference %d", label, got, len(ref.ticks))
 	}
 	oracle := ref.oracle(t)
 	ctx := context.Background()
-	hi := streach.Tick(ref.numTicks - 1)
+	hi := streach.Tick(len(ref.ticks) - 1)
 	intervals := []streach.Interval{
 		streach.NewInterval(0, hi),
 		streach.NewInterval(hi/2, hi),
@@ -238,22 +160,21 @@ func TestPermutationConformance(t *testing.T) {
 		pairsPerTick = 3
 		batch        = 40
 	)
-	rng := rand.New(rand.NewSource(7))
-	script := genPermScript(rng, numObjects, numTicks, pairsPerTick, 0.15)
+	gen := testgen.New(testgen.Random(7, 1<<13))
+	feed := gen.Feed(numObjects, numTicks, pairsPerTick, 15)
 
 	probes := make([]conformQuery, 8)
 	for i := range probes {
 		probes[i] = conformQuery{
-			src: streach.ObjectID(rng.Intn(numObjects)),
-			dst: streach.ObjectID(rng.Intn(numObjects)),
+			src: streach.ObjectID(gen.Intn(numObjects)),
+			dst: streach.ObjectID(gen.Intn(numObjects)),
 		}
 	}
 
-	inOrder := append([]streach.ContactEvent(nil), script.events...)
 	deliveries := [][]streach.ContactEvent{
-		inOrder,
-		permute(rng, script),
-		permute(rng, script),
+		liveEvents(feed),
+		liveEvents(gen.Permute(feed)),
+		liveEvents(gen.Permute(feed)),
 	}
 	names := []string{"in-order", "perm-1", "perm-2"}
 
@@ -292,7 +213,7 @@ func TestPermutationConformance(t *testing.T) {
 					}
 				}()
 
-				ref := newRefState(numObjects)
+				ref := &refState{numObjects: numObjects}
 				for off := 0; off < len(delivery); off += batch {
 					end := min(off+batch, len(delivery))
 					if _, err := live.Ingest(delivery[off:end]); err != nil {
@@ -356,7 +277,7 @@ func TestIngestValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rep, err := live.Ingest(tc.events)
-		if !errorsIs(err, tc.want) {
+		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 		if rep.Applied != 0 || rep.Late != 0 || rep.Retracted != 0 || len(rep.Sealed) != 0 {
@@ -386,18 +307,4 @@ func TestIngestValidation(t *testing.T) {
 	if free.NumTicks() != 501 {
 		t.Fatalf("unbounded horizon NumTicks = %d, want 501", free.NumTicks())
 	}
-}
-
-func errorsIs(err, target error) bool {
-	for e := err; e != nil; {
-		if e == target {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }

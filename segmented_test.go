@@ -3,6 +3,7 @@ package streach_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func TestSegmentedAgreesWithBase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q set %d: %v", baseName, src, err)
 			}
-			if !equalIDs(ss.Objects, bs.Objects) {
+			if !slices.Equal(ss.Objects, bs.Objects) {
 				t.Fatalf("%q set %d %v: got %v, base %v", segName, src, iv, ss.Objects, bs.Objects)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streach"
@@ -73,7 +74,7 @@ func TestShardPrunedPlannerMatchesOracle(t *testing.T) {
 		for i := 0; i < perKind; i++ {
 			c := setCase{src: streach.ObjectID(rng.Intn(objects)), iv: interval()}
 			c.want = oracle.ReachableSet(c.src, c.iv)
-			sortIDs(c.want)
+			slices.Sort(c.want)
 			sets = append(sets, c)
 		}
 		for _, k := range []int{2, 3, 4, 5, 7} {
@@ -102,7 +103,7 @@ func TestShardPrunedPlannerMatchesOracle(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s set %d %v: %v", at, c.src, c.iv, err)
 							}
-							if !equalIDs(r.Objects, c.want) {
+							if !slices.Equal(r.Objects, c.want) {
 								t.Fatalf("%s set %d %v: %v, oracle %v", at, c.src, c.iv, r.Objects, c.want)
 							}
 							cases++

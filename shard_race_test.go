@@ -2,6 +2,7 @@ package streach_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -57,8 +58,8 @@ func TestShardFrozenConcurrentReaders(t *testing.T) {
 						return
 					}
 					want := oracle.ReachableSet(q.Src, q.Interval)
-					sortIDs(want)
-					if !equalIDs(sr.Objects, want) {
+					slices.Sort(want)
+					if !slices.Equal(sr.Objects, want) {
 						t.Errorf("reader %d set %d %v diverged", w, q.Src, q.Interval)
 						return
 					}

@@ -3,6 +3,7 @@ package streach_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"streach"
@@ -66,8 +67,8 @@ func TestShardDynamicNamesMatchOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := oracle.ReachableSet(src, iv)
-			sortIDs(want)
-			if !equalIDs(sr.Objects, want) {
+			slices.Sort(want)
+			if !slices.Equal(sr.Objects, want) {
 				t.Fatalf("%s set %d %v: got %v, want %v", name, src, iv, sr.Objects, want)
 			}
 		}
@@ -93,7 +94,7 @@ func TestSetExpandedCountsShardSweeps(t *testing.T) {
 		}
 	}
 	one, sharded := got[0], got[1]
-	if !equalIDs(one.Objects, sharded.Objects) {
+	if !slices.Equal(one.Objects, sharded.Objects) {
 		t.Fatalf("sets differ: %v against %v", one.Objects, sharded.Objects)
 	}
 	if one.Expanded <= 0 || sharded.Expanded <= one.Expanded {

@@ -2,7 +2,7 @@ package streach_test
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"testing"
 
 	"streach"
@@ -116,8 +116,8 @@ func TestReachableSetsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sortIDs(want)
-		if !equalIDs(got.Objects, want) {
+		slices.Sort(want)
+		if !slices.Equal(got.Objects, want) {
 			t.Fatalf("src %d: grid set %v, oracle set %v", src, got.Objects, want)
 		}
 	}
@@ -220,22 +220,6 @@ func TestDeterministicGeneration(t *testing.T) {
 // query with arrival tracking, whose Result carries Arrival and Hops.
 func arrivalQuery(src, dst streach.ObjectID, iv streach.Interval) streach.Query {
 	return streach.Query{Src: src, Dst: dst, Interval: iv, Semantics: streach.Semantics{TrackArrival: true}}
-}
-
-func sortIDs(s []streach.ObjectID) {
-	sort.Slice(s, func(i, k int) bool { return s[i] < s[k] })
-}
-
-func equalIDs(a, b []streach.ObjectID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestContactStreamMatchesBatch feeds a dataset through the incremental
