@@ -12,8 +12,10 @@ import (
 // reachgraph-bbfs/-ebfs/-edfs strategies) were still registry backends
 // opened through streach.Open, and the ReachGraph cells re-recorded when
 // run directories gained their anchors (layout version 3), which moves
-// directory blobs across pages; the lab's baseline adapter must reproduce
-// them, cold pool and zeroed counters included.
+// directory blobs across pages, and again when vertices were numbered
+// partition by partition (layout version 4, a quarter to a third fewer
+// pages); the lab's baseline adapter must reproduce them, cold pool and
+// zeroed counters included.
 func TestBaselineCountsPinned(t *testing.T) {
 	l := NewLab(Options{
 		RWPSizes: []int{150, 300},
@@ -23,10 +25,10 @@ func TestBaselineCountsPinned(t *testing.T) {
 		Seed:     1,
 	})
 	golden := map[string]string{
-		"fig13":          "RWP300 17.3 18.0 27.3; VN120 3.5 3.5 13.6",
+		"fig13":          "RWP300 13.6 14.3 20.7; VN120 1.4 1.4 2.3",
 		"spj":            "RWP150 33 1.8 1.5 -17%; RWP300 47 2.7 2.6 -5%; VN120 33 1.5 1.4 -9%",
-		"table5b":        "RWP300 28.8 17.3 40%; VN120 5.0 3.5 30%",
-		"ablation-bidir": "RWP300 37.4 18.0 17.3; VN120 15.7 3.5 3.5",
+		"table5b":        "RWP300 28.8 13.6 53%; VN120 5.0 1.4 72%",
+		"ablation-bidir": "RWP300 26.6 14.3 13.6; VN120 2.7 1.4 1.4",
 	}
 	for _, id := range []string{"fig13", "spj", "table5b", "ablation-bidir"} {
 		var rows []string

@@ -9,9 +9,11 @@ import (
 
 // layoutVersion is the byte every index blob begins with: varint counts and
 // ticks, delta-compressed sorted ID postings, prediction-XOR'd float64
-// positions, run directories searchable through fixed-width anchors. The package comment's Integrity section has the rule for
-// changing it.
-const layoutVersion = 3
+// positions, run directories searchable through fixed-width anchors,
+// ReachGraph vertices numbered partition by partition (positional partition
+// directories, edges and runs without partition fields). The package
+// comment's Integrity section has the rule for changing it.
+const layoutVersion = 4
 
 // Encoder serializes index records into the byte blobs stored by a Store.
 // It is a thin, allocation-friendly wrapper over little-endian encoding;

@@ -189,7 +189,7 @@ func (o *Oracle) ReachableSet(src trajectory.ObjectID, iv contact.Interval) []tr
 func (o *Oracle) ReachableFromCounted(seeds []trajectory.ObjectID, dst trajectory.ObjectID, iv contact.Interval) (bool, int) {
 	reached := false
 	expanded := 0
-	o.propagateFrom(seeds, iv, nil, func(obj trajectory.ObjectID) bool {
+	o.propagateFrom(seeds, iv, func(obj trajectory.ObjectID) bool {
 		expanded++
 		if obj == dst {
 			reached = true
@@ -205,7 +205,7 @@ func (o *Oracle) ReachableFromCounted(seeds []trajectory.ObjectID, dst trajector
 // ascending.
 func (o *Oracle) ReachableSetFrom(seeds []trajectory.ObjectID, iv contact.Interval) []trajectory.ObjectID {
 	var out []trajectory.ObjectID
-	o.propagateFrom(seeds, iv, nil, func(obj trajectory.ObjectID) bool {
+	o.propagateFrom(seeds, iv, func(obj trajectory.ObjectID) bool {
 		out = append(out, obj)
 		return true
 	})
@@ -213,27 +213,15 @@ func (o *Oracle) ReachableSetFrom(seeds []trajectory.ObjectID, iv contact.Interv
 	return out
 }
 
-// ReverseReachableSetFrom returns the deliverer set of seeds over iv: every
-// object x such that an item held by x at iv.Lo reaches some seed by iv.Hi
-// (seeds included when the interval overlaps the time domain). Propagation is
-// symmetric in time, so this is ReachableSetFrom on the time-mirrored contact
-// sequence — the backward frontier primitive of the bidirectional planner.
-// The set is sorted ascending.
-func (o *Oracle) ReverseReachableSetFrom(seeds []trajectory.ObjectID, iv contact.Interval) []trajectory.ObjectID {
-	var out []trajectory.ObjectID
-	o.reversePropagateFrom(seeds, iv, func(obj trajectory.ObjectID, _ trajectory.Tick) bool {
-		out = append(out, obj)
-		return true
-	})
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
-	return out
-}
-
-// ReverseProfileFrom is ReverseReachableSetFrom plus each deliverer's latest
-// departure tick: the last tick of iv at which the object can still pick up
-// the item and have it delivered to a seed by iv.Hi (iv.Hi itself for the
-// seeds). Entries are sorted by object; Hops is -1 — the reverse sweep does
-// not track transfer counts.
+// ReverseProfileFrom returns the deliverers of seeds over iv — every object
+// x such that an item held by x at iv.Lo reaches some seed by iv.Hi (seeds
+// included when the interval overlaps the time domain) — each with its
+// latest departure tick: the last tick of iv at which the object can still
+// pick up the item and have it delivered to a seed by iv.Hi (iv.Hi itself
+// for the seeds). Propagation is symmetric in time, so this is the forward
+// propagation on the time-mirrored contact sequence — the backward frontier
+// primitive of the bidirectional planner. Entries are sorted by object;
+// Hops is -1 — the reverse sweep does not track transfer counts.
 func (o *Oracle) ReverseProfileFrom(seeds []trajectory.ObjectID, iv contact.Interval) []ProfileEntry {
 	var out []ProfileEntry
 	o.reversePropagateFrom(seeds, iv, func(obj trajectory.ObjectID, t trajectory.Tick) bool {
@@ -324,39 +312,17 @@ func (o *Oracle) reversePropagateFrom(seeds []trajectory.ObjectID, iv contact.In
 	}
 }
 
-// EarliestReach returns the first tick in iv at which dst holds the item, or
-// false. It implements |T'p| of Theorems 4.1/5.4: the smallest prefix of the
-// query interval that decides a positive query.
-func (o *Oracle) EarliestReach(q Query) (trajectory.Tick, bool) {
-	when := trajectory.Tick(-1)
-	cur := trajectory.Tick(-1)
-	o.propagate2(q.Src, q.Interval, func(t trajectory.Tick) { cur = t }, func(obj trajectory.ObjectID) bool {
-		if obj == q.Dst {
-			when = cur
-			return false
-		}
-		return true
-	})
-	return when, when >= 0
-}
-
 // propagate runs the simulation, invoking onInfect (src first, at iv.Lo) for
 // every newly infected object. onInfect returning false aborts.
 func (o *Oracle) propagate(src trajectory.ObjectID, iv contact.Interval, onInfect func(trajectory.ObjectID) bool) {
-	o.propagate2(src, iv, nil, onInfect)
-}
-
-func (o *Oracle) propagate2(src trajectory.ObjectID, iv contact.Interval,
-	onTick func(trajectory.Tick), onInfect func(trajectory.ObjectID) bool) {
-	o.propagateFrom([]trajectory.ObjectID{src}, iv, onTick, onInfect)
+	o.propagateFrom([]trajectory.ObjectID{src}, iv, onInfect)
 }
 
 // propagateFrom is the multi-source propagation: every valid seed holds the
 // item at iv.Lo. onInfect is invoked for each seed first (ascending seed
 // order), then for every newly infected object. Out-of-range seeds are
 // ignored.
-func (o *Oracle) propagateFrom(seeds []trajectory.ObjectID, iv contact.Interval,
-	onTick func(trajectory.Tick), onInfect func(trajectory.ObjectID) bool) {
+func (o *Oracle) propagateFrom(seeds []trajectory.ObjectID, iv contact.Interval, onInfect func(trajectory.ObjectID) bool) {
 
 	n := o.numObjects
 	if iv.Len() == 0 {
@@ -376,20 +342,14 @@ func (o *Oracle) propagateFrom(seeds []trajectory.ObjectID, iv contact.Interval,
 	if !any {
 		return
 	}
-	if onTick != nil {
-		onTick(iv.Lo)
-	}
 	for i := 0; i < n; i++ {
 		if infected[i] && !onInfect(trajectory.ObjectID(i)) {
 			return
 		}
 	}
-	o.src.Snapshot(iv.Lo, iv.Hi, func(t trajectory.Tick, pairs []stjoin.Pair) bool {
+	o.src.Snapshot(iv.Lo, iv.Hi, func(_ trajectory.Tick, pairs []stjoin.Pair) bool {
 		if len(pairs) == 0 {
 			return true
-		}
-		if onTick != nil {
-			onTick(t)
 		}
 		for i := 0; i < n; i++ {
 			parent[i] = int32(i)

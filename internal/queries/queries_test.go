@@ -134,8 +134,8 @@ func TestReverseReachableSetDuality(t *testing.T) {
 			lo := rng.Intn(ticks)
 			iv := contact.Interval{Lo: trajectory.Tick(lo), Hi: trajectory.Tick(lo + rng.Intn(ticks-lo))}
 			rev := make(map[trajectory.ObjectID]bool)
-			for _, obj := range o.ReverseReachableSetFrom([]trajectory.ObjectID{d}, iv) {
-				rev[obj] = true
+			for _, e := range o.ReverseProfileFrom([]trajectory.ObjectID{d}, iv) {
+				rev[e.Obj] = true
 			}
 			for x := 0; x < n; x++ {
 				fwd := o.Reachable(queries.Query{Src: trajectory.ObjectID(x), Dst: d, Interval: iv})
@@ -182,19 +182,31 @@ func TestReverseProfileDepartures(t *testing.T) {
 	}
 }
 
+// earliestReach is dst's Arrival in the profile of src over iv: the first
+// tick it holds the item, or false.
+func earliestReach(o *queries.Oracle, src, dst trajectory.ObjectID, iv contact.Interval) (trajectory.Tick, bool) {
+	prof, _ := o.ProfileFrom([]queries.SeedState{{Obj: src}}, iv, queries.UnboundedHops, trajectory.ObjectID(-1))
+	for _, e := range prof {
+		if e.Obj == dst {
+			return e.Arrival, true
+		}
+	}
+	return -1, false
+}
+
 func TestEarliestReach(t *testing.T) {
 	o := queries.NewOracle(figure1Network())
 	// o1 → o4 over [0,3]: earliest delivery is tick 1 (o2 hands over at 1).
-	tk, ok := o.EarliestReach(queries.Query{Src: 0, Dst: 3, Interval: contact.Interval{Lo: 0, Hi: 3}})
+	tk, ok := earliestReach(o, 0, 3, contact.Interval{Lo: 0, Hi: 3})
 	if !ok || tk != 1 {
-		t.Fatalf("EarliestReach = %d, %v; want 1, true", tk, ok)
+		t.Fatalf("earliest reach = %d, %v; want 1, true", tk, ok)
 	}
 	// Self-query: reached at interval start.
-	tk, ok = o.EarliestReach(queries.Query{Src: 2, Dst: 2, Interval: contact.Interval{Lo: 1, Hi: 3}})
+	tk, ok = earliestReach(o, 2, 2, contact.Interval{Lo: 1, Hi: 3})
 	if !ok || tk != 1 {
-		t.Fatalf("self EarliestReach = %d, %v", tk, ok)
+		t.Fatalf("self earliest reach = %d, %v", tk, ok)
 	}
-	if _, ok := o.EarliestReach(queries.Query{Src: 2, Dst: 0, Interval: contact.Interval{Lo: 2, Hi: 3}}); ok {
+	if _, ok := earliestReach(o, 2, 0, contact.Interval{Lo: 2, Hi: 3}); ok {
 		t.Fatal("unreachable query reported a reach time")
 	}
 }

@@ -17,16 +17,23 @@ import (
 // BenchmarkBuild is what an index build costs from an extracted contact
 // network: the reduction (dn.Build), then long-edge augmentation, partitioning
 // and encoding (Build) at default Params, on an RWP 400 × 1000 dataset. One op
-// is one build.
+// is one build. What the build leaves on disk is reported beside its cost:
+// index-pages and index-bytes/contact, the benchmark's pagefile.index_pages
+// and pagefile.index_bytes_per_contact on this dataset.
 func BenchmarkBuild(b *testing.B) {
 	net := contact.Extract(mobility.RandomWaypoint(mobility.RWPConfig{NumObjects: 400, NumTicks: 1000, Seed: 17}))
+	var ix *Index
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(dn.Build(net), Params{}); err != nil {
+		var err error
+		if ix, err = Build(dn.Build(net), Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(ix.store.NumPages()), "index-pages")
+	b.ReportMetric(float64(ix.store.SizeBytes())/float64(max(net.NumContacts(), 1)), "index-bytes/contact")
 }
 
 // BenchmarkPartitionLookup finds a vertex in a buffered partition: the
@@ -35,13 +42,13 @@ func BenchmarkBuild(b *testing.B) {
 func BenchmarkPartitionLookup(b *testing.B) {
 	for _, n := range []int{1, 16, 16607} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			// Edgeless vertices at every third id: small records, gaps to miss.
-			g := &dn.Graph{NumObjects: 1, NumTicks: 1, Nodes: make([]dn.Node, 3*n)}
+			// Edgeless vertices: small records.
+			g := &dn.Graph{NumObjects: 1, NumTicks: 1, Nodes: make([]dn.Node, n)}
 			members := make([]dn.NodeID, n)
 			for i := range members {
-				members[i] = dn.NodeID(3 * i)
+				members[i] = dn.NodeID(i)
 			}
-			ix := blobIndex(len(g.Nodes), 1, newPartitionWriter().encode(g, members, make([]int32, len(g.Nodes))))
+			ix := blobIndex([]int32{0, int32(n)}, 1, newPartitionWriter().encode(g, members, members))
 			sc := ix.begin(nil)
 			defer ix.pool.Put(sc)
 			c := &sc.cur
@@ -52,9 +59,9 @@ func BenchmarkPartitionLookup(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id := members[i*7919%n]
-				if _, _, err := pv.find(id, &c.checked); err != nil {
-					b.Fatalf("vertex %d: %v", id, err)
+				k := int32(i * 7919 % n)
+				if _, _, err := pv.find(k, &c.checked); err != nil {
+					b.Fatalf("record %d: %v", k, err)
 				}
 			}
 		})
@@ -71,7 +78,6 @@ func BenchmarkDecodeVertex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	partOf, _ := partition(f.g, ix.params.PartitionDepth)
 	for _, dir := range []struct {
 		name string
 		want uint8
@@ -92,7 +98,7 @@ func BenchmarkDecodeVertex(b *testing.B) {
 					c.verts.Reset(ix.numNodes)
 					c.arena.reset()
 				}
-				v, err := c.vertex(id, partOf[id])
+				v, err := c.vertex(id)
 				if err == nil {
 					_, err = c.need(v, dir.want)
 				}

@@ -1,18 +1,25 @@
 // Partition blobs and the cursor that reads them.
 //
 // A partition blob is a directory followed by the partition's vertex
-// records in ascending vertex-id order. The directory is searchable in
-// place, so buffering a partition costs its header and a lookup costs a
-// binary search — never a decode of the whole directory:
+// records in ascending ID order. The partition holds the IDs the catalogue
+// gives it, one contiguous range, so the directory is positional: record k
+// is that of the partition's k-th ID, and an entry is a record's length
+// alone. The directory is searchable in place, so buffering a partition
+// costs its header and a lookup one anchor and one group of entries —
+// never a decode of the whole directory:
 //
 //	version | n uv | entry bytes uv | anchors | entries | records
 //
-// Entry i is (id − previous id, record length) as uvarints, and every
-// anchorStride-th entry from the second group on has a fixed-width anchor
-// (its id, its offset in the entry area, its record's offset in the record
-// area); a lookup binary-searches the anchors and decodes at most
-// anchorStride entries. The first group needs no anchor: it starts at
-// offset 0 of both areas with previous id 0.
+// Entry k is the length of record k as a uvarint, and every
+// anchorStride-th entry from the second group on has a fixed-width anchor:
+// its offset in the entry area and its record's offset in the record area.
+// A lookup of record k reads the anchor of k's group and decodes that
+// group, at most anchorStride entries; the first group needs no anchor, it
+// starts at offset 0 of both areas. A group must end exactly where the
+// next one's anchor — or, for the last, the two areas — say it does, so
+// an anchor that disagrees with the entries fails every lookup in the two
+// groups it bounds instead of answering one, and n must be the size of
+// the catalogue's range.
 //
 // A partition that spans pages is verified where it is interpreted (see
 // pagefile's Integrity): its header before it is parsed, its anchors once
@@ -27,7 +34,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"streach/internal/dn"
@@ -37,7 +43,7 @@ import (
 
 const (
 	anchorStride = 16 // directory entries per anchor
-	anchorBytes  = 12 // id, entry offset, record offset
+	anchorBytes  = 8  // entry offset, record offset
 )
 
 // partitionWriter serializes partitions; its encoders are reused from one
@@ -55,27 +61,23 @@ func newPartitionWriter() *partitionWriter {
 	}
 }
 
-// encode returns the blob of the partition holding members, which it sorts
-// by id. The result is valid until the next call.
-func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, partOf []int32) []byte {
-	slices.Sort(members)
+// encode returns the blob of the partition holding members, ascending graph
+// IDs that num numbers consecutively. The result is valid until the next
+// call.
+func (w *partitionWriter) encode(g *dn.Graph, members []dn.NodeID, num []dn.NodeID) []byte {
 	w.blob.Reset()
 	w.anchors.Reset()
 	w.entries.Reset()
 	w.records.Reset()
 	w.blob.Format()
-	prev := dn.NodeID(0)
 	for i, id := range members {
 		before := w.records.Len()
 		if i > 0 && i%anchorStride == 0 {
-			w.anchors.Int32(int32(id))
 			w.anchors.Uint32(uint32(w.entries.Len()))
 			w.anchors.Uint32(uint32(before))
 		}
-		encodeVertex(w.records, g, id, partOf)
-		w.entries.Uvarint(uint64(id - prev))
+		encodeVertex(w.records, g, id, num)
 		w.entries.Uvarint(uint64(w.records.Len() - before))
-		prev = id
 	}
 	w.blob.Uvarint(uint64(len(members)))
 	w.blob.Uvarint(uint64(w.entries.Len()))
@@ -99,78 +101,65 @@ type partView struct {
 const maxPartitionHeader = 1 + 2*binary.MaxVarintLen64
 
 // parsePartition validates the header of a partition blob against the
-// blob's length and returns its view. The caller has verified the first
+// blob's length and against n, the size of the catalogue's range for it,
+// and returns its view. The caller has verified the first
 // maxPartitionHeader bytes; no directory entry is read.
-func parsePartition(blob pagefile.Blob) (partView, error) {
+func parsePartition(blob pagefile.Blob, n int32) (partView, error) {
 	data := blob.Bytes()
 	dec := pagefile.NewDecoder(data)
 	dec.Format()
-	var pv partView
-	n := dec.Uvarint()
+	listed := dec.Uvarint()
 	entryBytes := dec.Uvarint()
-	var indexBytes uint64
-	if n > 0 {
-		indexBytes = (n - 1) / anchorStride * anchorBytes
-	}
-	if n > entryBytes/2 { // an entry is two uvarints
-		dec.Failf("reachgraph: implausible record count %d for %d directory bytes", n, entryBytes)
-	}
 	if err := dec.Err(); err != nil {
 		return partView{}, err
 	}
+	if listed != uint64(n) {
+		return partView{}, fmt.Errorf("reachgraph: directory lists %d records, the catalogue %d", listed, n)
+	}
+	if listed > entryBytes { // an entry is a uvarint
+		return partView{}, fmt.Errorf("reachgraph: implausible record count %d for %d directory bytes", listed, entryBytes)
+	}
+	var indexBytes uint64
+	if n > 0 {
+		indexBytes = uint64(n-1) / anchorStride * anchorBytes
+	}
 	rest := dec.Remaining()
-	// n is bounded by the blob's length, so the sum is exact.
+	// n is at most the catalogue's vertex count, so the sum is exact.
 	if entryBytes > uint64(rest) || indexBytes+entryBytes > uint64(rest) {
 		return partView{}, fmt.Errorf("reachgraph: directory of %d records truncated (%d bytes left)", n, rest)
 	}
-	pv.blob = blob
-	pv.n = int32(n)
-	pv.index = int32(len(data) - rest)
+	pv := partView{blob: blob, n: n, index: int32(len(data) - rest)}
 	pv.entries = pv.index + int32(indexBytes)
 	pv.records = pv.entries + int32(entryBytes)
 	return pv, nil
 }
 
-// The two ways a directory lookup fails.
-var (
-	errNotListed    = errors.New("missing from partition")
-	errBadDirectory = errors.New("directory entry points outside the blob")
-)
+// errBadDirectory reports a directory group that does not end where its
+// anchors say, or whose records do not fit it.
+var errBadDirectory = errors.New("directory group disagrees with its anchors")
 
-// find returns the record bytes of vertex id and the payload range of the
-// directory entries it scanned for them, errNotListed when the directory
-// does not list id, or errBadDirectory when the entry that should locate it
-// points outside the blob. It verifies the entry group it scans, through
-// seen; the anchors it searches were verified when the partition was
-// buffered.
-func (pv *partView) find(id dn.NodeID, seen *visit.Set) ([]byte, [2]int32, error) {
+// find returns the bytes of record k, 0 ≤ k < pv.n, and the payload range
+// of the directory entries it scanned for them, or errBadDirectory when
+// k's group of entries does not end exactly at the offsets its anchors
+// give. It verifies the entry group it scans, through seen; the anchors
+// were verified when the partition was buffered.
+func (pv *partView) find(k int32, seen *visit.Set) ([]byte, [2]int32, error) {
 	data := pv.blob.Bytes()
 	index, entries, records := data[pv.index:pv.entries], data[pv.entries:pv.records], data[pv.records:]
-	// The group that can hold id: the last anchor at or below it, else the
-	// unanchored first group.
-	lo, hi := 0, len(index)/anchorBytes
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if dn.NodeID(binary.LittleEndian.Uint32(index[mid*anchorBytes:])) <= id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	anchor := func(g int) (ent, rec uint64) {
+		a := index[g*anchorBytes:]
+		return uint64(binary.LittleEndian.Uint32(a)), uint64(binary.LittleEndian.Uint32(a[4:]))
 	}
-	group := lo // 0: the first group; k: the group of anchor k-1
-	cur, entOff, recOff := int64(0), uint64(0), uint64(0)
+	group := int(k / anchorStride)
+	entOff, recOff := uint64(0), uint64(0)
 	if group > 0 {
-		a := index[(group-1)*anchorBytes:]
-		cur = int64(int32(binary.LittleEndian.Uint32(a)))
-		entOff = uint64(binary.LittleEndian.Uint32(a[4:]))
-		recOff = uint64(binary.LittleEndian.Uint32(a[8:]))
+		entOff, recOff = anchor(group - 1)
 	}
-	// The group ends where the next one's anchor says it begins.
-	entEnd := uint64(len(entries))
+	entEnd, recEnd := uint64(len(entries)), uint64(len(records))
 	if group < len(index)/anchorBytes {
-		entEnd = uint64(binary.LittleEndian.Uint32(index[group*anchorBytes+4:]))
+		entEnd, recEnd = anchor(group)
 	}
-	if entOff > entEnd || entEnd > uint64(len(entries)) || recOff > uint64(len(records)) {
+	if entOff > entEnd || entEnd > uint64(len(entries)) || recOff > recEnd || recEnd > uint64(len(records)) {
 		return nil, [2]int32{}, errBadDirectory
 	}
 	scanned := [2]int32{pv.entries + int32(entOff), pv.entries + int32(entEnd)}
@@ -178,28 +167,22 @@ func (pv *partView) find(id dn.NodeID, seen *visit.Set) ([]byte, [2]int32, error
 		return nil, [2]int32{}, err
 	}
 	ents := entries[entOff:entEnd]
+	var rec []byte
 	for i, left := 0, min(anchorStride, int(pv.n)-group*anchorStride); i < left; i++ {
-		gap, w1 := binary.Uvarint(ents)
-		if w1 <= 0 {
+		length, w := binary.Uvarint(ents)
+		if w <= 0 || length > recEnd-recOff {
 			return nil, [2]int32{}, errBadDirectory
 		}
-		length, w2 := binary.Uvarint(ents[w1:])
-		if w2 <= 0 || length > uint64(len(records))-recOff {
-			return nil, [2]int32{}, errBadDirectory
-		}
-		ents = ents[w1+w2:]
-		if i > 0 || group == 0 { // an anchored entry's id is the anchor's
-			cur += int64(gap)
-		}
-		if cur == int64(id) {
-			return records[recOff : recOff+length], scanned, nil
-		}
-		if cur > int64(id) {
-			break
+		ents = ents[w:]
+		if i == int(k%anchorStride) {
+			rec = records[recOff : recOff+length]
 		}
 		recOff += length
 	}
-	return nil, [2]int32{}, errNotListed
+	if len(ents) != 0 || recOff != recEnd {
+		return nil, [2]int32{}, errBadDirectory
+	}
+	return rec, scanned, nil
 }
 
 // cursor is a query's working set: the partitions it buffered (the paper's
@@ -261,9 +244,6 @@ func (c *cursor) begin(ix *Index, acct *pagefile.Stats) {
 // header and anchors. No directory entry and no vertex is decoded until
 // visited.
 func (c *cursor) loadPartition(pid int32) error {
-	if pid < 0 || int(pid) >= len(c.ix.partRefs) {
-		return fmt.Errorf("reachgraph: no partition %d", pid)
-	}
 	if c.loaded.Has(int(pid)) {
 		return nil
 	}
@@ -273,7 +253,7 @@ func (c *cursor) loadPartition(pid int32) error {
 	}
 	var pv partView
 	if err == nil {
-		pv, err = parsePartition(blob)
+		pv, err = parsePartition(blob, c.ix.first[pid+1]-c.ix.first[pid])
 	}
 	if err == nil {
 		err = pv.blob.Verify(int(pv.index), int(pv.entries), &c.checked)
@@ -286,31 +266,26 @@ func (c *cursor) loadPartition(pid int32) error {
 	return nil
 }
 
-// vertex returns the record of node id, which the referencing edge (or the
-// run directory) says lives in partition part: the partition is buffered on
-// first use, and the record taken from this query's own, else from the
-// index's shared table, else found through the partition's directory and
-// decoded, header and members only. Its pages are verified either way.
-// Edge sections wait for need.
-func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
+// vertex returns the record of node id: its partition is buffered on first
+// use, and the record taken from this query's own, else from the index's
+// shared table, else found through the partition's directory and decoded,
+// header and members only. Its pages are verified either way. Edge
+// sections wait for need.
+func (c *cursor) vertex(id dn.NodeID) (*vertexRec, error) {
 	if id < 0 || int(id) >= c.ix.numNodes {
 		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
 	}
+	part := c.ix.partOf(id)
 	if err := c.loadPartition(part); err != nil {
 		return nil, err
 	}
 	pv := &c.parts[part]
 	r, ok := c.verts.Get(int(id))
 	if !ok && c.shared != nil {
-		// A shared record of another partition is not thawed against this
-		// one's payload: the lookup below finds it unlisted here.
-		if s := c.shared.load(id); s != nil && s.part == part {
+		if s := c.shared.load(id); s != nil {
 			r, ok = &c.view, true
 			s.thaw(id, pv.blob.Bytes(), r)
 		}
-	}
-	if ok && r.part != part {
-		return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, errNotListed)
 	}
 	var raw []byte
 	var scanned [2]int32
@@ -323,7 +298,7 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 		}
 	} else {
 		var err error
-		if raw, scanned, err = pv.find(id, &c.checked); err != nil {
+		if raw, scanned, err = pv.find(int32(id)-c.ix.first[part], &c.checked); err != nil {
 			return nil, fmt.Errorf("reachgraph: vertex %d, partition %d: %w", id, part, err)
 		}
 	}
@@ -335,7 +310,7 @@ func (c *cursor) vertex(id dn.NodeID, part int32) (*vertexRec, error) {
 	}
 	if !ok {
 		r = c.own(id)
-		*r = diskRec{vertexRec: vertexRec{id: id}, part: part, raw: raw, scanned: scanned, known: 1}
+		*r = diskRec{vertexRec: vertexRec{id: id}, raw: raw, at: uint32(at), scanned: scanned, known: 1}
 		dec := pagefile.NewDecoder(raw)
 		decodeHeader(dec, c.ix.numObjects, &r.vertexRec, &c.arena)
 		if err := dec.Err(); err != nil {
@@ -401,13 +376,13 @@ func (c *cursor) decodeSection(r *diskRec, s int) error {
 		} else {
 			switch uint8(1) << s {
 			case secOut:
-				r.out = decodeEdges(dec, c.ix.numNodes, &c.arena)
+				r.out = decodeEdges(dec, r.id, c.ix.numNodes, &c.arena)
 			case secIn:
-				r.in = decodeEdges(dec, c.ix.numNodes, &c.arena)
+				r.in = decodeEdges(dec, r.id, c.ix.numNodes, &c.arena)
 			case secLongOut:
-				r.longOut = decodeLongs(dec, c.ix.numNodes, &c.arena)
+				r.longOut = decodeLongs(dec, r.id, c.ix.numNodes, &c.arena)
 			case secLongIn:
-				r.longIn = decodeLongs(dec, c.ix.numNodes, &c.arena)
+				r.longIn = decodeLongs(dec, r.id, c.ix.numNodes, &c.arena)
 			}
 		}
 		if err := dec.Err(); err != nil {
@@ -505,7 +480,7 @@ func (c *cursor) publish() {
 				continue
 			}
 			var o diskRec
-			old.thaw(id, c.parts[r.part].blob.Bytes(), &o)
+			old.thaw(id, c.parts[ix.partOf(id)].blob.Bytes(), &o)
 			r.merge(&o)
 		}
 		recs = append(recs, r)
@@ -513,7 +488,7 @@ func (c *cursor) publish() {
 	if len(recs) == 0 {
 		return
 	}
-	shared := freeze(recs, c.parts)
+	shared := freeze(recs)
 	for i, r := range recs {
 		t.store(r.id, &shared[i])
 	}

@@ -46,50 +46,55 @@ func withinBlob(blob, rec []byte) bool {
 	return cap(blob)-cap(rec)+len(rec) <= len(blob)
 }
 
-// wantEdges is what a decoded edge list must equal.
-func wantEdges(ids []dn.NodeID, partOf []int32) edgeList {
-	out := edgeList{nodes: ids, parts: make([]int32, len(ids))}
+// layout is the partitioning and numbering Build gives g at depth.
+func layout(g *dn.Graph, depth int) (numbering, [][]dn.NodeID) {
+	_, parts := partition(g, depth)
+	return number(len(g.Nodes), parts), parts
+}
+
+// wantEdges is what a decoded edge list must equal: the index IDs of the
+// graph's targets ids, in the graph's order.
+func wantEdges(ids []dn.NodeID, num []dn.NodeID) []dn.NodeID {
+	out := make([]dn.NodeID, len(ids))
 	for i, v := range ids {
-		out.parts[i] = partOf[v]
+		out[i] = num[v]
 	}
 	return out
 }
 
-func wantLongs(g *dn.Graph, partOf []int32, edgesOf func(L int) []dn.NodeID) []levelEdges {
+func wantLongs(g *dn.Graph, num []dn.NodeID, edgesOf func(L int) []dn.NodeID) []levelEdges {
 	var out []levelEdges
 	for _, L := range g.Resolutions {
 		if es := edgesOf(L); len(es) > 0 {
-			out = append(out, levelEdges{level: L, edges: wantEdges(es, partOf)})
+			out = append(out, levelEdges{level: L, edges: wantEdges(es, num)})
 		}
 	}
 	return out
 }
 
-// graphRecord is the record of vertex id as g holds it.
-func graphRecord(g *dn.Graph, partOf []int32, id dn.NodeID) *vertexRec {
+// graphRecord is the record of graph vertex id as g holds it, under the
+// index numbering num.
+func graphRecord(g *dn.Graph, num []dn.NodeID, id dn.NodeID) *vertexRec {
 	nd := &g.Nodes[id]
 	return &vertexRec{
-		id: id, start: nd.Start, end: nd.End, members: g.Members(id),
-		out: wantEdges(g.Out(id), partOf), in: wantEdges(g.In(id), partOf),
-		longOut: wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
-		longIn:  wantLongs(g, partOf, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
+		id: num[id], start: nd.Start, end: nd.End, members: g.Members(id),
+		out: wantEdges(g.Out(id), num), in: wantEdges(g.In(id), num),
+		longOut: wantLongs(g, num, func(L int) []dn.NodeID { return g.LongOut(id, L) }),
+		longIn:  wantLongs(g, num, func(L int) []dn.NodeID { return g.LongIn(id, L) }),
 	}
 }
 
 // sameRecord compares the decoded content of two records; empty and nil
 // lists are the same list.
 func sameRecord(a, b *vertexRec) bool {
-	sameEdges := func(x, y edgeList) bool {
-		return slices.Equal(x.nodes, y.nodes) && slices.Equal(x.parts, y.parts)
-	}
 	sameLongs := func(x, y []levelEdges) bool {
 		return slices.EqualFunc(x, y, func(p, q levelEdges) bool {
-			return p.level == q.level && sameEdges(p.edges, q.edges)
+			return p.level == q.level && slices.Equal(p.edges, q.edges)
 		})
 	}
 	return a.id == b.id && a.start == b.start && a.end == b.end &&
 		slices.Equal(a.members, b.members) &&
-		sameEdges(a.out, b.out) && sameEdges(a.in, b.in) &&
+		slices.Equal(a.out, b.out) && slices.Equal(a.in, b.in) &&
 		sameLongs(a.longOut, b.longOut) && sameLongs(a.longIn, b.longIn)
 }
 
@@ -108,13 +113,11 @@ func permutations(n int) [][]int {
 }
 
 // TestDirectoryAndLazyRecords is the property test of the disk read path,
-// on built indexes: every vertex is found through its own
-// partition at exactly the bytes Build encoded for it; ids the partition
-// does not hold — below its first, between neighbours, above its last —
-// are reported missing, never answered with a neighbour's record; a lookup
-// through the wrong partition is an error; and decoding the four edge
-// sections lazily, in every order, yields the record one eager decode
-// does, which is the graph's.
+// on built indexes: every vertex is found through its own partition, at
+// its position, at exactly the bytes Build encoded for it, the records
+// tiling the record area in ID order; and decoding the four edge sections
+// lazily, in every order, yields the record one eager decode does, which
+// is the graph's.
 func TestDirectoryAndLazyRecords(t *testing.T) {
 	orders := permutations(numSections)
 	sizes := map[int]bool{}
@@ -126,11 +129,10 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partOf, parts := partition(g, depth)
+		num, parts := layout(g, depth)
 		enc := pagefile.NewEncoder(256)
 		for pid, members := range parts {
 			sizes[len(members)] = true
-			slices.Sort(members)
 			sc := ix.begin(nil)
 			c := &sc.cur
 			if err := c.loadPartition(int32(pid)); err != nil {
@@ -145,12 +147,15 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			recOff := 0
-			for i, id := range members {
+			for k, id := range members {
+				if num.of[id] != dn.NodeID(ix.first[pid]+int32(k)) {
+					t.Fatalf("depth %d: vertex %d is record %d of partition %d but numbered %d", depth, id, k, pid, num.of[id])
+				}
 				enc.Reset()
-				encodeVertex(enc, g, id, partOf)
-				rec, _, err := pv.find(id, &c.checked)
+				encodeVertex(enc, g, id, num.of)
+				rec, _, err := pv.find(int32(k), &c.checked)
 				if err != nil {
-					t.Fatalf("depth %d: vertex %d in partition %d of %d: %v", depth, id, pid, len(members), err)
+					t.Fatalf("depth %d: record %d of partition %d of %d: %v", depth, k, pid, len(members), err)
 				}
 				if !bytes.Equal(rec, enc.Bytes()) || !withinBlob(blob, rec) {
 					t.Fatalf("depth %d: vertex %d: directory leads to other bytes than Build encoded", depth, id)
@@ -159,20 +164,6 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 					t.Fatalf("depth %d: vertex %d: record at offset %d of the record area, want %d", depth, id, at, recOff)
 				}
 				recOff += len(rec)
-
-				// The ids around this one that the partition does not hold.
-				absent := []dn.NodeID{id - 1, id + 1}
-				if i > 0 && members[i-1] == id-1 {
-					absent = absent[1:]
-				}
-				if i+1 < len(members) && members[i+1] == id+1 {
-					absent = absent[:len(absent)-1]
-				}
-				for _, a := range absent {
-					if rec, _, err := pv.find(a, &c.checked); err != errNotListed || rec != nil {
-						t.Fatalf("depth %d: partition %d answers for vertex %d, which it does not hold: %v", depth, pid, a, err)
-					}
-				}
 			}
 			if recOff != len(blob)-int(pv.records) {
 				t.Fatalf("depth %d: partition %d: records cover %d of %d bytes", depth, pid, recOff, len(blob)-int(pv.records))
@@ -180,11 +171,11 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 			ix.pool.Put(sc)
 		}
 
-		for id := range g.Nodes {
-			id := dn.NodeID(id)
-			want := graphRecord(g, partOf, id)
+		for gid := range g.Nodes {
+			want := graphRecord(g, num.of, dn.NodeID(gid))
+			id := want.id
 			sc := ix.begin(nil)
-			eager, err := sc.cur.vertex(id, partOf[id])
+			eager, err := sc.cur.vertex(id)
 			if err == nil {
 				eager, err = sc.cur.need(eager, secOut|secIn|secLongOut|secLongIn)
 			}
@@ -198,7 +189,7 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 			// live so the comparison reads two independent arenas.
 			for _, order := range orders {
 				lazy := ix.begin(nil)
-				v, err := lazy.cur.vertex(id, partOf[id])
+				v, err := lazy.cur.vertex(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,21 +202,6 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 					t.Fatalf("depth %d: vertex %d decoded in order %v differs from the eager decode", depth, id, order)
 				}
 				ix.pool.Put(lazy)
-			}
-			ix.pool.Put(sc)
-
-			// Asked through another partition the vertex is an error,
-			// and the failed lookup leaves nothing behind.
-			if len(parts) == 1 {
-				continue
-			}
-			wrong := (partOf[id] + 1) % int32(len(parts))
-			sc = ix.begin(nil)
-			if v, err := sc.cur.vertex(id, wrong); !errors.Is(err, errNotListed) || v != nil {
-				t.Fatalf("depth %d: vertex %d through partition %d (its own is %d): got %v, %v", depth, id, wrong, partOf[id], v, err)
-			}
-			if _, ok := sc.cur.verts.Get(int(id)); ok {
-				t.Fatalf("failed lookup of vertex %d registered a record", id)
 			}
 			ix.pool.Put(sc)
 		}
@@ -241,14 +217,16 @@ func TestDirectoryAndLazyRecords(t *testing.T) {
 }
 
 // blobIndex is an index whose partitions are the given blobs, written as
-// they are (with a valid checksum): the way forged and fuzzed partitions
-// reach the read path.
-func blobIndex(numNodes, numObjects int, blobs ...[]byte) *Index {
+// they are (with a valid checksum), holding the vertex ranges that first
+// delimits: the way forged and fuzzed partitions reach the read path.
+func blobIndex(first []int32, numObjects int, blobs ...[]byte) *Index {
 	ix := &Index{
 		store:      pagefile.NewStore(nil, -1),
-		numNodes:   numNodes,
+		numNodes:   int(first[len(first)-1]),
 		numObjects: numObjects,
 		numTicks:   1,
+		first:      first,
+		bucket:     buckets(first),
 		pool:       newScratchPool(),
 	}
 	for _, b := range blobs {
@@ -257,11 +235,10 @@ func blobIndex(numNodes, numObjects int, blobs ...[]byte) *Index {
 	return ix
 }
 
-// onePartition forges the blob of a partition holding the single vertex id
+// onePartition forges the blob of a partition holding a single vertex
 // with the given record bytes.
-func onePartition(id dn.NodeID, rec []byte) []byte {
+func onePartition(rec []byte) []byte {
 	entry := pagefile.NewEncoder(8)
-	entry.Uvarint(uint64(id))
 	entry.Uvarint(uint64(len(rec)))
 	enc := pagefile.NewEncoder(64)
 	enc.Format()
@@ -280,10 +257,10 @@ func onePartition(id dn.NodeID, rec []byte) []byte {
 // counts and for the smallest count that cannot fit.
 func TestForgedCountsReserveNothing(t *testing.T) {
 	const body = 96 // zero bytes behind the forged count: valid deltas, if read
-	// Bytes of the smallest member, edge (node + partition) and level
+	// Bytes of the smallest member, edge (one target delta) and level
 	// (resolution + empty list) — spelled out, not taken from the
 	// decoder's constants, which are what is under test.
-	const minMember, minEdge, minLevel = 1, 2, 2
+	const minMember, minEdge, minLevel = 1, 1, 2
 	cases := []struct {
 		section int    // -1: the member posting, which vertex itself decodes
 		what    string // the element the error names
@@ -308,9 +285,9 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 			enc.Uvarint(forged)
 			enc.Raw(make([]byte, body))
 
-			ix := blobIndex(8, 8, onePartition(5, enc.Bytes()))
+			ix := blobIndex([]int32{0, 1}, 8, onePartition(enc.Bytes()))
 			sc := ix.begin(nil)
-			v, err := sc.cur.vertex(5, 0)
+			v, err := sc.cur.vertex(0)
 			if err == nil && tc.section >= 0 {
 				_, err = sc.cur.need(v, 1<<tc.section)
 			}
@@ -318,7 +295,7 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 				t.Errorf("section %d: %s count %d over %d bytes: err = %v, want an implausible-count error", tc.section, tc.what, forged, body, err)
 			}
 			a := &sc.cur.arena
-			if n := a.members.Cap() + a.nodes.Cap() + a.parts.Cap() + a.levels.Cap(); n != 0 {
+			if n := a.members.Cap() + a.nodes.Cap() + a.levels.Cap(); n != 0 {
 				t.Errorf("section %d: %s count %d: the failed decode reserved %d slab elements", tc.section, tc.what, forged, n)
 			}
 			ix.pool.Put(sc)
@@ -337,8 +314,7 @@ func TestForgedCountsReserveNothing(t *testing.T) {
 // fills one.
 func TestIndexSharesRecordsWhileResident(t *testing.T) {
 	f := newFixture(t, 30, 200, 17)
-	partOf, parts := partition(f.g, 32)
-	if len(parts) < 3 {
+	if _, parts := partition(f.g, 32); len(parts) < 3 {
 		t.Fatalf("fixture has %d partitions, the test wants a few", len(parts))
 	}
 	all := secOut | secIn | secLongOut | secLongIn
@@ -357,7 +333,7 @@ func TestIndexSharesRecordsWhileResident(t *testing.T) {
 		c.begin(ix, &acct)
 		p := pass{recs: make([]vertexRec, len(f.g.Nodes))}
 		for id := range f.g.Nodes {
-			v, err := c.vertex(dn.NodeID(id), partOf[id])
+			v, err := c.vertex(dn.NodeID(id))
 			if err == nil {
 				v, err = c.need(v, want)
 			}
@@ -410,11 +386,12 @@ func TestIndexSharesRecordsWhileResident(t *testing.T) {
 		t.Helper()
 		c := &cursor{}
 		c.begin(ix, nil)
-		if err := c.loadPartition(s.part); err != nil {
+		part := ix.partOf(dn.NodeID(id))
+		if err := c.loadPartition(part); err != nil {
 			t.Fatal(err)
 		}
 		var r diskRec
-		s.thaw(dn.NodeID(id), c.parts[s.part].blob.Bytes(), &r)
+		s.thaw(dn.NodeID(id), c.parts[part].blob.Bytes(), &r)
 		return r.vertexRec
 	}
 
@@ -446,7 +423,7 @@ func TestIndexSharesRecordsWhileResident(t *testing.T) {
 				t.Fatalf("vertex %d was published again", id)
 			}
 			if &v.members[0] != &s.lists.members[s.members.lo] ||
-				len(v.out.nodes) > 0 && &v.out.nodes[0] != &s.lists.nodes[s.out.lo] {
+				len(v.out) > 0 && &v.out[0] != &s.lists.nodes[s.out.lo] {
 				t.Fatalf("vertex %d: the query read a copy, not the shared record", id)
 			}
 			if !sameRecord(&v, &first.recs[id]) {
@@ -483,25 +460,18 @@ func TestIndexSharesRecordsWhileResident(t *testing.T) {
 		t.Fatalf("the completed records were not published: %d decoded again", p.decoded)
 	}
 
-	// A shared record answers only through its own partition.
-	c := &cursor{}
-	c.begin(ix, nil)
-	wrong := (partOf[0] + 1) % int32(len(parts))
-	if v, err := c.vertex(0, wrong); !errors.Is(err, errNotListed) || v != nil {
-		t.Fatalf("shared vertex 0 through partition %d (its own is %d): got %v, %v", wrong, partOf[0], v, err)
-	}
-
 	// Damage under a query that holds the table: the shared record is
 	// verified like a fresh one, so the query fails. The table is retired.
+	c := &cursor{}
 	c.begin(ix, nil)
 	if c.shared == nil {
 		t.Fatal("a query on a resident index began without the shared table")
 	}
-	ref := ix.partRefs[partOf[0]]
+	ref := ix.partRefs[ix.partOf(0)]
 	if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.vertex(0, partOf[0]); !errors.Is(err, pagefile.ErrCorruptBlob) {
+	if _, err := c.vertex(0); !errors.Is(err, pagefile.ErrCorruptBlob) {
 		t.Fatalf("shared vertex of a damaged partition: err = %v, want ErrCorruptBlob", err)
 	}
 	if err := ix.store.CorruptPage(ref.Page, int(ref.Off)+9); err != nil { // repair
@@ -517,7 +487,7 @@ func TestIndexSharesRecordsWhileResident(t *testing.T) {
 	ix.DropCache()
 	fails := &cursor{}
 	fails.begin(ix, nil)
-	if _, err := fails.vertex(0, partOf[0]); err != nil {
+	if _, err := fails.vertex(0); err != nil {
 		t.Fatal(err)
 	}
 	fails.end(errors.New("the query failed"))

@@ -44,24 +44,24 @@ func TestCorruptedPartitionSurfacesError(t *testing.T) {
 	// A partition under the version byte of the layout this one replaced,
 	// checksum valid, is refused at its header by an error naming the
 	// version: nothing behind the byte is decoded.
-	old := blobIndex(len(f.g.Nodes), f.g.NumObjects, oldVersionPartition(t, f.g))
+	old := blobIndex([]int32{0, int32(len(f.g.Nodes))}, f.g.NumObjects, oldVersionPartition(t, f.g))
 	sc := old.begin(nil)
 	defer old.pool.Put(sc)
-	if err := sc.cur.loadPartition(0); err == nil || !strings.Contains(err.Error(), "version 1,") {
-		t.Fatalf("version-1 partition: err = %v, want one naming version 1", err)
+	if err := sc.cur.loadPartition(0); err == nil || !strings.Contains(err.Error(), "version 3,") {
+		t.Fatalf("version-3 partition: err = %v, want one naming version 3", err)
 	}
 }
 
-// oldVersionBlob is a copy of blob under version byte 1, that of an earlier
-// layout.
+// oldVersionBlob is a copy of blob under version byte 3, that of the layout
+// this one replaced.
 func oldVersionBlob(blob []byte) []byte {
 	old := append([]byte(nil), blob...)
-	old[0] = 1
+	old[0] = 3
 	return old
 }
 
 // oldVersionPartition is the first partition of g's index under version
-// byte 1.
+// byte 3.
 func oldVersionPartition(tb testing.TB, g *dn.Graph) []byte {
 	tb.Helper()
 	ix, err := Build(g, Params{})
@@ -92,7 +92,7 @@ func TestTruncatedDirectoryFails(t *testing.T) {
 	}
 	var sawErr bool
 	for o := 0; o < 20 && !sawErr; o++ {
-		if _, _, err := ix.findVertex(trajectory.ObjectID(o), 50, nil); err != nil {
+		if _, err := ix.findVertex(trajectory.ObjectID(o), 50, nil); err != nil {
 			if !errors.Is(err, pagefile.ErrCorruptBlob) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
@@ -103,15 +103,15 @@ func TestTruncatedDirectoryFails(t *testing.T) {
 		t.Fatal("no directory lookup surfaced the corruption")
 	}
 
-	// A run directory under version byte 1, checksum valid: an error naming
+	// A run directory under version byte 3, checksum valid: an error naming
 	// the version, not a lookup.
 	blob, err := pagefile.Whole(ix.store.ReadBlob(ix.dirRefs[1], nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.dirRefs[1] = ix.store.AppendBlob(oldVersionBlob(blob))
-	if v, _, err := ix.findVertex(1, 50, nil); err == nil || !strings.Contains(err.Error(), "version 1,") {
-		t.Fatalf("version-1 run directory: vertex %d, err = %v; want an error naming version 1", v, err)
+	if v, err := ix.findVertex(1, 50, nil); err == nil || !strings.Contains(err.Error(), "version 3,") {
+		t.Fatalf("version-3 run directory: vertex %d, err = %v; want an error naming version 3", v, err)
 	}
 }
 
@@ -139,10 +139,10 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 		}
 	}
 	lookup := func(o int) error {
-		_, _, err := ix.findVertex(trajectory.ObjectID(o), 50, nil)
+		_, err := ix.findVertex(trajectory.ObjectID(o), 50, nil)
 		return err
 	}
-	partOf, parts := partition(f.g, ix.params.PartitionDepth)
+	num, parts := layout(f.g, ix.params.PartitionDepth)
 	// failing reads every vertex of partition pid in one query, all its
 	// sections decoded, and returns those whose lookup met the damage.
 	failing := func(pid int) map[dn.NodeID]bool {
@@ -150,8 +150,9 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 		sc := ix.begin(nil)
 		defer ix.pool.Put(sc)
 		failed := map[dn.NodeID]bool{}
-		for _, id := range parts[pid] {
-			v, err := sc.cur.vertex(id, int32(pid))
+		for _, gid := range parts[pid] {
+			id := num.of[gid]
+			v, err := sc.cur.vertex(id)
 			if err == nil {
 				v, err = sc.cur.need(v, secOut|secIn|secLongOut|secLongIn)
 			}
@@ -160,7 +161,7 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 				failed[id] = true
 			case err != nil:
 				t.Fatalf("vertex %d: unexpected error type: %v", id, err)
-			case !sameRecord(v, graphRecord(f.g, partOf, id)):
+			case !sameRecord(v, graphRecord(f.g, num.of, gid)):
 				t.Fatalf("vertex %d decoded from a damaged partition differs from the graph's", id)
 			}
 		}
@@ -215,11 +216,12 @@ func TestCorruptionConfinedToItsBlob(t *testing.T) {
 	if err := sc.cur.loadPartition(int32(pid)); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range parts[pid] {
-		rec, _, err := sc.cur.parts[pid].find(id, &sc.cur.checked)
+	for k, gid := range parts[pid] {
+		rec, _, err := sc.cur.parts[pid].find(int32(k), &sc.cur.checked)
 		if err != nil {
 			t.Fatal(err)
 		}
+		id := num.of[gid]
 		// A view of the extent: its capacity runs to the extent's last page.
 		at := (int(ref.Bytes)+pagefile.PageSize-1)/pagefile.PageSize*pagefile.PageSize - cap(rec)
 		records = append(records, span{id, at, at + len(rec)})

@@ -1,7 +1,6 @@
 package reachgraph
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"streach/internal/dn"
@@ -9,15 +8,19 @@ import (
 )
 
 // FuzzPartitionBlob feeds arbitrary bytes to the disk read path as a
-// partition blob. The bytes go through AppendBlob, so their checksum is
-// valid and everything behind it has to hold on its own: buffering the
-// partition, looking up ids (those the bytes themselves seem to name and
-// arbitrary ones) and decoding every section of whatever is found, in an
-// order the input picks, may return errors and nothing else — no panic, no
-// record reaching past the blob into its extent neighbour, no slab growing
-// past what the blob's size can account for. The seeds are real partitions
-// — a mobility fixture's, and the toggle graph's at depth 9, whose sizes
-// sit around an anchor boundary — and one of them again under the version
+// partition blob, under a catalogue that gives it the vertices [lo, lo+n)
+// of an index whose other two ranges, below and above, hold the same
+// bytes. The bytes go through AppendBlob, so their checksum is valid and
+// everything behind it has to hold on its own: buffering the partition,
+// looking up its records by position and vertices by ID (the partition's
+// own and an arbitrary one), and decoding every section of whatever is
+// found, in an order the input picks, may return errors and nothing else —
+// no panic, no record reaching past the blob into its extent neighbour, no
+// slab growing past what the blob's size can account for. The seeds are
+// real layout-4 partitions under their own ranges — a mobility fixture's,
+// and the toggle graph's at depth 9, whose sizes sit around an anchor
+// boundary (1, 15, 16 and 17 records) — the latter again under a range one
+// short, one over and one group over, and one partition under the version
 // byte of the layout this one replaced, which the header refuses.
 func FuzzPartitionBlob(f *testing.F) {
 	fx, toggle := newFixture(f, 12, 60, 5), toggleGraph()
@@ -30,41 +33,46 @@ func FuzzPartitionBlob(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, ref := range ix.partRefs {
+		for p, ref := range ix.partRefs {
 			blob, err := pagefile.Whole(ix.store.ReadBlob(ref, nil))
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(blob, uint32(0))
+			lo, n := uint32(ix.first[p]), uint32(ix.first[p+1]-ix.first[p])
+			f.Add(blob, lo, n, uint32(0))
+			if seed.g == toggle && n >= anchorStride-1 && n <= anchorStride+1 {
+				for _, wrong := range []uint32{n - 1, n + 1, n + anchorStride} {
+					f.Add(blob, lo, wrong, uint32(n))
+				}
+			}
 		}
 	}
-	f.Add(oldVersionPartition(f, fx.g), uint32(0))
+	f.Add(oldVersionPartition(f, fx.g), uint32(0), uint32(1), uint32(0))
 
-	f.Fuzz(func(t *testing.T, data []byte, pick uint32) {
-		ix := blobIndex(numNodes, numObjects, data)
-		blob, err := pagefile.Whole(ix.store.ReadBlob(ix.partRefs[0], nil))
+	f.Fuzz(func(t *testing.T, data []byte, lo, n, pick uint32) {
+		lo %= uint32(numNodes)
+		n = min(n, uint32(numNodes)-lo)
+		ix := blobIndex([]int32{0, int32(lo), int32(lo + n), int32(numNodes)}, numObjects, data, data, data)
+		blob, err := pagefile.Whole(ix.store.ReadBlob(ix.partRefs[1], nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc := ix.begin(nil)
 		defer ix.pool.Put(sc)
 		c := &sc.cur
-		if c.loadPartition(0) != nil {
+		if c.loadPartition(1) != nil {
 			return
 		}
-		// Ids to ask for: pick, and every 32-bit word of the blob — where the
-		// anchors keep theirs.
+		// Vertices to ask for: pick, and the partition's first 64.
 		ids := []dn.NodeID{dn.NodeID(pick % uint32(numNodes))}
-		for off := 0; off+4 <= len(data) && len(ids) < 64; off++ {
-			if id := binary.LittleEndian.Uint32(data[off:]); id < uint32(numNodes) {
-				ids = append(ids, dn.NodeID(id))
+		for k := uint32(0); k < min(n, 64); k++ {
+			if rec, _, err := c.parts[1].find(int32(k), &c.checked); err == nil && !withinBlob(blob, rec) {
+				t.Fatalf("record %d: %d bytes run past the %d-byte blob", k, len(rec), len(blob))
 			}
+			ids = append(ids, dn.NodeID(lo+k))
 		}
 		for i, id := range ids {
-			if rec, _, err := c.parts[0].find(id, &c.checked); err == nil && !withinBlob(blob, rec) {
-				t.Fatalf("vertex %d: record of %d bytes runs past the %d-byte blob", id, len(rec), len(blob))
-			}
-			v, err := c.vertex(id, 0)
+			v, err := c.vertex(id)
 			if err != nil {
 				continue
 			}
@@ -84,11 +92,8 @@ func FuzzPartitionBlob(f *testing.F) {
 					t.Fatalf("vertex %d: member %d outside [0, %d)", id, m, numObjects)
 				}
 			}
-			for _, es := range []edgeList{v.out, v.in} {
-				if len(es.parts) != len(es.nodes) {
-					t.Fatalf("vertex %d: %d edges, %d partition hints", id, len(es.nodes), len(es.parts))
-				}
-				for _, n := range es.nodes {
+			for _, es := range [][]dn.NodeID{v.out, v.in} {
+				for _, n := range es {
 					if n < 0 || int(n) >= numNodes {
 						t.Fatalf("vertex %d: edge target %d outside [0, %d)", id, n, numNodes)
 					}
@@ -96,12 +101,8 @@ func FuzzPartitionBlob(f *testing.F) {
 			}
 		}
 		// Every element costs at least a byte of some record, and a record
-		// is decoded at most once per id asked. Partition hints grow in step
-		// with the neighbours they belong to.
+		// is decoded at most once per id asked.
 		a := &c.arena
-		if a.parts.Cap() != a.nodes.Cap() {
-			t.Fatalf("slabs hold %d neighbours but %d partition hints", a.nodes.Cap(), a.parts.Cap())
-		}
 		if got, bound := a.members.Cap()+a.nodes.Cap()+a.levels.Cap(), 3*2*max(64, len(ids)*len(data)); got > bound {
 			t.Fatalf("slabs hold %d elements for a %d-byte blob and %d lookups", got, len(data), len(ids))
 		}

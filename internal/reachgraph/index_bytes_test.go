@@ -28,8 +28,10 @@ func indexDigest(t testing.TB, ix *Index) uint64 {
 // computed and held in memory is free to change; what lands on the pages is
 // not, so every page count and every answer of the disk index is fixed
 // with it. The constants were recorded by this test body at the commit
-// whose long edges were still composed over maps on a mirrored graph, and
-// re-recorded when run directories gained their anchors (layout version 3).
+// whose long edges were still composed over maps on a mirrored graph,
+// re-recorded when run directories gained their anchors (layout version 3),
+// and again when vertices were numbered partition by partition and the
+// partition fields left the layout (version 4).
 func TestIndexBytesUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		name                 string
@@ -39,8 +41,8 @@ func TestIndexBytesUnchanged(t *testing.T) {
 		digest               uint64
 	}{
 		// TestSweepCountsUnchanged's fixture and pool.
-		{"sweep-fixture", 60, 400, 16, Params{PoolPages: 16}, 105, 60, 0x576b79b510b17045},
-		{"rwp-200x600", 200, 600, 5, Params{}, 976, 200, 0xf64269a4f1720241},
+		{"sweep-fixture", 60, 400, 16, Params{PoolPages: 16}, 105, 60, 0xd4800e46d918cc90},
+		{"rwp-200x600", 200, 600, 5, Params{}, 976, 200, 0x64348b9dd592ec8f},
 	} {
 		f := newFixture(t, c.objects, c.ticks, int64(c.seed))
 		ix, err := Build(f.g, c.params)

@@ -56,9 +56,8 @@ type memAccess struct {
 	rec vertexRec
 }
 
-// vertex points the record at node id: header fields only. Partition hints
-// are meaningless in memory and ignored.
-func (a *memAccess) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
+// vertex points the record at node id: header fields only.
+func (a *memAccess) vertex(id dn.NodeID) (*vertexRec, error) {
 	g := a.m.g
 	if id < 0 || int(id) >= len(g.Nodes) {
 		return nil, fmt.Errorf("reachgraph: no vertex %d", id)
@@ -72,16 +71,16 @@ func (a *memAccess) vertex(id dn.NodeID, _ int32) (*vertexRec, error) {
 func (a *memAccess) need(v *vertexRec, want uint8) (*vertexRec, error) {
 	g, id := a.m.g, v.id
 	if want&secOut != 0 {
-		v.out = edgeList{nodes: g.Out(id)}
+		v.out = g.Out(id)
 	}
 	if want&secIn != 0 {
-		v.in = edgeList{nodes: g.In(id)}
+		v.in = g.In(id)
 	}
 	if want&secLongOut != 0 {
 		v.longOut = v.longOut[:0]
 		for _, L := range a.m.resolutions {
 			if ts := g.LongOut(id, L); len(ts) > 0 {
-				v.longOut = append(v.longOut, levelEdges{level: L, edges: edgeList{nodes: ts}})
+				v.longOut = append(v.longOut, levelEdges{level: L, edges: ts})
 			}
 		}
 	}
@@ -89,7 +88,7 @@ func (a *memAccess) need(v *vertexRec, want uint8) (*vertexRec, error) {
 		v.longIn = v.longIn[:0]
 		for _, L := range a.m.resolutions {
 			if ss := g.LongIn(id, L); len(ss) > 0 {
-				v.longIn = append(v.longIn, levelEdges{level: L, edges: edgeList{nodes: ss}})
+				v.longIn = append(v.longIn, levelEdges{level: L, edges: ss})
 			}
 		}
 	}
@@ -98,12 +97,12 @@ func (a *memAccess) need(v *vertexRec, want uint8) (*vertexRec, error) {
 
 // locate maps object o to its run at tick t; an object without one has
 // dn.Invalid there.
-func (a *memAccess) locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error) {
+func (a *memAccess) locate(o trajectory.ObjectID, t trajectory.Tick) (dn.NodeID, error) {
 	g := a.m.g
 	if int(o) < 0 || int(o) >= g.NumObjects {
-		return entry{dn.Invalid, -1}, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, g.NumObjects)
+		return dn.Invalid, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, g.NumObjects)
 	}
-	return entry{g.NodeOf(o, t), -1}, nil
+	return g.NodeOf(o, t), nil
 }
 
 // clampInterval intersects iv with the graph's time domain.

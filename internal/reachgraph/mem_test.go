@@ -10,7 +10,7 @@ import (
 // TestMemRecordsAliasGraph pins that the memory index keeps one copy of the
 // graph, the graph: for every node, the record Mem hands the traversal has
 // members, out and in edges and per-level long edges whose backing arrays
-// are the graph's own, and no partition hints.
+// are the graph's own.
 func TestMemRecordsAliasGraph(t *testing.T) {
 	f := newFixture(t, 40, 300, 22)
 	m, err := NewMem(f.g, []int{2, 4, 8, 16, 32})
@@ -24,7 +24,7 @@ func TestMemRecordsAliasGraph(t *testing.T) {
 	for id := range f.g.Nodes {
 		id := dn.NodeID(id)
 		nd := &f.g.Nodes[id]
-		v, err := ga.vertex(id, -1)
+		v, err := ga.vertex(id)
 		if err == nil {
 			v, err = ga.need(v, secOut|secIn|secLongOut|secLongIn)
 		}
@@ -37,12 +37,9 @@ func TestMemRecordsAliasGraph(t *testing.T) {
 		if members := f.g.Members(id); len(v.members) != len(members) || unsafe.SliceData(v.members) != unsafe.SliceData(members) {
 			t.Fatalf("vertex %d: members are not the graph's", id)
 		}
-		aliased := func(what string, got edgeList, want []dn.NodeID) {
+		aliased := func(what string, got, want []dn.NodeID) {
 			t.Helper()
-			if len(got.parts) != 0 {
-				t.Fatalf("vertex %d: %s edges carry %d partition hints", id, what, len(got.parts))
-			}
-			if len(got.nodes) != len(want) || len(want) > 0 && unsafe.SliceData(got.nodes) != unsafe.SliceData(want) {
+			if len(got) != len(want) || len(want) > 0 && unsafe.SliceData(got) != unsafe.SliceData(want) {
 				t.Fatalf("vertex %d: %s edges are not the graph's", id, what)
 			}
 		}

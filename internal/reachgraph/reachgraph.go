@@ -9,22 +9,27 @@
 // absorbs the unassigned vertices within DN1-distance PartitionDepth of it
 // (long edges are ignored while partitioning, preserving temporal locality).
 // Each partition is serialized onto consecutive pages, in generation order.
-// Vertex records embed the partition ID of every referenced neighbour, so a
-// traversal never needs a global vertex→partition map: the only in-memory
-// state is the partition catalogue (one BlobRef per partition), mirroring
-// the paper's in-memory hash table of Ht locations. A per-object run
-// directory on disk implements FindVertex — locating the vertex of object o
-// at instant t — as one blob read and a search in place (runs.go): the
-// directory lists the object's runs by ascending end, each group of 32
-// closed by a fixed-width anchor, so a lookup binary-searches the anchors
-// and decodes one group of at most 32 entries, however many runs the
-// object has.
+// The index numbers the vertices afresh, partition by partition in that
+// order and each partition's members by ascending graph ID, so a partition
+// is one contiguous range of IDs and a vertex's partition is a function of
+// its ID: an edge stores its target's ID alone, and a traversal never needs
+// a per-vertex map. The only in-memory state is the partition catalogue —
+// one BlobRef and the first ID of each partition, plus the partition of
+// every 16th ID, so that finding a vertex's partition scans at most 16
+// range starts (partOf) — mirroring the paper's in-memory hash table of Ht
+// locations. A per-object run directory on disk implements FindVertex —
+// locating the vertex of object o at instant t — as one blob read and a
+// search in place (runs.go): the directory lists the object's runs by
+// ascending end, each group of 32 closed by a fixed-width anchor, so a
+// lookup binary-searches the anchors and decodes one group of at most 32
+// entries, however many runs the object has.
 //
 // A traversal pays for the vertices it visits, not for the partitions it
-// buffers. A partition blob opens with a directory sorted by vertex id and
-// searchable where it lies (directory.go), so buffering a partition is one
-// blob read and a header check, and finding a vertex in it a binary search.
-// The records carry no id of their own — the directory names them — and
+// buffers. A partition blob opens with a positional directory, searchable
+// where it lies (directory.go): the k-th record is that of the partition's
+// k-th ID, so buffering a partition is one blob read and a header check,
+// and finding a vertex in it one anchor and at most 16 record lengths.
+// The records carry no id of their own — their position names them — and
 // are decoded lazily (record.go): header and members on the first visit,
 // each of the four edge sections only when a traversal's direction asks
 // for it, all into an arena that lives for one query. Decoded records
@@ -114,7 +119,12 @@ type Index struct {
 	numTicks   int
 	numNodes   int
 
-	partRefs []pagefile.BlobRef // partition catalogue (in memory, as in §5.1.3)
+	// The partition catalogue (in memory, as in §5.1.3): partition p's blob
+	// is partRefs[p] and holds the vertices [first[p], first[p+1]); the
+	// partition of vertex i·bucketIDs is bucket[i].
+	partRefs []pagefile.BlobRef
+	first    []int32
+	bucket   []int32
 	dirRefs  []pagefile.BlobRef // per-object run directory blobs
 
 	pool *visit.Pool[scratch] // per-query traversal scratch
@@ -156,7 +166,9 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 		pool:       newScratchPool(),
 	}
 
-	partOf, parts := partition(g, params.PartitionDepth)
+	_, parts := partition(g, params.PartitionDepth)
+	num := number(len(g.Nodes), parts)
+	ix.first, ix.bucket = num.first, buckets(num.first)
 
 	// Blocks of partitions in generation order, then blocks of objects'
 	// run directories (runs.go): each block encodes its blobs into one
@@ -190,12 +202,12 @@ func build(g *dn.Graph, params Params, workers int) (*Index, error) {
 		blk.data, blk.ends = blk.data[:0], blk.ends[:0]
 		if i < numPartBlocks {
 			for _, members := range parts[partBlocks[i]:partBlocks[i+1]] {
-				blk.add(bw.parts.encode(g, members, partOf))
+				blk.add(bw.parts.encode(g, members, num.of))
 			}
 		} else {
 			k := i - numPartBlocks
 			for o := k * g.NumObjects / dirBlocks; o < (k+1)*g.NumObjects/dirBlocks; o++ {
-				blk.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), partOf))
+				blk.add(bw.runs.encode(g, g.RunsOf(trajectory.ObjectID(o)), num.of))
 			}
 		}
 		encoded[i] = blk
@@ -274,6 +286,62 @@ func partition(g *dn.Graph, depth int) (partOf []int32, parts [][]dn.NodeID) {
 	return partOf, parts
 }
 
+// numbering is the disk index's own vertex numbering: partition by
+// partition in generation order, each partition's members in ascending
+// graph ID, so that partition p holds the index IDs [first[p], first[p+1]).
+type numbering struct {
+	first []int32     // one per partition, then the number of vertices
+	of    []dn.NodeID // graph ID → index ID; a build-time table only
+}
+
+// number sorts the member lists of parts, which cover the n vertices of a
+// graph, and numbers the vertices in that order.
+func number(n int, parts [][]dn.NodeID) numbering {
+	num := numbering{first: make([]int32, 0, len(parts)+1), of: make([]dn.NodeID, n)}
+	next := dn.NodeID(0)
+	for _, members := range parts {
+		num.first = append(num.first, int32(next))
+		slices.Sort(members)
+		for _, v := range members {
+			num.of[v] = next
+			next++
+		}
+	}
+	num.first = append(num.first, int32(next))
+	return num
+}
+
+// bucketIDs is the stride of the catalogue's lookup table: partOf scans at
+// most this many range starts.
+const bucketIDs = 16
+
+// buckets returns the lookup table over the partition ranges that first
+// delimits: the partition holding each bucketIDs-th ID.
+func buckets(first []int32) []int32 {
+	n := first[len(first)-1]
+	out := make([]int32, (n+bucketIDs-1)/bucketIDs)
+	p := int32(0)
+	for i := range out {
+		for first[p+1] <= int32(i)*bucketIDs {
+			p++
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// partOf returns the partition holding vertex id, which the caller has
+// checked lies in [0, numNodes). Every partition holds a vertex, so the
+// bucketIDs IDs from the bucket's own to id are in at most bucketIDs
+// partitions.
+func (ix *Index) partOf(id dn.NodeID) int32 {
+	p := ix.bucket[id/bucketIDs]
+	for ix.first[p+1] <= int32(id) {
+		p++
+	}
+	return p
+}
+
 // Store exposes the underlying simulated disk.
 func (ix *Index) Store() *pagefile.Store { return ix.store }
 
@@ -295,32 +363,29 @@ func (ix *Index) NumPartitions() int { return len(ix.partRefs) }
 func (ix *Index) NumTicks() int { return ix.numTicks }
 
 // findVertex implements FindVertex(Ht(o), o, t): it reads o's run
-// directory — one blob read — and searches it for the (node, partition) of
-// the run covering t (findRun). It allocates nothing.
-func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *pagefile.Stats) (dn.NodeID, int32, error) {
+// directory — one blob read — and searches it for the vertex of the run
+// covering t (findRun). It allocates nothing.
+func (ix *Index) findVertex(o trajectory.ObjectID, t trajectory.Tick, acct *pagefile.Stats) (dn.NodeID, error) {
 	if int(o) < 0 || int(o) >= ix.numObjects {
-		return dn.Invalid, -1, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, ix.numObjects)
+		return dn.Invalid, fmt.Errorf("reachgraph: object %d outside [0, %d)", o, ix.numObjects)
 	}
 	data, err := pagefile.Whole(ix.store.ReadBlob(ix.dirRefs[o], acct))
 	if err != nil {
-		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
+		return dn.Invalid, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
 	}
-	node, part, err := findRun(data, t)
+	node, err := findRun(data, t)
 	switch {
 	case err != nil:
-		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
+		return dn.Invalid, fmt.Errorf("reachgraph: directory of object %d: %w", o, err)
 	case node < 0 || node >= int64(ix.numNodes):
-		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d names vertex %d outside [0, %d)", o, node, ix.numNodes)
-	case part < 0 || part >= int64(len(ix.partRefs)):
-		return dn.Invalid, -1, fmt.Errorf("reachgraph: directory of object %d names partition %d outside [0, %d)", o, part, len(ix.partRefs))
+		return dn.Invalid, fmt.Errorf("reachgraph: directory of object %d names vertex %d outside [0, %d)", o, node, ix.numNodes)
 	}
-	return dn.NodeID(node), int32(part), nil
+	return dn.NodeID(node), nil
 }
 
 // locate is findVertex charged to the query's accountant.
-func (c *cursor) locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error) {
-	v, p, err := c.ix.findVertex(o, t, c.acct)
-	return entry{v, p}, err
+func (c *cursor) locate(o trajectory.ObjectID, t trajectory.Tick) (dn.NodeID, error) {
+	return c.ix.findVertex(o, t, c.acct)
 }
 
 // clampInterval intersects iv with the index's time domain.

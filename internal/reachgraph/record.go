@@ -3,7 +3,12 @@
 //
 // A record is a header (span), the member posting, and four edge sections
 // in fixed order — out, in, longOut, longIn. The vertex id is not stored:
-// the partition directory that leads to the record names it. Decoding is
+// the record's position in its partition names it. An edge is its target's
+// index ID alone, as a zig-zag delta from the previous target of its list,
+// the first from the record's own ID: the target's partition follows from
+// the ID (Index.partOf), and most targets lie in or beside the record's own
+// partition. Lists keep the graph's order, so a traversal meets the
+// targets in the order the memory index does. Decoding is
 // lazy per section: looking a vertex up decodes header and members only,
 // and a traversal asks (graphAccess.need) for the one or two sections its
 // direction reads. Sections are not length-prefixed, so reaching a later
@@ -31,38 +36,22 @@ const (
 
 var sectionNames = [numSections]string{"out", "in", "long-out", "long-in"}
 
-// edgeList is a neighbour list with its parallel list of partition hints,
-// the partitions holding the neighbours. The memory index leaves the hints
-// empty: every hint is then -1.
-type edgeList struct {
-	nodes []dn.NodeID
-	parts []int32
-}
-
-// entry returns neighbour i as a traversal entry.
-func (l edgeList) entry(i int) entry {
-	if len(l.parts) == 0 {
-		return entry{l.nodes[i], -1}
-	}
-	return entry{l.nodes[i], l.parts[i]}
-}
-
 // levelEdges is one long-edge resolution's target list. Records carry at
 // most a handful of levels, so a sorted slice beats a map on both decode
 // allocations and lookup time.
 type levelEdges struct {
 	level int
-	edges edgeList
+	edges []dn.NodeID
 }
 
 // levelEdgesAt returns the edges at resolution L, or an empty list.
-func levelEdgesAt(ls []levelEdges, L int) edgeList {
+func levelEdgesAt(ls []levelEdges, L int) []dn.NodeID {
 	for i := range ls {
 		if ls[i].level == L {
 			return ls[i].edges
 		}
 	}
-	return edgeList{}
+	return nil
 }
 
 // vertexRec is a vertex record as the traversals read it: on disk decoded
@@ -73,7 +62,7 @@ type vertexRec struct {
 	id         dn.NodeID
 	start, end trajectory.Tick
 	members    []trajectory.ObjectID
-	out, in    edgeList
+	out, in    []dn.NodeID
 	longOut    []levelEdges // ascending resolution
 	longIn     []levelEdges
 }
@@ -89,7 +78,7 @@ type diskRec struct {
 	raw     []byte              // the record's bytes, a view of the partition blob
 	off     [numSections]uint32 // where each section starts in raw
 	scanned [2]int32            // the directory entries its lookup scanned, in the payload
-	part    int32               // the partition holding it
+	at      uint32              // where raw starts in the partition's payload
 	have    uint8               // sections decoded so far
 	known   uint8               // off[:known] are valid; at least 1 once decoded
 }
@@ -125,7 +114,6 @@ func (r *diskRec) merge(o *diskRec) {
 type sharedRec struct {
 	lists      *frozen // the arrays its spans index
 	start, end trajectory.Tick
-	part       int32
 	at, n      uint32 // the record's bytes in its partition's payload
 	scanned    [2]int32
 	off        [numSections]uint32
@@ -142,7 +130,6 @@ type span struct{ lo, hi uint32 }
 type frozen struct {
 	members []trajectory.ObjectID
 	nodes   []dn.NodeID
-	parts   []int32 // the hints of nodes
 	levels  []levelEdges
 }
 
@@ -156,43 +143,38 @@ func (s *sharedRec) thaw(id dn.NodeID, payload []byte, r *diskRec) {
 	r.longOut = f.levels[s.longOut.lo:s.longOut.hi:s.longOut.hi]
 	r.longIn = f.levels[s.longIn.lo:s.longIn.hi:s.longIn.hi]
 	r.raw = payload[s.at : s.at+s.n] // capacity to the payload's end, as find's
-	r.off, r.scanned, r.part, r.have, r.known = s.off, s.scanned, s.part, s.have, s.known
+	r.at, r.off, r.scanned, r.have, r.known = s.at, s.off, s.scanned, s.have, s.known
 }
 
-func (f *frozen) edges(s span) edgeList {
-	return edgeList{f.nodes[s.lo:s.hi:s.hi], f.parts[s.lo:s.hi:s.hi]}
-}
+func (f *frozen) edges(s span) []dn.NodeID { return f.nodes[s.lo:s.hi:s.hi] }
 
-// freeze copies the lists of records rs, decoded from the payloads of
-// parts, into arrays of their own, exactly sized, and returns the records
-// as shared ones, in order.
-func freeze(rs []*diskRec, parts []partView) []sharedRec {
+// freeze copies the lists of records rs into arrays of their own, exactly
+// sized, and returns the records as shared ones, in order.
+func freeze(rs []*diskRec) []sharedRec {
 	var members, nodes, levels int
 	for _, r := range rs {
 		members += len(r.members)
-		nodes += len(r.out.nodes) + len(r.in.nodes)
+		nodes += len(r.out) + len(r.in)
 		for _, ls := range [...][]levelEdges{r.longOut, r.longIn} {
 			levels += len(ls)
 			for _, l := range ls {
-				nodes += len(l.edges.nodes)
+				nodes += len(l.edges)
 			}
 		}
 	}
 	f := &frozen{
 		members: make([]trajectory.ObjectID, 0, members),
 		nodes:   make([]dn.NodeID, 0, nodes),
-		parts:   make([]int32, 0, nodes),
 		levels:  make([]levelEdges, 0, levels),
 	}
 	out := make([]sharedRec, len(rs))
 	for i, r := range rs {
-		at := cap(parts[r.part].blob.Bytes()) - cap(r.raw)
 		out[i] = sharedRec{
-			lists: f, start: r.start, end: r.end, part: r.part,
-			at: uint32(at), n: uint32(len(r.raw)), scanned: r.scanned,
+			lists: f, start: r.start, end: r.end,
+			at: r.at, n: uint32(len(r.raw)), scanned: r.scanned,
 			off: r.off, have: r.have, known: r.known,
 			members: appendSpan(&f.members, r.members),
-			out:     f.putEdges(r.out), in: f.putEdges(r.in),
+			out:     appendSpan(&f.nodes, r.out), in: appendSpan(&f.nodes, r.in),
 			longOut: f.putLevels(r.longOut), longIn: f.putLevels(r.longIn),
 		}
 	}
@@ -206,17 +188,12 @@ func appendSpan[T any](dst *[]T, src []T) span {
 	return span{uint32(lo), uint32(len(*dst))}
 }
 
-func (f *frozen) putEdges(l edgeList) span {
-	appendSpan(&f.parts, l.parts)
-	return appendSpan(&f.nodes, l.nodes)
-}
-
 // putLevels appends ls, whose edges land in f's arrays first: those are
 // sized exactly, so the copies' slices of them stay valid.
 func (f *frozen) putLevels(ls []levelEdges) span {
 	lo := len(f.levels)
 	for _, l := range ls {
-		f.levels = append(f.levels, levelEdges{level: l.level, edges: f.edges(f.putEdges(l.edges))})
+		f.levels = append(f.levels, levelEdges{level: l.level, edges: f.edges(appendSpan(&f.nodes, l.edges))})
 	}
 	return span{uint32(lo), uint32(len(f.levels))}
 }
@@ -227,7 +204,6 @@ type arena struct {
 	recs    visit.Slab[diskRec]
 	members visit.Slab[trajectory.ObjectID]
 	nodes   visit.Slab[dn.NodeID]
-	parts   visit.Slab[int32] // the hints of nodes, allocated in step with it
 	levels  visit.Slab[levelEdges]
 }
 
@@ -235,22 +211,22 @@ func (a *arena) reset() {
 	a.recs.Reset()
 	a.members.Reset()
 	a.nodes.Reset()
-	a.parts.Reset()
 	a.levels.Reset()
 }
 
-// encodeVertex appends one vertex record. Every referenced neighbour is
-// stored as a (node, partition) pair so traversal is self-routing.
-func encodeVertex(enc *pagefile.Encoder, g *dn.Graph, id dn.NodeID, partOf []int32) {
+// encodeVertex appends the record of graph vertex id; num maps graph IDs to
+// index IDs.
+func encodeVertex(enc *pagefile.Encoder, g *dn.Graph, id dn.NodeID, num []dn.NodeID) {
 	nd := &g.Nodes[id]
 	enc.Uvarint(uint64(nd.Start))
 	enc.Uvarint(uint64(nd.End - nd.Start)) // End ≥ Start
 	encodeMembersDelta(enc, g.Members(id))
-	encodeEdges(enc, g.Out(id), partOf)
-	encodeEdges(enc, g.In(id), partOf)
+	self := num[id]
+	encodeEdges(enc, self, g.Out(id), num)
+	encodeEdges(enc, self, g.In(id), num)
 	// Long edges, ascending resolution; only levels with targets.
-	encodeLongs(enc, partOf, g.Resolutions, func(L int) []dn.NodeID { return g.LongOut(id, L) })
-	encodeLongs(enc, partOf, g.Resolutions, func(L int) []dn.NodeID { return g.LongIn(id, L) })
+	encodeLongs(enc, self, num, g.Resolutions, func(L int) []dn.NodeID { return g.LongOut(id, L) })
+	encodeLongs(enc, self, num, g.Resolutions, func(L int) []dn.NodeID { return g.LongIn(id, L) })
 }
 
 // encodeMembersDelta writes a sorted member posting as zig-zag deltas.
@@ -263,7 +239,7 @@ func encodeMembersDelta(enc *pagefile.Encoder, members []trajectory.ObjectID) {
 	}
 }
 
-func encodeLongs(enc *pagefile.Encoder, partOf []int32, resolutions []int, edgesOf func(int) []dn.NodeID) {
+func encodeLongs(enc *pagefile.Encoder, self dn.NodeID, num []dn.NodeID, resolutions []int, edgesOf func(int) []dn.NodeID) {
 	levels := 0
 	for _, L := range resolutions {
 		if len(edgesOf(L)) > 0 {
@@ -277,17 +253,18 @@ func encodeLongs(enc *pagefile.Encoder, partOf []int32, resolutions []int, edges
 			continue
 		}
 		enc.Uvarint(uint64(L))
-		encodeEdges(enc, es, partOf)
+		encodeEdges(enc, self, es, num)
 	}
 }
 
-func encodeEdges(enc *pagefile.Encoder, edges []dn.NodeID, partOf []int32) {
+// encodeEdges writes the index IDs of graph vertices edges as zig-zag
+// deltas, the first from self's.
+func encodeEdges(enc *pagefile.Encoder, self dn.NodeID, edges []dn.NodeID, num []dn.NodeID) {
 	enc.Uvarint(uint64(len(edges)))
-	prevNode, prevPart := int64(0), int64(0)
+	prev := int64(self)
 	for _, v := range edges {
-		enc.Varint(int64(v) - prevNode) // neighbours cluster: small deltas
-		enc.Varint(int64(partOf[v]) - prevPart)
-		prevNode, prevPart = int64(v), int64(partOf[v])
+		enc.Varint(int64(num[v]) - prev) // neighbours cluster: small deltas
+		prev = int64(num[v])
 	}
 }
 
@@ -296,7 +273,7 @@ func encodeEdges(enc *pagefile.Encoder, edges []dn.NodeID, partOf []int32) {
 // make a decode fail, never make it reserve more than the record's own size.
 const (
 	minMember = 1 // one zig-zag delta
-	minEdge   = 2 // node delta + partition delta
+	minEdge   = 1 // one zig-zag delta
 	minLevel  = 2 // resolution + an empty edge list
 )
 
@@ -334,32 +311,30 @@ func decodeHeader(dec *pagefile.Decoder, numObjects int, v *vertexRec, a *arena)
 	}
 }
 
-// decodeEdges reads one edge list, validating every target against the
-// graph's node-ID space: decoded IDs index the epoch-stamped visited
-// arrays directly, so an out-of-range value must surface as a decode
-// error (the documented corruption behavior), never as a panic.
-func decodeEdges(dec *pagefile.Decoder, numNodes int, a *arena) edgeList {
-	n := readCount(dec, minEdge, "edge")
-	nodes, parts := a.nodes.Alloc(n), a.parts.Alloc(n)
-	parts = parts[:len(nodes)]
-	prevNode, prevPart := int64(0), int64(0)
+// decodeEdges reads one edge list of the record of vertex self, validating
+// every target against the index's node-ID space: decoded IDs index the
+// epoch-stamped visited arrays directly, so an out-of-range value must
+// surface as a decode error (the documented corruption behavior), never as
+// a panic.
+func decodeEdges(dec *pagefile.Decoder, self dn.NodeID, numNodes int, a *arena) []dn.NodeID {
+	nodes := a.nodes.Alloc(readCount(dec, minEdge, "edge"))
+	prev := int64(self)
 	for i := range nodes {
-		prevNode += dec.Varint()
-		prevPart += dec.Varint()
-		if prevNode < 0 || prevNode >= int64(numNodes) {
-			dec.Failf("reachgraph: edge target %d outside [0, %d)", prevNode, numNodes)
-			return edgeList{}
+		prev += dec.Varint()
+		if prev < 0 || prev >= int64(numNodes) {
+			dec.Failf("reachgraph: edge target %d outside [0, %d)", prev, numNodes)
+			return nil
 		}
-		nodes[i], parts[i] = dn.NodeID(prevNode), int32(prevPart)
+		nodes[i] = dn.NodeID(prev)
 	}
-	return edgeList{nodes, parts}
+	return nodes
 }
 
-func decodeLongs(dec *pagefile.Decoder, numNodes int, a *arena) []levelEdges {
+func decodeLongs(dec *pagefile.Decoder, self dn.NodeID, numNodes int, a *arena) []levelEdges {
 	ls := a.levels.Alloc(readCount(dec, minLevel, "level"))
 	for i := range ls {
 		L := int(dec.Uvarint())
-		ls[i] = levelEdges{level: L, edges: decodeEdges(dec, numNodes, a)}
+		ls[i] = levelEdges{level: L, edges: decodeEdges(dec, self, numNodes, a)}
 	}
 	return ls
 }
@@ -379,5 +354,5 @@ func skipSection(dec *pagefile.Decoder, s int) {
 }
 
 func skipEdges(dec *pagefile.Decoder) {
-	dec.SkipVarints(2 * readCount(dec, minEdge, "edge"))
+	dec.SkipVarints(readCount(dec, minEdge, "edge"))
 }

@@ -37,7 +37,7 @@ func TestReverseSetMatchesOracle(t *testing.T) {
 		{[]trajectory.ObjectID{39, 0}, contact.Interval{Lo: 250, Hi: 299}},
 	}
 	for _, tc := range cases {
-		want := f.oracle.ReverseReachableSetFrom(tc.seeds, tc.iv)
+		want := objectsOf(f.oracle.ReverseProfileFrom(tc.seeds, tc.iv))
 		prof, _, err := ix.AppendProfile(ctx, nil, seedsOf(tc.seeds...), tc.iv, queries.Backward, nil, nil)
 		if err != nil {
 			t.Fatalf("disk reverse %v over %v: %v", tc.seeds, tc.iv, err)

@@ -28,38 +28,15 @@ func longRunGraph(ticks int) *dn.Graph {
 	return b.Graph()
 }
 
-// runAt is FindVertex by a linear scan of the graph's own run list.
-func runAt(g *dn.Graph, partOf func(dn.NodeID) int32, o trajectory.ObjectID, t trajectory.Tick) (dn.NodeID, int32, bool) {
+// runAt is FindVertex by a linear scan of the graph's own run list: the
+// index ID, under numbering num, of the first run of o ending at or after t.
+func runAt(g *dn.Graph, num []dn.NodeID, o trajectory.ObjectID, t trajectory.Tick) (dn.NodeID, bool) {
 	for _, id := range g.RunsOf(o) {
 		if g.Nodes[id].End >= t {
-			return id, partOf(id), true
+			return num[id], true
 		}
 	}
-	return dn.Invalid, -1, false
-}
-
-// partitionOf maps every vertex of ix to the partition holding it, read
-// back from the partition blobs' directories.
-func partitionOf(t testing.TB, ix *Index) func(dn.NodeID) int32 {
-	t.Helper()
-	of := make([]int32, ix.numNodes)
-	sc := ix.begin(nil)
-	defer ix.pool.Put(sc)
-	for p := range ix.partRefs {
-		if err := sc.cur.loadPartition(int32(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := range of {
-		of[id] = -1
-		for p := range ix.partRefs {
-			if _, _, err := sc.cur.parts[p].find(dn.NodeID(id), &sc.cur.checked); err == nil {
-				of[id] = int32(p)
-				break
-			}
-		}
-	}
-	return func(id dn.NodeID) int32 { return of[id] }
+	return dn.Invalid, false
 }
 
 // TestFindVertexMatchesRunList holds the anchored search to a linear scan
@@ -71,14 +48,13 @@ func TestFindVertexMatchesRunList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		partOf := partitionOf(t, ix)
+		num, _ := layout(g, ix.params.PartitionDepth)
 		for o := 0; o < g.NumObjects; o++ {
 			for tk := 0; tk <= g.NumTicks; tk++ {
-				node, part, err := ix.findVertex(trajectory.ObjectID(o), trajectory.Tick(tk), nil)
-				wantNode, wantPart, ok := runAt(g, partOf, trajectory.ObjectID(o), trajectory.Tick(tk))
-				if ok != (err == nil) || node != wantNode || part != wantPart {
-					t.Fatalf("object %d at %d: (%d, %d, %v), linear scan (%d, %d, found %v)",
-						o, tk, node, part, err, wantNode, wantPart, ok)
+				node, err := ix.findVertex(trajectory.ObjectID(o), trajectory.Tick(tk), nil)
+				wantNode, ok := runAt(g, num.of, trajectory.ObjectID(o), trajectory.Tick(tk))
+				if ok != (err == nil) || node != wantNode {
+					t.Fatalf("object %d at %d: (%d, %v), linear scan (%d, found %v)", o, tk, node, err, wantNode, ok)
 				}
 			}
 		}
@@ -106,7 +82,8 @@ func withCount(t testing.TB, blob []byte, n uint64) []byte {
 
 // TestForgedRunDirectoriesFail installs run directories that pass the
 // store's checksum but contradict themselves — the forms a table names,
-// and every anchor field nudged by one — and checks that FindVertex fails
+// every anchor field nudged by one, and every anchor's node moved into
+// another partition — and checks that FindVertex fails
 // loudly on them: no lookup panics, each one either errs or still answers
 // what the intact directory answers, and at least one errs. The anchored
 // directory holds 200 runs (seven groups); the lone group, 20.
@@ -151,11 +128,11 @@ func TestForgedRunDirectoriesFail(t *testing.T) {
 			forgeries = append(forgeries, []forgery{
 				{"n implies one group fewer", func(b []byte) []byte { return withCount(t, b, n-runStride) }},
 				{"anchor offset past the body", func(b []byte) []byte {
-					binary.LittleEndian.PutUint32(anchor(b, 1, 3), uint32(len(b)))
+					binary.LittleEndian.PutUint32(anchor(b, 1, 2), uint32(len(b)))
 					return b
 				}},
 				{"anchor offset before its predecessor", func(b []byte) []byte {
-					binary.LittleEndian.PutUint32(anchor(b, 2, 3), binary.LittleEndian.Uint32(anchor(b, 0, 3)))
+					binary.LittleEndian.PutUint32(anchor(b, 2, 2), binary.LittleEndian.Uint32(anchor(b, 0, 2)))
 					return b
 				}},
 				{"anchor ends do not ascend", func(b []byte) []byte {
@@ -167,36 +144,40 @@ func TestForgedRunDirectoriesFail(t *testing.T) {
 					return b
 				}},
 				{"anchor node shifted", nudge(1, 1, 2)},
-				{"last anchor partition shifted", nudge(anchors-1, 2, 1)},
+				{"last anchor node shifted", nudge(anchors-1, 1, 1)},
 			}...)
 			for k := 0; k < anchors; k++ {
-				for field, what := range []string{"end", "node", "partition", "offset"} {
+				for field, what := range []string{"end", "node", "offset"} {
 					forgeries = append(forgeries, forgery{fmt.Sprintf("anchor %d %s nudged", k, what), nudge(k, field, 1)})
 				}
+				// The anchor names a vertex of another partition: its node
+				// moved by the size of its own partition.
+				node := dn.NodeID(binary.LittleEndian.Uint32(anchor(intact, k, 1)))
+				p := ix.partOf(node)
+				forgeries = append(forgeries, forgery{fmt.Sprintf("anchor %d node moved a partition", k), nudge(k, 1, uint32(ix.first[p+1]-ix.first[p]))})
 			}
 		}
-		lookups := func() (nodes []dn.NodeID, parts []int32, errs []error) {
+		lookups := func() (nodes []dn.NodeID, errs []error) {
 			for tk := 0; tk <= g.NumTicks; tk++ {
-				node, part, err := ix.findVertex(0, trajectory.Tick(tk), nil)
-				nodes, parts, errs = append(nodes, node), append(parts, part), append(errs, err)
+				node, err := ix.findVertex(0, trajectory.Tick(tk), nil)
+				nodes, errs = append(nodes, node), append(errs, err)
 			}
-			return nodes, parts, errs
+			return nodes, errs
 		}
 		ref := ix.dirRefs[0]
-		wantNodes, wantParts, wantErrs := lookups()
+		wantNodes, wantErrs := lookups()
 		for _, tc := range forgeries {
 			t.Run(fmt.Sprintf("%d runs/%s", n, tc.name), func(t *testing.T) {
 				ix.dirRefs[0] = ix.store.AppendBlob(tc.forge(append([]byte(nil), intact...)))
 				defer func() { ix.dirRefs[0] = ref }()
-				nodes, parts, errs := lookups()
+				nodes, errs := lookups()
 				failed := 0
 				for tk := range errs {
 					switch {
 					case errs[tk] != nil:
 						failed++
-					case wantErrs[tk] != nil || nodes[tk] != wantNodes[tk] || parts[tk] != wantParts[tk]:
-						t.Errorf("tick %d: answered (%d, %d), the intact directory (%d, %d, %v)",
-							tk, nodes[tk], parts[tk], wantNodes[tk], wantParts[tk], wantErrs[tk])
+					case wantErrs[tk] != nil || nodes[tk] != wantNodes[tk]:
+						t.Errorf("tick %d: answered %d, the intact directory (%d, %v)", tk, nodes[tk], wantNodes[tk], wantErrs[tk])
 					}
 				}
 				if failed == 0 {
@@ -213,12 +194,12 @@ func TestForgedRunDirectoriesFail(t *testing.T) {
 // closed by an anchor holding its last entry's values and the offset past
 // it; ends strictly ascending after the first; nothing left over —
 // together with the first run whose end is ≥ t (found false when none is).
-func linearRun(data []byte, t trajectory.Tick) (node, part int64, found, ok bool) {
+func linearRun(data []byte, t trajectory.Tick) (node int64, found, ok bool) {
 	dec := pagefile.NewDecoder(data)
 	dec.Format()
 	n := dec.Uvarint()
 	if dec.Err() != nil || n > uint64(len(data)) {
-		return 0, 0, false, false
+		return 0, false, false
 	}
 	anchors := int((n + runStride - 1) / runStride)
 	if anchors == 1 {
@@ -226,34 +207,33 @@ func linearRun(data []byte, t trajectory.Tick) (node, part int64, found, ok bool
 	}
 	head := len(data) - dec.Remaining()
 	if anchors*runAnchorBytes > dec.Remaining() {
-		return 0, 0, false, false
+		return 0, false, false
 	}
 	index, body := data[head:head+anchors*runAnchorBytes], data[head+anchors*runAnchorBytes:]
 	dec = pagefile.NewDecoder(body)
-	var end, nd, pt int64
+	var end, nd int64
 	for i := 0; i < int(n); i++ {
 		gap := dec.Uvarint()
 		if gap == 0 && i > 0 {
-			return 0, 0, false, false
+			return 0, false, false
 		}
 		end += int64(gap)
 		nd += dec.Varint()
-		pt += dec.Varint()
 		if !found && end >= int64(t) {
-			node, part, found = nd, pt, true
+			node, found = nd, true
 		}
 		if anchors > 0 && ((i+1)%runStride == 0 || i+1 == int(n)) {
 			a := index[i/runStride*runAnchorBytes:]
 			if end != int64(binary.LittleEndian.Uint32(a)) || nd != int64(binary.LittleEndian.Uint32(a[4:])) ||
-				pt != int64(binary.LittleEndian.Uint32(a[8:])) || len(body)-dec.Remaining() != int(binary.LittleEndian.Uint32(a[12:])) {
-				return 0, 0, false, false
+				len(body)-dec.Remaining() != int(binary.LittleEndian.Uint32(a[8:])) {
+				return 0, false, false
 			}
 		}
 	}
 	if dec.Err() != nil || dec.Remaining() != 0 {
-		return 0, 0, false, false
+		return 0, false, false
 	}
-	return node, part, found, true
+	return node, found, true
 }
 
 // runDirectory is the body of FuzzRunDirectory: findRun must not panic on
@@ -281,13 +261,13 @@ func runDirectory(t *testing.T, dirs [][]byte, data []byte) {
 		tk = trajectory.Tick(src.Intn(1 << 20))
 		dir = src.Rest()
 	}
-	node, part, err := findRun(dir, tk)
-	wantNode, wantPart, found, ok := linearRun(dir, tk)
+	node, err := findRun(dir, tk)
+	wantNode, found, ok := linearRun(dir, tk)
 	if !ok {
 		return
 	}
-	if found != (err == nil) || err == nil && (node != wantNode || part != wantPart) {
-		t.Fatalf("tick %d: findRun (%d, %d, %v), linear reading (%d, %d, found %v)", tk, node, part, err, wantNode, wantPart, found)
+	if found != (err == nil) || err == nil && node != wantNode {
+		t.Fatalf("tick %d: findRun (%d, %v), linear reading (%d, found %v)", tk, node, err, wantNode, found)
 	}
 }
 
@@ -345,7 +325,7 @@ func BenchmarkFindVertex(b *testing.B) {
 			var acct pagefile.Stats
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ix.findVertex(0, c.at, &acct); err != nil {
+				if _, err := ix.findVertex(0, c.at, &acct); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,8 +32,10 @@ type sweepCounts struct {
 // AppendArrivalProfileSeeds (forward) and AppendReverseProfileFrom
 // (backward, which took bare objects and kept a plain visited set), and
 // the disk page counts re-recorded when run directories gained their
-// anchors (layout version 3, which moves directory blobs across pages); a
-// difference means the entry-tick table re-queued where the visited set
+// anchors (layout version 3, which moves directory blobs across pages) and
+// when vertices were numbered partition by partition (layout version 4,
+// 49 → 33 pages: visits and profiles unchanged, digests moved with the page
+// counts they include); a difference means the entry-tick table re-queued where the visited set
 // did not, or a read was skipped, moved or added. The size of the disk
 // index is pinned beside them: with one page layout there is no second one
 // to compare against, so a layout change that bloats the index fails here.
@@ -41,17 +43,17 @@ type sweepCounts struct {
 // query may verify more pages than it is charged for.
 func TestSweepCountsUnchanged(t *testing.T) {
 	want := map[string]sweepCounts{
-		"varint/forward":   {9504, 71, 878, 103, 0xf86fe1f73d58bd31},
-		"varint/staggered": {9475, 75, 898, 104, 0x9b6deb06383f9538},
-		"varint/backward":  {9115, 78, 882, 135, 0x797de1c36e9e9347},
+		"varint/forward":   {9504, 64, 585, 115, 0x86e9c15579d6b52b},
+		"varint/staggered": {9475, 67, 603, 119, 0xf0082038d97fde70},
+		"varint/backward":  {9115, 61, 590, 156, 0x3f2f50b7e9821bda},
 		"mem/forward":      {9504, 0, 0, 0, 0xfc1bcd236ec2499b},
 		"mem/staggered":    {9475, 0, 0, 0, 0xf9c03a36469c191},
 		"mem/backward":     {9115, 0, 0, 0, 0xdc933ca309df87f5},
 	}
 	wantVerified := map[string]int64{
-		"varint/forward":   462,
-		"varint/staggered": 489,
-		"varint/backward":  575,
+		"varint/forward":   367,
+		"varint/staggered": 394,
+		"varint/backward":  456,
 	}
 	f := newFixture(t, 60, 400, 16)
 	work := f.workload(24, 40, 160, 16)
@@ -68,7 +70,7 @@ func TestSweepCountsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ix.Store().SizeBytes(), int64(49*pagefile.PageSize); got != want {
+	if got, want := ix.Store().SizeBytes(), int64(33*pagefile.PageSize); got != want {
 		t.Errorf("index occupies %d bytes, recorded %d", got, want)
 	}
 	targets := []target{{"varint", ix.DropCache, func(seeds []queries.SeedState, iv contact.Interval, dir queries.Direction, acct *pagefile.Stats) ([]queries.ProfileEntry, int, error) {

@@ -43,6 +43,12 @@
 // from tick 0, reverse ones (revBoundaryOf) from the last tick of the
 // domain, so a shared body would branch on direction in every second line.
 //
+// A vertex to visit is its ID alone. On disk that is the index's own
+// numbering, partition by partition, so the partition holding a vertex
+// follows from its ID and no edge carries one; in memory it is the graph's.
+// Both keep every edge list in the graph's order, so a traversal meets the
+// same runs in the same order on either.
+//
 // All traversal state — visited tables, object sets, frontier queues — is
 // a pooled scratch of epoch-stamped arrays over the graph's dense node and
 // object ID spaces (internal/visit), so steady-state queries allocate
@@ -100,7 +106,7 @@ func (s Strategy) String() string {
 // memory index relies on that, refilling one record per visit.
 type graphAccess interface {
 	// vertex returns the record of node id with span and members ready.
-	vertex(id dn.NodeID, part int32) (*vertexRec, error)
+	vertex(id dn.NodeID) (*vertexRec, error)
 	// need makes the edge sections named in sections (sec* bits) readable
 	// on v, the record vertex returned last, and returns the record to read
 	// them from: v, or on disk a query-local copy of a shared record that
@@ -110,15 +116,8 @@ type graphAccess interface {
 	need(v *vertexRec, sections uint8) (*vertexRec, error)
 	// locate is FindVertex: the run of object o covering tick t. On disk an
 	// object without one is a corrupt run directory and an error; in memory
-	// the entry's node is dn.Invalid.
-	locate(o trajectory.ObjectID, t trajectory.Tick) (entry, error)
-}
-
-// entry is a vertex a traversal is to visit, with the partition hint that
-// locates it on disk: -1 in memory, where hints are neither stored nor read.
-type entry struct {
-	node dn.NodeID
-	part int32
+	// it is dn.Invalid.
+	locate(o trajectory.ObjectID, t trajectory.Tick) (dn.NodeID, error)
 }
 
 // scratch is the pooled per-query working state of every traversal: the
@@ -136,8 +135,8 @@ type scratch struct {
 	nodes            visit.Set   // visited nodes (unidirectional sweeps)
 	seedNodes        visit.Set   // seed-vertex dedup
 	fwQueue, bwQueue visit.Deque[tickItem]
-	queue            visit.Deque[entry] // unidirectional frontier / stack
-	starts           []entry
+	queue            visit.Deque[dn.NodeID] // unidirectional frontier / stack
+	starts           []dn.NodeID
 	tickStarts       []tickItem // per-seed-tick starts (sweep)
 
 	cur cursor    // the disk Index's partitions, records and their arena
@@ -176,12 +175,12 @@ func reachFrom(ctx context.Context, g graphAccess, sc *scratch, s Strategy, seed
 	dst trajectory.ObjectID, iv contact.Interval, resolutions []int, numTicks int) (bool, error) {
 
 	for _, o := range seeds {
-		e, err := g.locate(o, iv.Lo)
+		v, err := g.locate(o, iv.Lo)
 		if err != nil {
 			return false, err
 		}
-		if e.node != dn.Invalid && sc.seedNodes.Visit(int(e.node)) {
-			sc.starts = append(sc.starts, e)
+		if v != dn.Invalid && sc.seedNodes.Visit(int(v)) {
+			sc.starts = append(sc.starts, v)
 		}
 	}
 	v2, err := g.locate(dst, iv.Hi)
@@ -205,12 +204,12 @@ func appendProfile(ctx context.Context, g graphAccess, sc *scratch, out []querie
 				continue
 			}
 		}
-		e, err := g.locate(s.Obj, at)
+		v, err := g.locate(s.Obj, at)
 		if err != nil {
 			return out, err
 		}
-		if e.node != dn.Invalid {
-			sc.tickStarts = append(sc.tickStarts, tickItem{e, at})
+		if v != dn.Invalid {
+			sc.tickStarts = append(sc.tickStarts, tickItem{v, at})
 		}
 	}
 	if err := sweep(ctx, g, sc, sc.tickStarts, iv, dir, done); err != nil {
@@ -230,21 +229,21 @@ func appendProfile(ctx context.Context, g graphAccess, sc *scratch, out []querie
 // domain size, needed to mirror reverse long-edge boundaries. The context
 // is observed inside every expansion loop, so a cancelled traversal returns
 // ctx.Err() promptly.
-func traverse(ctx context.Context, g graphAccess, sc *scratch, s Strategy, starts []entry, v2 entry,
+func traverse(ctx context.Context, g graphAccess, sc *scratch, s Strategy, starts []dn.NodeID, v2 dn.NodeID,
 	iv contact.Interval, resolutions []int, numTicks int) (bool, error) {
 
-	if v2.node == dn.Invalid {
+	if v2 == dn.Invalid {
 		return false, nil
 	}
 	live := starts[:0]
-	for _, e := range starts {
-		if e.node == dn.Invalid {
+	for _, v := range starts {
+		if v == dn.Invalid {
 			continue
 		}
-		if e.node == v2.node {
+		if v == v2 {
 			return true, nil
 		}
-		live = append(live, e)
+		live = append(live, v)
 	}
 	if len(live) == 0 {
 		return false, nil
@@ -284,8 +283,8 @@ func addAndMeet(own, other *visit.Set, members []trajectory.ObjectID) bool {
 // tickItem is a queue entry: a vertex plus its arrival time (forward) or
 // injection bound (backward).
 type tickItem struct {
-	e entry
-	t trajectory.Tick
+	node dn.NodeID
+	t    trajectory.Tick
 }
 
 // bidirectional implements BM-BFS (resolutions non-nil) and B-BFS
@@ -293,13 +292,13 @@ type tickItem struct {
 // parallel ProcessQueue calls of Algorithm 2. All forward starts are
 // injected at iv.Lo: a multi-source frontier behaves exactly like a source
 // whose component already spans the seed set.
-func bidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []entry, v2 entry,
+func bidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []dn.NodeID, v2 dn.NodeID,
 	iv contact.Interval, resolutions []int, numTicks int) (bool, error) {
 
 	mid := iv.Lo + trajectory.Tick(iv.Len()/2)
 	fw := frontier{queue: &sc.fwQueue, visited: &sc.fwTicks, own: &sc.fwObjs}
-	for _, e := range starts {
-		fw.queue.PushBack(tickItem{e, iv.Lo})
+	for _, v := range starts {
+		fw.queue.PushBack(tickItem{v, iv.Lo})
 	}
 	bw := frontier{queue: &sc.bwQueue, visited: &sc.bwTicks, own: &sc.bwObjs}
 	bw.queue.PushBack(tickItem{v2, iv.Hi})
@@ -346,12 +345,12 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 	if !ok {
 		return false, nil
 	}
-	if !fw.betterForward(it.e.node, it.t) {
+	if !fw.betterForward(it.node, it.t) {
 		return false, nil
 	}
-	fw.visited.Set(int(it.e.node), int32(it.t))
+	fw.visited.Set(int(it.node), int32(it.t))
 	sc.visits++
-	v, err := g.vertex(it.e.node, it.e.part)
+	v, err := g.vertex(it.node)
 	if err != nil {
 		return false, err
 	}
@@ -375,7 +374,7 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 	for li := len(resolutions) - 1; li >= 0; li-- {
 		L := resolutions[li]
 		targets := levelEdgesAt(v.longOut, L)
-		if len(targets.nodes) == 0 {
+		if len(targets) == 0 {
 			continue
 		}
 		dep, okB := boundary(v, L)
@@ -383,9 +382,9 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 			continue
 		}
 		arr := dep + trajectory.Tick(L)
-		for i, n := range targets.nodes {
+		for _, n := range targets {
 			if fw.betterForward(n, arr) {
-				fw.queue.PushBack(tickItem{targets.entry(i), arr})
+				fw.queue.PushBack(tickItem{n, arr})
 			}
 		}
 		return false, nil
@@ -393,9 +392,9 @@ func stepForward(g graphAccess, sc *scratch, fw frontier, other *visit.Set, mid 
 	// Fall back to DN1 edges: depart at the span end, arrive one instant
 	// later (always ≤ mid here since v.end < mid).
 	arr := v.end + 1
-	for i, n := range v.out.nodes {
+	for _, n := range v.out {
 		if fw.betterForward(n, arr) {
-			fw.queue.PushBack(tickItem{v.out.entry(i), arr})
+			fw.queue.PushBack(tickItem{n, arr})
 		}
 	}
 	return false, nil
@@ -409,12 +408,12 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 	if !ok {
 		return false, nil
 	}
-	if !bw.betterBackward(it.e.node, it.t) {
+	if !bw.betterBackward(it.node, it.t) {
 		return false, nil
 	}
-	bw.visited.Set(int(it.e.node), int32(it.t))
+	bw.visited.Set(int(it.node), int32(it.t))
 	sc.visits++
-	v, err := g.vertex(it.e.node, it.e.part)
+	v, err := g.vertex(it.node)
 	if err != nil {
 		return false, err
 	}
@@ -434,7 +433,7 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 	for li := len(resolutions) - 1; li >= 0; li-- {
 		L := resolutions[li]
 		sources := levelEdgesAt(v.longIn, L)
-		if len(sources.nodes) == 0 {
+		if len(sources) == 0 {
 			continue
 		}
 		arr, okB := revBoundaryOf(v, L, numTicks)
@@ -442,17 +441,17 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 			continue
 		}
 		dep := arr - trajectory.Tick(L)
-		for i, n := range sources.nodes {
+		for _, n := range sources {
 			if bw.betterBackward(n, dep) {
-				bw.queue.PushBack(tickItem{sources.entry(i), dep})
+				bw.queue.PushBack(tickItem{n, dep})
 			}
 		}
 		return false, nil
 	}
 	bound := v.start - 1
-	for i, n := range v.in.nodes {
+	for _, n := range v.in {
 		if bw.betterBackward(n, bound) {
-			bw.queue.PushBack(tickItem{v.in.entry(i), bound})
+			bw.queue.PushBack(tickItem{n, bound})
 		}
 	}
 	return false, nil
@@ -465,27 +464,27 @@ func stepBackward(g graphAccess, sc *scratch, bw frontier, other *visit.Set, mid
 // after iv.Hi cannot lead to v2 and is not expanded; that is the only
 // pruning the naïve traversals get. The frontier deque doubles as queue
 // (E-BFS) and stack (E-DFS).
-func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []entry, v2 entry, iv contact.Interval, depthFirst bool) (bool, error) {
-	for _, e := range starts {
-		if sc.nodes.Visit(int(e.node)) {
-			sc.queue.PushBack(e)
+func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []dn.NodeID, v2 dn.NodeID, iv contact.Interval, depthFirst bool) (bool, error) {
+	for _, v := range starts {
+		if sc.nodes.Visit(int(v)) {
+			sc.queue.PushBack(v)
 		}
 	}
 	for sc.queue.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		var cur entry
+		var cur dn.NodeID
 		if depthFirst {
 			cur, _ = sc.queue.PopBack()
 		} else {
 			cur, _ = sc.queue.PopFront()
 		}
-		if cur.node == v2.node {
+		if cur == v2 {
 			return true, nil
 		}
 		sc.visits++
-		v, err := g.vertex(cur.node, cur.part)
+		v, err := g.vertex(cur)
 		if err != nil {
 			return false, err
 		}
@@ -495,9 +494,9 @@ func unidirectional(ctx context.Context, g graphAccess, sc *scratch, starts []en
 		if v, err = g.need(v, secOut); err != nil {
 			return false, err
 		}
-		for i, n := range v.out.nodes {
+		for _, n := range v.out {
 			if sc.nodes.Visit(int(n)) {
-				sc.queue.PushBack(v.out.entry(i))
+				sc.queue.PushBack(n)
 			}
 		}
 	}
@@ -550,26 +549,26 @@ func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, i
 		}
 		return t > prev
 	}
-	push := func(e entry, t trajectory.Tick) {
-		if prev, ok := sc.fwTicks.Get(int(e.node)); ok && !better(int32(t), prev) {
+	push := func(v dn.NodeID, t trajectory.Tick) {
+		if prev, ok := sc.fwTicks.Get(int(v)); ok && !better(int32(t), prev) {
 			return
 		}
-		sc.fwTicks.Set(int(e.node), int32(t))
-		sc.fwQueue.PushBack(tickItem{e, t})
+		sc.fwTicks.Set(int(v), int32(t))
+		sc.fwQueue.PushBack(tickItem{v, t})
 	}
 	for _, it := range starts {
-		push(it.e, it.t)
+		push(it.node, it.t)
 	}
 	for sc.fwQueue.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		it, _ := sc.fwQueue.PopFront()
-		if cur, _ := sc.fwTicks.Get(int(it.e.node)); cur != int32(it.t) {
+		if cur, _ := sc.fwTicks.Get(int(it.node)); cur != int32(it.t) {
 			continue // superseded by a better entry before expansion
 		}
 		sc.visits++
-		v, err := g.vertex(it.e.node, it.e.part)
+		v, err := g.vertex(it.node)
 		if err != nil {
 			return err
 		}
@@ -601,8 +600,8 @@ func sweep(ctx context.Context, g graphAccess, sc *scratch, starts []tickItem, i
 		if !fwd {
 			edges = v.in
 		}
-		for i := range edges.nodes {
-			push(edges.entry(i), next)
+		for _, n := range edges {
+			push(n, next)
 		}
 	}
 	return nil

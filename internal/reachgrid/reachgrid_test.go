@@ -263,10 +263,13 @@ func TestEarlyTerminationSavesIO(t *testing.T) {
 		Seed:       11,
 	})
 	for _, q := range work {
-		when, ok := oracle.EarliestReach(q)
-		if !ok || when > q.Interval.Lo+60 {
+		// The first tick dst holds the item: its arrival in src's profile.
+		prof, _ := oracle.ProfileFrom([]queries.SeedState{{Obj: q.Src}}, q.Interval, queries.UnboundedHops, q.Dst)
+		i := slices.IndexFunc(prof, func(e queries.ProfileEntry) bool { return e.Obj == q.Dst })
+		if i < 0 || prof[i].Arrival > q.Interval.Lo+60 {
 			continue
 		}
+		when := prof[i].Arrival
 		longQ := q
 		shortQ := q
 		shortQ.Interval.Hi = when + 10

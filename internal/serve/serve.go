@@ -219,7 +219,12 @@ func clientID(r *http.Request) string {
 }
 
 // instrument wraps an endpoint with drain rejection, method enforcement,
-// admission control (when admit is set) and metrics recording.
+// admission control (when admit is set), metrics recording and panic
+// recovery: a handler that panics before writing answers the CodeInternal
+// 500 envelope, one that panics after writing has its connection aborted
+// (http.ErrAbortHandler), and either is recorded as a 500. The recovery
+// lives in the deferred func the metrics already need, so it costs a
+// request no defer and no allocation.
 func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.HandlerFunc {
 	wantMethod := http.MethodPost
 	if !admit { // stats, metrics
@@ -229,10 +234,24 @@ func (s *Server) instrument(name string, admit bool, h http.HandlerFunc) http.Ha
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		defer func() {
+			abort := false
+			if p := recover(); p != nil {
+				// Once something is written, or when the handler asked for
+				// it, the connection is cut: a partial response must not
+				// pass for a whole one.
+				abort = rec.status != 0 || p == http.ErrAbortHandler
+				if !abort {
+					writeError(rec, http.StatusInternalServerError, CodeInternal, "internal error: the handler failed", 0)
+				}
+				rec.status = http.StatusInternalServerError
+			}
 			if rec.status == 0 {
 				rec.status = http.StatusOK
 			}
 			s.met.endpoint(name).record(rec.status, time.Since(start))
+			if abort {
+				panic(http.ErrAbortHandler)
+			}
 		}()
 		if r.Method != wantMethod {
 			writeError(rec, http.StatusMethodNotAllowed, CodeMethodNotAllowed,

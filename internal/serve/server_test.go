@@ -823,3 +823,65 @@ func TestLiveEventStaleness(t *testing.T) {
 		t.Error("compaction changed an answer")
 	}
 }
+
+// TestHandlerPanicRecovered wraps a panicking handler with instrument: a
+// panic before anything is written answers the CodeInternal 500 envelope,
+// one after the status line cuts the connection, both are counted as 500s
+// in /metrics, and the next request is served as usual.
+func TestHandlerPanicRecovered(t *testing.T) {
+	s, _, ts := newFrozenServer(t, Config{})
+	h := s.instrument("panicky", true, func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("panic") {
+		case "before":
+			panic("handler bug")
+		case "after":
+			w.WriteHeader(http.StatusOK)
+			w.Write([]byte(`{"partial":`))
+			panic("handler bug")
+		}
+		w.Write([]byte(`{"ok":true}`))
+	})
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+
+	resp := post(t, hs.URL+"?panic=before", `{}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panic before writing: status %d, want 500", resp.StatusCode)
+	}
+	if e := decodeErr(t, resp); e.Code != CodeInternal {
+		t.Fatalf("panic before writing: code %q, want %q", e.Code, CodeInternal)
+	}
+
+	if resp, err := http.Post(hs.URL+"?panic=after", "application/json", strings.NewReader(`{}`)); err == nil {
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Fatalf("panic after writing: read %q whole, want the connection cut", buf.String())
+		}
+	}
+
+	resp = post(t, hs.URL, `{}`)
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || buf.String() != `{"ok":true}` {
+		t.Fatalf("request after the panics: status %d, body %q", resp.StatusCode, buf.String())
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	buf.Reset()
+	buf.ReadFrom(mresp.Body)
+	for _, want := range []string{
+		`streachd_requests_total{endpoint="panicky",code="500"} 2`,
+		`streachd_requests_total{endpoint="panicky",code="200"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics is missing %q", want)
+		}
+	}
+}

@@ -12,7 +12,9 @@ import (
 // a fresh engine, the evaluation frontier the point queries report, the
 // boundary objects handed across the cut, and the page accesses. A planner
 // change that keeps answers exact but re-expands, re-routes or reorders
-// work fails here by backend.
+// work fails here by backend. The page accesses were re-recorded when the
+// ReachGraph layout numbered its vertices partition by partition (layout
+// version 4, a smaller index); expansions and hand-offs did not move.
 func TestShardPlannerCountsPinned(t *testing.T) {
 	ds := hotpathDataset()
 	work := hotpathWorkload(ds)
@@ -23,8 +25,8 @@ func TestShardPlannerCountsPinned(t *testing.T) {
 		frontier          int64
 		io                streach.IOStats
 	}{
-		{"shard:4:reachgraph", 10405, 929, 1613, streach.IOStats{RandomReads: 17, SequentialReads: 29, BufferHits: 4717}},
-		{"shard:4:spatial:reachgraph", 8565, 929, 1214, streach.IOStats{RandomReads: 49, SequentialReads: 158, BufferHits: 3671}},
+		{"shard:4:reachgraph", 10405, 929, 1613, streach.IOStats{RandomReads: 15, SequentialReads: 18, BufferHits: 3748}},
+		{"shard:4:spatial:reachgraph", 8565, 929, 1214, streach.IOStats{RandomReads: 13, SequentialReads: 16, BufferHits: 2991}},
 	} {
 		e, err := streach.Open(tc.backend, ds, streach.Options{PoolPages: 16})
 		if err != nil {
